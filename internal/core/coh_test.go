@@ -34,7 +34,7 @@ type cohChainRun struct {
 
 // encodeLocalObject returns the canonical encoding of a locally owned
 // object, exactly as the coherency path would ship it.
-func encodeLocalObject(t *testing.T, rt *Runtime, v Value) []byte {
+func encodeLocalObject(t testing.TB, rt *Runtime, v Value) []byte {
 	t.Helper()
 	rv, err := rt.res.Resolve(v.LP.Type)
 	if err != nil {

@@ -68,32 +68,44 @@ func (rt *Runtime) budgetFor(origin uint32) int {
 	return rt.closure
 }
 
-// recordEagerUsage runs at demotion/invalidation time, while the table
-// rows still say what was resident and vmem still says which pages the
-// session touched. Page-granular: an entry counts as hit if the first
-// page it occupies was accessed.
-func (rt *Runtime) recordEagerUsage(entries []swizzle.Entry) {
+// recordEagerUsage runs at demotion time, while the table rows still say
+// what was resident and vmem still says which pages the session touched.
+// Page-granular: an entry counts as hit if the first page it occupies was
+// accessed. One pass over the table that allocates nothing once every
+// (origin, type) pair has been seen; the per-origin session tallies exist
+// only when adaptation will read them.
+func (rt *Runtime) recordEagerUsage() {
 	type sessionUse struct{ hits, waste uint64 }
-	perOrigin := make(map[uint32]*sessionUse)
 	rt.eager.mu.Lock()
 	defer rt.eager.mu.Unlock()
 	if rt.eager.usage == nil {
 		rt.eager.usage = make(map[eagerKey]*EagerUsage)
 	}
-	for _, e := range entries {
+	var perOrigin map[uint32]*sessionUse
+	if rt.adaptiveEager {
+		perOrigin = make(map[uint32]*sessionUse)
+	}
+	// Rows arrive in long runs of one (origin, type); remember the last
+	// pair's counters instead of looking them up per row.
+	var k eagerKey
+	var u *EagerUsage
+	s := &sessionUse{}
+	rt.table.Visit(func(e swizzle.Entry) bool {
 		if !e.Resident {
-			continue
+			return true
 		}
-		k := eagerKey{Origin: e.LP.Space, Type: e.LP.Type}
-		u := rt.eager.usage[k]
-		if u == nil {
-			u = &EagerUsage{Origin: k.Origin, Type: k.Type}
-			rt.eager.usage[k] = u
-		}
-		s := perOrigin[k.Origin]
-		if s == nil {
-			s = &sessionUse{}
-			perOrigin[k.Origin] = s
+		if u == nil || k.Origin != e.LP.Space || k.Type != e.LP.Type {
+			k = eagerKey{Origin: e.LP.Space, Type: e.LP.Type}
+			if u = rt.eager.usage[k]; u == nil {
+				u = &EagerUsage{Origin: k.Origin, Type: k.Type}
+				rt.eager.usage[k] = u
+			}
+			if perOrigin != nil {
+				if s = perOrigin[k.Origin]; s == nil {
+					s = &sessionUse{}
+					perOrigin[k.Origin] = s
+				}
+			}
 		}
 		if rt.space.Accessed(rt.space.PageOf(e.Addr)) {
 			u.Hits++
@@ -102,7 +114,8 @@ func (rt *Runtime) recordEagerUsage(entries []swizzle.Entry) {
 			u.Waste++
 			s.waste++
 		}
-	}
+		return true
+	})
 	if !rt.adaptiveEager {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"smartrpc/internal/swizzle"
 	"smartrpc/internal/wire"
 )
 
@@ -72,7 +73,7 @@ func (h *healthState) peer(id uint32) *peerHealth {
 // fenceCheck validates the incarnation a reply from peer carried. The
 // first observation records the epoch; a change trips the fence:
 // record the new epoch (so the relationship can resume if the caller
-// chooses to re-import), demote every warm view held for the origin,
+// chooses to re-import), strip the stale marks held for the origin,
 // and return an ErrOriginRestarted-wrapped error.
 func (rt *Runtime) fenceCheck(peer uint32, inc uint32) error {
 	h := &rt.health
@@ -98,20 +99,19 @@ func (rt *Runtime) fenceCheck(peer uint32, inc uint32) error {
 		peer, old, inc, ErrOriginRestarted)
 }
 
-// fenceDemote strips the warm baselines held for a restarted origin:
-// its heap is fresh, so no offered hash can match and no delta base is
-// valid. The cached pages themselves are torn down by the session abort
-// the fence error forces.
+// fenceDemote strips the stale marks of a restarted origin's data: its
+// heap is fresh, so no offered hash can match and no delta base is valid.
+// Other origins' warm state is untouched. The cached pages themselves are
+// torn down by the session abort the fence error forces.
 func (rt *Runtime) fenceDemote(origin uint32) {
-	rt.warm.mu.Lock()
 	var lps []wire.LongPtr
-	for lp := range rt.warm.views {
-		if lp.Space == origin {
-			lps = append(lps, lp)
+	rt.table.Visit(func(e swizzle.Entry) bool {
+		if e.Stale && e.LP.Space == origin {
+			lps = append(lps, e.LP)
 		}
-	}
-	rt.warm.mu.Unlock()
-	rt.degradeLPs(lps)
+		return true
+	})
+	rt.table.ClearStale(lps)
 }
 
 // noteSuccess records a completed demand exchange with peer, closing

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"smartrpc/internal/swizzle"
 	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
 )
@@ -168,7 +169,7 @@ modScan:
 // CheckIdleInvariants verifies that this runtime's cache is fully torn
 // down: no resident data allocation table rows (stale warm-cache rows
 // may remain, but every page they span must still be protected and
-// their bytes must agree with the recorded revalidation baseline), no
+// still encode — the page is the revalidation baseline), no
 // dirty pages, no delta-shipping state, and no batched allocation work.
 // This is the state every space must reach after EndSession,
 // AbortSession, or a received end-of-session invalidation — whatever
@@ -191,31 +192,12 @@ func (rt *Runtime) CheckIdleInvariants() error {
 		if !rt.warmEnabled() {
 			return invariantErr(rt.id, "stale datum %v with the warm cache disabled", e.LP)
 		}
-		// Baseline consistency — the token-safety invariant: the bytes a
-		// later revalidation token would promote (the page contents, whose
-		// canonical encoding the offered hash describes) must be exactly
-		// what this space recorded at demotion. A divergence here means a
-		// token could resurrect data older than the origin's committed
-		// version.
-		rv, err := rt.res.Resolve(e.LP.Type)
-		if err != nil {
-			return invariantErr(rt.id, "stale datum %v has unresolvable type: %v", e.LP, err)
-		}
-		enc, err := encodeObject(rt.space, rt.table, rt.res, rv.Desc, e.Addr)
-		if err != nil {
-			return invariantErr(rt.id, "re-encode stale datum %v: %v", e.LP, err)
-		}
-		rt.warm.mu.Lock()
-		v := rt.warm.views[e.LP]
-		rt.warm.mu.Unlock()
-		if v == nil {
-			return invariantErr(rt.id, "stale datum %v has no revalidation baseline", e.LP)
-		}
-		if !bytes.Equal(v.bytes, enc) {
-			return invariantErr(rt.id, "stale datum %v: page bytes diverge from the revalidation baseline", e.LP)
-		}
-		if v.sum != wire.Sum64(v.bytes) {
-			return invariantErr(rt.id, "stale datum %v: baseline hash out of date", e.LP)
+		// Baseline availability: the revalidation baseline is derived from
+		// the page when a Validate is built, so the page must still encode.
+		// The one legal exception is a pointer to a datum freed since (its
+		// row is gone): that offer degrades to a refetch.
+		if _, err := rt.encodeStale(e); err != nil && !errors.Is(err, swizzle.ErrNotSwizzled) {
+			return invariantErr(rt.id, "stale datum %v cannot be encoded from its page: %v", e.LP, err)
 		}
 	}
 	if !rt.warmEnabled() {
@@ -251,6 +233,16 @@ func (rt *Runtime) CheckIdleInvariants() error {
 		return invariantErr(rt.id, "idle with %d session-modified entries", mods)
 	}
 	return nil
+}
+
+// encodeStale derives a stale row's revalidation baseline the way
+// validateTuplesFor does: the canonical encoding of its page bytes.
+func (rt *Runtime) encodeStale(e swizzle.Entry) ([]byte, error) {
+	rv, err := rt.res.Resolve(e.LP.Type)
+	if err != nil {
+		return nil, err
+	}
+	return encodeObject(rt.space, rt.table, rt.res, rv.Desc, e.Addr)
 }
 
 // CheckCohLockstep verifies delta-shipping baseline/version lockstep on
@@ -349,15 +341,13 @@ func CheckNetworkInvariants(ground *Runtime, all []*Runtime) error {
 			if !e.Stale {
 				continue
 			}
-			rt.warm.mu.Lock()
-			v := rt.warm.views[e.LP]
-			rt.warm.mu.Unlock()
-			if v == nil {
-				return invariantErr(rt.id, "stale datum %v has no revalidation baseline", e.LP)
-			}
 			origin := byID[e.LP.Space]
 			if origin == nil {
 				continue // origin outside the checked set
+			}
+			mine, err := rt.encodeStale(e)
+			if err != nil {
+				continue // unencodable; revalidation will degrade
 			}
 			rv, err := origin.res.Resolve(e.LP.Type)
 			if err != nil {
@@ -367,14 +357,14 @@ func CheckNetworkInvariants(ground *Runtime, all []*Runtime) error {
 			if err != nil {
 				continue // freed at origin; revalidation will degrade
 			}
-			// The warm baseline may legitimately lag the origin (that is
-			// what revalidation is for). What must NEVER hold is a token
-			// match — origin's current hash equal to the offered one —
-			// against differing bytes: that token would promote a copy
-			// older than the origin's committed version.
-			if wire.Sum64(cur) == v.sum && !bytes.Equal(cur, v.bytes) {
+			// The warm copy may legitimately lag the origin (that is what
+			// revalidation is for). What must NEVER hold is a token match —
+			// origin's current hash equal to the one this space would
+			// offer — against differing bytes: that token would promote a
+			// copy older than the origin's committed version.
+			if wire.Sum64(cur) == wire.Sum64(mine) && !bytes.Equal(cur, mine) {
 				return invariantErr(rt.id,
-					"warm baseline for %v would token-promote bytes differing from the origin's committed value", e.LP)
+					"warm copy of %v would token-promote bytes differing from the origin's committed value", e.LP)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -333,9 +334,10 @@ func TestDuplicateRequestExecutesOnce(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = net.Close() })
 	rt := newRuntimeOnNet(t, net, 2)
-	calls := 0
+	// The two distinct requests may be served concurrently.
+	var calls atomic.Int64
 	err = rt.Register("count", func(*Ctx, []Value) ([]Value, error) {
-		calls++
+		calls.Add(1)
 		return nil, nil
 	})
 	if err != nil {
@@ -369,8 +371,8 @@ func TestDuplicateRequestExecutesOnce(t *testing.T) {
 			t.Fatalf("reply %d = %+v", i, reply)
 		}
 	}
-	if calls != 2 {
-		t.Errorf("handler ran %d times, want 2 (duplicate must be suppressed)", calls)
+	if n := calls.Load(); n != 2 {
+		t.Errorf("handler ran %d times, want 2 (duplicate must be suppressed)", n)
 	}
 	select {
 	case m := <-recvChan(raw):

@@ -193,23 +193,13 @@ func (rt *Runtime) EndSession() error {
 
 	// Local invalidation and session teardown. With the warm cache the
 	// invalidation is a demotion: bytes and table rows survive as stale
-	// copies revalidated on first use next session (warmcache.go). The
-	// dirty collection above already encoded every modified datum on this
-	// crossing; hand those bytes to the demotion so it does not encode the
-	// same objects a second time.
+	// copies revalidated on first use next session (warmcache.go).
 	if rt.skipLocalInvalidate {
 		// Test-only fault injection: leave the local cache readable across
 		// the session boundary so the history checker can prove it catches
 		// the resulting stale read. Never set outside tests.
 	} else if rt.warmEnabled() {
-		var preEnc map[wire.LongPtr][]byte
-		if len(dirty) > 0 {
-			preEnc = make(map[wire.LongPtr][]byte, len(dirty))
-			for _, it := range dirty {
-				preEnc[it.LP] = it.Bytes
-			}
-		}
-		rt.demoteWarm(preEnc)
+		rt.demoteWarm()
 	} else {
 		rt.space.InvalidateCache()
 		rt.table.Invalidate()
@@ -244,12 +234,11 @@ func (rt *Runtime) EndSession() error {
 // untouched.
 //
 // The abort path never demotes: cached modifications that were not
-// written home must not become revalidation baselines, so the warm
-// views are cleared along with the cache.
+// written home must not become revalidation baselines, and the baseline
+// is the page — so the pages are zeroed and every row dropped.
 func (rt *Runtime) AbortSession() {
 	rt.pfDrain()
 	rt.drainStreams()
-	rt.warm.clearViews()
 	rt.space.InvalidateCache()
 	rt.table.Invalidate()
 	rt.sessMu.Lock()
@@ -712,7 +701,7 @@ func (rt *Runtime) serveInvalidate(m wire.Message) {
 	rt.pfDrain()
 	rt.drainStreams()
 	if rt.warmEnabled() {
-		rt.demoteWarm(nil)
+		rt.demoteWarm()
 	} else {
 		rt.space.InvalidateCache()
 		rt.table.Invalidate()

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
 	"smartrpc/internal/delta"
+	"smartrpc/internal/swizzle"
 	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
 	"smartrpc/internal/xdr"
@@ -17,59 +17,93 @@ import (
 // (§3.4) discards every cached page at session end, so each new session
 // pays the full fault-and-fetch cost again even when the origin data never
 // changed. Here the end-of-session invalidation *demotes* instead: table
-// rows become stale (swizzle.Entry.Stale), page bytes survive under
-// ProtNone (vmem.DemoteCache), and this space records a revalidation
-// baseline per datum. The next session's first fault over a stale page
-// sends one batched Validate message carrying (pointer, version, content
-// hash) tuples for the faulting page plus the stale ride-alongs in its
-// closure neighborhood; the origin answers each tuple with a zero-byte
-// "still current" token, a range delta against the cached baseline
-// (internal/delta), or a full body — an unchanged working set costs one
-// small round trip instead of N full fetches.
+// rows become stale (swizzle.Entry.Stale) and page bytes survive under
+// ProtNone (vmem.DemoteCache) — nothing else is recorded, so a teardown
+// costs one pass over the table whether or not a later session ever comes.
+// The next session's first fault over a stale page sends one batched
+// Validate message carrying (pointer, version, content hash) tuples for
+// the faulting page plus the stale ride-alongs in its closure
+// neighborhood; the origin answers each tuple with a zero-byte "still
+// current" token, a range delta against the cached bytes (internal/delta),
+// or a full body — an unchanged working set costs one small round trip
+// instead of N full fetches.
 //
 // Safety rests on two rules:
 //
-//   - The client baseline is derived ONLY by re-encoding the page bytes at
-//     demote time, never from fetch- or coherency-path installs. Page and
-//     baseline therefore agree by construction, and they stay in agreement
-//     while the page sits under ProtNone.
-//   - The content hash, not the version counter, is authoritative for
-//     token decisions: the origin answers "still current" only when the
-//     hash of its *current* encoding equals the offered hash. A dropped or
+//   - The client's revalidation baseline IS the demoted page: the offered
+//     hash, and the base a delta reply is applied to, are the canonical
+//     encoding of the page bytes taken when the Validate is built, never a
+//     copy kept from a fetch- or coherency-path install. A stale page sits
+//     under ProtNone and only a revalidation install (which ends the
+//     entry's staleness) writes to it, so page and baseline cannot
+//     disagree.
+//   - The content hash, not the version word, is authoritative for token
+//     decisions: the origin answers "still current" only when the hash of
+//     its *current* encoding equals the offered hash. A dropped or
 //     corrupted reply can therefore never set up a later token that
 //     promotes bytes differing from the origin's — the failure mode of
-//     version-lockstep schemes. Versions are carried for diagnostics.
+//     version-lockstep schemes.
 //
 // Any failure in the exchange degrades transparently: the affected entries
-// lose their stale mark and baseline and are refetched in full by the
-// ordinary fetch path. Correctness never depends on a warm baseline.
+// lose their stale mark and are refetched in full by the ordinary fetch
+// path. Correctness never depends on warm state.
 
-// warmView is this space's revalidation baseline for one stale datum: the
-// canonical encoding its cached page held at the last demotion, the hash
-// the origin compares against, and a demotion-generation counter.
-type warmView struct {
-	ver   uint32
-	sum   uint64
-	bytes []byte
-}
+// validateVer is what ValidateTuple.Ver carries. The word is diagnostic
+// (the hash decides); with no stored baseline there is no demotion
+// generation to count, so it is a constant.
+const validateVer = 1
 
-// warmCache is a runtime's cross-session warm state. views is the client
-// side: baselines for this space's own stale cached data. served is the
-// server side: per peer, the canonical bytes this space last shipped for
-// each of its own data — the delta base for Validate replies. Both
-// deliberately survive session teardown; served entries are only ever
-// used after an offered hash proves the peer still holds those bytes.
+// servedLogMax bounds a peer's served log (in items) between Validates: a
+// peer that keeps fetching but never revalidates has its log folded into
+// the index, which deduplicates it, every time the log passes this size.
+const servedLogMax = 1 << 17
+
+// warmCache is the origin side of a runtime's cross-session warm state:
+// per peer, the canonical bytes this space last shipped for each of its
+// own data — the delta base for Validate replies. It deliberately
+// survives session teardown; an entry is only ever used after an offered
+// hash proves the peer still holds those bytes. (The client side keeps no
+// state here: its baseline is the demoted page itself.)
 type warmCache struct {
 	mu     sync.Mutex
-	views  map[wire.LongPtr]*warmView
-	served map[uint32]map[wire.LongPtr][]byte
+	served map[uint32]*servedPeer
 }
 
-// clearViews drops every client baseline (hard invalidation paths).
-func (w *warmCache) clearViews() {
-	w.mu.Lock()
-	w.views = nil
-	w.mu.Unlock()
+// servedPeer is what one peer is known to hold. Fetch serves only append
+// to log (a cold peer never revalidates, and indexing 32 767 items per
+// session for it is pure waste); the peer's next Validate folds the log
+// into index, later records overwriting earlier ones.
+type servedPeer struct {
+	index  map[wire.LongPtr][]byte
+	log    [][]wire.DataItem
+	logged int // items in log
+}
+
+// peer returns the served record for a peer, creating it. Caller holds
+// w.mu.
+func (w *warmCache) peer(id uint32) *servedPeer {
+	sp := w.served[id]
+	if sp == nil {
+		if w.served == nil {
+			w.served = make(map[uint32]*servedPeer)
+		}
+		sp = &servedPeer{}
+		w.served[id] = sp
+	}
+	return sp
+}
+
+// fold moves the log into the index. Caller holds the warmCache lock.
+func (sp *servedPeer) fold() {
+	if sp.index == nil {
+		sp.index = make(map[wire.LongPtr][]byte, sp.logged)
+	}
+	for _, items := range sp.log {
+		for _, it := range items {
+			sp.index[it.LP] = it.Bytes
+		}
+	}
+	sp.log, sp.logged = nil, 0
 }
 
 // warmEnabled reports whether this runtime keeps its cache warm across
@@ -80,173 +114,100 @@ func (rt *Runtime) warmEnabled() bool {
 }
 
 // demoteWarm is the warm-cache replacement for the hard local
-// invalidation at session teardown: it records a revalidation baseline
-// for every resident entry by re-encoding its page bytes, feeds the
-// adaptive-eagerness accounting, then demotes the table rows and
-// re-protects the cache pages in place. If the cache is in a state no
-// trustworthy baseline can be built from (a provisional row surviving to
-// teardown, or an encode failure), it falls back to the hard
-// invalidation — losing warmth, never correctness.
-//
-// preEnc carries encodings the caller already produced on this same
-// crossing (EndSession's dirty-item collection), so a modified datum is
-// not encoded twice in one teardown. An entry may reuse its preEnc bytes
-// only while the pages it spans are still clean: collectDirtyItems
-// cleared the dirty bits right after encoding, so a clean span proves
-// the page bytes have not changed since, and page and baseline still
-// agree by construction. Everything else re-encodes here, all into one
-// shared arena (one allocation for the whole pass; the views alias it,
-// and they collectively retain essentially all of it).
-func (rt *Runtime) demoteWarm(preEnc map[wire.LongPtr][]byte) {
-	entries := rt.table.Entries()
-	rt.recordEagerUsage(entries)
-	type encoded struct {
-		lp wire.LongPtr
-		b  []byte
+// invalidation at session teardown: it feeds the adaptive-eagerness
+// accounting, then demotes the table rows and re-protects the cache pages
+// in place. Nothing is encoded or recorded — the pages are the baseline.
+// A provisional row surviving to teardown means the protocol already
+// failed, and the cache falls back to the hard invalidation — losing
+// warmth, never correctness.
+func (rt *Runtime) demoteWarm() {
+	provisional := false
+	rt.table.Visit(func(e swizzle.Entry) bool {
+		provisional = uint32(e.LP.Addr) >= provisionalBase
+		return !provisional
+	})
+	if provisional {
+		rt.demoteFallback()
+		return
 	}
-	var dirtySet map[uint32]bool
-	if len(preEnc) > 0 {
-		if pages := rt.space.DirtyPages(); len(pages) > 0 {
-			dirtySet = make(map[uint32]bool, len(pages))
-			for _, pn := range pages {
-				dirtySet[pn] = true
-			}
-		}
-	}
-	encs := make([]encoded, 0, len(entries))
-	live := make(map[wire.LongPtr]bool, len(entries))
-	arena := xdr.NewEncoder(0)
-	var pend, offs []int // encs indexes and arena starts of this pass's encodes
-	for _, e := range entries {
-		if uint32(e.LP.Addr) >= provisionalBase {
-			// An unflushed provisional allocation at teardown means the
-			// protocol already failed; discard everything.
-			rt.demoteFallback()
-			return
-		}
-		if !e.Resident {
-			if e.Stale {
-				// Stale across consecutive sessions: the page was never
-				// touched (still ProtNone), so the recorded baseline is
-				// still exact.
-				live[e.LP] = true
-			}
-			continue
-		}
-		if b, ok := preEnc[e.LP]; ok && !rt.spanDirty(dirtySet, e.Addr, e.Size) {
-			live[e.LP] = true
-			encs = append(encs, encoded{lp: e.LP, b: b})
-			continue
-		}
-		rv, err := rt.res.Resolve(e.LP.Type)
-		if err != nil {
-			rt.demoteFallback()
-			return
-		}
-		pend = append(pend, len(encs))
-		offs = append(offs, arena.Len())
-		if _, err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, e.Addr); err != nil {
-			rt.demoteFallback()
-			return
-		}
-		live[e.LP] = true
-		encs = append(encs, encoded{lp: e.LP})
-	}
-	backing := arena.Bytes()
-	for k, ei := range pend {
-		end := len(backing)
-		if k+1 < len(offs) {
-			end = offs[k+1]
-		}
-		encs[ei].b = backing[offs[k]:end]
-	}
-	rt.warm.mu.Lock()
-	if rt.warm.views == nil {
-		rt.warm.views = make(map[wire.LongPtr]*warmView, len(encs))
-	}
-	for _, en := range encs {
-		v := rt.warm.views[en.lp]
-		if v == nil {
-			rt.warm.views[en.lp] = &warmView{ver: 1, sum: wire.Sum64(en.b), bytes: en.b}
-		} else if !bytes.Equal(v.bytes, en.b) {
-			v.ver++
-			v.sum = wire.Sum64(en.b)
-			v.bytes = en.b
-		}
-	}
-	// Baselines for rows no longer in the table (freed data) are dead.
-	for lp := range rt.warm.views {
-		if !live[lp] {
-			delete(rt.warm.views, lp)
-		}
-	}
-	rt.warm.mu.Unlock()
+	rt.recordEagerUsage()
 	rt.table.DemoteAll()
 	rt.space.DemoteCache()
 }
 
-// spanDirty reports whether any page of [addr, addr+size) is in the
-// dirty set (nil means no page is dirty).
-func (rt *Runtime) spanDirty(dirtySet map[uint32]bool, addr vmem.VAddr, size int) bool {
-	if len(dirtySet) == 0 {
-		return false
-	}
-	first := rt.space.PageOf(addr)
-	last := rt.space.PageOf(addr + vmem.VAddr(size-1))
-	for pn := first; pn <= last; pn++ {
-		if dirtySet[pn] {
-			return true
-		}
-	}
-	return false
-}
-
 // demoteFallback is the hard local invalidation demoteWarm retreats to.
 func (rt *Runtime) demoteFallback() {
-	rt.warm.clearViews()
 	rt.space.InvalidateCache()
 	rt.table.Invalidate()
 }
 
-// validateTuplesFor builds the offer tuples for a set of stale long
-// pointers. Entries without a recorded baseline (there should be none,
-// but the degrade paths can leave one-sided state) are returned
-// separately so the caller can strip their stale marks.
-func (rt *Runtime) validateTuplesFor(lps []wire.LongPtr) (tuples []wire.ValidateTuple, without []wire.LongPtr) {
-	rt.warm.mu.Lock()
-	defer rt.warm.mu.Unlock()
-	tuples = make([]wire.ValidateTuple, 0, len(lps))
-	for _, lp := range lps {
-		if v := rt.warm.views[lp]; v != nil {
-			tuples = append(tuples, wire.ValidateTuple{LP: lp, Ver: v.ver, Sum: v.sum})
-		} else {
-			without = append(without, lp)
-		}
-	}
-	return tuples, without
+// staleRef is the client's half of one offered tuple, held at the tuple's
+// index from the offer until the reply has been applied.
+type staleRef struct {
+	addr vmem.VAddr
+	// base is the canonical encoding of the datum's page bytes when the
+	// offer was built: what Sum hashes, and what a delta reply patches.
+	base     []byte
+	answered bool
 }
 
-// degradeStale strips the warm state of the given tuples — stale marks
-// and baselines — so the ordinary fetch path refetches them in full. It
-// is the client's answer to any failed or unusable Validate exchange.
+// validateTuplesFor builds the offer for a set of stale long pointers by
+// encoding each datum from its demoted page into one shared arena: the
+// tuple carries the hash of that encoding, and refs keeps the encoding (a
+// slice of the arena, taken at once: if the arena grows later, append
+// copies and the sliced array is never written again) as the delta base.
+// A row that vanished or was
+// promoted meanwhile is skipped; a datum that cannot be encoded — it
+// points at a datum freed since — loses its stale mark and is refetched.
+//
+// The encode holds installMu: revalidation installs are the only writers
+// of a stale page, and a concurrent exchange (a prefetch whose ride-alongs
+// overlap this batch) may be applying one.
+func (rt *Runtime) validateTuplesFor(lps []wire.LongPtr) ([]wire.ValidateTuple, []staleRef) {
+	tuples := make([]wire.ValidateTuple, 0, len(lps))
+	refs := make([]staleRef, 0, len(lps))
+	var arena *xdr.Encoder
+	var unencodable []wire.LongPtr
+	rt.installMu.Lock()
+	for i, lp := range lps {
+		addr, ok := rt.table.LookupLP(lp)
+		if !ok {
+			continue
+		}
+		if e, ok := rt.table.LookupAddr(addr); !ok || !e.Stale {
+			continue
+		}
+		rv, err := rt.res.Resolve(lp.Type)
+		if err != nil {
+			unencodable = append(unencodable, lp)
+			continue
+		}
+		if arena == nil {
+			arena = xdr.NewEncoder((len(lps) - i) * rv.Canon)
+		}
+		start := arena.Len()
+		if _, err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, addr); err != nil {
+			unencodable = append(unencodable, lp)
+			continue
+		}
+		base := arena.Bytes()[start:]
+		tuples = append(tuples, wire.ValidateTuple{LP: lp, Ver: validateVer, Sum: wire.Sum64(base)})
+		refs = append(refs, staleRef{addr: addr, base: base})
+	}
+	rt.installMu.Unlock()
+	rt.table.ClearStale(unencodable)
+	return tuples, refs
+}
+
+// degradeStale strips the stale marks of the given tuples so the ordinary
+// fetch path refetches them in full. It is the client's answer to any
+// failed or unusable Validate exchange.
 func (rt *Runtime) degradeStale(tuples []wire.ValidateTuple) {
 	lps := make([]wire.LongPtr, len(tuples))
 	for i, t := range tuples {
 		lps[i] = t.LP
 	}
-	rt.degradeLPs(lps)
-}
-
-func (rt *Runtime) degradeLPs(lps []wire.LongPtr) {
-	if len(lps) == 0 {
-		return
-	}
 	rt.table.ClearStale(lps)
-	rt.warm.mu.Lock()
-	for _, lp := range lps {
-		delete(rt.warm.views, lp)
-	}
-	rt.warm.mu.Unlock()
 }
 
 // validateFrom revalidates the faulting page's stale entries (all owned
@@ -267,8 +228,7 @@ func (rt *Runtime) validateFrom(sess uint64, pn, origin uint32, lps []wire.LongP
 		extra, _ := rt.table.StaleWants(origin, pn, rt.budgetFor(origin))
 		lps = append(lps, extra...)
 	}
-	tuples, without := rt.validateTuplesFor(lps)
-	rt.table.ClearStale(without)
+	tuples, refs := rt.validateTuplesFor(lps)
 	if len(tuples) == 0 {
 		return false, nil
 	}
@@ -306,7 +266,7 @@ func (rt *Runtime) validateFrom(sess uint64, pn, origin uint32, lps []wire.LongP
 	}
 	// Item bytes may alias pooled chunk frames; hold them until the apply
 	// has consumed (cloned or patched from) every body.
-	err = rt.applyValidateReply(tuples, items)
+	err = rt.applyValidateReply(tuples, refs, items)
 	release()
 	if err != nil {
 		return false, err
@@ -397,31 +357,35 @@ func (rt *Runtime) recvValidateReply(x *streamExchange) (items []wire.ValidateIt
 
 // applyValidateReply installs the origin's per-tuple answers: tokens
 // promote the stale entry in place (the page already holds the current
-// bytes), deltas patch the recorded baseline, full bodies install as a
-// fetch reply would. Every offered tuple ends the call either resident or
-// degraded to a plain want, so the fetch loop always makes progress.
-func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, items []wire.ValidateItem) error {
+// bytes), deltas patch the encoding the offer was hashed from (refs, at
+// the tuple's index), full bodies install as a fetch reply would. Every
+// offered tuple ends the call either resident or degraded to a plain
+// want, so the fetch loop always makes progress.
+func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, refs []staleRef, items []wire.ValidateItem) error {
 	// Revalidation installs into cache pages like installItems does, and
 	// under the same serialization (see installItems).
 	rt.installMu.Lock()
 	defer rt.installMu.Unlock()
-	expect := make(map[wire.LongPtr]bool, len(tuples))
-	for _, t := range tuples {
-		expect[t.LP] = true
-	}
-	touched := make(map[uint32]bool)
+	var pages []uint32 // pages holding an answered entry
+	var degrade []wire.LongPtr
+	next := 0 // the origin answers in offer order: each search starts where the last ended
 	for _, it := range items {
-		if !expect[it.LP] {
-			continue // unsolicited; ignore
+		k := -1
+		for n := range tuples {
+			if j := (next + n) % len(tuples); tuples[j].LP == it.LP && !refs[j].answered {
+				k = j
+				break
+			}
 		}
-		delete(expect, it.LP)
-		addr, ok := rt.table.LookupLP(it.LP)
-		if !ok {
-			continue // row vanished (freed meanwhile); nothing to promote
+		if k < 0 {
+			continue // unsolicited or repeated; ignore
 		}
+		next = k + 1
+		refs[k].answered = true
+		addr := refs[k].addr
 		e, ok := rt.table.LookupAddr(addr)
-		if !ok || !e.Stale {
-			continue // already promoted or overwritten by another path
+		if !ok || !e.Stale || e.LP != it.LP {
+			continue // freed, promoted or overwritten by another path meanwhile
 		}
 		switch it.Form {
 		case wire.ValidateCurrent:
@@ -433,21 +397,12 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, items []wire.
 		case wire.ValidateDelta, wire.ValidateFull:
 			var body []byte
 			if it.Form == wire.ValidateDelta {
-				rt.warm.mu.Lock()
-				v := rt.warm.views[it.LP]
-				rt.warm.mu.Unlock()
-				if v == nil {
-					rt.degradeLPs([]wire.LongPtr{it.LP})
-					continue
-				}
 				runs, err := delta.Decode(it.Bytes)
-				if err != nil {
-					rt.degradeLPs([]wire.LongPtr{it.LP})
-					continue
+				if err == nil {
+					body, err = delta.Apply(refs[k].base, runs)
 				}
-				body, err = delta.Apply(v.bytes, runs)
 				if err != nil {
-					rt.degradeLPs([]wire.LongPtr{it.LP})
+					degrade = append(degrade, it.LP)
 					continue
 				}
 			} else {
@@ -475,24 +430,21 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, items []wire.
 		first := rt.space.PageOf(addr)
 		last := rt.space.PageOf(addr + vmem.VAddr(e.Size-1))
 		for pn := first; pn <= last; pn++ {
-			touched[pn] = true
+			if len(pages) == 0 || pages[len(pages)-1] != pn {
+				pages = append(pages, pn)
+			}
 		}
 	}
 	// Tuples the origin failed to answer degrade — otherwise the fetch
 	// loop would re-offer them forever.
-	if len(expect) > 0 {
-		lps := make([]wire.LongPtr, 0, len(expect))
-		for lp := range expect {
-			lps = append(lps, lp)
+	for k := range refs {
+		if !refs[k].answered {
+			degrade = append(degrade, tuples[k].LP)
 		}
-		rt.degradeLPs(lps)
 	}
-	pages := make([]uint32, 0, len(touched))
-	for pn := range touched {
-		pages = append(pages, pn)
-	}
+	rt.table.ClearStale(degrade)
 	slices.Sort(pages)
-	for _, pn := range pages {
+	for _, pn := range slices.Compact(pages) {
 		prot, err := rt.space.ProtOf(pn)
 		if err != nil {
 			return err
@@ -546,16 +498,16 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 		rt.reply(m, wire.KindValidateReply, nil, errStr)
 	}
 	out := wire.ValidateReplyPayload{Items: make([]wire.ValidateItem, 0, len(p.Tuples))}
+	// warm.mu guards the served record only — it is never held across an
+	// encode or a send (emit below can block on the transport), so a slow
+	// reply to this peer cannot stall the serves recording for others.
 	rt.warm.mu.Lock()
-	defer rt.warm.mu.Unlock()
-	if rt.warm.served == nil {
-		rt.warm.served = make(map[uint32]map[wire.LongPtr][]byte)
-	}
-	sv := rt.warm.served[m.From]
-	if sv == nil {
-		sv = make(map[wire.LongPtr][]byte, len(p.Tuples))
-		rt.warm.served[m.From] = sv
-	}
+	sp := rt.warm.peer(m.From)
+	sp.fold()
+	rt.warm.mu.Unlock()
+	// Misses encode into one arena, allocated on the first one; its bytes
+	// outlive the serve in the served record and the encode cache.
+	var arena *xdr.Encoder
 	encHits, encMisses := 0, 0
 	for ti, t := range p.Tuples {
 		if t.LP.Space != rt.id {
@@ -575,19 +527,31 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 			encHits++
 		} else {
 			encMisses++
+			if arena == nil {
+				arena = xdr.NewEncoder((len(p.Tuples) - ti) * rv.Canon)
+			}
 			pre, cacheable := rt.encPrepare(t.LP.Addr, rv.Layout.Size)
-			enc := xdr.NewEncoder(rv.Canon)
-			pure, err := encodeObjectInto(enc, rt.space, rt.table, rt.res, rv.Desc, t.LP.Addr)
+			start := arena.Len()
+			pure, err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, t.LP.Addr)
 			if err != nil {
 				fail(fmt.Sprintf("encode %v: %v", t.LP, err))
 				return
 			}
-			cur = enc.Bytes()
+			// Sliced at once: should the arena grow later, append copies,
+			// and the array this slice points into is never written again.
+			cur = arena.Bytes()[start:]
 			curSum = wire.Sum64(cur)
 			if cacheable && pure {
 				rt.encPublish(t.LP, pre, cur)
 			}
 		}
+		var base []byte
+		rt.warm.mu.Lock()
+		if curSum != t.Sum {
+			base = sp.index[t.LP]
+		}
+		sp.index[t.LP] = cur
+		rt.warm.mu.Unlock()
 		it := wire.ValidateItem{LP: t.LP}
 		if curSum == t.Sum {
 			it.Form = wire.ValidateCurrent
@@ -595,7 +559,7 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 			// The peer's baseline differs from the current value. Its exact
 			// bytes are known to us only if our served record hashes to the
 			// offered sum; then — and only then — a delta against it is sound.
-			if base := sv[t.LP]; base != nil && wire.Sum64(base) == t.Sum {
+			if base != nil && wire.Sum64(base) == t.Sum {
 				runs := delta.Diff(base, cur, delta.DefaultGap)
 				if runs != nil && pad4(delta.EncodedSize(runs)) < pad4(len(cur)) {
 					it.Form = wire.ValidateDelta
@@ -607,7 +571,6 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 				it.Bytes = cur
 			}
 		}
-		sv[t.LP] = cur
 		out.Items = append(out.Items, it)
 		if em != nil {
 			accBytes += wire.EncodedLongPtrSize + 8 + (len(it.Bytes)+3)&^3
@@ -634,23 +597,20 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 }
 
 // recordServed notes the canonical bytes just shipped to peer in a fetch
-// reply, seeding the delta base for future revalidations. Memory-only:
-// it changes nothing on the wire.
+// reply, seeding the delta base for future revalidations. It only logs
+// them (items is pooled scratch, hence the copy); the peer's next
+// Validate, if one ever comes, pays for the index. Memory-only: it
+// changes nothing on the wire.
 func (rt *Runtime) recordServed(peer uint32, items []wire.DataItem) {
 	if len(items) == 0 {
 		return
 	}
 	rt.warm.mu.Lock()
 	defer rt.warm.mu.Unlock()
-	if rt.warm.served == nil {
-		rt.warm.served = make(map[uint32]map[wire.LongPtr][]byte)
-	}
-	sv := rt.warm.served[peer]
-	if sv == nil {
-		sv = make(map[wire.LongPtr][]byte, len(items))
-		rt.warm.served[peer] = sv
-	}
-	for _, it := range items {
-		sv[it.LP] = it.Bytes
+	sp := rt.warm.peer(peer)
+	sp.log = append(sp.log, slices.Clone(items))
+	sp.logged += len(items)
+	if sp.logged > servedLogMax {
+		sp.fold()
 	}
 }

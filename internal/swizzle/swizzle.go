@@ -18,9 +18,10 @@
 package swizzle
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"smartrpc/internal/types"
@@ -104,9 +105,10 @@ type Table struct {
 	mu   sync.Mutex
 	rows []Entry
 	// byLP and byAddr map a long pointer / swizzled address to its row's
-	// index. Removed rows are deleted from the maps and from byPage but
-	// stay in rows as unreachable tombstones; their slots are not reused,
-	// matching the no-reuse rule for freed cache addresses.
+	// index. Removed rows are deleted from the maps and from byPage and
+	// zeroed in rows (a null long pointer marks the tombstone — Swizzle
+	// never stores one); their slots are not reused, matching the no-reuse
+	// rule for freed cache addresses.
 	byLP   map[wire.LongPtr]int32
 	byAddr map[vmem.VAddr]int32
 	// byPage lists row indices per cache page. Reservation is a bump
@@ -301,6 +303,7 @@ func (t *Table) removeLocked(i int32) {
 	} else {
 		t.byPage[e.Page] = idxs
 	}
+	t.rows[i] = Entry{}
 }
 
 // AllResident reports whether every entry on page pn has been installed.
@@ -439,7 +442,7 @@ func (t *Table) OutstandingWants(origin uint32, excludePN uint32, budget int) ([
 	if len(pages) == 0 {
 		return nil, 0
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 	var out []wire.LongPtr
 	left := budget
 	for _, pn := range pages {
@@ -493,7 +496,7 @@ func (t *Table) PrefetchCandidates(origin uint32, max int) []uint32 {
 			}
 		}
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 	if len(pages) > max {
 		pages = pages[:max]
 	}
@@ -501,21 +504,40 @@ func (t *Table) PrefetchCandidates(origin uint32, max int) []uint32 {
 }
 
 // Entries returns every table row, ordered by page then offset. Used by
-// diagnostics and the Table 1 reproduction.
+// diagnostics, the invariant checker and the Table 1 reproduction; hot
+// paths that only need to look at each row use Visit.
 func (t *Table) Entries() []Entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Entry, 0, len(t.byAddr))
-	for _, i := range t.byAddr {
-		out = append(out, t.rows[i])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Page != out[j].Page {
-			return out[i].Page < out[j].Page
+	for i := range t.rows {
+		if !t.rows[i].LP.IsNull() {
+			out = append(out, t.rows[i])
 		}
-		return out[i].Offset < out[j].Offset
+	}
+	slices.SortFunc(out, func(a, b Entry) int {
+		if c := cmp.Compare(a.Page, b.Page); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Offset, b.Offset)
 	})
 	return out
+}
+
+// Visit calls f with every table row, in insertion order, until f returns
+// false. It allocates nothing. The table lock is held throughout, so f
+// must not call back into the table.
+func (t *Table) Visit(f func(Entry) bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.rows {
+		if t.rows[i].LP.IsNull() {
+			continue // tombstone of a removed row
+		}
+		if !f(t.rows[i]) {
+			return
+		}
+	}
 }
 
 // Len returns the number of table rows.
@@ -607,7 +629,7 @@ func (t *Table) Invalidate() {
 func (t *Table) DemoteAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, i := range t.byAddr {
+	for i := range t.rows {
 		if t.rows[i].Resident {
 			t.rows[i].Resident = false
 			t.rows[i].Stale = true
@@ -661,7 +683,7 @@ func (t *Table) StaleWants(origin uint32, excludePN uint32, budget int) ([]wire.
 	if len(pages) == 0 {
 		return nil, 0
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 	var out []wire.LongPtr
 	left := budget
 	for _, pn := range pages {

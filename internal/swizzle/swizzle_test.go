@@ -372,19 +372,26 @@ func TestInvalidateClearsTable(t *testing.T) {
 
 func TestEntriesSorted(t *testing.T) {
 	tb, _ := newTable(t, PolicyPerOrigin)
+	// Alternate origins, so insertion order zigzags between two pages and
+	// the (page, offset) order has to come from the sort.
+	var removed vmem.VAddr
 	for i := 0; i < 10; i++ {
-		if _, _, err := tb.Swizzle(lp(remoteID, vmem.VAddr(0x100+i*16), 1)); err != nil {
-			t.Fatal(err)
+		for _, origin := range []uint32{remoteID, otherID} {
+			a, _, err := tb.Swizzle(lp(origin, vmem.VAddr(0x100+i*16), 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 4 && origin == otherID {
+				removed = a
+			}
 		}
 	}
-	for i := 0; i < 10; i++ {
-		if _, _, err := tb.Swizzle(lp(otherID, vmem.VAddr(0x100+i*16), 1)); err != nil {
-			t.Fatal(err)
-		}
+	if err := tb.Remove(removed); err != nil {
+		t.Fatal(err)
 	}
 	es := tb.Entries()
-	if len(es) != 20 {
-		t.Fatalf("entries = %d", len(es))
+	if len(es) != 19 {
+		t.Fatalf("entries = %d, want 19", len(es))
 	}
 	for i := 1; i < len(es); i++ {
 		if es[i].Page < es[i-1].Page ||
@@ -392,6 +399,71 @@ func TestEntriesSorted(t *testing.T) {
 			t.Fatalf("entries not sorted at %d: %+v %+v", i, es[i-1], es[i])
 		}
 	}
+	for _, e := range es {
+		if e.Addr == removed {
+			t.Errorf("removed row %#x still listed", uint32(removed))
+		}
+	}
+}
+
+func TestVisit(t *testing.T) {
+	tb, _ := newTable(t, PolicyPerOrigin)
+	var want []wire.LongPtr
+	for i := 0; i < 8; i++ {
+		p := lp(remoteID, vmem.VAddr(0x100+i*16), 1)
+		a, _, err := tb.Swizzle(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			// A removed row leaves a tombstone the visitor must skip.
+			if err := tb.Remove(a); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if i%2 == 0 {
+			tb.MarkResident(a)
+		}
+		want = append(want, p)
+	}
+	var got []wire.LongPtr
+	tb.Visit(func(e Entry) bool {
+		if e.Resident != (uint32(e.LP.Addr-0x100)/16%2 == 0) {
+			t.Errorf("row %v: resident = %v", e.LP, e.Resident)
+		}
+		got = append(got, e.LP)
+		return true
+	})
+	if len(got) != len(want) {
+		t.Fatalf("visited %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("visit %d = %v, want %v (insertion order)", i, got[i], want[i])
+		}
+	}
+
+	calls := 0
+	tb.Visit(func(Entry) bool {
+		calls++
+		return calls < 3
+	})
+	if calls != 3 {
+		t.Errorf("visitor ran %d times after returning false on the 3rd row", calls)
+	}
+
+	if n := testing.AllocsPerRun(10, func() {
+		tb.Visit(func(e Entry) bool { return e.Size > 0 })
+	}); n != 0 {
+		t.Errorf("Visit allocates %v times per pass, want 0", n)
+	}
+
+	tb.Invalidate()
+	tb.Visit(func(e Entry) bool {
+		t.Errorf("visited %v in an invalidated table", e.LP)
+		return true
+	})
 }
 
 func TestUnknownTypeFails(t *testing.T) {

@@ -113,9 +113,11 @@ func TestTCPSendFailsWhenRedialFails(t *testing.T) {
 	establish(t, a, b)
 
 	// Kill both the established stream and the peer's listener: the
-	// retry's redial must fail too, and the error surfaces.
-	_ = a.Close()
+	// retry's redial must fail too, and the error surfaces. The write side
+	// breaks first: once a closes, b's read loop may unregister the
+	// connection at any moment, and there would be nothing left to break.
 	breakWriteSide(t, b, 1, &failAfterWriter{})
+	_ = a.Close()
 	err := b.Send(wire.Message{Kind: wire.KindCall, To: 1, Proc: "doomed"})
 	if err == nil {
 		t.Fatal("Send succeeded with the peer gone")
