@@ -373,55 +373,47 @@ func pipeline(model netsim.Model, nodes, closure int) error {
 
 // scaleout prints the multi-client origin-sharing workload: N client
 // spaces walk one shared tree over two rounds each. The client sweep
-// shows the encode cache amortizing the origin's marshaling across
-// clients, the mutation sweep shows invalidation eroding the hit rate,
-// and the ablation row is the re-encode-everything control.
+// shows traffic growing linearly with the clients, the mutation sweep
+// shows round-2 revalidation shipping only what the origin changed.
 func scaleout(model netsim.Model, nodes, closure int) error {
 	if csv {
-		fmt.Println("scaleout.config,clients,mutation_ratio,time_s,messages,net_bytes,enc_hits,enc_misses,enc_evictions,enc_invalidations,enc_bytes")
+		fmt.Println("scaleout.clients,mutation_ratio,time_s,messages,net_bytes,faults,fetches")
 	} else {
 		fmt.Printf("\n== Scale-out: clients sharing one origin, tree %d nodes, closure %d bytes, 2 rounds ==\n",
 			nodes, closure)
-		fmt.Printf("%-18s %-8s %-7s %-10s %-10s %-12s %-9s %-9s %-8s %-8s %-10s\n",
-			"config", "clients", "ratio", "time(s)", "messages", "bytes",
-			"enc-hits", "enc-miss", "evict", "inval", "enc-bytes")
+		fmt.Printf("%-8s %-7s %-10s %-10s %-12s %-9s %-9s\n",
+			"clients", "ratio", "time(s)", "messages", "bytes", "faults", "fetches")
 	}
 	type pt struct {
-		name    string
 		clients int
 		ratio   float64
-		noEnc   bool
 	}
 	var pts []pt
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		pts = append(pts, pt{"smart-enccache", n, 0, false})
+		pts = append(pts, pt{n, 0})
 	}
 	for _, r := range []float64{0.05, 0.25} {
-		pts = append(pts, pt{"smart-enccache", 8, r, false})
+		pts = append(pts, pt{8, r})
 	}
-	pts = append(pts, pt{"smart-noenccache", 8, 0, true})
 	for _, p := range pts {
 		res, err := bench.RunScaleout(bench.ScaleoutConfig{
-			Nodes:              nodes,
-			ClosureSize:        closure,
-			Clients:            p.clients,
-			Rounds:             2,
-			MutationRatio:      p.ratio,
-			Model:              model,
-			DisableEncodeCache: p.noEnc,
+			Nodes:         nodes,
+			ClosureSize:   closure,
+			Clients:       p.clients,
+			Rounds:        2,
+			MutationRatio: p.ratio,
+			Model:         model,
 		})
 		if err != nil {
 			return err
 		}
 		if csv {
-			fmt.Printf("%s,%d,%.2f,%.6f,%d,%d,%d,%d,%d,%d,%d\n",
-				p.name, p.clients, p.ratio, sec(res.Time), res.Messages, res.Bytes,
-				res.EncHits, res.EncMisses, res.EncEvictions, res.EncInvalidations, res.EncBytes)
+			fmt.Printf("%d,%.2f,%.6f,%d,%d,%d,%d\n",
+				p.clients, p.ratio, sec(res.Time), res.Messages, res.Bytes, res.Faults, res.Fetches)
 			continue
 		}
-		fmt.Printf("%-18s %-8d %-7.2f %-10.3f %-10d %-12d %-9d %-9d %-8d %-8d %-10d\n",
-			p.name, p.clients, p.ratio, sec(res.Time), res.Messages, res.Bytes,
-			res.EncHits, res.EncMisses, res.EncEvictions, res.EncInvalidations, res.EncBytes)
+		fmt.Printf("%-8d %-7.2f %-10.3f %-10d %-12d %-9d %-9d\n",
+			p.clients, p.ratio, sec(res.Time), res.Messages, res.Bytes, res.Faults, res.Fetches)
 	}
 	return nil
 }

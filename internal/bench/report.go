@@ -79,17 +79,9 @@ type ReportRow struct {
 	PfHits          uint64 `json:"pf_hits,omitempty"`
 	PfWasted        uint64 `json:"pf_wasted,omitempty"`
 	PfBytes         uint64 `json:"pf_bytes,omitempty"`
-	// Scale-out columns (schema 5, scaleout rows only): Clients is the
-	// number of client spaces sharing the one origin, and the Enc columns
-	// are the origin-side encode cache's counters. EncBytes is a resident-
-	// size gauge recorded for the human-readable tables but not
-	// regression-checked (hits/misses/evictions/invalidations are).
-	Clients          int    `json:"clients,omitempty"`
-	EncHits          uint64 `json:"enc_hits,omitempty"`
-	EncMisses        uint64 `json:"enc_misses,omitempty"`
-	EncEvictions     uint64 `json:"enc_evictions,omitempty"`
-	EncInvalidations uint64 `json:"enc_invalidations,omitempty"`
-	EncBytes         uint64 `json:"enc_bytes,omitempty"`
+	// Clients (schema 5, scaleout rows only) is the number of client
+	// spaces sharing the one origin.
+	Clients int `json:"clients,omitempty"`
 	// Concurrent columns (schema 6, concurrent rows only): committed
 	// sessions, the read/write split, and the linearizability checker's
 	// history size and per-object partition count — all functions of the
@@ -151,7 +143,7 @@ func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 	if runs < 1 {
 		runs = 1
 	}
-	rep := Report{Schema: 8, Model: "ethernet10-sparc", Nodes: nodes, Closure: closure, Runs: runs}
+	rep := Report{Schema: 9, Model: "ethernet10-sparc", Nodes: nodes, Closure: closure, Runs: runs}
 
 	var points []reportPoint
 	for _, pol := range []struct {
@@ -245,25 +237,21 @@ func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 		rep.Rows = append(rep.Rows, row)
 	}
 
-	// The scale-out family (schema 5): N clients sharing one origin, with
-	// the encode cache on (client sweep at ratio 0, mutation sweep at 8
-	// clients) and the re-encode-everything ablation as the control.
+	// The scale-out family (schema 5): N clients sharing one origin — a
+	// client sweep at ratio 0 and a mutation sweep at 8 clients.
 	for _, sp := range []struct {
-		name    string
 		clients int
 		ratio   float64
-		noEnc   bool
 	}{
-		{"smart-enccache", 1, 0, false},
-		{"smart-enccache", 4, 0, false},
-		{"smart-enccache", 8, 0, false},
-		{"smart-enccache", 8, 0.05, false},
-		{"smart-enccache", 8, 0.25, false},
-		{"smart-noenccache", 8, 0, true},
+		{1, 0},
+		{4, 0},
+		{8, 0},
+		{8, 0.05},
+		{8, 0.25},
 	} {
-		row, err := measureScaleoutPoint(model, nodes, closure, runs, sp.name, sp.clients, sp.ratio, sp.noEnc)
+		row, err := measureScaleoutPoint(model, nodes, closure, runs, sp.clients, sp.ratio)
 		if err != nil {
-			return Report{}, fmt.Errorf("report scaleout/%s/%d: %w", sp.name, sp.clients, err)
+			return Report{}, fmt.Errorf("report scaleout/%d/%.2f: %w", sp.clients, sp.ratio, err)
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -487,16 +475,15 @@ func measureConcurrentPoint(nodes, closure, runs int, clients int, ratio float64
 
 // measureScaleoutPoint runs one multi-client scale-out configuration and
 // fills a scaleout row. Clients run sequentially, so every modeled
-// column — including the encode-cache counters — is deterministic.
-func measureScaleoutPoint(model netsim.Model, nodes, closure, runs int, name string, clients int, ratio float64, noEnc bool) (ReportRow, error) {
+// column is deterministic.
+func measureScaleoutPoint(model netsim.Model, nodes, closure, runs int, clients int, ratio float64) (ReportRow, error) {
 	cfg := ScaleoutConfig{
-		Nodes:              nodes,
-		ClosureSize:        closure,
-		Clients:            clients,
-		Rounds:             2,
-		MutationRatio:      ratio,
-		Model:              model,
-		DisableEncodeCache: noEnc,
+		Nodes:         nodes,
+		ClosureSize:   closure,
+		Clients:       clients,
+		Rounds:        2,
+		MutationRatio: ratio,
+		Model:         model,
 	}
 	if _, err := RunScaleout(cfg); err != nil { // warm-up
 		return ReportRow{}, err
@@ -516,24 +503,21 @@ func measureScaleoutPoint(model netsim.Model, nodes, closure, runs int, name str
 	wall := time.Since(start)
 	runtime.ReadMemStats(&ms2)
 	return ReportRow{
-		Figure:           "scaleout",
-		Policy:           name,
-		Ratio:            ratio,
-		Closure:          closure,
-		Clients:          clients,
-		ModelSec:         last.Time.Seconds(),
-		Messages:         last.Messages,
-		NetBytes:         last.Bytes,
-		Faults:           last.Faults,
-		Fetches:          last.Fetches,
-		EncHits:          last.EncHits,
-		EncMisses:        last.EncMisses,
-		EncEvictions:     last.EncEvictions,
-		EncInvalidations: last.EncInvalidations,
-		EncBytes:         last.EncBytes,
-		WallSec:          wall.Seconds() / float64(runs),
-		AllocsPerOp:      (ms2.Mallocs - ms1.Mallocs) / uint64(runs),
-		AllocBytesPerOp:  (ms2.TotalAlloc - ms1.TotalAlloc) / uint64(runs),
+		Figure: "scaleout",
+		// The label predates the encode cache's removal; it is kept so the
+		// rows stay comparable, key for key, with BENCH_6–10.
+		Policy:          "smart-enccache",
+		Ratio:           ratio,
+		Closure:         closure,
+		Clients:         clients,
+		ModelSec:        last.Time.Seconds(),
+		Messages:        last.Messages,
+		NetBytes:        last.Bytes,
+		Faults:          last.Faults,
+		Fetches:         last.Fetches,
+		WallSec:         wall.Seconds() / float64(runs),
+		AllocsPerOp:     (ms2.Mallocs - ms1.Mallocs) / uint64(runs),
+		AllocBytesPerOp: (ms2.TotalAlloc - ms1.TotalAlloc) / uint64(runs),
 	}, nil
 }
 
@@ -720,14 +704,6 @@ func Check(baseline, cur Report) error {
 			check("pf_hits", float64(want.PfHits), float64(got.PfHits))
 			check("pf_wasted", float64(want.PfWasted), float64(got.PfWasted))
 			check("pf_bytes", float64(want.PfBytes), float64(got.PfBytes))
-		}
-		if baseline.Schema >= 5 {
-			// EncBytes is a gauge (resident size at run end), not a
-			// counter; it is reported but not drift-checked.
-			check("enc_hits", float64(want.EncHits), float64(got.EncHits))
-			check("enc_misses", float64(want.EncMisses), float64(got.EncMisses))
-			check("enc_evictions", float64(want.EncEvictions), float64(got.EncEvictions))
-			check("enc_invalidations", float64(want.EncInvalidations), float64(got.EncInvalidations))
 		}
 		if baseline.Schema >= 7 {
 			// TTFAUsec is wall clock and skipped, like WallSec.

@@ -10,21 +10,18 @@ import (
 	"smartrpc/internal/wire"
 )
 
-// This file is the multi-client scale-out workload for the origin-side
-// encode cache: one shared data server owns a single tree, and N client
-// spaces import its root and walk it, each in its own session. Every
-// client asks the origin for the same objects, so without the encode
-// cache the origin re-marshals the identical bytes N times; with it, the
-// first walk pays the encodes and the other N-1 walks (and every warm
-// revalidation in later rounds) are served from memoized encodings. A
-// mutation-ratio sweep dirties a fraction of the tree between rounds to
-// measure how invalidation erodes the hit rate.
+// This file is the multi-client scale-out workload: one shared data
+// server owns a single tree, and N client spaces import its root and walk
+// it, each in its own session. Every client asks the origin for the same
+// objects and must compute the same checksum; from round 2 the clients'
+// warm caches revalidate instead of refetching. A mutation-ratio sweep
+// dirties a fraction of the tree at the origin between rounds, so the
+// checksum also proves no client is ever served a stale value.
 //
-// Clients run strictly sequentially, so every counter — including the
-// cache's hit/miss/invalidation tallies — is deterministic and can be
-// snapshot-checked (BENCH_6.json). Wall-clock concurrency is exercised
-// elsewhere (the core package's -race tests); this harness measures
-// work, not overlap.
+// Clients run strictly sequentially, so every counter is deterministic
+// and can be snapshot-checked (BENCH_15.json). Wall-clock concurrency is
+// exercised elsewhere (the core package's -race tests); this harness
+// measures work, not overlap.
 
 // ScaleoutConfig parameterizes one scale-out run.
 type ScaleoutConfig struct {
@@ -36,8 +33,7 @@ type ScaleoutConfig struct {
 	Clients int
 	// Rounds is how many times each client walks the tree (>= 1). Each
 	// walk is its own session; from round 2 the clients' warm caches
-	// revalidate instead of refetching, exercising the validate path of
-	// the encode cache.
+	// revalidate instead of refetching.
 	Rounds int
 	// MutationRatio is the fraction of tree nodes rewritten in the
 	// server's heap between rounds (0.0 = read-only sharing).
@@ -46,8 +42,6 @@ type ScaleoutConfig struct {
 	PageSize int
 	// Model is the network cost model; zero value = free network (tests).
 	Model netsim.Model
-	// DisableEncodeCache runs the ablation: every serve re-encodes.
-	DisableEncodeCache bool
 }
 
 func (c *ScaleoutConfig) fill() error {
@@ -73,8 +67,7 @@ func (c *ScaleoutConfig) fill() error {
 }
 
 // ScaleoutResult is the outcome of one scale-out run. Traffic counters
-// are totals over all clients and rounds; the Enc* counters are the
-// origin's encode-cache tallies.
+// are totals over all clients and rounds.
 type ScaleoutResult struct {
 	// Time is the virtual processing time of the whole run.
 	Time time.Duration
@@ -83,11 +76,7 @@ type ScaleoutResult struct {
 	// Faults and Fetches sum the clients' access violations and FETCH
 	// messages.
 	Faults, Fetches uint64
-	// EncHits .. EncInvalidations are the origin's encode-cache counters;
-	// EncBytes is the cache's resident size when the run ends.
-	EncHits, EncMisses, EncEvictions, EncInvalidations, EncBytes uint64
-	// Sum is the final-round checksum each client computed (validates
-	// that cached encodings never served stale bytes).
+	// Sum is the final-round checksum each client computed.
 	Sum int64
 }
 
@@ -113,13 +102,12 @@ func RunScaleout(cfg ScaleoutConfig) (ScaleoutResult, error) {
 			return nil, err
 		}
 		return core.New(core.Options{
-			ID:                 id,
-			Node:               node,
-			Registry:           reg,
-			Policy:             core.PolicySmart,
-			ClosureSize:        cfg.ClosureSize,
-			PageSize:           cfg.PageSize,
-			DisableEncodeCache: cfg.DisableEncodeCache,
+			ID:          id,
+			Node:        node,
+			Registry:    reg,
+			Policy:      core.PolicySmart,
+			ClosureSize: cfg.ClosureSize,
+			PageSize:    cfg.PageSize,
 		})
 	}
 	server, err := mk(PipelineServerID)
@@ -178,12 +166,6 @@ func RunScaleout(cfg ScaleoutConfig) (ScaleoutResult, error) {
 		out.Faults += st.Faults
 		out.Fetches += st.FetchesSent
 	}
-	st := server.Stats()
-	out.EncHits = st.EncCacheHits
-	out.EncMisses = st.EncCacheMisses
-	out.EncEvictions = st.EncCacheEvictions
-	out.EncInvalidations = st.EncCacheInvalidations
-	out.EncBytes = st.EncCacheBytes
 	return out, nil
 }
 

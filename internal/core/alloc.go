@@ -106,11 +106,7 @@ func (rt *Runtime) ExtendedFree(v Value) error {
 		return fmt.Errorf("core: ExtendedFree of non-pointer or null value")
 	}
 	if rt.space.InHeap(v.Addr) {
-		if err := rt.space.Free(v.Addr); err != nil {
-			return err
-		}
-		rt.encInvalidate(v.Addr)
-		return nil
+		return rt.space.Free(v.Addr)
 	}
 	e, ok := rt.table.LookupAddr(v.Addr)
 	if !ok {
@@ -320,7 +316,6 @@ func (rt *Runtime) serveAllocBatch(m wire.Message) {
 			return
 		}
 		rt.dropModified(lp)
-		rt.encInvalidate(lp.Addr)
 	}
 	rt.reply(m, wire.KindAllocReply, out.Encode(), "")
 }

@@ -136,7 +136,7 @@ func TestConcurrentSessionsLinearizable(t *testing.T) {
 		mut  func(id uint32, o *Options)
 	}{
 		{"full", func(id uint32, o *Options) {
-			// Warm cache, encode cache, and speculative prefetch all on:
+			// Warm cache and speculative prefetch both on:
 			// the richest machinery racing across sessions. SyncPrefetch
 			// keeps speculation on the workload goroutines so histories
 			// stay reproducible per seed.
@@ -147,10 +147,9 @@ func TestConcurrentSessionsLinearizable(t *testing.T) {
 			o.ClosureSize = 256
 		}},
 		{"ablated", func(id uint32, o *Options) {
-			// Seed protocol: no warm cache, no encode cache, no prefetch.
+			// Seed protocol: no warm cache, no prefetch.
 			o.CheckInvariants = true
 			o.DisableWarmCache = true
-			o.DisableEncodeCache = true
 			o.PageSize = 256
 			o.ClosureSize = 256
 		}},
@@ -451,6 +450,94 @@ func TestServeScratchPoolNoAliasing(t *testing.T) {
 	wg.Wait()
 }
 
+// TestWriteBackRacingFetchesServesNoStaleValue is a -race stress of the
+// origin's serve path against its write-back path: one client repeatedly
+// modifies shared data and writes it back while two others fetch it. No
+// reader may ever observe a value the origin never held, values are
+// monotone per reader, and the final read sees the last write.
+func TestWriteBackRacingFetchesServesNoStaleValue(t *testing.T) {
+	_, server, clients := pipelineNet(t, 3, nil)
+	head, _ := buildChain(t, server, 1, 0) // one node, data = 1
+	const bumps = 20
+
+	readVal := func(cl *Runtime) (int64, error) { return chase(cl, head) }
+
+	errc := make(chan error, len(clients))
+	done := make(chan struct{})
+	var writerWg, readerWg sync.WaitGroup
+	writerWg.Add(1)
+	go func() { // writer: client 0
+		defer writerWg.Done()
+		cl := clients[0]
+		for i := 0; i < bumps; i++ {
+			err := func() error {
+				v, err := cl.ImportPtr(head)
+				if err != nil {
+					return err
+				}
+				if err := cl.BeginSession(); err != nil {
+					return err
+				}
+				ref, err := cl.Deref(v)
+				if err != nil {
+					return err
+				}
+				d, err := ref.Int("data", 0)
+				if err != nil {
+					return err
+				}
+				if err := ref.SetInt("data", 0, d+1); err != nil {
+					return err
+				}
+				return cl.EndSession()
+			}()
+			if err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	for r := 1; r < 3; r++ {
+		readerWg.Add(1)
+		go func(cl *Runtime) { // readers: clients 1 and 2
+			defer readerWg.Done()
+			last := int64(0)
+			for {
+				got, err := readVal(cl)
+				if err != nil {
+					errc <- err
+					return
+				}
+				if got < last || got > 1+bumps {
+					errc <- fmt.Errorf("stale or impossible read: got %d after %d (max %d)",
+						got, last, 1+bumps)
+					return
+				}
+				last = got
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(clients[r])
+	}
+	writerWg.Wait()
+	close(done)
+	readerWg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+	if got, err := readVal(clients[1]); err != nil || got != 1+bumps {
+		t.Fatalf("final read = %d, %v; want %d", got, err, 1+bumps)
+	}
+	if err := server.CheckLocalInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTraceEventCoverage drives one workload per rare protocol path so
 // that every registered trace event kind fires at least once, then
 // iterates EventKinds(): a newly added event cannot ship without a test
@@ -480,16 +567,11 @@ func TestTraceEventCoverage(t *testing.T) {
 		rt.SetTracer(rec)
 		return rt
 	}
-	// origin1 serves the main tree with the default encode cache; origin2
-	// has a cache sized to hold one TreeNode encoding per shard but not
-	// two, so serving its tree must evict (a sequential scan over one
-	// tight shared LRU could otherwise complete hit-free AND evict-free).
 	origin1 := mk(1, nil)
-	origin2 := mk(4, func(o *Options) { o.EncodeCacheBytes = 16 * 40 })
 	// clientA exercises the warm-cache revalidation path.
 	clientA := mk(2, func(o *Options) { o.PageSize = 256; o.ClosureSize = 64 })
 	// clientB exercises speculative prefetch; no warm cache, so every
-	// session re-fetches and the origin's encode cache sees repeat serves.
+	// session re-fetches.
 	clientB := mk(3, func(o *Options) {
 		o.DisableWarmCache = true
 		o.Prefetch = true
@@ -500,9 +582,7 @@ func TestTraceEventCoverage(t *testing.T) {
 	registerSumProc(t, origin1)
 
 	t1 := buildTree(t, origin1, 5)
-	t2 := buildTree(t, origin2, 5)
 	t1lps := treeNodeLPs(t, origin1, t1)
-	t2lps := treeNodeLPs(t, origin2, t2)
 
 	walk := func(rt *Runtime, lp wire.LongPtr) int64 {
 		t.Helper()
@@ -530,8 +610,7 @@ func TestTraceEventCoverage(t *testing.T) {
 	}
 
 	// clientA session 1: a Call plus a full walk of origin1's tree.
-	// Call/Fault/Fetch/Install events; origin1's encode cache records its
-	// first-serve misses.
+	// Call/Fault/Fetch/Install events.
 	begin(clientA)
 	rv, err := clientA.ImportPtr(t1lps[0])
 	if err != nil {
@@ -568,8 +647,8 @@ func TestTraceEventCoverage(t *testing.T) {
 	}
 	end(clientA)
 
-	// origin1 mutates two interior nodes locally: proactive encode-cache
-	// invalidation now, warm-validate misses for clientA next session.
+	// origin1 mutates two interior nodes locally: warm-validate misses for
+	// clientA next session.
 	for _, lp := range []wire.LongPtr{t1lps[1], t1lps[2]} {
 		ov, err := origin1.ImportPtr(lp)
 		if err != nil {
@@ -612,22 +691,11 @@ func TestTraceEventCoverage(t *testing.T) {
 	}
 	end(clientB)
 
-	// clientB sessions 2+3: two full walks. The second re-fetches
-	// everything (no warm cache) against an unchanged origin, so origin1
-	// serves it from the encode cache.
-	for i := 0; i < 2; i++ {
-		begin(clientB)
-		if got, want := walk(clientB, t1lps[0]), wantSum(5)+1000+1000; got != want {
-			t.Fatalf("clientB walk %d sum = %d, want %d", i, got, want)
-		}
-		end(clientB)
-	}
-
-	// clientB walks origin2's tree: serving it overflows origin2's tiny
-	// encode cache and evicts.
+	// clientB session 2: a full walk, demand faults overtaking the
+	// prefetcher's speculation.
 	begin(clientB)
-	if got, want := walk(clientB, t2lps[0]), wantSum(5); got != want {
-		t.Fatalf("origin2 walk sum = %d, want %d", got, want)
+	if got, want := walk(clientB, t1lps[0]), wantSum(5)+1000+1000; got != want {
+		t.Fatalf("clientB walk sum = %d, want %d", got, want)
 	}
 	end(clientB)
 

@@ -693,10 +693,9 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 	defer rt.serveMu.RUnlock()
 	rt.stats.fetchesServed.Add(1)
 	rt.trace(Event{Kind: EvFetchServed, Target: m.From, Count: len(p.Wants)})
-	// The working set (queue, seen set, item and span slices) is pooled
-	// across serves; the reply payload and the encode arena are not (the
-	// arena's bytes outlive the serve inside the encode cache and the
-	// warm-cache served record).
+	// The working set (queue, seen set, item slice) is pooled across
+	// serves; the reply payload and the encode arena are not (a streamed
+	// chunk's items alias the arena until the receiver releases the frame).
 	sc := serveScratchPool.Get().(*serveScratch)
 	defer func() {
 		sc.reset()
@@ -736,16 +735,6 @@ type closureJob struct {
 	frozen bool // serve, but do not expand children
 }
 
-// encSpan records where one served item's bytes came from: a cache hit
-// carries them directly, a miss names an arena range plus the metadata
-// needed to publish it afterwards.
-type encSpan struct {
-	start, end int    // arena range (miss)
-	cached     []byte // cache-hit bytes (nil on a miss)
-	pre        encPre
-	publish    bool // miss was heap-pure and version-snapshotted
-}
-
 // serveScratch is the pooled per-serve working set: everything
 // buildClosureItems needs besides the arena, reused across serveFetch
 // calls so a hot origin stops allocating per fetch.
@@ -753,7 +742,6 @@ type serveScratch struct {
 	seen  map[vmem.VAddr]bool
 	queue []closureJob
 	items []wire.DataItem
-	spans []encSpan
 }
 
 func (sc *serveScratch) reset() {
@@ -762,8 +750,6 @@ func (sc *serveScratch) reset() {
 	// Drop byte references so pooled scratch does not pin served bodies.
 	clear(sc.items)
 	sc.items = sc.items[:0]
-	clear(sc.spans)
-	sc.spans = sc.spans[:0]
 }
 
 var serveScratchPool = sync.Pool{
@@ -783,12 +769,9 @@ var serveScratchPool = sync.Pool{
 // are not expanded, so the closure budget is spent entirely on the faulting
 // page's own frontier. primary <= 0 means every want is primary.
 //
-// Each served object first consults the encode cache (enccache.go): a hit
-// ships the memoized bytes with no encode at all; a miss encodes into the
-// arena as before and, if the encoding was heap-pure and its page-version
-// snapshot held, publishes the slice for the next requester. Traversal is
-// unaffected either way — child expansion reads the heap directly, not
-// the encoded form.
+// Every served object is marshaled straight out of the heap into one
+// arena, and its item slices that arena; child expansion reads the heap
+// directly, not the encoded form.
 //
 // sc, when non-nil, supplies the pooled working set (serveFetch); other
 // callers pass nil and allocate fresh.
@@ -818,61 +801,35 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 		seen  map[vmem.VAddr]bool
 		queue []closureJob
 		items []wire.DataItem
-		spans []encSpan
 	)
 	if sc != nil {
-		seen, queue, items, spans = sc.seen, sc.queue, sc.items, sc.spans
+		seen, queue, items = sc.seen, sc.queue, sc.items
 		// Hand any slice growth back to the scratch on every exit, so the
 		// pooled working set keeps its high-water capacity.
 		defer func() {
-			sc.seen, sc.queue, sc.items, sc.spans = seen, queue, items, spans
+			sc.seen, sc.queue, sc.items = seen, queue, items
 		}()
 	} else {
 		seen = make(map[vmem.VAddr]bool, est)
 		queue = make([]closureJob, 0, est)
 		items = make([]wire.DataItem, 0, est)
-		spans = make([]encSpan, 0, est)
 	}
 	for i, lp := range wants {
 		queue = append(queue, closureJob{lp: lp, want: true, frozen: i >= primary})
 	}
-	// All miss bytes are encoded into one arena; spans[k] records item k's
-	// range (or its cache-hit bytes). Slicing happens after the loop, once
-	// the arena has stopped growing. The arena is never pooled (its bytes
-	// outlive the serve in the reply, the encode cache, and the warm-cache
-	// served record) and is allocated only on the first miss — a fully
-	// cache-hit serve allocates nothing here.
-	var arena *xdr.Encoder
+	// All bodies are encoded into one arena and each item slices it as soon
+	// as it is encoded. That is sound even though the arena may still grow:
+	// append reallocation copies, so an already-sliced backing array is
+	// never written again. The arena is never pooled (a streamed chunk's
+	// items alias it until the receiver releases the frame).
+	arena := xdr.NewEncoder(len(wants)*16 + min(budget, 1<<16))
 	budgetLeft := budget
-	hits, misses := 0, 0
-	// resolveSpans turns spans[lo:hi] into item bytes: cache hits carry
-	// theirs already, misses slice the arena. Publishing mid-stream is
-	// sound even though the arena may still grow — append reallocation
-	// copies, so an already-sliced backing array is never written again.
-	resolveSpans := func(lo, hi int) {
-		var backing []byte
-		if arena != nil {
-			backing = arena.Bytes()
-		}
-		for k := lo; k < hi; k++ {
-			s := &spans[k]
-			if s.cached != nil {
-				items[k].Bytes = s.cached
-				continue
-			}
-			items[k].Bytes = backing[s.start:s.end]
-			if s.publish {
-				rt.encPublish(items[k].LP, s.pre, items[k].Bytes)
-			}
-		}
-	}
 	// Streaming state: wantsLeft counts unserved want jobs (no flush may
 	// split them off chunk 0), accBytes the encoded size of the items
 	// accumulated since the last flush, flushed the boundary.
 	wantsLeft := len(wants)
 	accBytes, flushed := 0, 0
 	flush := func(final bool) error {
-		resolveSpans(flushed, len(items))
 		// Cap the slice so the emitter's batch cannot alias later growth.
 		err := em.emit(items[flushed:len(items):len(items)], nil, final)
 		flushed = len(items)
@@ -917,29 +874,12 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 			budgetLeft -= rv.Canon
 		}
 		seen[j.lp.Addr] = true
-		var sp encSpan
-		if b, _, ok := rt.encLookup(j.lp); ok {
-			hits++
-			sp.cached = b
-		} else {
-			misses++
-			if arena == nil {
-				arena = xdr.NewEncoder(len(wants)*16 + min(budget, 1<<16))
-			}
-			sp.pre, sp.publish = rt.encPrepare(j.lp.Addr, rv.Layout.Size)
-			sp.start = arena.Len()
-			pure, err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, j.lp.Addr)
-			if err != nil {
-				return nil, fmt.Errorf("encode %v: %w", j.lp, err)
-			}
-			sp.end = arena.Len()
-			// Only heap-pure encodings may be published: a cache-region
-			// pointer unswizzles through allocation-table state that page
-			// versions cannot observe.
-			sp.publish = sp.publish && pure
+		start := arena.Len()
+		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, j.lp.Addr); err != nil {
+			return nil, fmt.Errorf("encode %v: %w", j.lp, err)
 		}
-		items = append(items, wire.DataItem{LP: j.lp})
-		spans = append(spans, sp)
+		body := arena.Bytes()[start:arena.Len():arena.Len()]
+		items = append(items, wire.DataItem{LP: j.lp, Bytes: body})
 		if !j.frozen {
 			// Enqueue the pointed-to data, honoring any programmer-supplied
 			// closure shape hint for this type (§6: "use suggestions provided
@@ -975,11 +915,7 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 			}
 		}
 		if em != nil {
-			blen := len(sp.cached)
-			if sp.cached == nil {
-				blen = sp.end - sp.start
-			}
-			accBytes += wire.EncodedLongPtrSize + 8 + (blen+3)&^3
+			accBytes += wire.EncodedLongPtrSize + 8 + (len(body)+3)&^3
 			// more is judged after this item's children were enqueued, so a
 			// linear chain (each item feeding exactly one successor) streams
 			// just like a bushy tree.
@@ -997,7 +933,6 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 			}
 		}
 	}
-	rt.encTraceServe(hits, misses)
 	if em != nil && em.sent > 0 {
 		// The reply streamed; close it with the tail (possibly empty).
 		if err := flush(true); err != nil {
@@ -1005,7 +940,6 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 		}
 		return nil, nil
 	}
-	resolveSpans(0, len(items))
 	return items, nil
 }
 
@@ -1035,29 +969,12 @@ func (rt *Runtime) eagerClosureFor(args []Value) ([]wire.DataItem, error) {
 // the fully lazy baseline's per-dereference callback.
 func (rt *Runtime) fetchOne(lp wire.LongPtr) ([]byte, error) {
 	if lp.Space == rt.id {
-		// Locally owned data is read directly; no session needed. The
-		// lazy baseline re-reads hot objects constantly, so it consults
-		// the encode cache too.
+		// Locally owned data is read directly; no session needed.
 		rv, err := rt.res.Resolve(lp.Type)
 		if err != nil {
 			return nil, err
 		}
-		if b, _, ok := rt.encLookup(lp); ok {
-			rt.encTraceServe(1, 0)
-			return b, nil
-		}
-		pre, cacheable := rt.encPrepare(lp.Addr, rv.Layout.Size)
-		enc := xdr.NewEncoder(rv.Canon)
-		pure, err := encodeObjectInto(enc, rt.space, rt.table, rt.res, rv.Desc, lp.Addr)
-		if err != nil {
-			return nil, err
-		}
-		b := enc.Bytes()
-		if cacheable && pure {
-			rt.encPublish(lp, pre, b)
-		}
-		rt.encTraceServe(0, 1)
-		return b, nil
+		return encodeObject(rt.space, rt.table, rt.res, rv.Desc, lp.Addr)
 	}
 	rt.sessMu.Lock()
 	sess := rt.sess
@@ -1098,11 +1015,7 @@ func (rt *Runtime) writeOne(lp wire.LongPtr, data []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := decodeObject(rt.space, rt.table, rt.res, rv.Desc, lp.Addr, data); err != nil {
-			return err
-		}
-		rt.encInvalidate(lp.Addr)
-		return nil
+		return decodeObject(rt.space, rt.table, rt.res, rv.Desc, lp.Addr, data)
 	}
 	rt.sessMu.Lock()
 	sess := rt.sess

@@ -21,7 +21,7 @@ import (
 // different profiles interoperate.
 func encodeObject(sp *vmem.Space, tb *swizzle.Table, res *types.Resolver, d *types.Desc, addr vmem.VAddr) ([]byte, error) {
 	enc := xdr.NewEncoder(d.CanonicalSize())
-	if _, err := encodeObjectInto(enc, sp, tb, res, d, addr); err != nil {
+	if err := encodeObjectInto(enc, sp, tb, res, d, addr); err != nil {
 		return nil, err
 	}
 	return enc.Bytes(), nil
@@ -31,21 +31,12 @@ func encodeObject(sp *vmem.Space, tb *swizzle.Table, res *types.Resolver, d *typ
 // Multi-item paths (closure replies, the modified data set) encode into a
 // shared arena encoder and slice the items out afterwards, so a reply
 // costs a constant number of allocations rather than two per object.
-//
-// heapPure reports that the encoding is a pure function of the object's
-// heap bytes: every pointer field was null or identity-swizzled (a heap
-// address). A pointer into the cache region unswizzles through the data
-// allocation table, whose rows mutate independently of the page bytes —
-// such an encoding must never enter the version-validated encode cache
-// (enccache.go), because no page-version check could detect the table
-// changing under it.
-func encodeObjectInto(enc *xdr.Encoder, sp *vmem.Space, tb *swizzle.Table, res *types.Resolver, d *types.Desc, addr vmem.VAddr) (heapPure bool, err error) {
+func encodeObjectInto(enc *xdr.Encoder, sp *vmem.Space, tb *swizzle.Table, res *types.Resolver, d *types.Desc, addr vmem.VAddr) error {
 	rv, err := res.Resolve(d.ID)
 	if err != nil {
-		return false, err
+		return err
 	}
 	layout := rv.Layout
-	heapPure = true
 	for i, f := range d.Fields {
 		fl := layout.Fields[i]
 		count := f.Count
@@ -57,14 +48,11 @@ func encodeObjectInto(enc *xdr.Encoder, sp *vmem.Space, tb *swizzle.Table, res *
 			if f.Kind == types.Ptr {
 				pv, err := sp.ReadPtrRaw(off)
 				if err != nil {
-					return false, err
-				}
-				if pv != vmem.Null && !sp.InHeap(pv) {
-					heapPure = false
+					return err
 				}
 				lp, err := tb.Unswizzle(pv, f.Elem)
 				if err != nil {
-					return false, fmt.Errorf("field %q: %w", f.Name, err)
+					return fmt.Errorf("field %q: %w", f.Name, err)
 				}
 				enc.PutUint32(lp.Space)
 				enc.PutUint32(uint32(lp.Addr))
@@ -73,12 +61,12 @@ func encodeObjectInto(enc *xdr.Encoder, sp *vmem.Space, tb *swizzle.Table, res *
 			}
 			raw, err := sp.ReadUintRaw(off, fl.ElemSize)
 			if err != nil {
-				return false, err
+				return err
 			}
 			encodeScalar(enc, f.Kind, raw)
 		}
 	}
-	return heapPure, nil
+	return nil
 }
 
 // encodeScalar writes one scalar element canonically. Signed kinds are

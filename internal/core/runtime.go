@@ -206,16 +206,6 @@ type Options struct {
 	// message counts race-dependent. The protocol on the wire is
 	// identical either way.
 	SyncPrefetch bool
-	// EncodeCacheBytes caps the origin-side encode cache (enccache.go),
-	// which memoizes the canonical encodings this space serves so N
-	// clients fetching the same hot structure pay the marshaling cost
-	// once instead of N times. Origin-local with zero wire-format
-	// change. Zero selects the default (4 MiB).
-	EncodeCacheBytes int
-	// DisableEncodeCache turns the encode cache off entirely: every
-	// serve re-encodes from the heap, the seed behavior. Used by
-	// benchmarks and regression tests to measure the caching win.
-	DisableEncodeCache bool
 	// StreamChunkBytes is both the streaming threshold and the chunk
 	// size for served FETCH/VALIDATE replies: a reply whose encoded
 	// items stay at or under the limit goes out as the classic single
@@ -288,12 +278,6 @@ func (o *Options) fill() error {
 	}
 	if o.Prefetch && o.PrefetchDepth <= 0 {
 		o.PrefetchDepth = defaultPrefetchDepth
-	}
-	if o.EncodeCacheBytes == 0 {
-		o.EncodeCacheBytes = defaultEncodeCacheBytes
-	}
-	if o.EncodeCacheBytes < 0 {
-		o.DisableEncodeCache = true
 	}
 	if o.StreamChunkBytes == 0 {
 		o.StreamChunkBytes = defaultStreamChunkBytes
@@ -384,22 +368,10 @@ type Stats struct {
 	// PfBytes sums the body bytes installed from speculative fetch
 	// replies (a subset of BytesInstalled).
 	PfBytes uint64
-	// EncCacheHits and EncCacheMisses count encode-cache consultations
-	// on the origin-side serve paths (fetch closures, validate replies,
-	// modified-set snapshots): a hit serves memoized canonical bytes, a
-	// miss encodes from the heap and publishes the result.
+	// EncCacheHits and EncCacheMisses are always zero: the origin-side
+	// encode cache they counted was removed (DESIGN.md §8, "A fault that
+	// hashes nothing"). The fields remain because benchmark/ reads them.
 	EncCacheHits, EncCacheMisses uint64
-	// EncCacheEvictions counts entries the CLOCK hand displaced to stay
-	// under Options.EncodeCacheBytes.
-	EncCacheEvictions uint64
-	// EncCacheInvalidations counts entries dropped because their object
-	// changed: proactive drops on write-back installs and frees plus
-	// lazy page-version mismatches discovered at lookup.
-	EncCacheInvalidations uint64
-	// EncCacheBytes is the cache's current resident body bytes (a
-	// gauge, not a counter). Zero when the cache is disabled — and
-	// right after a restart, since the cache dies with its runtime.
-	EncCacheBytes uint64
 	// Retries counts exchange attempts re-issued after a transient
 	// failure (Options.RetryBudget). RetrySuccesses counts exchanges
 	// that completed after at least one retry; RetriesExhausted counts
@@ -581,10 +553,6 @@ type Runtime struct {
 	// adaptive per-origin fetch budgets (eager.go).
 	eager eagerState
 
-	// enc is the origin-side encode cache (enccache.go); nil when
-	// Options.DisableEncodeCache is set.
-	enc *encCache
-
 	tracer atomic.Pointer[tracerBox]
 
 	stats struct {
@@ -674,9 +642,6 @@ func New(opts Options) (*Runtime, error) {
 	}
 	empty := make(map[wire.LongPtr]wire.LongPtr)
 	rt.provMap.Store(&empty)
-	if !opts.DisableEncodeCache {
-		rt.enc = newEncCache(space, opts.EncodeCacheBytes)
-	}
 	if opts.Prefetch {
 		rt.pf = newPrefetcher(opts.PrefetchDepth, opts.SyncPrefetch)
 	}
@@ -802,13 +767,6 @@ func (rt *Runtime) Stats() Stats {
 		FenceTrips:       rt.stats.fenceTrips.Load(),
 		BreakerOpens:     rt.stats.breakerOpens.Load(),
 		BreakerSheds:     rt.stats.breakerSheds.Load(),
-	}
-	if rt.enc != nil {
-		s.EncCacheHits = rt.enc.hits.Load()
-		s.EncCacheMisses = rt.enc.misses.Load()
-		s.EncCacheEvictions = rt.enc.evictions.Load()
-		s.EncCacheInvalidations = rt.enc.invalidations.Load()
-		s.EncCacheBytes = uint64(rt.enc.bytes.Load())
 	}
 	return s
 }

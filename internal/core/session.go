@@ -477,49 +477,19 @@ func (rt *Runtime) modifiedSetItems(sess uint64) ([]wire.DataItem, error) {
 		}
 		return cmp.Compare(a.Addr, b.Addr)
 	})
-	// These are locally owned heap objects, so the snapshot is a cache
-	// site too: a datum modified once but re-shipped on every subsequent
-	// crossing hits after the first encode (its pages stopped changing).
 	items := make([]wire.DataItem, 0, len(lps))
 	arena := xdr.NewEncoder(len(lps) * 16)
-	spans := make([]encSpan, 0, len(lps))
-	hits, misses := 0, 0
 	for _, lp := range lps {
 		rv, err := rt.res.Resolve(lp.Type)
 		if err != nil {
 			return nil, err
 		}
-		var sp encSpan
-		if b, _, ok := rt.encLookup(lp); ok {
-			hits++
-			sp.cached = b
-		} else {
-			misses++
-			sp.pre, sp.publish = rt.encPrepare(lp.Addr, rv.Layout.Size)
-			sp.start = arena.Len()
-			pure, err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, lp.Addr)
-			if err != nil {
-				return nil, fmt.Errorf("encode modified %v: %w", lp, err)
-			}
-			sp.end = arena.Len()
-			sp.publish = sp.publish && pure
+		start := arena.Len()
+		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, lp.Addr); err != nil {
+			return nil, fmt.Errorf("encode modified %v: %w", lp, err)
 		}
-		items = append(items, wire.DataItem{LP: lp, Dirty: true})
-		spans = append(spans, sp)
+		items = append(items, wire.DataItem{LP: lp, Dirty: true, Bytes: arena.Bytes()[start:arena.Len():arena.Len()]})
 	}
-	backing := arena.Bytes()
-	for k := range items {
-		s := &spans[k]
-		if s.cached != nil {
-			items[k].Bytes = s.cached
-			continue
-		}
-		items[k].Bytes = backing[s.start:s.end]
-		if s.publish {
-			rt.encPublish(items[k].LP, s.pre, items[k].Bytes)
-		}
-	}
-	rt.encTraceServe(hits, misses)
 	return items, nil
 }
 
@@ -816,10 +786,8 @@ func (rt *Runtime) collectDirtyItems() ([]wire.DataItem, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Cached foreign data: addresses live in the cache region, so the
-		// encode cache (keyed by local heap addresses) is not consulted.
 		offs = append(offs, arena.Len())
-		if _, err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, e.Addr); err != nil {
+		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, e.Addr); err != nil {
 			return nil, fmt.Errorf("encode dirty %v: %w", e.LP, err)
 		}
 		items = append(items, wire.DataItem{LP: e.LP, Dirty: true})
@@ -870,10 +838,6 @@ func (rt *Runtime) applyHome(lp wire.LongPtr, body []byte) error {
 	if err := decodeObject(rt.space, rt.table, rt.res, rv.Desc, lp.Addr, body); err != nil {
 		return fmt.Errorf("apply write-back %v: %w", lp, err)
 	}
-	// The heap-page version bumps inside the decode already made any cached
-	// encoding unreachable; the proactive drop frees it now and keeps the
-	// invalidation counter deterministic.
-	rt.encInvalidate(lp.Addr)
 	return nil
 }
 

@@ -33,10 +33,6 @@ const (
 	EvPrefetchHit
 	EvPrefetchWasted
 	EvRebindEvict
-	EvEncCacheHit
-	EvEncCacheMiss
-	EvEncCacheEvict
-	EvEncCacheInvalidate
 	EvChunkSent
 	EvChunkRecv
 	EvChunkInstall
@@ -63,8 +59,6 @@ var eventNames = map[EventKind]string{
 	EvValidateMiss:   "validate-miss",
 	EvPrefetchIssued: "prefetch-issued", EvPrefetchHit: "prefetch-hit",
 	EvPrefetchWasted: "prefetch-wasted", EvRebindEvict: "rebind-evict",
-	EvEncCacheHit: "enc-cache-hit", EvEncCacheMiss: "enc-cache-miss",
-	EvEncCacheEvict: "enc-cache-evict", EvEncCacheInvalidate: "enc-cache-invalidate",
 	EvChunkSent: "chunk-sent", EvChunkRecv: "chunk-recv",
 	EvChunkInstall: "chunk-install",
 	EvRetry:        "retry", EvReplayedReply: "replayed-reply",
@@ -119,14 +113,11 @@ func (e Event) String() string {
 		return fmt.Sprintf("[%d] %v page=%d", e.Space, e.Kind, e.Page)
 	case EvFetchSent, EvWriteBackSent, EvInvalidateSent, EvAllocFlush, EvValidateSent:
 		return fmt.Sprintf("[%d] %v peer=%d count=%d", e.Space, e.Kind, e.Target, e.Count)
-	case EvFetchServed, EvInstall, EvDirtyCollected,
-		EvEncCacheHit, EvEncCacheMiss, EvEncCacheEvict:
+	case EvFetchServed, EvInstall, EvDirtyCollected:
 		return fmt.Sprintf("[%d] %v count=%d", e.Space, e.Kind, e.Count)
 	case EvChunkSent, EvChunkRecv, EvChunkInstall:
 		// Page carries the chunk ordinal; Count the item count.
 		return fmt.Sprintf("[%d] %v peer=%d chunk=%d count=%d", e.Space, e.Kind, e.Target, e.Page, e.Count)
-	case EvEncCacheInvalidate:
-		return fmt.Sprintf("[%d] %v page=%d", e.Space, e.Kind, e.Page)
 	case EvValidateHit, EvValidateMiss, EvRebindEvict:
 		return fmt.Sprintf("[%d] %v %v", e.Space, e.Kind, e.LP)
 	case EvPrefetchIssued, EvPrefetchHit, EvPrefetchWasted:

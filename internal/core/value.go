@@ -298,14 +298,9 @@ func (r *Ref) SetUint(name string, idx int, v uint64) error {
 	if err := r.rt.space.WriteUint(r.addr+vmem.VAddr(fl.Offset+idx*fl.ElemSize), fl.ElemSize, v); err != nil {
 		return err
 	}
-	// A write to a locally owned object obsoletes its cached encoding. The
-	// page-version bump inside the store already guarantees that; the
-	// proactive drop keeps the invalidation counter deterministic. A write
-	// to a cached foreign object instead joins the session's modified data
+	// A write to a cached foreign object joins the session's modified data
 	// set (only objects actually written travel home at session end).
-	if r.rt.space.InHeap(r.addr) {
-		r.rt.encInvalidate(r.addr)
-	} else {
+	if !r.rt.space.InHeap(r.addr) {
 		r.rt.touchObject(r.addr)
 	}
 	return nil
@@ -401,9 +396,7 @@ func (r *Ref) SetPtr(name string, idx int, v Value) error {
 	if err := r.rt.space.WritePtr(r.addr+vmem.VAddr(fl.Offset+idx*fl.ElemSize), v.Addr); err != nil {
 		return err
 	}
-	if r.rt.space.InHeap(r.addr) {
-		r.rt.encInvalidate(r.addr)
-	} else {
+	if !r.rt.space.InHeap(r.addr) {
 		r.rt.touchObject(r.addr)
 	}
 	return nil

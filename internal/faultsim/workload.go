@@ -49,11 +49,6 @@ type Scenario struct {
 	// space, so fetch chaos also hits speculative FETCH exchanges and
 	// their in-flight registry joins.
 	Prefetch bool
-	// EncodeCache enables the origin-side encode cache on every space, so
-	// the chaos mix (crashes included — a restarted space is cold by
-	// construction) also runs with cached serve paths and their
-	// invalidation machinery engaged.
-	EncodeCache bool
 	// Concurrent switches the workload from one ground session at a time
 	// to a goroutine per non-ground space, all holding overlapping
 	// sessions over one shared ground-owned tree (concurrent.go). The
@@ -109,15 +104,13 @@ func DefaultScenario(seed uint64) Scenario {
 	// Drawn last so the scenarios older seeds derive stay unchanged in
 	// every other dimension.
 	sc.Prefetch = rng.Intn(2) == 0
-	// Drawn after Prefetch for the same reason: on for most seeds (the
-	// production default), off for some so the ablated serve paths soak
-	// too.
-	sc.EncodeCache = rng.Intn(4) != 0
-	// Drawn after EncodeCache, before Concurrent's draws would have run
-	// under older orderings — appended at the end so every dimension
-	// older seeds derived stays unchanged. A third of seeds run the
-	// concurrent multi-client workload, with 2–4 clients sharing the
-	// ground tree.
+	// This draw selected the origin-side encode cache, which no longer
+	// exists. It is kept and discarded so every later field — and every
+	// recorded seed — derives the scenario it always did.
+	_ = rng.Intn(4)
+	// Appended at the end so every dimension older seeds derived stays
+	// unchanged. A third of seeds run the concurrent multi-client
+	// workload, with 2–4 clients sharing the ground tree.
 	sc.Concurrent = rng.Intn(3) == 0
 	if sc.Concurrent {
 		sc.Spaces = 3 + rng.Intn(3)
@@ -449,12 +442,11 @@ func (h *harness) newRuntime(id uint32) (*core.Runtime, error) {
 		// Concurrent scenarios keep speculation on the workload
 		// goroutines so each client's frame stream stays a function of
 		// its own seed stream.
-		SyncPrefetch:       h.sc.Concurrent && h.sc.Prefetch,
-		DisableEncodeCache: !h.sc.EncodeCache,
-		StreamChunkBytes:   h.sc.StreamChunkBytes,
-		Concurrent:         true,
-		CallTimeout:        h.sc.CallTimeout,
-		CheckInvariants:    true,
+		SyncPrefetch:     h.sc.Concurrent && h.sc.Prefetch,
+		StreamChunkBytes: h.sc.StreamChunkBytes,
+		Concurrent:       true,
+		CallTimeout:      h.sc.CallTimeout,
+		CheckInvariants:  true,
 	}
 	if h.sc.Recovery {
 		// The budget must be generous relative to CallTimeout: recovery

@@ -154,21 +154,9 @@ var (
 type page struct {
 	data     []byte
 	prot     atomic.Int32
-	dirty    atomic.Bool   // cache page modified since install (coherency protocol)
-	accessed atomic.Bool   // cache page touched by a checked access since the last demotion
-	ver      atomic.Uint32 // heap page write version (see HeapVersion)
-	cache    bool          // page lives in the cache region
-}
-
-// bumpVer advances a heap page's write-version counter. Called on every
-// store path before the bytes change, so a reader that validated against
-// the pre-bump version can only have observed strictly pre-write data.
-// Cache pages carry no version: their contents are governed by the
-// coherency protocol, not by local stores.
-func (p *page) bumpVer() {
-	if !p.cache {
-		p.ver.Add(1)
-	}
+	dirty    atomic.Bool // cache page modified since install (coherency protocol)
+	accessed atomic.Bool // cache page touched by a checked access since the last demotion
+	cache    bool        // page lives in the cache region
 }
 
 // markAccessed notes a checked (user-mode) access on a cache page for the
@@ -368,42 +356,11 @@ func (s *Space) Alloc(size, align int) (VAddr, error) {
 	return addr, nil
 }
 
-// Free releases a heap allocation made by Alloc. The freed span's pages
-// advance their write versions: any cached derivation of the old bytes
-// (an encode-cache entry) must become unreachable before the allocator
-// can hand the address out again.
+// Free releases a heap allocation made by Alloc.
 func (s *Space) Free(addr VAddr) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	size, sizeErr := s.heap.sizeOf(addr)
-	if err := s.heap.free(addr); err != nil {
-		return err
-	}
-	if sizeErr == nil && size > 0 {
-		t := s.table.Load()
-		first := uint32(addr) >> s.pageShift
-		last := (uint32(addr) + uint32(size) - 1) >> s.pageShift
-		for pn := first; pn <= last; pn++ {
-			if p := s.pageAt(t, pn); p != nil {
-				p.bumpVer()
-			}
-		}
-	}
-	return nil
-}
-
-// HeapVersion returns the write-version counter of heap page pn. The
-// counter advances on every store, zero, or free that touches the page,
-// so equal versions across two reads prove the page bytes did not change
-// between them. Unmapped and cache-region pages report 0; a page cannot
-// transition out of either state while holding data anyone derived
-// values from, so 0==0 comparisons are sound too.
-func (s *Space) HeapVersion(pn uint32) uint32 {
-	p := s.lookup(pn)
-	if p == nil || p.cache {
-		return 0
-	}
-	return p.ver.Load()
+	return s.heap.free(addr)
 }
 
 // AllocSize reports the size recorded for a live heap allocation.
@@ -641,7 +598,6 @@ func (s *Space) rawAccess(addr VAddr, buf []byte, read bool) error {
 		if read {
 			copy(buf, p.data[po:po+len(buf)])
 		} else {
-			p.bumpVer()
 			copy(p.data[po:po+len(buf)], buf)
 		}
 		if s.concurrent {
@@ -668,7 +624,6 @@ func (s *Space) rawAccess(addr VAddr, buf []byte, read bool) error {
 		if read {
 			copy(buf[off:off+n], p.data[po:po+n])
 		} else {
-			p.bumpVer()
 			copy(p.data[po:po+n], buf[off:off+n])
 		}
 		off += n
@@ -703,7 +658,6 @@ func (s *Space) Zero(addr VAddr, size int) error {
 		if n > size-off {
 			n = size - off
 		}
-		p.bumpVer()
 		clear(p.data[po : po+n])
 		off += n
 	}
@@ -744,7 +698,6 @@ func (s *Space) access(addr VAddr, buf []byte, kind FaultKind) error {
 			if kind == FaultRead {
 				copy(buf, p.data[po:po+len(buf)])
 			} else {
-				p.bumpVer()
 				copy(p.data[po:po+len(buf)], buf)
 			}
 			if s.concurrent {
@@ -820,7 +773,6 @@ func (s *Space) accessSlow(addr VAddr, buf []byte, kind FaultKind) error {
 		if kind == FaultRead {
 			copy(buf[off:off+n], p.data[po:po+n])
 		} else {
-			p.bumpVer()
 			copy(p.data[po:po+n], buf[off:off+n])
 		}
 		off += n
@@ -869,7 +821,6 @@ func (s *Space) WriteUint(addr VAddr, width int, v uint64) error {
 				if s.concurrent {
 					s.mu.Lock()
 				}
-				p.bumpVer()
 				encodeUint(p.data[po:po+width], s.profile.Order, v)
 				if s.concurrent {
 					s.mu.Unlock()
@@ -928,7 +879,6 @@ func (s *Space) WriteUintRaw(addr VAddr, width int, v uint64) error {
 				if s.concurrent {
 					s.mu.Lock()
 				}
-				p.bumpVer()
 				encodeUint(p.data[po:po+width], s.profile.Order, v)
 				if s.concurrent {
 					s.mu.Unlock()
