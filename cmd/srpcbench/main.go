@@ -42,8 +42,12 @@ func run(args []string) error {
 	jsonOut := fs.Bool("json", false, "run the regression suite and emit a JSON report (srpcbench -json > BENCH_<n>.json)")
 	runs := fs.Int("runs", 5, "measured repetitions per point in -json mode")
 	checkFile := fs.String("check", "", "compare the regression suite's deterministic modeled columns against a committed BENCH_<n>.json snapshot; exit nonzero on any drift")
+	diffOld := fs.String("diff", "", "list, column by column, where the snapshot named here differs from the one named as the argument (srpcbench -diff BENCH_10.json BENCH_15.json); runs nothing")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *diffOld != "" {
+		return diffSnapshots(*diffOld, fs.Arg(0))
 	}
 	csv = *csvOut
 	model := netsim.Ethernet10SPARC()
@@ -113,6 +117,28 @@ func emitJSON(model netsim.Model, nodes, closure, runs int) error {
 	}
 	_, err = fmt.Println(string(out))
 	return err
+}
+
+// diffSnapshots prints every deterministic column in which two committed
+// snapshots differ: the evidence a re-baseline's write-up quotes.
+func diffSnapshots(oldPath, newPath string) error {
+	oldRaw, err := os.ReadFile(oldPath)
+	if err != nil {
+		return err
+	}
+	newRaw, err := os.ReadFile(newPath)
+	if err != nil {
+		return err
+	}
+	lines, err := bench.Diff(oldRaw, newRaw)
+	if err != nil {
+		return err
+	}
+	for _, l := range lines {
+		fmt.Println(l)
+	}
+	fmt.Printf("srpcbench: %d differences between %s and %s\n", len(lines), oldPath, newPath)
+	return nil
 }
 
 // checkAgainst rebuilds the regression suite at the baseline's

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -722,6 +724,85 @@ func Check(baseline, cur Report) error {
 		return fmt.Errorf("modeled columns drifted from baseline:\n  %s", strings.Join(drifts, "\n  "))
 	}
 	return nil
+}
+
+// hostColumns are the report columns that depend on the host's speed;
+// Diff skips them, as Check does.
+var hostColumns = map[string]bool{
+	"wall_sec": true, "allocs_per_op": true, "alloc_bytes_per_op": true,
+	"ttfa_usec": true, "conc_check_sec": true,
+}
+
+// Diff lists every difference between two report snapshots, column by
+// column, for the write-up of a re-baseline: a row in only one of them, or
+// a deterministic column whose value changed. It reads the snapshots as
+// plain JSON, so it also sees columns the current ReportRow no longer has.
+// Rows whose traffic depends on a real interleaving are compared on the
+// columns Check compares (concurrent rows: the operation counts; faulted
+// recover rows: completion).
+func Diff(oldRaw, newRaw []byte) ([]string, error) {
+	type snapshot struct {
+		Rows []map[string]any `json:"rows"`
+	}
+	key := func(r map[string]any) string {
+		num := func(col string) float64 { v, _ := r[col].(float64); return v }
+		return fmt.Sprintf("%v/%v/%.4f/%d/%d/%d", r["figure"], r["policy"], num("ratio"),
+			int(num("closure_bytes")), int(num("session")), int(num("clients")))
+	}
+	var a, b snapshot
+	if err := json.Unmarshal(oldRaw, &a); err != nil {
+		return nil, fmt.Errorf("old snapshot: %w", err)
+	}
+	if err := json.Unmarshal(newRaw, &b); err != nil {
+		return nil, fmt.Errorf("new snapshot: %w", err)
+	}
+	newRows := make(map[string]map[string]any, len(b.Rows))
+	for _, r := range b.Rows {
+		newRows[key(r)] = r
+	}
+	var out []string
+	for _, ra := range a.Rows {
+		k := key(ra)
+		rb, ok := newRows[k]
+		if !ok {
+			out = append(out, k+": row only in the old snapshot")
+			continue
+		}
+		delete(newRows, k)
+		faulted := func(r map[string]any) bool { v, _ := r["rec_faults"].(float64); return v > 0 }
+		compared := func(col string) bool {
+			switch {
+			case hostColumns[col]:
+				return false
+			case ra["figure"] == "concurrent":
+				return strings.HasPrefix(col, "conc_")
+			case ra["figure"] == "recover" && (faulted(ra) || faulted(rb)):
+				return col == "rec_sessions"
+			}
+			return true
+		}
+		cols := make([]string, 0, len(ra)+len(rb))
+		for col := range ra {
+			cols = append(cols, col)
+		}
+		for col := range rb {
+			if _, dup := ra[col]; !dup {
+				cols = append(cols, col)
+			}
+		}
+		slices.Sort(cols)
+		for _, col := range cols {
+			if compared(col) && ra[col] != rb[col] {
+				out = append(out, fmt.Sprintf("%s: %s %v -> %v", k, col, ra[col], rb[col]))
+			}
+		}
+	}
+	for _, r := range b.Rows {
+		if k := key(r); newRows[k] != nil {
+			out = append(out, k+": row only in the new snapshot")
+		}
+	}
+	return out, nil
 }
 
 func rowKey(r ReportRow) string {

@@ -538,6 +538,85 @@ func TestWriteBackRacingFetchesServesNoStaleValue(t *testing.T) {
 	}
 }
 
+// TestPointerAccessRacesInstallBatch: an install batch holds the data
+// allocation table for its whole length, and a second application
+// goroutine of the same session keeps reading and rewriting a resident
+// pointer field meanwhile. Every access must resolve (never deadlock,
+// never miss a row the batch is appending beside) and the walk's result
+// must be unaffected. Run under -race.
+func TestPointerAccessRacesInstallBatch(t *testing.T) {
+	caller, callee := pair(t, func(id uint32, o *Options) {
+		// Small pages and closures: many short batches, so the second
+		// goroutine meets the table lock in every state. Concurrent makes
+		// two goroutines storing to one datum legal at the vmem level.
+		o.PageSize = 256
+		o.ClosureSize = 256
+		o.Concurrent = true
+	})
+	const levels = 9
+	err := callee.Register("sumWhilePoking", func(ctx *Ctx, args []Value) ([]Value, error) {
+		rt := ctx.Runtime()
+		root, err := rt.Deref(args[0])
+		if err != nil {
+			return nil, err
+		}
+		left, err := root.Ptr("left", 0) // the root is resident from here on
+		if err != nil {
+			return nil, err
+		}
+		stop, running := make(chan struct{}), make(chan struct{})
+		poked := make(chan error, 1)
+		go func() {
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					poked <- nil
+					return
+				default:
+				}
+				if n == 1 {
+					close(running) // one full round done: the walk may start
+				}
+				got, err := root.Ptr("left", 0)
+				if err == nil && got.Addr != left.Addr {
+					err = fmt.Errorf("left pointer reads %#x, want %#x", uint32(got.Addr), uint32(left.Addr))
+				}
+				if err == nil {
+					err = root.SetPtr("left", 0, left)
+				}
+				if err != nil {
+					poked <- err
+					return
+				}
+			}
+		}()
+		select {
+		case <-running:
+		case err := <-poked:
+			return nil, err
+		}
+		total, err := sumTree(rt, args[0])
+		close(stop)
+		if perr := <-poked; err == nil {
+			err = perr
+		}
+		if err != nil {
+			return nil, err
+		}
+		return []Value{Int64Value(total)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := buildTree(t, caller, levels)
+	if got := sessionCall(t, caller, 2, "sumWhilePoking", root)[0].Int64(); got != wantSum(levels) {
+		t.Fatalf("sum = %d, want %d", got, wantSum(levels))
+	}
+	if got, err := sumTree(caller, root); err != nil || got != wantSum(levels) {
+		t.Fatalf("tree at home after the session sums to %d, %v; want %d", got, err, wantSum(levels))
+	}
+}
+
 // TestTraceEventCoverage drives one workload per rare protocol path so
 // that every registered trace event kind fires at least once, then
 // iterates EventKinds(): a newly added event cannot ship without a test

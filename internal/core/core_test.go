@@ -1124,8 +1124,13 @@ func TestDeepNestedChainAcrossFiveSpaces(t *testing.T) {
 	}
 }
 
-func TestLargeObjectSpanningManyPages(t *testing.T) {
-	// An object larger than a page is fetched and written back intact.
+// blobPair builds an owner holding one Blob{pay [10000]uint8; sum int64}
+// — three 4 KiB pages in a cache — and a worker serving two procedures
+// over it: "checksum" reads pay[first] before anything else, sums pay and
+// stores the sum in the blob; "stamp" writes sum before reading anything
+// and returns pay[0]+pay[9999].
+func blobPair(t *testing.T) (owner *Runtime, blob Value, ref Ref, want int64) {
+	t.Helper()
 	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -1142,7 +1147,7 @@ func TestLargeObjectSpanningManyPages(t *testing.T) {
 	})
 	an, _ := net.Attach(1)
 	bn, _ := net.Attach(2)
-	owner, err := New(Options{ID: 1, Node: an, Registry: reg})
+	owner, err = New(Options{ID: 1, Node: an, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1155,6 +1160,9 @@ func TestLargeObjectSpanningManyPages(t *testing.T) {
 	err = worker.Register("checksum", func(ctx *Ctx, args []Value) ([]Value, error) {
 		ref, err := ctx.Runtime().Deref(args[0])
 		if err != nil {
+			return nil, err
+		}
+		if _, err := ref.Uint("pay", int(args[1].Int64())); err != nil {
 			return nil, err
 		}
 		var sum int64
@@ -1173,32 +1181,49 @@ func TestLargeObjectSpanningManyPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := owner.NewObject(7)
+	err = worker.Register("stamp", func(ctx *Ctx, args []Value) ([]Value, error) {
+		ref, err := ctx.Runtime().Deref(args[0])
+		if err != nil {
+			return nil, err
+		}
+		if err := ref.SetInt("sum", 0, args[1].Int64()); err != nil {
+			return nil, err
+		}
+		lo, err := ref.Uint("pay", 0)
+		if err != nil {
+			return nil, err
+		}
+		hi, err := ref.Uint("pay", 9999)
+		if err != nil {
+			return nil, err
+		}
+		return []Value{Int64Value(int64(lo + hi))}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := owner.Deref(blob)
+	blob, err = owner.NewObject(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want int64
+	ref, err = owner.Deref(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10000; i++ {
-		v := uint64(i % 251)
+		v := uint64(i%251) + 1
 		want += int64(v)
 		if err := ref.SetUint("pay", i, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := owner.BeginSession(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := owner.Call(2, "checksum", []Value{blob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := owner.EndSession(); err != nil {
-		t.Fatal(err)
-	}
+	return owner, blob, ref, want
+}
+
+func TestLargeObjectSpanningManyPages(t *testing.T) {
+	// An object larger than a page is fetched and written back intact.
+	owner, blob, ref, want := blobPair(t)
+	res := sessionCall(t, owner, 2, "checksum", blob, Int64Value(0))
 	if res[0].Int64() != want {
 		t.Errorf("remote checksum = %d, want %d", res[0].Int64(), want)
 	}
@@ -1206,6 +1231,57 @@ func TestLargeObjectSpanningManyPages(t *testing.T) {
 	if err != nil || got != want {
 		t.Errorf("written-back sum = %d, %v; want %d", got, err, want)
 	}
+}
+
+// TestLargeObjectFirstTouchedAtItsTail: the first access to a datum that
+// spans pages may land on any of them, and the fault there must find the
+// datum's allocation table row.
+func TestLargeObjectFirstTouchedAtItsTail(t *testing.T) {
+	t.Run("read", func(t *testing.T) {
+		owner, blob, ref, want := blobPair(t)
+		res := sessionCall(t, owner, 2, "checksum", blob, Int64Value(9000))
+		if res[0].Int64() != want {
+			t.Errorf("remote checksum = %d, want %d", res[0].Int64(), want)
+		}
+		if got, err := ref.Int("sum", 0); err != nil || got != want {
+			t.Errorf("written-back sum = %d, %v; want %d", got, err, want)
+		}
+	})
+	t.Run("write", func(t *testing.T) {
+		owner, blob, ref, _ := blobPair(t)
+		res := sessionCall(t, owner, 2, "stamp", blob, Int64Value(-7))
+		// pay[0] = 1, pay[9999] = 9999%251+1: the write fault brought the
+		// whole datum in, not a zeroed tail page.
+		if got, want := res[0].Int64(), int64(1+9999%251+1); got != want {
+			t.Errorf("pay[0]+pay[9999] seen after the tail write = %d, want %d", got, want)
+		}
+		if got, err := ref.Int("sum", 0); err != nil || got != -7 {
+			t.Errorf("written-back sum = %d, %v; want -7", got, err)
+		}
+		if got, err := ref.Uint("pay", 5000); err != nil || got != 5000%251+1 {
+			t.Errorf("pay[5000] at home after the write-back = %d, %v; want %d", got, err, 5000%251+1)
+		}
+	})
+	t.Run("warm", func(t *testing.T) {
+		// Session 1 leaves the datum warm on the worker; the owner then
+		// changes a byte on the last page, and session 2 touches that page
+		// first: the revalidation has to find the row from there.
+		owner, blob, ref, want := blobPair(t)
+		if res := sessionCall(t, owner, 2, "checksum", blob, Int64Value(0)); res[0].Int64() != want {
+			t.Fatalf("first checksum = %d, want %d", res[0].Int64(), want)
+		}
+		if err := ref.SetUint("pay", 9500, 255); err != nil {
+			t.Fatal(err)
+		}
+		want += 255 - (9500%251 + 1)
+		res := sessionCall(t, owner, 2, "checksum", blob, Int64Value(9500))
+		if res[0].Int64() != want {
+			t.Errorf("second checksum = %d, want %d", res[0].Int64(), want)
+		}
+		if got, err := ref.Int("sum", 0); err != nil || got != want {
+			t.Errorf("written-back sum = %d, %v; want %d", got, err, want)
+		}
+	})
 }
 
 func TestLazyWritePath(t *testing.T) {

@@ -150,43 +150,22 @@ func (rt *Runtime) fetchPage(pn uint32) error {
 // fault's place in the registry.
 func (rt *Runtime) completePage(sess uint64, pn uint32, spec bool) error {
 	for pass := 0; ; pass++ {
-		entries := rt.table.PageEntries(pn)
-		if pass == 0 && len(entries) == 0 {
+		// The page's non-resident wants in offset order, stale entries split
+		// off. Under the paper's allocation heuristic there is exactly one
+		// origin per page, so the common path is a single group with no map
+		// allocation; PolicyMixed exercises the multi-origin fan-out below.
+		wants, stale, entries := rt.table.PageWants(pn, rt.warmEnabled())
+		if pass == 0 && entries == 0 {
 			if spec {
 				return nil
 			}
 			return fmt.Errorf("core: fault on cache page %d with no allocation table entries", pn)
 		}
-		// Collect non-resident wants in offset order, splitting off the
-		// stale entries. Under the paper's allocation heuristic there is
-		// exactly one origin per page, so the common path is a single
-		// group with no map allocation; PolicyMixed exercises the
-		// multi-origin fan-out below.
-		var wants, stale []wire.LongPtr
-		sameOrigin, staleSame := true, true
-		warm := rt.warmEnabled()
-		for i := range entries {
-			e := &entries[i]
-			if e.Resident {
-				continue
-			}
-			if warm && e.Stale {
-				if len(stale) > 0 && e.LP.Space != stale[0].Space {
-					staleSame = false
-				}
-				stale = append(stale, e.LP)
-				continue
-			}
-			if len(wants) > 0 && e.LP.Space != wants[0].Space {
-				sameOrigin = false
-			}
-			wants = append(wants, e.LP)
-		}
 		if len(stale) > 0 {
 			// Every offered entry ends the exchange either resident (token,
 			// delta, or full body) or degraded to a plain want, so the loop
 			// always makes progress.
-			if staleSame {
+			if oneOrigin(stale) {
 				if err := rt.completeFrom(sess, pn, stale[0].Space, stale, spec, true); err != nil {
 					return err
 				}
@@ -200,7 +179,7 @@ func (rt *Runtime) completePage(sess uint64, pn uint32, spec bool) error {
 		if len(wants) == 0 {
 			return nil
 		}
-		if sameOrigin {
+		if oneOrigin(wants) {
 			if err := rt.completeFrom(sess, pn, wants[0].Space, wants, spec, false); err != nil {
 				return err
 			}
@@ -212,6 +191,16 @@ func (rt *Runtime) completePage(sess uint64, pn uint32, spec bool) error {
 			return err
 		}
 	}
+}
+
+// oneOrigin reports whether every long pointer names the same space.
+func oneOrigin(lps []wire.LongPtr) bool {
+	for i := range lps {
+		if lps[i].Space != lps[0].Space {
+			return false
+		}
+	}
+	return true
 }
 
 // originGroup is one origin's slice of a page's wants.

@@ -14,12 +14,25 @@ import (
 	"smartrpc/internal/xdr"
 )
 
+// ptrTable is the part of the data allocation table the codec needs. A
+// *swizzle.Table locks per call; a swizzle.Tx is the table already locked
+// for a batch of installs.
+type ptrTable interface {
+	Swizzle(lp wire.LongPtr) (vmem.VAddr, bool, error)
+	Unswizzle(addr vmem.VAddr, declared types.ID) (wire.LongPtr, error)
+}
+
+var (
+	_ ptrTable = (*swizzle.Table)(nil)
+	_ ptrTable = swizzle.Tx{}
+)
+
 // encodeObject converts one in-memory object into its canonical (XDR)
 // representation. Pointer fields are unswizzled into long pointers using
 // the declared element type of the field; the conversion is therefore
 // independent of the local architecture, which is what lets spaces with
 // different profiles interoperate.
-func encodeObject(sp *vmem.Space, tb *swizzle.Table, res *types.Resolver, d *types.Desc, addr vmem.VAddr) ([]byte, error) {
+func encodeObject(sp *vmem.Space, tb ptrTable, res *types.Resolver, d *types.Desc, addr vmem.VAddr) ([]byte, error) {
 	enc := xdr.NewEncoder(d.CanonicalSize())
 	if err := encodeObjectInto(enc, sp, tb, res, d, addr); err != nil {
 		return nil, err
@@ -31,7 +44,7 @@ func encodeObject(sp *vmem.Space, tb *swizzle.Table, res *types.Resolver, d *typ
 // Multi-item paths (closure replies, the modified data set) encode into a
 // shared arena encoder and slice the items out afterwards, so a reply
 // costs a constant number of allocations rather than two per object.
-func encodeObjectInto(enc *xdr.Encoder, sp *vmem.Space, tb *swizzle.Table, res *types.Resolver, d *types.Desc, addr vmem.VAddr) error {
+func encodeObjectInto(enc *xdr.Encoder, sp *vmem.Space, tb ptrTable, res *types.Resolver, d *types.Desc, addr vmem.VAddr) error {
 	rv, err := res.Resolve(d.ID)
 	if err != nil {
 		return err
@@ -104,7 +117,7 @@ func decodeScalar(dec *xdr.Decoder, k types.Kind) (uint64, error) {
 // time — this is exactly the moment the paper allocates cache room for
 // newly referenced remote data. Writes bypass protection (the runtime is
 // the "kernel" here).
-func decodeObject(sp *vmem.Space, tb *swizzle.Table, res *types.Resolver, d *types.Desc, addr vmem.VAddr, data []byte) error {
+func decodeObject(sp *vmem.Space, tb ptrTable, res *types.Resolver, d *types.Desc, addr vmem.VAddr, data []byte) error {
 	rv, err := res.Resolve(d.ID)
 	if err != nil {
 		return err

@@ -474,6 +474,9 @@ type Runtime struct {
 	// on per install batch, and concurrent batches may share pages through
 	// ride-along wants, so install order must be total.
 	installMu sync.Mutex
+	// installTouched is installBatch's page scratch, reused across batches
+	// under installMu.
+	installTouched []pageTouch
 
 	// serveMu orders server-side heap access now that requests are served
 	// concurrently off the receive loop: fetch/validate serves encode heap

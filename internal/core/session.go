@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"smartrpc/internal/swizzle"
 	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
 	"smartrpc/internal/xdr"
@@ -826,8 +827,8 @@ func (rt *Runtime) collectDirtyItems() ([]wire.DataItem, error) {
 
 // applyHome installs body into the locally owned heap object at lp: the
 // receiving half of the write-back path and of circulating modified
-// items arriving home.
-func (rt *Runtime) applyHome(lp wire.LongPtr, body []byte) error {
+// items arriving home. Pointer fields swizzle through tb.
+func (rt *Runtime) applyHome(tb ptrTable, lp wire.LongPtr, body []byte) error {
 	if lp.Space != rt.id {
 		return fmt.Errorf("write-back for foreign datum %v", lp)
 	}
@@ -835,7 +836,7 @@ func (rt *Runtime) applyHome(lp wire.LongPtr, body []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := decodeObject(rt.space, rt.table, rt.res, rv.Desc, lp.Addr, body); err != nil {
+	if err := decodeObject(rt.space, tb, rt.res, rv.Desc, lp.Addr, body); err != nil {
 		return fmt.Errorf("apply write-back %v: %w", lp, err)
 	}
 	return nil
@@ -845,7 +846,7 @@ func (rt *Runtime) applyHome(lp wire.LongPtr, body []byte) error {
 // purely local path; wire arrivals go through cohReceive first).
 func (rt *Runtime) applyWriteBack(items []wire.DataItem) error {
 	for _, it := range items {
-		if err := rt.applyHome(it.LP, it.Bytes); err != nil {
+		if err := rt.applyHome(rt.table, it.LP, it.Bytes); err != nil {
 			return err
 		}
 	}
@@ -875,7 +876,7 @@ func (rt *Runtime) serveWriteBack(m wire.Message) {
 		if !fresh {
 			continue // the heap already holds this value from an earlier crossing
 		}
-		if err := rt.applyHome(it.LP, full); err != nil {
+		if err := rt.applyHome(rt.table, it.LP, full); err != nil {
 			rt.reply(m, wire.KindWriteBackAck, nil, err.Error())
 			return
 		}
@@ -908,8 +909,32 @@ func (rt *Runtime) installItems(from uint32, sess uint64, items []wire.DataItem,
 	// all-resident state.
 	rt.installMu.Lock()
 	defer rt.installMu.Unlock()
-	touched := make(map[uint32]bool)
-	dirtyPages := make(map[uint32]bool)
+	// The table stays locked for the whole batch: each item costs one
+	// long-pointer lookup (its row handle carries the rest) plus one per
+	// pointer field it holds.
+	tx := rt.table.Begin()
+	err := rt.installBatch(tx, from, sess, items, coh)
+	tx.End()
+	if err == nil && rt.checkInv {
+		err = rt.CheckLocalInvariants()
+	}
+	return err
+}
+
+// pageTouch is one cache page an install batch put bytes on; dirty when
+// any of them carried a write-back obligation.
+type pageTouch struct {
+	pn    uint32
+	dirty bool
+}
+
+// installBatch is installItems' body, run with installMu and the table
+// held.
+func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items []wire.DataItem, coh bool) error {
+	// Items arrive in (page, offset) runs, so consecutive duplicates are
+	// dropped on append and the rest after the sort below.
+	touched := rt.installTouched[:0]
+	defer func() { rt.installTouched = touched[:0] }()
 	for _, it := range items {
 		body := it.Bytes
 		fresh := true
@@ -924,7 +949,7 @@ func (rt *Runtime) installItems(from uint32, sess uint64, items []wire.DataItem,
 		}
 		if it.LP.Space == rt.id {
 			if fresh {
-				if err := rt.applyHome(it.LP, body); err != nil {
+				if err := rt.applyHome(tx, it.LP, body); err != nil {
 					return err
 				}
 			}
@@ -936,10 +961,12 @@ func (rt *Runtime) installItems(from uint32, sess uint64, items []wire.DataItem,
 			}
 			continue
 		}
-		addr, _, err := rt.table.Swizzle(it.LP)
+		row, err := tx.SwizzleRow(it.LP)
 		if err != nil {
 			return err
 		}
+		e := tx.Entry(row)
+		addr := e.Addr
 		if fresh && !coh {
 			// An object this session already wrote (or allocated) must not
 			// be clobbered by a fetch-path copy arriving afterwards: the
@@ -950,7 +977,7 @@ func (rt *Runtime) installItems(from uint32, sess uint64, items []wire.DataItem,
 			// circulating modified set travels in thread-of-control order,
 			// so its value supersedes the local copy (e.g. a chained call
 			// that rewrote the same object downstream).
-			if e, ok := rt.table.LookupAddr(addr); ok && e.Resident && rt.touchedHas(addr) {
+			if e.Resident && rt.touchedHas(addr) {
 				fresh = false
 			}
 		}
@@ -965,31 +992,43 @@ func (rt *Runtime) installItems(from uint32, sess uint64, items []wire.DataItem,
 			if err != nil {
 				return err
 			}
-			if err := decodeObject(rt.space, rt.table, rt.res, rv.Desc, addr, body); err != nil {
+			if err := decodeObject(rt.space, tx, rt.res, rv.Desc, addr, body); err != nil {
 				return fmt.Errorf("install %v: %w", it.LP, err)
 			}
 			rt.stats.itemsInstalled.Add(1)
 			rt.stats.bytesInstalled.Add(uint64(len(body)))
 			rt.trace(Event{Kind: EvInstall, LP: it.LP, Count: len(body)})
 		}
-		rt.table.MarkResident(addr)
-		e, _ := rt.table.LookupAddr(addr)
-		first := rt.space.PageOf(addr)
-		last := rt.space.PageOf(addr + vmem.VAddr(e.Size-1))
-		for pn := first; pn <= last; pn++ {
-			touched[pn] = true
-			if it.Dirty {
-				dirtyPages[pn] = true
+		tx.MarkResident(row)
+		last := e.Page
+		if e.Size > 1 {
+			last = rt.space.PageOf(addr + vmem.VAddr(e.Size-1))
+		}
+		for pn := e.Page; pn <= last; pn++ {
+			if pt := (pageTouch{pn, it.Dirty}); len(touched) == 0 || touched[len(touched)-1] != pt {
+				touched = append(touched, pt)
 			}
 		}
 	}
-	pages := make([]uint32, 0, len(touched))
-	for pn := range touched {
-		pages = append(pages, pn)
-	}
-	slices.Sort(pages)
-	for _, pn := range pages {
-		if dirtyPages[pn] {
+	// Ascending page order, a page's dirty touch (if any) first.
+	slices.SortFunc(touched, func(a, b pageTouch) int {
+		if c := cmp.Compare(a.pn, b.pn); c != 0 {
+			return c
+		}
+		if a.dirty == b.dirty {
+			return 0
+		}
+		if a.dirty {
+			return -1
+		}
+		return 1
+	})
+	for i, pt := range touched {
+		pn := pt.pn
+		if i > 0 && touched[i-1].pn == pn {
+			continue
+		}
+		if pt.dirty {
 			if err := rt.space.MarkDirty(pn, true); err != nil {
 				return err
 			}
@@ -1001,20 +1040,17 @@ func (rt *Runtime) installItems(from uint32, sess uint64, items []wire.DataItem,
 		if prot != vmem.ProtNone {
 			continue // already released earlier
 		}
-		if !rt.table.AllResident(pn) {
+		if !tx.AllResident(pn) {
 			continue // neighbors still missing; keep the page protected
 		}
 		newProt := vmem.ProtRead
-		if dirtyPages[pn] {
+		if pt.dirty {
 			newProt = vmem.ProtReadWrite
 		}
 		if err := rt.space.SetProt(pn, newProt); err != nil {
 			return err
 		}
-		rt.table.Seal(pn)
-	}
-	if rt.checkInv {
-		return rt.CheckLocalInvariants()
+		tx.Seal(pn)
 	}
 	return nil
 }

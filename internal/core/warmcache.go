@@ -169,14 +169,17 @@ func (rt *Runtime) validateTuplesFor(lps []wire.LongPtr) ([]wire.ValidateTuple, 
 	var arena *xdr.Encoder
 	var unencodable []wire.LongPtr
 	rt.installMu.Lock()
+	tx := rt.table.Begin()
 	for i, lp := range lps {
-		addr, ok := rt.table.LookupLP(lp)
+		row, ok := tx.LookupLP(lp)
 		if !ok {
 			continue
 		}
-		if e, ok := rt.table.LookupAddr(addr); !ok || !e.Stale {
+		e := tx.Entry(row)
+		if !e.Stale {
 			continue
 		}
+		addr := e.Addr
 		rv, err := rt.res.Resolve(lp.Type)
 		if err != nil {
 			unencodable = append(unencodable, lp)
@@ -186,7 +189,7 @@ func (rt *Runtime) validateTuplesFor(lps []wire.LongPtr) ([]wire.ValidateTuple, 
 			arena = xdr.NewEncoder((len(lps) - i) * rv.Canon)
 		}
 		start := arena.Len()
-		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, addr); err != nil {
+		if err := encodeObjectInto(arena, rt.space, tx, rt.res, rv.Desc, addr); err != nil {
 			unencodable = append(unencodable, lp)
 			continue
 		}
@@ -194,8 +197,9 @@ func (rt *Runtime) validateTuplesFor(lps []wire.LongPtr) ([]wire.ValidateTuple, 
 		tuples = append(tuples, wire.ValidateTuple{LP: lp, Ver: validateVer, Sum: wire.Sum64(base)})
 		refs = append(refs, staleRef{addr: addr, base: base})
 	}
+	tx.ClearStale(unencodable)
+	tx.End()
 	rt.installMu.Unlock()
-	rt.table.ClearStale(unencodable)
 	return tuples, refs
 }
 
@@ -366,6 +370,18 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, refs []staleR
 	// under the same serialization (see installItems).
 	rt.installMu.Lock()
 	defer rt.installMu.Unlock()
+	tx := rt.table.Begin()
+	err := rt.applyValidateBatch(tx, tuples, refs, items)
+	tx.End()
+	if err == nil && rt.checkInv {
+		err = rt.CheckLocalInvariants()
+	}
+	return err
+}
+
+// applyValidateBatch is applyValidateReply's body, run with installMu and
+// the table held.
+func (rt *Runtime) applyValidateBatch(tx swizzle.Tx, tuples []wire.ValidateTuple, refs []staleRef, items []wire.ValidateItem) error {
 	var pages []uint32 // pages holding an answered entry
 	var degrade []wire.LongPtr
 	next := 0 // the origin answers in offer order: each search starts where the last ended
@@ -383,15 +399,19 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, refs []staleR
 		next = k + 1
 		refs[k].answered = true
 		addr := refs[k].addr
-		e, ok := rt.table.LookupAddr(addr)
-		if !ok || !e.Stale || e.LP != it.LP {
-			continue // freed, promoted or overwritten by another path meanwhile
+		row, ok := tx.LookupAddr(addr)
+		if !ok {
+			continue // freed meanwhile
+		}
+		e := tx.Entry(row)
+		if !e.Stale || e.LP != it.LP {
+			continue // promoted or overwritten by another path meanwhile
 		}
 		switch it.Form {
 		case wire.ValidateCurrent:
 			// The offered hash matched the origin's current encoding: the
 			// page bytes under ProtNone are already exact. No decode.
-			rt.table.MarkResident(addr)
+			tx.MarkResident(row)
 			rt.stats.cohRevalidateHits.Add(1)
 			rt.trace(Event{Kind: EvValidateHit, LP: it.LP})
 		case wire.ValidateDelta, wire.ValidateFull:
@@ -414,10 +434,10 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, refs []staleR
 			if err != nil {
 				return err
 			}
-			if err := decodeObject(rt.space, rt.table, rt.res, rv.Desc, addr, body); err != nil {
+			if err := decodeObject(rt.space, tx, rt.res, rv.Desc, addr, body); err != nil {
 				return fmt.Errorf("revalidate install %v: %w", it.LP, err)
 			}
-			rt.table.MarkResident(addr)
+			tx.MarkResident(row)
 			// Accounted by the revalidation counters alone, not by
 			// ItemsInstalled/BytesInstalled: those track the fetch path,
 			// where wire bytes equal body bytes. A delta install's wire
@@ -442,7 +462,7 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, refs []staleR
 			degrade = append(degrade, tuples[k].LP)
 		}
 	}
-	rt.table.ClearStale(degrade)
+	tx.ClearStale(degrade)
 	slices.Sort(pages)
 	for _, pn := range slices.Compact(pages) {
 		prot, err := rt.space.ProtOf(pn)
@@ -452,16 +472,13 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, refs []staleR
 		if prot != vmem.ProtNone {
 			continue
 		}
-		if !rt.table.AllResident(pn) {
+		if !tx.AllResident(pn) {
 			continue
 		}
 		if err := rt.space.SetProt(pn, vmem.ProtRead); err != nil {
 			return err
 		}
-		rt.table.Seal(pn)
-	}
-	if rt.checkInv {
-		return rt.CheckLocalInvariants()
+		tx.Seal(pn)
 	}
 	return nil
 }

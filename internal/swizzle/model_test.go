@@ -1,0 +1,575 @@
+package swizzle
+
+import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"smartrpc/internal/types"
+	"smartrpc/internal/vmem"
+	"smartrpc/internal/wire"
+)
+
+// refTable is the reference the property test holds the table to: the
+// rows in a Go map, and every query answered by scanning all of them. It
+// knows nothing of placement — addresses are copied from the table under
+// test and checked for soundness as they appear.
+type refTable struct {
+	sp   *vmem.Space
+	res  *types.Resolver
+	rows map[vmem.VAddr]*Entry
+	byLP map[wire.LongPtr]vmem.VAddr
+	// areaOf remembers which area key each page was first used for, to
+	// check that placement never mixes keys on a page it should not.
+	areaOf map[uint32]uint32
+	// taken is every byte range ever handed out, live or removed: cache
+	// addresses are never reused.
+	taken []Entry
+	// closed holds pages no new row may land on (sealed or demoted).
+	closed map[uint32]bool
+}
+
+func newRefTable(sp *vmem.Space, res *types.Resolver) *refTable {
+	return &refTable{
+		sp: sp, res: res,
+		rows:   map[vmem.VAddr]*Entry{},
+		byLP:   map[wire.LongPtr]vmem.VAddr{},
+		areaOf: map[uint32]uint32{},
+		closed: map[uint32]bool{},
+	}
+}
+
+func (r *refTable) reset() {
+	clear(r.rows)
+	clear(r.byLP)
+}
+
+func (r *refTable) pagesOf(e *Entry) (first, last uint32) {
+	return r.sp.PageOf(e.Addr), r.sp.PageOf(e.Addr + vmem.VAddr(max(e.Size, 1)-1))
+}
+
+// sorted returns the rows ordered by address, which is (page, offset) order.
+func (r *refTable) sorted() []*Entry {
+	out := make([]*Entry, 0, len(r.rows))
+	for _, e := range r.rows {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.Addr, b.Addr) })
+	return out
+}
+
+// onPage returns the rows covering page pn, in offset order.
+func (r *refTable) onPage(pn uint32) []*Entry {
+	var out []*Entry
+	for _, e := range r.sorted() {
+		if first, last := r.pagesOf(e); first <= pn && pn <= last {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func (r *refTable) pages() []uint32 {
+	seen := map[uint32]bool{}
+	for _, e := range r.rows {
+		for first, last := r.pagesOf(e); first <= last; first++ {
+			seen[first] = true
+		}
+	}
+	out := make([]uint32, 0, len(seen))
+	for pn := range seen {
+		out = append(out, pn)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// wants is the specification of OutstandingWants (stale=false) and
+// StaleWants (stale=true).
+func (r *refTable) wants(origin, excludePN uint32, budget int, stale bool) ([]wire.LongPtr, int) {
+	if budget <= 0 {
+		return nil, 0
+	}
+	var out []wire.LongPtr
+	left := budget
+	for _, pn := range r.pages() {
+		if pn == excludePN {
+			continue
+		}
+		rows := r.onPage(pn)
+		anyResident, anyMissing, anyStale := false, false, false
+		for _, e := range rows {
+			anyResident = anyResident || e.Resident
+			anyMissing = anyMissing || !e.Resident
+			anyStale = anyStale || e.Stale
+		}
+		if stale && !anyStale || !stale && !(anyResident && anyMissing) {
+			continue
+		}
+		for _, e := range rows {
+			first, last := r.pagesOf(e)
+			if first != pn || first <= excludePN && excludePN <= last {
+				continue
+			}
+			if e.LP.Space != origin || stale && !e.Stale || !stale && e.Resident {
+				continue
+			}
+			rv, err := r.res.Resolve(e.LP.Type)
+			if err != nil {
+				panic(err)
+			}
+			if rv.Canon > left {
+				return out, budget - left
+			}
+			left -= rv.Canon
+			out = append(out, e.LP)
+		}
+	}
+	return out, budget - left
+}
+
+func (r *refTable) prefetchCandidates(origin uint32, max int) []uint32 {
+	var out []uint32
+	for _, pn := range r.pages() {
+		for _, e := range r.onPage(pn) {
+			if !e.Resident && e.LP.Space == origin {
+				out = append(out, pn)
+				break
+			}
+		}
+	}
+	if len(out) > max {
+		out = out[:max]
+	}
+	return out
+}
+
+// admit records a freshly placed row, checking the placement rules.
+func (r *refTable) admit(t *testing.T, e Entry, areaKey uint32, policy AllocPolicy) {
+	t.Helper()
+	rv, err := r.res.Resolve(e.LP.Type)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Size != rv.Layout.Size || int(e.Addr)%rv.Layout.Align != 0 {
+		t.Fatalf("row %+v: size/alignment differ from layout %d/%d", e, rv.Layout.Size, rv.Layout.Align)
+	}
+	if e.Page != r.sp.PageOf(e.Addr) || e.Addr != r.sp.PageBase(e.Page)+vmem.VAddr(e.Offset) {
+		t.Fatalf("row %+v: page/offset do not name its address", e)
+	}
+	for _, o := range r.taken {
+		if e.Addr < o.Addr+vmem.VAddr(o.Size) && o.Addr < e.Addr+vmem.VAddr(e.Size) {
+			t.Fatalf("row %+v overlaps cache room once given to %+v", e, o)
+		}
+	}
+	r.taken = append(r.taken, e)
+	if policy == PolicyMixed {
+		areaKey &= ProvisionalAreaFlag
+	}
+	for first, last := r.pagesOf(&e); first <= last; first++ {
+		if r.closed[first] {
+			t.Fatalf("row %+v placed on closed page %d", e, first)
+		}
+		if k, ok := r.areaOf[first]; ok && k != areaKey {
+			t.Fatalf("row %+v (area %#x) placed on page %d of area %#x", e, areaKey, first, k)
+		}
+		r.areaOf[first] = areaKey
+	}
+	r.rows[e.Addr] = &e
+	r.byLP[e.LP] = e.Addr
+}
+
+// compare checks every read-only query of tb against the reference.
+func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
+	t.Helper()
+	var want []Entry
+	for _, e := range r.sorted() {
+		want = append(want, *e)
+	}
+	if got := tb.Entries(); !slices.Equal(got, want) {
+		t.Fatalf("Entries() = %v\nwant %v", got, want)
+	}
+	if tb.Len() != len(want) {
+		t.Fatalf("Len() = %d, want %d", tb.Len(), len(want))
+	}
+	var visited []Entry
+	tb.Visit(func(e Entry) bool { visited = append(visited, e); return true })
+	slices.SortFunc(visited, func(a, b Entry) int { return cmp.Compare(a.Addr, b.Addr) })
+	if !slices.Equal(visited, want) {
+		t.Fatalf("Visit saw %v\nwant %v", visited, want)
+	}
+	// The page records' counts are what the fault path decides by.
+	for i := range tb.pages {
+		rec := &tb.pages[i]
+		var resident, stale int32
+		for _, s := range rec.slots {
+			if tb.rows[s.row].Resident {
+				resident++
+			}
+			if tb.rows[s.row].Stale {
+				stale++
+			}
+		}
+		if rec.resident != resident || rec.stale != stale {
+			t.Fatalf("page %d counts resident=%d stale=%d, its rows say %d and %d",
+				tb.basePN+uint32(i), rec.resident, rec.stale, resident, stale)
+		}
+	}
+	pages := r.pages()
+	// Probe one page past each end too: nothing lives there.
+	probes := pages
+	if len(pages) > 0 {
+		probes = append([]uint32{pages[0] - 1}, append(slices.Clone(pages), pages[len(pages)-1]+1)...)
+	}
+	tx := tb.Begin()
+	for _, pn := range probes {
+		all := true
+		for _, e := range r.onPage(pn) {
+			all = all && e.Resident
+		}
+		if got := tx.AllResident(pn); got != all {
+			tx.End()
+			t.Fatalf("AllResident(%d) = %v, want %v", pn, got, all)
+		}
+	}
+	for _, e := range want {
+		row, ok := tx.LookupLP(e.LP)
+		if !ok || tx.Entry(row) != e {
+			tx.End()
+			t.Fatalf("Tx.LookupLP(%v) = %v, %v; want %v", e.LP, row, ok, e)
+		}
+		if row2, ok := tx.LookupAddr(e.Addr); !ok || row2 != row {
+			tx.End()
+			t.Fatalf("Tx.LookupAddr(%#x) = %v, %v; want row %v", uint32(e.Addr), row2, ok, row)
+		}
+		// Only a datum's first byte is its ordinary pointer.
+		if _, ok := tx.LookupAddr(e.Addr + 1); ok && e.Size > 1 {
+			tx.End()
+			t.Fatalf("interior address %#x of %v resolves", uint32(e.Addr+1), e.LP)
+		}
+	}
+	tx.End()
+	for _, pn := range probes {
+		var rows []Entry
+		var wants, stale []wire.LongPtr
+		for _, e := range r.onPage(pn) {
+			rows = append(rows, *e)
+			switch {
+			case e.Resident:
+			case e.Stale:
+				stale = append(stale, e.LP)
+			default:
+				wants = append(wants, e.LP)
+			}
+		}
+		if got := tb.PageEntries(pn); !slices.Equal(got, rows) {
+			t.Fatalf("PageEntries(%d) = %v\nwant %v", pn, got, rows)
+		}
+		gw, gs, n := tb.PageWants(pn, true)
+		if !slices.Equal(gw, wants) || !slices.Equal(gs, stale) || n != len(rows) {
+			t.Fatalf("PageWants(%d, true) = %v, %v, %d\nwant %v, %v, %d", pn, gw, gs, n, wants, stale, len(rows))
+		}
+	}
+	for _, budget := range []int{0, 31, 32, 100, 1000, 50000, 1 << 30} {
+		for origin := uint32(remoteID); origin <= otherID+1; origin++ {
+			exclude := uint32(0)
+			if len(probes) > 0 {
+				exclude = probes[rng.Intn(len(probes))]
+			}
+			gw, gn := tb.OutstandingWants(origin, exclude, budget)
+			ww, wn := r.wants(origin, exclude, budget, false)
+			if !slices.Equal(gw, ww) || gn != wn {
+				t.Fatalf("OutstandingWants(%d, %d, %d) = %v, %d\nwant %v, %d", origin, exclude, budget, gw, gn, ww, wn)
+			}
+			gw, gn = tb.StaleWants(origin, exclude, budget)
+			ww, wn = r.wants(origin, exclude, budget, true)
+			if !slices.Equal(gw, ww) || gn != wn {
+				t.Fatalf("StaleWants(%d, %d, %d) = %v, %d\nwant %v, %d", origin, exclude, budget, gw, gn, ww, wn)
+			}
+		}
+	}
+	for _, max := range []int{0, 1, 3, 1 << 20} {
+		for origin := uint32(remoteID); origin <= otherID+1; origin++ {
+			if got, want := tb.PrefetchCandidates(origin, max), r.prefetchCandidates(origin, max); !slices.Equal(got, want) {
+				t.Fatalf("PrefetchCandidates(%d, %d) = %v, want %v", origin, max, got, want)
+			}
+		}
+	}
+}
+
+// TestTableAgainstReferenceModel drives random operation sequences — every
+// mutating method, multi-page types, provisional areas, both policies —
+// against the table and the map-based reference, comparing every query
+// after every step.
+func TestTableAgainstReferenceModel(t *testing.T) {
+	seeds := 8
+	if testing.Short() {
+		seeds = 3
+	}
+	for _, policy := range []AllocPolicy{PolicyPerOrigin, PolicyMixed} {
+		for seed := 0; seed < seeds; seed++ {
+			t.Run(fmt.Sprintf("policy=%d/seed=%d", policy, seed), func(t *testing.T) {
+				runModelSequence(t, policy, int64(seed))
+			})
+		}
+	}
+}
+
+func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	tb, sp := newTable(t, policy)
+	ref := newRefTable(sp, tb.res)
+	nextAddr := vmem.VAddr(0x1000)
+	freshLP := func() wire.LongPtr {
+		ty := types.ID(1)
+		if rng.Intn(12) == 0 {
+			ty = 2 // BigBlob: three pages
+		}
+		nextAddr += 16
+		return lp(uint32(remoteID+rng.Intn(3)), nextAddr, ty)
+	}
+	anyRow := func() *Entry {
+		if len(ref.rows) == 0 {
+			return nil
+		}
+		rows := ref.sorted()
+		return rows[rng.Intn(len(rows))]
+	}
+	closeAll := func() {
+		for _, e := range ref.taken {
+			for first, last := ref.pagesOf(&e); first <= last; first++ {
+				ref.closed[first] = true
+			}
+		}
+	}
+	steps := 400
+	if testing.Short() {
+		steps = 150
+	}
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(100); {
+		case op < 45: // swizzle, fresh or repeated, three ways in
+			l := freshLP()
+			if e := anyRow(); e != nil && rng.Intn(4) == 0 {
+				l = e.LP
+			}
+			key := l.Space
+			var addr vmem.VAddr
+			var fresh bool
+			var err error
+			switch rng.Intn(3) {
+			case 0:
+				addr, fresh, err = tb.Swizzle(l)
+			case 1:
+				if _, known := ref.byLP[l]; !known && rng.Intn(2) == 0 {
+					key |= ProvisionalAreaFlag
+				}
+				addr, fresh, err = tb.SwizzleIn(l, key)
+			default:
+				tx := tb.Begin()
+				before := tb.live
+				var row Row
+				if row, err = tx.SwizzleRow(l); err == nil {
+					addr, fresh = tx.Entry(row).Addr, tb.live > before
+				}
+				tx.End()
+			}
+			if err != nil {
+				t.Fatalf("step %d: swizzle %v: %v", step, l, err)
+			}
+			known, had := ref.byLP[l]
+			if fresh == had || had && addr != known {
+				t.Fatalf("step %d: swizzle %v = %#x fresh=%v; reference has %#x (%v)", step, l, uint32(addr), fresh, uint32(known), had)
+			}
+			if fresh {
+				e, ok := tb.LookupAddr(addr)
+				if !ok {
+					t.Fatalf("step %d: fresh row %#x not found by address", step, uint32(addr))
+				}
+				ref.admit(t, e, key, policy)
+			}
+		case op < 65: // mark resident, by address or by handle
+			e := anyRow()
+			if e == nil {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				tb.MarkResident(e.Addr)
+			} else {
+				tx := tb.Begin()
+				row, ok := tx.LookupAddr(e.Addr)
+				if !ok {
+					t.Fatalf("step %d: row %#x lost", step, uint32(e.Addr))
+				}
+				tx.MarkResident(row)
+				tx.End()
+			}
+			e.Resident, e.Stale = true, false
+		case op < 72: // remove
+			e := anyRow()
+			if e == nil {
+				continue
+			}
+			if err := tb.Remove(e.Addr); err != nil {
+				t.Fatalf("step %d: remove %v: %v", step, e.LP, err)
+			}
+			delete(ref.rows, e.Addr)
+			delete(ref.byLP, e.LP)
+			if err := tb.Remove(e.Addr); err == nil {
+				t.Fatalf("step %d: second remove of %#x succeeded", step, uint32(e.Addr))
+			}
+		case op < 82: // rebind: to a new identity, onto a dead row, onto a live one
+			e := anyRow()
+			if e == nil {
+				continue
+			}
+			target := freshLP()
+			target.Space, target.Type = e.LP.Space, e.LP.Type
+			victim := anyRow()
+			if rng.Intn(3) == 0 && victim != e {
+				target = victim.LP
+			} else {
+				victim = nil
+			}
+			evicted, err := tb.Rebind(e.LP, target)
+			switch {
+			case victim != nil && victim.Resident:
+				if err == nil {
+					t.Fatalf("step %d: rebind onto resident %v succeeded", step, target)
+				}
+				continue
+			case err != nil:
+				t.Fatalf("step %d: rebind %v -> %v: %v", step, e.LP, target, err)
+			case evicted != (victim != nil):
+				t.Fatalf("step %d: rebind %v -> %v evicted=%v, victim %v", step, e.LP, target, evicted, victim)
+			}
+			if victim != nil {
+				delete(ref.rows, victim.Addr)
+			}
+			delete(ref.byLP, e.LP)
+			e.LP = target
+			ref.byLP[target] = e.Addr
+		case op < 87: // demote
+			tb.DemoteAll()
+			for _, e := range ref.rows {
+				if e.Resident {
+					e.Resident, e.Stale = false, true
+				}
+			}
+			closeAll()
+		case op < 93: // clear stale marks, unknown pointers mixed in
+			var lps []wire.LongPtr
+			for _, e := range ref.rows {
+				if rng.Intn(3) == 0 {
+					lps = append(lps, e.LP)
+					e.Stale = false
+				}
+			}
+			lps = append(lps, freshLP())
+			tb.ClearStale(lps)
+		case op < 98: // seal
+			if e := anyRow(); e != nil {
+				_, last := ref.pagesOf(e)
+				tb.Seal(last)
+				ref.closed[last] = true
+			}
+		default: // end of session
+			tb.Invalidate()
+			ref.reset()
+			closeAll()
+		}
+		ref.compare(t, tb, rng)
+	}
+}
+
+// TestIndexGrowthAndDeadSlotReuse looks inside the long-pointer index: it
+// stays a power of two at most half full while rows pour in, and an
+// identity churned through Remove and Rebind leaves dead slots that are
+// reused or swept, never an index that grows with the churn.
+func TestIndexGrowthAndDeadSlotReuse(t *testing.T) {
+	tb, _ := newTable(t, 0)
+	checkShape := func(when string) {
+		t.Helper()
+		n := len(tb.index)
+		if n&(n-1) != 0 || 2*tb.used > n {
+			t.Fatalf("%s: index has %d slots, %d in use", when, n, tb.used)
+		}
+		occupied := 0
+		for _, v := range tb.index {
+			if v != 0 {
+				occupied++
+			}
+		}
+		if occupied != tb.used {
+			t.Fatalf("%s: %d slots occupied, used says %d", when, occupied, tb.used)
+		}
+	}
+	const n = 5000
+	addrs := make([]vmem.VAddr, n)
+	for i := range addrs {
+		a, fresh, err := tb.Swizzle(lp(remoteID, vmem.VAddr(0x1000+16*i), 1))
+		if err != nil || !fresh {
+			t.Fatalf("swizzle %d: fresh=%v, %v", i, fresh, err)
+		}
+		addrs[i] = a
+		checkShape("filling")
+	}
+	if len(tb.index) < 2*n || len(tb.index) > 4*n {
+		t.Fatalf("%d rows indexed in %d slots", n, len(tb.index))
+	}
+	for i, a := range addrs {
+		if got, ok := tb.LookupLP(lp(remoteID, vmem.VAddr(0x1000+16*i), 1)); !ok || got != a {
+			t.Fatalf("row %d found at %#x, %v; want %#x", i, uint32(got), ok, uint32(a))
+		}
+	}
+	// Remove every other row, then bring the same identities back: each is
+	// a new row at a new address (cache room is never reused), found
+	// through a slot its predecessor left dead.
+	for i := 0; i < n; i += 2 {
+		if err := tb.Remove(addrs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slots := len(tb.index)
+	for i := 0; i < n; i += 2 {
+		l := lp(remoteID, vmem.VAddr(0x1000+16*i), 1)
+		if _, ok := tb.LookupLP(l); ok {
+			t.Fatalf("removed row %d still indexed", i)
+		}
+		a, fresh, err := tb.Swizzle(l)
+		if err != nil || !fresh || a == addrs[i] {
+			t.Fatalf("re-swizzle %d = %#x fresh=%v, %v (old address %#x)", i, uint32(a), fresh, err, uint32(addrs[i]))
+		}
+		checkShape("refilling")
+	}
+	if len(tb.index) != slots {
+		t.Fatalf("refilling %d dead identities changed the index from %d to %d slots", n/2, slots, len(tb.index))
+	}
+	// One row walked through 100 000 identities: every step kills a slot.
+	cur := lp(otherID, 0x10, 1)
+	if _, _, err := tb.Swizzle(cur); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100000; i++ {
+		next := lp(otherID, vmem.VAddr(0x20+i), 1)
+		if _, err := tb.Rebind(cur, next); err != nil {
+			t.Fatalf("rebind %d: %v", i, err)
+		}
+		cur = next
+	}
+	checkShape("after the rebind walk")
+	if len(tb.index) > 2*slots {
+		t.Fatalf("rebind churn grew the index from %d to %d slots", slots, len(tb.index))
+	}
+	if _, ok := tb.LookupLP(cur); !ok {
+		t.Fatal("row lost after the rebind walk")
+	}
+	if _, ok := tb.LookupLP(lp(otherID, 0x20, 1)); ok {
+		t.Fatal("an abandoned identity still resolves")
+	}
+	if tb.Len() != n+1 {
+		t.Fatalf("Len() = %d, want %d", tb.Len(), n+1)
+	}
+}

@@ -18,10 +18,9 @@
 package swizzle
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"smartrpc/internal/types"
@@ -84,17 +83,40 @@ type area struct {
 	size int        // run size in bytes (0 = no open run)
 }
 
-// Table is the data allocation table plus the swizzle/unswizzle maps for
-// one address space. It is safe for concurrent use.
+// slot lists one datum under one cache page it covers.
+type slot struct {
+	// off is the datum's offset within the page; 0 for a datum that starts
+	// on an earlier page and continues onto this one.
+	off uint32
+	row int32
+}
+
+// pageRec is the table's record of one cache page: Table 1's rows for the
+// page, plus the counts the fault path decides by.
+type pageRec struct {
+	// slots lists every datum covering the page, in offset order. A datum
+	// larger than a page is listed under every page it covers, so a first
+	// touch anywhere inside it finds its row. Reservation is a bump
+	// allocator over fresh page runs — a datum that spans pages always
+	// starts its run — so appending keeps the order without sorting, and a
+	// continuing datum is always the page's first slot.
+	slots    []slot
+	resident int32 // slots whose datum is resident
+	stale    int32 // slots whose datum is stale
+}
+
+// Table is the data allocation table plus the swizzle/unswizzle indexes
+// for one address space. It is safe for concurrent use.
 //
-// Rows live in one append-only slice; the lookup maps hold indices into
-// it. A swizzle therefore costs one slice append and two small-key map
-// inserts, and marking a datum resident is a single in-place store — the
-// table sits on both the install path (one swizzle per pointer field
-// received) and the fault path, so its constant factors dominate the
-// runtime's hot loops. The peak row count is remembered across Invalidate
-// and used to pre-size the next session's maps, so steady-state sessions
-// never pay incremental map growth.
+// Rows live in one append-only slice and are found two ways, neither of
+// them a Go map: by cache address through a dense per-page record (cache
+// pages are bump-allocated, so the records form a slice indexed by page
+// number, the shape of vmem's own page table), and by long pointer through
+// an open-addressing table of row indices whose keys are compared in the
+// rows themselves. The table sits on both the install path (one swizzle per
+// pointer field received) and the fault path, so its constant factors
+// dominate the runtime's hot loops. The peak row and page counts are
+// remembered across Invalidate and pre-size the next session's storage.
 type Table struct {
 	space  *vmem.Space
 	reg    *types.Registry
@@ -102,23 +124,32 @@ type Table struct {
 	selfID uint32
 	policy AllocPolicy
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// rows is the row store. A removed row is zeroed (a null long pointer
+	// marks the tombstone — Swizzle never stores one) and dropped from both
+	// indexes; its slot is not reused, matching the no-reuse rule for freed
+	// cache addresses.
 	rows []Entry
-	// byLP and byAddr map a long pointer / swizzled address to its row's
-	// index. Removed rows are deleted from the maps and from byPage and
-	// zeroed in rows (a null long pointer marks the tombstone — Swizzle
-	// never stores one); their slots are not reused, matching the no-reuse
-	// rule for freed cache addresses.
-	byLP   map[wire.LongPtr]int32
-	byAddr map[vmem.VAddr]int32
-	// byPage lists row indices per cache page. Reservation is a bump
-	// allocator over fresh page runs, so the per-page lists are naturally
-	// in increasing-offset order — the (page, offset) order §3.2's fetch
-	// needs — without sorting.
-	byPage map[uint32][]int32
-	areas  map[uint32]*area
-	hint   int // peak row count observed, carried across Invalidate
+	live int // rows that are not tombstones
+	// index maps a long pointer to its row: linear probing from the hash's
+	// top bits over a power-of-two slot array holding row+1, 0 for a free
+	// slot and indexDead for a deleted one. It is kept at most half full
+	// (dead slots included) and rebuilt from rows when it would exceed that.
+	index []int32
+	used  int  // slots that are not free
+	shift uint // 64 - log2(len(index))
+	// pages[pn-basePN] is the record of cache page pn; basePN is the first
+	// page reserved since the last Invalidate.
+	pages    []pageRec
+	basePN   uint32
+	areas    map[uint32]*area
+	hint     int // peak row count observed, carried across Invalidate
+	pageHint int // peak page count observed, likewise
 }
+
+// indexDead marks an index slot whose row was removed or rebound: probes
+// continue past it, inserts reuse it.
+const indexDead int32 = -1
 
 // New creates a table for space, which has identifier selfID in the
 // distributed system. Types are resolved through reg.
@@ -126,47 +157,178 @@ func New(space *vmem.Space, reg *types.Registry, selfID uint32, policy AllocPoli
 	if policy == 0 {
 		policy = PolicyPerOrigin
 	}
-	t := &Table{
+	return &Table{
 		space:  space,
 		reg:    reg,
 		res:    reg.ResolverFor(space.Profile()),
 		selfID: selfID,
 		policy: policy,
 	}
-	t.reset()
-	return t
 }
 
-// reset drops the row store and maps. They are re-created lazily by the
-// next insert (ensureLocked), pre-sized to the largest population seen so
+// reset drops the row store and both indexes. They are re-created lazily
+// by the next insert (ensure), pre-sized to the largest population seen so
 // far — a table that is invalidated and never refilled (end of the last
-// session) costs nothing. Caller holds t.mu (or is the constructor).
+// session) costs nothing. Caller holds t.mu.
 func (t *Table) reset() {
-	if n := len(t.rows); n > t.hint {
-		t.hint = n
-	}
-	t.rows = nil
-	t.byLP = nil
-	t.byAddr = nil
-	t.byPage = nil
+	t.hint = max(t.hint, len(t.rows))
+	t.pageHint = max(t.pageHint, len(t.pages))
+	t.rows, t.live = nil, 0
+	t.index, t.used = nil, 0
+	t.pages = nil
 	t.areas = nil
 }
 
-// ensureLocked materializes the row store and maps if reset dropped them.
-// Lookups on the nil maps behave as misses, so only inserts need this.
-func (t *Table) ensureLocked() {
-	if t.byLP != nil {
+// ensure materializes the row store and indexes if reset dropped them.
+// Lookups on the nil slices behave as misses, so only inserts need this.
+func (t *Table) ensure() {
+	if t.index != nil {
 		return
 	}
 	t.rows = make([]Entry, 0, t.hint)
-	t.byLP = make(map[wire.LongPtr]int32, t.hint)
-	t.byAddr = make(map[vmem.VAddr]int32, t.hint)
-	t.byPage = make(map[uint32][]int32, t.hint/4+1)
+	t.setIndexSize(max(8, 1<<bits.Len(uint(2*t.hint))))
+	t.pages = make([]pageRec, 0, t.pageHint)
 	t.areas = make(map[uint32]*area)
+}
+
+func (t *Table) setIndexSize(n int) {
+	t.index = make([]int32, n)
+	t.used = 0
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+}
+
+// probe looks lp up in the index. It returns lp's row, or -1 and the slot
+// an insert of lp should take (the first dead slot passed, else the free
+// slot that ended the probe). The index must be non-empty.
+func (t *Table) probe(lp wire.LongPtr) (row int32, pos int) {
+	k := (uint64(lp.Space)<<32 | uint64(lp.Addr)) + uint64(lp.Type)*0x9E3779B1
+	mask := len(t.index) - 1
+	pos = -1
+	for i := int(k * 0x9E3779B97F4A7C15 >> t.shift); ; i = (i + 1) & mask {
+		switch v := t.index[i]; {
+		case v == 0:
+			if pos < 0 {
+				pos = i
+			}
+			return -1, pos
+		case v == indexDead:
+			if pos < 0 {
+				pos = i
+			}
+		case t.rows[v-1].LP == lp:
+			return v - 1, i
+		}
+	}
+}
+
+// find returns lp's row, or -1.
+func (t *Table) find(lp wire.LongPtr) int32 {
+	if len(t.index) == 0 {
+		return -1
+	}
+	row, _ := t.probe(lp)
+	return row
+}
+
+// indexInsert enters row, already stored in t.rows, under its long
+// pointer, which must not be present.
+func (t *Table) indexInsert(row int32) {
+	if 2*(t.used+1) > len(t.index) {
+		t.rebuildIndex() // enters every live row, this one included
+		return
+	}
+	_, pos := t.probe(t.rows[row].LP)
+	if t.index[pos] == 0 {
+		t.used++
+	}
+	t.index[pos] = row + 1
+}
+
+// indexDelete removes lp, which must be present.
+func (t *Table) indexDelete(lp wire.LongPtr) {
+	_, pos := t.probe(lp)
+	t.index[pos] = indexDead
+}
+
+// rebuildIndex re-enters every live row into a fresh slot array, doubled
+// unless dead slots are what filled the old one.
+func (t *Table) rebuildIndex() {
+	n := len(t.index)
+	if 4*(t.live+1) > n {
+		n *= 2
+	}
+	t.setIndexSize(n)
+	for i := range t.rows {
+		if lp := t.rows[i].LP; !lp.IsNull() {
+			_, pos := t.probe(lp)
+			t.index[pos] = int32(i) + 1
+			t.used++
+		}
+	}
+}
+
+// page returns the record of cache page pn, or nil when the table holds
+// nothing there.
+func (t *Table) page(pn uint32) *pageRec {
+	if i := pn - t.basePN; pn >= t.basePN && i < uint32(len(t.pages)) {
+		return &t.pages[i]
+	}
+	return nil
+}
+
+// lastPage returns the last cache page row e covers.
+func (t *Table) lastPage(e *Entry) uint32 {
+	if e.Size <= 1 {
+		return e.Page
+	}
+	return t.space.PageOf(e.Addr + vmem.VAddr(e.Size-1))
+}
+
+// rowAt returns the row whose datum starts at cache address addr, or -1.
+func (t *Table) rowAt(addr vmem.VAddr) int32 {
+	pn := t.space.PageOf(addr)
+	rec := t.page(pn)
+	if rec == nil {
+		return -1
+	}
+	off := uint32(addr) - uint32(t.space.PageBase(pn))
+	lo, hi := 0, len(rec.slots)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); rec.slots[m].off < off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	// The address comparison rejects a continuing datum's slot, whose
+	// nominal offset 0 is not where it starts.
+	if lo < len(rec.slots) && t.rows[rec.slots[lo].row].Addr == addr {
+		return rec.slots[lo].row
+	}
+	return -1
 }
 
 // SelfID returns the owning space's identifier.
 func (t *Table) SelfID() uint32 { return t.selfID }
+
+// Row names one table row inside the Tx that returned it.
+type Row int32
+
+// Tx is the table held locked for a run of operations. The install path
+// swizzles an item, decodes its pointer fields and marks it resident under
+// one lock acquisition, and addresses the rows it is working on by handle
+// instead of looking them up again. Tx values must not outlive End, and
+// nothing done between Begin and End may call a locking Table method.
+type Tx struct{ t *Table }
+
+// Begin locks the table until the returned Tx's End.
+func (t *Table) Begin() Tx {
+	t.mu.Lock()
+	return Tx{t}
+}
+
+// End unlocks the table.
+func (x Tx) End() { x.t.mu.Unlock() }
 
 // Swizzle translates a long pointer into an ordinary pointer, reserving a
 // protected page area slot on first sight. The returned bool is true when
@@ -190,37 +352,96 @@ func (t *Table) SwizzleIn(lp wire.LongPtr, areaKey uint32) (vmem.VAddr, bool, er
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.byLP[lp]; ok {
-		return t.rows[i].Addr, false, nil
+	row, fresh, err := t.swizzleRemote(lp, areaKey)
+	if err != nil {
+		return vmem.Null, false, err
 	}
-	t.ensureLocked()
+	return t.rows[row].Addr, fresh, nil
+}
+
+// Swizzle is Table.Swizzle inside the transaction.
+func (x Tx) Swizzle(lp wire.LongPtr) (vmem.VAddr, bool, error) {
+	if lp.IsNull() {
+		return vmem.Null, false, nil
+	}
+	if lp.Space == x.t.selfID {
+		return lp.Addr, false, nil
+	}
+	row, fresh, err := x.t.swizzleRemote(lp, lp.Space)
+	if err != nil {
+		return vmem.Null, false, err
+	}
+	return x.t.rows[row].Addr, fresh, nil
+}
+
+// SwizzleRow swizzles a long pointer owned by another space and returns
+// its row: the one long-pointer lookup an arriving item costs.
+func (x Tx) SwizzleRow(lp wire.LongPtr) (Row, error) {
+	if lp.IsNull() || lp.Space == x.t.selfID {
+		return -1, fmt.Errorf("swizzle: %v has no table row", lp)
+	}
+	row, _, err := x.t.swizzleRemote(lp, lp.Space)
+	return Row(row), err
+}
+
+// swizzleRemote finds or creates the row for a long pointer into another
+// space. Caller holds t.mu.
+func (t *Table) swizzleRemote(lp wire.LongPtr, areaKey uint32) (row int32, fresh bool, err error) {
+	if row = t.find(lp); row >= 0 {
+		return row, false, nil
+	}
 	rv, err := t.res.Resolve(lp.Type)
 	if err != nil {
-		return vmem.Null, false, fmt.Errorf("swizzle %v: %w", lp, err)
+		return -1, false, fmt.Errorf("swizzle %v: %w", lp, err)
 	}
-	layout := rv.Layout
-	addr, err := t.reserveLocked(areaKey, layout.Size, layout.Align)
+	t.ensure()
+	size := rv.Layout.Size
+	addr, err := t.reserve(areaKey, size, rv.Layout.Align)
 	if err != nil {
-		return vmem.Null, false, fmt.Errorf("swizzle %v: %w", lp, err)
+		return -1, false, fmt.Errorf("swizzle %v: %w", lp, err)
 	}
 	pn := t.space.PageOf(addr)
-	i := int32(len(t.rows))
+	row = int32(len(t.rows))
+	if len(t.rows) == cap(t.rows) {
+		// Double: append's 1.25x steps would copy a large table five times
+		// over on its way up.
+		t.rows = append(make([]Entry, 0, max(64, 2*len(t.rows))), t.rows...)
+	}
 	t.rows = append(t.rows, Entry{
 		Page:   pn,
 		Offset: uint32(addr) - uint32(t.space.PageBase(pn)),
 		LP:     lp,
 		Addr:   addr,
-		Size:   layout.Size,
+		Size:   size,
 	})
-	t.byLP[lp] = i
-	t.byAddr[addr] = i
-	t.byPage[pn] = append(t.byPage[pn], i)
-	return addr, true, nil
+	t.live++
+	t.indexInsert(row)
+	e := &t.rows[row]
+	if len(t.pages) == 0 {
+		t.basePN = pn
+	}
+	last := t.lastPage(e)
+	for n := int(last-t.basePN) + 1; len(t.pages) < n; {
+		t.pages = append(t.pages, pageRec{})
+	}
+	for p := pn; p <= last; p++ {
+		rec := t.page(p)
+		if rec.slots == nil {
+			// A page usually fills with data of one type.
+			rec.slots = make([]slot, 0, max(4, t.space.PageSize()/max(size, 1)))
+		}
+		off := e.Offset
+		if p > pn {
+			off = 0
+		}
+		rec.slots = append(rec.slots, slot{off: off, row: row})
+	}
+	return row, true, nil
 }
 
-// reserveLocked carves size bytes out of the keyed open page area,
-// opening a fresh protected area when the current one is exhausted.
-func (t *Table) reserveLocked(areaKey uint32, size, align int) (vmem.VAddr, error) {
+// reserve carves size bytes out of the keyed open page area, opening a
+// fresh protected area when the current one is exhausted.
+func (t *Table) reserve(areaKey uint32, size, align int) (vmem.VAddr, error) {
 	key := areaKey
 	if t.policy == PolicyMixed {
 		// Collapse all origins into one shared area, but keep areas with
@@ -261,14 +482,34 @@ func (t *Table) reserveLocked(areaKey uint32, size, align int) (vmem.VAddr, erro
 // with fetch-destined areas, even under PolicyMixed.
 const ProvisionalAreaFlag uint32 = 0x8000_0000
 
+// Entry returns row r.
+func (x Tx) Entry(r Row) Entry { return x.t.rows[r] }
+
+// MarkResident records that row r's datum has its bytes installed.
+func (x Tx) MarkResident(r Row) { x.t.markResident(int32(r)) }
+
 // MarkResident records that the datum at addr has its bytes installed.
 func (t *Table) MarkResident(addr vmem.VAddr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.byAddr[addr]; ok {
-		t.rows[i].Resident = true
-		t.rows[i].Stale = false
+	if i := t.rowAt(addr); i >= 0 {
+		t.markResident(i)
 	}
+}
+
+func (t *Table) markResident(i int32) {
+	e := &t.rows[i]
+	if e.Resident {
+		return
+	}
+	for p, last := e.Page, t.lastPage(e); p <= last; p++ {
+		rec := t.page(p)
+		rec.resident++
+		if e.Stale {
+			rec.stale--
+		}
+	}
+	e.Resident, e.Stale = true, false
 }
 
 // Remove deletes the table entry for a swizzled address (used when the
@@ -278,32 +519,35 @@ func (t *Table) MarkResident(addr vmem.VAddr) {
 func (t *Table) Remove(addr vmem.VAddr) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.byAddr[addr]
-	if !ok {
+	i := t.rowAt(addr)
+	if i < 0 {
 		return fmt.Errorf("%w: %#x", ErrNotSwizzled, uint32(addr))
 	}
-	t.removeLocked(i)
+	t.remove(i)
 	return nil
 }
 
-// removeLocked deletes row i from every index map. The caller holds t.mu.
-func (t *Table) removeLocked(i int32) {
-	e := t.rows[i]
-	delete(t.byAddr, e.Addr)
-	delete(t.byLP, e.LP)
-	idxs := t.byPage[e.Page]
-	for k, ri := range idxs {
-		if ri == i {
-			idxs = append(idxs[:k], idxs[k+1:]...)
-			break
+// remove deletes row i from both indexes. The caller holds t.mu.
+func (t *Table) remove(i int32) {
+	e := &t.rows[i]
+	t.indexDelete(e.LP)
+	for p, last := e.Page, t.lastPage(e); p <= last; p++ {
+		rec := t.page(p)
+		for k := range rec.slots {
+			if rec.slots[k].row == i {
+				rec.slots = append(rec.slots[:k], rec.slots[k+1:]...)
+				break
+			}
+		}
+		if e.Resident {
+			rec.resident--
+		}
+		if e.Stale {
+			rec.stale--
 		}
 	}
-	if len(idxs) == 0 {
-		delete(t.byPage, e.Page)
-	} else {
-		t.byPage[e.Page] = idxs
-	}
-	t.rows[i] = Entry{}
+	*e = Entry{}
+	t.live--
 }
 
 // AllResident reports whether every entry on page pn has been installed.
@@ -311,12 +555,13 @@ func (t *Table) removeLocked(i int32) {
 func (t *Table) AllResident(pn uint32) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, i := range t.byPage[pn] {
-		if !t.rows[i].Resident {
-			return false
-		}
-	}
-	return true
+	return Tx{t}.AllResident(pn)
+}
+
+// AllResident is Table.AllResident inside the transaction.
+func (x Tx) AllResident(pn uint32) bool {
+	rec := x.t.page(pn)
+	return rec == nil || int(rec.resident) == len(rec.slots)
 }
 
 // Seal closes any open area whose current run covers page pn, so that no
@@ -325,6 +570,12 @@ func (t *Table) AllResident(pn uint32) bool {
 func (t *Table) Seal(pn uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	Tx{t}.Seal(pn)
+}
+
+// Seal is Table.Seal inside the transaction.
+func (x Tx) Seal(pn uint32) {
+	t := x.t
 	for _, a := range t.areas {
 		if a.size == 0 {
 			continue
@@ -345,59 +596,118 @@ func (t *Table) Unswizzle(addr vmem.VAddr, declared types.ID) (wire.LongPtr, err
 	if addr == vmem.Null {
 		return wire.LongPtr{}, nil
 	}
-	if t.space.InCache(addr) {
-		t.mu.Lock()
-		i, ok := t.byAddr[addr]
-		var lp wire.LongPtr
-		if ok {
-			lp = t.rows[i].LP
-		}
-		t.mu.Unlock()
-		if !ok {
-			return wire.LongPtr{}, fmt.Errorf("%w: %#x", ErrNotSwizzled, uint32(addr))
-		}
-		return lp, nil
+	if !t.space.InCache(addr) {
+		return wire.LongPtr{Space: t.selfID, Addr: addr, Type: declared}, nil
 	}
-	return wire.LongPtr{Space: t.selfID, Addr: addr, Type: declared}, nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return Tx{t}.Unswizzle(addr, declared)
+}
+
+// Unswizzle is Table.Unswizzle inside the transaction.
+func (x Tx) Unswizzle(addr vmem.VAddr, declared types.ID) (wire.LongPtr, error) {
+	if addr == vmem.Null {
+		return wire.LongPtr{}, nil
+	}
+	if !x.t.space.InCache(addr) {
+		return wire.LongPtr{Space: x.t.selfID, Addr: addr, Type: declared}, nil
+	}
+	i := x.t.rowAt(addr)
+	if i < 0 {
+		return wire.LongPtr{}, fmt.Errorf("%w: %#x", ErrNotSwizzled, uint32(addr))
+	}
+	return x.t.rows[i].LP, nil
 }
 
 // LookupAddr returns the table entry for a swizzled address.
 func (t *Table) LookupAddr(addr vmem.VAddr) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.byAddr[addr]
-	if !ok {
+	i := t.rowAt(addr)
+	if i < 0 {
 		return Entry{}, false
 	}
 	return t.rows[i], true
+}
+
+// LookupAddr returns the row for a swizzled address.
+func (x Tx) LookupAddr(addr vmem.VAddr) (Row, bool) {
+	i := x.t.rowAt(addr)
+	return Row(i), i >= 0
 }
 
 // LookupLP returns the swizzled address for a long pointer, if present.
 func (t *Table) LookupLP(lp wire.LongPtr) (vmem.VAddr, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.byLP[lp]
-	if !ok {
+	i := t.find(lp)
+	if i < 0 {
 		return vmem.Null, false
 	}
 	return t.rows[i].Addr, true
 }
 
+// LookupLP returns the row for a long pointer, if present.
+func (x Tx) LookupLP(lp wire.LongPtr) (Row, bool) {
+	i := x.t.find(lp)
+	return Row(i), i >= 0
+}
+
 // PageEntries returns the table rows for one page, ordered by offset:
 // everything that must be fetched when the page faults (§3.2: "all of the
-// other data allocated to the page must be transferred at this time").
+// other data allocated to the page must be transferred at this time"). A
+// datum continuing from an earlier page comes first.
 func (t *Table) PageEntries(pn uint32) []Entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idxs := t.byPage[pn]
-	if len(idxs) == 0 {
+	rec := t.page(pn)
+	if rec == nil || len(rec.slots) == 0 {
 		return nil
 	}
-	out := make([]Entry, len(idxs))
-	for k, i := range idxs {
-		out[k] = t.rows[i]
+	out := make([]Entry, len(rec.slots))
+	for k, s := range rec.slots {
+		out[k] = t.rows[s.row]
 	}
 	return out
+}
+
+// PageWants returns the long pointers of page pn's non-resident entries in
+// offset order — what a fault on the page has to bring in — and how many
+// entries the page holds at all. With splitStale, stale entries are
+// returned apart (they are revalidated, not fetched); without it they
+// count as plain wants. A fully resident page allocates nothing.
+func (t *Table) PageWants(pn uint32, splitStale bool) (wants, stale []wire.LongPtr, entries int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rec := t.page(pn)
+	if rec == nil {
+		return nil, nil, 0
+	}
+	entries = len(rec.slots)
+	nWants, nStale := entries-int(rec.resident), 0
+	if splitStale {
+		nStale = int(rec.stale)
+		nWants -= nStale
+	}
+	if nWants > 0 {
+		wants = make([]wire.LongPtr, 0, nWants)
+	}
+	if nStale > 0 {
+		stale = make([]wire.LongPtr, 0, nStale)
+	}
+	if nWants+nStale == 0 {
+		return nil, nil, entries
+	}
+	for _, s := range rec.slots {
+		switch e := &t.rows[s.row]; {
+		case e.Resident:
+		case splitStale && e.Stale:
+			stale = append(stale, e.LP)
+		default:
+			wants = append(wants, e.LP)
+		}
+	}
+	return wants, stale, entries
 }
 
 // OutstandingWants returns the long pointers of non-resident entries
@@ -416,39 +726,53 @@ func (t *Table) PageEntries(pn uint32) []Entry {
 // prefetching them is speculation that cascades (each install swizzles
 // fresh frontier entries), inflating transferred bytes on sparse access
 // patterns.
+//
+// The page records' counts find the partial pages; rows are read only on
+// those, so the cost of a fault does not grow with the table.
 func (t *Table) OutstandingWants(origin uint32, excludePN uint32, budget int) ([]wire.LongPtr, int) {
+	return t.wantsOn(origin, excludePN, budget,
+		func(rec *pageRec) bool { return rec.resident > 0 && int(rec.resident) < len(rec.slots) },
+		func(e *Entry) bool { return !e.Resident })
+}
+
+// StaleWants returns the long pointers of stale entries originating from
+// origin on pages other than excludePN, in (page, offset) order, stopping
+// once their accumulated canonical sizes would exceed budget bytes. It
+// mirrors OutstandingWants for the revalidation path: every selected
+// entry's page is certain to fault on first touch, so offering its tuple
+// on the current Validate message trades a guaranteed future round-trip
+// for a few tuple bytes now.
+func (t *Table) StaleWants(origin uint32, excludePN uint32, budget int) ([]wire.LongPtr, int) {
+	return t.wantsOn(origin, excludePN, budget,
+		func(rec *pageRec) bool { return rec.stale > 0 },
+		func(e *Entry) bool { return e.Stale })
+}
+
+// wantsOn collects, in (page, offset) order and within budget canonical
+// bytes, the entries from origin that pass want on the pages that pass
+// qualifies. An entry is listed once, under the page it starts on, and
+// never when it covers excludePN — that page's own wants are already in
+// the message being built.
+func (t *Table) wantsOn(origin, excludePN uint32, budget int, qualifies func(*pageRec) bool, want func(*Entry) bool) ([]wire.LongPtr, int) {
 	if budget <= 0 {
 		return nil, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var pages []uint32
-	for pn, idxs := range t.byPage {
-		if pn == excludePN {
-			continue
-		}
-		missing, resident := false, false
-		for _, i := range idxs {
-			if t.rows[i].Resident {
-				resident = true
-			} else if t.rows[i].LP.Space == origin {
-				missing = true
-			}
-		}
-		if missing && resident {
-			pages = append(pages, pn)
-		}
-	}
-	if len(pages) == 0 {
-		return nil, 0
-	}
-	slices.Sort(pages)
 	var out []wire.LongPtr
 	left := budget
-	for _, pn := range pages {
-		for _, i := range t.byPage[pn] {
-			e := &t.rows[i]
-			if e.Resident || e.LP.Space != origin {
+	for i := range t.pages {
+		rec := &t.pages[i]
+		pn := t.basePN + uint32(i)
+		if pn == excludePN || !qualifies(rec) {
+			continue
+		}
+		for _, s := range rec.slots {
+			e := &t.rows[s.row]
+			if e.Page != pn || e.LP.Space != origin || !want(e) {
+				continue
+			}
+			if excludePN > pn && excludePN <= t.lastPage(e) {
 				continue
 			}
 			// Charge canonical (wire) size, the unit the serving side's
@@ -488,17 +812,20 @@ func (t *Table) PrefetchCandidates(origin uint32, max int) []uint32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var pages []uint32
-	for pn, idxs := range t.byPage {
-		for _, i := range idxs {
-			if !t.rows[i].Resident && t.rows[i].LP.Space == origin {
-				pages = append(pages, pn)
+	for i := range t.pages {
+		rec := &t.pages[i]
+		if int(rec.resident) == len(rec.slots) {
+			continue
+		}
+		for _, s := range rec.slots {
+			if e := &t.rows[s.row]; !e.Resident && e.LP.Space == origin {
+				pages = append(pages, t.basePN+uint32(i))
 				break
 			}
 		}
-	}
-	slices.Sort(pages)
-	if len(pages) > max {
-		pages = pages[:max]
+		if len(pages) == max {
+			break
+		}
 	}
 	return pages
 }
@@ -509,18 +836,15 @@ func (t *Table) PrefetchCandidates(origin uint32, max int) []uint32 {
 func (t *Table) Entries() []Entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Entry, 0, len(t.byAddr))
-	for i := range t.rows {
-		if !t.rows[i].LP.IsNull() {
-			out = append(out, t.rows[i])
+	out := make([]Entry, 0, t.live)
+	for i := range t.pages {
+		pn := t.basePN + uint32(i)
+		for _, s := range t.pages[i].slots {
+			if e := &t.rows[s.row]; e.Page == pn {
+				out = append(out, *e)
+			}
 		}
 	}
-	slices.SortFunc(out, func(a, b Entry) int {
-		if c := cmp.Compare(a.Page, b.Page); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Offset, b.Offset)
-	})
 	return out
 }
 
@@ -544,7 +868,7 @@ func (t *Table) Visit(f func(Entry) bool) {
 func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.byAddr)
+	return t.live
 }
 
 // Rebind rewrites the long-pointer identity of an existing entry. The
@@ -552,7 +876,7 @@ func (t *Table) Len() int {
 // pointer issued by extended_malloc is bound to the real address assigned
 // by the origin space when the batch is flushed. The swizzled ordinary
 // pointer — and therefore every pointer word already stored in local
-// memory — is unchanged; only the identity maps update.
+// memory — is unchanged; only the long-pointer index updates.
 //
 // The origin assigning an address proves no live datum exists there, so a
 // leftover non-resident row under the target identity — a stale
@@ -565,28 +889,28 @@ func (t *Table) Len() int {
 // The eviction is reported (evicted=true) so the runtime can count and
 // trace it, and the dead row's cache slot is overwritten with the
 // rebindPoison pattern: the slot's address can no longer unswizzle (the
-// identity maps drop it), and a local pointer word already swizzled to it
+// indexes drop it), and a local pointer word already swizzled to it
 // that the application still dereferences — an application-level
 // use-after-free, since the origin freed and reallocated the address —
 // reads deterministic poison instead of plausible stale bytes.
 func (t *Table) Rebind(old, new wire.LongPtr) (evicted bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.byLP[old]
-	if !ok {
+	i := t.find(old)
+	if i < 0 {
 		return false, fmt.Errorf("%w: %v", ErrRebindUnknown, old)
 	}
-	if j, exists := t.byLP[new]; exists {
+	if j := t.find(new); j >= 0 {
 		if t.rows[j].Resident {
 			return false, fmt.Errorf("swizzle: rebind target %v already mapped", new)
 		}
-		t.poisonLocked(j)
-		t.removeLocked(j)
+		t.poison(j)
+		t.remove(j)
 		evicted = true
 	}
-	delete(t.byLP, old)
-	t.byLP[new] = i
+	t.indexDelete(old)
 	t.rows[i].LP = new
+	t.indexInsert(i)
 	return evicted, nil
 }
 
@@ -595,11 +919,11 @@ func (t *Table) Rebind(old, new wire.LongPtr) (evicted bool, err error) {
 // deterministically instead of whatever stale bytes the slot last held.
 const rebindPoison byte = 0xDB
 
-// poisonLocked overwrites row i's cache slot with rebindPoison. The
-// caller holds t.mu. Best effort via a raw (protection-bypassing) write:
-// the slot's page usually still holds other non-resident entries and is
+// poison overwrites row i's cache slot with rebindPoison. The caller
+// holds t.mu. Best effort via a raw (protection-bypassing) write: the
+// slot's page usually still holds other non-resident entries and is
 // therefore protected, and a poisoning hiccup must not fail the caller.
-func (t *Table) poisonLocked(i int32) {
+func (t *Table) poison(i int32) {
 	e := t.rows[i]
 	if e.Size <= 0 {
 		return
@@ -635,6 +959,11 @@ func (t *Table) DemoteAll() {
 			t.rows[i].Stale = true
 		}
 	}
+	for i := range t.pages {
+		rec := &t.pages[i]
+		rec.stale += rec.resident
+		rec.resident = 0
+	}
 	for _, a := range t.areas {
 		a.size = 0
 		a.off = 0
@@ -648,62 +977,23 @@ func (t *Table) DemoteAll() {
 func (t *Table) ClearStale(lps []wire.LongPtr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, lp := range lps {
-		if i, ok := t.byLP[lp]; ok {
-			t.rows[i].Stale = false
-		}
-	}
+	Tx{t}.ClearStale(lps)
 }
 
-// StaleWants returns the long pointers of stale entries originating from
-// origin on pages other than excludePN, in (page, offset) order, stopping
-// once their accumulated canonical sizes would exceed budget bytes. It
-// mirrors OutstandingWants for the revalidation path: every selected
-// entry's page is certain to fault on first touch, so offering its tuple
-// on the current Validate message trades a guaranteed future round-trip
-// for a few tuple bytes now.
-func (t *Table) StaleWants(origin uint32, excludePN uint32, budget int) ([]wire.LongPtr, int) {
-	if budget <= 0 {
-		return nil, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var pages []uint32
-	for pn, idxs := range t.byPage {
-		if pn == excludePN {
+// ClearStale is Table.ClearStale inside the transaction.
+func (x Tx) ClearStale(lps []wire.LongPtr) {
+	t := x.t
+	for _, lp := range lps {
+		i := t.find(lp)
+		if i < 0 || !t.rows[i].Stale {
 			continue
 		}
-		for _, i := range idxs {
-			if t.rows[i].Stale && t.rows[i].LP.Space == origin {
-				pages = append(pages, pn)
-				break
-			}
+		e := &t.rows[i]
+		e.Stale = false
+		for p, last := e.Page, t.lastPage(e); p <= last; p++ {
+			t.page(p).stale--
 		}
 	}
-	if len(pages) == 0 {
-		return nil, 0
-	}
-	slices.Sort(pages)
-	var out []wire.LongPtr
-	left := budget
-	for _, pn := range pages {
-		for _, i := range t.byPage[pn] {
-			e := &t.rows[i]
-			if !e.Stale || e.LP.Space != origin {
-				continue
-			}
-			size := e.Size
-			if rv, err := t.res.Resolve(e.LP.Type); err == nil {
-				size = rv.Canon
-			}
-			if size > left {
-				return out, budget - left
-			}
-			left -= size
-			out = append(out, e.LP)
-		}
-	}
-	return out, budget - left
 }
 
 func alignUp(n, a int) int {

@@ -21,6 +21,7 @@ package wire
 
 import (
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -238,20 +239,24 @@ func (m *Message) ReleaseFrame() {
 	}
 }
 
+// castagnoli is the CRC-32C table. hash/crc32 runs it on the processor's
+// CRC instruction where there is one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // Checksum computes the integrity checksum over the message's stable
 // fields: everything except From (stamped by the transport after the
-// sender's runtime has sealed the message) and Sum itself. FNV-1a: no
-// table, one multiply per byte, deterministic across platforms.
+// sender's runtime has sealed the message) and Sum itself. It is the
+// CRC-32C of the big-endian fields in frame order: kind, session, seq,
+// to, the length-prefixed proc and err strings, the payload, and the
+// incarnation word when nonzero.
+//
+// The few header bytes go through the table one at a time — handing
+// crc32.Update a stack buffer would move it to the heap, and this runs
+// twice per frame — and the payload, where the bytes are, through
+// crc32.Update.
 func (m *Message) Checksum() uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	step := func(b byte) {
-		h ^= uint32(b)
-		h *= prime32
-	}
+	h := ^uint32(0) // the CRC register, inverted as crc32.Update keeps it
+	step := func(b byte) { h = castagnoli[byte(h)^b] ^ h>>8 }
 	word := func(v uint64, n int) {
 		for i := n - 1; i >= 0; i-- {
 			step(byte(v >> (8 * i)))
@@ -269,13 +274,11 @@ func (m *Message) Checksum() uint32 {
 	for i := 0; i < len(m.Err); i++ {
 		step(m.Err[i])
 	}
-	for _, b := range m.Payload {
-		step(b)
-	}
+	h = ^crc32.Update(^h, castagnoli, m.Payload)
 	if m.Inc != 0 {
 		word(uint64(m.Inc), 4)
 	}
-	return h
+	return ^h
 }
 
 // Seal stamps the integrity checksum; call after every other field
