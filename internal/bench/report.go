@@ -791,9 +791,15 @@ func Diff(oldRaw, newRaw []byte) ([]string, error) {
 			}
 		}
 		slices.Sort(cols)
+		show := func(v any) string {
+			if v == nil {
+				return "absent"
+			}
+			return fmt.Sprint(v)
+		}
 		for _, col := range cols {
 			if compared(col) && ra[col] != rb[col] {
-				out = append(out, fmt.Sprintf("%s: %s %v -> %v", k, col, ra[col], rb[col]))
+				out = append(out, fmt.Sprintf("%s: %s %s -> %s", k, col, show(ra[col]), show(rb[col])))
 			}
 		}
 	}

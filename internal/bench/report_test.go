@@ -24,7 +24,7 @@ func TestDiffListsDeterministicColumnChanges(t *testing.T) {
 	}
 	want := []string{
 		"fig4/smart/1.0000/8192/0/0: messages 44 -> 45",
-		"scaleout/smart-enccache/0.0000/8192/0/8: enc_hits 7 -> <nil>",
+		"scaleout/smart-enccache/0.0000/8192/0/8: enc_hits 7 -> absent",
 		"scaleout/smart-noenccache/0.0000/8192/0/8: row only in the old snapshot",
 		"concurrent/smart/0.0000/8192/0/2: conc_reads 5 -> 6",
 		"stream/smart/0.0000/65536/0/0: row only in the new snapshot",

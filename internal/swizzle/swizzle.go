@@ -352,11 +352,7 @@ func (t *Table) SwizzleIn(lp wire.LongPtr, areaKey uint32) (vmem.VAddr, bool, er
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row, fresh, err := t.swizzleRemote(lp, areaKey)
-	if err != nil {
-		return vmem.Null, false, err
-	}
-	return t.rows[row].Addr, fresh, nil
+	return t.swizzleAddr(lp, areaKey)
 }
 
 // Swizzle is Table.Swizzle inside the transaction.
@@ -367,11 +363,7 @@ func (x Tx) Swizzle(lp wire.LongPtr) (vmem.VAddr, bool, error) {
 	if lp.Space == x.t.selfID {
 		return lp.Addr, false, nil
 	}
-	row, fresh, err := x.t.swizzleRemote(lp, lp.Space)
-	if err != nil {
-		return vmem.Null, false, err
-	}
-	return x.t.rows[row].Addr, fresh, nil
+	return x.t.swizzleAddr(lp, lp.Space)
 }
 
 // SwizzleRow swizzles a long pointer owned by another space and returns
@@ -382,6 +374,15 @@ func (x Tx) SwizzleRow(lp wire.LongPtr) (Row, error) {
 	}
 	row, _, err := x.t.swizzleRemote(lp, lp.Space)
 	return Row(row), err
+}
+
+// swizzleAddr is swizzleRemote returning the row's address.
+func (t *Table) swizzleAddr(lp wire.LongPtr, areaKey uint32) (vmem.VAddr, bool, error) {
+	row, fresh, err := t.swizzleRemote(lp, areaKey)
+	if err != nil {
+		return vmem.Null, false, err
+	}
+	return t.rows[row].Addr, fresh, nil
 }
 
 // swizzleRemote finds or creates the row for a long pointer into another
