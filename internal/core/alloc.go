@@ -79,7 +79,7 @@ func (rt *Runtime) ExtendedMalloc(origin uint32, ty types.ID) (Value, error) {
 	if !fresh {
 		return Value{}, fmt.Errorf("core: provisional pointer %v collided", prov)
 	}
-	rt.touchObject(addr)
+	rt.table.Touch(addr)
 	if err := rt.space.Zero(addr, layout.Size); err != nil {
 		return Value{}, err
 	}
@@ -306,16 +306,19 @@ func (rt *Runtime) serveAllocBatch(m wire.Message) {
 		}
 		out.Addrs = append(out.Addrs, addr)
 	}
-	for _, lp := range p.Frees {
+	for i, lp := range p.Frees {
+		errStr := ""
 		if lp.Space != rt.id {
-			rt.reply(m, wire.KindAllocReply, nil, fmt.Sprintf("free of foreign datum %v", lp))
+			errStr = fmt.Sprintf("free of foreign datum %v", lp)
+		} else if err := rt.space.Free(lp.Addr); err != nil {
+			errStr = err.Error()
+		}
+		if errStr != "" {
+			rt.dropModified(p.Frees[:i]) // freed before the failure
+			rt.reply(m, wire.KindAllocReply, nil, errStr)
 			return
 		}
-		if err := rt.space.Free(lp.Addr); err != nil {
-			rt.reply(m, wire.KindAllocReply, nil, err.Error())
-			return
-		}
-		rt.dropModified(lp)
 	}
+	rt.dropModified(p.Frees)
 	rt.reply(m, wire.KindAllocReply, out.Encode(), "")
 }

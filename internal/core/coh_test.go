@@ -1,11 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"smartrpc/internal/delta"
 	"smartrpc/internal/netsim"
 	"smartrpc/internal/transport"
+	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
 	"smartrpc/internal/xdr"
 )
@@ -340,5 +347,472 @@ func TestNestedCallbackCrossingCounts(t *testing.T) {
 			t.Errorf("phase %d wire gap: call=%d return=%d, want call=%d return=%d",
 				i, callGap, retGap, wantGap[i][0], wantGap[i][1])
 		}
+	}
+}
+
+// --- the ship state against its reference model ---
+
+// refShipState is the specification of an edge's ship state: the map the
+// runtime used to maintain eagerly, one insert per item per crossing. The
+// log-and-fold implementation must produce the same surviving items on every
+// crossing and hold the same versions whenever it is made to look.
+type refShipState map[wire.LongPtr]cohView
+
+// refCounts mirrors the four coherency counters of Stats.
+type refCounts struct{ shipped, skipped, deltas, bytes uint64 }
+
+func (views refShipState) ship(items []wire.DataItem, final bool, n *refCounts) []wire.DataItem {
+	var out []wire.DataItem
+	for _, it := range items {
+		v, ok := views[it.LP]
+		if !ok {
+			views[it.LP] = cohView{ver: 1, bytes: it.Bytes}
+			n.shipped++
+			n.bytes += uint64(len(it.Bytes))
+			out = append(out, it)
+			continue
+		}
+		if bytes.Equal(v.bytes, it.Bytes) {
+			n.skipped++
+			if final {
+				continue
+			}
+			out = append(out, wire.DataItem{LP: it.LP, Dirty: it.Dirty, Delta: true, BaseVer: v.ver})
+			v.ver++
+			views[it.LP] = v
+			continue
+		}
+		runs := delta.Diff(v.bytes, it.Bytes, delta.DefaultGap)
+		if runs != nil && 4+pad4(delta.EncodedSize(runs)) < pad4(len(it.Bytes)) {
+			out = append(out, wire.DataItem{LP: it.LP, Dirty: it.Dirty, Delta: true, BaseVer: v.ver, Bytes: delta.Encode(runs)})
+			n.deltas++
+			n.bytes += uint64(delta.EncodedSize(runs))
+		} else {
+			n.bytes += uint64(len(it.Bytes))
+			out = append(out, it)
+		}
+		n.shipped++
+		views[it.LP] = cohView{ver: v.ver + 1, bytes: it.Bytes}
+	}
+	return out
+}
+
+func (views refShipState) receive(it wire.DataItem) (full []byte, fresh bool, err error) {
+	v, ok := views[it.LP]
+	if !it.Delta {
+		views[it.LP] = cohView{ver: v.ver + 1, bytes: it.Bytes}
+		return it.Bytes, true, nil
+	}
+	if !ok || v.ver != it.BaseVer {
+		return nil, false, fmt.Errorf("reference: delta for %v at version %d, have %d (%v)", it.LP, it.BaseVer, v.ver, ok)
+	}
+	if len(it.Bytes) == 0 {
+		v.ver++
+		views[it.LP] = v
+		return v.bytes, false, nil
+	}
+	runs, err := delta.Decode(it.Bytes)
+	if err != nil {
+		return nil, false, err
+	}
+	patched, err := delta.Apply(v.bytes, runs)
+	if err != nil {
+		return nil, false, err
+	}
+	views[it.LP] = cohView{ver: v.ver + 1, bytes: patched}
+	return patched, true, nil
+}
+
+// shipHarness drives one session's crossings between real runtimes and the
+// reference side by side. It is confined to one goroutine; several may
+// share runtimes (distinct sessions on a shared origin).
+type shipHarness struct {
+	rng  *rand.Rand
+	sess uint64
+	// value is each live datum's current canonical bytes: one thread of
+	// control, so every space ships the same latest value.
+	value map[wire.LongPtr][]byte
+	live  []wire.LongPtr
+	ref   map[[2]uint32]refShipState // (owner of the state, its peer)
+	cnt   map[uint32]*refCounts
+}
+
+func newShipHarness(seed int64, sess uint64, origin uint32, data int) *shipHarness {
+	h := &shipHarness{
+		rng: rand.New(rand.NewSource(seed)), sess: sess,
+		value: make(map[wire.LongPtr][]byte),
+		ref:   make(map[[2]uint32]refShipState),
+		cnt:   make(map[uint32]*refCounts),
+	}
+	for i := 0; i < data; i++ {
+		lp := wire.LongPtr{Space: origin, Addr: vmem.VAddr(0x1000 + 0x400*i), Type: nodeType}
+		body := make([]byte, 16<<uint(h.rng.Intn(6))) // 16 B .. 512 B
+		h.rng.Read(body)
+		h.value[lp] = body
+		h.live = append(h.live, lp)
+	}
+	return h
+}
+
+func (h *shipHarness) edge(owner, peer uint32) refShipState {
+	k := [2]uint32{owner, peer}
+	if h.ref[k] == nil {
+		h.ref[k] = make(refShipState)
+	}
+	return h.ref[k]
+}
+
+func (h *shipHarness) counts(id uint32) *refCounts {
+	if h.cnt[id] == nil {
+		h.cnt[id] = &refCounts{}
+	}
+	return h.cnt[id]
+}
+
+// mutate moves some data on between crossings: most stay as they are (the
+// token case), some change a few bytes (the byte-range delta case), some
+// are rewritten (full again), and now and then one is freed.
+func (h *shipHarness) mutate() {
+	for _, lp := range h.live {
+		switch r := h.rng.Intn(10); {
+		case r < 6:
+		case r < 9:
+			b := slices.Clone(h.value[lp])
+			for k := 0; k <= h.rng.Intn(3); k++ {
+				b[h.rng.Intn(len(b))] ^= byte(1 + h.rng.Intn(255))
+			}
+			h.value[lp] = b
+		default:
+			b := make([]byte, len(h.value[lp]))
+			h.rng.Read(b)
+			h.value[lp] = b
+		}
+	}
+	if len(h.live) > 4 && h.rng.Intn(8) == 0 {
+		i := h.rng.Intn(len(h.live))
+		delete(h.value, h.live[i])
+		h.live = slices.Delete(h.live, i, i+1)
+	}
+}
+
+// batch draws distinct live data in random order.
+func (h *shipHarness) batch() []wire.DataItem {
+	var items []wire.DataItem
+	for _, i := range h.rng.Perm(len(h.live))[:h.rng.Intn(len(h.live)+1)] {
+		lp := h.live[i]
+		items = append(items, wire.DataItem{LP: lp, Dirty: h.rng.Intn(2) == 0, Bytes: h.value[lp]})
+	}
+	return items
+}
+
+func sameItems(a, b []wire.DataItem) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d items, reference has %d", len(a), len(b))
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.LP != y.LP || x.Dirty != y.Dirty || x.Delta != y.Delta || x.BaseVer != y.BaseVer || !bytes.Equal(x.Bytes, y.Bytes) {
+			return fmt.Errorf("item %d = {%v dirty=%v delta=%v base=%d %d bytes}, reference {%v dirty=%v delta=%v base=%d %d bytes}",
+				i, x.LP, x.Dirty, x.Delta, x.BaseVer, len(x.Bytes), y.LP, y.Dirty, y.Delta, y.BaseVer, len(y.Bytes))
+		}
+	}
+	return nil
+}
+
+// cross ships one crossing from x to y: the transform at the sender, the
+// wire, the resolve at the receiver — each beside the reference. closure
+// adds a second batch on the same crossing that may repeat data of the
+// first, as an eager call's closure repeats the circulating set.
+func (h *shipHarness) cross(x, y *Runtime, final, closure bool) error {
+	first := h.batch()
+	got := x.deltaShipItems(y.id, h.sess, slices.Clone(first), final)
+	want := h.edge(x.id, y.id).ship(first, final, h.counts(x.id))
+	if closure {
+		second := h.batch()
+		got = append(got, x.deltaShipItems(y.id, h.sess, slices.Clone(second), final)...)
+		want = append(want, h.edge(x.id, y.id).ship(second, final, h.counts(x.id))...)
+	}
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("crossing %d->%d (final=%v closure=%v): %s", x.id, y.id, final, closure, fmt.Sprintf(format, args...))
+	}
+	if err := sameItems(got, want); err != nil {
+		return fail("shipped %v", err)
+	}
+	p := wire.ItemsPayload{Items: got}
+	rp, err := wire.DecodeItemsPayload(p.Encode())
+	if err != nil {
+		return err
+	}
+	resolve := y.cohAdmit(x.id, h.sess, rp.Items)
+	for i, it := range rp.Items {
+		full, fresh := it.Bytes, true
+		if resolve {
+			if full, fresh, err = y.cohResolve(x.id, h.sess, it); err != nil {
+				return fail("item %d: %v", i, err)
+			}
+		}
+		wfull, wfresh, err := h.edge(y.id, x.id).receive(it)
+		if err != nil {
+			return fail("item %d: %v", i, err)
+		}
+		if !bytes.Equal(full, wfull) || fresh != wfresh {
+			return fail("item %d (%v) resolved to %d bytes fresh=%v, reference %d bytes fresh=%v",
+				i, it.LP, len(full), fresh, len(wfull), wfresh)
+		}
+		if !bytes.Equal(full, h.value[it.LP]) {
+			return fail("item %d (%v): resolved bytes are not the datum's current value", i, it.LP)
+		}
+	}
+	return nil
+}
+
+// checkFolded forces a fold of rt's edge to peer and compares every
+// version and baseline with the reference.
+func (h *shipHarness) checkFolded(rt *Runtime, peer uint32) error {
+	want := h.ref[[2]uint32{rt.id, peer}]
+	rt.coh.mu.Lock()
+	defer rt.coh.mu.Unlock()
+	p := rt.coh.peers[peer]
+	if p == nil {
+		if len(want) != 0 {
+			return fmt.Errorf("space %d has no edge to %d; reference holds %d views", rt.id, peer, len(want))
+		}
+		return nil
+	}
+	p.fold()
+	if p.sess != h.sess || len(p.index) != len(want) {
+		return fmt.Errorf("space %d edge to %d: session %#x with %d views, want %#x with %d", rt.id, peer, p.sess, len(p.index), h.sess, len(want))
+	}
+	for lp, w := range want {
+		if g := p.index[lp]; g.ver != w.ver || !bytes.Equal(g.bytes, w.bytes) {
+			return fmt.Errorf("space %d edge to %d, %v: version %d (%d bytes), reference %d (%d bytes)",
+				rt.id, peer, lp, g.ver, len(g.bytes), w.ver, len(w.bytes))
+		}
+	}
+	return nil
+}
+
+// lockstep is the look at a quiescent point: CheckCohLockstep over the
+// pair, then both ends against the reference.
+func (h *shipHarness) lockstep(x, y *Runtime) error {
+	if err := CheckCohLockstep(x, y); err != nil {
+		return err
+	}
+	if err := h.checkFolded(x, y.id); err != nil {
+		return err
+	}
+	return h.checkFolded(y, x.id)
+}
+
+func (h *shipHarness) checkCounters(t *testing.T, rts ...*Runtime) {
+	t.Helper()
+	for _, rt := range rts {
+		st, want := rt.Stats(), *h.counts(rt.id)
+		got := refCounts{st.CohItemsShipped, st.CohItemsSkipped, st.CohDeltaItems, st.CohItemBytes}
+		if got != want {
+			t.Errorf("space %d counters shipped/skipped/deltas/bytes = %+v, reference %+v", rt.id, got, want)
+		}
+	}
+}
+
+func cohTrio(t *testing.T) (a, b, c *Runtime) {
+	t.Helper()
+	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = net.Close() })
+	return newRuntimeOnNet(t, net, 1), newRuntimeOnNet(t, net, 2), newRuntimeOnNet(t, net, 3)
+}
+
+// TestShipStateMatchesEagerReference drives seeded random crossing
+// sequences over a three-space chain — A calls B, B calls C, and back,
+// again and again, with data unchanged (tokens), nudged (byte-range
+// deltas), rewritten (full) or freed between crossings, closures repeating
+// the batch before them, and final write-backs that drop what the origin
+// holds — through the log-and-fold ship state and the eager reference map,
+// and requires identical surviving items on every crossing, identical
+// versions whenever a fold is forced, identical counters, and lockstep at
+// every quiescent point looked at. Most crossings are not looked at, so
+// what the edges defer stays deferred.
+func TestShipStateMatchesEagerReference(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		a, b, c := cohTrio(t)
+		h := newShipHarness(seed, 0x100000000|uint64(seed), a.id, 24)
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+		for round := 0; round < 12; round++ {
+			for _, hop := range [][2]*Runtime{{a, b}, {b, c}, {c, b}, {b, a}} {
+				h.mutate()
+				must(h.cross(hop[0], hop[1], false, h.rng.Intn(4) == 0))
+				if h.rng.Intn(5) == 0 {
+					must(h.lockstep(hop[0], hop[1])) // a quiescent point somebody looks at
+				}
+			}
+			if h.rng.Intn(3) == 0 {
+				// The ablation's write-back of the moment: C sends home.
+				h.mutate()
+				must(h.cross(c, a, true, false))
+			}
+		}
+		// Session end: the ground's final write-backs, then everything is
+		// looked at.
+		must(h.cross(a, b, true, false))
+		must(h.lockstep(a, b))
+		must(h.lockstep(b, c))
+		must(h.lockstep(a, c))
+		h.checkCounters(t, a, b, c)
+		for _, rt := range []*Runtime{a, b, c} {
+			rt.coh.clearSession(h.sess)
+			must(rt.CheckIdleInvariants())
+		}
+	}
+}
+
+// TestShipStateConcurrentSessionsOnSharedOrigin: two clients run their own
+// sessions against one origin at once. Each edge on the origin belongs to
+// one of them; one session's teardown there leaves the other's baselines
+// alone. Run with -race.
+func TestShipStateConcurrentSessionsOnSharedOrigin(t *testing.T) {
+	a, origin, c := cohTrio(t)
+	clients := []*Runtime{a, c}
+	hs := make([]*shipHarness, len(clients))
+	var wg sync.WaitGroup
+	for i, client := range clients {
+		hs[i] = newShipHarness(int64(40+i), uint64(client.id)<<32|7, origin.id, 16)
+		wg.Add(1)
+		go func(h *shipHarness, client *Runtime) {
+			defer wg.Done()
+			for round := 0; round < 40; round++ {
+				h.mutate()
+				err := h.cross(client, origin, false, false)
+				if err == nil {
+					h.mutate()
+					err = h.cross(origin, client, false, round%5 == 0)
+				}
+				if err != nil {
+					t.Errorf("client %d round %d: %v", client.id, round, err)
+					return
+				}
+			}
+		}(hs[i], client)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, client := range clients {
+		if err := hs[i].lockstep(client, origin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A's session ends at the origin; C's next crossings still patch
+	// against their baselines.
+	origin.coh.clearSession(hs[0].sess)
+	a.coh.clearSession(hs[0].sess)
+	for round := 0; round < 5; round++ {
+		hs[1].mutate()
+		if err := hs[1].cross(c, origin, false, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := hs[1].cross(origin, c, round == 4, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := hs[1].lockstep(c, origin); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShipStateRejectsBrokenStreams: what a lost, duplicated or forged
+// frame looks like to the receiver is still an error, not silent
+// corruption — also when the baseline it names is still sitting in the
+// edge's unfolded tail.
+func TestShipStateRejectsBrokenStreams(t *testing.T) {
+	_, b, _ := cohTrio(t)
+	const sess = 0x100000009
+	lp := wire.LongPtr{Space: 1, Addr: 0x2000, Type: nodeType}
+	other := wire.LongPtr{Space: 1, Addr: 0x2040, Type: nodeType}
+	body := []byte("0123456789abcdef01234567")
+	resolveAll := func(rt *Runtime, items []wire.DataItem) error {
+		if !rt.cohAdmit(1, sess, items) {
+			return nil
+		}
+		for _, it := range items {
+			if _, _, err := rt.cohResolve(1, sess, it); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// A first, full crossing: logged, not indexed.
+	if err := resolveAll(b, []wire.DataItem{{LP: lp, Dirty: true, Bytes: body}}); err != nil {
+		t.Fatal(err)
+	}
+	b.coh.mu.Lock()
+	if p := b.coh.peers[1]; p == nil || p.index != nil || p.logged != 1 {
+		t.Errorf("after one full batch the edge is %+v, want one logged item and no index", p)
+	}
+	b.coh.mu.Unlock()
+	err := resolveAll(b, []wire.DataItem{{LP: other, Delta: true, BaseVer: 1}})
+	if err == nil || !strings.Contains(err.Error(), "without a baseline") {
+		t.Errorf("delta for a datum never exchanged: err = %v, want \"without a baseline\"", err)
+	}
+	err = resolveAll(b, []wire.DataItem{{LP: lp, Delta: true, BaseVer: 2}})
+	if err == nil || !strings.Contains(err.Error(), "patches version 2, have 1") {
+		t.Errorf("token against the wrong version: err = %v, want a version mismatch", err)
+	}
+	// A batch mixing full, token and delta items resolves in order against
+	// the folded index: the full item in front moves lp to version 2, which
+	// is what the token behind it names.
+	next := slices.Clone(body)
+	next[3] ^= 0xff
+	err = resolveAll(b, []wire.DataItem{
+		{LP: lp, Bytes: next},
+		{LP: other, Bytes: body},
+		{LP: lp, Delta: true, BaseVer: 2},
+		{LP: other, Delta: true, BaseVer: 1},
+	})
+	if err != nil {
+		t.Errorf("mixed batch: %v", err)
+	}
+	b.coh.mu.Lock()
+	if v := b.coh.peers[1].index[lp]; v.ver != 3 || !bytes.Equal(v.bytes, next) {
+		t.Errorf("after the mixed batch %v is at version %d, want 3 with the new bytes", lp, v.ver)
+	}
+	b.coh.mu.Unlock()
+	if err := b.installItems(1, sess, []wire.DataItem{{LP: lp, Delta: true, BaseVer: 3}}, false); err == nil ||
+		!strings.Contains(err.Error(), "outside the coherency path") {
+		t.Errorf("delta item in a fetch reply: err = %v", err)
+	}
+
+	// The full-shipping ablation keeps no state and accepts no delta.
+	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = net.Close() })
+	node, err := net.Attach(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(Options{ID: 5, Node: node, Registry: newTestRegistry(t), DisableDeltaShip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = plain.Close() })
+	if err := resolveAll(plain, []wire.DataItem{{LP: lp, Bytes: body}}); err != nil {
+		t.Fatal(err)
+	}
+	err = resolveAll(plain, []wire.DataItem{{LP: lp, Bytes: body}, {LP: lp, Delta: true, BaseVer: 1}})
+	if err == nil || !strings.Contains(err.Error(), "delta shipping disabled") {
+		t.Errorf("delta item with DisableDeltaShip: err = %v", err)
+	}
+	if plain.coh.peers != nil {
+		t.Error("the ablation recorded ship state")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"smartrpc/internal/swizzle"
 	"smartrpc/internal/vmem"
@@ -143,20 +144,11 @@ func (rt *Runtime) CheckLocalInvariants() error {
 	// holds only locally owned data (it is the origin's duty to keep
 	// modifications circulating, §3.4).
 	rt.modMu.Lock()
-	var badMod *wire.LongPtr
-modScan:
+	defer rt.modMu.Unlock()
 	for _, set := range rt.sessionModified {
-		for lp := range set {
-			if lp.Space != rt.id {
-				cp := lp
-				badMod = &cp
-				break modScan
-			}
+		if i := slices.IndexFunc(set, func(lp wire.LongPtr) bool { return lp.Space != rt.id }); i >= 0 {
+			return invariantErr(rt.id, "session-modified set holds foreign datum %v", set[i])
 		}
-	}
-	rt.modMu.Unlock()
-	if badMod != nil {
-		return invariantErr(rt.id, "session-modified set holds foreign datum %v", *badMod)
 	}
 	return nil
 }
@@ -206,10 +198,7 @@ func (rt *Runtime) CheckIdleInvariants() error {
 	rt.coh.mu.Lock()
 	var cohDetail string
 	for peer, p := range rt.coh.peers {
-		cohDetail += fmt.Sprintf(" peer %d sess %#x:%d views", peer, p.sess, len(p.views))
-		for lp := range p.views {
-			cohDetail += fmt.Sprintf(" %v", lp)
-		}
+		cohDetail += fmt.Sprintf(" peer %d sess %#x: %d views, %d logged", peer, p.sess, len(p.index), p.logged)
 	}
 	rt.coh.mu.Unlock()
 	if cohDetail != "" {
@@ -258,13 +247,16 @@ func CheckCohLockstep(a, b *Runtime) error {
 	hi.coh.mu.Lock()
 	defer hi.coh.mu.Unlock()
 
+	// Fold both ends first: a tail holds crossings no lookup has needed yet.
 	var av, bv map[wire.LongPtr]cohView
 	ap, bp := a.coh.peers[b.id], b.coh.peers[a.id]
 	if ap != nil {
-		av = ap.views
+		ap.fold()
+		av = ap.index
 	}
 	if bp != nil {
-		bv = bp.views
+		bp.fold()
+		bv = bp.index
 	}
 	if ap != nil && bp != nil && ap.sess != bp.sess {
 		return invariantErr(a.id, "edge %d<->%d: ship state session split: %#x on space %d vs %#x on space %d",

@@ -109,7 +109,9 @@ func TestInvariantCatchesForeignModifiedEntry(t *testing.T) {
 	if err := caller.CheckLocalInvariants(); err != nil {
 		t.Fatalf("clean runtime fails local check: %v", err)
 	}
-	caller.markModified(1, wire.LongPtr{Space: 99, Addr: 0x1_0000, Type: nodeType})
+	caller.modMu.Lock()
+	caller.sessionModified[1] = []wire.LongPtr{{Space: 99, Addr: 0x1_0000, Type: nodeType}}
+	caller.modMu.Unlock()
 	err := caller.CheckLocalInvariants()
 	if !errors.Is(err, ErrInvariant) {
 		t.Fatalf("foreign modified entry not caught, err = %v", err)
@@ -203,13 +205,14 @@ func TestInvariantCatchesVersionSplit(t *testing.T) {
 	// exactly what a dropped or duplicated items frame would cause.
 	caller.coh.mu.Lock()
 	edge := caller.coh.peers[callee.ID()]
-	if edge == nil || len(edge.views) == 0 {
+	if edge == nil || len(edge.index) == 0 {
+		// CheckCohLockstep above folded the edge's tail into its index.
 		caller.coh.mu.Unlock()
 		t.Fatal("no delta-shipping views recorded on the edge")
 	}
-	for lp, v := range edge.views {
+	for lp, v := range edge.index {
 		v.ver++
-		edge.views[lp] = v
+		edge.index[lp] = v
 		break
 	}
 	caller.coh.mu.Unlock()

@@ -110,7 +110,8 @@ func (rc *replayCache) admit(m wire.Message) admitVerdict {
 // newest attempt's seq the reply must be addressed to. ok is false when
 // no executing entry exists (the request was not admitted — an
 // idempotent kind, or the entry was evicted mid-execution), in which
-// case the caller replies to the request's own seq.
+// case the caller replies to the request's own seq. payload is kept, not
+// copied: reply owns it.
 func (rc *replayCache) complete(m wire.Message, kind wire.Kind, payload []byte, errStr string) (uint64, bool) {
 	key := replayKey{from: m.From, sess: m.Session, xid: wire.SeqXID(m.Seq)}
 	rc.mu.Lock()
@@ -121,9 +122,7 @@ func (rc *replayCache) complete(m wire.Message, kind wire.Kind, payload []byte, 
 	}
 	e.state = replayDone
 	e.kind = kind
-	// Copy: serve paths may recycle the payload's backing buffer after
-	// the reply is sent.
-	e.payload = append([]byte(nil), payload...)
+	e.payload = payload
 	e.errStr = errStr
 	return e.lastSeq, true
 }

@@ -445,16 +445,6 @@ type Runtime struct {
 	// nothing in the runtime ever sets it.
 	skipLocalInvalidate bool
 
-	// touched records, per session, the cache addresses of foreign
-	// objects this space actually wrote (Ref setters), allocated
-	// (ExtendedMalloc), or adopted a dirty obligation for (installItems).
-	// Dirty-page tracking alone is too coarse for the modified data set:
-	// a page holds several objects, and with concurrent sessions over a
-	// shared origin, writing back a stale unmodified neighbor from a
-	// dirty page would clobber another client's committed write.
-	touchedMu sync.Mutex
-	touched   map[vmem.VAddr]bool
-
 	hintMu sync.RWMutex
 	hints  map[types.ID]map[string]bool
 
@@ -540,10 +530,11 @@ type Runtime struct {
 	// after applying them — otherwise a space that cached the datum
 	// before the modification would read a stale copy. Keying by session
 	// lets an origin serving several concurrent sessions drop one
-	// session's set at its end without disturbing the others'.
+	// session's set at its end without disturbing the others'. Arriving
+	// batches append to a set; modifiedSetItems sorts and compacts it.
 	modMu           sync.Mutex
-	sessionModified map[uint64]map[wire.LongPtr]bool
-	modScratch      []wire.LongPtr // reusable key buffer for modifiedSetItems
+	sessionModified map[uint64][]wire.LongPtr
+	modScratch      []wire.LongPtr // reusable snapshot buffer for modifiedSetItems
 
 	// coh is the delta-shipping ship state (cohstate.go).
 	coh cohState
@@ -639,7 +630,7 @@ func New(opts Options) (*Runtime, error) {
 		dups:            make(map[uint32]*seqWindow),
 		parts:           make(map[uint32]bool),
 		batch:           make(map[uint32]*originBatch),
-		sessionModified: make(map[uint64]map[wire.LongPtr]bool),
+		sessionModified: make(map[uint64][]wire.LongPtr),
 		stop:            make(chan struct{}),
 		done:            make(chan struct{}),
 	}
@@ -1109,7 +1100,9 @@ func (rt *Runtime) sendAndWaitSeq(m wire.Message, seq uint64) (wire.Message, err
 // entry the dispatcher admitted: the reply bytes are retained for
 // replay to later retries, and the response is addressed to the newest
 // attempt's sequence number in case a retry was swallowed while the
-// request executed.
+// request executed. reply takes ownership of payload — the replay cache
+// keeps the slice — so serve paths pass a buffer encoded for this reply
+// and never write it again.
 func (rt *Runtime) reply(m wire.Message, kind wire.Kind, payload []byte, errStr string) {
 	seq := m.Seq
 	if replayableRequest(m.Kind) {

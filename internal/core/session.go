@@ -49,10 +49,6 @@ func (rt *Runtime) BeginSession() error {
 	rt.sess = uint64(rt.id)<<32 | (sessionCounter.Add(1) & 0xffffffff)
 	rt.ground = true
 	rt.parts = make(map[uint32]bool)
-	// Defensive: a fresh session must start with no write obligations; a
-	// torn-down adopted session that never saw its invalidate could
-	// otherwise leak touched addresses into reused cache slots.
-	rt.clearTouched()
 	rt.pfBegin(rt.sess)
 	rt.trace(Event{Kind: EvSessionBegin})
 	return nil
@@ -208,7 +204,6 @@ func (rt *Runtime) EndSession() error {
 	// Teardown is session-selective: this runtime may simultaneously be a
 	// passive origin for other clients' sessions, whose delta baselines
 	// and circulating modified sets must survive this session's end.
-	rt.clearTouched()
 	rt.clearModified(sess)
 	rt.coh.clearSession(sess)
 	rt.trace(Event{Kind: EvSessionEnd})
@@ -253,7 +248,6 @@ func (rt *Runtime) AbortSession() {
 	// The abort clears are deliberately global (unlike EndSession's):
 	// recovery drives every space back to a zero-coherency-state idle, and
 	// a wedged peer session's leftovers must not survive it.
-	rt.clearTouched()
 	rt.clearAllModified()
 	rt.coh.clear()
 	rt.trace(Event{Kind: EvSessionEnd})
@@ -433,14 +427,16 @@ func (rt *Runtime) buildTransferPayload(sess uint64, peer uint32, args []Value) 
 		}
 		items = append(items, circulating...)
 	}
+	items = rt.deltaShipItems(peer, sess, items, false)
 	if rt.policy == PolicyEager {
+		// The closure may repeat a datum of the circulating set, so it ships
+		// as a batch of its own: a first batch on an edge is not looked up.
 		closure, err := rt.eagerClosureFor(args)
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, closure...)
+		items = append(items, rt.deltaShipItems(peer, sess, closure, false)...)
 	}
-	items = rt.deltaShipItems(peer, sess, items, false)
 	if rt.checkInv {
 		if err := rt.CheckLocalInvariants(); err != nil {
 			return nil, err
@@ -453,16 +449,18 @@ func (rt *Runtime) buildTransferPayload(sess uint64, peer uint32, args []Value) 
 // was modified during session sess, so the modified data set keeps
 // traveling with the thread of control (§3.4).
 func (rt *Runtime) modifiedSetItems(sess uint64) ([]wire.DataItem, error) {
-	// The snapshot runs on every boundary crossing; reuse one scratch
-	// slice instead of allocating a fresh one each time. The scratch is
-	// claimed under modMu for the duration of the call (concurrent
-	// claimants fall back to allocating).
+	// Arrivals append to the set; each crossing sorts and compacts it, so it
+	// never outgrows its distinct size. The snapshot to encode from is one
+	// scratch slice claimed for the call (other claimants allocate).
 	rt.modMu.Lock()
-	lps := rt.modScratch[:0]
-	rt.modScratch = nil
-	for lp := range rt.sessionModified[sess] {
-		lps = append(lps, lp)
+	set := rt.sessionModified[sess]
+	if len(set) > 0 {
+		slices.SortFunc(set, compareLongPtr)
+		set = slices.Compact(set)
+		rt.sessionModified[sess] = set
 	}
+	lps := append(rt.modScratch[:0], set...)
+	rt.modScratch = nil
 	rt.modMu.Unlock()
 	defer func() {
 		rt.modMu.Lock()
@@ -472,19 +470,18 @@ func (rt *Runtime) modifiedSetItems(sess uint64) ([]wire.DataItem, error) {
 	if len(lps) == 0 {
 		return nil, nil
 	}
-	slices.SortFunc(lps, func(a, b wire.LongPtr) int {
-		if c := cmp.Compare(a.Space, b.Space); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Addr, b.Addr)
-	})
-	items := make([]wire.DataItem, 0, len(lps))
-	arena := xdr.NewEncoder(len(lps) * 16)
+	size := 0
 	for _, lp := range lps {
 		rv, err := rt.res.Resolve(lp.Type)
 		if err != nil {
 			return nil, err
 		}
+		size += rv.Canon
+	}
+	items := make([]wire.DataItem, 0, len(lps))
+	arena := xdr.NewEncoder(size)
+	for _, lp := range lps {
+		rv, _ := rt.res.Resolve(lp.Type) // resolved by the sizing pass
 		start := arena.Len()
 		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, lp.Addr); err != nil {
 			return nil, fmt.Errorf("encode modified %v: %w", lp, err)
@@ -494,27 +491,46 @@ func (rt *Runtime) modifiedSetItems(sess uint64) ([]wire.DataItem, error) {
 	return items, nil
 }
 
-// markModified records lp in session sess's circulating modified set.
-func (rt *Runtime) markModified(sess uint64, lp wire.LongPtr) {
+func compareLongPtr(a, b wire.LongPtr) int {
+	return cmp.Or(cmp.Compare(a.Space, b.Space), cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.Type, b.Type))
+}
+
+// markModified adds the dirty items among items that have arrived home to
+// session sess's circulating modified set: until session end, spaces
+// holding older cached copies see them on the next control transfer.
+func (rt *Runtime) markModified(sess uint64, items []wire.DataItem) {
+	if rt.coherence != CoherencePiggyback {
+		return
+	}
 	rt.modMu.Lock()
 	set := rt.sessionModified[sess]
-	if set == nil {
-		set = make(map[wire.LongPtr]bool)
+	for i := range items {
+		if it := &items[i]; it.Dirty && it.LP.Space == rt.id {
+			if len(set) == cap(set) {
+				set = slices.Grow(set, len(items)-i) // once: the rest of the batch fits
+			}
+			set = append(set, it.LP)
+		}
+	}
+	if len(set) > 0 {
 		rt.sessionModified[sess] = set
 	}
-	set[lp] = true
 	rt.modMu.Unlock()
 }
 
-// dropModified forgets session-modified tracking for lp across every
-// session (used when the datum is freed mid-session: the address may be
-// recycled, so no session may keep re-encoding it).
-func (rt *Runtime) dropModified(lp wire.LongPtr) {
+// dropModified forgets session-modified tracking for the given data across
+// every session (used when they are freed mid-session: the addresses may
+// be recycled, so no session may keep re-encoding them). It sorts lps.
+func (rt *Runtime) dropModified(lps []wire.LongPtr) {
+	slices.SortFunc(lps, compareLongPtr)
 	rt.modMu.Lock()
-	for _, set := range rt.sessionModified {
-		delete(set, lp)
+	defer rt.modMu.Unlock()
+	for sess, set := range rt.sessionModified {
+		rt.sessionModified[sess] = slices.DeleteFunc(set, func(lp wire.LongPtr) bool {
+			_, freed := slices.BinarySearchFunc(lps, lp, compareLongPtr)
+			return freed
+		})
 	}
-	rt.modMu.Unlock()
 }
 
 // clearModified drops session sess's modified set at its teardown,
@@ -687,10 +703,6 @@ func (rt *Runtime) serveInvalidate(m wire.Message) {
 	rt.allocMu.Lock()
 	rt.batch = make(map[uint32]*originBatch)
 	rt.allocMu.Unlock()
-	// The adopted session's write obligations died with its cache; a
-	// leftover touched address would misfire on whatever object a later
-	// session's swizzle places at the same cache slot.
-	rt.clearTouched()
 	rt.clearModified(m.Session)
 	rt.coh.clearSession(m.Session)
 	if rt.checkInv {
@@ -702,47 +714,12 @@ func (rt *Runtime) serveInvalidate(m wire.Message) {
 	rt.reply(m, wire.KindInvalidateAck, nil, "")
 }
 
-// touchObject records that the cached foreign object at addr carries a
-// write-back obligation for the current session: this space wrote it,
-// allocated it, or adopted it as a circulating dirty item.
-func (rt *Runtime) touchObject(addr vmem.VAddr) {
-	rt.touchedMu.Lock()
-	if rt.touched == nil {
-		rt.touched = make(map[vmem.VAddr]bool)
-	}
-	rt.touched[addr] = true
-	rt.touchedMu.Unlock()
-}
-
-// touchedSnapshot returns the current session's touched set (nil when
-// nothing was written).
-func (rt *Runtime) touchedSnapshot() map[vmem.VAddr]bool {
-	rt.touchedMu.Lock()
-	defer rt.touchedMu.Unlock()
-	return rt.touched
-}
-
-// clearTouched drops the touched set at session end or abort.
-func (rt *Runtime) clearTouched() {
-	rt.touchedMu.Lock()
-	rt.touched = nil
-	rt.touchedMu.Unlock()
-}
-
-// touchedHas reports whether the object at addr carries a write-back
-// obligation in the current session.
-func (rt *Runtime) touchedHas(addr vmem.VAddr) bool {
-	rt.touchedMu.Lock()
-	defer rt.touchedMu.Unlock()
-	return rt.touched[addr]
-}
-
 // collectDirtyItems encodes every touched object on a dirty cache page,
 // clears the dirty bits, and drops the pages back to read-only so later
 // writes fault again. This is the "modified data set" that travels with
 // the thread of control. Dirty pages locate candidates; under
-// Options.Concurrent the touched set decides — a resident neighbor that
-// shares a dirty page but was never written this session must not
+// Options.Concurrent the rows' Touched marks decide — a resident neighbor
+// that shares a dirty page but was never written this session must not
 // travel, or its (possibly stale) cached value would overwrite a
 // concurrent session's committed write at the origin. Without
 // Concurrent the single-active-thread property makes the neighbor's
@@ -753,53 +730,43 @@ func (rt *Runtime) collectDirtyItems() ([]wire.DataItem, error) {
 	if len(pages) == 0 {
 		return nil, nil
 	}
-	var touched map[vmem.VAddr]bool
-	if rt.concurrent {
-		touched = rt.touchedSnapshot()
-	}
 	slices.Sort(pages)
-	dirtySet := make(map[uint32]bool, len(pages))
-	for _, pn := range pages {
-		dirtySet[pn] = true
+	// Every resident object whose span touches a dirty page travels: an
+	// object spanning pages may have been modified on any of them. The
+	// page records name them under one hold of the table; a first pass
+	// sizes the items and the one arena they all encode into.
+	travels := func(e swizzle.Entry) bool { return e.Resident && (e.Touched || !rt.concurrent) }
+	tx := rt.table.Begin()
+	defer tx.End()
+	var err error
+	n, size := 0, 0
+	tx.VisitPages(pages, func(e swizzle.Entry) bool {
+		if travels(e) {
+			rv, rerr := rt.res.Resolve(e.LP.Type)
+			n, size, err = n+1, size+rv.Canon, rerr
+		}
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Encode every resident object whose span touches a dirty page. An
-	// object spanning pages may have been modified on any of them.
-	var items []wire.DataItem
-	arena := xdr.NewEncoder(0)
-	var offs []int
-	for _, e := range rt.table.Entries() {
-		if !e.Resident {
-			continue
+	items := make([]wire.DataItem, 0, n)
+	arena := xdr.NewEncoder(size)
+	tx.VisitPages(pages, func(e swizzle.Entry) bool {
+		if !travels(e) {
+			return true
 		}
-		first := rt.space.PageOf(e.Addr)
-		last := rt.space.PageOf(e.Addr + vmem.VAddr(e.Size-1))
-		hit := false
-		for pn := first; pn <= last; pn++ {
-			if dirtySet[pn] {
-				hit = true
-				break
-			}
+		rv, _ := rt.res.Resolve(e.LP.Type) // resolved by the first pass
+		start := arena.Len()
+		if err = encodeObjectInto(arena, rt.space, tx, rt.res, rv.Desc, e.Addr); err != nil {
+			err = fmt.Errorf("encode dirty %v: %w", e.LP, err)
+			return false
 		}
-		if !hit || (rt.concurrent && !touched[e.Addr]) {
-			continue
-		}
-		rv, err := rt.res.Resolve(e.LP.Type)
-		if err != nil {
-			return nil, err
-		}
-		offs = append(offs, arena.Len())
-		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, e.Addr); err != nil {
-			return nil, fmt.Errorf("encode dirty %v: %w", e.LP, err)
-		}
-		items = append(items, wire.DataItem{LP: e.LP, Dirty: true})
-	}
-	backing := arena.Bytes()
-	for k := range items {
-		end := len(backing)
-		if k+1 < len(offs) {
-			end = offs[k+1]
-		}
-		items[k].Bytes = backing[offs[k]:end]
+		items = append(items, wire.DataItem{LP: e.LP, Dirty: true, Bytes: arena.Bytes()[start:arena.Len():arena.Len()]})
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The dirtiness obligation travels with the thread of control: clean
 	// the pages and drop writable pages to read-only so later writes
@@ -843,7 +810,7 @@ func (rt *Runtime) applyHome(tb ptrTable, lp wire.LongPtr, body []byte) error {
 }
 
 // applyWriteBack applies raw full-body items to the local heap (the
-// purely local path; wire arrivals go through cohReceive first).
+// purely local path; wire arrivals go through cohAdmit first).
 func (rt *Runtime) applyWriteBack(items []wire.DataItem) error {
 	for _, it := range items {
 		if err := rt.applyHome(rt.table, it.LP, it.Bytes); err != nil {
@@ -867,11 +834,14 @@ func (rt *Runtime) serveWriteBack(m wire.Message) {
 	// the write side of the serve lock.
 	rt.serveMu.Lock()
 	defer rt.serveMu.Unlock()
+	resolve := rt.cohAdmit(m.From, m.Session, p.Items)
 	for _, it := range p.Items {
-		full, fresh, err := rt.cohReceive(m.From, m.Session, it)
-		if err != nil {
-			rt.reply(m, wire.KindWriteBackAck, nil, err.Error())
-			return
+		full, fresh := it.Bytes, true
+		if resolve {
+			if full, fresh, err = rt.cohResolve(m.From, m.Session, it); err != nil {
+				rt.reply(m, wire.KindWriteBackAck, nil, err.Error())
+				return
+			}
 		}
 		if !fresh {
 			continue // the heap already holds this value from an earlier crossing
@@ -934,14 +904,20 @@ func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items [
 	// Items arrive in (page, offset) runs, so consecutive duplicates are
 	// dropped on append and the rest after the sort below.
 	touched := rt.installTouched[:0]
-	defer func() { rt.installTouched = touched[:0] }()
-	for _, it := range items {
-		body := it.Bytes
-		fresh := true
+	done := 0 // items installed
+	defer func() {
+		rt.installTouched = touched[:0]
 		if coh {
+			rt.markModified(sess, items[:done])
+		}
+	}()
+	resolve := coh && rt.cohAdmit(from, sess, items)
+	for ; done < len(items); done++ {
+		it := items[done]
+		body, fresh := it.Bytes, true
+		if resolve {
 			var err error
-			body, fresh, err = rt.cohReceive(from, sess, it)
-			if err != nil {
+			if body, fresh, err = rt.cohResolve(from, sess, it); err != nil {
 				return err
 			}
 		} else if it.Delta {
@@ -952,12 +928,6 @@ func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items [
 				if err := rt.applyHome(tx, it.LP, body); err != nil {
 					return err
 				}
-			}
-			if it.Dirty && rt.coherence == CoherencePiggyback {
-				// Keep the modification circulating until session end so
-				// spaces holding older cached copies see it on the next
-				// control transfer.
-				rt.markModified(sess, it.LP)
 			}
 			continue
 		}
@@ -977,15 +947,15 @@ func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items [
 			// circulating modified set travels in thread-of-control order,
 			// so its value supersedes the local copy (e.g. a chained call
 			// that rewrote the same object downstream).
-			if e.Resident && rt.touchedHas(addr) {
+			if e.Resident && e.Touched {
 				fresh = false
 			}
 		}
 		if it.Dirty {
 			// Adopting a circulating modification adopts its write-back
-			// obligation: the item must survive the touched-set filter when
+			// obligation: the item must survive the Touched filter when
 			// this session's modified data set is collected.
-			rt.touchObject(addr)
+			tx.Touch(row)
 		}
 		if fresh {
 			rv, err := rt.res.Resolve(it.LP.Type)

@@ -301,7 +301,7 @@ func (r *Ref) SetUint(name string, idx int, v uint64) error {
 	// A write to a cached foreign object joins the session's modified data
 	// set (only objects actually written travel home at session end).
 	if !r.rt.space.InHeap(r.addr) {
-		r.rt.touchObject(r.addr)
+		r.rt.table.Touch(r.addr)
 	}
 	return nil
 }
@@ -397,7 +397,7 @@ func (r *Ref) SetPtr(name string, idx int, v Value) error {
 		return err
 	}
 	if !r.rt.space.InHeap(r.addr) {
-		r.rt.touchObject(r.addr)
+		r.rt.table.Touch(r.addr)
 	}
 	return nil
 }

@@ -53,11 +53,6 @@ import (
 // generation to count, so it is a constant.
 const validateVer = 1
 
-// servedLogMax bounds a peer's served log (in items) between Validates: a
-// peer that keeps fetching but never revalidates has its log folded into
-// the index, which deduplicates it, every time the log passes this size.
-const servedLogMax = 1 << 17
-
 // warmCache is the origin side of a runtime's cross-session warm state:
 // per peer, the canonical bytes this space last shipped for each of its
 // own data — the delta base for Validate replies. It deliberately
@@ -69,15 +64,16 @@ type warmCache struct {
 	served map[uint32]*servedPeer
 }
 
+// servedBytes is the canonical encoding last shipped to a peer for a datum.
+type servedBytes []byte
+
+func (servedBytes) with(it wire.DataItem) servedBytes { return it.Bytes }
+
 // servedPeer is what one peer is known to hold. Fetch serves only append
-// to log (a cold peer never revalidates, and indexing 32 767 items per
+// to the log (a cold peer never revalidates, and indexing 32 767 items per
 // session for it is pure waste); the peer's next Validate folds the log
-// into index, later records overwriting earlier ones.
-type servedPeer struct {
-	index  map[wire.LongPtr][]byte
-	log    [][]wire.DataItem
-	logged int // items in log
-}
+// into the index, later records overwriting earlier ones.
+type servedPeer = foldLog[servedBytes]
 
 // peer returns the served record for a peer, creating it. Caller holds
 // w.mu.
@@ -91,19 +87,6 @@ func (w *warmCache) peer(id uint32) *servedPeer {
 		w.served[id] = sp
 	}
 	return sp
-}
-
-// fold moves the log into the index. Caller holds the warmCache lock.
-func (sp *servedPeer) fold() {
-	if sp.index == nil {
-		sp.index = make(map[wire.LongPtr][]byte, sp.logged)
-	}
-	for _, items := range sp.log {
-		for _, it := range items {
-			sp.index[it.LP] = it.Bytes
-		}
-	}
-	sp.log, sp.logged = nil, 0
 }
 
 // warmEnabled reports whether this runtime keeps its cache warm across
@@ -608,10 +591,5 @@ func (rt *Runtime) recordServed(peer uint32, items []wire.DataItem) {
 	}
 	rt.warm.mu.Lock()
 	defer rt.warm.mu.Unlock()
-	sp := rt.warm.peer(peer)
-	sp.log = append(sp.log, slices.Clone(items))
-	sp.logged += len(items)
-	if sp.logged > servedLogMax {
-		sp.fold()
-	}
+	rt.warm.peer(peer).append(slices.Clone(items))
 }

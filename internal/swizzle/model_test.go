@@ -250,7 +250,26 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 			t.Fatalf("interior address %#x of %v resolves", uint32(e.Addr+1), e.LP)
 		}
 	}
+	// VisitPages over a random subset of the probes: every row covering one
+	// of them, once, in Entries order.
+	var subset []uint32
+	for _, pn := range probes {
+		if rng.Intn(2) == 0 {
+			subset = append(subset, pn)
+		}
+	}
+	var covering, visitedOn []Entry
+	for _, e := range r.sorted() {
+		first, last := r.pagesOf(e)
+		if slices.ContainsFunc(subset, func(pn uint32) bool { return first <= pn && pn <= last }) {
+			covering = append(covering, *e)
+		}
+	}
+	tx.VisitPages(subset, func(e Entry) bool { visitedOn = append(visitedOn, e); return true })
 	tx.End()
+	if !slices.Equal(visitedOn, covering) {
+		t.Fatalf("VisitPages(%v) saw %v\nwant %v", subset, visitedOn, covering)
+	}
 	for _, pn := range probes {
 		var rows []Entry
 		var wants, stale []wire.LongPtr
@@ -407,6 +426,20 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 				tx.End()
 			}
 			e.Resident, e.Stale = true, false
+		case op < 68: // touch, by address or by handle
+			e := anyRow()
+			if e == nil {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				tb.Touch(e.Addr)
+			} else {
+				tx := tb.Begin()
+				row, _ := tx.LookupAddr(e.Addr)
+				tx.Touch(row)
+				tx.End()
+			}
+			e.Touched = true
 		case op < 72: // remove
 			e := anyRow()
 			if e == nil {
@@ -457,6 +490,7 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 				if e.Resident {
 					e.Resident, e.Stale = false, true
 				}
+				e.Touched = false
 			}
 			closeAll()
 		case op < 93: // clear stale marks, unknown pointers mixed in

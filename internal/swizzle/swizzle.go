@@ -74,6 +74,15 @@ type Entry struct {
 	// revalidation baseline. A stale entry is non-resident — touching its
 	// page faults — but the fault is served by Validate instead of Fetch.
 	Stale bool
+	// Touched marks a datum that carries a write-back obligation in the
+	// current session: this space wrote it, allocated it, or adopted it as
+	// a circulating dirty item. Dirty-page tracking alone is too coarse for
+	// the modified data set — a page holds several data, and with
+	// concurrent sessions over a shared origin, writing back an unmodified
+	// neighbor from a dirty page would clobber another client's committed
+	// write. The mark dies with the session: Invalidate drops the row,
+	// DemoteAll clears it.
+	Touched bool
 }
 
 // area is an open protected page area accepting new data from one origin.
@@ -498,6 +507,19 @@ func (t *Table) MarkResident(addr vmem.VAddr) {
 	}
 }
 
+// Touch sets the Touched mark of the datum at addr; an address without a
+// row (a datum freed meanwhile) is ignored.
+func (t *Table) Touch(addr vmem.VAddr) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i := t.rowAt(addr); i >= 0 {
+		t.rows[i].Touched = true
+	}
+}
+
+// Touch sets row r's Touched mark.
+func (x Tx) Touch(r Row) { x.t.rows[r].Touched = true }
+
 func (t *Table) markResident(i int32) {
 	e := &t.rows[i]
 	if e.Resident {
@@ -849,6 +871,29 @@ func (t *Table) Entries() []Entry {
 	return out
 }
 
+// VisitPages calls f once with every row covering any of the given cache
+// pages, which must be in ascending order, until f returns false. Rows
+// arrive ordered by page then offset, as in Entries; a datum spanning
+// several of the pages is visited under the first of them only.
+func (x Tx) VisitPages(pages []uint32, f func(Entry) bool) {
+	t := x.t
+	for k, pn := range pages {
+		rec := t.page(pn)
+		if rec == nil {
+			continue
+		}
+		for _, s := range rec.slots {
+			e := &t.rows[s.row]
+			if e.Page < pn && k > 0 && pages[k-1] >= e.Page {
+				continue // continues from an earlier page of the set
+			}
+			if !f(*e) {
+				return
+			}
+		}
+	}
+}
+
 // Visit calls f with every table row, in insertion order, until f returns
 // false. It allocates nothing. The table lock is held throughout, so f
 // must not call back into the table.
@@ -947,7 +992,9 @@ func (t *Table) Invalidate() {
 
 // DemoteAll is the warm-cache alternative to Invalidate: every resident
 // row becomes stale (non-resident, bytes kept on the page as the
-// revalidation baseline) and all open areas close, so no future entry can
+// revalidation baseline), every Touched mark clears — a surviving one would
+// ship the next session's unwritten copy home, or shield it from a
+// fetch-path refresh — and all open areas close, so no future entry can
 // land on a page whose bytes must stay frozen. Rows that never became
 // resident are untouched — they stay plain wants. The caller re-protects
 // the cache pages through vmem.DemoteCache.
@@ -959,6 +1006,7 @@ func (t *Table) DemoteAll() {
 			t.rows[i].Resident = false
 			t.rows[i].Stale = true
 		}
+		t.rows[i].Touched = false
 	}
 	for i := range t.pages {
 		rec := &t.pages[i]

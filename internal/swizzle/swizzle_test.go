@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"smartrpc/internal/types"
 	"smartrpc/internal/vmem"
@@ -657,5 +658,158 @@ func TestProvisionalSeparationUnderMixedPolicy(t *testing.T) {
 	}
 	if sp.PageOf(normal) == sp.PageOf(prov) {
 		t.Error("mixed policy merged provisional and fetch areas")
+	}
+}
+
+// TestVisitPages: the rows covering a set of pages arrive once each, in
+// Entries order, whichever of a spanning datum's pages are in the set.
+func TestVisitPages(t *testing.T) {
+	tb, sp := newTable(t, PolicyPerOrigin)
+	// Layout: two nodes, then a 10 000-byte blob on a run of its own (three
+	// 4 KiB pages), then two nodes sharing the blob's last page.
+	var lps []wire.LongPtr
+	add := func(p wire.LongPtr) Entry {
+		a, _, err := tb.Swizzle(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := tb.LookupAddr(a)
+		lps = append(lps, p)
+		return e
+	}
+	add(lp(remoteID, 0x100, 1))
+	add(lp(remoteID, 0x110, 1))
+	blob := add(lp(remoteID, 0x9000, 2))
+	tail := add(lp(remoteID, 0x120, 1))
+	add(lp(remoteID, 0x130, 1))
+	first, last := blob.Page, sp.PageOf(blob.Addr+vmem.VAddr(blob.Size-1))
+	if last != first+2 || tail.Page != last {
+		t.Fatalf("layout: blob pages %d..%d, tail node on %d; want a 3-page blob sharing its last page", first, last, tail.Page)
+	}
+	node0 := first - 1 // the page of the two leading nodes
+	visit := func(pages ...uint32) []wire.LongPtr {
+		var got []wire.LongPtr
+		tx := tb.Begin()
+		tx.VisitPages(pages, func(e Entry) bool {
+			got = append(got, e.LP)
+			return true
+		})
+		tx.End()
+		return got
+	}
+	for _, tc := range []struct {
+		name  string
+		pages []uint32
+		want  []wire.LongPtr
+	}{
+		{"every page", []uint32{node0, first, first + 1, last}, lps},
+		{"last page only: the blob leads its tail page", []uint32{last}, lps[2:]},
+		{"middle page only", []uint32{first + 1}, lps[2:3]},
+		{"first and last: the blob once", []uint32{first, last}, lps[2:]},
+		{"middle and last: the blob once", []uint32{first + 1, last}, lps[2:]},
+		{"an unrelated earlier page does not hide the blob", []uint32{node0, last}, lps},
+		{"a page the table never reserved", []uint32{last + 7}, nil},
+	} {
+		got := visit(tc.pages...)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: visited %v, want %v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: visit %d = %v, want %v", tc.name, i, got[i], tc.want[i])
+			}
+		}
+	}
+	// The order is Entries' order.
+	all := tb.Entries()
+	for i, p := range visit(node0, first, first+1, last) {
+		if all[i].LP != p {
+			t.Errorf("visit %d = %v, Entries has %v", i, p, all[i].LP)
+		}
+	}
+	calls := 0
+	tx := tb.Begin()
+	tx.VisitPages([]uint32{node0, last}, func(Entry) bool {
+		calls++
+		return calls < 2
+	})
+	tx.End()
+	if calls != 2 {
+		t.Errorf("visitor ran %d times after returning false on the 2nd row", calls)
+	}
+	pages := []uint32{node0, first, last}
+	if n := testing.AllocsPerRun(10, func() {
+		tx := tb.Begin()
+		tx.VisitPages(pages, func(e Entry) bool { return e.Size > 0 })
+		tx.End()
+	}); n != 0 {
+		t.Errorf("VisitPages allocates %v times per pass, want 0", n)
+	}
+}
+
+// TestTouchedDiesWithTheSession: the write-back mark is set by address or
+// by row, survives nothing that ends a session, and costs the row no bytes.
+func TestTouchedDiesWithTheSession(t *testing.T) {
+	tb, _ := newTable(t, PolicyPerOrigin)
+	var addrs []vmem.VAddr
+	for i := 0; i < 6; i++ {
+		a, _, err := tb.Swizzle(lp(remoteID, vmem.VAddr(0x100+i*16), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.MarkResident(a)
+		addrs = append(addrs, a)
+	}
+	touched := func() (n int) {
+		tb.Visit(func(e Entry) bool {
+			if e.Touched {
+				n++
+			}
+			return true
+		})
+		return n
+	}
+	tb.Touch(addrs[1])
+	tb.Touch(addrs[1] + 4) // not a datum's address: ignored
+	tx := tb.Begin()
+	row, ok := tx.LookupAddr(addrs[4])
+	if !ok {
+		t.Fatal("row 4 not found by address")
+	}
+	tx.Touch(row)
+	tx.End()
+	if e, _ := tb.LookupAddr(addrs[1]); !e.Touched {
+		t.Error("Touch by address left the row unmarked")
+	}
+	if e, _ := tb.LookupAddr(addrs[4]); !e.Touched {
+		t.Error("Touch by row left the row unmarked")
+	}
+	if n := touched(); n != 2 {
+		t.Fatalf("%d rows touched, want 2", n)
+	}
+	if err := tb.Remove(addrs[4]); err != nil {
+		t.Fatal(err)
+	}
+	tb.Touch(addrs[4]) // freed meanwhile: ignored
+	if n := touched(); n != 1 {
+		t.Errorf("%d rows touched after removing one, want 1", n)
+	}
+	tb.DemoteAll()
+	if n := touched(); n != 0 {
+		t.Errorf("%d rows still touched after DemoteAll", n)
+	}
+	if e, _ := tb.LookupAddr(addrs[1]); !e.Stale || e.Resident {
+		t.Errorf("demoted row = %+v, want stale", e)
+	}
+	tb.Touch(addrs[2])
+	tb.Invalidate()
+	if a, fresh, err := tb.Swizzle(lp(remoteID, 0x100+2*16, 1)); err != nil || !fresh {
+		t.Fatalf("re-swizzle after Invalidate = %#x, %v, %v", uint32(a), fresh, err)
+	} else if e, _ := tb.LookupAddr(a); e.Touched {
+		t.Error("a row created after Invalidate is born touched")
+	}
+	if got, want := unsafe.Sizeof(Entry{}), uintptr(40); got != want {
+		t.Errorf("Entry is %d bytes, want %d: the flag must fit the padding", got, want)
 	}
 }
