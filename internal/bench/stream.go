@@ -15,7 +15,7 @@ import (
 // single FETCH pulls tens of thousands of items. With streaming the
 // origin pipelines the encode as bounded KindFetchChunk frames and the
 // client's faulting access unblocks as soon as chunk 0 installs; the
-// ablation (DisableStreaming) makes the same access wait for the whole
+// ablation (StreamChunkBytes: -1) makes the same access wait for the whole
 // reply to be encoded, shipped, and installed. The gap between the two
 // is the time-to-first-access column — the latency the paper's
 // monolithic reply model charges every large transfer.

@@ -180,7 +180,7 @@ func (rt *Runtime) flushAllocBatches(sess uint64) error {
 		}
 		rt.stats.allocBatches.Add(1)
 		rt.trace(Event{Kind: EvAllocFlush, Target: origin, Count: len(p.Allocs) + len(p.Frees)})
-		reply, err := rt.sendAndWait(wire.Message{
+		reply, err := rt.roundTrip(wire.Message{
 			Kind:    wire.KindAllocBatch,
 			Session: sess,
 			To:      origin,

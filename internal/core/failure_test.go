@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -518,5 +519,238 @@ func TestDirtyDataSurvivesHandlerErrorThenSessionEnd(t *testing.T) {
 	d, err := ref.Int("data", 0)
 	if err != nil || d != 666 {
 		t.Errorf("origin after error+end = %d, %v; want 666", d, err)
+	}
+}
+
+// --- exchange lifecycle ---
+
+// chunkFrame builds one sealed chunk of a streamed FETCH reply to req, in
+// a pooled frame buffer as an origin's emitter would.
+func chunkFrame(req wire.Message, ord uint32, final bool, items []wire.DataItem) wire.Message {
+	p := wire.FetchChunkPayload{XID: req.Seq, Chunk: ord, Final: final, Items: items}
+	fb := wire.NewChunkBuf()
+	p.EncodeTo(fb.Enc())
+	return sealed(wire.Message{
+		Kind: wire.KindFetchChunk, Session: req.Session, Seq: req.Seq, To: req.From,
+		Payload: fb.Enc().Bytes(), Frame: fb,
+	})
+}
+
+// TestCloseWithExchangesInFlight is the lifecycle oracle of the one
+// teardown path. Close finds every kind of waiter the engine has: a
+// parked one-frame round trip, a chunk stream consumed as far as its
+// first chunk with two more queued, and a background drain whose faulting
+// access was long since unblocked. All of them return ErrClosed, the
+// queued chunks' pooled buffers are released, and no goroutine the
+// runtime started outlives it.
+func TestCloseWithExchangesInFlight(t *testing.T) {
+	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = net.Close() })
+	origin := rawAttach(t, net, 1)
+	node := rawAttach(t, net, 2)
+	reg := newTestRegistry(t)
+	before := runtime.NumGoroutine()
+	cl, err := New(Options{ID: 2, Node: node, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	if err := cl.BeginSession(); err != nil {
+		t.Fatal(err)
+	}
+	sess := cl.Session()
+	recv := func(kind wire.Kind) wire.Message {
+		t.Helper()
+		m, err := origin.Recv()
+		if err != nil || m.Kind != kind {
+			t.Fatalf("origin received %v, %v; want a %v", m.Kind, err, kind)
+		}
+		return m
+	}
+	send := func(m wire.Message) {
+		t.Helper()
+		if err := origin.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The background drain: a fault whose reply's first chunk makes the
+	// page resident and whose stream never ends.
+	lp := wire.LongPtr{Space: 1, Addr: 0x1000, Type: nodeType}
+	v, err := cl.ImportPtr(lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := make(chan error, 1)
+	go func() {
+		_, err := sumTree(cl, v)
+		faulted <- err
+	}()
+	node1 := []wire.DataItem{{LP: lp, Bytes: make([]byte, 2*wire.EncodedLongPtrSize+8)}}
+	send(chunkFrame(recv(wire.KindFetch), 0, false, node1))
+	if err := <-faulted; err != nil {
+		t.Fatalf("fault over a streamed reply: %v", err)
+	}
+	if n := cl.InflightFetches(); n != 1 {
+		t.Fatalf("%d in-flight registry entries with the drain running, want 1", n)
+	}
+	cl.inflightMu.Lock()
+	for _, f := range cl.inflight {
+		select {
+		case <-f.primary:
+		default:
+			t.Error("the drain runs with primary unsignalled: a joiner would wait for the stream's end, not its next chunk")
+		}
+	}
+	cl.inflightMu.Unlock()
+
+	// The parked round trip: a request nobody answers.
+	parked := make(chan error, 1)
+	go func() {
+		_, err := cl.roundTrip(wire.Message{Kind: wire.KindInvalidate, Session: sess, To: 1, Payload: []byte{}})
+		parked <- err
+	}()
+	recv(wire.KindInvalidate)
+
+	// The half-consumed stream: its consumer is still busy with chunk 0
+	// when chunks 1 and 2 arrive.
+	busy, resume := make(chan struct{}), make(chan struct{})
+	streamed := make(chan error, 1)
+	go func() {
+		p := wire.FetchPayload{Wants: []wire.LongPtr{lp}}
+		_, err := cl.exchange(wire.Message{Kind: wire.KindFetch, Session: sess, To: 1, Payload: p.Encode()},
+			nil, func(m wire.Message) (bool, error) {
+				m.ReleaseFrame()
+				close(busy)
+				<-resume
+				return false, nil
+			})
+		streamed <- err
+	}()
+	req := recv(wire.KindFetch)
+	send(chunkFrame(req, 0, false, nil))
+	<-busy
+	queued := []wire.Message{chunkFrame(req, 1, false, nil), chunkFrame(req, 2, false, nil)}
+	for _, m := range queued {
+		send(m)
+	}
+	waitFor(t, "two chunks queued behind the busy consumer", func() bool {
+		cl.pending.mu.Lock()
+		defer cl.pending.mu.Unlock()
+		x := cl.pending.m[req.Seq]
+		return x != nil && len(x.q)-x.head == 2
+	})
+
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(resume)
+	for name, ch := range map[string]chan error{"parked round trip": parked, "half-consumed stream": streamed} {
+		select {
+		case err := <-ch:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("%s returned %v, want ErrClosed", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return after Close", name)
+		}
+	}
+	for i, m := range queued {
+		if n := m.Frame.Refs(); n != 0 {
+			t.Errorf("queued chunk %d still holds %d references to its pooled buffer", i+1, n)
+		}
+	}
+	if n := cl.InflightFetches(); n != 0 {
+		t.Errorf("%d in-flight registry entries after Close: the background drain did not end", n)
+	}
+	cl.pending.mu.Lock()
+	left := len(cl.pending.m)
+	cl.pending.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d exchanges still registered after Close", left)
+	}
+	waitFor(t, "the runtime's goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestLateReplyNeverReachesLaterAttempt: attempt 0 of a round trip times
+// out; its reply arrives while attempt 1 — the same exchange, registered
+// under the next attempt's sequence number — is waiting. The late frame
+// must find no waiter (StaleReplyDrops), the exchange must return attempt
+// 1's reply, and the exchange the pool hands the next round trip must not
+// see it either.
+func TestLateReplyNeverReachesLaterAttempt(t *testing.T) {
+	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = net.Close() })
+	origin := rawAttach(t, net, 1)
+	cl, err := New(Options{
+		ID: 2, Node: rawAttach(t, net, 2), Registry: newTestRegistry(t),
+		CallTimeout: 50 * time.Millisecond, RetryBudget: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	ack := func(req wire.Message, payload string) wire.Message {
+		return sealed(wire.Message{
+			Kind: wire.KindInvalidateAck, Session: req.Session, Seq: req.Seq, To: req.From, Payload: []byte(payload),
+		})
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- func() error {
+			first, err := origin.Recv()
+			if err != nil {
+				return err
+			}
+			second, err := origin.Recv() // sent only after attempt 0's deadline
+			if err != nil {
+				return err
+			}
+			if wire.SeqXID(second.Seq) != wire.SeqXID(first.Seq) || wire.SeqAttempt(second.Seq) != 1 {
+				return errors.New("second request is not attempt 1 of the first exchange")
+			}
+			if err := origin.Send(ack(first, "late")); err != nil {
+				return err
+			}
+			for cl.Stats().StaleReplyDrops == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			if err := origin.Send(ack(second, "second")); err != nil {
+				return err
+			}
+			third, err := origin.Recv()
+			if err != nil {
+				return err
+			}
+			return origin.Send(ack(third, "third"))
+		}()
+	}()
+	for _, want := range []string{"second", "third"} {
+		r, err := cl.roundTrip(wire.Message{Kind: wire.KindInvalidate, Session: 1, To: 1, Payload: []byte{}})
+		if err != nil || string(r.Payload) != want {
+			t.Fatalf("round trip returned %q, %v; want %q", r.Payload, err, want)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := cl.Stats(); st.StaleReplyDrops != 1 || st.Retries != 1 {
+		t.Errorf("StaleReplyDrops = %d, Retries = %d; want 1, 1", st.StaleReplyDrops, st.Retries)
 	}
 }

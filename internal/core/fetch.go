@@ -79,6 +79,11 @@ type inflightFetch struct {
 	primaryOnce sync.Once
 	done        chan struct{}
 
+	// missing is the primary wants a streamed reply has not delivered yet
+	// (installFetchFrame); nil until a reply turns out to have more than
+	// one frame.
+	missing map[wire.LongPtr]bool
+
 	// tick is the drain's progress broadcast: closed and replaced after
 	// every chunk install, under tickMu.
 	tickMu sync.Mutex
@@ -297,6 +302,7 @@ func (rt *Runtime) completeFrom(sess uint64, pn, origin uint32, lps []wire.LongP
 		// in flight: drain them in the background, releasing the registry
 		// slot — and poking the prefetcher — only when the stream ends.
 		// Teardown paths quiesce rt.bgDrain before touching the cache.
+		f.signalPrimary()
 		rt.bgDrain.Add(1)
 		go func() {
 			defer rt.bgDrain.Done()
@@ -350,28 +356,28 @@ func (rt *Runtime) InflightFetches() int {
 // only differences — the origin serves both identically.
 //
 // The origin picks the reply form: small closures arrive as one
-// monolithic FetchReply and install exactly as the seed protocol did;
-// large closures arrive as a KindFetchChunk stream, installed chunk by
-// chunk as they are decoded. On a demand fetch, once every primary want
-// is resident the faulting access is unblocked (f.signalPrimary) and the
-// remaining chunks drain through the returned bg closure, which
-// completeFrom runs on a background goroutine; a drain error just leaves
-// entries non-resident for a later demand fetch to retry.
+// monolithic FetchReply; large closures arrive as a KindFetchChunk
+// stream. Either way every frame installs as it is handed over
+// (installFetchFrame). On a demand fetch, once every primary want is
+// resident the faulting access is unblocked (completeFrom signals
+// primary when this returns) and the remaining chunks drain through the
+// returned bg closure, which completeFrom runs on a background
+// goroutine; a drain error just leaves entries non-resident for a later
+// demand fetch to retry.
 //
 // poke reports that the caller should poke the prefetcher at this origin
 // once the in-flight registry slot is released (completeFrom); poking from
 // in here would let an inline speculative completion rejoin — and deadlock
-// on — the slot this exchange still holds.
+// on — the slot this exchange still holds. Speculative completions chain
+// through pfRun instead.
 //
 // The whole exchange retries under the runtime's retry policy
-// (retryLoop): a stalled stream, a corrupted frame, or a torn chunk
-// sequence abandons the attempt and re-issues the FETCH under a fresh
-// attempt seq. Re-installing items an earlier attempt already delivered
-// is idempotent, and the abandoned attempt's late chunks are dropped by
-// seq. Failures inside a background drain never retry — a drain error
-// just leaves entries non-resident for a later demand fetch.
+// (Runtime.exchange): a stalled stream, a corrupted frame, or a torn
+// chunk sequence abandons the attempt and re-issues the FETCH under a
+// fresh attempt seq. Re-installing items an earlier attempt already
+// delivered is idempotent.
 func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, wants []wire.LongPtr, spec bool, f *inflightFetch) (poke bool, bg func(), err error) {
-	primary := len(wants)
+	primary := wants
 	budget := rt.budgetFor(origin)
 	if !rt.noFetchBatch {
 		// Coalesce outstanding wants: non-resident entries from the
@@ -387,218 +393,132 @@ func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, wants []wire.LongPt
 		extra, _ := rt.table.OutstandingWants(origin, pn, budget)
 		wants = append(wants, extra...)
 	}
+	all := len(wants)
 	p := wire.FetchPayload{
 		Wants:       wants,
 		Budget:      uint32(budget),
-		Primary:     uint32(primary),
+		Primary:     uint32(len(primary)),
 		Speculative: spec,
 	}
-	payload := p.Encode()
-	ferr := rt.retryLoop(origin, wire.KindFetch, func(seq uint64) (bool, error) {
-		var transient bool
-		poke, bg, transient, err = rt.fetchAttempt(sess, pn, origin, payload, wants, primary, spec, f, seq)
-		return transient, err
-	})
-	return poke, bg, ferr
-}
-
-// fetchAttempt performs one attempt of a FETCH exchange under the given
-// sequence number. transient classifies a failure for the retry loop:
-// true for faults a retry can outrun (lost or late frames, corruption,
-// a torn chunk sequence), false for terminal outcomes (remote
-// application errors, decode or install failures, a tripped fence).
-func (rt *Runtime) fetchAttempt(sess uint64, pn, origin uint32, payload []byte, wants []wire.LongPtr, primary int, spec bool, f *inflightFetch, seq uint64) (poke bool, bg func(), transient bool, err error) {
-	rt.stats.fetchesSent.Add(1)
-	if spec {
-		rt.stats.pfIssued.Add(1)
-		rt.trace(Event{Kind: EvPrefetchIssued, Page: pn, Target: origin, Count: len(wants)})
-	} else {
-		rt.trace(Event{Kind: EvFetchSent, Target: origin, Count: len(wants)})
-	}
-	x, err := rt.sendAndStreamSeq(wire.Message{
+	open, err := rt.exchange(wire.Message{
 		Kind:    wire.KindFetch,
 		Session: sess,
 		To:      origin,
-		Payload: payload,
-	}, seq)
-	if err != nil {
-		return false, nil, !errors.Is(err, ErrClosed), fmt.Errorf("fetch from space %d: %w", origin, err)
-	}
-	reply, err := x.next()
-	if err != nil {
-		return false, nil, !errors.Is(err, ErrClosed), fmt.Errorf("fetch from space %d: %w", origin, err)
-	}
-	// A corrupted frame's incarnation word is garbage, so the checksum
-	// rejection must precede the fence check. Any other reply's Inc is
-	// trustworthy, so the fence runs *before* an application error is
-	// interpreted: a restarted origin answers a stale session's requests
-	// with errors, and the restart is the diagnosis, not the symptom.
-	if reply.Err == checksumRejectErr {
-		reply.ReleaseFrame()
-		x.abandon()
-		return false, nil, true, fmt.Errorf("fetch from space %d: %s", origin, reply.Err)
-	}
-	if ferr := rt.fenceCheck(origin, reply.Inc); ferr != nil {
-		reply.ReleaseFrame()
-		x.abandon()
-		return false, nil, false, ferr
-	}
-	if reply.Err != "" {
-		reply.ReleaseFrame()
-		x.abandon()
-		return false, nil, false, fmt.Errorf("fetch from space %d: %s", origin, reply.Err)
-	}
-	if reply.Kind == wire.KindFetchReply {
-		// The classic single-frame reply (closure at or under the
-		// origin's streaming threshold).
-		rp, err := wire.DecodeItemsPayload(reply.Payload)
-		if err != nil {
-			return false, nil, false, fmt.Errorf("fetch from space %d: decode: %w", origin, err)
-		}
-		// Fetch replies bypass the delta-shipping state (coh=false): a datum
-		// is fetched at most once per session, so there is no baseline to
-		// diff against and tracking it would desynchronize the edge.
-		if err := rt.installItems(origin, sess, rp.Items, false); err != nil {
-			return false, nil, false, fmt.Errorf("fetch from space %d: install: %w", origin, err)
-		}
+		Payload: p.Encode(),
+	}, func() {
+		rt.stats.fetchesSent.Add(1)
 		if spec {
-			var n uint64
-			for _, it := range rp.Items {
-				n += uint64(len(it.Bytes))
-			}
-			rt.stats.pfBytes.Add(n)
-			// Speculative completions chain through pfRun instead, after
-			// their in-flight slot is released.
-			return false, nil, false, nil
-		}
-		return true, nil, false, nil
-	}
-	// A streamed reply. Track which primary wants are still outstanding
-	// so the faulting access unblocks on the first chunk that covers
-	// them — by the protocol's contract that is chunk 0, but the client
-	// verifies residency rather than trusting the origin's framing.
-	missing := make(map[wire.LongPtr]bool, primary)
-	for _, lp := range wants[:primary] {
-		missing[lp] = true
-	}
-	asm := &chunkAssembler{xid: x.seq}
-	// chunkTransient classifies installChunk failures for the retry
-	// loop: lost, late, duplicated, or corrupted chunk frames are worth
-	// a fresh attempt; decode and install failures are terminal.
-	chunkTransient := false
-	installChunk := func(m wire.Message) (final bool, err error) {
-		defer m.ReleaseFrame()
-		// Checksum rejection first (a corrupted frame's incarnation word
-		// is garbage), then the fence, then application errors — see the
-		// first-reply classification above.
-		if m.Err == checksumRejectErr {
-			x.abandon()
-			chunkTransient = true
-			return false, fmt.Errorf("fetch from space %d: %s", origin, m.Err)
-		}
-		if ferr := rt.fenceCheck(origin, m.Inc); ferr != nil {
-			x.abandon()
-			return false, ferr
-		}
-		if m.Err != "" {
-			x.abandon()
-			return false, fmt.Errorf("fetch from space %d: %s", origin, m.Err)
-		}
-		if m.Kind != wire.KindFetchChunk {
-			x.abandon()
-			return false, fmt.Errorf("fetch from space %d: %v frame inside a chunk stream", origin, m.Kind)
-		}
-		cp, err := wire.DecodeFetchChunkPayload(m.Payload)
-		if err != nil {
-			x.abandon()
-			return false, fmt.Errorf("fetch from space %d: chunk decode: %w", origin, err)
-		}
-		if cp.Validate {
-			x.abandon()
-			return false, fmt.Errorf("fetch from space %d: validate chunk in a fetch stream", origin)
-		}
-		if err := asm.accept(&cp); err != nil {
-			x.abandon()
-			// A dropped, duplicated, or reordered chunk is a transport
-			// fault: the stream is torn, but a retry streams it afresh.
-			chunkTransient = true
-			return false, fmt.Errorf("fetch from space %d: %w", origin, err)
-		}
-		rt.trace(Event{Kind: EvChunkRecv, Target: origin, Page: cp.Chunk, Count: len(cp.Items)})
-		if err := rt.installItems(origin, sess, cp.Items, false); err != nil {
-			x.abandon()
-			return false, fmt.Errorf("fetch from space %d: install: %w", origin, err)
-		}
-		rt.trace(Event{Kind: EvChunkInstall, Target: origin, Page: cp.Chunk, Count: len(cp.Items)})
-		for _, it := range cp.Items {
-			delete(missing, it.LP)
-		}
-		if spec {
-			var n uint64
-			for _, it := range cp.Items {
-				n += uint64(len(it.Bytes))
-			}
-			rt.stats.pfBytes.Add(n)
-		}
-		return cp.Final, nil
-	}
-	final, err := installChunk(reply)
-	for !final && err == nil {
-		if len(missing) == 0 && !spec {
-			// Every primary want is resident: unblock the faulting
-			// access and drain the tail in the background. Speculative
-			// completions have no one waiting and drain inline.
-			f.signalPrimary()
-			drain := func() {
-				for {
-					m, err := x.next()
-					if err != nil {
-						return
-					}
-					final, err := installChunk(m)
-					// Wake parked joiners after every install: a fault
-					// whose entries this chunk covered unblocks now.
-					f.progress()
-					if final || err != nil {
-						return
-					}
-				}
-			}
-			return true, drain, false, nil
-		}
-		var m wire.Message
-		if m, err = x.next(); err == nil {
-			final, err = installChunk(m)
+			rt.stats.pfIssued.Add(1)
+			rt.trace(Event{Kind: EvPrefetchIssued, Page: pn, Target: origin, Count: all})
 		} else {
-			// A stalled stream (per-chunk deadline) or a send-loop
-			// failure: worth a fresh attempt unless the runtime closed.
-			chunkTransient = !errors.Is(err, ErrClosed)
-			err = fmt.Errorf("fetch from space %d: %w", origin, err)
+			rt.trace(Event{Kind: EvFetchSent, Target: origin, Count: all})
+		}
+	}, func(m wire.Message) (bool, error) {
+		return rt.installFetchFrame(f, sess, origin, primary, m)
+	})
+	if err != nil {
+		return false, nil, err
+	}
+	if open != nil {
+		bg = func() {
+			open.drain(func(m wire.Message) (bool, error) {
+				_, err := rt.installFetchFrame(f, sess, origin, primary, m)
+				// Wake parked joiners after every install: a fault whose
+				// entries this chunk covered unblocks now.
+				f.progress()
+				return false, err
+			})
 		}
 	}
-	if err != nil {
-		return false, nil, chunkTransient, err
-	}
-	if spec {
-		return false, nil, false, nil
-	}
-	return true, nil, false, nil
+	return !spec, bg, nil
 }
 
-// chunkEmitter streams one serve's reply as a KindFetchChunk sequence.
-// buildClosureItems hands it item batches as the traversal produces them;
-// each batch goes out as one individually checksummed chunk frame whose
-// payload is encoded straight into a pooled frame buffer (the receiver
-// releases it after installing the chunk). A send failure latches: the
-// remaining build is not worth finishing for an unreachable peer.
+// decodeFetchFrame decodes a FETCH reply frame in either reply form; the
+// classic single frame reads as the one, final, chunk of its stream. A
+// frame carrying the origin's error decodes to that error.
+func decodeFetchFrame(m wire.Message) (wire.FetchChunkPayload, error) {
+	if m.Err != "" {
+		return wire.FetchChunkPayload{}, errors.New(m.Err)
+	}
+	if m.Kind == wire.KindFetchChunk {
+		return wire.DecodeFetchChunkPayload(m.Payload)
+	}
+	rp, err := wire.DecodeItemsPayload(m.Payload)
+	return wire.FetchChunkPayload{Final: true, Items: rp.Items}, err
+}
+
+// installFetchFrame installs the items of one FETCH reply frame, and
+// reports (detach) that the reply has more frames to come but the
+// exchange's primary wants — the faulting page's own entries — are all
+// resident: the faulting access need not wait for the rest. By the
+// protocol's contract that is chunk 0, but the client verifies residency
+// rather than trusting the origin's framing. Speculative completions have
+// no one waiting and never detach.
+func (rt *Runtime) installFetchFrame(f *inflightFetch, sess uint64, origin uint32, primary []wire.LongPtr, m wire.Message) (detach bool, err error) {
+	defer m.ReleaseFrame()
+	cp, err := decodeFetchFrame(m)
+	if err != nil {
+		return false, fmt.Errorf("fetch from space %d: %w", origin, err)
+	}
+	chunked := m.Kind == wire.KindFetchChunk
+	if chunked {
+		rt.trace(Event{Kind: EvChunkRecv, Target: origin, Page: cp.Chunk, Count: len(cp.Items)})
+	}
+	// Fetch replies bypass the delta-shipping state (coh=false): a datum
+	// is fetched at most once per session, so there is no baseline to
+	// diff against and tracking it would desynchronize the edge.
+	if err := rt.installItems(origin, sess, cp.Items, false); err != nil {
+		return false, fmt.Errorf("fetch from space %d: install: %w", origin, err)
+	}
+	if chunked {
+		rt.trace(Event{Kind: EvChunkInstall, Target: origin, Page: cp.Chunk, Count: len(cp.Items)})
+	}
+	if f.spec {
+		var n uint64
+		for _, it := range cp.Items {
+			n += uint64(len(it.Bytes))
+		}
+		rt.stats.pfBytes.Add(n)
+		return false, nil
+	}
+	if cp.Final {
+		return false, nil
+	}
+	if f.missing == nil {
+		f.missing = make(map[wire.LongPtr]bool, len(primary))
+		for _, lp := range primary {
+			f.missing[lp] = true
+		}
+	}
+	for _, it := range cp.Items {
+		delete(f.missing, it.LP)
+	}
+	return len(f.missing) == 0, nil
+}
+
+// chunkEmitter sends one served FETCH or VALIDATE reply and owns the
+// choice of its form. The serve hands it item batches as it produces
+// them: emit sends a batch as one individually checksummed KindFetchChunk
+// frame whose payload is encoded straight into a pooled frame buffer (the
+// receiver releases it after installing the chunk); finish sends what is
+// left as the classic single reply frame when nothing was emitted, as the
+// FINAL chunk otherwise. A send failure latches: the remaining build is
+// not worth finishing for an unreachable peer.
 type chunkEmitter struct {
 	rt       *Runtime
 	req      wire.Message
-	limit    int // target item bytes per chunk (Options.StreamChunkBytes)
 	validate bool
-	next     uint32 // ordinal of the next chunk
-	sent     int    // chunks emitted so far
+	next     uint32 // ordinal of the next chunk: how many went out
 	err      error  // first send failure (latched)
+}
+
+// record remembers what a fetch reply leaves the peer holding: the delta
+// base for future cross-session revalidations. Memory-only; nothing on
+// the wire.
+func (em *chunkEmitter) record(items []wire.DataItem) {
+	if !em.validate && em.rt.warmEnabled() {
+		em.rt.recordServed(em.req.From, items)
+	}
 }
 
 // emit sends one chunk carrying the given fetch items (or, for a
@@ -607,11 +527,7 @@ func (em *chunkEmitter) emit(items []wire.DataItem, vitems []wire.ValidateItem, 
 	if em.err != nil {
 		return em.err
 	}
-	if !em.validate && em.rt.warmEnabled() {
-		// Remember what this peer now holds: the delta base for future
-		// cross-session revalidations. Memory-only; nothing on the wire.
-		em.rt.recordServed(em.req.From, items)
-	}
+	em.record(items)
 	p := wire.FetchChunkPayload{
 		XID:      em.req.Seq,
 		Chunk:    em.next,
@@ -641,7 +557,6 @@ func (em *chunkEmitter) emit(items []wire.DataItem, vitems []wire.ValidateItem, 
 		return err
 	}
 	em.next++
-	em.sent++
 	// Yield between chunks: the point of streaming is that the receiver
 	// decodes and installs while this serve is still encoding, and on a
 	// saturated (or single-CPU) host the encode loop would otherwise
@@ -651,14 +566,33 @@ func (em *chunkEmitter) emit(items []wire.DataItem, vitems []wire.ValidateItem, 
 	return nil
 }
 
-// fail ends a partially sent stream with an error chunk, so the client
-// abandons the exchange immediately instead of waiting out its deadline.
+// finish ends the reply with the items no chunk has carried yet.
+func (em *chunkEmitter) finish(items []wire.DataItem, vitems []wire.ValidateItem) {
+	switch {
+	case em.next > 0:
+		_ = em.emit(items, vitems, true)
+	case em.validate:
+		out := wire.ValidateReplyPayload{Items: vitems}
+		em.rt.reply(em.req, wire.KindValidateReply, out.Encode(), "")
+	default:
+		em.record(items)
+		out := wire.ItemsPayload{Items: items}
+		em.rt.reply(em.req, wire.KindFetchReply, out.Encode(), "")
+	}
+}
+
+// fail ends the reply with an error: an error chunk if part of the
+// stream is already out, so the client abandons the exchange at once
+// instead of waiting out its deadline; the classic error reply otherwise.
 func (em *chunkEmitter) fail(errStr string) {
 	if em.err != nil {
 		return // the peer is unreachable; nothing to tell it
 	}
-	rt := em.rt
-	rt.reply(em.req, wire.KindFetchChunk, nil, errStr)
+	kind := wire.KindFetchChunk
+	if em.next == 0 {
+		kind = em.req.Kind.ReplyKind()
+	}
+	em.rt.reply(em.req, kind, nil, errStr)
 }
 
 // serveFetch answers a data request: it sends the wanted objects plus a
@@ -668,14 +602,15 @@ func (em *chunkEmitter) fail(errStr string) {
 // read side of serveMu against concurrently applied write-backs.
 //
 // A closure whose encoded items exceed the streaming threshold goes out
-// as a pipelined chunk sequence (chunkEmitter) — each chunk is sent as
-// soon as the traversal fills it, so the client decodes and installs
-// while this serve is still encoding. Smaller closures (and all closures
-// under DisableStreaming) use the classic single reply frame.
+// as a pipelined chunk sequence — each chunk is sent as soon as the
+// traversal fills it, so the client decodes and installs while this
+// serve is still encoding. Smaller closures use the classic single reply
+// frame (chunkEmitter.finish).
 func (rt *Runtime) serveFetch(m wire.Message) {
+	em := chunkEmitter{rt: rt, req: m}
 	p, err := wire.DecodeFetchPayload(m.Payload)
 	if err != nil {
-		rt.reply(m, wire.KindFetchReply, nil, fmt.Sprintf("decode: %v", err))
+		em.fail(fmt.Sprintf("decode: %v", err))
 		return
 	}
 	rt.serveMu.RLock()
@@ -690,31 +625,12 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 		sc.reset()
 		serveScratchPool.Put(sc)
 	}()
-	var em *chunkEmitter
-	if !rt.noStreaming && rt.streamChunk > 0 {
-		em = &chunkEmitter{rt: rt, req: m, limit: rt.streamChunk}
-	}
-	items, err := rt.buildClosureItems(p.Wants, int(p.Primary), int(p.Budget), sc, em)
+	items, err := rt.buildClosureItems(p.Wants, int(p.Primary), int(p.Budget), sc, &em)
 	if err != nil {
-		if em != nil && em.sent > 0 {
-			em.fail(err.Error())
-			return
-		}
-		rt.reply(m, wire.KindFetchReply, nil, err.Error())
+		em.fail(err.Error())
 		return
 	}
-	if em != nil && em.sent > 0 {
-		// The reply streamed: the final chunk is already on the wire and
-		// recordServed ran per chunk.
-		return
-	}
-	if rt.warmEnabled() {
-		// Remember what this peer now holds: the delta base for future
-		// cross-session revalidations. Memory-only; nothing on the wire.
-		rt.recordServed(m.From, items)
-	}
-	out := wire.ItemsPayload{Items: items}
-	rt.reply(m, wire.KindFetchReply, out.Encode(), "")
+	em.finish(items, nil)
 }
 
 // closureJob is one queued traversal step of a closure build.
@@ -765,16 +681,16 @@ var serveScratchPool = sync.Pool{
 // sc, when non-nil, supplies the pooled working set (serveFetch); other
 // callers pass nil and allocate fresh.
 //
-// em, when non-nil, enables streaming: once every want has been served
-// (so chunk 0 always carries the faulting page's own entries and the
-// batched ride-alongs) and the accumulated item bytes exceed the chunk
-// limit, the accumulated items flush as one chunk and the traversal
-// continues. If any chunk was flushed, the tail goes out as the final
-// chunk and the function returns (nil, nil); a closure that never
-// reached the limit returns its items for the classic monolithic reply.
-// Under DFS (the ablation) wants drain last, so streaming effectively
-// degrades to the monolithic form — the contract, not the chunk size,
-// is what the client depends on.
+// em, when it streams, takes the closure out in chunks: once every want
+// has been served (so chunk 0 always carries the faulting page's own
+// entries and the batched ride-alongs) and the accumulated item bytes
+// exceed the chunk limit, the accumulated items go out as one chunk and
+// the traversal continues. The function returns the items no chunk has
+// carried — all of them for a closure that never reached the limit —
+// for the caller to finish the reply with. Under DFS (the ablation)
+// wants drain last, so streaming effectively degrades to the monolithic
+// form — the contract, not the chunk size, is what the client depends
+// on.
 func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, sc *serveScratch, em *chunkEmitter) ([]wire.DataItem, error) {
 	if primary <= 0 {
 		primary = len(wants)
@@ -818,13 +734,6 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 	// accumulated since the last flush, flushed the boundary.
 	wantsLeft := len(wants)
 	accBytes, flushed := 0, 0
-	flush := func(final bool) error {
-		// Cap the slice so the emitter's batch cannot alias later growth.
-		err := em.emit(items[flushed:len(items):len(items)], nil, final)
-		flushed = len(items)
-		accBytes = 0
-		return err
-	}
 	// head indexes the BFS frontier instead of re-slicing queue, so a
 	// pooled queue keeps its full backing array across serves.
 	head := 0
@@ -903,7 +812,7 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 				}
 			}
 		}
-		if em != nil {
+		if em != nil && rt.streamChunk > 0 {
 			accBytes += wire.EncodedLongPtrSize + 8 + (len(body)+3)&^3
 			// more is judged after this item's children were enqueued, so a
 			// linear chain (each item feeding exactly one successor) streams
@@ -915,21 +824,16 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 			// Flush only with traversal still pending: a closure that ends
 			// exactly here stays monolithic (streaming with one chunk would
 			// be the classic reply with extra framing).
-			if wantsLeft == 0 && accBytes >= em.limit && more {
-				if err := flush(false); err != nil {
+			if wantsLeft == 0 && accBytes >= rt.streamChunk && more {
+				// Cap the slice so the emitter's batch cannot alias later growth.
+				if err := em.emit(items[flushed:len(items):len(items)], nil, false); err != nil {
 					return nil, err
 				}
+				flushed, accBytes = len(items), 0
 			}
 		}
 	}
-	if em != nil && em.sent > 0 {
-		// The reply streamed; close it with the tail (possibly empty).
-		if err := flush(true); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	return items, nil
+	return items[flushed:], nil
 }
 
 // eagerClosureFor builds the full transitive closure of every locally
@@ -973,26 +877,38 @@ func (rt *Runtime) fetchOne(lp wire.LongPtr) ([]byte, error) {
 	}
 	p := wire.FetchPayload{Wants: []wire.LongPtr{lp}, Budget: 0}
 	rt.stats.fetchesSent.Add(1)
-	reply, err := rt.sendAndWait(wire.Message{
+	// The origin may answer in either reply form; collect the one item
+	// from whichever frame carries it.
+	var body []byte
+	n, found := 0, false
+	_, err := rt.exchange(wire.Message{
 		Kind:    wire.KindFetch,
 		Session: sess,
 		To:      lp.Space,
 		Payload: p.Encode(),
+	}, nil, func(m wire.Message) (bool, error) {
+		defer m.ReleaseFrame()
+		cp, err := decodeFetchFrame(m)
+		if err != nil {
+			return false, fmt.Errorf("fetch %v: %w", lp, err)
+		}
+		for _, it := range cp.Items {
+			if n++; it.LP == lp {
+				body, found = it.Bytes, true
+				if m.Frame != nil {
+					body = slices.Clone(body) // outlives the chunk's pooled buffer
+				}
+			}
+		}
+		return false, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if reply.Err != "" {
-		return nil, fmt.Errorf("fetch %v: %s", lp, reply.Err)
+	if n != 1 || !found {
+		return nil, fmt.Errorf("fetch %v: unexpected reply shape (%d items)", lp, n)
 	}
-	rp, err := wire.DecodeItemsPayload(reply.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(rp.Items) != 1 || rp.Items[0].LP != lp {
-		return nil, fmt.Errorf("fetch %v: unexpected reply shape (%d items)", lp, len(rp.Items))
-	}
-	return rp.Items[0].Bytes, nil
+	return body, nil
 }
 
 // writeOne sends a single object's canonical bytes home: the lazy
@@ -1025,7 +941,7 @@ func (rt *Runtime) writeOne(lp wire.LongPtr, data []byte) error {
 	}
 	p := wire.ItemsPayload{Items: items}
 	rt.stats.writeBackMsgs.Add(1)
-	reply, err := rt.sendAndWait(wire.Message{
+	reply, err := rt.roundTrip(wire.Message{
 		Kind:    wire.KindWriteBack,
 		Session: sess,
 		To:      lp.Space,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -165,63 +164,6 @@ func (h *healthState) allowSpec(rt *Runtime, peer uint32) bool {
 	}
 	rt.stats.breakerSheds.Add(1)
 	return false
-}
-
-// errTransient is an internal classification sentinel: exchange
-// failures wrapped with it (lost or late frames, corruption, torn
-// chunk sequences) are worth re-issuing under the retry policy.
-var errTransient = errors.New("core: transient exchange fault")
-
-// retryLoop drives one logical exchange under the runtime's retry
-// policy. attempt performs one try under the sequence number it is
-// given (same xid, bumped attempt ordinal each call) and classifies its
-// outcome: transient=true marks a failure worth re-issuing — deadline,
-// send error, frame corrupted in flight, torn chunk stream — while
-// transient=false is terminal either way (success, an application
-// error, a fence trip). The odd corner (transient=true, err=nil) is a
-// checksum-rejected reply the caller wants surfaced through its own
-// reply plumbing if the budget runs out: exhaustion returns nil and the
-// caller reads the captured reply.
-//
-// With Options.RetryBudget unset this is exactly one attempt with
-// health accounting — nothing more on the wire than the seed protocol.
-func (rt *Runtime) retryLoop(peer uint32, kind wire.Kind, attempt func(seq uint64) (transient bool, err error)) error {
-	xid := rt.seq.Add(1) & wire.SeqXIDMask
-	var deadline time.Time
-	if rt.retryBudget > 0 {
-		deadline = time.Now().Add(rt.retryBudget)
-	}
-	for a := 0; ; a++ {
-		transient, err := attempt(wire.SeqWithAttempt(xid, uint8(a)))
-		if !transient {
-			if err == nil {
-				rt.health.noteSuccess(rt, peer)
-				if a > 0 {
-					rt.stats.retrySuccesses.Add(1)
-				}
-			}
-			return err
-		}
-		rt.health.noteFailure(rt, peer)
-		if rt.retryBudget <= 0 || a >= rt.maxRetries {
-			if rt.retryBudget > 0 {
-				rt.stats.retriesExhausted.Add(1)
-			}
-			return err
-		}
-		delay := retryBackoff(rt.id, xid, a)
-		if !time.Now().Add(delay).Before(deadline) {
-			rt.stats.retriesExhausted.Add(1)
-			return err
-		}
-		select {
-		case <-time.After(delay):
-		case <-rt.stop:
-			return ErrClosed
-		}
-		rt.stats.retries.Add(1)
-		rt.trace(Event{Kind: EvRetry, Target: peer, Proc: kind.String(), Count: a + 1})
-	}
 }
 
 // Retry backoff: capped exponential with deterministic jitter. The

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,61 +226,112 @@ func TestConcurrentClientFetch(t *testing.T) {
 	}
 }
 
-// singleLockPending is the pre-sharding pending table: one mutex, one
-// map. Kept here solely as the benchmark baseline for the lock-striped
-// replacement.
-type singleLockPending struct {
-	mu sync.Mutex
-	m  map[uint64]chan wire.Message
-}
-
-func (t *singleLockPending) put(seq uint64, ch chan wire.Message) {
-	t.mu.Lock()
-	t.m[seq] = ch
-	t.mu.Unlock()
-}
-
-func (t *singleLockPending) take(seq uint64) (chan wire.Message, bool) {
-	t.mu.Lock()
-	ch, ok := t.m[seq]
-	if ok {
-		delete(t.m, seq)
-	}
-	t.mu.Unlock()
-	return ch, ok
-}
-
-// BenchmarkPendingTable measures put/take pairs under parallel load for
-// the sharded table against the single-mutex map it replaced. The
-// workload mirrors sendAndWait: consecutive sequence numbers from one
-// atomic counter, registered and then claimed.
+// BenchmarkPendingTable measures the pending table under parallel load.
+// The workload mirrors an exchange: consecutive sequence numbers from one
+// atomic counter, registered, answered by one final frame, popped.
 func BenchmarkPendingTable(b *testing.B) {
-	b.Run("sharded", func(b *testing.B) {
-		tab := newPendingTable()
-		var seq atomic.Uint64
-		ch := make(chan wire.Message, 1)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				s := seq.Add(1)
-				tab.put(s, ch)
-				if _, ok := tab.take(s); !ok {
-					b.Fatal("lost pending entry")
-				}
+	rt := &Runtime{pending: newPendingTable()}
+	b.RunParallel(func(pb *testing.PB) {
+		x := &exchange{rt: rt, wake: make(chan struct{}, 1)}
+		for pb.Next() {
+			x.seq = rt.seq.Add(1)
+			rt.pending.register(x)
+			if !rt.pending.deliver(wire.Message{Seq: x.seq}, true) {
+				b.Fatal("lost pending entry")
 			}
-		})
-	})
-	b.Run("single-lock", func(b *testing.B) {
-		tab := &singleLockPending{m: make(map[uint64]chan wire.Message)}
-		var seq atomic.Uint64
-		ch := make(chan wire.Message, 1)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				s := seq.Add(1)
-				tab.put(s, ch)
-				if _, ok := tab.take(s); !ok {
-					b.Fatal("lost pending entry")
-				}
+			if _, ok, clean := x.pop(); !ok || !clean {
+				b.Fatal("lost reply frame")
 			}
-		})
+			<-x.wake
+		}
 	})
+}
+
+// TestExchangeAllocs is the exchange engine's allocation gate: what one
+// exchange allocates beyond encoding its request and decoding and
+// installing its reply. The origin is a raw node answering from canned,
+// pre-encoded replies and the in-process transport allocates nothing, so
+// every allocation counted is the client's. A pooled exchange (queue and
+// wake channel included) and callbacks that never leave the stack make
+// the engine's share zero; the gate allows one, not the five a FETCH
+// used to pay (retry closure, stream buffer, its wake channel, the
+// exchange record, the first queue append).
+func TestExchangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = net.Close() })
+	node, err := net.Attach(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := New(Options{ID: 2, Node: node, Registry: newTestRegistry(t), DisableFetchBatch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+
+	// One TreeNode at the origin, both children null.
+	lp := wire.LongPtr{Space: 1, Addr: 0x1000, Type: nodeType}
+	body := make([]byte, 2*wire.EncodedLongPtrSize+8)
+	fetchReply := (&wire.ItemsPayload{Items: []wire.DataItem{{LP: lp, Bytes: body}}}).Encode()
+	origin := rawAttach(t, net, 1)
+	go func() {
+		for {
+			m, err := origin.Recv()
+			if err != nil {
+				return
+			}
+			r := wire.Message{Kind: m.Kind.ReplyKind(), Session: m.Session, Seq: m.Seq, To: m.From, Payload: []byte{}}
+			if m.Kind == wire.KindFetch {
+				r.Payload = fetchReply
+			}
+			r.Seal()
+			_ = origin.Send(r)
+		}
+	}()
+
+	if err := cl.BeginSession(); err != nil {
+		t.Fatal(err)
+	}
+	sess := cl.Session()
+	if _, err := cl.ImportPtr(lp); err != nil {
+		t.Fatal(err)
+	}
+	wants := []wire.LongPtr{lp}
+	f := newInflightFetch(false)
+
+	roundTrip := testing.AllocsPerRun(200, func() {
+		r, err := cl.roundTrip(wire.Message{Kind: wire.KindInvalidate, Session: sess, To: 1, Payload: []byte{}})
+		if err != nil || r.Err != "" {
+			t.Fatalf("round trip: %v %q", err, r.Err)
+		}
+	})
+	if roundTrip > 1 {
+		t.Errorf("an empty-payload round trip allocates %.0f times; want at most 1", roundTrip)
+	}
+
+	fetch := testing.AllocsPerRun(200, func() {
+		if _, bg, err := cl.fetchFrom(sess, 0, 1, wants, false, f); err != nil || bg != nil {
+			t.Fatalf("fetch: %v (detached: %v)", err, bg != nil)
+		}
+	})
+	// The same request encoded and the same reply decoded and installed,
+	// with no exchange around them.
+	payload := testing.AllocsPerRun(200, func() {
+		p := wire.FetchPayload{Wants: wants, Budget: uint32(cl.budgetFor(1)), Primary: 1}
+		m := wire.Message{Kind: wire.KindFetchReply, Payload: fetchReply}
+		if _, err := cl.installFetchFrame(f, sess, 1, wants, m); err != nil || len(p.Encode()) == 0 {
+			t.Fatalf("install: %v", err)
+		}
+	})
+	if fetch-payload > 1 {
+		t.Errorf("a monolithic FETCH allocates %.0f times, %.0f of them for its payloads; the exchange may add at most 1",
+			fetch, payload)
+	}
+	t.Logf("allocs per exchange: round trip %.0f, fetch %.0f (payload encode/decode/install %.0f)", roundTrip, fetch, payload)
 }

@@ -216,12 +216,10 @@ type Options struct {
 	// unblocks the faulting access as soon as the primary page is
 	// resident. Zero selects the default (1 MiB — above every reply the
 	// committed benchmark snapshots produce, so their wire traffic is
-	// unchanged).
+	// unchanged); a negative value forces every served reply monolithic
+	// regardless of size (the seed behavior), which benchmarks and
+	// regression tests use to measure the streaming win.
 	StreamChunkBytes int
-	// DisableStreaming forces every served reply monolithic regardless
-	// of size (the seed behavior). Used by benchmarks and regression
-	// tests to measure the streaming win.
-	DisableStreaming bool
 	// RetryBudget enables transparent exchange recovery: when an
 	// individual round trip fails transiently (deadline, send error, or
 	// a frame corrupted in flight), the runtime re-issues the exchange
@@ -281,9 +279,6 @@ func (o *Options) fill() error {
 	}
 	if o.StreamChunkBytes == 0 {
 		o.StreamChunkBytes = defaultStreamChunkBytes
-	}
-	if o.StreamChunkBytes < 0 {
-		o.DisableStreaming = true
 	}
 	if o.RetryBudget > 0 && o.MaxRetries == 0 {
 		o.MaxRetries = defaultMaxRetries
@@ -416,7 +411,6 @@ type Runtime struct {
 	callTimeout   time.Duration
 	checkInv      bool
 	streamChunk   int
-	noStreaming   bool
 	retryBudget   time.Duration
 	maxRetries    int
 	incarnation   uint32
@@ -452,10 +446,8 @@ type Runtime struct {
 	procs   map[string]Handler
 
 	seq atomic.Uint64
-	// pending maps in-flight request sequence numbers to their waiters'
-	// reply channels, lock-striped (pending.go) so the fan-out fetch
-	// path, the prefetcher, and concurrent application goroutines do not
-	// contend on one mutex.
+	// pending maps in-flight request sequence numbers to the exchanges
+	// awaiting their reply frames (exchange.go).
 	pending *pendingTable
 
 	// installMu serializes cache installs (installItems and the
@@ -619,7 +611,6 @@ func New(opts Options) (*Runtime, error) {
 		callTimeout:     opts.CallTimeout,
 		checkInv:        opts.CheckInvariants,
 		streamChunk:     opts.StreamChunkBytes,
-		noStreaming:     opts.DisableStreaming,
 		retryBudget:     opts.RetryBudget,
 		maxRetries:      opts.MaxRetries,
 		incarnation:     opts.Incarnation,
@@ -771,10 +762,10 @@ func (rt *Runtime) Close() error {
 		close(rt.stop)
 		_ = rt.node.Close()
 		<-rt.done
-		// Fail any callers still waiting for replies.
+		// Every waiter is waking on stop; release the frames still queued
+		// for them, then reap the background chunk drainers, so Close
+		// leaves neither a pooled buffer nor a goroutine behind.
 		rt.pending.drain()
-		// Background chunk drainers woke on stop (or their failed stream
-		// buffers); reap them so Close leaves no goroutines behind.
 		rt.bgDrain.Wait()
 	})
 	return nil
@@ -930,47 +921,20 @@ func (rt *Runtime) loop() {
 				continue
 			}
 		}
-		if m.Kind == wire.KindFetchChunk {
-			// One chunk of a streamed reply. Non-final chunks leave the
-			// exchange registered for the rest of the sequence; a final
-			// chunk — including a corrupt frame, whose payload cannot
-			// name an ordinal — closes it. Chunks with no registered
-			// exchange (an abandoned or timed-out stream) release their
-			// frame buffers and drop.
-			var sb *streamBuf
-			var ok bool
-			if m.Err != "" || wire.ChunkIsFinal(m.Payload) {
-				sb, ok = rt.pending.takeStream(m.Seq)
-			} else {
-				sb, ok = rt.pending.peekStream(m.Seq)
-			}
-			if ok {
-				sb.push(m)
-			} else {
-				// Stale chunk: the stream's waiter abandoned the exchange
-				// (timed out or retried under a fresh attempt seq).
+		if m.Kind.IsReply() {
+			// A chunk that is not the last of its stream leaves the exchange
+			// registered for the rest; every other reply frame — a
+			// monolithic reply, a final chunk, an error, a corrupt frame
+			// whose payload cannot name an ordinal — closes it.
+			final := m.Kind != wire.KindFetchChunk || m.Err != "" || wire.ChunkIsFinal(m.Payload)
+			if !rt.pending.deliver(m, final) {
+				// Stale reply: its waiter timed out or retried and abandoned
+				// this attempt's sequence number. Positively discard it —
+				// releasing any pooled frame buffer it carries — instead of
+				// leaving the frame to the garbage collector.
 				m.ReleaseFrame()
 				rt.stats.staleReplyDrops.Add(1)
 			}
-			continue
-		}
-		if m.Kind.IsReply() {
-			// A monolithic reply may answer a stream-capable request
-			// (the origin answered below the streaming threshold).
-			if sb, ok := rt.pending.takeStream(m.Seq); ok {
-				sb.push(m)
-				continue
-			}
-			if ch, ok := rt.pending.take(m.Seq); ok {
-				ch <- m
-				continue
-			}
-			// Stale reply: its waiter timed out or retried and abandoned
-			// this attempt's sequence number. Positively discard it —
-			// releasing any pooled frame buffer it carries — instead of
-			// leaving the frame to the garbage collector.
-			m.ReleaseFrame()
-			rt.stats.staleReplyDrops.Add(1)
 			continue
 		}
 		if rt.dupRequest(m.From, m.Session, m.Seq) {
@@ -1000,98 +964,6 @@ func (rt *Runtime) loop() {
 			wire.KindAllocBatch, wire.KindValidate:
 			rt.enqueueServe(m)
 		}
-	}
-}
-
-// replyChans recycles the one-shot reply channels sendAndWait blocks on,
-// so steady-state requests allocate nothing. A channel is only returned to
-// the pool after its single message has been received, so pooled channels
-// are always empty and open.
-var replyChans = sync.Pool{
-	New: func() any { return make(chan wire.Message, 1) },
-}
-
-// checksumRejectErr is the reply-surface rendering of a frame that
-// failed integrity verification: the dispatcher substitutes it for a
-// corrupted reply's untrustworthy payload, and answers a corrupted
-// request with it. The retry layer matches it by value — it is the one
-// remote error string that marks a transient wire fault rather than an
-// application outcome.
-const checksumRejectErr = "wire: frame checksum mismatch (corrupted in flight)"
-
-// sendAndWait sends a request and blocks for its reply, retrying
-// transparently on transient failures when Options.RetryBudget is set
-// (retryLoop, health.go). One exchange id is allocated for the whole
-// exchange; each attempt travels under a distinct Seq (xid + attempt
-// ordinal in the top bits), so a late reply to an abandoned attempt
-// misses the pending table instead of masquerading as the current
-// attempt's reply, and the origin's reply cache recognizes the retry by
-// its xid. With the budget unset (the default), this is a single
-// attempt — byte-identical to the seed protocol. A checksum-rejected
-// reply that exhausts the budget is returned with its Err surface
-// intact, exactly as a single-shot exchange would have surfaced it.
-func (rt *Runtime) sendAndWait(m wire.Message) (wire.Message, error) {
-	var r wire.Message
-	err := rt.retryLoop(m.To, m.Kind, func(seq uint64) (bool, error) {
-		var err error
-		r, err = rt.sendAndWaitSeq(m, seq)
-		if err != nil {
-			return !errors.Is(err, ErrClosed), err
-		}
-		if r.Err == checksumRejectErr {
-			// A corrupted frame's incarnation word is garbage; never
-			// feed it to the fence.
-			return true, nil
-		}
-		if ferr := rt.fenceCheck(m.To, r.Inc); ferr != nil {
-			r = wire.Message{}
-			return false, ferr
-		}
-		return false, nil
-	})
-	return r, err
-}
-
-// sendAndWaitSeq sends one attempt of a request under the given
-// sequence number and blocks for its reply, or until the runtime closes
-// or the configured call deadline expires.
-func (rt *Runtime) sendAndWaitSeq(m wire.Message, seq uint64) (wire.Message, error) {
-	m.Seq = seq
-	m.Seal()
-	ch := replyChans.Get().(chan wire.Message)
-	rt.pending.put(seq, ch)
-	cleanup := func() { rt.pending.drop(seq) }
-	if err := rt.node.Send(m); err != nil {
-		cleanup()
-		return wire.Message{}, fmt.Errorf("send %v to space %d: %w", m.Kind, m.To, err)
-	}
-	var deadline <-chan time.Time
-	if rt.callTimeout > 0 {
-		timer := time.NewTimer(rt.callTimeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	select {
-	case r, ok := <-ch:
-		if !ok {
-			// Close drained the pending map and closed the channel; it must
-			// not go back in the pool.
-			return wire.Message{}, ErrClosed
-		}
-		replyChans.Put(ch)
-		return r, nil
-	case <-deadline:
-		// A late reply finds no pending entry and is positively dropped
-		// by the dispatcher; the channel may still receive a racing
-		// delivery (it is buffered), so it cannot be pooled.
-		cleanup()
-		return wire.Message{}, fmt.Errorf("%v to space %d after %v: %w",
-			m.Kind, m.To, rt.callTimeout, ErrDeadline)
-	case <-rt.stop:
-		// The dispatcher may have plucked the channel from the pending map
-		// and be about to deliver into it, so it cannot be pooled either.
-		cleanup()
-		return wire.Message{}, ErrClosed
 	}
 }
 

@@ -140,7 +140,7 @@ func (rt *Runtime) EndSession() error {
 		})
 	}
 	writeBack := func(m wire.Message) error {
-		reply, err := rt.sendAndWait(m)
+		reply, err := rt.roundTrip(m)
 		if err != nil {
 			return fmt.Errorf("end session: write back to space %d: %w", m.To, err)
 		}
@@ -170,7 +170,7 @@ func (rt *Runtime) EndSession() error {
 	// 2. Multicast the invalidation to the participating spaces.
 	invalidate := func(p uint32) error {
 		rt.trace(Event{Kind: EvInvalidateSent, Target: p})
-		reply, err := rt.sendAndWait(wire.Message{
+		reply, err := rt.roundTrip(wire.Message{
 			Kind:    wire.KindInvalidate,
 			Session: sess,
 			To:      p,
@@ -340,7 +340,7 @@ func (rt *Runtime) Call(target uint32, proc string, args []Value) ([]Value, erro
 	}
 	rt.stats.callsSent.Add(1)
 	rt.trace(Event{Kind: EvCallSent, Target: target, Proc: proc})
-	reply, err := rt.sendAndWait(wire.Message{
+	reply, err := rt.roundTrip(wire.Message{
 		Kind:    wire.KindCall,
 		Session: sess,
 		To:      target,
@@ -438,7 +438,10 @@ func (rt *Runtime) buildTransferPayload(sess uint64, peer uint32, args []Value) 
 		items = append(items, rt.deltaShipItems(peer, sess, closure, false)...)
 	}
 	if rt.checkInv {
-		if err := rt.CheckLocalInvariants(); err != nil {
+		rt.installMu.Lock() // a background drain or prefetch may be mid-install
+		err := rt.CheckLocalInvariants()
+		rt.installMu.Unlock()
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -568,7 +571,7 @@ func (rt *Runtime) sendDirtyHome(sess uint64, dirty []wire.DataItem) error {
 			continue // origin already holds every value
 		}
 		p := wire.ItemsPayload{Items: items}
-		reply, err := rt.sendAndWait(wire.Message{
+		reply, err := rt.roundTrip(wire.Message{
 			Kind:    wire.KindWriteBack,
 			Session: sess,
 			To:      origin,

@@ -6,6 +6,7 @@ import (
 
 	"smartrpc/internal/netsim"
 	"smartrpc/internal/transport"
+	"smartrpc/internal/types"
 	"smartrpc/internal/wire"
 )
 
@@ -156,6 +157,95 @@ func TestSyncPrefetchOverChunkedStream(t *testing.T) {
 	}
 }
 
+// TestLazyFetchAcceptsStreamedReply: the lazy policy's per-dereference
+// callback is a FETCH like any other, and the origin — not the requester
+// — picks the reply form. With the origin's chunk limit below one node's
+// encoding, every callback for a node with children is answered by a
+// chunk sequence; the callback must take it as it takes the single frame.
+// (It used to wait under a registration that only a monolithic reply
+// could find: the chunks were counted as stale drops and the dereference
+// ended in ErrDeadline.) The second walk is over a node type whose single
+// datum is several chunk limits long.
+func TestLazyFetchAcceptsStreamedReply(t *testing.T) {
+	const fatType types.ID = 8
+	reg := newTestRegistry(t)
+	reg.MustRegister(&types.Desc{
+		ID:   fatType,
+		Name: "Fat",
+		Fields: []types.Field{
+			{Name: "pad", Kind: types.Uint8, Count: 100},
+			{Name: "next", Kind: types.Ptr, Elem: fatType},
+		},
+	})
+	caller, callee := pair(t, func(id uint32, o *Options) {
+		o.Registry = reg
+		o.Policy = PolicyLazy
+		o.CallTimeout = 2 * time.Second
+		if id == 1 {
+			o.StreamChunkBytes = 16
+		}
+	})
+	chunks := &RecordingTracer{}
+	caller.SetTracer(chunks)
+	registerSumProc(t, callee)
+	err := callee.Register("sumFat", func(ctx *Ctx, args []Value) ([]Value, error) {
+		var sum int64
+		for v := args[0]; !v.IsNullPtr(); {
+			ref, err := ctx.Runtime().Deref(v)
+			if err != nil {
+				return nil, err
+			}
+			b, err := ref.Uint("pad", 99)
+			if err != nil {
+				return nil, err
+			}
+			sum += int64(b)
+			if v, err = ref.Ptr("next", 0); err != nil {
+				return nil, err
+			}
+		}
+		return []Value{Int64Value(sum)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res := sessionCall(t, caller, 2, "sumTree", buildTree(t, caller, 3))
+	if got := res[0].Int64(); got != wantSum(3) {
+		t.Errorf("lazy tree sum over a streaming origin = %d, want %d", got, wantSum(3))
+	}
+
+	next := NullPtr(fatType)
+	for i := 3; i >= 1; i-- {
+		v, err := caller.NewObject(fatType)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := caller.Deref(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.SetUint("pad", 99, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.SetPtr("next", 0, next); err != nil {
+			t.Fatal(err)
+		}
+		next = v
+	}
+	res = sessionCall(t, caller, 2, "sumFat", next)
+	if got := res[0].Int64(); got != 6 {
+		t.Errorf("lazy walk over fat nodes = %d, want 6", got)
+	}
+
+	if chunks.Count(EvChunkSent) == 0 {
+		t.Error("the origin never streamed a reply — the test exercised nothing")
+	}
+	if st := callee.Stats(); st.StaleReplyDrops != 0 || st.Retries != 0 {
+		t.Errorf("callee dropped %d reply frames as stale, retried %d times; want 0, 0", st.StaleReplyDrops, st.Retries)
+	}
+}
+
 // BenchmarkInstallClosure measures the client-side cost of receiving and
 // installing one full closure — the decode/install path the zero-copy
 // chunk plumbing exists to keep cheap. Warm caching is off so every
@@ -171,13 +261,7 @@ func BenchmarkInstallClosure(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			_, server, clients := streamNet(b, 1,
-				func(o *Options) {
-					if mode.chunk < 0 {
-						o.DisableStreaming = true
-					} else {
-						o.StreamChunkBytes = mode.chunk
-					}
-				},
+				func(o *Options) { o.StreamChunkBytes = mode.chunk },
 				func(o *Options) {
 					o.ClosureSize = 1 << 20
 					o.DisableWarmCache = true

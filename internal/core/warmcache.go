@@ -220,126 +220,70 @@ func (rt *Runtime) validateFrom(sess uint64, pn, origin uint32, lps []wire.LongP
 		return false, nil
 	}
 	p := wire.ValidatePayload{Tuples: tuples}
-	payload := p.Encode()
+	// Nothing is installed mid-stream — revalidation decisions need the
+	// full answer set (unanswered tuples degrade) — so a streamed reply
+	// buys pipelined encode and transmit on the origin, not early
+	// unblocking. Item bytes may alias pooled chunk frames: the frames are
+	// held until the apply has consumed (cloned or patched from) every body.
 	var items []wire.ValidateItem
-	var release func()
-	rerr := rt.retryLoop(origin, wire.KindValidate, func(seq uint64) (bool, error) {
+	var held []*wire.FrameBuf
+	release := func() {
+		for _, fb := range held {
+			fb.Release()
+		}
+		held, items = held[:0], nil
+	}
+	defer release()
+	_, err = rt.exchange(wire.Message{
+		Kind:    wire.KindValidate,
+		Session: sess,
+		To:      origin,
+		Payload: p.Encode(),
+	}, func() {
+		release() // a retry starts the answer set afresh
 		rt.stats.cohRevalidateMsgs.Add(1)
 		rt.trace(Event{Kind: EvValidateSent, Target: origin, Page: pn, Count: len(tuples)})
-		x, err := rt.sendAndStreamSeq(wire.Message{
-			Kind:    wire.KindValidate,
-			Session: sess,
-			To:      origin,
-			Payload: payload,
-		}, seq)
-		if err != nil {
-			return !errors.Is(err, ErrClosed), err
+	}, func(m wire.Message) (bool, error) {
+		if m.Frame != nil {
+			held = append(held, m.Frame)
 		}
-		items, release, err = rt.recvValidateReply(x)
-		if err != nil {
-			return errors.Is(err, errTransient), err
-		}
-		return false, nil
+		var err error
+		items, err = rt.recvValidateReply(m, items)
+		return false, err
 	})
-	if rerr != nil {
+	if err != nil {
 		// A tripped fence is real state loss, not a lost reply: surface it.
 		// Everything else keeps the seed's graceful degrade — the offered
 		// tuples fall back to plain wants and the fetch loop refetches.
-		if errors.Is(rerr, ErrOriginRestarted) {
-			return false, rerr
+		if errors.Is(err, ErrOriginRestarted) {
+			return false, err
 		}
 		rt.degradeStale(tuples)
 		return false, nil
 	}
-	// Item bytes may alias pooled chunk frames; hold them until the apply
-	// has consumed (cloned or patched from) every body.
-	err = rt.applyValidateReply(tuples, refs, items)
-	release()
-	if err != nil {
+	if err := rt.applyValidateReply(tuples, refs, items); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// recvValidateReply drains one Validate exchange: either the classic
-// monolithic ValidateReply frame or a sequence of validate-flagged chunk
-// frames, whose item vectors are concatenated in order. Unlike a fetch
-// stream nothing is installed mid-drain — revalidation decisions need the
-// full answer set (unanswered tuples degrade) — so streaming here buys
-// pipelined encode/transmit on the origin, not early unblocking. The
-// returned release frees the frames backing the item bytes; callers
-// invoke it after the apply. Failures wrapped in errTransient — a stalled
-// or torn stream, a frame corrupted in flight — are worth one more
-// attempt under the retry policy; anything else (a protocol violation, a
-// tripped incarnation fence) is terminal.
-func (rt *Runtime) recvValidateReply(x *streamExchange) (items []wire.ValidateItem, release func(), err error) {
-	var frames []wire.Message
-	release = func() {
-		for i := range frames {
-			frames[i].ReleaseFrame()
-		}
+// recvValidateReply appends the answers one VALIDATE reply frame carries
+// — the classic monolithic ValidateReply, or one validate-flagged chunk
+// of a stream, whose item vectors concatenate in order.
+func (rt *Runtime) recvValidateReply(m wire.Message, items []wire.ValidateItem) ([]wire.ValidateItem, error) {
+	if m.Err != "" {
+		return nil, fmt.Errorf("core: validate rejected by space %d: %s", m.From, m.Err)
 	}
-	bad := func(e error) ([]wire.ValidateItem, func(), error) {
-		release()
-		x.abandon()
-		return nil, func() {}, e
+	if m.Kind == wire.KindValidateReply {
+		rp, err := wire.DecodeValidateReplyPayload(m.Payload)
+		return rp.Items, err
 	}
-	asm := &chunkAssembler{xid: x.seq}
-	for {
-		m, err := x.next()
-		if err != nil {
-			if errors.Is(err, ErrClosed) {
-				return bad(err)
-			}
-			return bad(fmt.Errorf("%w: %w", errTransient, err))
-		}
-		frames = append(frames, m)
-		// A frame corrupted in flight is a retryable wire fault, and its
-		// Inc word is garbage — classify before fencing. Any other frame's
-		// Inc is trustworthy (the origin sealed it), so fence *before*
-		// interpreting an application error: a restarted origin answers a
-		// stale session's requests with errors, and the restart is the
-		// diagnosis, not the symptom.
-		if m.Err == checksumRejectErr {
-			return bad(fmt.Errorf("%w: %s", errTransient, m.Err))
-		}
-		if ferr := rt.fenceCheck(m.From, m.Inc); ferr != nil {
-			return bad(ferr)
-		}
-		if m.Err != "" {
-			return bad(fmt.Errorf("core: validate rejected by space %d: %s", m.From, m.Err))
-		}
-		if m.Kind == wire.KindValidateReply {
-			if len(frames) > 1 {
-				return bad(fmt.Errorf("core: monolithic validate reply inside a chunk stream"))
-			}
-			rp, err := wire.DecodeValidateReplyPayload(m.Payload)
-			if err != nil {
-				return bad(err)
-			}
-			return rp.Items, release, nil
-		}
-		if m.Kind != wire.KindFetchChunk {
-			return bad(fmt.Errorf("core: unexpected %v in validate stream", m.Kind))
-		}
-		cp, err := wire.DecodeFetchChunkPayload(m.Payload)
-		if err != nil {
-			return bad(err)
-		}
-		if !cp.Validate {
-			return bad(fmt.Errorf("core: fetch chunk in validate stream"))
-		}
-		if err := asm.accept(&cp); err != nil {
-			// Torn chunk sequence: a chunk was dropped, duplicated, or
-			// reordered in flight. Retryable.
-			return bad(fmt.Errorf("%w: %w", errTransient, err))
-		}
-		rt.trace(Event{Kind: EvChunkRecv, Target: m.From, Page: cp.Chunk, Count: len(cp.VItems)})
-		items = append(items, cp.VItems...)
-		if cp.Final {
-			return items, release, nil
-		}
+	cp, err := wire.DecodeFetchChunkPayload(m.Payload)
+	if err != nil {
+		return nil, err
 	}
+	rt.trace(Event{Kind: EvChunkRecv, Target: m.From, Page: cp.Chunk, Count: len(cp.VItems)})
+	return append(items, cp.VItems...), nil
 }
 
 // applyValidateReply installs the origin's per-tuple answers: tokens
@@ -473,30 +417,20 @@ func (rt *Runtime) applyValidateBatch(tx swizzle.Tx, tuples []wire.ValidateTuple
 // the full body. The served record updates to the current encoding either
 // way, keeping future deltas small.
 func (rt *Runtime) serveValidate(m wire.Message) {
+	// A reply heavy with full bodies streams as validate chunks, exactly
+	// like a large fetch closure; the common all-token reply stays well
+	// under the threshold and goes out monolithic (chunkEmitter.finish).
+	em := chunkEmitter{rt: rt, req: m, validate: true}
 	p, err := wire.DecodeValidatePayload(m.Payload)
 	if err != nil {
-		rt.reply(m, wire.KindValidateReply, nil, fmt.Sprintf("decode: %v", err))
+		em.fail(fmt.Sprintf("decode: %v", err))
 		return
 	}
 	// Re-encoding reads the heap; hold the read side of the serve lock
 	// against concurrently applied write-backs.
 	rt.serveMu.RLock()
 	defer rt.serveMu.RUnlock()
-	// A reply heavy with full bodies streams as validate chunks, exactly
-	// like a large fetch closure (chunkEmitter); the common all-token
-	// reply stays well under the threshold and goes out monolithic.
-	var em *chunkEmitter
-	if !rt.noStreaming && rt.streamChunk > 0 {
-		em = &chunkEmitter{rt: rt, req: m, limit: rt.streamChunk, validate: true}
-	}
 	accBytes := 0
-	fail := func(errStr string) {
-		if em != nil && em.sent > 0 {
-			em.fail(errStr)
-			return
-		}
-		rt.reply(m, wire.KindValidateReply, nil, errStr)
-	}
 	out := wire.ValidateReplyPayload{Items: make([]wire.ValidateItem, 0, len(p.Tuples))}
 	// warm.mu guards the served record only — it is never held across an
 	// encode or a send (emit below can block on the transport), so a slow
@@ -510,12 +444,12 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 	var arena *xdr.Encoder
 	for ti, t := range p.Tuples {
 		if t.LP.Space != rt.id {
-			fail(fmt.Sprintf("core: validate for datum %v not owned by space %d", t.LP, rt.id))
+			em.fail(fmt.Sprintf("core: validate for datum %v not owned by space %d", t.LP, rt.id))
 			return
 		}
 		rv, err := rt.res.Resolve(t.LP.Type)
 		if err != nil {
-			fail(err.Error())
+			em.fail(err.Error())
 			return
 		}
 		if arena == nil {
@@ -523,7 +457,7 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 		}
 		start := arena.Len()
 		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, t.LP.Addr); err != nil {
-			fail(fmt.Sprintf("encode %v: %v", t.LP, err))
+			em.fail(fmt.Sprintf("encode %v: %v", t.LP, err))
 			return
 		}
 		// Sliced at once: should the arena grow later, append copies,
@@ -557,13 +491,13 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 			}
 		}
 		out.Items = append(out.Items, it)
-		if em != nil {
+		if rt.streamChunk > 0 {
 			accBytes += wire.EncodedLongPtrSize + 8 + (len(it.Bytes)+3)&^3
 			// As in buildClosureItems, only flush with tuples still pending
 			// so a reply that ends exactly here stays monolithic. Emitted
 			// batches are fully encoded into the chunk frame, so the slice
 			// is reusable immediately.
-			if accBytes >= em.limit && ti+1 < len(p.Tuples) {
+			if accBytes >= rt.streamChunk && ti+1 < len(p.Tuples) {
 				if err := em.emit(nil, out.Items, false); err != nil {
 					return
 				}
@@ -573,11 +507,7 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 		}
 	}
 	rt.stats.cohRevalidateMsgs.Add(1)
-	if em != nil && em.sent > 0 {
-		_ = em.emit(nil, out.Items, true)
-		return
-	}
-	rt.reply(m, wire.KindValidateReply, out.Encode(), "")
+	em.finish(nil, out.Items)
 }
 
 // recordServed notes the canonical bytes just shipped to peer in a fetch

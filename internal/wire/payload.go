@@ -480,6 +480,27 @@ func (p *FetchChunkPayload) Encode() []byte {
 // the backing frame buffer afterwards.
 func DecodeFetchChunkPayload(b []byte) (FetchChunkPayload, error) {
 	d := xdr.NewDecoder(b)
+	p, err := decodeFetchChunkHeader(d)
+	if err != nil {
+		return p, err
+	}
+	if p.Validate {
+		p.VItems, err = getValidateItems(d)
+	} else {
+		p.Items, err = getItems(d)
+	}
+	return p, err
+}
+
+// DecodeFetchChunkHeader parses only the fixed prefix of a chunk body —
+// exchange id, ordinal, flags — leaving the item vectors nil: what a
+// receiver needs to place the chunk in its stream before anyone decodes
+// the items.
+func DecodeFetchChunkHeader(b []byte) (FetchChunkPayload, error) {
+	return decodeFetchChunkHeader(xdr.NewDecoder(b))
+}
+
+func decodeFetchChunkHeader(d *xdr.Decoder) (FetchChunkPayload, error) {
 	var p FetchChunkPayload
 	var err error
 	if p.XID, err = d.Uint64(); err != nil {
@@ -497,12 +518,7 @@ func DecodeFetchChunkPayload(b []byte) (FetchChunkPayload, error) {
 	}
 	p.Final = flags&ChunkFinal != 0
 	p.Validate = flags&ChunkValidate != 0
-	if p.Validate {
-		p.VItems, err = getValidateItems(d)
-	} else {
-		p.Items, err = getItems(d)
-	}
-	return p, err
+	return p, nil
 }
 
 // ChunkIsFinal reports whether a chunk payload carries the final flag,

@@ -208,6 +208,10 @@ func (fb *FrameBuf) Enc() *xdr.Encoder { return fb.enc }
 // Retain adds a reference.
 func (fb *FrameBuf) Retain() { fb.refs.Add(1) }
 
+// Refs reports the references outstanding: zero once every holder has
+// released the buffer. For leak oracles; nothing decides on it.
+func (fb *FrameBuf) Refs() int { return int(fb.refs.Load()) }
+
 // Release drops a reference, returning the storage to its pool at zero.
 // Extra releases are no-ops: a duplicated frame can reach two consumers
 // under fault injection, and the duplicate must not corrupt the pool.
