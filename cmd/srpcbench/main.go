@@ -42,7 +42,7 @@ func run(args []string) error {
 	jsonOut := fs.Bool("json", false, "run the regression suite and emit a JSON report (srpcbench -json > BENCH_<n>.json)")
 	runs := fs.Int("runs", 5, "measured repetitions per point in -json mode")
 	checkFile := fs.String("check", "", "compare the regression suite's deterministic modeled columns against a committed BENCH_<n>.json snapshot; exit nonzero on any drift")
-	diffOld := fs.String("diff", "", "list, column by column, where the snapshot named here differs from the one named as the argument (srpcbench -diff BENCH_10.json BENCH_15.json); runs nothing")
+	diffOld := fs.String("diff", "", "list, column by column, where the snapshot named here differs from the one named as the argument (srpcbench -diff OLD.json NEW.json); runs nothing")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -327,7 +327,7 @@ func warm(model netsim.Model, nodes, closure int) error {
 // pipeline prints the asynchronous fetch pipeline workload: a pointer
 // chase built to defeat the eager closure (every shipment ends at a cold
 // page). The first block is the deterministic comparison (one client,
-// synchronous speculation) whose rows the BENCH_5 snapshot checks; the
+// synchronous speculation) whose rows the BENCH_24 snapshot checks; the
 // second is a wall-clock demonstration on a real 1 ms link delay, where
 // asynchronous speculation physically overlaps fetch round trips with the
 // application's own chewing.
@@ -342,11 +342,11 @@ func pipeline(model netsim.Model, nodes, closure int) error {
 			Prefetch: true, SyncPrefetch: true}},
 	}
 	if csv {
-		fmt.Println("pipeline.config,time_s,messages,net_bytes,fetches,blocking_fetches,pf_issued,pf_hits,pf_wasted")
+		fmt.Println("pipeline.config,time_s,messages,net_bytes,fetches,blocking_fetches,pf_issued")
 	} else {
 		fmt.Printf("\n== Fetch pipeline: pointer chase, chain %d nodes, closure %d bytes ==\n", nodes, closure)
-		fmt.Printf("%-16s %-10s %-10s %-12s %-9s %-10s %-10s %-8s %-8s\n",
-			"config", "time(s)", "messages", "bytes", "fetches", "blocking", "pf-issued", "pf-hits", "pf-waste")
+		fmt.Printf("%-16s %-10s %-10s %-12s %-9s %-10s %-10s\n",
+			"config", "time(s)", "messages", "bytes", "fetches", "blocking", "pf-issued")
 	}
 	for _, p := range det {
 		res, err := bench.RunPipeline(p.cfg)
@@ -354,13 +354,13 @@ func pipeline(model netsim.Model, nodes, closure int) error {
 			return err
 		}
 		if csv {
-			fmt.Printf("%s,%.6f,%d,%d,%d,%d,%d,%d,%d\n", p.name, sec(res.Time), res.Messages,
-				res.Bytes, res.Fetches, res.BlockingFetches, res.PfIssued, res.PfHits, res.PfWasted)
+			fmt.Printf("%s,%.6f,%d,%d,%d,%d,%d\n", p.name, sec(res.Time), res.Messages,
+				res.Bytes, res.Fetches, res.BlockingFetches, res.PfIssued)
 			continue
 		}
-		fmt.Printf("%-16s %-10.3f %-10d %-12d %-9d %-10d %-10d %-8d %-8d\n",
+		fmt.Printf("%-16s %-10.3f %-10d %-12d %-9d %-10d %-10d\n",
 			p.name, sec(res.Time), res.Messages, res.Bytes, res.Fetches,
-			res.BlockingFetches, res.PfIssued, res.PfHits, res.PfWasted)
+			res.BlockingFetches, res.PfIssued)
 	}
 	if csv {
 		return nil

@@ -74,9 +74,6 @@ type TreeConfig struct {
 	Coherence   core.Coherence
 	// Model is the network cost model; zero value = free network (tests).
 	Model netsim.Model
-	// DisableFetchBatch reverts to the single-want FETCH protocol (one
-	// faulting page per message), for measuring the batching win.
-	DisableFetchBatch bool
 	// DisableDeltaShip reverts the coherency path to full shipping (the
 	// paper's modeled protocol), for measuring the delta-shipping win.
 	DisableDeltaShip bool
@@ -153,17 +150,16 @@ func RunTree(cfg TreeConfig) (TreeResult, error) {
 			return nil, err
 		}
 		return core.New(core.Options{
-			ID:                id,
-			Node:              node,
-			Registry:          reg,
-			Policy:            cfg.Policy,
-			ClosureSize:       cfg.ClosureSize,
-			PageSize:          cfg.PageSize,
-			AllocPolicy:       cfg.AllocPolicy,
-			Traversal:         cfg.Traversal,
-			Coherence:         cfg.Coherence,
-			DisableFetchBatch: cfg.DisableFetchBatch,
-			DisableDeltaShip:  cfg.DisableDeltaShip,
+			ID:               id,
+			Node:             node,
+			Registry:         reg,
+			Policy:           cfg.Policy,
+			ClosureSize:      cfg.ClosureSize,
+			PageSize:         cfg.PageSize,
+			AllocPolicy:      cfg.AllocPolicy,
+			Traversal:        cfg.Traversal,
+			Coherence:        cfg.Coherence,
+			DisableDeltaShip: cfg.DisableDeltaShip,
 		})
 	}
 	caller, err := mk(CallerID)

@@ -364,37 +364,3 @@ func TestHashWorkloadLazyBeatsEager(t *testing.T) {
 		t.Errorf("eager moved %d bytes vs lazy %d; expected >5x blowup", eager.Bytes, lazy.Bytes)
 	}
 }
-
-// The multi-want FETCH protocol must cut message counts against the seed
-// single-want protocol on the Fig. 5 sweep: entries stranded on partially
-// resident pages by a budget boundary ride along on the next fault's FETCH
-// instead of costing their own round trip. Results must be unchanged.
-func TestFetchBatchingReducesMessages(t *testing.T) {
-	for _, ratio := range []float64{0.1, 0.5, 1.0} {
-		run := func(disable bool) TreeResult {
-			res, err := RunTree(TreeConfig{
-				Policy:            core.PolicySmart,
-				Nodes:             8191,
-				AccessRatio:       ratio,
-				DisableFetchBatch: disable,
-			})
-			if err != nil {
-				t.Fatalf("ratio %v (disable=%v): %v", ratio, disable, err)
-			}
-			return res
-		}
-		single, batched := run(true), run(false)
-		if batched.Visited != single.Visited || batched.Sum != single.Sum {
-			t.Errorf("ratio %v: batched result (%d, %d) != single-want (%d, %d)",
-				ratio, batched.Visited, batched.Sum, single.Visited, single.Sum)
-		}
-		if batched.Callbacks >= single.Callbacks {
-			t.Errorf("ratio %v: batched fetches %d not below single-want %d",
-				ratio, batched.Callbacks, single.Callbacks)
-		}
-		if batched.Messages >= single.Messages {
-			t.Errorf("ratio %v: batched messages %d not below single-want %d",
-				ratio, batched.Messages, single.Messages)
-		}
-	}
-}

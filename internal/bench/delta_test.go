@@ -81,7 +81,7 @@ func TestDeltaShipAblationRows(t *testing.T) {
 
 // TestDeltaShipLeavesModeledFiguresUnchanged pins the other half of the
 // acceptance criterion: the paper's modeled figures must not move.
-// Read-only workloads (Fig. 4/6 and the fetch-batch family) have no
+// Read-only workloads (Fig. 4/6) have no
 // modified data set, so every modeled output is identical with delta
 // shipping on or off; update figures (Fig. 7, the coherence ablations)
 // pin DisableDeltaShip and are full-shipping by construction.

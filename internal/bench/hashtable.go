@@ -62,8 +62,6 @@ type HashConfig struct {
 	ClosureSize int
 	// Model is the network cost model.
 	Model netsim.Model
-	// DisableFetchBatch reverts to the single-want FETCH protocol.
-	DisableFetchBatch bool
 }
 
 // RunHashLookup builds the table in the caller and has the callee probe
@@ -99,7 +97,6 @@ func RunHashLookup(cfg HashConfig) (TreeResult, error) {
 		return core.New(core.Options{
 			ID: id, Node: node, Registry: reg,
 			Policy: cfg.Policy, ClosureSize: cfg.ClosureSize,
-			DisableFetchBatch: cfg.DisableFetchBatch,
 		})
 	}
 	owner, err := mk(CallerID)

@@ -25,7 +25,7 @@ import (
 // No client ever issues a Call: chains are reached through ImportPtr, so
 // N clients hold N independent sessions against one server and their
 // FETCH streams exercise the server's concurrent serve pool. With
-// Clients=1 and SyncPrefetch the run is fully deterministic (the BENCH_5
+// Clients=1 and SyncPrefetch the run is fully deterministic (the BENCH_24
 // regression rows); multi-client asynchronous runs demonstrate wall-time
 // overlap and are not snapshot-checked.
 
@@ -47,10 +47,9 @@ type PipelineConfig struct {
 	// PageSize overrides the simulated page size.
 	PageSize int
 	// Prefetch enables the speculative prefetcher on the clients;
-	// PrefetchDepth and SyncPrefetch pass through to core.Options.
-	Prefetch      bool
-	PrefetchDepth int
-	SyncPrefetch  bool
+	// SyncPrefetch passes through to core.Options.
+	Prefetch     bool
+	SyncPrefetch bool
 	// Model is the network cost model; zero value = free network (tests).
 	Model netsim.Model
 	// LinkDelay adds a real wall-clock delivery delay per message, making
@@ -101,7 +100,7 @@ type PipelineResult struct {
 	// Faults is the clients' access-violation count.
 	Faults uint64
 	// PfIssued..PfBytes aggregate the clients' prefetch counters.
-	PfIssued, PfCoalesced, PfHits, PfWasted, PfBytes uint64
+	PfIssued, PfCoalesced, PfBytes uint64
 	// Sum is the total chase checksum (validates correctness).
 	Sum int64
 }
@@ -128,15 +127,14 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 			return nil, err
 		}
 		return core.New(core.Options{
-			ID:            id,
-			Node:          node,
-			Registry:      reg,
-			Policy:        core.PolicySmart,
-			ClosureSize:   cfg.ClosureSize,
-			PageSize:      cfg.PageSize,
-			Prefetch:      prefetch,
-			PrefetchDepth: cfg.PrefetchDepth,
-			SyncPrefetch:  cfg.SyncPrefetch,
+			ID:           id,
+			Node:         node,
+			Registry:     reg,
+			Policy:       core.PolicySmart,
+			ClosureSize:  cfg.ClosureSize,
+			PageSize:     cfg.PageSize,
+			Prefetch:     prefetch,
+			SyncPrefetch: cfg.SyncPrefetch,
 		})
 	}
 	server, err := mk(PipelineServerID, false)
@@ -198,8 +196,6 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 		out.Faults += st.Faults
 		out.PfIssued += st.PfIssued
 		out.PfCoalesced += st.PfCoalesced
-		out.PfHits += st.PfHits
-		out.PfWasted += st.PfWasted
 		out.PfBytes += st.PfBytes
 		out.Sum += sums[i]
 	}

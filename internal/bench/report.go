@@ -34,16 +34,15 @@ type Report struct {
 
 // ReportRow is one benchmark point.
 type ReportRow struct {
-	// Figure tags the experiment family: fig4, fig6, fetch-batch,
-	// coh-delta, warm-sessions, pipeline, scaleout, concurrent, or
-	// stream.
+	// Figure tags the experiment family: fig4, fig6, coh-delta,
+	// warm-sessions, pipeline, scaleout, concurrent, stream, or recover.
 	Figure string `json:"figure"`
 	// Config identifies the point within the family.
 	Policy  string  `json:"policy"`
 	Ratio   float64 `json:"ratio"`
 	Closure int     `json:"closure_bytes"`
 	// Session numbers the rows of a repeated-session family (1 = cold
-	// start); zero for single-session families (schema 3).
+	// start); zero for single-session families.
 	Session int `json:"session,omitempty"`
 
 	// Deterministic outputs (must be identical between snapshots).
@@ -55,7 +54,7 @@ type ReportRow struct {
 	// Crossings counts boundary crossings of the thread of control
 	// (call + return messages); MsgsPerCrossing divides total messages
 	// by it. CohItemBytes and the item counters attribute bytes on the
-	// wire to the coherency path (schema 2).
+	// wire to the coherency path.
 	Crossings       uint64  `json:"crossings"`
 	MsgsPerCrossing float64 `json:"msgs_per_crossing"`
 	CohItemBytes    uint64  `json:"coh_item_bytes"`
@@ -65,12 +64,12 @@ type ReportRow struct {
 	// ItemBodyBytes is the combined per-session coherency/data item-body
 	// wire bytes (fetch bodies + coherency items + revalidation bodies,
 	// tokens = 0) and the CohRevalidate columns are the warm-cache
-	// revalidation outcomes (schema 3, warm-sessions rows only).
+	// revalidation outcomes (warm-sessions rows only).
 	ItemBodyBytes       uint64 `json:"item_body_bytes,omitempty"`
 	CohRevalidateHits   uint64 `json:"coh_revalidate_hits,omitempty"`
 	CohRevalidateMisses uint64 `json:"coh_revalidate_misses,omitempty"`
 	CohRevalidateBytes  uint64 `json:"coh_revalidate_bytes,omitempty"`
-	// Fetch-pipeline columns (schema 4, pipeline rows only): Fetches is
+	// Fetch-pipeline columns (pipeline rows only): Fetches is
 	// the total FETCH count, BlockingFetches the subset the application
 	// actually stalled on (total minus speculative), and the Pf columns
 	// are the speculative prefetcher's own accounting.
@@ -78,13 +77,11 @@ type ReportRow struct {
 	BlockingFetches uint64 `json:"blocking_fetches,omitempty"`
 	PfIssued        uint64 `json:"pf_issued,omitempty"`
 	PfCoalesced     uint64 `json:"pf_coalesced,omitempty"`
-	PfHits          uint64 `json:"pf_hits,omitempty"`
-	PfWasted        uint64 `json:"pf_wasted,omitempty"`
 	PfBytes         uint64 `json:"pf_bytes,omitempty"`
-	// Clients (schema 5, scaleout rows only) is the number of client
+	// Clients (scaleout rows only) is the number of client
 	// spaces sharing the one origin.
 	Clients int `json:"clients,omitempty"`
-	// Concurrent columns (schema 6, concurrent rows only): committed
+	// Concurrent columns (concurrent rows only): committed
 	// sessions, the read/write split, and the linearizability checker's
 	// history size and per-object partition count — all functions of the
 	// per-client seed streams alone, so they are the only columns of a
@@ -97,7 +94,7 @@ type ReportRow struct {
 	ConcCheckedOps uint64  `json:"conc_checked_ops,omitempty"`
 	ConcPartitions uint64  `json:"conc_partitions,omitempty"`
 	ConcCheckSec   float64 `json:"conc_check_sec,omitempty"`
-	// Streaming columns (schema 7, stream rows only): Chunks counts the
+	// Streaming columns (stream rows only): Chunks counts the
 	// KindFetchChunk frames on the wire — a pure function of the
 	// configuration, so it is drift-checked — and TTFAUsec is the
 	// wall-clock latency of the first faulting access in microseconds,
@@ -105,7 +102,7 @@ type ReportRow struct {
 	// compared.
 	Chunks   uint64  `json:"chunks,omitempty"`
 	TTFAUsec float64 `json:"ttfa_usec,omitempty"`
-	// Recovery columns (schema 8, recover rows only): completed sessions,
+	// Recovery columns (recover rows only): completed sessions,
 	// chaos faults injected, and the recovery machinery's totals. On the
 	// fault-free rows every recovery counter must be zero (that is the
 	// zero-overhead claim) and all modeled columns are drift-checked; on
@@ -130,7 +127,6 @@ type reportPoint struct {
 	name    string
 	ratio   float64
 	clos    int
-	noBat   bool
 	update  bool
 	repeats int
 	noDelta bool
@@ -145,7 +141,7 @@ func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 	if runs < 1 {
 		runs = 1
 	}
-	rep := Report{Schema: 9, Model: "ethernet10-sparc", Nodes: nodes, Closure: closure, Runs: runs}
+	rep := Report{Schema: 10, Model: "ethernet10-sparc", Nodes: nodes, Closure: closure, Runs: runs}
 
 	var points []reportPoint
 	for _, pol := range []struct {
@@ -162,20 +158,6 @@ func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 		points = append(points, reportPoint{
 			figure: "fig6", policy: core.PolicySmart, name: "smart", ratio: 1.0, clos: cs,
 		})
-	}
-	// The multi-want FETCH protocol against its single-want ablation: the
-	// message counts quantify the batching win.
-	for _, ratio := range []float64{0.5, 1.0} {
-		for _, noBat := range []bool{false, true} {
-			name := "smart"
-			if noBat {
-				name = "smart-nobatch"
-			}
-			points = append(points, reportPoint{
-				figure: "fetch-batch", policy: core.PolicySmart, name: name,
-				ratio: ratio, clos: closure, noBat: noBat,
-			})
-		}
 	}
 	// Delta shipping against its full-shipping ablation on the repeated
 	// update workload: the coh_item_bytes column quantifies the win.
@@ -200,7 +182,7 @@ func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 		rep.Rows = append(rep.Rows, row)
 	}
 
-	// The repeated-session family (schema 3): per-session traffic of the
+	// The repeated-session family: per-session traffic of the
 	// warm cross-session cache over a mutation-ratio sweep, with the
 	// discard-on-invalidate ablation at ratio 0 as the control.
 	warmPoints := []struct {
@@ -221,7 +203,7 @@ func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 		rep.Rows = append(rep.Rows, rows...)
 	}
 
-	// The fetch-pipeline family (schema 4): the pointer-chase workload with
+	// The fetch-pipeline family: the pointer-chase workload with
 	// the speculative prefetcher off (the demand baseline) and on. One
 	// client with synchronous speculation keeps every modeled column —
 	// including the prefetch counters — deterministic.
@@ -239,7 +221,7 @@ func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 		rep.Rows = append(rep.Rows, row)
 	}
 
-	// The scale-out family (schema 5): N clients sharing one origin — a
+	// The scale-out family: N clients sharing one origin — a
 	// client sweep at ratio 0 and a mutation sweep at 8 clients.
 	for _, sp := range []struct {
 		clients int
@@ -258,7 +240,7 @@ func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 		rep.Rows = append(rep.Rows, row)
 	}
 
-	// The concurrent family (schema 6): K clients holding truly
+	// The concurrent family: K clients holding truly
 	// overlapping sessions over one shared origin, every run verified
 	// linearizable by internal/histcheck. Only the seed-deterministic
 	// operation counts are drift-checked.
@@ -279,7 +261,7 @@ func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 		rep.Rows = append(rep.Rows, row)
 	}
 
-	// The stream family (schema 7): one huge closure shipped to a single
+	// The stream family: one huge closure shipped to a single
 	// client, over a chunk-size sweep plus the monolithic-reply ablation.
 	// The chunk count is deterministic and drift-checked; the
 	// time-to-first-access column is the wall-clock payoff.
@@ -299,7 +281,7 @@ func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 		rep.Rows = append(rep.Rows, row)
 	}
 
-	// The recover family (schema 8): the zero-overhead pair first — the
+	// The recover family: the zero-overhead pair first — the
 	// identical fault-free workload with recovery disarmed and armed,
 	// whose wire columns must be byte-identical — then a transient-fault
 	// sweep where completion (rec_sessions) is the deterministic claim
@@ -505,10 +487,8 @@ func measureScaleoutPoint(model netsim.Model, nodes, closure, runs int, clients 
 	wall := time.Since(start)
 	runtime.ReadMemStats(&ms2)
 	return ReportRow{
-		Figure: "scaleout",
-		// The label predates the encode cache's removal; it is kept so the
-		// rows stay comparable, key for key, with BENCH_6–10.
-		Policy:          "smart-enccache",
+		Figure:          "scaleout",
+		Policy:          "smart-shared",
 		Ratio:           ratio,
 		Closure:         closure,
 		Clients:         clients,
@@ -562,8 +542,6 @@ func measurePipelinePoint(model netsim.Model, nodes, closure, runs int, name str
 		BlockingFetches: last.BlockingFetches,
 		PfIssued:        last.PfIssued,
 		PfCoalesced:     last.PfCoalesced,
-		PfHits:          last.PfHits,
-		PfWasted:        last.PfWasted,
 		PfBytes:         last.PfBytes,
 		WallSec:         wall.Seconds() / float64(runs),
 		AllocsPerOp:     (ms2.Mallocs - ms1.Mallocs) / uint64(runs),
@@ -638,8 +616,6 @@ func measureWarmPoint(model netsim.Model, nodes, closure, runs int, name string,
 // (matched by figure/policy/ratio/closure) with identical modeled
 // outputs; rows that exist only in cur are new experiments and pass.
 // Wall-clock and allocation columns are host-dependent and ignored.
-// Schema-1 baselines predate the crossing/coherency columns, so only the
-// columns they carry are compared.
 func Check(baseline, cur Report) error {
 	if baseline.Nodes != cur.Nodes || baseline.Closure != cur.Closure {
 		return fmt.Errorf("config mismatch: baseline %d nodes/%d closure, current %d/%d",
@@ -684,41 +660,29 @@ func Check(baseline, cur Report) error {
 		check("messages", float64(want.Messages), float64(got.Messages))
 		check("net_bytes", float64(want.NetBytes), float64(got.NetBytes))
 		check("faults", float64(want.Faults), float64(got.Faults))
-		if baseline.Schema >= 2 {
-			check("crossings", float64(want.Crossings), float64(got.Crossings))
-			check("msgs_per_crossing", want.MsgsPerCrossing, got.MsgsPerCrossing)
-			check("coh_item_bytes", float64(want.CohItemBytes), float64(got.CohItemBytes))
-			check("coh_items_shipped", float64(want.CohItemsShipped), float64(got.CohItemsShipped))
-			check("coh_delta_items", float64(want.CohDeltaItems), float64(got.CohDeltaItems))
-			check("coh_items_skipped", float64(want.CohItemsSkipped), float64(got.CohItemsSkipped))
-		}
-		if baseline.Schema >= 3 {
-			check("item_body_bytes", float64(want.ItemBodyBytes), float64(got.ItemBodyBytes))
-			check("coh_revalidate_hits", float64(want.CohRevalidateHits), float64(got.CohRevalidateHits))
-			check("coh_revalidate_misses", float64(want.CohRevalidateMisses), float64(got.CohRevalidateMisses))
-			check("coh_revalidate_bytes", float64(want.CohRevalidateBytes), float64(got.CohRevalidateBytes))
-		}
-		if baseline.Schema >= 4 {
-			check("fetches", float64(want.Fetches), float64(got.Fetches))
-			check("blocking_fetches", float64(want.BlockingFetches), float64(got.BlockingFetches))
-			check("pf_issued", float64(want.PfIssued), float64(got.PfIssued))
-			check("pf_coalesced", float64(want.PfCoalesced), float64(got.PfCoalesced))
-			check("pf_hits", float64(want.PfHits), float64(got.PfHits))
-			check("pf_wasted", float64(want.PfWasted), float64(got.PfWasted))
-			check("pf_bytes", float64(want.PfBytes), float64(got.PfBytes))
-		}
-		if baseline.Schema >= 7 {
-			// TTFAUsec is wall clock and skipped, like WallSec.
-			check("chunks", float64(want.Chunks), float64(got.Chunks))
-		}
-		if baseline.Schema >= 8 {
-			// Only fault-free recover rows reach here (faulted ones exit
-			// above): armed-but-idle recovery must do zero retry work.
-			check("rec_sessions", float64(want.RecSessions), float64(got.RecSessions))
-			check("rec_retries", float64(want.RecRetries), float64(got.RecRetries))
-			check("rec_replays", float64(want.RecReplays), float64(got.RecReplays))
-			check("rec_stale_drops", float64(want.RecStaleDrops), float64(got.RecStaleDrops))
-		}
+		check("crossings", float64(want.Crossings), float64(got.Crossings))
+		check("msgs_per_crossing", want.MsgsPerCrossing, got.MsgsPerCrossing)
+		check("coh_item_bytes", float64(want.CohItemBytes), float64(got.CohItemBytes))
+		check("coh_items_shipped", float64(want.CohItemsShipped), float64(got.CohItemsShipped))
+		check("coh_delta_items", float64(want.CohDeltaItems), float64(got.CohDeltaItems))
+		check("coh_items_skipped", float64(want.CohItemsSkipped), float64(got.CohItemsSkipped))
+		check("item_body_bytes", float64(want.ItemBodyBytes), float64(got.ItemBodyBytes))
+		check("coh_revalidate_hits", float64(want.CohRevalidateHits), float64(got.CohRevalidateHits))
+		check("coh_revalidate_misses", float64(want.CohRevalidateMisses), float64(got.CohRevalidateMisses))
+		check("coh_revalidate_bytes", float64(want.CohRevalidateBytes), float64(got.CohRevalidateBytes))
+		check("fetches", float64(want.Fetches), float64(got.Fetches))
+		check("blocking_fetches", float64(want.BlockingFetches), float64(got.BlockingFetches))
+		check("pf_issued", float64(want.PfIssued), float64(got.PfIssued))
+		check("pf_coalesced", float64(want.PfCoalesced), float64(got.PfCoalesced))
+		check("pf_bytes", float64(want.PfBytes), float64(got.PfBytes))
+		// TTFAUsec is wall clock and skipped, like WallSec.
+		check("chunks", float64(want.Chunks), float64(got.Chunks))
+		// Of the recover rows only the fault-free ones reach here (faulted
+		// ones exit above): armed-but-idle recovery must do zero retry work.
+		check("rec_sessions", float64(want.RecSessions), float64(got.RecSessions))
+		check("rec_retries", float64(want.RecRetries), float64(got.RecRetries))
+		check("rec_replays", float64(want.RecReplays), float64(got.RecReplays))
+		check("rec_stale_drops", float64(want.RecStaleDrops), float64(got.RecStaleDrops))
 	}
 	if len(drifts) > 0 {
 		return fmt.Errorf("modeled columns drifted from baseline:\n  %s", strings.Join(drifts, "\n  "))
@@ -812,22 +776,19 @@ func Diff(oldRaw, newRaw []byte) ([]string, error) {
 }
 
 func rowKey(r ReportRow) string {
-	// Clients was added in schema 5; rows from older families carry 0
-	// there, so pre-5 baselines keep matching their re-measured rows.
 	return fmt.Sprintf("%s/%s/%.4f/%d/%d/%d", r.Figure, r.Policy, r.Ratio, r.Closure, r.Session, r.Clients)
 }
 
 func measurePoint(model netsim.Model, nodes, runs int, pt reportPoint) (ReportRow, error) {
 	cfg := TreeConfig{
-		Policy:            pt.policy,
-		Nodes:             nodes,
-		ClosureSize:       pt.clos,
-		AccessRatio:       pt.ratio,
-		Update:            pt.update,
-		Repeats:           pt.repeats,
-		Model:             model,
-		DisableFetchBatch: pt.noBat,
-		DisableDeltaShip:  pt.noDelta,
+		Policy:           pt.policy,
+		Nodes:            nodes,
+		ClosureSize:      pt.clos,
+		AccessRatio:      pt.ratio,
+		Update:           pt.update,
+		Repeats:          pt.repeats,
+		Model:            model,
+		DisableDeltaShip: pt.noDelta,
 	}
 	// Warm-up run: first-use initialization (layout caches, pools) should
 	// not be charged to the measurement.

@@ -32,8 +32,6 @@ type WarmConfig struct {
 	// DisableWarmCache reverts to discard-on-invalidate (the ablation:
 	// every session pays the full cold-start transfer again).
 	DisableWarmCache bool
-	// AdaptiveEagerness turns on the per-origin closure-budget controller.
-	AdaptiveEagerness bool
 }
 
 func (c *WarmConfig) fill() error {
@@ -115,14 +113,13 @@ func RunWarmSessions(cfg WarmConfig) (WarmResult, error) {
 			return nil, err
 		}
 		return core.New(core.Options{
-			ID:                id,
-			Node:              node,
-			Registry:          reg,
-			Policy:            core.PolicySmart,
-			ClosureSize:       cfg.ClosureSize,
-			PageSize:          cfg.PageSize,
-			DisableWarmCache:  cfg.DisableWarmCache,
-			AdaptiveEagerness: cfg.AdaptiveEagerness,
+			ID:               id,
+			Node:             node,
+			Registry:         reg,
+			Policy:           core.PolicySmart,
+			ClosureSize:      cfg.ClosureSize,
+			PageSize:         cfg.PageSize,
+			DisableWarmCache: cfg.DisableWarmCache,
 		})
 	}
 	caller, err := mk(CallerID)

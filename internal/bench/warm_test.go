@@ -98,21 +98,6 @@ func TestWarmSessionsAblationPaysColdStartEachTime(t *testing.T) {
 	}
 }
 
-// TestWarmSessionsAdaptiveStaysCorrect: the adaptive eagerness controller
-// must not change results, only budgets.
-func TestWarmSessionsAdaptiveStaysCorrect(t *testing.T) {
-	res, err := RunWarmSessions(WarmConfig{Nodes: 1023, Sessions: 4, AdaptiveEagerness: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sumFirstN(1023)
-	for i, s := range res.Sessions {
-		if s.Sum != want {
-			t.Errorf("session %d sum = %d, want %d", i+1, s.Sum, want)
-		}
-	}
-}
-
 // TestMutateTreeDeterministic: the same (ratio, salt) selects the same
 // node set, and the count matches the checksum replay used above.
 func TestMutateTreeDeterministic(t *testing.T) {

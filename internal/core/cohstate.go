@@ -71,23 +71,18 @@ import (
 // folded, which deduplicates it, every time it passes this size.
 const foldLogMax = 1 << 17
 
-// folded is what a foldLog's index records per datum: with returns the
-// record after one more exchange, of the full item it.
-type folded[V any] interface{ with(it wire.DataItem) V }
-
-// foldLog records what a peer is known to hold, per datum, for writers
-// that far outnumber readers. A writer appends its whole batch of full
-// items to an unindexed tail (the slice is retained, not copied); a reader
-// first folds the tail into the index, in append order, and then works on
-// the index. It is one coherency edge's ship state (cohPeer) and one
-// warm-cache peer's served record (servedPeer).
-type foldLog[V folded[V]] struct {
-	index  map[wire.LongPtr]V
+// foldLog is one coherency edge's ship state: what the peer is known to
+// hold, per datum, for writers that far outnumber readers. A writer appends
+// its whole batch of full items to an unindexed tail (the slice is
+// retained, not copied); a reader first folds the tail into the index, in
+// append order, and then works on the index.
+type foldLog struct {
+	index  map[wire.LongPtr]cohView
 	log    [][]wire.DataItem
 	logged int // items in log
 }
 
-func (l *foldLog[V]) append(items []wire.DataItem) {
+func (l *foldLog) append(items []wire.DataItem) {
 	l.log = append(l.log, items)
 	l.logged += len(items)
 	if l.logged > foldLogMax {
@@ -95,9 +90,9 @@ func (l *foldLog[V]) append(items []wire.DataItem) {
 	}
 }
 
-func (l *foldLog[V]) fold() {
+func (l *foldLog) fold() {
 	if l.index == nil {
-		l.index = make(map[wire.LongPtr]V, l.logged)
+		l.index = make(map[wire.LongPtr]cohView, l.logged)
 	}
 	for _, items := range l.log {
 		for _, it := range items {
@@ -117,6 +112,7 @@ type cohView struct {
 	bytes []byte
 }
 
+// with returns the view after one more exchange, of the full item it.
 func (v cohView) with(it wire.DataItem) cohView {
 	return cohView{ver: v.ver + 1, bytes: it.Bytes}
 }
@@ -127,7 +123,7 @@ func (v cohView) with(it wire.DataItem) cohView {
 // clients are distinct peers), so a session change on an edge resets it.
 type cohPeer struct {
 	sess uint64
-	foldLog[cohView]
+	foldLog
 }
 
 // cohState is a runtime's delta-shipping memory, guarded by its own

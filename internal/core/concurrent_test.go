@@ -649,12 +649,9 @@ func TestTraceEventCoverage(t *testing.T) {
 	origin1 := mk(1, nil)
 	// clientA exercises the warm-cache revalidation path.
 	clientA := mk(2, func(o *Options) { o.PageSize = 256; o.ClosureSize = 64 })
-	// clientB exercises speculative prefetch; no warm cache, so every
-	// session re-fetches.
+	// clientB exercises speculative prefetch.
 	clientB := mk(3, func(o *Options) {
-		o.DisableWarmCache = true
 		o.Prefetch = true
-		o.SyncPrefetch = true
 		o.PageSize = 256
 		o.ClosureSize = 64
 	})
@@ -753,30 +750,15 @@ func TestTraceEventCoverage(t *testing.T) {
 	}
 	end(clientA)
 
-	// clientB session 1: touch only the root; the prefetcher speculates
-	// the rest of the frontier, and those completed-but-unaccessed pages
-	// drain as wasted at session end.
-	begin(clientB)
-	bv, err := clientB.ImportPtr(t1lps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	bref, err := clientB.Deref(bv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bref.Int("data", 0); err != nil {
-		t.Fatal(err)
-	}
-	end(clientB)
-
-	// clientB session 2: a full walk, demand faults overtaking the
-	// prefetcher's speculation.
+	// clientB: a full walk over a slow link, so its demand faults catch up
+	// with speculative fetches still in flight and join them: prefetch-hit.
+	net.SetLinkDelay(2 * time.Millisecond)
 	begin(clientB)
 	if got, want := walk(clientB, t1lps[0]), wantSum(5)+1000+1000; got != want {
 		t.Fatalf("clientB walk sum = %d, want %d", got, want)
 	}
 	end(clientB)
+	net.SetLinkDelay(0)
 
 	// origin3 streams: its tiny chunk threshold splits the tree-walk
 	// closure replies into chunk sequences (chunk-sent on the origin,
@@ -830,10 +812,9 @@ func TestTraceEventCoverage(t *testing.T) {
 	}
 	end(clientA)
 
-	// Recovery finale: a flaky link exercises the retry and breaker
-	// paths, a swallowed Return forces an at-most-once replay, a shed
-	// loop drives a half-open probe, and an origin restart trips the
-	// incarnation fence.
+	// Recovery finale: a flaky link exercises the retry path, a swallowed
+	// Return forces an at-most-once replay, and an origin restart trips
+	// the incarnation fence.
 	var fetchFails, returnSwallowed atomic.Int32
 	fnode, err := net.Attach(10)
 	if err != nil {
@@ -842,7 +823,7 @@ func TestTraceEventCoverage(t *testing.T) {
 	flaky := &flakyNode{
 		Node: fnode,
 		sendHook: func(m wire.Message) error {
-			if m.Kind == wire.KindFetch && fetchFails.Add(1) <= int32(breakerThreshold) {
+			if m.Kind == wire.KindFetch && fetchFails.Add(1) <= 3 {
 				return errors.New("flaky: link down")
 			}
 			return nil
@@ -888,10 +869,9 @@ func TestTraceEventCoverage(t *testing.T) {
 	}
 	t4 := buildTree(t, origin4, 3)
 	t4lps := treeNodeLPs(t, origin4, t4)
-	// The first fetch exchange fails breakerThreshold sends in a row —
-	// retry, breaker-open — then succeeds: breaker-close. The call's
-	// swallowed Return forces a deadline retry the origin answers from
-	// its reply cache: replayed-reply.
+	// The first fetch exchange fails three sends in a row — retry — then
+	// succeeds. The call's swallowed Return forces a deadline retry the
+	// origin answers from its reply cache: replayed-reply.
 	begin(clientD)
 	if got, want := walk(clientD, t4lps[0]), wantSum(3); got != want {
 		t.Fatalf("clientD walk sum = %d, want %d", got, want)
@@ -904,14 +884,6 @@ func TestTraceEventCoverage(t *testing.T) {
 		t.Fatalf("bump result = %d (ran %d times), want 1 run", got, bumps.Load())
 	}
 	end(clientD)
-	// Shed speculation against an open breaker until the half-open probe
-	// slot comes up: breaker-probe.
-	for i := 0; i < breakerThreshold; i++ {
-		clientD.health.noteFailure(clientD, 99)
-	}
-	for i := 0; i < breakerProbeEvery; i++ {
-		clientD.health.allowSpec(clientD, 99)
-	}
 	// origin4 restarts with a fresh heap: the next exchange's reply
 	// carries incarnation 2 and the fence trips.
 	_ = origin4.Close()

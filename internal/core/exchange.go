@@ -28,7 +28,7 @@ import (
 //   - the per-frame classification (exchange.classify): checksum reject,
 //     then incarnation fence, then the chunk sequence contract;
 //   - the attempt loop (Runtime.exchange): exchange id plus attempt
-//     ordinal, backoff, budget, health accounting, EvRetry.
+//     ordinal, backoff, budget, EvRetry.
 //
 // DESIGN.md "One exchange engine" draws the state machine.
 
@@ -376,10 +376,9 @@ func (x *exchange) drain(on frameFunc) {
 // per-attempt counters and events). A transient failure — deadline, send
 // error, frame corrupted in flight, torn chunk sequence — is re-issued
 // after a capped exponential backoff while Options.RetryBudget and
-// MaxRetries last; with the budget unset this is exactly one attempt
-// with health accounting, nothing more on the wire than the seed
-// protocol. open is non-nil only when on detached: the caller owes it a
-// drain.
+// MaxRetries last; with the budget unset this is exactly one attempt,
+// nothing more on the wire than the seed protocol. open is non-nil only
+// when on detached: the caller owes it a drain.
 func (rt *Runtime) exchange(req wire.Message, sent func(), on frameFunc) (open *exchange, err error) {
 	x := exchangePool.Get().(*exchange)
 	x.rt, x.peer, x.kind, x.abandoned = rt, req.To, req.Kind, false
@@ -399,11 +398,8 @@ func (rt *Runtime) exchange(req wire.Message, sent func(), on frameFunc) (open *
 			detached, transient, err = x.frames(on)
 		}
 		if !transient {
-			if err == nil {
-				rt.health.noteSuccess(rt, x.peer)
-				if a > 0 {
-					rt.stats.retrySuccesses.Add(1)
-				}
+			if err == nil && a > 0 {
+				rt.stats.retrySuccesses.Add(1)
 			}
 			if detached {
 				return x, nil
@@ -411,7 +407,6 @@ func (rt *Runtime) exchange(req wire.Message, sent func(), on frameFunc) (open *
 			x.release()
 			return nil, err
 		}
-		rt.health.noteFailure(rt, x.peer)
 		if rt.retryBudget <= 0 {
 			return nil, err
 		}

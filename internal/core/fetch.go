@@ -378,25 +378,21 @@ func (rt *Runtime) InflightFetches() int {
 // delivered is idempotent.
 func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, wants []wire.LongPtr, spec bool, f *inflightFetch) (poke bool, bg func(), err error) {
 	primary := wants
-	budget := rt.budgetFor(origin)
-	if !rt.noFetchBatch {
-		// Coalesce outstanding wants: non-resident entries from the
-		// same origin stranded on partially resident pages ride
-		// along in this FETCH, so those pages are completed before
-		// they ever fault — one message instead of one per page.
-		// The ride-alongs are frozen (Primary marks the boundary):
-		// the server serves them but neither expands their pointer
-		// fields nor charges them against the closure budget, which
-		// stays fully available for the faulting page's own
-		// frontier. Charging or expanding them starves the
-		// productive closure and causes MORE faults, not fewer.
-		extra, _ := rt.table.OutstandingWants(origin, pn, budget)
-		wants = append(wants, extra...)
-	}
+	// Coalesce outstanding wants: non-resident entries from the same
+	// origin stranded on partially resident pages ride along in this
+	// FETCH, so those pages are completed before they ever fault — one
+	// message instead of one per page. The ride-alongs are frozen (Primary
+	// marks the boundary): the server serves them but neither expands their
+	// pointer fields nor charges them against the closure budget, which
+	// stays fully available for the faulting page's own frontier. Charging
+	// or expanding them starves the productive closure and causes MORE
+	// faults, not fewer.
+	extra, _ := rt.table.OutstandingWants(origin, pn, rt.closure)
+	wants = append(wants, extra...)
 	all := len(wants)
 	p := wire.FetchPayload{
 		Wants:       wants,
-		Budget:      uint32(budget),
+		Budget:      uint32(rt.closure),
 		Primary:     uint32(len(primary)),
 		Speculative: spec,
 	}
@@ -512,22 +508,12 @@ type chunkEmitter struct {
 	err      error  // first send failure (latched)
 }
 
-// record remembers what a fetch reply leaves the peer holding: the delta
-// base for future cross-session revalidations. Memory-only; nothing on
-// the wire.
-func (em *chunkEmitter) record(items []wire.DataItem) {
-	if !em.validate && em.rt.warmEnabled() {
-		em.rt.recordServed(em.req.From, items)
-	}
-}
-
 // emit sends one chunk carrying the given fetch items (or, for a
 // validate stream, vitems).
 func (em *chunkEmitter) emit(items []wire.DataItem, vitems []wire.ValidateItem, final bool) error {
 	if em.err != nil {
 		return em.err
 	}
-	em.record(items)
 	p := wire.FetchChunkPayload{
 		XID:      em.req.Seq,
 		Chunk:    em.next,
@@ -575,7 +561,6 @@ func (em *chunkEmitter) finish(items []wire.DataItem, vitems []wire.ValidateItem
 		out := wire.ValidateReplyPayload{Items: vitems}
 		em.rt.reply(em.req, wire.KindValidateReply, out.Encode(), "")
 	default:
-		em.record(items)
 		out := wire.ItemsPayload{Items: items}
 		em.rt.reply(em.req, wire.KindFetchReply, out.Encode(), "")
 	}

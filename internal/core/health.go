@@ -9,8 +9,7 @@ import (
 	"smartrpc/internal/wire"
 )
 
-// Per-origin health: incarnation fencing and a consecutive-failure
-// circuit breaker.
+// Per-origin health: incarnation fencing, and the retry backoff.
 //
 // Fencing (§ PROTOCOL.md "Restart incarnations"): an origin configured
 // with a nonzero Options.Incarnation stamps it into every reply it
@@ -22,51 +21,13 @@ import (
 // fails the exchange with ErrOriginRestarted (never retried: the data
 // is gone, not delayed) after demoting the origin's warm state, so the
 // failure mode is a typed error, not a silent read of reused addresses.
-//
-// The breaker: consecutive demand-exchange failures against one origin
-// open a per-origin circuit that sheds speculative (prefetch) traffic —
-// speculation is never load-bearing, so refusing to launch it against a
-// struggling peer is free — while demand traffic keeps its full retry
-// budget. Every breakerProbeEvery'th shed lets one half-open probe
-// through; the first demand success closes the circuit.
 
-// breakerThreshold is how many consecutive demand failures against one
-// origin open its circuit; breakerProbeEvery is how many speculative
-// sheds admit one half-open probe.
-const (
-	breakerThreshold  = 3
-	breakerProbeEvery = 8
-)
-
-// peerHealth is one origin's fence + breaker state.
-type peerHealth struct {
-	incSeen bool
-	inc     uint32
-	fails   int
-	open    bool
-	sheds   int
-}
-
-// healthState tracks per-origin health. One mutex covers the whole map:
-// every touch is a few loads and stores, and the exchange paths it sits
-// on each involve at least one network round trip.
+// healthState is the fence's memory: the incarnation each origin's
+// replies were first seen to carry. One mutex covers the map: every touch
+// is a lookup, and each reply frame it checks crossed the network.
 type healthState struct {
-	mu    sync.Mutex
-	peers map[uint32]*peerHealth
-}
-
-// peer returns (creating if needed) the state for one origin. Caller
-// holds h.mu.
-func (h *healthState) peer(id uint32) *peerHealth {
-	if h.peers == nil {
-		h.peers = make(map[uint32]*peerHealth)
-	}
-	p := h.peers[id]
-	if p == nil {
-		p = &peerHealth{}
-		h.peers[id] = p
-	}
-	return p
+	mu  sync.Mutex
+	inc map[uint32]uint32
 }
 
 // fenceCheck validates the incarnation a reply from peer carried. The
@@ -77,20 +38,19 @@ func (h *healthState) peer(id uint32) *peerHealth {
 func (rt *Runtime) fenceCheck(peer uint32, inc uint32) error {
 	h := &rt.health
 	h.mu.Lock()
-	p := h.peer(peer)
-	if !p.incSeen {
-		p.incSeen = true
-		p.inc = inc
+	old, seen := h.inc[peer]
+	if seen && old == inc {
 		h.mu.Unlock()
 		return nil
 	}
-	if p.inc == inc {
-		h.mu.Unlock()
-		return nil
+	if h.inc == nil {
+		h.inc = make(map[uint32]uint32)
 	}
-	old := p.inc
-	p.inc = inc
+	h.inc[peer] = inc
 	h.mu.Unlock()
+	if !seen {
+		return nil
+	}
 	rt.stats.fenceTrips.Add(1)
 	rt.trace(Event{Kind: EvFenceTrip, Target: peer, Page: old, Count: int(inc)})
 	rt.fenceDemote(peer)
@@ -99,7 +59,7 @@ func (rt *Runtime) fenceCheck(peer uint32, inc uint32) error {
 }
 
 // fenceDemote strips the stale marks of a restarted origin's data: its
-// heap is fresh, so no offered hash can match and no delta base is valid.
+// heap is fresh, so no offered hash can match.
 // Other origins' warm state is untouched. The cached pages themselves are
 // torn down by the session abort the fence error forces.
 func (rt *Runtime) fenceDemote(origin uint32) {
@@ -111,59 +71,6 @@ func (rt *Runtime) fenceDemote(origin uint32) {
 		return true
 	})
 	rt.table.ClearStale(lps)
-}
-
-// noteSuccess records a completed demand exchange with peer, closing
-// its breaker if open.
-func (h *healthState) noteSuccess(rt *Runtime, peer uint32) {
-	h.mu.Lock()
-	p := h.peer(peer)
-	wasOpen := p.open
-	p.fails, p.open, p.sheds = 0, false, 0
-	h.mu.Unlock()
-	if wasOpen {
-		rt.trace(Event{Kind: EvBreakerClose, Target: peer})
-	}
-}
-
-// noteFailure records a failed demand exchange attempt with peer,
-// opening its breaker at the consecutive-failure threshold.
-func (h *healthState) noteFailure(rt *Runtime, peer uint32) {
-	h.mu.Lock()
-	p := h.peer(peer)
-	p.fails++
-	opened := !p.open && p.fails >= breakerThreshold
-	if opened {
-		p.open = true
-		p.sheds = 0
-	}
-	h.mu.Unlock()
-	if opened {
-		rt.stats.breakerOpens.Add(1)
-		rt.trace(Event{Kind: EvBreakerOpen, Target: peer})
-	}
-}
-
-// allowSpec reports whether a speculative launch against peer may
-// proceed. An open breaker sheds it, except that every
-// breakerProbeEvery'th shed is admitted as a half-open probe so the
-// breaker discovers recovery even on an all-speculative edge.
-func (h *healthState) allowSpec(rt *Runtime, peer uint32) bool {
-	h.mu.Lock()
-	p := h.peer(peer)
-	if !p.open {
-		h.mu.Unlock()
-		return true
-	}
-	p.sheds++
-	probe := p.sheds%breakerProbeEvery == 0
-	h.mu.Unlock()
-	if probe {
-		rt.trace(Event{Kind: EvBreakerProbe, Target: peer})
-		return true
-	}
-	rt.stats.breakerSheds.Add(1)
-	return false
 }
 
 // Retry backoff: capped exponential with deterministic jitter. The

@@ -269,7 +269,7 @@ func TestExchangeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := New(Options{ID: 2, Node: node, Registry: newTestRegistry(t), DisableFetchBatch: true})
+	cl, err := New(Options{ID: 2, Node: node, Registry: newTestRegistry(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestExchangeAllocs(t *testing.T) {
 	// The same request encoded and the same reply decoded and installed,
 	// with no exchange around them.
 	payload := testing.AllocsPerRun(200, func() {
-		p := wire.FetchPayload{Wants: wants, Budget: uint32(cl.budgetFor(1)), Primary: 1}
+		p := wire.FetchPayload{Wants: wants, Budget: uint32(cl.closure), Primary: 1}
 		m := wire.Message{Kind: wire.KindFetchReply, Payload: fetchReply}
 		if _, err := cl.installFetchFrame(f, sess, 1, wants, m); err != nil || len(p.Encode()) == 0 {
 			t.Fatalf("install: %v", err)

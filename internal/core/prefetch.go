@@ -35,43 +35,32 @@ import (
 // Teardown discipline: pfDrain disables the prefetcher and waits out
 // every in-flight speculative completion before any session-teardown path
 // (EndSession, serveInvalidate, AbortSession) touches the cache, so
-// speculative installs never race demotion or invalidation. It then
-// classifies each prefetch-completed page by its vmem accessed bit —
-// touched pages were hits, untouched ones wasted speculation — feeding
-// the PfHits/PfWasted counters and, through the shared eager-usage
-// statistics, the per-origin depth adaptation (prefetchDepthFor).
+// speculative installs never race demotion or invalidation.
 
-// defaultPrefetchDepth is the baseline bound on in-flight speculative
-// fetches per origin when Options.PrefetchDepth is unset (the adaptive
-// scaling of prefetchDepthFor can grow an origin's effective depth to
-// twice this). Two keeps one exchange in flight while the next candidate
-// is being selected — enough to hide the round trip on a linear pointer
-// chase without flooding the origin.
-const defaultPrefetchDepth = 2
+// prefetchDepth bounds the in-flight speculative fetches per origin. Two
+// keeps one exchange in flight while the next candidate is being selected
+// — enough to hide the round trip on a linear pointer chase without
+// flooding the origin.
+const prefetchDepth = 2
 
 // prefetcher is the per-runtime speculation state; nil unless enabled.
 type prefetcher struct {
-	mu    sync.Mutex
-	depth int
-	sync  bool // run completions inline (Options.SyncPrefetch)
+	mu   sync.Mutex
+	sync bool // run completions inline (Options.SyncPrefetch)
 	// sess is the session speculation is running for; 0 disables pokes.
 	sess uint64
 	// queued marks pages a speculative completion was launched for this
-	// session (dedup); completed marks the subset that finished cleanly,
-	// awaiting hit/waste classification at drain time.
-	queued    map[uint32]bool
-	completed map[uint32]bool
+	// session (dedup).
+	queued map[uint32]bool
 	// outstanding counts in-flight speculative completions per origin.
 	outstanding map[uint32]int
 	wg          sync.WaitGroup
 }
 
-func newPrefetcher(depth int, sync bool) *prefetcher {
+func newPrefetcher(sync bool) *prefetcher {
 	return &prefetcher{
-		depth:       depth,
 		sync:        sync,
 		queued:      make(map[uint32]bool),
-		completed:   make(map[uint32]bool),
 		outstanding: make(map[uint32]int),
 	}
 }
@@ -85,14 +74,13 @@ func (rt *Runtime) pfBegin(sess uint64) {
 	p.mu.Lock()
 	p.sess = sess
 	clear(p.queued)
-	clear(p.completed)
 	clear(p.outstanding)
 	p.mu.Unlock()
 }
 
 // pfPoke is the speculation trigger: called after a completed exchange
 // with origin (demand or speculative), it launches background completions
-// for up to the origin's adapted depth of non-resident frontier pages.
+// for up to prefetchDepth of the origin's non-resident frontier pages.
 // Cheap and non-blocking when speculation is disabled, the session has
 // ended, or the origin's in-flight budget is spent.
 func (rt *Runtime) pfPoke(origin uint32) {
@@ -102,25 +90,15 @@ func (rt *Runtime) pfPoke(origin uint32) {
 	}
 	p.mu.Lock()
 	sess := p.sess
-	depth := p.depth
 	out := p.outstanding[origin]
 	p.mu.Unlock()
-	if sess == 0 || out >= depth {
-		return
-	}
-	// An open per-origin breaker sheds speculation: prefetch is never
-	// load-bearing, so a struggling origin is spared the optional traffic
-	// while demand exchanges keep their full retry budget.
-	if !rt.health.allowSpec(rt, origin) {
-		return
-	}
-	if depth = rt.prefetchDepthFor(origin, depth); out >= depth {
+	if sess == 0 || out >= prefetchDepth {
 		return
 	}
 	// Candidate selection walks the swizzle table outside p.mu (the table
 	// has its own lock); over-fetch a little so queued pages don't starve
 	// the launch loop below.
-	cands := rt.table.PrefetchCandidates(origin, depth*2)
+	cands := rt.table.PrefetchCandidates(origin, prefetchDepth*2)
 	if len(cands) == 0 {
 		return
 	}
@@ -134,7 +112,7 @@ func (rt *Runtime) pfPoke(origin uint32) {
 		if p.queued[pn] {
 			continue
 		}
-		if p.outstanding[origin] >= depth {
+		if p.outstanding[origin] >= prefetchDepth {
 			break
 		}
 		p.queued[pn] = true
@@ -169,9 +147,6 @@ func (rt *Runtime) pfRun(sess uint64, origin, pn uint32) {
 	err := rt.completePage(sess, pn, true)
 	p.mu.Lock()
 	p.outstanding[origin]--
-	if err == nil && p.sess == sess {
-		p.completed[pn] = true
-	}
 	p.mu.Unlock()
 	p.wg.Done()
 	if err == nil {
@@ -181,11 +156,10 @@ func (rt *Runtime) pfRun(sess uint64, origin, pn uint32) {
 	}
 }
 
-// pfDrain disables speculation, waits out every in-flight speculative
-// completion, and classifies the prefetched pages as hits or waste by
-// their accessed bits. It must run before any teardown path invalidates
-// or demotes the cache: the accessed bits are about to be cleared, and a
-// speculative install racing the demotion would corrupt the baseline.
+// pfDrain disables speculation and waits out every in-flight speculative
+// completion. It must run before any teardown path invalidates or demotes
+// the cache: a speculative install racing the demotion would corrupt the
+// baseline.
 func (rt *Runtime) pfDrain() {
 	p := rt.pf
 	if p == nil {
@@ -200,17 +174,7 @@ func (rt *Runtime) pfDrain() {
 	p.mu.Unlock()
 	p.wg.Wait()
 	p.mu.Lock()
-	for pn := range p.completed {
-		if rt.space.Accessed(pn) {
-			rt.stats.pfHits.Add(1)
-			rt.trace(Event{Kind: EvPrefetchHit, Page: pn})
-		} else {
-			rt.stats.pfWasted.Add(1)
-			rt.trace(Event{Kind: EvPrefetchWasted, Page: pn})
-		}
-	}
 	clear(p.queued)
-	clear(p.completed)
 	clear(p.outstanding)
 	p.mu.Unlock()
 }

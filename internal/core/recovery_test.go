@@ -216,42 +216,47 @@ func TestReplayCacheEviction(t *testing.T) {
 	}
 }
 
-// --- breaker ---
-
-func TestBreakerOpensShedsProbesCloses(t *testing.T) {
-	caller, _ := pair(t, nil)
-	const peer = 2
-	for i := 0; i < breakerThreshold; i++ {
-		caller.health.noteFailure(caller, peer)
-	}
-	if got := caller.Stats().BreakerOpens; got != 1 {
-		t.Fatalf("BreakerOpens = %d, want 1", got)
-	}
-	probes := 0
-	for i := 0; i < breakerProbeEvery; i++ {
-		if caller.health.allowSpec(caller, peer) {
-			probes++
+// TestReplayOrderBoundedAcrossSessions: a persistent pair that retires
+// each session leaves nothing behind in the origin's reply cache — the
+// eviction order shrinks with the entries — and eviction over the order
+// still re-queues an entry that is executing.
+func TestReplayOrderBoundedAcrossSessions(t *testing.T) {
+	caller, callee := pair(t, nil)
+	registerSumProc(t, callee)
+	root := buildTree(t, caller, 1)
+	rc := callee.replay
+	bounded := func(when string) {
+		t.Helper()
+		rc.mu.Lock()
+		defer rc.mu.Unlock()
+		if len(rc.order) > len(rc.entries) {
+			t.Fatalf("%s: order holds %d keys for %d entries", when, len(rc.order), len(rc.entries))
 		}
 	}
-	if probes != 1 {
-		t.Errorf("open breaker admitted %d of %d speculative launches, want exactly 1 probe", probes, breakerProbeEvery)
+	for i := 0; i < 2000; i++ {
+		if got := sessionCall(t, caller, 2, "sumTree", root)[0].Int64(); got != wantSum(1) {
+			t.Fatalf("session %d sum = %d, want %d", i, got, wantSum(1))
+		}
 	}
-	if got := caller.Stats().BreakerSheds; got != uint64(breakerProbeEvery-1) {
-		t.Errorf("BreakerSheds = %d, want %d", got, breakerProbeEvery-1)
+	bounded("after 2000 retired sessions")
+	pinned := wire.Message{From: 3, Session: 1, Seq: wire.SeqWithAttempt(1, 0), Kind: wire.KindWriteBack}
+	if v := rc.admit(pinned); v != admitExecute {
+		t.Fatal("pinned admit refused")
 	}
-	// Another origin is unaffected.
-	if !caller.health.allowSpec(caller, 3) {
-		t.Error("breaker for one origin shed speculation against another")
+	for xid := uint64(2); xid < uint64(replayCacheEntries+200); xid++ {
+		m := wire.Message{From: 3, Session: 2, Seq: wire.SeqWithAttempt(xid, 0), Kind: wire.KindWriteBack}
+		if v := rc.admit(m); v != admitExecute {
+			t.Fatalf("xid %d admit = %v, want execute", xid, v)
+		}
+		rc.complete(m, wire.KindWriteBackAck, nil, "")
 	}
-	// One demand success closes the circuit.
-	caller.health.noteSuccess(caller, peer)
-	if !caller.health.allowSpec(caller, peer) {
-		t.Error("speculation still shed after the breaker closed")
-	}
-	// Failures below the threshold never open it.
-	caller.health.noteFailure(caller, peer)
-	if !caller.health.allowSpec(caller, peer) {
-		t.Error("a single failure opened the breaker")
+	bounded("after eviction churn")
+	rc.dropSession(2)
+	bounded("after dropping the churned session")
+	retry := pinned
+	retry.Seq = wire.SeqWithAttempt(1, 1)
+	if v := rc.admit(retry); v != admitSwallow {
+		t.Errorf("pinned entry verdict = %v, want swallow (still executing)", v)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"smartrpc/internal/wire"
@@ -141,8 +142,8 @@ func (rc *replayCache) resend(rt *Runtime, m wire.Message) {
 	rt.replyRaw(m.From, m.Session, seq, kind, payload, errStr)
 }
 
-// dropSession discards every entry belonging to one retired session.
-// Keys linger in the order slice; eviction skips them.
+// dropSession discards every entry belonging to one retired session,
+// from the eviction order too: order holds exactly the keys of entries.
 func (rc *replayCache) dropSession(sess uint64) {
 	rc.mu.Lock()
 	for k := range rc.entries {
@@ -150,6 +151,7 @@ func (rc *replayCache) dropSession(sess uint64) {
 			delete(rc.entries, k)
 		}
 	}
+	rc.order = slices.DeleteFunc(rc.order, func(k replayKey) bool { return k.sess == sess })
 	rc.mu.Unlock()
 }
 
@@ -164,12 +166,9 @@ func (rc *replayCache) evictLocked() {
 	for i := 0; i < scan && len(rc.entries) >= replayCacheEntries; i++ {
 		k := rc.order[0]
 		rc.order = rc.order[1:]
-		e := rc.entries[k]
-		switch {
-		case e == nil: // already dropped with its session
-		case e.state == replayExecuting:
+		if rc.entries[k].state == replayExecuting {
 			rc.order = append(rc.order, k)
-		default:
+		} else {
 			delete(rc.entries, k)
 		}
 	}

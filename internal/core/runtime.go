@@ -132,11 +132,6 @@ type Options struct {
 	// follows per type (§6's programmer-supplied shape suggestions).
 	// Types absent from the map follow every pointer field.
 	ClosureHints map[types.ID][]string
-	// DisableFetchBatch turns off multi-want FETCH coalescing: every page
-	// fault requests only its own page's entries, the seed protocol's
-	// behavior. Used by benchmarks and regression tests to measure the
-	// batching win.
-	DisableFetchBatch bool
 	// DisableDeltaShip turns off delta shipping on the coherency path and
 	// restores the paper's full-shipping protocol: every crossing
 	// re-transmits the complete canonical encoding of every item in the
@@ -176,29 +171,17 @@ type Options struct {
 	// the warm-cache win; the other policies never cache across sessions
 	// either way.
 	DisableWarmCache bool
-	// AdaptiveEagerness lets the runtime adjust its per-origin closure
-	// fetch budget between sessions from the measured hit/waste ratio of
-	// shipped closures (eager.go). Off by default: the budget stays at
-	// ClosureSize, the paper's fixed setting.
-	AdaptiveEagerness bool
 	// Prefetch enables the speculative pointer-graph prefetcher
 	// (prefetch.go): when installs swizzle pointers into fully
 	// non-resident pages, bounded background fetches complete the
-	// predicted-next pages before the application faults on them.
+	// predicted-next pages before the application faults on them, at most
+	// prefetchDepth in flight per origin.
 	// Speculation is never load-bearing — a failed or dropped prefetch
 	// degrades silently to the ordinary demand fetch — and a demand fault
 	// on a page whose prefetch is in flight joins it instead of
 	// re-requesting. Off by default: the demand path's message counts and
 	// wire bytes are exactly the seed protocol's.
 	Prefetch bool
-	// PrefetchDepth is the baseline for how many speculative page fetches
-	// may be in flight per origin (default 2 when Prefetch is set). The
-	// adaptive usage statistics scale the effective depth per origin:
-	// mostly-wasted speculation shrinks it to zero, and mostly-used
-	// speculation grows it up to twice the configured depth
-	// (prefetchDepthFor) — the hard per-origin in-flight bound is
-	// therefore 2×PrefetchDepth.
-	PrefetchDepth int
 	// SyncPrefetch runs speculative completions inline on the goroutine
 	// that triggered them instead of in the background. Latency no longer
 	// overlaps computation — the mode exists for the deterministic
@@ -274,9 +257,6 @@ func (o *Options) fill() error {
 	if o.Coherence == 0 {
 		o.Coherence = CoherencePiggyback
 	}
-	if o.Prefetch && o.PrefetchDepth <= 0 {
-		o.PrefetchDepth = defaultPrefetchDepth
-	}
 	if o.StreamChunkBytes == 0 {
 		o.StreamChunkBytes = defaultStreamChunkBytes
 	}
@@ -341,11 +321,11 @@ type Stats struct {
 	// re-shipping their bytes.
 	CohRevalidateHits uint64
 	// CohRevalidateMisses counts stale cached data whose revalidation
-	// came back as a delta or full body.
+	// came back as a full body.
 	CohRevalidateMisses uint64
 	// CohRevalidateBytes sums the item-body bytes received on the
-	// revalidation path (delta items contribute their delta size, tokens
-	// contribute zero) — directly comparable to CohItemBytes.
+	// revalidation path (tokens contribute zero) — directly comparable to
+	// CohItemBytes.
 	CohRevalidateBytes uint64
 	// PfIssued counts speculative FETCH messages issued by the
 	// prefetcher. FetchesSent counts demand and speculative fetches alike,
@@ -356,10 +336,6 @@ type Stats struct {
 	// already in flight and joined the pending reply instead of
 	// re-requesting (prefetch overlap plus concurrent-fault dedup).
 	PfCoalesced uint64
-	// PfHits and PfWasted classify prefetch-completed pages at session
-	// teardown: a page the session touched through a checked access was a
-	// hit, one it never touched was wasted speculation.
-	PfHits, PfWasted uint64
 	// PfBytes sums the body bytes installed from speculative fetch
 	// replies (a subset of BytesInstalled).
 	PfBytes uint64
@@ -385,44 +361,37 @@ type Stats struct {
 	// FenceTrips counts replies rejected because the origin's restart
 	// incarnation changed mid-relationship (ErrOriginRestarted).
 	FenceTrips uint64
-	// BreakerOpens counts per-origin circuit-breaker openings after
-	// consecutive demand failures; BreakerSheds counts speculative
-	// (prefetch) launches the open breaker refused.
-	BreakerOpens, BreakerSheds uint64
 }
 
 // Runtime is one address space's Smart RPC runtime system.
 type Runtime struct {
-	id            uint32
-	node          transport.Node
-	reg           *types.Registry
-	res           *types.Resolver // per-profile Lookup+Layout cache
-	space         *vmem.Space
-	table         *swizzle.Table
-	policy        Policy
-	closure       int
-	traversal     Traversal
-	coherence     Coherence
-	noFetchBatch  bool
-	noDeltaShip   bool
-	noWarmCache   bool
-	adaptiveEager bool
-	concurrent    bool
-	callTimeout   time.Duration
-	checkInv      bool
-	streamChunk   int
-	retryBudget   time.Duration
-	maxRetries    int
-	incarnation   uint32
+	id          uint32
+	node        transport.Node
+	reg         *types.Registry
+	res         *types.Resolver // per-profile Lookup+Layout cache
+	space       *vmem.Space
+	table       *swizzle.Table
+	policy      Policy
+	closure     int
+	traversal   Traversal
+	coherence   Coherence
+	noDeltaShip bool
+	noWarmCache bool
+	concurrent  bool
+	callTimeout time.Duration
+	checkInv    bool
+	streamChunk int
+	retryBudget time.Duration
+	maxRetries  int
+	incarnation uint32
 
 	// replay is the origin-side at-most-once reply cache
 	// (replaycache.go): retried non-idempotent exchanges replay their
 	// cached reply instead of re-executing.
 	replay *replayCache
 
-	// health is the per-origin fence + circuit-breaker state
-	// (health.go): incarnation fencing against restarted origins, and
-	// consecutive-failure tracking that sheds speculative traffic.
+	// health is the per-origin incarnation fence against restarted
+	// origins (health.go).
 	health healthState
 
 	// bgDrain tracks background chunk drainers: goroutines finishing the
@@ -531,14 +500,6 @@ type Runtime struct {
 	// coh is the delta-shipping ship state (cohstate.go).
 	coh cohState
 
-	// warm is the cross-session warm-cache state: client revalidation
-	// baselines and per-peer served records (warmcache.go).
-	warm warmCache
-
-	// eager is the closure usage accounting and, when enabled, the
-	// adaptive per-origin fetch budgets (eager.go).
-	eager eagerState
-
 	tracer atomic.Pointer[tracerBox]
 
 	stats struct {
@@ -554,14 +515,12 @@ type Runtime struct {
 		cohRevalidateMisses, cohRevalidateBytes atomic.Uint64
 
 		pfIssued, pfCoalesced atomic.Uint64
-		pfHits, pfWasted      atomic.Uint64
 		pfBytes               atomic.Uint64
 
 		retries, retrySuccesses, retriesExhausted atomic.Uint64
 		staleReplyDrops                           atomic.Uint64
 		dedupReplays, dedupSwallowed              atomic.Uint64
 		fenceTrips                                atomic.Uint64
-		breakerOpens, breakerSheds                atomic.Uint64
 	}
 
 	closeOnce sync.Once
@@ -603,10 +562,8 @@ func New(opts Options) (*Runtime, error) {
 		closure:         opts.ClosureSize,
 		traversal:       opts.Traversal,
 		coherence:       opts.Coherence,
-		noFetchBatch:    opts.DisableFetchBatch,
 		noDeltaShip:     opts.DisableDeltaShip,
 		noWarmCache:     opts.DisableWarmCache,
-		adaptiveEager:   opts.AdaptiveEagerness,
 		concurrent:      opts.Concurrent,
 		callTimeout:     opts.CallTimeout,
 		checkInv:        opts.CheckInvariants,
@@ -628,7 +585,7 @@ func New(opts Options) (*Runtime, error) {
 	empty := make(map[wire.LongPtr]wire.LongPtr)
 	rt.provMap.Store(&empty)
 	if opts.Prefetch {
-		rt.pf = newPrefetcher(opts.PrefetchDepth, opts.SyncPrefetch)
+		rt.pf = newPrefetcher(opts.SyncPrefetch)
 	}
 	for ty, fields := range opts.ClosureHints {
 		if err := rt.SetClosureHint(ty, fields); err != nil {
@@ -739,8 +696,6 @@ func (rt *Runtime) Stats() Stats {
 
 		PfIssued:    rt.stats.pfIssued.Load(),
 		PfCoalesced: rt.stats.pfCoalesced.Load(),
-		PfHits:      rt.stats.pfHits.Load(),
-		PfWasted:    rt.stats.pfWasted.Load(),
 		PfBytes:     rt.stats.pfBytes.Load(),
 
 		Retries:          rt.stats.retries.Load(),
@@ -750,8 +705,6 @@ func (rt *Runtime) Stats() Stats {
 		DedupReplays:     rt.stats.dedupReplays.Load(),
 		DedupSwallowed:   rt.stats.dedupSwallowed.Load(),
 		FenceTrips:       rt.stats.fenceTrips.Load(),
-		BreakerOpens:     rt.stats.breakerOpens.Load(),
-		BreakerSheds:     rt.stats.breakerSheds.Load(),
 	}
 	return s
 }
@@ -832,8 +785,8 @@ func (rt *Runtime) dupRequest(from uint32, sess, seq uint64) bool {
 //
 // Sizing: the fetch pipeline legitimately puts several concurrent
 // requests on one edge — a multi-origin demand fault fans out one FETCH
-// per origin group, and the prefetcher adds at most 2×PrefetchDepth
-// speculative completions per origin (prefetchDepthFor) — but every one
+// per origin group, and the prefetcher adds at most prefetchDepth
+// speculative completions per origin — but every one
 // of those requesters then blocks awaiting its reply, so a well-behaved
 // peer holds tens of requests in flight, not hundreds. Depth 256 per
 // stripe therefore bounds only what a duplicating, replaying, or

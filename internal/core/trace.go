@@ -31,21 +31,17 @@ const (
 	EvValidateMiss
 	EvPrefetchIssued
 	EvPrefetchHit
-	EvPrefetchWasted
 	EvRebindEvict
 	EvChunkSent
 	EvChunkRecv
 	EvChunkInstall
 	// Recovery events: a retried exchange (Count carries the attempt
 	// ordinal), an origin replaying a cached reply to a retried request,
-	// a client tripping the incarnation fence against a restarted origin,
-	// and the per-origin breaker opening / half-open probing / closing.
+	// and a client tripping the incarnation fence against a restarted
+	// origin.
 	EvRetry
 	EvReplayedReply
 	EvFenceTrip
-	EvBreakerOpen
-	EvBreakerProbe
-	EvBreakerClose
 )
 
 var eventNames = map[EventKind]string{
@@ -58,12 +54,11 @@ var eventNames = map[EventKind]string{
 	EvValidateSent: "validate-sent", EvValidateHit: "validate-hit",
 	EvValidateMiss:   "validate-miss",
 	EvPrefetchIssued: "prefetch-issued", EvPrefetchHit: "prefetch-hit",
-	EvPrefetchWasted: "prefetch-wasted", EvRebindEvict: "rebind-evict",
-	EvChunkSent: "chunk-sent", EvChunkRecv: "chunk-recv",
+	EvRebindEvict: "rebind-evict",
+	EvChunkSent:   "chunk-sent", EvChunkRecv: "chunk-recv",
 	EvChunkInstall: "chunk-install",
 	EvRetry:        "retry", EvReplayedReply: "replayed-reply",
-	EvFenceTrip: "fence-trip", EvBreakerOpen: "breaker-open",
-	EvBreakerProbe: "breaker-probe", EvBreakerClose: "breaker-close",
+	EvFenceTrip: "fence-trip",
 }
 
 // EventKinds returns every defined event kind, in declaration order.
@@ -120,7 +115,7 @@ func (e Event) String() string {
 		return fmt.Sprintf("[%d] %v peer=%d chunk=%d count=%d", e.Space, e.Kind, e.Target, e.Page, e.Count)
 	case EvValidateHit, EvValidateMiss, EvRebindEvict:
 		return fmt.Sprintf("[%d] %v %v", e.Space, e.Kind, e.LP)
-	case EvPrefetchIssued, EvPrefetchHit, EvPrefetchWasted:
+	case EvPrefetchIssued, EvPrefetchHit:
 		return fmt.Sprintf("[%d] %v page=%d peer=%d", e.Space, e.Kind, e.Page, e.Target)
 	case EvRetry:
 		// Proc carries the retried kind's name; Count the attempt ordinal.
@@ -130,8 +125,6 @@ func (e Event) String() string {
 	case EvFenceTrip:
 		// Page carries the old incarnation; Count the new one.
 		return fmt.Sprintf("[%d] %v peer=%d inc=%d->%d", e.Space, e.Kind, e.Target, e.Page, e.Count)
-	case EvBreakerOpen, EvBreakerProbe, EvBreakerClose:
-		return fmt.Sprintf("[%d] %v peer=%d", e.Space, e.Kind, e.Target)
 	default:
 		return fmt.Sprintf("[%d] %v", e.Space, e.Kind)
 	}

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
-	"smartrpc/internal/delta"
 	"smartrpc/internal/swizzle"
 	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
@@ -21,73 +19,30 @@ import (
 // ProtNone (vmem.DemoteCache) — nothing else is recorded, so a teardown
 // costs one pass over the table whether or not a later session ever comes.
 // The next session's first fault over a stale page sends one batched
-// Validate message carrying (pointer, version, content hash) tuples for
-// the faulting page plus the stale ride-alongs in its closure
-// neighborhood; the origin answers each tuple with a zero-byte "still
-// current" token, a range delta against the cached bytes (internal/delta),
-// or a full body — an unchanged working set costs one small round trip
-// instead of N full fetches.
+// Validate message carrying (pointer, content hash) tuples for the faulting
+// page plus the stale ride-alongs in its closure neighborhood; the origin
+// answers each tuple with a zero-byte "still current" token or the full
+// body — an unchanged working set costs one small round trip instead of N
+// full fetches. The origin remembers nothing
+// about what it served: it answers from its heap and the offered hash.
 //
 // Safety rests on two rules:
 //
 //   - The client's revalidation baseline IS the demoted page: the offered
-//     hash, and the base a delta reply is applied to, are the canonical
-//     encoding of the page bytes taken when the Validate is built, never a
-//     copy kept from a fetch- or coherency-path install. A stale page sits
-//     under ProtNone and only a revalidation install (which ends the
-//     entry's staleness) writes to it, so page and baseline cannot
-//     disagree.
-//   - The content hash, not the version word, is authoritative for token
-//     decisions: the origin answers "still current" only when the hash of
-//     its *current* encoding equals the offered hash. A dropped or
-//     corrupted reply can therefore never set up a later token that
-//     promotes bytes differing from the origin's — the failure mode of
-//     version-lockstep schemes.
+//     hash is of the canonical encoding of the page bytes taken when the
+//     Validate is built, never of a copy kept from a fetch- or
+//     coherency-path install. A stale page sits under ProtNone and only a
+//     revalidation install (which ends the entry's staleness) writes to it,
+//     so page and baseline cannot disagree.
+//   - The content hash is authoritative for token decisions: the origin
+//     answers "still current" only when the hash of its *current* encoding
+//     equals the offered hash. A dropped or corrupted reply can therefore
+//     never set up a later token that promotes bytes differing from the
+//     origin's — the failure mode of version-lockstep schemes.
 //
 // Any failure in the exchange degrades transparently: the affected entries
 // lose their stale mark and are refetched in full by the ordinary fetch
 // path. Correctness never depends on warm state.
-
-// validateVer is what ValidateTuple.Ver carries. The word is diagnostic
-// (the hash decides); with no stored baseline there is no demotion
-// generation to count, so it is a constant.
-const validateVer = 1
-
-// warmCache is the origin side of a runtime's cross-session warm state:
-// per peer, the canonical bytes this space last shipped for each of its
-// own data — the delta base for Validate replies. It deliberately
-// survives session teardown; an entry is only ever used after an offered
-// hash proves the peer still holds those bytes. (The client side keeps no
-// state here: its baseline is the demoted page itself.)
-type warmCache struct {
-	mu     sync.Mutex
-	served map[uint32]*servedPeer
-}
-
-// servedBytes is the canonical encoding last shipped to a peer for a datum.
-type servedBytes []byte
-
-func (servedBytes) with(it wire.DataItem) servedBytes { return it.Bytes }
-
-// servedPeer is what one peer is known to hold. Fetch serves only append
-// to the log (a cold peer never revalidates, and indexing 32 767 items per
-// session for it is pure waste); the peer's next Validate folds the log
-// into the index, later records overwriting earlier ones.
-type servedPeer = foldLog[servedBytes]
-
-// peer returns the served record for a peer, creating it. Caller holds
-// w.mu.
-func (w *warmCache) peer(id uint32) *servedPeer {
-	sp := w.served[id]
-	if sp == nil {
-		if w.served == nil {
-			w.served = make(map[uint32]*servedPeer)
-		}
-		sp = &servedPeer{}
-		w.served[id] = sp
-	}
-	return sp
-}
 
 // warmEnabled reports whether this runtime keeps its cache warm across
 // sessions. Only the smart policy caches through the data allocation
@@ -97,12 +52,11 @@ func (rt *Runtime) warmEnabled() bool {
 }
 
 // demoteWarm is the warm-cache replacement for the hard local
-// invalidation at session teardown: it feeds the adaptive-eagerness
-// accounting, then demotes the table rows and re-protects the cache pages
-// in place. Nothing is encoded or recorded — the pages are the baseline.
-// A provisional row surviving to teardown means the protocol already
-// failed, and the cache falls back to the hard invalidation — losing
-// warmth, never correctness.
+// invalidation at session teardown: it demotes the table rows and
+// re-protects the cache pages in place. Nothing is encoded or recorded —
+// the pages are the baseline. A provisional row surviving to teardown
+// means the protocol already failed, and the cache falls back to the hard
+// invalidation — losing warmth, never correctness.
 func (rt *Runtime) demoteWarm() {
 	provisional := false
 	rt.table.Visit(func(e swizzle.Entry) bool {
@@ -113,7 +67,6 @@ func (rt *Runtime) demoteWarm() {
 		rt.demoteFallback()
 		return
 	}
-	rt.recordEagerUsage()
 	rt.table.DemoteAll()
 	rt.space.DemoteCache()
 }
@@ -127,21 +80,16 @@ func (rt *Runtime) demoteFallback() {
 // staleRef is the client's half of one offered tuple, held at the tuple's
 // index from the offer until the reply has been applied.
 type staleRef struct {
-	addr vmem.VAddr
-	// base is the canonical encoding of the datum's page bytes when the
-	// offer was built: what Sum hashes, and what a delta reply patches.
-	base     []byte
+	addr     vmem.VAddr
 	answered bool
 }
 
 // validateTuplesFor builds the offer for a set of stale long pointers by
-// encoding each datum from its demoted page into one shared arena: the
-// tuple carries the hash of that encoding, and refs keeps the encoding (a
-// slice of the arena, taken at once: if the arena grows later, append
-// copies and the sliced array is never written again) as the delta base.
-// A row that vanished or was
-// promoted meanwhile is skipped; a datum that cannot be encoded — it
-// points at a datum freed since — loses its stale mark and is refetched.
+// encoding each datum from its demoted page into one scratch arena: the
+// tuple carries the hash of that encoding, which is then dropped. A row
+// that vanished or was promoted meanwhile is skipped; a datum that cannot
+// be encoded — it points at a datum freed since — loses its stale mark and
+// is refetched.
 //
 // The encode holds installMu: revalidation installs are the only writers
 // of a stale page, and a concurrent exchange (a prefetch whose ride-alongs
@@ -153,7 +101,7 @@ func (rt *Runtime) validateTuplesFor(lps []wire.LongPtr) ([]wire.ValidateTuple, 
 	var unencodable []wire.LongPtr
 	rt.installMu.Lock()
 	tx := rt.table.Begin()
-	for i, lp := range lps {
+	for _, lp := range lps {
 		row, ok := tx.LookupLP(lp)
 		if !ok {
 			continue
@@ -169,16 +117,15 @@ func (rt *Runtime) validateTuplesFor(lps []wire.LongPtr) ([]wire.ValidateTuple, 
 			continue
 		}
 		if arena == nil {
-			arena = xdr.NewEncoder((len(lps) - i) * rv.Canon)
+			arena = xdr.NewEncoder(rv.Canon)
 		}
-		start := arena.Len()
+		arena.Reset()
 		if err := encodeObjectInto(arena, rt.space, tx, rt.res, rv.Desc, addr); err != nil {
 			unencodable = append(unencodable, lp)
 			continue
 		}
-		base := arena.Bytes()[start:]
-		tuples = append(tuples, wire.ValidateTuple{LP: lp, Ver: validateVer, Sum: wire.Sum64(base)})
-		refs = append(refs, staleRef{addr: addr, base: base})
+		tuples = append(tuples, wire.ValidateTuple{LP: lp, Sum: wire.Sum64(arena.Bytes())})
+		refs = append(refs, staleRef{addr: addr})
 	}
 	tx.ClearStale(unencodable)
 	tx.End()
@@ -211,10 +158,8 @@ func (rt *Runtime) degradeStale(tuples []wire.ValidateTuple) {
 // released, or an inline speculative completion could deadlock joining
 // this goroutine's own entry.
 func (rt *Runtime) validateFrom(sess uint64, pn, origin uint32, lps []wire.LongPtr) (poke bool, err error) {
-	if !rt.noFetchBatch {
-		extra, _ := rt.table.StaleWants(origin, pn, rt.budgetFor(origin))
-		lps = append(lps, extra...)
-	}
+	extra, _ := rt.table.StaleWants(origin, pn, rt.closure)
+	lps = append(lps, extra...)
 	tuples, refs := rt.validateTuplesFor(lps)
 	if len(tuples) == 0 {
 		return false, nil
@@ -224,7 +169,7 @@ func (rt *Runtime) validateFrom(sess uint64, pn, origin uint32, lps []wire.LongP
 	// full answer set (unanswered tuples degrade) — so a streamed reply
 	// buys pipelined encode and transmit on the origin, not early
 	// unblocking. Item bytes may alias pooled chunk frames: the frames are
-	// held until the apply has consumed (cloned or patched from) every body.
+	// held until the apply has cloned every body.
 	var items []wire.ValidateItem
 	var held []*wire.FrameBuf
 	release := func() {
@@ -288,10 +233,9 @@ func (rt *Runtime) recvValidateReply(m wire.Message, items []wire.ValidateItem) 
 
 // applyValidateReply installs the origin's per-tuple answers: tokens
 // promote the stale entry in place (the page already holds the current
-// bytes), deltas patch the encoding the offer was hashed from (refs, at
-// the tuple's index), full bodies install as a fetch reply would. Every
-// offered tuple ends the call either resident or degraded to a plain
-// want, so the fetch loop always makes progress.
+// bytes), full bodies install as a fetch reply would. Every offered tuple
+// ends the call either resident or degraded to a plain want, so the fetch
+// loop always makes progress.
 func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, refs []staleRef, items []wire.ValidateItem) error {
 	// Revalidation installs into cache pages like installItems does, and
 	// under the same serialization (see installItems).
@@ -341,22 +285,10 @@ func (rt *Runtime) applyValidateBatch(tx swizzle.Tx, tuples []wire.ValidateTuple
 			tx.MarkResident(row)
 			rt.stats.cohRevalidateHits.Add(1)
 			rt.trace(Event{Kind: EvValidateHit, LP: it.LP})
-		case wire.ValidateDelta, wire.ValidateFull:
-			var body []byte
-			if it.Form == wire.ValidateDelta {
-				runs, err := delta.Decode(it.Bytes)
-				if err == nil {
-					body, err = delta.Apply(refs[k].base, runs)
-				}
-				if err != nil {
-					degrade = append(degrade, it.LP)
-					continue
-				}
-			} else {
-				// Reply bytes alias the frame buffer; the decode below may
-				// swizzle and recurse, so take a stable copy.
-				body = slices.Clone(it.Bytes)
-			}
+		case wire.ValidateFull:
+			// Reply bytes alias the frame buffer; the decode below may
+			// swizzle and recurse, so take a stable copy.
+			body := slices.Clone(it.Bytes)
 			rv, err := rt.res.Resolve(it.LP.Type)
 			if err != nil {
 				return err
@@ -366,10 +298,8 @@ func (rt *Runtime) applyValidateBatch(tx swizzle.Tx, tuples []wire.ValidateTuple
 			}
 			tx.MarkResident(row)
 			// Accounted by the revalidation counters alone, not by
-			// ItemsInstalled/BytesInstalled: those track the fetch path,
-			// where wire bytes equal body bytes. A delta install's wire
-			// cost is the delta, and summing both families would double
-			// count the same datum.
+			// ItemsInstalled/BytesInstalled: those track the fetch path, and
+			// summing both families would double count the same datum.
 			rt.stats.cohRevalidateMisses.Add(1)
 			rt.stats.cohRevalidateBytes.Add(uint64(len(it.Bytes)))
 			rt.trace(Event{Kind: EvValidateMiss, LP: it.LP, Count: len(it.Bytes)})
@@ -411,11 +341,9 @@ func (rt *Runtime) applyValidateBatch(tx swizzle.Tx, tuples []wire.ValidateTuple
 }
 
 // serveValidate answers a batched revalidation request: for each offered
-// (pointer, version, hash) tuple it re-encodes the datum's current value
-// and replies with a token when the hashes match, a range delta when the
-// peer's recorded bytes are a usable base and the delta is smaller, or
-// the full body. The served record updates to the current encoding either
-// way, keeping future deltas small.
+// (pointer, hash) tuple it re-encodes the datum's current value and replies
+// with a token when the hashes match, the full body otherwise. Nothing
+// about the peer is remembered.
 func (rt *Runtime) serveValidate(m wire.Message) {
 	// A reply heavy with full bodies streams as validate chunks, exactly
 	// like a large fetch closure; the common all-token reply stays well
@@ -432,15 +360,8 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 	defer rt.serveMu.RUnlock()
 	accBytes := 0
 	out := wire.ValidateReplyPayload{Items: make([]wire.ValidateItem, 0, len(p.Tuples))}
-	// warm.mu guards the served record only — it is never held across an
-	// encode or a send (emit below can block on the transport), so a slow
-	// reply to this peer cannot stall the serves recording for others.
-	rt.warm.mu.Lock()
-	sp := rt.warm.peer(m.From)
-	sp.fold()
-	rt.warm.mu.Unlock()
 	// Every tuple's current value encodes into one arena, allocated on the
-	// first one; its bytes outlive the serve in the served record.
+	// first one; a miss's body slices it.
 	var arena *xdr.Encoder
 	for ti, t := range p.Tuples {
 		if t.LP.Space != rt.id {
@@ -463,32 +384,9 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 		// Sliced at once: should the arena grow later, append copies,
 		// and the array this slice points into is never written again.
 		cur := arena.Bytes()[start:]
-		curSum := wire.Sum64(cur)
-		var base []byte
-		rt.warm.mu.Lock()
-		if curSum != t.Sum {
-			base = sp.index[t.LP]
-		}
-		sp.index[t.LP] = cur
-		rt.warm.mu.Unlock()
-		it := wire.ValidateItem{LP: t.LP}
-		if curSum == t.Sum {
-			it.Form = wire.ValidateCurrent
-		} else {
-			// The peer's baseline differs from the current value. Its exact
-			// bytes are known to us only if our served record hashes to the
-			// offered sum; then — and only then — a delta against it is sound.
-			if base != nil && wire.Sum64(base) == t.Sum {
-				runs := delta.Diff(base, cur, delta.DefaultGap)
-				if runs != nil && pad4(delta.EncodedSize(runs)) < pad4(len(cur)) {
-					it.Form = wire.ValidateDelta
-					it.Bytes = delta.Encode(runs)
-				}
-			}
-			if it.Form == 0 {
-				it.Form = wire.ValidateFull
-				it.Bytes = cur
-			}
+		it := wire.ValidateItem{LP: t.LP, Form: wire.ValidateCurrent}
+		if wire.Sum64(cur) != t.Sum {
+			it.Form, it.Bytes = wire.ValidateFull, cur
 		}
 		out.Items = append(out.Items, it)
 		if rt.streamChunk > 0 {
@@ -508,18 +406,4 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 	}
 	rt.stats.cohRevalidateMsgs.Add(1)
 	em.finish(nil, out.Items)
-}
-
-// recordServed notes the canonical bytes just shipped to peer in a fetch
-// reply, seeding the delta base for future revalidations. It only logs
-// them (items is pooled scratch, hence the copy); the peer's next
-// Validate, if one ever comes, pays for the index. Memory-only: it
-// changes nothing on the wire.
-func (rt *Runtime) recordServed(peer uint32, items []wire.DataItem) {
-	if len(items) == 0 {
-		return
-	}
-	rt.warm.mu.Lock()
-	defer rt.warm.mu.Unlock()
-	rt.warm.peer(peer).append(slices.Clone(items))
 }

@@ -152,20 +152,9 @@ var (
 // prot and dirty are atomics so protection checks and dirty bookkeeping
 // never take a lock.
 type page struct {
-	data     []byte
-	prot     atomic.Int32
-	dirty    atomic.Bool // cache page modified since install (coherency protocol)
-	accessed atomic.Bool // cache page touched by a checked access since the last demotion
-	cache    bool        // page lives in the cache region
-}
-
-// markAccessed notes a checked (user-mode) access on a cache page for the
-// adaptive-eagerness accounting. The load-before-store keeps the hot path
-// from writing a shared cache line on every access once the bit is set.
-func (p *page) markAccessed() {
-	if p.cache && !p.accessed.Load() {
-		p.accessed.Store(true)
-	}
+	data  []byte
+	prot  atomic.Int32
+	dirty atomic.Bool // cache page modified since install (coherency protocol)
 }
 
 // pageTable is the immutable flat page table: one dense slice per region,
@@ -452,7 +441,7 @@ func (s *Space) mapRangeLocked(addr VAddr, size int, prot Prot, cache bool) {
 			slot = &nt.heap[idx]
 		}
 		if *slot == nil {
-			p := &page{data: make([]byte, s.pageSize), cache: cache}
+			p := &page{data: make([]byte, s.pageSize)}
 			p.prot.Store(int32(prot))
 			*slot = p
 		}
@@ -530,14 +519,13 @@ func (s *Space) InvalidateCache() {
 		clear(p.data)
 		p.prot.Store(int32(ProtNone))
 		p.dirty.Store(false)
-		p.accessed.Store(false)
 	}
 }
 
 // DemoteCache re-protects every cache page without discarding its data:
 // protection returns to ProtNone so the next touch faults, while the page
-// bytes survive as the baseline for warm-cache revalidation. Dirty and
-// accessed bits clear. Compare InvalidateCache, which also zeroes the data.
+// bytes survive as the baseline for warm-cache revalidation. Dirty bits
+// clear. Compare InvalidateCache, which also zeroes the data.
 func (s *Space) DemoteCache() {
 	if s.concurrent {
 		s.mu.Lock()
@@ -550,17 +538,7 @@ func (s *Space) DemoteCache() {
 		}
 		p.prot.Store(int32(ProtNone))
 		p.dirty.Store(false)
-		p.accessed.Store(false)
 	}
-}
-
-// Accessed reports whether page pn has seen a checked access since the
-// last demotion (false for unmapped pages). The adaptive-eagerness
-// controller uses it to tell shipped-and-used pages from shipped-and-
-// wasted ones.
-func (s *Space) Accessed(pn uint32) bool {
-	p := s.lookup(pn)
-	return p != nil && p.accessed.Load()
 }
 
 // --- raw (kernel-mode) access: no protection checks, no faults ---
@@ -691,7 +669,6 @@ func (s *Space) access(addr VAddr, buf []byte, kind FaultKind) error {
 	po := int(uint32(addr) & s.pageMask)
 	if po+len(buf) <= s.pageSize {
 		if p := s.lookup(uint32(addr) >> s.pageShift); p != nil && allows(Prot(p.prot.Load()), kind) {
-			p.markAccessed()
 			if s.concurrent {
 				s.mu.Lock()
 			}
@@ -769,7 +746,6 @@ func (s *Space) accessSlow(addr VAddr, buf []byte, kind FaultKind) error {
 		if n > len(buf)-off {
 			n = len(buf) - off
 		}
-		p.markAccessed()
 		if kind == FaultRead {
 			copy(buf[off:off+n], p.data[po:po+n])
 		} else {
@@ -790,7 +766,6 @@ func (s *Space) ReadUint(addr VAddr, width int) (uint64, error) {
 		po := int(uint32(addr) & s.pageMask)
 		if po+width <= s.pageSize {
 			if p := s.lookup(uint32(addr) >> s.pageShift); p != nil && allows(Prot(p.prot.Load()), FaultRead) {
-				p.markAccessed()
 				if s.concurrent {
 					s.mu.Lock()
 				}
@@ -817,7 +792,6 @@ func (s *Space) WriteUint(addr VAddr, width int, v uint64) error {
 		po := int(uint32(addr) & s.pageMask)
 		if po+width <= s.pageSize {
 			if p := s.lookup(uint32(addr) >> s.pageShift); p != nil && allows(Prot(p.prot.Load()), FaultWrite) {
-				p.markAccessed()
 				if s.concurrent {
 					s.mu.Lock()
 				}

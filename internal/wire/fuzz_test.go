@@ -132,8 +132,8 @@ func FuzzItemsPayloadDecode(f *testing.F) {
 
 func FuzzValidatePayloadDecode(f *testing.F) {
 	p := ValidatePayload{Tuples: []ValidateTuple{
-		{LP: LongPtr{Space: 2, Addr: 0x10000, Type: 1}, Ver: 3, Sum: 0xdeadbeefcafef00d},
-		{LP: LongPtr{Space: 2, Addr: 0x10020, Type: 1}, Ver: 1, Sum: 1},
+		{LP: LongPtr{Space: 2, Addr: 0x10000, Type: 1}, Sum: 0xdeadbeefcafef00d},
+		{LP: LongPtr{Space: 2, Addr: 0x10020, Type: 1}, Sum: 1},
 	}}
 	f.Add(p.Encode())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
@@ -161,18 +161,25 @@ func FuzzValidatePayloadDecode(f *testing.F) {
 func FuzzValidateReplyPayloadDecode(f *testing.F) {
 	p := ValidateReplyPayload{Items: []ValidateItem{
 		{LP: LongPtr{Space: 2, Addr: 0x10000, Type: 1}, Form: ValidateCurrent},
-		{LP: LongPtr{Space: 2, Addr: 0x10020, Type: 1}, Form: ValidateDelta, Bytes: []byte{0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 2, 9, 9}},
 		{LP: LongPtr{Space: 2, Addr: 0x10040, Type: 1}, Form: ValidateFull, Bytes: make([]byte, 16)},
 	}}
 	f.Add(p.Encode())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// Form 2 was the range-delta answer; it is retired and must not decode.
+	retired := ValidateReplyPayload{Items: []ValidateItem{
+		{LP: LongPtr{Space: 2, Addr: 0x10020, Type: 1}, Form: 2, Bytes: []byte{0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 2, 9, 9}},
+	}}
+	if _, err := DecodeValidateReplyPayload(retired.Encode()); err == nil {
+		f.Fatal("decoder admitted the retired form 2")
+	}
+	f.Add(retired.Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeValidateReplyPayload(data)
 		if err != nil {
 			return
 		}
 		for _, it := range q.Items {
-			if it.Form < ValidateCurrent || it.Form > ValidateFull {
+			if it.Form != ValidateCurrent && it.Form != ValidateFull {
 				t.Fatalf("decoder admitted form %d", it.Form)
 			}
 			if it.Form == ValidateCurrent && len(it.Bytes) != 0 {

@@ -612,8 +612,8 @@ func DecodeAllocBatchPayload(b []byte) (AllocBatchPayload, error) {
 // protocol uses it as the content identity of a canonical encoding: the
 // client offers the hash of its cached baseline and the origin compares it
 // against the hash of the current encoding, so a "still current" token can
-// never validate bytes that differ from the origin's — even after dropped
-// replies have desynchronized the version counters.
+// never validate bytes that differ from the origin's, whatever replies were
+// dropped before it.
 func Sum64(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -627,33 +627,28 @@ func Sum64(b []byte) uint64 {
 	return h
 }
 
-// Validate reply forms: how the origin answered one offered tuple.
+// Validate reply forms: how the origin answered one offered tuple. Form 2
+// (a range delta against bytes the origin remembered shipping) is retired;
+// the decoder rejects it.
 const (
 	// ValidateCurrent: the cached baseline matches the origin's current
 	// encoding; the reply carries no bytes and the client promotes its
 	// stale copy in place.
 	ValidateCurrent uint32 = 1
-	// ValidateDelta: Bytes is an encoded run vector (internal/delta) to be
-	// patched onto the client's cached baseline.
-	ValidateDelta uint32 = 2
-	// ValidateFull: Bytes is the object's full canonical encoding; the
-	// cached copy was unusable as a delta base.
+	// ValidateFull: Bytes is the object's full canonical encoding.
 	ValidateFull uint32 = 3
 )
 
 // ValidateTuple offers one stale cached datum for revalidation: its wire
-// identity, the crossing version the cache recorded (diagnostic — the
-// content hash is authoritative), and the FNV-1a 64 hash of the cached
-// canonical encoding.
+// identity and the FNV-1a 64 hash of the cached canonical encoding.
 type ValidateTuple struct {
 	LP  LongPtr
-	Ver uint32
 	Sum uint64
 }
 
 // encodedValidateTupleSize is the exact encoding of one tuple: long
-// pointer, version word, and the two hash words.
-const encodedValidateTupleSize = EncodedLongPtrSize + 4 + 8
+// pointer and the two hash words.
+const encodedValidateTupleSize = EncodedLongPtrSize + 8
 
 // ValidatePayload is the body of a Validate message: the batched set of
 // stale tuples the faulting client wants revalidated in one round-trip —
@@ -669,7 +664,6 @@ func (p *ValidatePayload) Encode() []byte {
 	e.PutUint32(uint32(len(p.Tuples)))
 	for _, t := range p.Tuples {
 		putLongPtr(e, t.LP)
-		e.PutUint32(t.Ver)
 		e.PutUint64(t.Sum)
 	}
 	return e.Bytes()
@@ -693,9 +687,6 @@ func DecodeValidatePayload(b []byte) (ValidatePayload, error) {
 		if t.LP, err = getLongPtr(d); err != nil {
 			return p, err
 		}
-		if t.Ver, err = d.Uint32(); err != nil {
-			return p, err
-		}
 		if t.Sum, err = d.Uint64(); err != nil {
 			return p, err
 		}
@@ -705,9 +696,8 @@ func DecodeValidatePayload(b []byte) (ValidatePayload, error) {
 }
 
 // ValidateItem is the origin's answer for one offered tuple. Form selects
-// among the three reply forms; Bytes is empty for ValidateCurrent, an
-// encoded run vector for ValidateDelta, and the full canonical encoding
-// for ValidateFull.
+// the reply form; Bytes is empty for ValidateCurrent and the full
+// canonical encoding for ValidateFull.
 type ValidateItem struct {
 	LP    LongPtr
 	Form  uint32
@@ -759,7 +749,7 @@ func getValidateItems(d *xdr.Decoder) ([]ValidateItem, error) {
 		if it.Form, err = d.Uint32(); err != nil {
 			return nil, err
 		}
-		if it.Form < ValidateCurrent || it.Form > ValidateFull {
+		if it.Form != ValidateCurrent && it.Form != ValidateFull {
 			return nil, fmt.Errorf("wire: unknown validate form %d", it.Form)
 		}
 		if it.Bytes, err = d.Opaque(); err != nil {
