@@ -19,7 +19,7 @@ import (
 // checksum also proves no client is ever served a stale value.
 //
 // Clients run strictly sequentially, so every counter is deterministic
-// and can be snapshot-checked (BENCH_24.json). Wall-clock concurrency is
+// and can be snapshot-checked (BENCH_26.json). Wall-clock concurrency is
 // exercised elsewhere (the core package's -race tests); this harness
 // measures work, not overlap.
 

@@ -785,7 +785,7 @@ func TestShipStateRejectsBrokenStreams(t *testing.T) {
 		t.Errorf("after the mixed batch %v is at version %d, want 3 with the new bytes", lp, v.ver)
 	}
 	b.coh.mu.Unlock()
-	if err := b.installItems(1, sess, []wire.DataItem{{LP: lp, Delta: true, BaseVer: 3}}, false); err == nil ||
+	if err := b.installItems(1, sess, []wire.DataItem{{LP: lp, Delta: true, BaseVer: 3}}, pathFetch); err == nil ||
 		!strings.Contains(err.Error(), "outside the coherency path") {
 		t.Errorf("delta item in a fetch reply: err = %v", err)
 	}

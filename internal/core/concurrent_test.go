@@ -412,7 +412,7 @@ func TestServeScratchPoolNoAliasing(t *testing.T) {
 	shapes := make([]shape, 0, len(picks)*len(budgets))
 	for _, wants := range picks {
 		for _, budget := range budgets {
-			ref, err := rt.buildClosureItems(wants, 0, budget, nil, nil)
+			ref, err := rt.buildClosureItems(wants, nil, 0, budget, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -434,7 +434,7 @@ func TestServeScratchPoolNoAliasing(t *testing.T) {
 				// consumed.
 				sc := serveScratchPool.Get().(*serveScratch)
 				rt.serveMu.RLock()
-				items, err := rt.buildClosureItems(s.wants, 0, s.budget, sc, nil)
+				items, err := rt.buildClosureItems(s.wants, nil, 0, s.budget, sc, nil)
 				rt.serveMu.RUnlock()
 				if err != nil {
 					t.Errorf("worker %d iter %d: %v", w, it, err)

@@ -266,14 +266,13 @@ func (x *exchange) classify(m *wire.Message) (final, transient bool, err error) 
 	if err := x.rt.fenceCheck(x.peer, m.Inc); err != nil {
 		return false, false, err
 	}
-	streams := x.kind == wire.KindFetch || x.kind == wire.KindValidate
 	switch {
 	case m.Kind == x.kind.ReplyKind():
 		if x.asm.next > 0 {
 			return false, false, fmt.Errorf("core: %v frame inside a chunk stream from space %d", m.Kind, x.peer)
 		}
 		return true, false, nil
-	case m.Kind != wire.KindFetchChunk || !streams:
+	case m.Kind != wire.KindFetchChunk || x.kind != wire.KindFetch:
 		return false, false, fmt.Errorf("core: %v frame in reply to %v to space %d", m.Kind, x.kind, x.peer)
 	case m.Err != "":
 		return true, false, nil // the origin's serve failed mid-stream
@@ -281,9 +280,6 @@ func (x *exchange) classify(m *wire.Message) (final, transient bool, err error) 
 	h, err := wire.DecodeFetchChunkHeader(m.Payload)
 	if err != nil {
 		return false, false, fmt.Errorf("%v to space %d: %w", x.kind, x.peer, err)
-	}
-	if h.Validate != (x.kind == wire.KindValidate) {
-		return false, false, fmt.Errorf("core: chunk of the wrong stream form in reply to %v to space %d", x.kind, x.peer)
 	}
 	if err := x.asm.accept(&h); err != nil {
 		// A dropped, duplicated or reordered chunk: the stream is torn,

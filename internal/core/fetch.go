@@ -51,7 +51,7 @@ func (rt *Runtime) onFault(f vmem.Fault) error {
 }
 
 // fetchKey identifies one unit of in-flight completion work: one cache
-// page's exchange (FETCH or VALIDATE) with one origin.
+// page's FETCH exchange with one origin.
 type fetchKey struct {
 	pn     uint32
 	origin uint32
@@ -140,8 +140,8 @@ func (rt *Runtime) fetchPage(pn uint32) error {
 // allocated to a page is transferred before its protection is released.
 //
 // Per pass, the page's non-resident entries group by origin; stale
-// warm-cache entries are revalidated (one batched Validate round trip,
-// warmcache.go) before anything is fetched in full. All per-origin
+// warm-cache entries are revalidated first (one hashed FETCH per origin,
+// warmcache.go), before anything is fetched in full. All per-origin
 // exchanges of a pass are issued concurrently and joined — a PolicyMixed
 // page spanning N origins pays one round-trip time, not N — and each
 // exchange routes through the in-flight registry, so concurrent
@@ -167,9 +167,9 @@ func (rt *Runtime) completePage(sess uint64, pn uint32, spec bool) error {
 			return fmt.Errorf("core: fault on cache page %d with no allocation table entries", pn)
 		}
 		if len(stale) > 0 {
-			// Every offered entry ends the exchange either resident (token,
-			// delta, or full body) or degraded to a plain want, so the loop
-			// always makes progress.
+			// Every offered entry ends the exchange either resident (token or
+			// full body) or degraded to a plain want, so the loop always
+			// makes progress.
 			if oneOrigin(stale) {
 				if err := rt.completeFrom(sess, pn, stale[0].Space, stale, spec, true); err != nil {
 					return err
@@ -286,17 +286,7 @@ func (rt *Runtime) completeFrom(sess uint64, pn, origin uint32, lps []wire.LongP
 		f.signalPrimary()
 		close(f.done)
 	}
-	var poke bool
-	var bg func()
-	err := func() error {
-		var err error
-		if stale {
-			poke, err = rt.validateFrom(sess, pn, origin, lps)
-		} else {
-			poke, bg, err = rt.fetchFrom(sess, pn, origin, lps, spec, f)
-		}
-		return err
-	}()
+	poke, bg, err := rt.fetchFrom(sess, pn, origin, lps, spec, stale, f)
 	if bg != nil {
 		// A streamed reply unblocked the primary wants with chunks still
 		// in flight: drain them in the background, releasing the registry
@@ -355,6 +345,14 @@ func (rt *Runtime) InflightFetches() int {
 // prefetcher-issued fetches: the wire flag and the pf counters are the
 // only differences — the origin serves both identically.
 //
+// stale marks completePage's stale pass, the warm fault (warmcache.go):
+// the wants are stale entries, the FETCH is hashed, and its ride-alongs
+// are stale entries of other pages. It is accounted as revalidation, and
+// it never fails for want of an answer: whatever the exchange leaves stale
+// — unanswered, or the whole offer on a lost, corrupted or refused
+// exchange — degrades to a plain want for the caller's next pass. Only a
+// tripped fence or a violated invariant surfaces.
+//
 // The origin picks the reply form: small closures arrive as one
 // monolithic FetchReply; large closures arrive as a KindFetchChunk
 // stream. Either way every frame installs as it is handed over
@@ -376,54 +374,75 @@ func (rt *Runtime) InflightFetches() int {
 // chunk sequence abandons the attempt and re-issues the FETCH under a
 // fresh attempt seq. Re-installing items an earlier attempt already
 // delivered is idempotent.
-func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, wants []wire.LongPtr, spec bool, f *inflightFetch) (poke bool, bg func(), err error) {
+func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, wants []wire.LongPtr, spec, stale bool, f *inflightFetch) (poke bool, bg func(), err error) {
 	primary := wants
-	// Coalesce outstanding wants: non-resident entries from the same
-	// origin stranded on partially resident pages ride along in this
-	// FETCH, so those pages are completed before they ever fault — one
-	// message instead of one per page. The ride-alongs are frozen (Primary
-	// marks the boundary): the server serves them but neither expands their
-	// pointer fields nor charges them against the closure budget, which
-	// stays fully available for the faulting page's own frontier. Charging
-	// or expanding them starves the productive closure and causes MORE
-	// faults, not fewer.
-	extra, _ := rt.table.OutstandingWants(origin, pn, rt.closure)
-	wants = append(wants, extra...)
-	all := len(wants)
-	p := wire.FetchPayload{
-		Wants:       wants,
-		Budget:      uint32(rt.closure),
-		Primary:     uint32(len(primary)),
-		Speculative: spec,
+	p := wire.FetchPayload{Speculative: spec}
+	if stale {
+		// Every hashed want is frozen and free of budget at the origin, so
+		// the request carries no budget and no primary count.
+		extra, _ := rt.table.StaleWants(origin, pn, rt.closure)
+		if p.Wants, p.Sums = rt.validateTuplesFor(append(wants, extra...)); len(p.Wants) == 0 {
+			return false, nil, nil
+		}
+	} else {
+		// Coalesce outstanding wants: non-resident entries from the same
+		// origin stranded on partially resident pages ride along in this
+		// FETCH, so those pages are completed before they ever fault — one
+		// message instead of one per page. The ride-alongs are frozen
+		// (Primary marks the boundary): the server serves them but neither
+		// expands their pointer fields nor charges them against the closure
+		// budget, which stays fully available for the faulting page's own
+		// frontier. Charging or expanding them starves the productive
+		// closure and causes MORE faults, not fewer.
+		extra, _ := rt.table.OutstandingWants(origin, pn, rt.closure)
+		p.Wants, p.Budget, p.Primary = append(wants, extra...), uint32(rt.closure), uint32(len(primary))
 	}
+	all := len(p.Wants)
 	open, err := rt.exchange(wire.Message{
 		Kind:    wire.KindFetch,
 		Session: sess,
 		To:      origin,
 		Payload: p.Encode(),
 	}, func() {
-		rt.stats.fetchesSent.Add(1)
-		if spec {
+		switch {
+		case stale:
+			rt.stats.cohRevalidateMsgs.Add(1)
+			rt.trace(Event{Kind: EvValidateSent, Target: origin, Page: pn, Count: all})
+		case spec:
+			rt.stats.fetchesSent.Add(1)
 			rt.stats.pfIssued.Add(1)
 			rt.trace(Event{Kind: EvPrefetchIssued, Page: pn, Target: origin, Count: all})
-		} else {
+		default:
+			rt.stats.fetchesSent.Add(1)
 			rt.trace(Event{Kind: EvFetchSent, Target: origin, Count: all})
 		}
 	}, func(m wire.Message) (bool, error) {
-		return rt.installFetchFrame(f, sess, origin, primary, m)
+		return rt.installFetchFrame(f, sess, origin, primary, stale, m)
 	})
 	if err != nil {
-		return false, nil, err
+		if !stale || errors.Is(err, ErrOriginRestarted) || errors.Is(err, ErrInvariant) {
+			return false, nil, err
+		}
+		rt.table.ClearStale(p.Wants)
+		return false, nil, nil
 	}
-	if open != nil {
-		bg = func() {
-			open.drain(func(m wire.Message) (bool, error) {
-				_, err := rt.installFetchFrame(f, sess, origin, primary, m)
-				// Wake parked joiners after every install: a fault whose
-				// entries this chunk covered unblocks now.
-				f.progress()
-				return false, err
-			})
+	offered := p.Wants // bg's copy: capturing p would move it to the heap
+	if open == nil {
+		if stale {
+			rt.table.ClearStale(offered)
+		}
+		return !spec, nil, nil
+	}
+	bg = func() {
+		open.drain(func(m wire.Message) (bool, error) {
+			_, err := rt.installFetchFrame(f, sess, origin, primary, stale, m)
+			// Wake parked joiners after every install: a fault whose
+			// entries this chunk covered unblocks now.
+			f.progress()
+			return false, err
+		})
+		if stale {
+			rt.table.ClearStale(offered)
 		}
 	}
 	return !spec, bg, nil
@@ -449,8 +468,9 @@ func decodeFetchFrame(m wire.Message) (wire.FetchChunkPayload, error) {
 // resident: the faulting access need not wait for the rest. By the
 // protocol's contract that is chunk 0, but the client verifies residency
 // rather than trusting the origin's framing. Speculative completions have
-// no one waiting and never detach.
-func (rt *Runtime) installFetchFrame(f *inflightFetch, sess uint64, origin uint32, primary []wire.LongPtr, m wire.Message) (detach bool, err error) {
+// no one waiting and never detach. stale marks the reply to a hashed
+// FETCH (fetchFrom).
+func (rt *Runtime) installFetchFrame(f *inflightFetch, sess uint64, origin uint32, primary []wire.LongPtr, stale bool, m wire.Message) (detach bool, err error) {
 	defer m.ReleaseFrame()
 	cp, err := decodeFetchFrame(m)
 	if err != nil {
@@ -460,21 +480,27 @@ func (rt *Runtime) installFetchFrame(f *inflightFetch, sess uint64, origin uint3
 	if chunked {
 		rt.trace(Event{Kind: EvChunkRecv, Target: origin, Page: cp.Chunk, Count: len(cp.Items)})
 	}
-	// Fetch replies bypass the delta-shipping state (coh=false): a datum
-	// is fetched at most once per session, so there is no baseline to
-	// diff against and tracking it would desynchronize the edge.
-	if err := rt.installItems(origin, sess, cp.Items, false); err != nil {
+	// Fetch replies bypass the delta-shipping state: a datum is fetched at
+	// most once per session, so there is no baseline to diff against and
+	// tracking it would desynchronize the edge.
+	path := pathFetch
+	if stale {
+		path = pathRevalidate
+	}
+	if err := rt.installItems(origin, sess, cp.Items, path); err != nil {
 		return false, fmt.Errorf("fetch from space %d: install: %w", origin, err)
 	}
 	if chunked {
 		rt.trace(Event{Kind: EvChunkInstall, Target: origin, Page: cp.Chunk, Count: len(cp.Items)})
 	}
 	if f.spec {
-		var n uint64
-		for _, it := range cp.Items {
-			n += uint64(len(it.Bytes))
+		if !stale { // a revalidation's bodies are counted as such
+			var n uint64
+			for _, it := range cp.Items {
+				n += uint64(len(it.Bytes))
+			}
+			rt.stats.pfBytes.Add(n)
 		}
-		rt.stats.pfBytes.Add(n)
 		return false, nil
 	}
 	if cp.Final {
@@ -492,35 +518,31 @@ func (rt *Runtime) installFetchFrame(f *inflightFetch, sess uint64, origin uint3
 	return len(f.missing) == 0, nil
 }
 
-// chunkEmitter sends one served FETCH or VALIDATE reply and owns the
-// choice of its form. The serve hands it item batches as it produces
-// them: emit sends a batch as one individually checksummed KindFetchChunk
-// frame whose payload is encoded straight into a pooled frame buffer (the
-// receiver releases it after installing the chunk); finish sends what is
-// left as the classic single reply frame when nothing was emitted, as the
-// FINAL chunk otherwise. A send failure latches: the remaining build is
+// chunkEmitter sends one served FETCH reply and owns the choice of its
+// form. The serve hands it item batches as it produces them: emit sends a
+// batch as one individually checksummed KindFetchChunk frame whose
+// payload is encoded straight into a pooled frame buffer (the receiver
+// releases it after installing the chunk); finish sends what is left as
+// the classic single reply frame when nothing was emitted, as the FINAL
+// chunk otherwise. A send failure latches: the remaining build is
 // not worth finishing for an unreachable peer.
 type chunkEmitter struct {
-	rt       *Runtime
-	req      wire.Message
-	validate bool
-	next     uint32 // ordinal of the next chunk: how many went out
-	err      error  // first send failure (latched)
+	rt   *Runtime
+	req  wire.Message
+	next uint32 // ordinal of the next chunk: how many went out
+	err  error  // first send failure (latched)
 }
 
-// emit sends one chunk carrying the given fetch items (or, for a
-// validate stream, vitems).
-func (em *chunkEmitter) emit(items []wire.DataItem, vitems []wire.ValidateItem, final bool) error {
+// emit sends one chunk carrying the given items.
+func (em *chunkEmitter) emit(items []wire.DataItem, final bool) error {
 	if em.err != nil {
 		return em.err
 	}
 	p := wire.FetchChunkPayload{
-		XID:      em.req.Seq,
-		Chunk:    em.next,
-		Final:    final,
-		Validate: em.validate,
-		Items:    items,
-		VItems:   vitems,
+		XID:   em.req.Seq,
+		Chunk: em.next,
+		Final: final,
+		Items: items,
 	}
 	fb := wire.NewChunkBuf()
 	p.EncodeTo(fb.Enc())
@@ -534,7 +556,7 @@ func (em *chunkEmitter) emit(items []wire.DataItem, vitems []wire.ValidateItem, 
 		Inc:     em.rt.incarnation,
 	}
 	out.Seal()
-	em.rt.trace(Event{Kind: EvChunkSent, Target: em.req.From, Page: em.next, Count: len(items) + len(vitems)})
+	em.rt.trace(Event{Kind: EvChunkSent, Target: em.req.From, Page: em.next, Count: len(items)})
 	if err := em.rt.node.Send(out); err != nil {
 		// Send consumes the frame reference only when it serializes or
 		// delivers; an undeliverable frame is released here.
@@ -553,17 +575,13 @@ func (em *chunkEmitter) emit(items []wire.DataItem, vitems []wire.ValidateItem, 
 }
 
 // finish ends the reply with the items no chunk has carried yet.
-func (em *chunkEmitter) finish(items []wire.DataItem, vitems []wire.ValidateItem) {
-	switch {
-	case em.next > 0:
-		_ = em.emit(items, vitems, true)
-	case em.validate:
-		out := wire.ValidateReplyPayload{Items: vitems}
-		em.rt.reply(em.req, wire.KindValidateReply, out.Encode(), "")
-	default:
-		out := wire.ItemsPayload{Items: items}
-		em.rt.reply(em.req, wire.KindFetchReply, out.Encode(), "")
+func (em *chunkEmitter) finish(items []wire.DataItem) {
+	if em.next > 0 {
+		_ = em.emit(items, true)
+		return
 	}
+	out := wire.ItemsPayload{Items: items}
+	em.rt.reply(em.req, wire.KindFetchReply, out.Encode(), "")
 }
 
 // fail ends the reply with an error: an error chunk if part of the
@@ -586,6 +604,10 @@ func (em *chunkEmitter) fail(errStr string) {
 // the requester. Closure encoding reads the heap, so the serve holds the
 // read side of serveMu against concurrently applied write-backs.
 //
+// A hashed request (a warm fault, warmcache.go) is answered want by want
+// with a token or the full body and nothing more; it is counted as a
+// revalidation, not as a served fetch.
+//
 // A closure whose encoded items exceed the streaming threshold goes out
 // as a pipelined chunk sequence — each chunk is sent as soon as the
 // traversal fills it, so the client decodes and installs while this
@@ -600,8 +622,12 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 	}
 	rt.serveMu.RLock()
 	defer rt.serveMu.RUnlock()
-	rt.stats.fetchesServed.Add(1)
-	rt.trace(Event{Kind: EvFetchServed, Target: m.From, Count: len(p.Wants)})
+	if len(p.Sums) > 0 {
+		rt.stats.cohRevalidateMsgs.Add(1)
+	} else {
+		rt.stats.fetchesServed.Add(1)
+		rt.trace(Event{Kind: EvFetchServed, Target: m.From, Count: len(p.Wants)})
+	}
 	// The working set (queue, seen set, item slice) is pooled across
 	// serves; the reply payload and the encode arena are not (a streamed
 	// chunk's items alias the arena until the receiver releases the frame).
@@ -610,12 +636,12 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 		sc.reset()
 		serveScratchPool.Put(sc)
 	}()
-	items, err := rt.buildClosureItems(p.Wants, int(p.Primary), int(p.Budget), sc, &em)
+	items, err := rt.buildClosureItems(p.Wants, p.Sums, int(p.Primary), int(p.Budget), sc, &em)
 	if err != nil {
 		em.fail(err.Error())
 		return
 	}
-	em.finish(items, nil)
+	em.finish(items)
 }
 
 // closureJob is one queued traversal step of a closure build.
@@ -659,6 +685,12 @@ var serveScratchPool = sync.Pool{
 // are not expanded, so the closure budget is spent entirely on the faulting
 // page's own frontier. primary <= 0 means every want is primary.
 //
+// sums, when non-empty, makes every want hashed: sums[i] is the
+// requester's hash of its demoted copy of wants[i]. A hashed want is
+// frozen and encoded as any want; when the encoding hashes to the offered
+// sum it is answered with an ItemCurrent token instead, and the arena
+// forgets the body.
+//
 // Every served object is marshaled straight out of the heap into one
 // arena, and its item slices that arena; child expansion reads the heap
 // directly, not the encoded form.
@@ -668,15 +700,15 @@ var serveScratchPool = sync.Pool{
 //
 // em, when it streams, takes the closure out in chunks: once every want
 // has been served (so chunk 0 always carries the faulting page's own
-// entries and the batched ride-alongs) and the accumulated item bytes
-// exceed the chunk limit, the accumulated items go out as one chunk and
-// the traversal continues. The function returns the items no chunk has
+// entries and the batched ride-alongs; a hashed request has no closure to
+// wait for) and the accumulated item bytes exceed the chunk limit, the
+// accumulated items go out as one chunk and the traversal continues. The function returns the items no chunk has
 // carried — all of them for a closure that never reached the limit —
 // for the caller to finish the reply with. Under DFS (the ablation)
 // wants drain last, so streaming effectively degrades to the monolithic
 // form — the contract, not the chunk size, is what the client depends
 // on.
-func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, sc *serveScratch, em *chunkEmitter) ([]wire.DataItem, error) {
+func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, sums []uint64, primary, budget int, sc *serveScratch, em *chunkEmitter) ([]wire.DataItem, error) {
 	if primary <= 0 {
 		primary = len(wants)
 	}
@@ -704,8 +736,9 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 		queue = make([]closureJob, 0, est)
 		items = make([]wire.DataItem, 0, est)
 	}
+	hashed := len(sums) > 0
 	for i, lp := range wants {
-		queue = append(queue, closureJob{lp: lp, want: true, frozen: i >= primary})
+		queue = append(queue, closureJob{lp: lp, want: true, frozen: i >= primary || hashed})
 	}
 	// All bodies are encoded into one arena and each item slices it as soon
 	// as it is encoded. That is sound even though the arena may still grow:
@@ -715,18 +748,22 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 	arena := xdr.NewEncoder(len(wants)*16 + min(budget, 1<<16))
 	budgetLeft := budget
 	// Streaming state: wantsLeft counts unserved want jobs (no flush may
-	// split them off chunk 0), accBytes the encoded size of the items
-	// accumulated since the last flush, flushed the boundary.
+	// split them off chunk 0; a hashed reply, all wants, splits anywhere),
+	// accBytes the encoded size of the items accumulated since the last
+	// flush, flushed the boundary.
 	wantsLeft := len(wants)
 	accBytes, flushed := 0, 0
 	// head indexes the BFS frontier instead of re-slicing queue, so a
 	// pooled queue keeps its full backing array across serves.
 	head := 0
 	for head < len(queue) {
+		// at is j's queue index; a hashed request queues its wants and
+		// nothing else, so there it is also the index of j's sum.
 		var j closureJob
+		at := head
 		if rt.traversal == TraverseDFS {
-			j = queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+			at = len(queue) - 1
+			j, queue = queue[at], queue[:at]
 		} else {
 			j = queue[head]
 			head++
@@ -761,8 +798,12 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, j.lp.Addr); err != nil {
 			return nil, fmt.Errorf("encode %v: %w", j.lp, err)
 		}
-		body := arena.Bytes()[start:arena.Len():arena.Len()]
-		items = append(items, wire.DataItem{LP: j.lp, Bytes: body})
+		it := wire.DataItem{LP: j.lp, Bytes: arena.Bytes()[start:arena.Len():arena.Len()]}
+		if hashed && wire.Sum64(it.Bytes) == sums[at] {
+			it = wire.DataItem{LP: j.lp, Current: true}
+			arena.Truncate(start)
+		}
+		items = append(items, it)
 		if !j.frozen {
 			// Enqueue the pointed-to data, honoring any programmer-supplied
 			// closure shape hint for this type (§6: "use suggestions provided
@@ -798,7 +839,7 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 			}
 		}
 		if em != nil && rt.streamChunk > 0 {
-			accBytes += wire.EncodedLongPtrSize + 8 + (len(body)+3)&^3
+			accBytes += wire.EncodedLongPtrSize + 8 + (len(it.Bytes)+3)&^3
 			// more is judged after this item's children were enqueued, so a
 			// linear chain (each item feeding exactly one successor) streams
 			// just like a bushy tree.
@@ -809,9 +850,9 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, primary, budget int, 
 			// Flush only with traversal still pending: a closure that ends
 			// exactly here stays monolithic (streaming with one chunk would
 			// be the classic reply with extra framing).
-			if wantsLeft == 0 && accBytes >= rt.streamChunk && more {
+			if (wantsLeft == 0 || hashed) && accBytes >= rt.streamChunk && more {
 				// Cap the slice so the emitter's batch cannot alias later growth.
-				if err := em.emit(items[flushed:len(items):len(items)], nil, false); err != nil {
+				if err := em.emit(items[flushed:len(items):len(items)], false); err != nil {
 					return nil, err
 				}
 				flushed, accBytes = len(items), 0
@@ -840,7 +881,7 @@ func (rt *Runtime) eagerClosureFor(args []Value) ([]wire.DataItem, error) {
 	if len(roots) == 0 {
 		return nil, nil
 	}
-	return rt.buildClosureItems(roots, 0, math.MaxInt32, nil, nil)
+	return rt.buildClosureItems(roots, nil, 0, math.MaxInt32, nil, nil)
 }
 
 // fetchOne retrieves a single object's canonical bytes without caching:
@@ -861,7 +902,6 @@ func (rt *Runtime) fetchOne(lp wire.LongPtr) ([]byte, error) {
 		return nil, ErrNoSession
 	}
 	p := wire.FetchPayload{Wants: []wire.LongPtr{lp}, Budget: 0}
-	rt.stats.fetchesSent.Add(1)
 	// The origin may answer in either reply form; collect the one item
 	// from whichever frame carries it.
 	var body []byte
@@ -871,13 +911,16 @@ func (rt *Runtime) fetchOne(lp wire.LongPtr) ([]byte, error) {
 		Session: sess,
 		To:      lp.Space,
 		Payload: p.Encode(),
-	}, nil, func(m wire.Message) (bool, error) {
+	}, func() { rt.stats.fetchesSent.Add(1) }, func(m wire.Message) (bool, error) {
 		defer m.ReleaseFrame()
 		cp, err := decodeFetchFrame(m)
 		if err != nil {
 			return false, fmt.Errorf("fetch %v: %w", lp, err)
 		}
 		for _, it := range cp.Items {
+			if it.Current {
+				return false, fmt.Errorf("fetch %v: %w", lp, errCurrentUnhashed)
+			}
 			if n++; it.LP == lp {
 				body, found = it.Bytes, true
 				if m.Frame != nil {

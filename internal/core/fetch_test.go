@@ -18,7 +18,7 @@ func serveHotSetup(t testing.TB) (*Runtime, []wire.LongPtr) {
 // scratch in, closure build, scratch back.
 func serveHot(t testing.TB, rt *Runtime, wants []wire.LongPtr) int {
 	sc := serveScratchPool.Get().(*serveScratch)
-	items, err := rt.buildClosureItems(wants, 0, 1<<20, sc, nil)
+	items, err := rt.buildClosureItems(wants, nil, 0, 1<<20, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestServeFetchHotAllocsReduction(t *testing.T) {
 	serveHot(t, rt, wants)
 	pooled := testing.AllocsPerRun(50, func() { serveHot(t, rt, wants) })
 	fresh := testing.AllocsPerRun(50, func() {
-		if _, err := rt.buildClosureItems(wants, 0, 1<<20, nil, nil); err != nil {
+		if _, err := rt.buildClosureItems(wants, nil, 0, 1<<20, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

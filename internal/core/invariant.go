@@ -180,7 +180,7 @@ func (rt *Runtime) CheckIdleInvariants() error {
 			return invariantErr(rt.id, "stale datum %v with the warm cache disabled", e.LP)
 		}
 		// Baseline availability: the revalidation baseline is derived from
-		// the page when a Validate is built, so the page must still encode.
+		// the page when a hashed FETCH is built, so the page must still encode.
 		// The one legal exception is a pointer to a datum freed since (its
 		// row is gone): that offer degrades to a refetch.
 		if _, err := rt.encodeStale(e); err != nil && !errors.Is(err, swizzle.ErrNotSwizzled) {
@@ -220,7 +220,8 @@ func (rt *Runtime) CheckIdleInvariants() error {
 }
 
 // encodeStale derives a stale row's revalidation baseline the way
-// validateTuplesFor does: the canonical encoding of its page bytes.
+// validateTuplesFor does for a hashed FETCH: the canonical encoding of its
+// page bytes.
 func (rt *Runtime) encodeStale(e swizzle.Entry) ([]byte, error) {
 	rv, err := rt.res.Resolve(e.LP.Type)
 	if err != nil {

@@ -236,7 +236,7 @@ func TestFetchPathCopyDoesNotClobberLocalWrite(t *testing.T) {
 			return nil, err
 		}
 		e, _ := rt.table.LookupAddr(args[0].Addr)
-		if err := rt.installItems(1, rt.Session(), []wire.DataItem{{LP: e.LP, Bytes: orig}}, false); err != nil {
+		if err := rt.installItems(1, rt.Session(), []wire.DataItem{{LP: e.LP, Bytes: orig}}, pathFetch); err != nil {
 			return nil, err
 		}
 		d, err := ref.Int("data", 0)
@@ -688,7 +688,7 @@ func BenchmarkReturnModifiedSet(b *testing.B) {
 		if len(rp.Items) != nodes {
 			b.Fatalf("RETURN carries %d items, want %d", len(rp.Items), nodes)
 		}
-		if err := caller.installItems(2, sess, rp.Items, true); err != nil {
+		if err := caller.installItems(2, sess, rp.Items, pathCoh); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -316,7 +316,7 @@ func TestExchangeAllocs(t *testing.T) {
 	}
 
 	fetch := testing.AllocsPerRun(200, func() {
-		if _, bg, err := cl.fetchFrom(sess, 0, 1, wants, false, f); err != nil || bg != nil {
+		if _, bg, err := cl.fetchFrom(sess, 0, 1, wants, false, false, f); err != nil || bg != nil {
 			t.Fatalf("fetch: %v (detached: %v)", err, bg != nil)
 		}
 	})
@@ -325,7 +325,7 @@ func TestExchangeAllocs(t *testing.T) {
 	payload := testing.AllocsPerRun(200, func() {
 		p := wire.FetchPayload{Wants: wants, Budget: uint32(cl.closure), Primary: 1}
 		m := wire.Message{Kind: wire.KindFetchReply, Payload: fetchReply}
-		if _, err := cl.installFetchFrame(f, sess, 1, wants, m); err != nil || len(p.Encode()) == 0 {
+		if _, err := cl.installFetchFrame(f, sess, 1, wants, false, m); err != nil || len(p.Encode()) == 0 {
 			t.Fatalf("install: %v", err)
 		}
 	})

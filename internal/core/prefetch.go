@@ -19,10 +19,10 @@ import (
 // Speculation is never load-bearing:
 //
 //   - A speculative completion is the same code path as a demand fault —
-//     stale warm pages revalidate first, installs serialize under
-//     installMu, page protection is released only when every entry is
-//     resident — so a prefetched page is indistinguishable from a
-//     demand-fetched one.
+//     stale warm entries revalidate first in a hashed FETCH, installs
+//     serialize under installMu, page protection is released only when
+//     every entry is resident — so a prefetched page is indistinguishable
+//     from a demand-fetched one.
 //   - A demand fault on a page whose speculative exchange is in flight
 //     joins it through the in-flight registry (completeFrom) instead of
 //     re-requesting; if that exchange fails, the registry entry is gone

@@ -355,6 +355,38 @@ func TestRetriesExhaustedSurfacesError(t *testing.T) {
 	}
 }
 
+// TestLazyFetchRetryCountsEveryAttempt: a lazy dereference whose first
+// FETCH is lost is retried, and Stats.FetchesSent counts both messages
+// the wire carried, as the demand fetch path does.
+func TestLazyFetchRetryCountsEveryAttempt(t *testing.T) {
+	var fetches atomic.Int32
+	fn := &flakyNode{sendHook: func(m wire.Message) error {
+		if m.Kind == wire.KindFetch && fetches.Add(1) == 1 {
+			return errSwallowSend
+		}
+		return nil
+	}}
+	origin, client, _ := recoverNet(t, fn, func(o *Options) { o.Policy = PolicyLazy })
+	root := buildTree(t, origin, 1)
+	if err := client.BeginSession(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := client.ImportPtr(root.LP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Deref(v); err != nil { // one lazy callback
+		t.Fatal(err)
+	}
+	if err := client.EndSession(); err != nil {
+		t.Fatal(err)
+	}
+	if st := client.Stats(); fetches.Load() != 2 || st.Retries != 1 || st.FetchesSent != 2 {
+		t.Errorf("%d FETCH frames sent, %d retries, FetchesSent = %d; want 2, 1, 2",
+			fetches.Load(), st.Retries, st.FetchesSent)
+	}
+}
+
 // --- at-most-once execution under retries ---
 
 func TestCallRetryExecutesExactlyOnce(t *testing.T) {

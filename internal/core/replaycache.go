@@ -10,7 +10,7 @@ import (
 // The at-most-once reply cache. A client that retries an exchange
 // re-sends the same request under a fresh attempt sequence number (same
 // xid, higher attempt ordinal — see wire.SeqXID). For idempotent
-// exchanges (FETCH, VALIDATE, INVALIDATE) re-execution is harmless and
+// exchanges (FETCH, INVALIDATE) re-execution is harmless and
 // nothing is cached. For the non-idempotent ones — CALL runs an
 // arbitrary handler, WRITEBACK applies modifications and advances
 // per-edge coherency versions, ALLOCBATCH allocates heap — a retry

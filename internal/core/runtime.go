@@ -190,11 +190,11 @@ type Options struct {
 	// identical either way.
 	SyncPrefetch bool
 	// StreamChunkBytes is both the streaming threshold and the chunk
-	// size for served FETCH/VALIDATE replies: a reply whose encoded
-	// items stay at or under the limit goes out as the classic single
-	// reply frame (byte-identical to the seed protocol), a larger one
-	// streams as a KindFetchChunk sequence whose chunks each carry about
-	// this many item bytes. Streaming lets the client decode and
+	// size for served FETCH replies: a reply whose encoded items stay at
+	// or under the limit goes out as the classic single reply frame
+	// (byte-identical to the seed protocol), a larger one streams as a
+	// KindFetchChunk sequence whose chunks each carry about this many
+	// item bytes. Streaming lets the client decode and
 	// install while later chunks are still being encoded and sent, and
 	// unblocks the faulting access as soon as the primary page is
 	// resident. Zero selects the default (1 MiB — above every reply the
@@ -313,8 +313,9 @@ type Stats struct {
 	// With DisableDeltaShip it sums full bodies, making the two modes
 	// directly comparable.
 	CohItemBytes uint64
-	// CohRevalidateMsgs counts Validate messages: batched revalidation
-	// requests sent (client side) plus requests answered (server side).
+	// CohRevalidateMsgs counts hashed FETCH messages (wire.FetchHashed):
+	// batched revalidation requests sent (client side) plus requests
+	// answered (server side). FetchesSent and FetchesServed leave them out.
 	CohRevalidateMsgs uint64
 	// CohRevalidateHits counts stale cached data promoted by a zero-byte
 	// "still current" token — pages reused across sessions without
@@ -419,8 +420,8 @@ type Runtime struct {
 	// awaiting their reply frames (exchange.go).
 	pending *pendingTable
 
-	// installMu serializes cache installs (installItems and the
-	// revalidation install path): the page-protection discipline — every
+	// installMu serializes cache installs (installItems): the
+	// page-protection discipline — every
 	// entry resident before protection is released — is checked and acted
 	// on per install batch, and concurrent batches may share pages through
 	// ride-along wants, so install order must be total.
@@ -430,18 +431,18 @@ type Runtime struct {
 	installTouched []pageTouch
 
 	// serveMu orders server-side heap access now that requests are served
-	// concurrently off the receive loop: fetch/validate serves encode heap
-	// objects under the read lock, write-back/alloc/invalidate serves
-	// mutate state under the write lock. The protocol's single thread of
+	// concurrently off the receive loop: fetch serves encode heap objects
+	// under the read lock, write-back/alloc/invalidate serves mutate state
+	// under the write lock. The protocol's single thread of
 	// control makes contention impossible in a healthy session; the lock
 	// matters when a chaos transport delays a write-back into a window
 	// where another space's fetch is being served.
 	serveMu sync.RWMutex
 
 	// inflight is the in-flight fetch registry (fetch.go): one entry per
-	// (cache page, origin) pair whose FETCH or VALIDATE exchange is
-	// outstanding. A demand fault on a registered page joins the pending
-	// completion instead of re-requesting.
+	// (cache page, origin) pair whose FETCH exchange is outstanding. A
+	// demand fault on a registered page joins the pending completion
+	// instead of re-requesting.
 	inflightMu sync.Mutex
 	inflight   map[fetchKey]*inflightFetch
 
@@ -818,8 +819,6 @@ func (rt *Runtime) serveWorker(q chan wire.Message) {
 			rt.serveInvalidate(m)
 		case wire.KindAllocBatch:
 			rt.serveAllocBatch(m)
-		case wire.KindValidate:
-			rt.serveValidate(m)
 		}
 	}
 }
@@ -913,8 +912,7 @@ func (rt *Runtime) loop() {
 		switch m.Kind {
 		case wire.KindCall:
 			go rt.serveCall(m)
-		case wire.KindFetch, wire.KindWriteBack, wire.KindInvalidate,
-			wire.KindAllocBatch, wire.KindValidate:
+		case wire.KindFetch, wire.KindWriteBack, wire.KindInvalidate, wire.KindAllocBatch:
 			rt.enqueueServe(m)
 		}
 	}

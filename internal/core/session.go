@@ -356,7 +356,7 @@ func (rt *Runtime) Call(target uint32, proc string, args []Value) ([]Value, erro
 		if len(reply.Payload) > 0 {
 			if rp, derr := wire.DecodeCallPayload(reply.Payload); derr == nil {
 				rt.mergeParts(rp.Parts)
-				_ = rt.installItems(target, sess, rp.Items, true)
+				_ = rt.installItems(target, sess, rp.Items, pathCoh)
 			}
 		}
 		return nil, fmt.Errorf("call %s@%d: %w", proc, target, remoteErr(reply.Err))
@@ -366,7 +366,7 @@ func (rt *Runtime) Call(target uint32, proc string, args []Value) ([]Value, erro
 		return nil, fmt.Errorf("call %s@%d: decode return: %w", proc, target, err)
 	}
 	rt.mergeParts(rp.Parts)
-	if err := rt.installItems(target, sess, rp.Items, true); err != nil {
+	if err := rt.installItems(target, sess, rp.Items, pathCoh); err != nil {
 		return nil, fmt.Errorf("call %s@%d: install returned data: %w", proc, target, err)
 	}
 	return rt.argsToValues(rp.Args)
@@ -600,7 +600,7 @@ func (rt *Runtime) serveCall(m wire.Message) {
 		return
 	}
 	rt.mergeParts(p.Parts)
-	if err := rt.installItems(m.From, m.Session, p.Items, true); err != nil {
+	if err := rt.installItems(m.From, m.Session, p.Items, pathCoh); err != nil {
 		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("install: %v", err))
 		return
 	}
@@ -866,13 +866,8 @@ func (rt *Runtime) serveWriteBack(m wire.Message) {
 // resident, and released pages are sealed against further allocation so
 // first accesses stay detectable.
 //
-// coh marks items on the coherency path (Call/Return piggybacks): those
-// resolve through the ship state for the sender's edge, so delta bodies
-// are patched against the recorded view and zero-byte tokens skip the
-// decode entirely — the local copy is known current, and only the item's
-// dirty obligation is honored. Fetch replies (coh=false) bypass the ship
-// state; a delta item there is a protocol error.
-func (rt *Runtime) installItems(from uint32, sess uint64, items []wire.DataItem, coh bool) error {
+// path names the exchange the items arrived on (installPath).
+func (rt *Runtime) installItems(from uint32, sess uint64, items []wire.DataItem, path installPath) error {
 	if len(items) == 0 {
 		return nil
 	}
@@ -886,13 +881,38 @@ func (rt *Runtime) installItems(from uint32, sess uint64, items []wire.DataItem,
 	// long-pointer lookup (its row handle carries the rest) plus one per
 	// pointer field it holds.
 	tx := rt.table.Begin()
-	err := rt.installBatch(tx, from, sess, items, coh)
+	err := rt.installBatch(tx, from, sess, items, path)
 	tx.End()
 	if err == nil && rt.checkInv {
 		err = rt.CheckLocalInvariants()
 	}
 	return err
 }
+
+// installPath names the exchange an install batch arrived on, which
+// decides the items it may carry and the counters they feed.
+type installPath uint8
+
+const (
+	// pathFetch is a FETCH reply. It bypasses the ship state; a delta item
+	// there is a protocol error.
+	pathFetch installPath = iota
+	// pathRevalidate is the reply to a hashed FETCH, the warm fault's stale
+	// pass (warmcache.go). Besides full bodies it may carry ItemCurrent
+	// tokens, and it feeds the CohRevalidate counters instead of the
+	// install counters.
+	pathRevalidate
+	// pathCoh is the coherency path (Call/Return piggybacks): items resolve
+	// through the ship state for the sender's edge, so delta bodies are
+	// patched against the recorded view and zero-byte tokens skip the
+	// decode entirely — the local copy is known current, and only the
+	// item's dirty obligation is honored.
+	pathCoh
+)
+
+// errCurrentUnhashed rejects an ItemCurrent token anywhere but in the
+// reply to a hashed FETCH: only an offered sum can make a copy current.
+var errCurrentUnhashed = errors.New("core: current item outside a hashed fetch reply")
 
 // pageTouch is one cache page an install batch put bytes on; dirty when
 // any of them carried a write-back obligation.
@@ -903,27 +923,33 @@ type pageTouch struct {
 
 // installBatch is installItems' body, run with installMu and the table
 // held.
-func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items []wire.DataItem, coh bool) error {
+func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items []wire.DataItem, path installPath) error {
 	// Items arrive in (page, offset) runs, so consecutive duplicates are
 	// dropped on append and the rest after the sort below.
 	touched := rt.installTouched[:0]
 	done := 0 // items installed
 	defer func() {
 		rt.installTouched = touched[:0]
-		if coh {
+		if path == pathCoh {
 			rt.markModified(sess, items[:done])
 		}
 	}()
-	resolve := coh && rt.cohAdmit(from, sess, items)
+	resolve := path == pathCoh && rt.cohAdmit(from, sess, items)
 	for ; done < len(items); done++ {
 		it := items[done]
 		body, fresh := it.Bytes, true
-		if resolve {
+		switch {
+		case it.Current:
+			if path != pathRevalidate {
+				return fmt.Errorf("%v: %w", it.LP, errCurrentUnhashed)
+			}
+			fresh = false // the demoted page already holds these bytes
+		case resolve:
 			var err error
 			if body, fresh, err = rt.cohResolve(from, sess, it); err != nil {
 				return err
 			}
-		} else if it.Delta {
+		case it.Delta:
 			return fmt.Errorf("core: delta item %v outside the coherency path", it.LP)
 		}
 		if it.LP.Space == rt.id {
@@ -934,13 +960,24 @@ func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items [
 			}
 			continue
 		}
-		row, err := tx.SwizzleRow(it.LP)
-		if err != nil {
-			return err
+		var row swizzle.Row
+		if it.Current {
+			// The offered sum matched the origin's current encoding, so the
+			// stale row is promoted in place. A row promoted, refetched or
+			// freed meanwhile ignores the token.
+			var ok bool
+			if row, ok = tx.LookupLP(it.LP); !ok || !tx.Entry(row).Stale {
+				continue
+			}
+		} else {
+			var err error
+			if row, err = tx.SwizzleRow(it.LP); err != nil {
+				return err
+			}
 		}
 		e := tx.Entry(row)
 		addr := e.Addr
-		if fresh && !coh {
+		if fresh && path != pathCoh {
 			// An object this session already wrote (or allocated) must not
 			// be clobbered by a fetch-path copy arriving afterwards: the
 			// bounded eager closure and the prefetcher both over-deliver,
@@ -968,9 +1005,22 @@ func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items [
 			if err := decodeObject(rt.space, tx, rt.res, rv.Desc, addr, body); err != nil {
 				return fmt.Errorf("install %v: %w", it.LP, err)
 			}
+		}
+		// A revalidation is accounted by the revalidation counters alone:
+		// summing both families would double count the same datum.
+		switch {
+		case it.Current:
+			rt.stats.cohRevalidateHits.Add(1)
+			rt.trace(Event{Kind: EvValidateHit, LP: it.LP})
+		case !fresh:
+		case path != pathRevalidate:
 			rt.stats.itemsInstalled.Add(1)
 			rt.stats.bytesInstalled.Add(uint64(len(body)))
 			rt.trace(Event{Kind: EvInstall, LP: it.LP, Count: len(body)})
+		case e.Stale:
+			rt.stats.cohRevalidateMisses.Add(1)
+			rt.stats.cohRevalidateBytes.Add(uint64(len(body)))
+			rt.trace(Event{Kind: EvValidateMiss, LP: it.LP, Count: len(body)})
 		}
 		tx.MarkResident(row)
 		last := e.Page

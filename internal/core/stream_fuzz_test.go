@@ -11,7 +11,7 @@ import (
 // dispatcher's delivery, the frame queue, the per-frame classifier — with
 // an arbitrary interleaving of reply frames for one sequence number:
 // chunks in order, FINAL chunks, duplicated and skipped ordinals, a wrong
-// exchange id, a chunk of the wrong stream form, the monolithic reply,
+// exchange id, a chunk with a retired flag bit, the monolithic reply,
 // error frames in both forms, and frames the checksum rejected. Against
 // a model written out here it checks that the attempt ends in exactly
 // the expected one of {complete, transient, terminal}, that the consumer
@@ -31,7 +31,7 @@ func FuzzChunkReassembly(f *testing.F) {
 	f.Add(uint64(6), []byte{0, 7, 1})             // corrupted in flight mid-stream
 	f.Add(uint64(8), []byte{0, 6 | 8})            // the origin's serve failed mid-stream
 	f.Add(uint64(10), []byte{6})                  // an error reply
-	f.Add(uint64(11), []byte{4 | 8, 1})           // a validate chunk in a fetch stream
+	f.Add(uint64(11), []byte{4 | 8, 1})           // a chunk with the retired validate flag
 	f.Add(uint64(12), []byte{0, 0})               // a stream that never ends
 	f.Fuzz(func(t *testing.T, xid uint64, script []byte) {
 		if len(script) > 64 {
@@ -76,9 +76,10 @@ func FuzzChunkReassembly(f *testing.F) {
 				m, outcome = chunk(wire.FetchChunkPayload{XID: seq, Chunk: dup}), transient
 			case 3: // the chunk after a dropped one
 				m, outcome = chunk(wire.FetchChunkPayload{XID: seq, Chunk: ord + 1}), transient
-			case 4: // the right ordinal in the wrong stream
+			case 4: // the right ordinal with a flag bit no stream carries, or in the wrong stream
 				if b&8 != 0 {
-					m, outcome = chunk(wire.FetchChunkPayload{XID: seq, Chunk: ord, Validate: true}), terminal
+					m, outcome = chunk(wire.FetchChunkPayload{XID: seq, Chunk: ord}), terminal
+					m.Payload[15] |= 2 // flag bit 1: the retired validate form
 				} else {
 					m, outcome = chunk(wire.FetchChunkPayload{XID: seq + 1, Chunk: ord}), transient
 				}

@@ -5,11 +5,15 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"smartrpc/internal/netsim"
 	"smartrpc/internal/swizzle"
+	"smartrpc/internal/transport"
 	"smartrpc/internal/types"
 	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
@@ -218,70 +222,59 @@ func TestWarmFreedDatumDegradesCleanly(t *testing.T) {
 	}
 }
 
-func TestValidateWireRoundTrip(t *testing.T) {
-	// The request/reply payloads used by the warm path survive a codec
-	// round trip with hash fidelity (belt over the fuzz targets).
-	p := wire.ValidatePayload{Tuples: []wire.ValidateTuple{
-		{LP: wire.LongPtr{Space: 1, Addr: 0x10000, Type: 1}, Sum: wire.Sum64([]byte("abc"))},
-	}}
-	q, err := wire.DecodeValidatePayload(p.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q.Tuples) != 1 || q.Tuples[0] != p.Tuples[0] {
-		t.Fatalf("round trip changed tuples: %+v vs %+v", p.Tuples, q.Tuples)
-	}
-	r := wire.ValidateReplyPayload{Items: []wire.ValidateItem{
-		{LP: p.Tuples[0].LP, Form: wire.ValidateCurrent},
-		{LP: wire.LongPtr{Space: 1, Addr: 0x10040, Type: 1}, Form: wire.ValidateFull, Bytes: []byte{1, 2, 3, 4}},
-	}}
-	rr, err := wire.DecodeValidateReplyPayload(r.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rr.Items) != 2 || rr.Items[0].Form != wire.ValidateCurrent || len(rr.Items[1].Bytes) != 4 {
-		t.Fatalf("reply round trip changed items: %+v", rr.Items)
-	}
-}
-
 // --- the lazy baseline: nothing is recorded at demotion, the offer is
 // derived from the demoted page when the Validate is built ---
 
 // validateTap records what crosses one runtime's node on the revalidation
-// path: every tuple it offers and the form of every answer it receives.
+// path: every (want, sum) its hashed FETCHes offer, and every answer the
+// replies to them carry — ItemCurrent tokens or full bodies.
 type validateTap struct {
-	mu     sync.Mutex
-	tuples []wire.ValidateTuple
-	forms  map[uint32]int
+	mu      sync.Mutex
+	seqs    map[uint64]bool // every hashed FETCH attempt sent
+	offers  []offer
+	answers []wire.DataItem // bodies copied out of the frame
+}
+
+// offer is one hashed want as it went out on the wire.
+type offer struct {
+	lp  wire.LongPtr
+	sum uint64
 }
 
 // wrap decorates o.Node. Set before the runtime starts.
 func (vt *validateTap) wrap(t testing.TB, o *Options) {
-	vt.forms = make(map[uint32]int)
+	vt.seqs = make(map[uint64]bool)
 	o.Node = &flakyNode{
 		Node: o.Node,
 		sendHook: func(m wire.Message) error {
-			if m.Kind != wire.KindValidate {
+			if m.Kind != wire.KindFetch {
 				return nil
 			}
-			p, err := wire.DecodeValidatePayload(m.Payload)
+			p, err := wire.DecodeFetchPayload(m.Payload)
 			if err != nil {
-				t.Errorf("undecodable Validate on the wire: %v", err)
+				t.Errorf("undecodable FETCH on the wire: %v", err)
 				return nil
 			}
 			vt.mu.Lock()
-			vt.tuples = append(vt.tuples, p.Tuples...)
-			vt.mu.Unlock()
+			defer vt.mu.Unlock()
+			if len(p.Sums) > 0 {
+				vt.seqs[m.Seq] = true
+				for i, lp := range p.Wants {
+					vt.offers = append(vt.offers, offer{lp: lp, sum: p.Sums[i]})
+				}
+			}
 			return nil
 		},
 		recvHook: func(m wire.Message) (bool, time.Duration) {
-			if m.Kind == wire.KindValidateReply && m.Err == "" {
-				if p, err := wire.DecodeValidateReplyPayload(m.Payload); err == nil {
-					vt.mu.Lock()
-					for _, it := range p.Items {
-						vt.forms[it.Form]++
-					}
-					vt.mu.Unlock()
+			if m.Kind != wire.KindFetchReply && m.Kind != wire.KindFetchChunk {
+				return true, 0
+			}
+			vt.mu.Lock()
+			defer vt.mu.Unlock()
+			if cp, err := decodeFetchFrame(m); err == nil && vt.seqs[m.Seq] {
+				for _, it := range cp.Items {
+					it.Bytes = bytes.Clone(it.Bytes)
+					vt.answers = append(vt.answers, it)
 				}
 			}
 			return true, 0
@@ -289,12 +282,13 @@ func (vt *validateTap) wrap(t testing.TB, o *Options) {
 	}
 }
 
-func (vt *validateTap) takeTuples() []wire.ValidateTuple {
+// take returns and forgets what the tap recorded.
+func (vt *validateTap) take() (offers []offer, answers []wire.DataItem) {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
-	out := vt.tuples
-	vt.tuples = nil
-	return out
+	offers, answers = vt.offers, vt.answers
+	vt.offers, vt.answers = nil, nil
+	return offers, answers
 }
 
 // staleSums encodes every stale row of rt from its page — the snapshot a
@@ -458,14 +452,15 @@ func TestWarmOfferedSumsMatchDemotionSnapshot(t *testing.T) {
 			// The session's offers were built from pages demoted by the
 			// previous teardown.
 			if sess > 0 {
-				for _, tu := range tap.takeTuples() {
+				offers, _ := tap.take()
+				for _, o := range offers {
 					offered++
-					want, ok := snap[tu.LP]
+					want, ok := snap[o.lp]
 					if !ok {
-						t.Fatalf("seed %d session %d: offered %v, which was not stale after the last demotion", seed, sess, tu.LP)
+						t.Fatalf("seed %d session %d: offered %v, which was not stale after the last demotion", seed, sess, o.lp)
 					}
-					if tu.Sum != want {
-						t.Fatalf("seed %d session %d: %v offered sum %#x, demotion snapshot hashes to %#x", seed, sess, tu.LP, tu.Sum, want)
+					if o.sum != want {
+						t.Fatalf("seed %d session %d: %v offered sum %#x, demotion snapshot hashes to %#x", seed, sess, o.lp, o.sum, want)
 					}
 				}
 			}
@@ -495,8 +490,8 @@ func TestWarmOfferedSumsMatchDemotionSnapshot(t *testing.T) {
 	}
 }
 
-// TestValidateMissShipsFullBody: a VALIDATE answer is "current" or the
-// full body, whatever the origin served this peer before. The origin has
+// TestValidateMissShipsFullBody: a hashed want is answered "current" or
+// with the full body, whatever the origin served this peer before. The origin has
 // fetched the node to the callee, taken its write-back and answered a
 // token for it — everything a remembered base could come from — and the
 // rewrite still travels whole.
@@ -513,8 +508,8 @@ func TestValidateMissShipsFullBody(t *testing.T) {
 	// session 2 revalidates it with a token.
 	sessionCall(t, caller, 2, "walk", root, BoolValue(true))
 	sessionCall(t, caller, 2, "walk", root, BoolValue(false))
-	if tap.forms[wire.ValidateCurrent] != 1 {
-		t.Fatalf("session 2 answer forms = %v, want one token", tap.forms)
+	if _, answers := tap.take(); len(answers) != 1 || !answers[0].Current {
+		t.Fatalf("session 2 answers = %+v, want one token", answers)
 	}
 	ref, err := caller.Deref(root)
 	if err != nil {
@@ -526,8 +521,8 @@ func TestValidateMissShipsFullBody(t *testing.T) {
 	if got := sessionCall(t, caller, 2, "walk", root, BoolValue(false))[0].Int64(); got != 1_000_000 {
 		t.Fatalf("session 3 read %d, want 1000000", got)
 	}
-	if tap.forms[wire.ValidateFull] != 1 || len(tap.forms) != 2 {
-		t.Fatalf("answer forms = %v, want the rewrite to travel as one full body", tap.forms)
+	if _, answers := tap.take(); len(answers) != 1 || answers[0].Current {
+		t.Fatalf("session 3 answers = %+v, want the rewrite to travel as one full body", answers)
 	}
 	home := encodeLocalObject(t, caller, root)
 	if got := callee.Stats().CohRevalidateBytes; got != uint64(len(home)) {
@@ -759,7 +754,383 @@ func TestFenceTripStripsThatOriginOnly(t *testing.T) {
 	}
 }
 
-// --- teardown and validate-serve micro-benchmarks (CI allocation gates) ---
+// --- the fold: a warm fault is a cold fault that carries hashes ---
+
+// TestHashedFetchMatchesValidateRule is the differential test of the
+// fold. Over random pointer graphs and random rewrites at home, every
+// answer to a hashed want is what the retired VALIDATE serve answered —
+// a token exactly when the hash of the origin's current encoding equals
+// the offered sum, the current body otherwise — the revalidation counters
+// count exactly those answers, and every revalidated datum ends the
+// session holding the origin's bytes.
+func TestHashedFetchMatchesValidateRule(t *testing.T) {
+	var tokens, bodies uint64
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tap validateTap
+		caller, callee := warmPair(t, func(id uint32, o *Options) {
+			o.PageSize = 256 << uint(seed%3) // several pages, so ride-alongs happen
+			if seed%2 == 0 {
+				o.Traversal = TraverseDFS // the origin answers wants last to first
+			}
+			if id == 2 {
+				tap.wrap(t, o)
+			}
+		})
+		registerGraphWalk(t, callee)
+		g := buildGraph(t, caller, rng, 20+rng.Intn(60))
+		sessionCall(t, caller, 2, "walk", g.nodes[0], BoolValue(false))
+		for sess := 1; sess <= 4; sess++ {
+			for i := range g.nodes {
+				if rng.Intn(4) != 0 {
+					continue
+				}
+				ref, err := caller.Deref(g.nodes[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.data[i] = rng.Int63n(1000)
+				if err := ref.SetInt("data", 0, g.data[i]); err != nil {
+					t.Fatal(err)
+				}
+				if rng.Intn(3) == 0 {
+					g.setRight(t, caller, rng, i)
+				}
+			}
+			// The reference: the origin's encoding of every node, which a
+			// session that writes nothing leaves unchanged.
+			home := make(map[wire.LongPtr][]byte, len(g.nodes))
+			for _, v := range g.nodes {
+				home[v.LP] = encodeLocalObject(t, caller, v)
+			}
+			tap.take()
+			before := callee.Stats()
+			if got, want := sessionCall(t, caller, 2, "walk", g.nodes[0], BoolValue(false))[0].Int64(), g.sum(); got != want {
+				t.Fatalf("seed %d session %d: sum = %d, want %d", seed, sess, got, want)
+			}
+			after := callee.Stats()
+			offers, answers := tap.take()
+			offered := make(map[wire.LongPtr]uint64, len(offers))
+			for _, o := range offers {
+				offered[o.lp] = o.sum
+			}
+			if len(answers) != len(offers) || len(offered) != len(offers) {
+				t.Fatalf("seed %d session %d: %d answers to %d offers (%d distinct)", seed, sess, len(answers), len(offers), len(offered))
+			}
+			var hits, misses, missBytes uint64
+			for _, it := range answers {
+				sum, ok := offered[it.LP]
+				if !ok {
+					t.Fatalf("seed %d session %d: answer for %v, which was not offered", seed, sess, it.LP)
+				}
+				cur := home[it.LP]
+				if want := wire.Sum64(cur) == sum; it.Current != want {
+					t.Fatalf("seed %d session %d: %v answered current=%v, the hash rule says %v", seed, sess, it.LP, it.Current, want)
+				}
+				if it.Current {
+					hits++
+				} else {
+					if !bytes.Equal(it.Bytes, cur) {
+						t.Fatalf("seed %d session %d: %v body %x, origin holds %x", seed, sess, it.LP, it.Bytes, cur)
+					}
+					misses++
+					missBytes += uint64(len(cur))
+				}
+				addr, _ := callee.table.LookupLP(it.LP)
+				e, _ := callee.table.LookupAddr(addr)
+				if mine, err := callee.encodeStale(e); err != nil || !bytes.Equal(mine, cur) {
+					t.Fatalf("seed %d session %d: %v ended the session as %x (%v), origin holds %x", seed, sess, it.LP, mine, err, cur)
+				}
+			}
+			if d := after.CohRevalidateHits - before.CohRevalidateHits; d != hits {
+				t.Errorf("seed %d session %d: CohRevalidateHits grew by %d, %d tokens arrived", seed, sess, d, hits)
+			}
+			if d := after.CohRevalidateMisses - before.CohRevalidateMisses; d != misses {
+				t.Errorf("seed %d session %d: CohRevalidateMisses grew by %d, %d bodies arrived", seed, sess, d, misses)
+			}
+			if d := after.CohRevalidateBytes - before.CohRevalidateBytes; d != missBytes {
+				t.Errorf("seed %d session %d: CohRevalidateBytes grew by %d, bodies carried %d", seed, sess, d, missBytes)
+			}
+			if after.CohRevalidateMsgs == before.CohRevalidateMsgs && len(offers) > 0 {
+				t.Errorf("seed %d session %d: %d wants offered with no revalidation message counted", seed, sess, len(offers))
+			}
+			tokens, bodies = tokens+hits, bodies+misses
+		}
+	}
+	if tokens == 0 || bodies == 0 {
+		t.Fatalf("the rule was not exercised both ways: %d tokens, %d bodies", tokens, bodies)
+	}
+	t.Logf("%d tokens, %d bodies", tokens, bodies)
+}
+
+// TestHashedWantsAreNotExpanded: the origin answers a hashed FETCH want
+// by want and ships no closure, whatever budget the request names — an
+// all-miss request gets exactly its wants' bodies, an all-hit one exactly
+// their tokens — and counts it as a revalidation, not a served fetch.
+func TestHashedWantsAreNotExpanded(t *testing.T) {
+	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = net.Close() })
+	origin := newRuntimeOnNet(t, net, 1)
+	root := buildTree(t, origin, 4)
+	lps := treeNodeLPs(t, origin, root)[:3]
+	bodies := make([][]byte, len(lps))
+	for i, lp := range lps {
+		v, err := origin.ImportPtr(lp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = encodeLocalObject(t, origin, v)
+	}
+	raw := rawAttach(t, net, 7)
+	for seq, hit := range []bool{false, true} {
+		p := wire.FetchPayload{Wants: lps, Budget: 8192, Sums: make([]uint64, len(lps))}
+		for i := range lps {
+			if p.Sums[i] = wire.Sum64(bodies[i]); !hit {
+				p.Sums[i]++
+			}
+		}
+		if err := raw.Send(sealed(wire.Message{Kind: wire.KindFetch, Seq: uint64(seq + 1), To: 1, Payload: p.Encode()})); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := raw.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := wire.DecodeItemsPayload(reply.Payload)
+		if err != nil || reply.Kind != wire.KindFetchReply || reply.Err != "" {
+			t.Fatalf("hit=%v: reply %v %q, %v", hit, reply.Kind, reply.Err, err)
+		}
+		if len(rp.Items) != len(lps) {
+			t.Fatalf("hit=%v: %d items answer %d hashed wants (a closure was shipped)", hit, len(rp.Items), len(lps))
+		}
+		for i, it := range rp.Items {
+			if it.LP != lps[i] || it.Current != hit || (!hit && !bytes.Equal(it.Bytes, bodies[i])) {
+				t.Errorf("hit=%v: item %d = %+v, want %v answered current=%v", hit, i, it, lps[i], hit)
+			}
+		}
+	}
+	if s := origin.Stats(); s.CohRevalidateMsgs != 2 || s.FetchesServed != 0 {
+		t.Errorf("origin counted %d revalidations and %d served fetches, want 2 and 0", s.CohRevalidateMsgs, s.FetchesServed)
+	}
+}
+
+// TestCurrentItemOnUnhashedFetchIsRejected: only an offered sum can make a
+// copy current, so an ItemCurrent item in the reply to an unhashed FETCH
+// is a protocol error, on the demand fault and on the lazy callback alike.
+func TestCurrentItemOnUnhashedFetchIsRejected(t *testing.T) {
+	for _, policy := range []Policy{PolicySmart, PolicyLazy} {
+		net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = net.Close() })
+		lp := wire.LongPtr{Space: 1, Addr: 0x1000, Type: nodeType}
+		token := (&wire.ItemsPayload{Items: []wire.DataItem{{LP: lp, Current: true}}}).Encode()
+		origin := rawAttach(t, net, 1)
+		go func() {
+			for {
+				m, err := origin.Recv()
+				if err != nil {
+					return
+				}
+				r := wire.Message{Kind: m.Kind.ReplyKind(), Session: m.Session, Seq: m.Seq, To: m.From, Payload: []byte{}}
+				if m.Kind == wire.KindFetch {
+					r.Payload = token
+				}
+				_ = origin.Send(sealed(r))
+			}
+		}()
+		node, err := net.Attach(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := New(Options{ID: 2, Node: node, Registry: newTestRegistry(t), Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = client.Close() })
+		if err := client.BeginSession(); err != nil {
+			t.Fatal(err)
+		}
+		v, err := client.ImportPtr(lp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := client.Deref(v)
+		if err == nil {
+			_, err = ref.Int("data", 0)
+		}
+		if !errors.Is(err, errCurrentUnhashed) {
+			t.Errorf("%v: reading through a token answering an unhashed fetch: err = %v, want errCurrentUnhashed", policy, err)
+		}
+	}
+}
+
+// TestStreamedHashedFetchPromotesAndDegrades: a hashed FETCH whose reply
+// streams installs as it goes — each chunk's tokens promote on arrival —
+// and whatever a torn stream leaves unanswered degrades to a plain want
+// when the exchange ends, whether the tear stops the faulting access
+// (before its page is complete) or a background drain (after).
+func TestStreamedHashedFetchPromotesAndDegrades(t *testing.T) {
+	cases := []struct {
+		name       string
+		drop       int // chunk ordinal lost in flight; -1 for none
+		hits       uint64
+		resident   int64 // rows resident once the root's page is
+		wantsAfter bool  // whether the tear left plain wants behind
+	}{
+		{"intact", -1, 15, 15, false},
+		{"torn-before-detach", 2, 2, -1, true},
+		{"torn-in-drain", 5, 5, 5, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var armed, dropped atomic.Bool
+			caller, callee := warmPair(t, func(id uint32, o *Options) {
+				if id == 1 {
+					o.StreamChunkBytes = 20 // one item a chunk
+					return
+				}
+				o.PageSize = 64 // four nodes a page
+				o.Node = &flakyNode{Node: o.Node, recvHook: func(m wire.Message) (bool, time.Duration) {
+					if !armed.Load() || m.Kind != wire.KindFetchChunk {
+						return true, 0
+					}
+					h, err := wire.DecodeFetchChunkHeader(m.Payload)
+					if err == nil && int(h.Chunk) == tc.drop && !dropped.Swap(true) {
+						return false, 0
+					}
+					return true, 0
+				}}
+			})
+			// peek reads the root, waits out any background drain, and
+			// reports the rows resident and still stale.
+			err := callee.Register("peek", func(ctx *Ctx, args []Value) ([]Value, error) {
+				rt := ctx.Runtime()
+				ref, err := rt.Deref(args[0])
+				if err != nil {
+					return nil, err
+				}
+				if _, err := ref.Int("data", 0); err != nil {
+					return nil, err
+				}
+				rt.drainStreams()
+				var resident, stale, wants int64
+				for _, e := range rt.table.Entries() {
+					switch {
+					case e.Resident:
+						resident++
+					case e.Stale:
+						stale++
+					default:
+						wants++
+					}
+				}
+				return []Value{Int64Value(resident), Int64Value(stale), Int64Value(wants)}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := buildTree(t, caller, 4) // 15 nodes
+			sessionCall(t, caller, 2, "peek", root)
+			armed.Store(true)
+			before := callee.Stats()
+			got := sessionCall(t, caller, 2, "peek", root)
+			after := callee.Stats()
+			resident, stale, wants := got[0].Int64(), got[1].Int64(), got[2].Int64()
+			if stale != 0 {
+				t.Errorf("%d rows still stale after the exchange ended", stale)
+			}
+			if tc.resident >= 0 && resident != tc.resident {
+				t.Errorf("%d rows resident, want %d", resident, tc.resident)
+			}
+			if (wants > 0) != tc.wantsAfter {
+				t.Errorf("%d plain wants left behind, want some = %v", wants, tc.wantsAfter)
+			}
+			if d := after.CohRevalidateHits - before.CohRevalidateHits; d != tc.hits {
+				t.Errorf("%d tokens promoted, want %d", d, tc.hits)
+			}
+			if d := after.CohRevalidateMsgs - before.CohRevalidateMsgs; d != 1 {
+				t.Errorf("%d hashed fetches sent, want 1", d)
+			}
+			if tc.drop >= 0 && !dropped.Load() {
+				t.Fatal("the stream never reached the chunk to drop")
+			}
+		})
+	}
+}
+
+// TestWarmPathAllocs is the warm path's allocation gate, one figure per
+// end. An origin answering a 512-want hashed FETCH whose every answer is
+// a token encodes each want into one arena and truncates it again; an
+// encoder per want would cost over 500. Demoting 32 767 resident rows is
+// one pass over the table; one allocation per row would cost about 33 k.
+// The ceilings leave room for pool noise, not for a per-want or per-row
+// allocation.
+func TestWarmPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var reply wire.Message // what the origin last sent
+	origin, callee := pair(t, func(id uint32, o *Options) {
+		if id == 1 {
+			// Replies vanish at the node: nobody is waiting for them.
+			o.Node = &flakyNode{Node: o.Node, sendHook: func(m wire.Message) error {
+				reply = m
+				return errSwallowSend
+			}}
+		}
+	})
+	root := buildTree(t, origin, 9) // 511 nodes
+	extra := buildTree(t, origin, 1)
+	lps := append(treeNodeLPs(t, origin, root), extra.LP)
+	p := wire.FetchPayload{Wants: lps, Sums: make([]uint64, len(lps))}
+	for i, lp := range lps {
+		v, err := origin.ImportPtr(lp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Sums[i] = wire.Sum64(encodeLocalObject(t, origin, v))
+	}
+	m := wire.Message{Kind: wire.KindFetch, Session: 1, Seq: 1, From: 2, To: 1, Payload: p.Encode()}
+	origin.serveFetch(m)
+	rp, err := wire.DecodeItemsPayload(reply.Payload)
+	if err != nil || len(rp.Items) != len(lps) || slices.ContainsFunc(rp.Items, func(it wire.DataItem) bool { return !it.Current }) {
+		t.Fatalf("the serve did not answer %d tokens: %d items, %v", len(lps), len(rp.Items), err)
+	}
+	serve := testing.AllocsPerRun(50, func() { origin.serveFetch(m) })
+	if serve > 16 {
+		t.Errorf("serving a %d-want all-token hashed FETCH allocates %.0f times; want at most 16", len(lps), serve)
+	}
+
+	const rows = 32767
+	addrs := make([]vmem.VAddr, rows)
+	for i := range addrs {
+		a, _, err := callee.table.Swizzle(wire.LongPtr{Space: 1, Addr: vmem.VAddr(0x10000 + 16*i), Type: nodeType})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = a
+	}
+	demote := testing.AllocsPerRun(5, func() {
+		for _, a := range addrs {
+			callee.table.MarkResident(a)
+		}
+		callee.demoteWarm()
+	})
+	if n := callee.table.Len(); n != rows {
+		t.Fatalf("table holds %d rows after demotion, want %d (fell back to invalidation?)", n, rows)
+	}
+	if demote > 8 {
+		t.Errorf("demoting %d resident rows allocates %.0f times; want at most 8", rows, demote)
+	}
+	t.Logf("allocs: hashed serve %.0f, demotion %.0f", serve, demote)
+}
+
+// --- teardown micro-benchmark ---
 
 // BenchmarkEndSessionDemote measures the local half of a warm teardown
 // over the paper's tree: 32 767 resident rows demoted in place.
@@ -787,34 +1158,5 @@ func BenchmarkEndSessionDemote(b *testing.B) {
 	b.StopTimer()
 	if n := callee.table.Len(); n != rows {
 		b.Fatalf("table holds %d rows after demotion, want %d (fell back to invalidation?)", n, rows)
-	}
-}
-
-// BenchmarkServeValidateBatch measures the origin answering one 512-tuple
-// VALIDATE whose every answer is a token.
-func BenchmarkServeValidateBatch(b *testing.B) {
-	origin, _ := pair(b, func(id uint32, o *Options) {
-		if id == 1 {
-			// Replies vanish at the node: nobody is waiting for them.
-			o.Node = &flakyNode{Node: o.Node, sendHook: func(wire.Message) error { return errSwallowSend }}
-		}
-	})
-	root := buildTree(b, origin, 9) // 511 nodes
-	extra := buildTree(b, origin, 1)
-	lps := append(treeNodeLPs(b, origin, root), extra.LP)
-	p := wire.ValidatePayload{Tuples: make([]wire.ValidateTuple, len(lps))}
-	for i, lp := range lps {
-		v, err := origin.ImportPtr(lp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p.Tuples[i] = wire.ValidateTuple{LP: lp, Sum: wire.Sum64(encodeLocalObject(b, origin, v))}
-	}
-	m := wire.Message{Kind: wire.KindValidate, Session: 1, Seq: 1, From: 2, To: 1, Payload: p.Encode()}
-	origin.serveValidate(m) // builds the peer's served index
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		origin.serveValidate(m)
 	}
 }

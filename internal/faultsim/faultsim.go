@@ -16,6 +16,7 @@ package faultsim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"smartrpc/internal/transport"
@@ -80,23 +81,24 @@ type Config struct {
 	// OnlyKinds, when non-empty, restricts drop/dup/corrupt/delay to
 	// frames of the listed kinds; everything else passes through clean.
 	// Partitions are unaffected — a dead link does not read headers.
-	// Used by targeted oracles (e.g. "every Validate reply is lost")
+	// Used by targeted oracles (e.g. "every write-back is duplicated")
 	// that must fault one exchange while the recovery path's own
 	// traffic stays reliable.
 	OnlyKinds []wire.Kind
+	// Match, when non-nil, further restricts drop/dup/corrupt/delay to
+	// the frames it reports true for. It sees every frame OnlyKinds
+	// admits, in send order, with From stamped, under the injector's
+	// lock. It serves oracles whose exchange no kind picks out (a hashed
+	// FETCH shares its kinds with the refetch that must stay reliable).
+	Match func(wire.Message) bool
 }
 
-// targets reports whether the config's kind filter admits k.
-func (cfg *Config) targets(k wire.Kind) bool {
-	if len(cfg.OnlyKinds) == 0 {
-		return true
+// targets reports whether the config's filters admit m.
+func (cfg *Config) targets(m wire.Message) bool {
+	if len(cfg.OnlyKinds) > 0 && !slices.Contains(cfg.OnlyKinds, m.Kind) {
+		return false
 	}
-	for _, only := range cfg.OnlyKinds {
-		if k == only {
-			return true
-		}
-	}
-	return false
+	return cfg.Match == nil || cfg.Match(m)
 }
 
 // Event records one injected fault, in injection order. The sequence of
@@ -304,7 +306,7 @@ func (c *Chaos) inject(from uint32, m wire.Message) []wire.Message {
 		m.ReleaseFrame()
 		return out
 	}
-	if !c.cfg.targets(m.Kind) {
+	if !c.cfg.targets(m) {
 		return append(out, m)
 	}
 

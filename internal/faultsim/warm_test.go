@@ -11,28 +11,28 @@ import (
 	"smartrpc/internal/wire"
 )
 
-// TestWarmValidateFaultsDegradeToRefetch is the targeted oracle for the
-// warm-cache revalidation exchange: when every Validate request or reply
-// is lost, corrupted, or delayed, the faulting space must degrade to a
-// full refetch and return current data — never a stale read from its
+// TestWarmHashedFetchFaultsDegradeToRefetch is the targeted oracle for the
+// warm-cache revalidation exchange: when every hashed FETCH or every reply
+// to one is lost, corrupted, or delayed, the faulting space must degrade
+// to a full refetch and return current data — never a stale read from its
 // demoted baseline, and never a stuck session. The ground heap is
 // mutated between sessions precisely so a wrongly-promoted baseline
 // would change the observable sum.
 //
-// The kind filter confines faults to the Validate exchange itself; the
-// refetch path the client falls back to stays reliable, so recovery is
+// The Match hook confines faults to the revalidation exchange itself; the
+// plain refetch the client falls back to stays reliable, so recovery is
 // required to be transparent (no typed error escapes the call).
-func TestWarmValidateFaultsDegradeToRefetch(t *testing.T) {
+func TestWarmHashedFetchFaultsDegradeToRefetch(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   Config
 		fault Fault
 	}{
-		{"drop-request", Config{DropPermille: 1000, OnlyKinds: []wire.Kind{wire.KindValidate}}, FaultDrop},
-		{"drop-reply", Config{DropPermille: 1000, OnlyKinds: []wire.Kind{wire.KindValidateReply}}, FaultDrop},
-		{"corrupt-request", Config{CorruptPermille: 1000, OnlyKinds: []wire.Kind{wire.KindValidate}}, FaultCorrupt},
-		{"corrupt-reply", Config{CorruptPermille: 1000, OnlyKinds: []wire.Kind{wire.KindValidateReply}}, FaultCorrupt},
-		{"delay-reply", Config{DelayPermille: 1000, OnlyKinds: []wire.Kind{wire.KindValidateReply}}, FaultDelay},
+		{"drop-request", Config{DropPermille: 1000, Match: hashedFetch}, FaultDrop},
+		{"drop-reply", Config{DropPermille: 1000, Match: repliesToHashedFetches()}, FaultDrop},
+		{"corrupt-request", Config{CorruptPermille: 1000, Match: hashedFetch}, FaultCorrupt},
+		{"corrupt-reply", Config{CorruptPermille: 1000, Match: repliesToHashedFetches()}, FaultCorrupt},
+		{"delay-reply", Config{DelayPermille: 1000, Match: repliesToHashedFetches()}, FaultDelay},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,7 +69,7 @@ func TestWarmValidateFaultsDegradeToRefetch(t *testing.T) {
 				}
 				return rt
 			}
-			// The worker's validate round trip must expire (and degrade)
+			// The worker's revalidation round trip must expire (and degrade)
 			// well inside the ground's outer call deadline — per-runtime
 			// timeouts make that split possible.
 			ground := newRT(1, 5*time.Second)
@@ -108,16 +108,16 @@ func TestWarmValidateFaultsDegradeToRefetch(t *testing.T) {
 			model.inc(5)
 
 			chaos.SetEnabled(true)
-			got := call("session 2 (validate faulted)")
+			got := call("session 2 (revalidation faulted)")
 			chaos.SetEnabled(false)
 			if chaos.Count(tc.fault) == 0 {
 				t.Fatalf("no %v fault injected — the oracle never engaged", tc.fault)
 			}
 			if want := model.sum(); got != want {
-				t.Fatalf("stale read through faulted validate: sum = %d, want %d", got, want)
+				t.Fatalf("stale read through faulted revalidation: sum = %d, want %d", got, want)
 			}
 			if hits := worker.Stats().CohRevalidateHits; hits != 0 {
-				t.Fatalf("faulted validate produced %d hits, want 0 (must degrade)", hits)
+				t.Fatalf("faulted revalidation produced %d hits, want 0 (must degrade)", hits)
 			}
 
 			// A fault-free third session must re-warm and token-validate
@@ -142,11 +142,38 @@ func TestWarmValidateFaultsDegradeToRefetch(t *testing.T) {
 	}
 }
 
-// TestChaosKindFilterConfinesFaults pins the OnlyKinds contract the
-// oracle above depends on: non-matching kinds pass through untouched
-// even at 1000 permille.
+// hashedFetch is a Match hook for every hashed FETCH request.
+func hashedFetch(m wire.Message) bool {
+	if m.Kind != wire.KindFetch {
+		return false
+	}
+	p, err := wire.DecodeFetchPayload(m.Payload)
+	return err == nil && len(p.Sums) > 0
+}
+
+// repliesToHashedFetches returns a Match hook for the reply frames to
+// hashed FETCHes: it notes each hashed request's sender and Seq as it
+// passes and matches the reply frames carrying that Seq back.
+func repliesToHashedFetches() func(wire.Message) bool {
+	type exchange struct {
+		requester uint32
+		seq       uint64
+	}
+	asked := make(map[exchange]bool)
+	return func(m wire.Message) bool {
+		if hashedFetch(m) {
+			asked[exchange{m.From, m.Seq}] = true
+			return false
+		}
+		return m.Kind.IsReply() && asked[exchange{m.To, m.Seq}]
+	}
+}
+
+// TestChaosKindFilterConfinesFaults pins the OnlyKinds contract targeted
+// oracles depend on: non-matching kinds pass through untouched even at
+// 1000 permille.
 func TestChaosKindFilterConfinesFaults(t *testing.T) {
-	cfg := Config{Seed: 1, DropPermille: 1000, OnlyKinds: []wire.Kind{wire.KindValidate}}
+	cfg := Config{Seed: 1, DropPermille: 1000, OnlyKinds: []wire.Kind{wire.KindFetch}}
 	c, a, b := chaosPair(t, cfg)
 	bc := pump(b)
 	for seq := uint64(1); seq <= 5; seq++ {
@@ -157,7 +184,7 @@ func TestChaosKindFilterConfinesFaults(t *testing.T) {
 	if got := countArrivals(bc, 100*time.Millisecond); got != 5 {
 		t.Errorf("%d of 5 non-target frames arrived, want all 5", got)
 	}
-	if err := a.Send(wire.Message{Kind: wire.KindValidate, Session: 1, Seq: 6, To: 2}); err != nil {
+	if err := a.Send(wire.Message{Kind: wire.KindFetch, Session: 1, Seq: 6, To: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := countArrivals(bc, 100*time.Millisecond); got != 0 {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"smartrpc/internal/types"
@@ -97,6 +98,19 @@ func FuzzFetchPayloadDecode(f *testing.F) {
 	spec := p
 	spec.Speculative = true
 	f.Add(spec.Encode())
+	hashed := FetchPayload{Wants: p.Wants, Sums: []uint64{0xdeadbeefcafef00d, 1}}
+	f.Add(hashed.Encode())
+	// Must be rejected: a hashed want vector one sum short, and a hashed
+	// request with nothing to hash.
+	short := hashed.Encode()
+	short = short[:len(short)-8]
+	noWants := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0}
+	for _, bad := range [][]byte{short, noWants} {
+		if _, err := DecodeFetchPayload(bad); err == nil {
+			f.Fatalf("decoder admitted malformed hashed fetch %x", bad)
+		}
+		f.Add(bad)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeFetchPayload(data)
 		if err != nil {
@@ -105,85 +119,51 @@ func FuzzFetchPayloadDecode(f *testing.F) {
 		if int(q.Primary) > len(q.Wants) {
 			t.Fatalf("decoder admitted primary %d > wants %d", q.Primary, len(q.Wants))
 		}
-		if q.Primary&FetchSpeculative != 0 {
-			t.Fatalf("decoder left the speculative bit in primary %#x", q.Primary)
+		if q.Primary&(FetchSpeculative|FetchHashed) != 0 {
+			t.Fatalf("decoder left a flag bit in primary %#x", q.Primary)
+		}
+		if len(q.Sums) != 0 && len(q.Sums) != len(q.Wants) {
+			t.Fatalf("decoder admitted %d sums for %d wants", len(q.Sums), len(q.Wants))
 		}
 		// A decoded payload must survive the encoder round trip with the
-		// flag bit intact.
+		// flag bits and sums intact.
 		q2, err := DecodeFetchPayload(q.Encode())
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if q2.Speculative != q.Speculative || q2.Primary != q.Primary || len(q2.Wants) != len(q.Wants) {
+		if q2.Speculative != q.Speculative || q2.Primary != q.Primary || len(q2.Wants) != len(q.Wants) ||
+			!slices.Equal(q2.Sums, q.Sums) {
 			t.Fatalf("round trip changed shape: %+v vs %+v", q, q2)
 		}
 	})
 }
 
 func FuzzItemsPayloadDecode(f *testing.F) {
+	lp := LongPtr{Space: 1, Addr: 0x10000, Type: 1}
 	p := ItemsPayload{Items: []DataItem{
-		{LP: LongPtr{Space: 1, Addr: 0x10000, Type: 1}, Dirty: true, Bytes: make([]byte, 40)},
+		{LP: lp, Dirty: true, Bytes: make([]byte, 40)},
+		{LP: LongPtr{Space: 1, Addr: 0x10040, Type: 1}, Current: true},
 	}}
 	f.Add(p.Encode())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeItemsPayload(data)
-	})
-}
-
-func FuzzValidatePayloadDecode(f *testing.F) {
-	p := ValidatePayload{Tuples: []ValidateTuple{
-		{LP: LongPtr{Space: 2, Addr: 0x10000, Type: 1}, Sum: 0xdeadbeefcafef00d},
-		{LP: LongPtr{Space: 2, Addr: 0x10020, Type: 1}, Sum: 1},
-	}}
-	f.Add(p.Encode())
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := DecodeValidatePayload(data)
-		if err != nil {
-			return
+	// Must be rejected: a current item is bare — no bytes, no other flag.
+	for _, it := range []DataItem{
+		{LP: lp, Current: true, Bytes: []byte{1, 2, 3, 4}},
+		{LP: lp, Current: true, Delta: true, BaseVer: 1},
+	} {
+		bad := (&ItemsPayload{Items: []DataItem{it}}).Encode()
+		if _, err := DecodeItemsPayload(bad); err == nil {
+			f.Fatalf("decoder admitted malformed current item %+v", it)
 		}
-		enc := q.Encode()
-		q2, err := DecodeValidatePayload(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(q2.Tuples) != len(q.Tuples) {
-			t.Fatalf("round trip changed shape: %+v vs %+v", q, q2)
-		}
-		for i := range q.Tuples {
-			if q.Tuples[i] != q2.Tuples[i] {
-				t.Fatalf("round trip changed tuple %d: %+v vs %+v", i, q.Tuples[i], q2.Tuples[i])
-			}
-		}
-	})
-}
-
-func FuzzValidateReplyPayloadDecode(f *testing.F) {
-	p := ValidateReplyPayload{Items: []ValidateItem{
-		{LP: LongPtr{Space: 2, Addr: 0x10000, Type: 1}, Form: ValidateCurrent},
-		{LP: LongPtr{Space: 2, Addr: 0x10040, Type: 1}, Form: ValidateFull, Bytes: make([]byte, 16)},
-	}}
-	f.Add(p.Encode())
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	// Form 2 was the range-delta answer; it is retired and must not decode.
-	retired := ValidateReplyPayload{Items: []ValidateItem{
-		{LP: LongPtr{Space: 2, Addr: 0x10020, Type: 1}, Form: 2, Bytes: []byte{0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 2, 9, 9}},
-	}}
-	if _, err := DecodeValidateReplyPayload(retired.Encode()); err == nil {
-		f.Fatal("decoder admitted the retired form 2")
+		f.Add(bad)
 	}
-	f.Add(retired.Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := DecodeValidateReplyPayload(data)
+		q, err := DecodeItemsPayload(data)
 		if err != nil {
 			return
 		}
 		for _, it := range q.Items {
-			if it.Form != ValidateCurrent && it.Form != ValidateFull {
-				t.Fatalf("decoder admitted form %d", it.Form)
-			}
-			if it.Form == ValidateCurrent && len(it.Bytes) != 0 {
-				t.Fatalf("decoder admitted current item with %d bytes", len(it.Bytes))
+			if it.Current && (it.Dirty || it.Delta || len(it.Bytes) != 0) {
+				t.Fatalf("decoder admitted current item %+v", it)
 			}
 		}
 	})
@@ -202,14 +182,13 @@ func FuzzFetchChunkDecode(f *testing.F) {
 	fin := fetch
 	fin.Final = true
 	f.Add(fin.Encode())
-	val := FetchChunkPayload{
-		XID: 3, Final: true, Validate: true,
-		VItems: []ValidateItem{
-			{LP: LongPtr{Space: 2, Addr: 0x10000, Type: 1}, Form: ValidateCurrent},
-			{LP: LongPtr{Space: 2, Addr: 0x10020, Type: 1}, Form: ValidateFull, Bytes: make([]byte, 16)},
-		},
+	// Must be rejected: flag bit 1 marked the retired validate stream form.
+	retired := fin.Encode()
+	retired[15] |= 2
+	if _, err := DecodeFetchChunkPayload(retired); err == nil {
+		f.Fatal("decoder admitted chunk flag bit 1")
 	}
-	f.Add(val.Encode())
+	f.Add(retired)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeFetchChunkPayload(data)
@@ -217,12 +196,6 @@ func FuzzFetchChunkDecode(f *testing.F) {
 			// ChunkIsFinal must never panic, whatever the decoder thought.
 			_ = ChunkIsFinal(data)
 			return
-		}
-		if q.Validate && len(q.Items) != 0 {
-			t.Fatalf("decoder admitted fetch items on a validate chunk")
-		}
-		if !q.Validate && len(q.VItems) != 0 {
-			t.Fatalf("decoder admitted validate items on a fetch chunk")
 		}
 		// The dispatcher's cheap finality probe must agree with the full
 		// decode on every frame the decoder accepts.
@@ -234,8 +207,7 @@ func FuzzFetchChunkDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if q2.XID != q.XID || q2.Chunk != q.Chunk || q2.Final != q.Final ||
-			q2.Validate != q.Validate || len(q2.Items) != len(q.Items) || len(q2.VItems) != len(q.VItems) {
+		if q2.XID != q.XID || q2.Chunk != q.Chunk || q2.Final != q.Final || len(q2.Items) != len(q.Items) {
 			t.Fatalf("round trip changed shape: %+v vs %+v", q, q2)
 		}
 	})

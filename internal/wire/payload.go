@@ -147,8 +147,12 @@ const (
 	// the baseline the receiver recorded at crossing version BaseVer,
 	// instead of a full canonical encoding (delta-shipping coherency).
 	ItemDelta uint32 = 1 << 1
+	// ItemCurrent answers a hashed FETCH want whose offered sum equals the
+	// hash of the origin's current encoding: the requester's demoted copy
+	// is current. It stands alone (no other flag) and carries no bytes.
+	ItemCurrent uint32 = 1 << 2
 
-	itemFlagsMask = ItemDirty | ItemDelta
+	itemFlagsMask = ItemDirty | ItemDelta | ItemCurrent
 )
 
 // DataItem is one transferred object: its system-wide identity (a long
@@ -160,11 +164,12 @@ const (
 // encoding. For a delta item, Bytes is an encoded run vector
 // (internal/delta) to be patched onto the baseline both sides recorded
 // for this datum at crossing version BaseVer; BaseVer is absent from the
-// wire when Delta is false.
+// wire when Delta is false. A Current item (ItemCurrent) has no bytes.
 type DataItem struct {
 	LP      LongPtr
 	Dirty   bool
 	Delta   bool
+	Current bool
 	BaseVer uint32
 	Bytes   []byte
 }
@@ -179,6 +184,9 @@ func putItems(e *xdr.Encoder, items []DataItem) {
 		}
 		if it.Delta {
 			flags |= ItemDelta
+		}
+		if it.Current {
+			flags |= ItemCurrent
 		}
 		e.PutUint32(flags)
 		if it.Delta {
@@ -232,6 +240,10 @@ func getItems(d *xdr.Decoder) ([]DataItem, error) {
 		}
 		it.Dirty = flags&ItemDirty != 0
 		it.Delta = flags&ItemDelta != 0
+		it.Current = flags&ItemCurrent != 0
+		if it.Current && flags != ItemCurrent {
+			return nil, fmt.Errorf("wire: current item with flags %#x", flags)
+		}
 		if it.Delta {
 			if it.BaseVer, err = d.Uint32(); err != nil {
 				return nil, err
@@ -239,6 +251,9 @@ func getItems(d *xdr.Decoder) ([]DataItem, error) {
 		}
 		if it.Bytes, err = d.Opaque(); err != nil {
 			return nil, err
+		}
+		if it.Current && len(it.Bytes) != 0 {
+			return nil, fmt.Errorf("wire: current item carries %d bytes", len(it.Bytes))
 		}
 		items = append(items, it)
 	}
@@ -321,6 +336,12 @@ func DecodeCallPayload(b []byte) (CallPayload, error) {
 // only — servers answer speculative fetches exactly like demand fetches.
 const FetchSpeculative uint32 = 1 << 31
 
+// FetchHashed is the flag bit, next to FetchSpeculative in the Primary
+// word, marking a hashed FETCH: one 64-bit content hash per want follows
+// the Primary word. An unhashed FETCH never sets it and encodes exactly as
+// before the flag existed.
+const FetchHashed uint32 = 1 << 30
+
 // FetchPayload requests the data for a set of long pointers — all the
 // entries of the faulted page's data allocation table — plus an eager
 // closure budget in bytes (§3.3). The first Primary wants are the faulting
@@ -331,16 +352,23 @@ const FetchSpeculative uint32 = 1 << 31
 // wants are primary (the single-want protocol). Speculative marks a
 // prefetch issued ahead of any fault (carried as FetchSpeculative in the
 // Primary word).
+//
+// Sums, when non-empty, makes the request hashed (FetchHashed): Sums[i] is
+// the Sum64 of the requester's demoted encoding of Wants[i]. The origin
+// answers a hashed want with an ItemCurrent item when its current
+// encoding hashes the same, with the full body otherwise, and expands
+// none of them.
 type FetchPayload struct {
 	Wants       []LongPtr
 	Budget      uint32
 	Primary     uint32
 	Speculative bool
+	Sums        []uint64
 }
 
 // Encode returns the canonical encoding of p.
 func (p *FetchPayload) Encode() []byte {
-	e := xdr.NewEncoder(12 + EncodedLongPtrSize*len(p.Wants))
+	e := xdr.NewEncoder(12 + EncodedLongPtrSize*len(p.Wants) + 8*len(p.Sums))
 	e.PutUint32(uint32(len(p.Wants)))
 	for _, lp := range p.Wants {
 		putLongPtr(e, lp)
@@ -350,7 +378,13 @@ func (p *FetchPayload) Encode() []byte {
 	if p.Speculative {
 		primary |= FetchSpeculative
 	}
+	if len(p.Sums) > 0 {
+		primary |= FetchHashed
+	}
 	e.PutUint32(primary)
+	for _, s := range p.Sums {
+		e.PutUint64(s)
+	}
 	return e.Bytes()
 }
 
@@ -381,9 +415,22 @@ func DecodeFetchPayload(b []byte) (FetchPayload, error) {
 		return p, err
 	}
 	p.Speculative = p.Primary&FetchSpeculative != 0
-	p.Primary &^= FetchSpeculative
+	hashed := p.Primary&FetchHashed != 0
+	p.Primary &^= FetchSpeculative | FetchHashed
 	if int(p.Primary) > n {
 		return p, fmt.Errorf("wire: primary count %d exceeds want count %d", p.Primary, n)
+	}
+	if !hashed {
+		return p, nil
+	}
+	if n == 0 {
+		return p, fmt.Errorf("wire: hashed fetch with no wants")
+	}
+	p.Sums = make([]uint64, n)
+	for i := range p.Sums {
+		if p.Sums[i], err = d.Uint64(); err != nil {
+			return p, fmt.Errorf("wire: sum %d of %d: %w", i, n, err)
+		}
 	}
 	return p, nil
 }
@@ -406,52 +453,28 @@ func DecodeItemsPayload(b []byte) (ItemsPayload, error) {
 	return ItemsPayload{Items: items}, err
 }
 
-// Chunk flag bits (FetchChunkPayload.Flags on the wire).
-const (
-	// ChunkFinal marks the last chunk of a streamed reply.
-	ChunkFinal uint32 = 1 << 0
-	// ChunkValidate marks a chunk carrying validate-form items (a
-	// streamed ValidateReply) instead of data items (a streamed
-	// FetchReply).
-	ChunkValidate uint32 = 1 << 1
-
-	chunkFlagsMask = ChunkFinal | ChunkValidate
-)
+// ChunkFinal marks the last chunk of a streamed reply: the one chunk flag
+// bit (FetchChunkPayload.Final on the wire). Bit 1 marked the retired
+// validate stream form; the decoder rejects it with every other bit.
+const ChunkFinal uint32 = 1 << 0
 
 // fetchChunkHeaderSize is the fixed prefix of a chunk payload: the
 // 64-bit exchange id, the chunk ordinal, and the flags word.
 const fetchChunkHeaderSize = 8 + 4 + 4
 
 // FetchChunkPayload is the body of one KindFetchChunk frame: a bounded
-// slice of a streamed Fetch or Validate reply. XID echoes the request's
-// Seq (a cross-check against mis-stitched streams), Chunk is the 0-based
-// ordinal within the stream, and Final marks the last chunk. Exactly one
-// of Items (fetch streams) and VItems (validate streams) is populated.
+// slice of a streamed Fetch reply. XID echoes the request's Seq (a
+// cross-check against mis-stitched streams), Chunk is the 0-based ordinal
+// within the stream, and Final marks the last chunk.
 type FetchChunkPayload struct {
-	XID      uint64
-	Chunk    uint32
-	Final    bool
-	Validate bool
-	Items    []DataItem
-	VItems   []ValidateItem
-}
-
-func (p *FetchChunkPayload) flags() uint32 {
-	var f uint32
-	if p.Final {
-		f |= ChunkFinal
-	}
-	if p.Validate {
-		f |= ChunkValidate
-	}
-	return f
+	XID   uint64
+	Chunk uint32
+	Final bool
+	Items []DataItem
 }
 
 // EncodedSize returns the exact encoded size of p.
 func (p *FetchChunkPayload) EncodedSize() int {
-	if p.Validate {
-		return fetchChunkHeaderSize + validateItemsEncodedSize(p.VItems)
-	}
 	return fetchChunkHeaderSize + itemsEncodedSize(p.Items)
 }
 
@@ -460,12 +483,12 @@ func (p *FetchChunkPayload) EncodedSize() int {
 func (p *FetchChunkPayload) EncodeTo(e *xdr.Encoder) {
 	e.PutUint64(p.XID)
 	e.PutUint32(p.Chunk)
-	e.PutUint32(p.flags())
-	if p.Validate {
-		putValidateItems(e, p.VItems)
-	} else {
-		putItems(e, p.Items)
+	var flags uint32
+	if p.Final {
+		flags = ChunkFinal
 	}
+	e.PutUint32(flags)
+	putItems(e, p.Items)
 }
 
 // Encode returns the canonical encoding of p.
@@ -484,16 +507,12 @@ func DecodeFetchChunkPayload(b []byte) (FetchChunkPayload, error) {
 	if err != nil {
 		return p, err
 	}
-	if p.Validate {
-		p.VItems, err = getValidateItems(d)
-	} else {
-		p.Items, err = getItems(d)
-	}
+	p.Items, err = getItems(d)
 	return p, err
 }
 
 // DecodeFetchChunkHeader parses only the fixed prefix of a chunk body —
-// exchange id, ordinal, flags — leaving the item vectors nil: what a
+// exchange id, ordinal, flags — leaving the item vector nil: what a
 // receiver needs to place the chunk in its stream before anyone decodes
 // the items.
 func DecodeFetchChunkHeader(b []byte) (FetchChunkPayload, error) {
@@ -513,11 +532,10 @@ func decodeFetchChunkHeader(d *xdr.Decoder) (FetchChunkPayload, error) {
 	if err != nil {
 		return p, fmt.Errorf("wire: chunk flags: %w", err)
 	}
-	if flags&^chunkFlagsMask != 0 {
+	if flags&^ChunkFinal != 0 {
 		return p, fmt.Errorf("wire: unknown chunk flags %#x", flags)
 	}
 	p.Final = flags&ChunkFinal != 0
-	p.Validate = flags&ChunkValidate != 0
 	return p, nil
 }
 
@@ -531,7 +549,7 @@ func ChunkIsFinal(b []byte) bool {
 		return true
 	}
 	flags := uint32(b[12])<<24 | uint32(b[13])<<16 | uint32(b[14])<<8 | uint32(b[15])
-	return flags&^chunkFlagsMask != 0 || flags&ChunkFinal != 0
+	return flags != 0 // ChunkFinal, or unknown bits
 }
 
 // AllocReq is one batched extended_malloc request. Token is the caller's
@@ -608,12 +626,11 @@ func DecodeAllocBatchPayload(b []byte) (AllocBatchPayload, error) {
 	return p, nil
 }
 
-// Sum64 returns the FNV-1a 64-bit hash of b. The warm-cache revalidation
-// protocol uses it as the content identity of a canonical encoding: the
-// client offers the hash of its cached baseline and the origin compares it
-// against the hash of the current encoding, so a "still current" token can
-// never validate bytes that differ from the origin's, whatever replies were
-// dropped before it.
+// Sum64 returns the FNV-1a 64-bit hash of b. A hashed FETCH uses it as the
+// content identity of a canonical encoding: the client offers the hash of
+// its demoted copy and the origin compares it against the hash of the
+// current encoding, so an ItemCurrent token can never validate bytes that
+// differ from the origin's, whatever replies were dropped before it.
 func Sum64(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -625,157 +642,6 @@ func Sum64(b []byte) uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-// Validate reply forms: how the origin answered one offered tuple. Form 2
-// (a range delta against bytes the origin remembered shipping) is retired;
-// the decoder rejects it.
-const (
-	// ValidateCurrent: the cached baseline matches the origin's current
-	// encoding; the reply carries no bytes and the client promotes its
-	// stale copy in place.
-	ValidateCurrent uint32 = 1
-	// ValidateFull: Bytes is the object's full canonical encoding.
-	ValidateFull uint32 = 3
-)
-
-// ValidateTuple offers one stale cached datum for revalidation: its wire
-// identity and the FNV-1a 64 hash of the cached canonical encoding.
-type ValidateTuple struct {
-	LP  LongPtr
-	Sum uint64
-}
-
-// encodedValidateTupleSize is the exact encoding of one tuple: long
-// pointer and the two hash words.
-const encodedValidateTupleSize = EncodedLongPtrSize + 8
-
-// ValidatePayload is the body of a Validate message: the batched set of
-// stale tuples the faulting client wants revalidated in one round-trip —
-// the faulting page's entries plus the stale ride-alongs in its closure
-// neighborhood.
-type ValidatePayload struct {
-	Tuples []ValidateTuple
-}
-
-// Encode returns the canonical encoding of p.
-func (p *ValidatePayload) Encode() []byte {
-	e := xdr.NewEncoder(4 + encodedValidateTupleSize*len(p.Tuples))
-	e.PutUint32(uint32(len(p.Tuples)))
-	for _, t := range p.Tuples {
-		putLongPtr(e, t.LP)
-		e.PutUint64(t.Sum)
-	}
-	return e.Bytes()
-}
-
-// DecodeValidatePayload parses a Validate body.
-func DecodeValidatePayload(b []byte) (ValidatePayload, error) {
-	d := xdr.NewDecoder(b)
-	var p ValidatePayload
-	nw, err := d.Uint32()
-	if err != nil {
-		return p, err
-	}
-	n, err := boundCount(d, nw, encodedValidateTupleSize, "validate tuple")
-	if err != nil {
-		return p, err
-	}
-	p.Tuples = make([]ValidateTuple, 0, n)
-	for i := 0; i < n; i++ {
-		var t ValidateTuple
-		if t.LP, err = getLongPtr(d); err != nil {
-			return p, err
-		}
-		if t.Sum, err = d.Uint64(); err != nil {
-			return p, err
-		}
-		p.Tuples = append(p.Tuples, t)
-	}
-	return p, nil
-}
-
-// ValidateItem is the origin's answer for one offered tuple. Form selects
-// the reply form; Bytes is empty for ValidateCurrent and the full
-// canonical encoding for ValidateFull.
-type ValidateItem struct {
-	LP    LongPtr
-	Form  uint32
-	Bytes []byte
-}
-
-// ValidateReplyPayload is the body of a ValidateReply message, parallel to
-// the request's tuple vector (the origin answers every offered tuple).
-type ValidateReplyPayload struct {
-	Items []ValidateItem
-}
-
-// validateItemsEncodedSize returns the exact encoded size of a
-// validate-item vector.
-func validateItemsEncodedSize(items []ValidateItem) int {
-	n := 4
-	for _, it := range items {
-		n += EncodedLongPtrSize + 4 + 4 + (len(it.Bytes)+3)&^3
-	}
-	return n
-}
-
-func putValidateItems(e *xdr.Encoder, items []ValidateItem) {
-	e.PutUint32(uint32(len(items)))
-	for _, it := range items {
-		putLongPtr(e, it.LP)
-		e.PutUint32(it.Form)
-		e.PutOpaque(it.Bytes)
-	}
-}
-
-// getValidateItems decodes a validate-item vector; item bytes alias the
-// decoder's buffer (see getItems).
-func getValidateItems(d *xdr.Decoder) ([]ValidateItem, error) {
-	nw, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	n, err := boundCount(d, nw, EncodedLongPtrSize+4+4, "validate item")
-	if err != nil {
-		return nil, err
-	}
-	items := make([]ValidateItem, 0, n)
-	for i := 0; i < n; i++ {
-		var it ValidateItem
-		if it.LP, err = getLongPtr(d); err != nil {
-			return nil, err
-		}
-		if it.Form, err = d.Uint32(); err != nil {
-			return nil, err
-		}
-		if it.Form != ValidateCurrent && it.Form != ValidateFull {
-			return nil, fmt.Errorf("wire: unknown validate form %d", it.Form)
-		}
-		if it.Bytes, err = d.Opaque(); err != nil {
-			return nil, err
-		}
-		if it.Form == ValidateCurrent && len(it.Bytes) != 0 {
-			return nil, fmt.Errorf("wire: validate current item carries %d bytes", len(it.Bytes))
-		}
-		items = append(items, it)
-	}
-	return items, nil
-}
-
-// Encode returns the canonical encoding of p.
-func (p *ValidateReplyPayload) Encode() []byte {
-	e := xdr.NewEncoder(validateItemsEncodedSize(p.Items))
-	putValidateItems(e, p.Items)
-	return e.Bytes()
-}
-
-// DecodeValidateReplyPayload parses a ValidateReply body. Item bytes alias
-// the decoder's buffer (see getItems); a caller retaining them past the
-// frame's lifetime must copy.
-func DecodeValidateReplyPayload(b []byte) (ValidateReplyPayload, error) {
-	items, err := getValidateItems(xdr.NewDecoder(b))
-	return ValidateReplyPayload{Items: items}, err
 }
 
 // AllocReplyPayload returns the real addresses for a batch of allocation

@@ -8,15 +8,14 @@
 //     modified data set (coherency protocol, §3.4) and flush the batched
 //     remote-allocation requests (§3.5) travel just before them.
 //   - Fetch / FetchReply move remotely referenced data on the first page
-//     fault (§3.2), with the eager transitive closure attached (§3.3).
+//     fault (§3.2), with the eager transitive closure attached (§3.3). A
+//     fault on a page kept warm across sessions sends a hashed Fetch: each
+//     want carries the hash of the client's demoted copy, and the origin
+//     answers it with a zero-byte ItemCurrent token or the full body.
 //   - WriteBack and Invalidate implement the end-of-session tasks of the
 //     ground runtime (§3.4).
 //   - AllocBatch / AllocReply carry the batched extended_malloc and
 //     extended_free requests (§3.5).
-//   - Validate / ValidateReply revalidate stale pages kept warm across
-//     sessions: the client offers (pointer, version, content hash) tuples
-//     and the origin answers per item with a zero-byte "still current"
-//     token, a range delta against the cached baseline, or a full body.
 package wire
 
 import (
@@ -44,50 +43,51 @@ const (
 	KindInvalidateAck
 	KindAllocBatch
 	KindAllocReply
+	// KindValidate and KindValidateReply are retired (a hashed Fetch asks
+	// what they asked). Their numbers stay reserved and named.
 	KindValidate
 	KindValidateReply
-	// KindFetchChunk is one bounded chunk of a streamed Fetch or Validate
-	// reply: the origin emits a sequence of chunk frames sharing the
+	// KindFetchChunk is one bounded chunk of a streamed Fetch reply: the
+	// origin emits a sequence of chunk frames sharing the
 	// request's Seq instead of one monolithic reply frame, so the client
 	// can decode and install the closure while later chunks are still in
 	// flight. Each chunk is individually checksummed.
 	KindFetchChunk
 )
 
-var kindNames = map[Kind]string{
-	KindCall: "call", KindReturn: "return",
-	KindFetch: "fetch", KindFetchReply: "fetch-reply",
-	KindWriteBack: "write-back", KindWriteBackAck: "write-back-ack",
-	KindInvalidate: "invalidate", KindInvalidateAck: "invalidate-ack",
-	KindAllocBatch: "alloc-batch", KindAllocReply: "alloc-reply",
-	KindValidate: "validate", KindValidateReply: "validate-reply",
-	KindFetchChunk: "fetch-chunk",
+// kinds is the name table: every kind number ever assigned, whether it is
+// a reply (routed to a waiting requester rather than dispatched to a
+// handler), and whether it is retired (named, but never valid again).
+var kinds = [...]struct {
+	name           string
+	reply, retired bool
+}{
+	KindCall: {name: "call"}, KindReturn: {name: "return", reply: true},
+	KindFetch: {name: "fetch"}, KindFetchReply: {name: "fetch-reply", reply: true},
+	KindWriteBack: {name: "write-back"}, KindWriteBackAck: {name: "write-back-ack", reply: true},
+	KindInvalidate: {name: "invalidate"}, KindInvalidateAck: {name: "invalidate-ack", reply: true},
+	KindAllocBatch: {name: "alloc-batch"}, KindAllocReply: {name: "alloc-reply", reply: true},
+	KindValidate: {name: "validate", retired: true}, KindValidateReply: {name: "validate-reply", reply: true, retired: true},
+	KindFetchChunk: {name: "fetch-chunk", reply: true},
 }
 
 // String names the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k < Kind(len(kinds)) && kinds[k].name != "" {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", uint32(k))
 }
 
-// Valid reports whether k is a defined kind.
+// Valid reports whether k is a defined kind still in use.
 func (k Kind) Valid() bool {
-	_, ok := kindNames[k]
-	return ok
+	return k < Kind(len(kinds)) && kinds[k].name != "" && !kinds[k].retired
 }
 
 // IsReply reports whether k is a response kind (routed to a waiting
 // requester rather than dispatched to a handler).
 func (k Kind) IsReply() bool {
-	switch k {
-	case KindReturn, KindFetchReply, KindWriteBackAck, KindInvalidateAck, KindAllocReply, KindValidateReply,
-		KindFetchChunk:
-		return true
-	default:
-		return false
-	}
+	return k < Kind(len(kinds)) && kinds[k].reply
 }
 
 // ReplyKind returns the response kind paired with a request kind (zero
@@ -104,8 +104,6 @@ func (k Kind) ReplyKind() Kind {
 		return KindInvalidateAck
 	case KindAllocBatch:
 		return KindAllocReply
-	case KindValidate:
-		return KindValidateReply
 	default:
 		return 0
 	}

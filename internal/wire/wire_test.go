@@ -76,7 +76,7 @@ func TestKindStringAndReplies(t *testing.T) {
 	if KindCall.String() != "call" || KindFetchReply.String() != "fetch-reply" {
 		t.Error("Kind.String mismatch")
 	}
-	if Kind(0).Valid() || !KindInvalidate.Valid() {
+	if Kind(0).Valid() || !KindInvalidate.Valid() || KindValidate.Valid() || KindValidateReply.Valid() {
 		t.Error("Kind.Valid mismatch")
 	}
 	replies := []Kind{KindReturn, KindFetchReply, KindWriteBackAck, KindInvalidateAck, KindAllocReply}
@@ -278,12 +278,23 @@ func TestFetchPayloadEncodingUnchanged(t *testing.T) {
 	if !reflect.DeepEqual(spec, want) {
 		t.Errorf("speculative encoding differs beyond the flag bit:\ngot  %x\nwant %x", spec, want)
 	}
+	// A hashed request sets bit 30 and appends one sum per want.
+	p.Speculative, p.Sums = false, []uint64{0x0102030405060708}
+	want = append(append([]byte(nil), oldFormat...), 1, 2, 3, 4, 5, 6, 7, 8)
+	want[len(oldFormat)-4] |= 0x40
+	if got := p.Encode(); !reflect.DeepEqual(got, want) {
+		t.Errorf("hashed fetch encoding:\ngot  %x\nwant %x", got, want)
+	}
+	if got, err := DecodeFetchPayload(want); err != nil || !reflect.DeepEqual(got, p) {
+		t.Errorf("hashed fetch decoded to %+v, %v; want %+v", got, err, p)
+	}
 }
 
 func TestItemsPayloadRoundTrip(t *testing.T) {
 	p := ItemsPayload{Items: []DataItem{
 		{LP: LongPtr{Space: 1, Addr: 0x10, Type: 2}, Bytes: []byte{0xFF}},
 		{LP: LongPtr{Space: 4, Addr: 0x99, Type: 3}, Dirty: true, Bytes: []byte{}},
+		{LP: LongPtr{Space: 4, Addr: 0x9c, Type: 3}, Current: true, Bytes: []byte{}},
 	}}
 	got, err := DecodeItemsPayload(p.Encode())
 	if err != nil {

@@ -51,6 +51,9 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset discards the buffer contents, retaining capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// Truncate discards all but the first n encoded bytes, retaining capacity.
+func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
 // PutUint32 encodes an unsigned 32-bit integer.
 func (e *Encoder) PutUint32(v uint32) {
 	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
