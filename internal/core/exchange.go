@@ -367,7 +367,7 @@ func (x *exchange) drain(on frameFunc) {
 // exchange; each attempt travels under a distinct Seq (the id plus the
 // attempt ordinal in the top bits), so a late reply to an abandoned
 // attempt misses the pending table instead of masquerading as the
-// current attempt's, and the origin's reply cache recognizes a retry by
+// current attempt's, and the origin's admission table recognizes a retry by
 // its id. sent, when non-nil, runs before each attempt goes out (the
 // per-attempt counters and events). A transient failure — deadline, send
 // error, frame corrupted in flight, torn chunk sequence — is re-issued

@@ -28,9 +28,9 @@ func serveHot(t testing.TB, rt *Runtime, wants []wire.LongPtr) int {
 	return n
 }
 
-// BenchmarkServeFetchHot pins the allocation count of the origin's serve
-// path: with the working set pooled, a serve allocates its encode arena
-// and nothing per object.
+// BenchmarkServeFetchHot measures the origin's serve path: with the
+// working set pooled, a serve allocates its encode arena and nothing per
+// object (TestServeFetchHotAllocsReduction holds it to three).
 func BenchmarkServeFetchHot(b *testing.B) {
 	rt, wants := serveHotSetup(b)
 	serveHot(b, rt, wants) // warm the pool

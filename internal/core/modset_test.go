@@ -629,71 +629,113 @@ func TestReplayedReturnIsTheRetainedReply(t *testing.T) {
 	callee.AbortSession()
 }
 
-// BenchmarkReturnModifiedSet measures one RETURN that carries the paper's
-// whole tree home modified — 32 767 resident 16-byte nodes, all written: the
-// callee's buildTransferPayload and encode, the caller's decode and
-// installItems. It is the first data-carrying crossing of its edge, as in
-// a single-call session; run with -benchmem, CI holds its allocs/op and
-// B/op under a ceiling.
-func BenchmarkReturnModifiedSet(b *testing.B) {
-	caller, callee := pair(b, nil)
-	registerSumProc(b, callee)
+// returnModifiedSetup prepares one RETURN that carries the paper's whole
+// tree home modified — 32 767 resident 16-byte nodes, all written. prep
+// rewrites every node and clears the edge's history, so each crossing is
+// the first data-carrying one of its edge, as in a single-call session;
+// cross is the callee's buildTransferPayload and encode, then the
+// caller's decode and installItems.
+func returnModifiedSetup(t testing.TB) (prep func(i int), cross func()) {
+	caller, callee := pair(t, nil)
+	registerSumProc(t, callee)
 	const levels, nodes = 15, 1<<15 - 1
-	root := buildTree(b, caller, levels)
+	root := buildTree(t, caller, levels)
 	if err := caller.BeginSession(); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = caller.EndSession() })
 	sess := caller.Session()
 	if _, err := caller.Call(2, "sumTree", []Value{root}); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	var refs []Ref
 	for _, e := range callee.table.Entries() {
 		v, err := callee.ImportPtr(e.LP)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		ref, err := callee.Deref(v)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		refs = append(refs, ref)
 	}
 	if len(refs) != nodes {
-		b.Fatalf("callee holds %d nodes, want %d", len(refs), nodes)
+		t.Fatalf("callee holds %d nodes, want %d", len(refs), nodes)
 	}
+	prep = func(i int) {
+		for _, ref := range refs {
+			if err := ref.SetInt("data", 0, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		callee.coh.clearSession(sess)
+		caller.coh.clearSession(sess)
+		caller.clearModified(sess)
+	}
+	cross = func() {
+		out, err := callee.buildTransferPayload(sess, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := wire.DecodeCallPayload(out.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rp.Items) != nodes {
+			t.Fatalf("RETURN carries %d items, want %d", len(rp.Items), nodes)
+		}
+		if err := caller.installItems(2, sess, rp.Items, pathCoh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return prep, cross
+}
+
+// TestReturnModifiedSetAllocs is the modified-set crossing's allocation
+// gate. A crossing indexes nothing — no ship-state map, no modified-set
+// map, no touched map, no copy of the table — so it costs an arena, an
+// item slice and a frame per side: measured 23 allocations and 6.29 MB
+// (with the four per-datum maps it replaced: 785 and 32.9 MB). The
+// ceilings sit at about twice the measured figures: a per-datum structure
+// does not fit under them.
+func TestReturnModifiedSetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("crosses the 32767-node tree")
+	}
+	prep, cross := returnModifiedSetup(t)
+	const runs = 5
+	var allocs, allocBytes uint64
+	for i := 0; i < runs; i++ {
+		var before, after runtime.MemStats
+		prep(i)
+		runtime.ReadMemStats(&before)
+		cross()
+		runtime.ReadMemStats(&after)
+		allocs += after.Mallocs - before.Mallocs
+		allocBytes += after.TotalAlloc - before.TotalAlloc
+	}
+	allocs, allocBytes = allocs/runs, allocBytes/runs
+	if allocs > 50 || allocBytes > 12_600_000 {
+		t.Errorf("a modified-set crossing allocates %d times and %d B; ceilings 50 and 12 600 000", allocs, allocBytes)
+	}
+	t.Logf("modified-set crossing: %d allocs, %d B", allocs, allocBytes)
+}
+
+// BenchmarkReturnModifiedSet measures one RETURN that carries the paper's
+// whole tree home modified (returnModifiedSetup).
+func BenchmarkReturnModifiedSet(b *testing.B) {
+	prep, cross := returnModifiedSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for _, ref := range refs {
-			if err := ref.SetInt("data", 0, int64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// A first crossing each time: no history on the edge, nothing
-		// circulating yet.
-		callee.coh.clearSession(sess)
-		caller.coh.clearSession(sess)
-		caller.clearModified(sess)
+		prep(i)
 		b.StartTimer()
-		out, err := callee.buildTransferPayload(sess, 1, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rp, err := wire.DecodeCallPayload(out.Encode())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rp.Items) != nodes {
-			b.Fatalf("RETURN carries %d items, want %d", len(rp.Items), nodes)
-		}
-		if err := caller.installItems(2, sess, rp.Items, pathCoh); err != nil {
-			b.Fatal(err)
-		}
+		cross()
 	}
 	b.StopTimer()
-	if err := caller.EndSession(); err != nil {
-		b.Fatal(err)
-	}
 }

@@ -148,118 +148,6 @@ func TestRetryBackoffDeterministicAndCapped(t *testing.T) {
 	}
 }
 
-// --- replay cache ---
-
-func TestReplayCacheVerdicts(t *testing.T) {
-	rc := newReplayCache()
-	req := wire.Message{From: 2, Session: 9, Seq: wire.SeqWithAttempt(41, 0), Kind: wire.KindWriteBack}
-	if v := rc.admit(req); v != admitExecute {
-		t.Fatalf("first attempt verdict = %v, want execute", v)
-	}
-	// A retry arriving mid-execution is swallowed, and its newer seq
-	// becomes the reply address.
-	retry := req
-	retry.Seq = wire.SeqWithAttempt(41, 1)
-	if v := rc.admit(retry); v != admitSwallow {
-		t.Fatalf("mid-execution retry verdict = %v, want swallow", v)
-	}
-	seq, ok := rc.complete(req, wire.KindWriteBackAck, []byte{1, 2}, "")
-	if !ok || seq != retry.Seq {
-		t.Fatalf("complete = (%d, %v), want (%d, true)", seq, ok, retry.Seq)
-	}
-	// A retry after completion replays.
-	retry.Seq = wire.SeqWithAttempt(41, 2)
-	if v := rc.admit(retry); v != admitReplay {
-		t.Fatalf("post-completion retry verdict = %v, want replay", v)
-	}
-	// Completing twice is refused (the entry is already done).
-	if _, ok := rc.complete(req, wire.KindWriteBackAck, nil, ""); ok {
-		t.Error("second complete accepted")
-	}
-	// Dropping the session forgets the exchange entirely.
-	rc.dropSession(9)
-	if v := rc.admit(req); v != admitExecute {
-		t.Fatalf("post-drop verdict = %v, want execute", v)
-	}
-	// A different exchange id is independent.
-	other := wire.Message{From: 2, Session: 9, Seq: wire.SeqWithAttempt(42, 0), Kind: wire.KindCall}
-	if v := rc.admit(other); v != admitExecute {
-		t.Fatalf("distinct xid verdict = %v, want execute", v)
-	}
-}
-
-func TestReplayCacheEviction(t *testing.T) {
-	rc := newReplayCache()
-	// One entry stays executing for the whole test: eviction must skip it.
-	pinned := wire.Message{From: 3, Session: 1, Seq: wire.SeqWithAttempt(1, 0), Kind: wire.KindWriteBack}
-	if v := rc.admit(pinned); v != admitExecute {
-		t.Fatal("pinned admit refused")
-	}
-	for xid := uint64(2); xid < uint64(replayCacheEntries+200); xid++ {
-		m := wire.Message{From: 3, Session: 1, Seq: wire.SeqWithAttempt(xid, 0), Kind: wire.KindWriteBack}
-		if v := rc.admit(m); v != admitExecute {
-			t.Fatalf("xid %d admit = %v, want execute", xid, v)
-		}
-		rc.complete(m, wire.KindWriteBackAck, nil, "")
-	}
-	rc.mu.Lock()
-	n := len(rc.entries)
-	rc.mu.Unlock()
-	if n > replayCacheEntries {
-		t.Errorf("cache holds %d entries, cap is %d", n, replayCacheEntries)
-	}
-	// The executing entry survived the churn.
-	retry := pinned
-	retry.Seq = wire.SeqWithAttempt(1, 1)
-	if v := rc.admit(retry); v != admitSwallow {
-		t.Errorf("pinned entry verdict after churn = %v, want swallow (still executing)", v)
-	}
-}
-
-// TestReplayOrderBoundedAcrossSessions: a persistent pair that retires
-// each session leaves nothing behind in the origin's reply cache — the
-// eviction order shrinks with the entries — and eviction over the order
-// still re-queues an entry that is executing.
-func TestReplayOrderBoundedAcrossSessions(t *testing.T) {
-	caller, callee := pair(t, nil)
-	registerSumProc(t, callee)
-	root := buildTree(t, caller, 1)
-	rc := callee.replay
-	bounded := func(when string) {
-		t.Helper()
-		rc.mu.Lock()
-		defer rc.mu.Unlock()
-		if len(rc.order) > len(rc.entries) {
-			t.Fatalf("%s: order holds %d keys for %d entries", when, len(rc.order), len(rc.entries))
-		}
-	}
-	for i := 0; i < 2000; i++ {
-		if got := sessionCall(t, caller, 2, "sumTree", root)[0].Int64(); got != wantSum(1) {
-			t.Fatalf("session %d sum = %d, want %d", i, got, wantSum(1))
-		}
-	}
-	bounded("after 2000 retired sessions")
-	pinned := wire.Message{From: 3, Session: 1, Seq: wire.SeqWithAttempt(1, 0), Kind: wire.KindWriteBack}
-	if v := rc.admit(pinned); v != admitExecute {
-		t.Fatal("pinned admit refused")
-	}
-	for xid := uint64(2); xid < uint64(replayCacheEntries+200); xid++ {
-		m := wire.Message{From: 3, Session: 2, Seq: wire.SeqWithAttempt(xid, 0), Kind: wire.KindWriteBack}
-		if v := rc.admit(m); v != admitExecute {
-			t.Fatalf("xid %d admit = %v, want execute", xid, v)
-		}
-		rc.complete(m, wire.KindWriteBackAck, nil, "")
-	}
-	bounded("after eviction churn")
-	rc.dropSession(2)
-	bounded("after dropping the churned session")
-	retry := pinned
-	retry.Seq = wire.SeqWithAttempt(1, 1)
-	if v := rc.admit(retry); v != admitSwallow {
-		t.Errorf("pinned entry verdict = %v, want swallow (still executing)", v)
-	}
-}
-
 // --- transparent retry, end to end ---
 
 func TestRetryRecoversFromSendErrors(t *testing.T) {

@@ -354,8 +354,8 @@ type Stats struct {
 	// the dispatcher positively discards them and releases any pooled
 	// frame buffer they carry.
 	StaleReplyDrops uint64
-	// DedupReplays counts retried requests this space answered from its
-	// at-most-once reply cache instead of re-executing; DedupSwallowed
+	// DedupReplays counts retried requests this space answered with the
+	// reply its admission table kept instead of re-executing; DedupSwallowed
 	// counts retried requests absorbed because the first attempt was
 	// still executing (the eventual reply goes to the newest attempt).
 	DedupReplays, DedupSwallowed uint64
@@ -386,10 +386,10 @@ type Runtime struct {
 	maxRetries  int
 	incarnation uint32
 
-	// replay is the origin-side at-most-once reply cache
-	// (replaycache.go): retried non-idempotent exchanges replay their
-	// cached reply instead of re-executing.
-	replay *replayCache
+	// admission recognizes duplicate and retried requests before they
+	// run (admission.go): exact duplicates are dropped, and retried
+	// non-idempotent exchanges replay their reply instead of re-executing.
+	admission admissionTable
 
 	// health is the per-origin incarnation fence against restarted
 	// origins (health.go).
@@ -454,14 +454,6 @@ type Runtime struct {
 	// request order is preserved.
 	serveQ  [serveWorkers]chan wire.Message
 	serveWG sync.WaitGroup
-
-	// dupMu guards the per-peer windows of recently seen request
-	// sequence numbers. Transports may duplicate frames (and the chaos
-	// transport does so deliberately); re-executing a Call or WriteBack
-	// would double its side effects and desynchronize the per-edge
-	// coherency versions, so the dispatcher drops exact duplicates.
-	dupMu sync.Mutex
-	dups  map[uint32]*seqWindow
 
 	sessMu sync.Mutex
 	sess   uint64
@@ -572,11 +564,9 @@ func New(opts Options) (*Runtime, error) {
 		retryBudget:     opts.RetryBudget,
 		maxRetries:      opts.MaxRetries,
 		incarnation:     opts.Incarnation,
-		replay:          newReplayCache(),
 		procs:           make(map[string]Handler),
 		pending:         newPendingTable(),
 		inflight:        make(map[fetchKey]*inflightFetch),
-		dups:            make(map[uint32]*seqWindow),
 		parts:           make(map[uint32]bool),
 		batch:           make(map[uint32]*originBatch),
 		sessionModified: make(map[uint64][]wire.LongPtr),
@@ -725,58 +715,6 @@ func (rt *Runtime) Close() error {
 	return nil
 }
 
-// seqWindowSize bounds how many request sequence numbers are remembered
-// per peer for duplicate suppression. Requests are issued one at a time
-// per edge (single thread of control), so even a deep fan-out session
-// never has more than a handful in flight; the window only needs to span
-// the horizon over which a transport could replay a frame.
-const seqWindowSize = 128
-
-// seqWindow remembers the most recent request identities seen from one
-// peer: a ring for eviction order plus a set for O(1) membership. The
-// identity is (session, seq), not seq alone: a crashed-and-restarted
-// peer restarts its sequence counter, and its fresh requests must not be
-// mistaken for replays of the old incarnation's. Sessions are minted by
-// the ground space and never reused, so the pair is unique for as long
-// as any transport could replay a frame.
-type seqKey struct {
-	sess uint64
-	seq  uint64
-}
-
-type seqWindow struct {
-	ring [seqWindowSize]seqKey
-	next int
-	set  map[seqKey]struct{}
-}
-
-// dupRequest records (from, session, seq) and reports whether it was
-// already seen. Seq 0 is never tracked: it marks messages outside the
-// request/reply protocol (handshakes, diagnostics).
-func (rt *Runtime) dupRequest(from uint32, sess, seq uint64) bool {
-	if seq == 0 {
-		return false
-	}
-	rt.dupMu.Lock()
-	defer rt.dupMu.Unlock()
-	w := rt.dups[from]
-	if w == nil {
-		w = &seqWindow{set: make(map[seqKey]struct{}, seqWindowSize)}
-		rt.dups[from] = w
-	}
-	k := seqKey{sess: sess, seq: seq}
-	if _, ok := w.set[k]; ok {
-		return true
-	}
-	if old := w.ring[w.next]; old != (seqKey{}) {
-		delete(w.set, old)
-	}
-	w.ring[w.next] = k
-	w.next = (w.next + 1) % seqWindowSize
-	w.set[k] = struct{}{}
-	return false
-}
-
 // serveWorkers is the size of the bounded pool serving non-Call requests,
 // and serveQueueDepth each worker's queue capacity. Requests stripe by
 // sender (from % serveWorkers), so one sender's requests execute in
@@ -838,9 +776,9 @@ func (rt *Runtime) enqueueServe(m wire.Message) {
 // goroutine (their handlers may block in nested calls or callbacks); the
 // bookkeeping servers run on the bounded serve pool, striped by sender,
 // so a slow closure build for one client never head-of-line blocks the
-// loop or the other clients. Duplicated request frames are dropped
-// (at-most-once execution); duplicated reply frames are harmless — the
-// first one consumes the pending entry and the rest find no requester.
+// loop or the other clients. Every request passes the admission table
+// (admission.go) first; duplicated reply frames are harmless — the first
+// one consumes the pending entry and the rest find no requester.
 func (rt *Runtime) loop() {
 	defer func() {
 		for _, q := range rt.serveQ {
@@ -868,7 +806,7 @@ func (rt *Runtime) loop() {
 				m.Payload = nil
 			} else {
 				// Raw reply: the frame's identity fields are untrustworthy,
-				// so it must not complete a replay-cache entry either.
+				// so it must not touch the admission table either.
 				rt.replyRaw(m.From, m.Session, m.Seq, m.Kind.ReplyKind(), nil, checksumRejectErr)
 				continue
 			}
@@ -889,25 +827,17 @@ func (rt *Runtime) loop() {
 			}
 			continue
 		}
-		if rt.dupRequest(m.From, m.Session, m.Seq) {
+		switch v, r := rt.admission.admit(m); v {
+		case admitDrop:
 			continue
-		}
-		// At-most-once admission for non-idempotent requests: a retried
-		// exchange (same xid, higher attempt ordinal) must not re-execute.
-		// A completed first attempt replays its cached reply to the new
-		// attempt's seq; one still executing is swallowed, with the
-		// eventual reply redirected to the newest attempt.
-		if replayableRequest(m.Kind) {
-			switch rt.replay.admit(m) {
-			case admitReplay:
-				rt.stats.dedupReplays.Add(1)
-				rt.trace(Event{Kind: EvReplayedReply, Target: m.From})
-				rt.replay.resend(rt, m)
-				continue
-			case admitSwallow:
-				rt.stats.dedupSwallowed.Add(1)
-				continue
-			}
+		case admitSwallow:
+			rt.stats.dedupSwallowed.Add(1)
+			continue
+		case admitReplay:
+			rt.stats.dedupReplays.Add(1)
+			rt.trace(Event{Kind: EvReplayedReply, Target: m.From})
+			rt.replyRaw(m.From, m.Session, m.Seq, r.kind, r.payload, r.errStr)
+			continue
 		}
 		switch m.Kind {
 		case wire.KindCall:
@@ -919,24 +849,24 @@ func (rt *Runtime) loop() {
 }
 
 // reply sends a response correlated to request m. For replayable
-// (non-idempotent) exchanges it also completes the at-most-once cache
-// entry the dispatcher admitted: the reply bytes are retained for
-// replay to later retries, and the response is addressed to the newest
-// attempt's sequence number in case a retry was swallowed while the
-// request executed. reply takes ownership of payload — the replay cache
-// keeps the slice — so serve paths pass a buffer encoded for this reply
-// and never write it again.
+// (non-idempotent) exchanges it also completes the admission entry the
+// dispatcher opened: the reply bytes are retained for replay to later
+// retries, and the response is addressed to the newest attempt's
+// sequence number in case a retry was swallowed while the request
+// executed. reply takes ownership of payload — the admission table keeps
+// the slice until the session ends — so serve paths pass a buffer
+// encoded for this reply and never write it again.
 func (rt *Runtime) reply(m wire.Message, kind wire.Kind, payload []byte, errStr string) {
 	seq := m.Seq
-	if replayableRequest(m.Kind) {
-		if last, ok := rt.replay.complete(m, kind, payload, errStr); ok {
+	if replayable(m.Kind) {
+		if last, ok := rt.admission.complete(m, cachedReply{kind, payload, errStr}); ok {
 			seq = last
 		}
 	}
 	rt.replyRaw(m.From, m.Session, seq, kind, payload, errStr)
 }
 
-// replyRaw sends a response frame with no replay-cache interaction.
+// replyRaw sends a response frame with no admission-table interaction.
 func (rt *Runtime) replyRaw(to uint32, sess, seq uint64, kind wire.Kind, payload []byte, errStr string) {
 	if payload == nil {
 		payload = []byte{}

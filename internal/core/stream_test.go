@@ -246,32 +246,69 @@ func TestLazyFetchAcceptsStreamedReply(t *testing.T) {
 	}
 }
 
+// installModes are the two reply forms of the closure-install path, with
+// the allocation ceiling TestInstallClosureAllocs holds each to.
+var installModes = []struct {
+	name    string
+	chunk   int
+	ceiling float64
+}{
+	{"streamed", 256, 2000},
+	{"monolithic", -1, 75},
+}
+
+// installSetup builds a server holding a 1024-node chain and a client
+// that refetches and reinstalls the whole chain on every chase (warm
+// caching off), after one warm-up chase that primes lazily-built tables
+// on both ends.
+func installSetup(t testing.TB, chunk int) (*Runtime, wire.LongPtr, int64) {
+	_, server, clients := streamNet(t, 1,
+		func(o *Options) { o.StreamChunkBytes = chunk },
+		func(o *Options) {
+			o.ClosureSize = 1 << 20
+			o.DisableWarmCache = true
+		})
+	root, want := buildChain(t, server, 1024, 0)
+	if got, err := chase(clients[0], root); err != nil || got != want {
+		t.Fatalf("warm-up chase = %d, %v; want %d", got, err, want)
+	}
+	return clients[0], root, want
+}
+
+// TestInstallClosureAllocs is the install path's allocation gate: the
+// zero-copy decode/install path must stay cheap. Streamed on 256-byte
+// chunks it costs under one allocation a node (measured 824 for the
+// 1024-node chain); monolithic, 43 flat — an install batch builds no
+// per-batch map and copies no page's rows. The ceilings were set about
+// 50% over the figures of their day (1 346 and 49): pool noise fits under
+// them, a lost pooling or a per-item copy does not.
+func TestInstallClosureAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, mode := range installModes {
+		t.Run(mode.name, func(t *testing.T) {
+			cl, root, want := installSetup(t, mode.chunk)
+			n := testing.AllocsPerRun(20, func() {
+				if got, err := chase(cl, root); err != nil || got != want {
+					t.Fatalf("chase = %d, %v; want %d", got, err, want)
+				}
+			})
+			if n > mode.ceiling {
+				t.Errorf("installing the closure allocates %.0f times, ceiling %.0f", n, mode.ceiling)
+			}
+			t.Logf("%s install: %.0f allocs", mode.name, n)
+		})
+	}
+}
+
 // BenchmarkInstallClosure measures the client-side cost of receiving and
 // installing one full closure — the decode/install path the zero-copy
-// chunk plumbing exists to keep cheap. Warm caching is off so every
-// iteration refetches and reinstalls the whole chain. Run with -benchmem;
-// CI gates on allocs/op not regressing.
+// chunk plumbing exists to keep cheap.
 func BenchmarkInstallClosure(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		chunk int
-	}{
-		{"streamed", 256},
-		{"monolithic", -1},
-	} {
+	for _, mode := range installModes {
 		b.Run(mode.name, func(b *testing.B) {
-			_, server, clients := streamNet(b, 1,
-				func(o *Options) { o.StreamChunkBytes = mode.chunk },
-				func(o *Options) {
-					o.ClosureSize = 1 << 20
-					o.DisableWarmCache = true
-				})
-			cl := clients[0]
-			root, want := buildChain(b, server, 1024, 0)
-			// One warm-up chase primes lazily-built tables on both ends.
-			if got, err := chase(cl, root); err != nil || got != want {
-				b.Fatalf("warm-up chase = %d, %v; want %d", got, err, want)
-			}
+			cl, root, want := installSetup(b, mode.chunk)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

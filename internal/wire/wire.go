@@ -115,7 +115,7 @@ func (k Kind) ReplyKind() Kind {
 // every attempt has a distinct Seq — the pending table keys the full
 // Seq, which makes a late reply to an abandoned attempt miss cleanly
 // instead of being mistaken for the current attempt's reply, while the
-// origin's reply cache keys the xid to recognize the retry.
+// origin's admission table keys the xid to recognize the retry.
 const (
 	SeqAttemptShift = 56
 	SeqXIDMask      = uint64(1)<<SeqAttemptShift - 1
