@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -614,6 +615,87 @@ func TestPointerAccessRacesInstallBatch(t *testing.T) {
 	}
 	if got, err := sumTree(caller, root); err != nil || got != wantSum(levels) {
 		t.Fatalf("tree at home after the session sums to %d, %v; want %d", got, err, wantSum(levels))
+	}
+}
+
+// TestTableMemoRacesOfferAndInstall: the table's next-row memo is written
+// by every long-pointer lookup, so every lookup must hold the table. In a
+// warm session, one application goroutine keeps reading and rewriting a
+// resident node (Ref.Ptr, SetInt), another keeps building the hashed
+// offers of the stale pages, and the handler's walk installs batch after
+// batch through warm faults meanwhile. Run under -race.
+func TestTableMemoRacesOfferAndInstall(t *testing.T) {
+	caller, callee := pair(t, func(id uint32, o *Options) {
+		o.PageSize = 256
+		o.ClosureSize = 256
+		o.Concurrent = true
+	})
+	const levels = 9
+	err := callee.Register("raceWarm", func(ctx *Ctx, args []Value) ([]Value, error) {
+		rt := ctx.Runtime()
+		var stalePages []uint32
+		for _, e := range rt.table.Entries() {
+			if e.Stale && !slices.Contains(stalePages, e.Page) {
+				stalePages = append(stalePages, e.Page)
+			}
+		}
+		root, err := rt.Deref(args[0])
+		if err != nil {
+			return nil, err
+		}
+		d, err := root.Int("data", 0) // the root is resident from here on
+		if err != nil {
+			return nil, err
+		}
+		stop := make(chan struct{})
+		errs := make(chan error, 2) // one result per goroutine; receiving both joins them
+		loop := func(f func(n int) error) {
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				if err := f(n); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+		go loop(func(int) error {
+			if _, err := root.Ptr("left", 0); err != nil {
+				return err
+			}
+			return root.SetInt("data", 0, d)
+		})
+		go loop(func(n int) error {
+			rt.offer(stalePages[n%len(stalePages)], 1, true)
+			return nil
+		})
+		total, err := sumTree(rt, args[0])
+		close(stop)
+		for range 2 {
+			if e := <-errs; err == nil {
+				err = e
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		return []Value{Int64Value(total)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerSumProc(t, callee)
+	root := buildTree(t, caller, levels)
+	sessionCall(t, caller, 2, "sumTree", root)
+	if got := sessionCall(t, caller, 2, "raceWarm", root)[0].Int64(); got != wantSum(levels) {
+		t.Fatalf("warm sum = %d, want %d", got, wantSum(levels))
+	}
+	if st := callee.Stats(); st.CohRevalidateHits == 0 {
+		t.Fatal("the second session revalidated nothing")
 	}
 }
 

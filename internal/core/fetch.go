@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"smartrpc/internal/swizzle"
 	"smartrpc/internal/types"
 	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
@@ -139,15 +140,17 @@ func (rt *Runtime) fetchPage(pn uint32) error {
 // allocated to the page is resident, upholding §3.2's rule that all data
 // allocated to a page is transferred before its protection is released.
 //
-// Per pass, the page's non-resident entries group by origin; stale
-// warm-cache entries are revalidated first (one hashed FETCH per origin,
-// warmcache.go), before anything is fetched in full. All per-origin
-// exchanges of a pass are issued concurrently and joined — a PolicyMixed
-// page spanning N origins pays one round-trip time, not N — and each
-// exchange routes through the in-flight registry, so concurrent
-// completions of the same (page, origin) — a demand fault overtaking a
-// speculative prefetch, or two application threads faulting together —
-// coalesce onto one pending reply instead of re-requesting.
+// Per pass, the page's missing entries group by origin; stale warm-cache
+// entries are revalidated first (one hashed FETCH per origin,
+// warmcache.go), before anything is fetched in full. Every entry offered
+// ends its exchange resident or degraded to a plain want, so each pass
+// makes progress. All per-origin exchanges of a pass are issued
+// concurrently and joined — a PolicyMixed page spanning N origins pays one
+// round-trip time, not N — and each exchange routes through the in-flight
+// registry, so concurrent completions of the same (page, origin) — a
+// demand fault overtaking a speculative prefetch, or two application
+// threads faulting together — coalesce onto one pending reply instead of
+// re-requesting.
 //
 // spec marks a speculative (prefetcher-issued) completion: its fetches
 // carry the accounting flag, a missing page is not an error (the row may
@@ -155,77 +158,32 @@ func (rt *Runtime) fetchPage(pn uint32) error {
 // fault's place in the registry.
 func (rt *Runtime) completePage(sess uint64, pn uint32, spec bool) error {
 	for pass := 0; ; pass++ {
-		// The page's non-resident wants in offset order, stale entries split
-		// off. Under the paper's allocation heuristic there is exactly one
-		// origin per page, so the common path is a single group with no map
-		// allocation; PolicyMixed exercises the multi-origin fan-out below.
-		wants, stale, entries := rt.table.PageWants(pn, rt.warmEnabled())
+		origins, staleFrom, entries := rt.table.PageOrigins(pn)
 		if pass == 0 && entries == 0 {
 			if spec {
 				return nil
 			}
 			return fmt.Errorf("core: fault on cache page %d with no allocation table entries", pn)
 		}
-		if len(stale) > 0 {
-			// Every offered entry ends the exchange either resident (token or
-			// full body) or degraded to a plain want, so the loop always
-			// makes progress.
-			if oneOrigin(stale) {
-				if err := rt.completeFrom(sess, pn, stale[0].Space, stale, spec, true); err != nil {
-					return err
-				}
-			} else if err := fanOut(groupByOrigin(stale), func(g originGroup) error {
-				return rt.completeFrom(sess, pn, g.origin, g.lps, spec, true)
-			}); err != nil {
-				return err
-			}
-			continue
+		stale := len(staleFrom) > 0
+		if stale {
+			origins = staleFrom
 		}
-		if len(wants) == 0 {
+		var err error
+		switch len(origins) {
+		case 0:
 			return nil
+		case 1: // the paper's allocation heuristic: one origin per page
+			err = rt.completeFrom(sess, pn, origins[0], spec, stale)
+		default:
+			err = fanOut(origins, func(origin uint32) error {
+				return rt.completeFrom(sess, pn, origin, spec, stale)
+			})
 		}
-		if oneOrigin(wants) {
-			if err := rt.completeFrom(sess, pn, wants[0].Space, wants, spec, false); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := fanOut(groupByOrigin(wants), func(g originGroup) error {
-			return rt.completeFrom(sess, pn, g.origin, g.lps, spec, false)
-		}); err != nil {
+		if err != nil {
 			return err
 		}
 	}
-}
-
-// oneOrigin reports whether every long pointer names the same space.
-func oneOrigin(lps []wire.LongPtr) bool {
-	for i := range lps {
-		if lps[i].Space != lps[0].Space {
-			return false
-		}
-	}
-	return true
-}
-
-// originGroup is one origin's slice of a page's wants.
-type originGroup struct {
-	origin uint32
-	lps    []wire.LongPtr
-}
-
-// groupByOrigin splits a want list by owning space, origins sorted.
-func groupByOrigin(lps []wire.LongPtr) []originGroup {
-	byOrigin := make(map[uint32][]wire.LongPtr)
-	for _, lp := range lps {
-		byOrigin[lp.Space] = append(byOrigin[lp.Space], lp)
-	}
-	groups := make([]originGroup, 0, len(byOrigin))
-	for o, g := range byOrigin {
-		groups = append(groups, originGroup{origin: o, lps: g})
-	}
-	slices.SortFunc(groups, func(a, b originGroup) int { return int(a.origin) - int(b.origin) })
-	return groups
 }
 
 // completeFrom runs one (page, origin) exchange through the in-flight
@@ -236,7 +194,7 @@ func groupByOrigin(lps []wire.LongPtr) []originGroup {
 // re-scans the page afterwards, so a joiner whose fetch failed on the
 // other goroutine simply issues its own (a demand fault never inherits a
 // speculative failure — it degrades to a plain demand fetch).
-func (rt *Runtime) completeFrom(sess uint64, pn, origin uint32, lps []wire.LongPtr, spec, stale bool) error {
+func (rt *Runtime) completeFrom(sess uint64, pn, origin uint32, spec, stale bool) error {
 	key := fetchKey{pn: pn, origin: origin}
 	rt.inflightMu.Lock()
 	if f := rt.inflight[key]; f != nil {
@@ -286,7 +244,7 @@ func (rt *Runtime) completeFrom(sess uint64, pn, origin uint32, lps []wire.LongP
 		f.signalPrimary()
 		close(f.done)
 	}
-	poke, bg, err := rt.fetchFrom(sess, pn, origin, lps, spec, stale, f)
+	poke, bg, err := rt.fetchFrom(sess, pn, origin, spec, stale, f)
 	if bg != nil {
 		// A streamed reply unblocked the primary wants with chunks still
 		// in flight: drain them in the background, releasing the registry
@@ -339,15 +297,26 @@ func (rt *Runtime) InflightFetches() int {
 	return len(rt.inflight)
 }
 
-// fetchFrom sends one FETCH for the given wants (all owned by origin) and
-// installs the reply. pn is the faulting page, excluded from ride-along
-// batching because its own wants are already in the message. spec marks
+// fetchFrom sends one FETCH for page pn's missing entries from origin
+// and installs the reply. Its wants come from the table (offer): the
+// page's own entries, then ride-alongs from other pages. spec marks
 // prefetcher-issued fetches: the wire flag and the pf counters are the
 // only differences — the origin serves both identically.
 //
+// Without stale, the ride-alongs are non-resident entries stranded on
+// partially resident pages, so those pages are completed before they ever
+// fault — one message instead of one per page. They are frozen (Primary
+// marks the boundary): the server serves them but neither expands their
+// pointer fields nor charges them against the closure budget, which stays
+// fully available for the faulting page's own frontier. Charging or
+// expanding them starves the productive closure and causes MORE faults,
+// not fewer.
+//
 // stale marks completePage's stale pass, the warm fault (warmcache.go):
 // the wants are stale entries, the FETCH is hashed, and its ride-alongs
-// are stale entries of other pages. It is accounted as revalidation, and
+// are stale entries of other pages. Every hashed want is frozen and free
+// of budget at the origin, so the request carries no budget and no primary
+// count. It is accounted as revalidation, and
 // it never fails for want of an answer: whatever the exchange leaves stale
 // — unanswered, or the whole offer on a lost, corrupted or refused
 // exchange — degrades to a plain want for the caller's next pass. Only a
@@ -374,28 +343,15 @@ func (rt *Runtime) InflightFetches() int {
 // chunk sequence abandons the attempt and re-issues the FETCH under a
 // fresh attempt seq. Re-installing items an earlier attempt already
 // delivered is idempotent.
-func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, wants []wire.LongPtr, spec, stale bool, f *inflightFetch) (poke bool, bg func(), err error) {
-	primary := wants
+func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, spec, stale bool, f *inflightFetch) (poke bool, bg func(), err error) {
 	p := wire.FetchPayload{Speculative: spec}
-	if stale {
-		// Every hashed want is frozen and free of budget at the origin, so
-		// the request carries no budget and no primary count.
-		extra, _ := rt.table.StaleWants(origin, pn, rt.closure)
-		if p.Wants, p.Sums = rt.validateTuplesFor(append(wants, extra...)); len(p.Wants) == 0 {
-			return false, nil, nil
-		}
-	} else {
-		// Coalesce outstanding wants: non-resident entries from the same
-		// origin stranded on partially resident pages ride along in this
-		// FETCH, so those pages are completed before they ever fault — one
-		// message instead of one per page. The ride-alongs are frozen
-		// (Primary marks the boundary): the server serves them but neither
-		// expands their pointer fields nor charges them against the closure
-		// budget, which stays fully available for the faulting page's own
-		// frontier. Charging or expanding them starves the productive
-		// closure and causes MORE faults, not fewer.
-		extra, _ := rt.table.OutstandingWants(origin, pn, rt.closure)
-		p.Wants, p.Budget, p.Primary = append(wants, extra...), uint32(rt.closure), uint32(len(primary))
+	var own int
+	if p.Wants, p.Sums, own = rt.offer(pn, origin, stale); len(p.Wants) == 0 {
+		return false, nil, nil
+	}
+	primary := p.Wants[:own]
+	if !stale {
+		p.Budget, p.Primary = uint32(rt.closure), uint32(own)
 	}
 	all := len(p.Wants)
 	open, err := rt.exchange(wire.Message{
@@ -446,6 +402,58 @@ func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, wants []wire.LongPt
 		}
 	}
 	return !spec, bg, nil
+}
+
+// offer builds the wants of fetchFrom's FETCH for page pn from origin in
+// one hold of the table, from the rows swizzle.Tx.Offer walks off the page
+// records: the page's own first, own counting them, then the ride-alongs
+// within the closure budget. A hashed FETCH (stale) also carries a sum per
+// want: each datum is encoded from its demoted page into one scratch
+// arena and hashed. A datum that cannot be encoded — it points at a datum
+// freed since — loses its stale mark and is refetched.
+//
+// The walk holds installMu: installs are the only writers of a stale
+// page, and a concurrent exchange (a prefetch whose ride-alongs overlap
+// this offer) may be applying one. The scratch is reused under it; the
+// offer is copied out, sized exactly, because the exchange outlives it.
+func (rt *Runtime) offer(pn, origin uint32, stale bool) (wants []wire.LongPtr, sums []uint64, own int) {
+	rt.installMu.Lock()
+	defer rt.installMu.Unlock()
+	sc := &rt.offerScratch
+	sc.wants, sc.sums = sc.wants[:0], sc.sums[:0]
+	var unencodable []wire.LongPtr
+	tx := rt.table.Begin()
+	tx.Offer(pn, origin, rt.closure, stale, func(e swizzle.Entry, isOwn bool) {
+		if stale {
+			rv, err := rt.res.Resolve(e.LP.Type)
+			if err == nil {
+				sc.arena.Reset()
+				err = encodeObjectInto(&sc.arena, rt.space, tx, rt.res, rv.Desc, e.Addr)
+			}
+			if err != nil {
+				unencodable = append(unencodable, e.LP)
+				return
+			}
+			sc.sums = append(sc.sums, wire.Sum64(sc.arena.Bytes()))
+		}
+		if isOwn {
+			own++
+		}
+		sc.wants = append(sc.wants, e.LP)
+	})
+	tx.ClearStale(unencodable)
+	tx.End()
+	if stale {
+		sums = slices.Clone(sc.sums)
+	}
+	return slices.Clone(sc.wants), sums, own
+}
+
+// offerScratch holds offer's wants, sums and encode arena between calls.
+type offerScratch struct {
+	wants []wire.LongPtr
+	sums  []uint64
+	arena xdr.Encoder
 }
 
 // decodeFetchFrame decodes a FETCH reply frame in either reply form; the

@@ -220,8 +220,8 @@ func (rt *Runtime) CheckIdleInvariants() error {
 }
 
 // encodeStale derives a stale row's revalidation baseline the way
-// validateTuplesFor does for a hashed FETCH: the canonical encoding of its
-// page bytes.
+// offer does for a hashed FETCH: the canonical encoding of its page
+// bytes.
 func (rt *Runtime) encodeStale(e swizzle.Entry) ([]byte, error) {
 	rv, err := rt.res.Resolve(e.LP.Type)
 	if err != nil {

@@ -299,10 +299,18 @@ func TestExchangeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := cl.Session()
-	if _, err := cl.ImportPtr(lp); err != nil {
+	v, err := cl.ImportPtr(lp)
+	if err != nil {
 		t.Fatal(err)
 	}
+	pn := cl.space.PageOf(v.Addr)
 	wants := []wire.LongPtr{lp}
+	// fetchFrom asks for what the table says is missing, so every measured
+	// run first turns the installed row back into a plain want.
+	unfetch := func() {
+		cl.table.DemoteAll()
+		cl.table.ClearStale(wants)
+	}
 	f := newInflightFetch(false)
 
 	roundTrip := testing.AllocsPerRun(200, func() {
@@ -315,17 +323,24 @@ func TestExchangeAllocs(t *testing.T) {
 		t.Errorf("an empty-payload round trip allocates %.0f times; want at most 1", roundTrip)
 	}
 
+	sent := cl.Stats().FetchesSent
 	fetch := testing.AllocsPerRun(200, func() {
-		if _, bg, err := cl.fetchFrom(sess, 0, 1, wants, false, false, f); err != nil || bg != nil {
+		unfetch()
+		if _, bg, err := cl.fetchFrom(sess, pn, 1, false, false, f); err != nil || bg != nil {
 			t.Fatalf("fetch: %v (detached: %v)", err, bg != nil)
 		}
 	})
-	// The same request encoded and the same reply decoded and installed,
-	// with no exchange around them.
+	if n := cl.Stats().FetchesSent - sent; n != 201 {
+		t.Fatalf("%d FETCHes sent in 201 runs", n)
+	}
+	// The same request built and encoded and the same reply decoded and
+	// installed, with no exchange around them.
 	payload := testing.AllocsPerRun(200, func() {
-		p := wire.FetchPayload{Wants: wants, Budget: uint32(cl.closure), Primary: 1}
+		unfetch()
+		offered, _, own := cl.offer(pn, 1, false)
+		p := wire.FetchPayload{Wants: offered, Budget: uint32(cl.closure), Primary: uint32(own)}
 		m := wire.Message{Kind: wire.KindFetchReply, Payload: fetchReply}
-		if _, err := cl.installFetchFrame(f, sess, 1, wants, false, m); err != nil || len(p.Encode()) == 0 {
+		if _, err := cl.installFetchFrame(f, sess, 1, offered[:own], false, m); err != nil || len(p.Encode()) == 0 {
 			t.Fatalf("install: %v", err)
 		}
 	})

@@ -97,6 +97,10 @@ var (
 	// addresses. Warm-cache state for the origin is demoted before the
 	// error surfaces. Match with errors.Is.
 	ErrOriginRestarted = errors.New("core: origin space restarted")
+	// ErrIndexRange is returned by a Ref accessor whose element index lies
+	// outside the field: below zero, or at or past its Count (a scalar
+	// field has one element). Match with errors.Is.
+	ErrIndexRange = errors.New("core: element index out of range")
 )
 
 // Handler is a remote procedure body. Arguments and results are Values;
@@ -429,6 +433,8 @@ type Runtime struct {
 	// installTouched is installBatch's page scratch, reused across batches
 	// under installMu.
 	installTouched []pageTouch
+	// offerScratch is offer's working set, reused under installMu.
+	offerScratch offerScratch
 
 	// serveMu orders server-side heap access now that requests are served
 	// concurrently off the receive loop: fetch serves encode heap objects

@@ -21,8 +21,10 @@ type Value struct {
 	Word uint64
 	// Addr is a pointer's swizzled (local) address. Unused in lazy mode.
 	Addr vmem.VAddr
-	// LP is a pointer's long-format identity. Primary representation in
-	// lazy mode; informational otherwise.
+	// LP is a pointer's long-format identity: the primary representation
+	// in lazy mode. In smart and eager modes Ref.Ptr fills it by
+	// unswizzling the address, so two values naming the same datum compare
+	// equal by LP in every mode (examples/editgraph relies on this).
 	LP wire.LongPtr
 	// Elem is the pointed-to type for pointers.
 	Elem types.ID
@@ -257,45 +259,66 @@ func (r *Ref) Value() Value {
 	return v
 }
 
-// field resolves a field by name.
-func (r *Ref) field(name string) (int, types.Field, error) {
+// elem is one field element an accessor works on.
+type elem struct {
+	i    int          // field index
+	f    *types.Field // its descriptor
+	addr vmem.VAddr   // smart/eager: the element's address
+	size int          // smart/eager: the element's size
+}
+
+// elem resolves element idx of field name, which must be a pointer field
+// exactly when ptr is set, rejecting an index outside the field with
+// ErrIndexRange.
+func (r *Ref) elem(name string, idx int, ptr bool) (elem, error) {
 	i := r.desc.FieldIndex(name)
 	if i < 0 {
-		return 0, types.Field{}, fmt.Errorf("core: type %s has no field %q", r.desc.Name, name)
+		return elem{}, fmt.Errorf("core: type %s has no field %q", r.desc.Name, name)
 	}
-	return i, r.desc.Fields[i], nil
+	el := elem{i: i, f: &r.desc.Fields[i]}
+	switch {
+	case ptr && el.f.Kind != types.Ptr:
+		return elem{}, fmt.Errorf("core: field %q is not a pointer", name)
+	case !ptr && el.f.Kind == types.Ptr:
+		return elem{}, fmt.Errorf("core: field %q is a pointer; use Ptr or SetPtr", name)
+	}
+	if n := max(el.f.Count, 1); idx < 0 || idx >= n {
+		return elem{}, fmt.Errorf("%w: %s.%s[%d], %d element(s)", ErrIndexRange, r.desc.Name, name, idx, n)
+	}
+	if r.layout != nil { // smart and eager modes
+		fl := r.layout.Fields[i]
+		el.addr, el.size = r.addr+vmem.VAddr(fl.Offset+idx*fl.ElemSize), fl.ElemSize
+	}
+	return el, nil
 }
 
 // Uint reads an unsigned scalar field element.
 func (r *Ref) Uint(name string, idx int) (uint64, error) {
-	i, f, err := r.field(name)
+	el, err := r.elem(name, idx, false)
 	if err != nil {
 		return 0, err
 	}
-	if f.Kind == types.Ptr {
-		return 0, fmt.Errorf("core: field %q is a pointer; use Ptr", name)
-	}
+	return r.readUint(el, idx)
+}
+
+// readUint reads the scalar element Uint and Int resolved.
+func (r *Ref) readUint(el elem, idx int) (uint64, error) {
 	if r.rt.policy == PolicyLazy {
-		return r.lazyScalar(i, f, idx)
+		return r.lazyScalar(el.i, *el.f, idx)
 	}
-	fl := r.layout.Fields[i]
-	return r.rt.space.ReadUint(r.addr+vmem.VAddr(fl.Offset+idx*fl.ElemSize), fl.ElemSize)
+	return r.rt.space.ReadUint(el.addr, el.size)
 }
 
 // SetUint writes an unsigned scalar field element.
 func (r *Ref) SetUint(name string, idx int, v uint64) error {
-	i, f, err := r.field(name)
+	el, err := r.elem(name, idx, false)
 	if err != nil {
 		return err
 	}
-	if f.Kind == types.Ptr {
-		return fmt.Errorf("core: field %q is a pointer; use SetPtr", name)
-	}
 	if r.rt.policy == PolicyLazy {
-		return r.lazySetScalar(i, f, idx, v)
+		return r.lazySetScalar(el.i, *el.f, idx, v)
 	}
-	fl := r.layout.Fields[i]
-	if err := r.rt.space.WriteUint(r.addr+vmem.VAddr(fl.Offset+idx*fl.ElemSize), fl.ElemSize, v); err != nil {
+	if err := r.rt.space.WriteUint(el.addr, el.size, v); err != nil {
 		return err
 	}
 	// A write to a cached foreign object joins the session's modified data
@@ -309,16 +332,15 @@ func (r *Ref) SetUint(name string, idx int, v uint64) error {
 // Int reads a signed scalar field element, sign-extending from the
 // field's width.
 func (r *Ref) Int(name string, idx int) (int64, error) {
-	i, f, err := r.field(name)
+	el, err := r.elem(name, idx, false)
 	if err != nil {
 		return 0, err
 	}
-	raw, err := r.Uint(name, idx)
+	raw, err := r.readUint(el, idx)
 	if err != nil {
 		return 0, err
 	}
-	_ = i
-	switch f.Kind {
+	switch el.f.Kind {
 	case types.Int8:
 		return int64(int8(raw)), nil
 	case types.Int16:
@@ -350,28 +372,25 @@ func (r *Ref) SetFloat64Field(name string, idx int, v float64) error {
 }
 
 // Ptr reads a pointer field element, yielding a pointer Value that can be
-// dereferenced in turn.
+// dereferenced in turn. Outside lazy mode the value's LP is filled by
+// unswizzling the pointer word.
 func (r *Ref) Ptr(name string, idx int) (Value, error) {
-	i, f, err := r.field(name)
+	el, err := r.elem(name, idx, true)
 	if err != nil {
 		return Value{}, err
 	}
-	if f.Kind != types.Ptr {
-		return Value{}, fmt.Errorf("core: field %q is not a pointer", name)
-	}
 	if r.rt.policy == PolicyLazy {
-		return r.lazyPtr(i, f, idx)
+		return r.lazyPtr(el.i, *el.f, idx)
 	}
-	fl := r.layout.Fields[i]
-	pv, err := r.rt.space.ReadPtr(r.addr + vmem.VAddr(fl.Offset+idx*fl.ElemSize))
+	pv, err := r.rt.space.ReadPtr(el.addr)
 	if err != nil {
 		return Value{}, err
 	}
 	if pv == vmem.Null {
-		return NullPtr(f.Elem), nil
+		return NullPtr(el.f.Elem), nil
 	}
-	v := Value{Kind: types.Ptr, Addr: pv, Elem: f.Elem}
-	if lp, err := r.rt.table.Unswizzle(pv, f.Elem); err == nil {
+	v := Value{Kind: types.Ptr, Addr: pv, Elem: el.f.Elem}
+	if lp, err := r.rt.table.Unswizzle(pv, el.f.Elem); err == nil {
 		v.LP = lp
 	}
 	return v, nil
@@ -379,21 +398,17 @@ func (r *Ref) Ptr(name string, idx int) (Value, error) {
 
 // SetPtr writes a pointer field element.
 func (r *Ref) SetPtr(name string, idx int, v Value) error {
-	i, f, err := r.field(name)
+	el, err := r.elem(name, idx, true)
 	if err != nil {
 		return err
-	}
-	if f.Kind != types.Ptr {
-		return fmt.Errorf("core: field %q is not a pointer", name)
 	}
 	if v.Kind != types.Ptr {
 		return fmt.Errorf("core: SetPtr with %v value", v.Kind)
 	}
 	if r.rt.policy == PolicyLazy {
-		return r.lazySetPtr(i, f, idx, v)
+		return r.lazySetPtr(el.i, *el.f, idx, v)
 	}
-	fl := r.layout.Fields[i]
-	if err := r.rt.space.WritePtr(r.addr+vmem.VAddr(fl.Offset+idx*fl.ElemSize), v.Addr); err != nil {
+	if err := r.rt.space.WritePtr(el.addr, v.Addr); err != nil {
 		return err
 	}
 	if !r.rt.space.InHeap(r.addr) {

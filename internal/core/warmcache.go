@@ -1,10 +1,6 @@
 package core
 
-import (
-	"smartrpc/internal/swizzle"
-	"smartrpc/internal/wire"
-	"smartrpc/internal/xdr"
-)
+import "smartrpc/internal/swizzle"
 
 // This file implements the warm cross-session cache. The paper's protocol
 // (§3.4) discards every cached page at session end, so each new session
@@ -26,7 +22,7 @@ import (
 //
 //   - The client's revalidation baseline IS the demoted page: the offered
 //     hash is of the canonical encoding of the page bytes taken when the
-//     request is built (validateTuplesFor), never of a copy kept from an
+//     request is built (offer), never of a copy kept from an
 //     earlier install. A stale page sits under ProtNone and only an install
 //     (which ends the entry's staleness) writes to it, so page and baseline
 //     cannot disagree.
@@ -71,53 +67,4 @@ func (rt *Runtime) demoteWarm() {
 func (rt *Runtime) demoteFallback() {
 	rt.space.InvalidateCache()
 	rt.table.Invalidate()
-}
-
-// validateTuplesFor derives the offer of a hashed FETCH for a set of stale
-// long pointers: each datum is encoded from its demoted page into one
-// scratch arena, and its sum is the hash of that encoding, which is then
-// dropped. It returns the wants still stale, in order, with their sums. A
-// row that vanished or was promoted meanwhile is skipped; a datum that
-// cannot be encoded — it points at a datum freed since — loses its stale
-// mark and is refetched.
-//
-// The encode holds installMu: installs are the only writers of a stale
-// page, and a concurrent exchange (a prefetch whose ride-alongs overlap
-// this batch) may be applying one.
-func (rt *Runtime) validateTuplesFor(lps []wire.LongPtr) (wants []wire.LongPtr, sums []uint64) {
-	wants = make([]wire.LongPtr, 0, len(lps))
-	sums = make([]uint64, 0, len(lps))
-	var arena *xdr.Encoder
-	var unencodable []wire.LongPtr
-	rt.installMu.Lock()
-	tx := rt.table.Begin()
-	for _, lp := range lps {
-		row, ok := tx.LookupLP(lp)
-		if !ok {
-			continue
-		}
-		e := tx.Entry(row)
-		if !e.Stale {
-			continue
-		}
-		rv, err := rt.res.Resolve(lp.Type)
-		if err != nil {
-			unencodable = append(unencodable, lp)
-			continue
-		}
-		if arena == nil {
-			arena = xdr.NewEncoder(rv.Canon)
-		}
-		arena.Reset()
-		if err := encodeObjectInto(arena, rt.space, tx, rt.res, rv.Desc, e.Addr); err != nil {
-			unencodable = append(unencodable, lp)
-			continue
-		}
-		wants = append(wants, lp)
-		sums = append(sums, wire.Sum64(arena.Bytes()))
-	}
-	tx.ClearStale(unencodable)
-	tx.End()
-	rt.installMu.Unlock()
-	return wants, sums
 }

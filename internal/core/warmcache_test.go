@@ -1066,12 +1066,14 @@ func TestStreamedHashedFetchPromotesAndDegrades(t *testing.T) {
 }
 
 // TestWarmPathAllocs is the warm path's allocation gate, one figure per
-// end. An origin answering a 512-want hashed FETCH whose every answer is
+// step. An origin answering a 512-want hashed FETCH whose every answer is
 // a token encodes each want into one arena and truncates it again; an
 // encoder per want would cost over 500. Demoting 32 767 resident rows is
 // one pass over the table; one allocation per row would cost about 33 k.
-// The ceilings leave room for pool noise, not for a per-want or per-row
-// allocation.
+// Building the offer for a full stale page walks the rows into reused
+// scratch and copies out the wants and the sums: two allocations, where
+// growing them would cost one per doubling. The ceilings leave room for
+// pool noise, not for a per-want or per-row allocation.
 func TestWarmPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -1129,7 +1131,18 @@ func TestWarmPathAllocs(t *testing.T) {
 	if demote > 8 {
 		t.Errorf("demoting %d resident rows allocates %.0f times; want at most 8", rows, demote)
 	}
-	t.Logf("allocs: hashed serve %.0f, demotion %.0f", serve, demote)
+
+	pn := callee.space.PageOf(addrs[0])
+	perPage := len(callee.table.PageEntries(pn))
+	wants, _, own := callee.offer(pn, 1, true)
+	if own != perPage || len(wants) <= own {
+		t.Fatalf("the offer for page %d holds %d wants, %d of them its own; want all %d rows and ride-alongs", pn, len(wants), own, perPage)
+	}
+	offer := testing.AllocsPerRun(50, func() { callee.offer(pn, 1, true) })
+	if offer > 2 {
+		t.Errorf("building a %d-want hashed offer allocates %.0f times; want at most 2", len(wants), offer)
+	}
+	t.Logf("allocs: hashed serve %.0f, demotion %.0f, hashed offer %.0f", serve, demote, offer)
 }
 
 // --- teardown micro-benchmark ---
@@ -1160,5 +1173,288 @@ func BenchmarkEndSessionDemote(b *testing.B) {
 	b.StopTimer()
 	if n := callee.table.Len(); n != rows {
 		b.Fatalf("table holds %d rows after demotion, want %d (fell back to invalidation?)", n, rows)
+	}
+}
+
+// --- the offer: a warm fault walks its rows off the page records ---
+
+// lpPathOffer is the offer the long-pointer path built before the row
+// walk: page pn's missing rows from origin (PageWants, stale rows split
+// off, grouped by origin), then the ride-alongs of other pages within the
+// closure budget — stale rows for a hashed FETCH (StaleWants), the
+// non-resident rows of partially resident pages otherwise
+// (OutstandingWants). A hashed offer's wants were then found again by long
+// pointer, encoded from their pages and summed (validateTuplesFor).
+func lpPathOffer(t *testing.T, rt *Runtime, pn, origin uint32, stale bool) (wants []wire.LongPtr, sums []uint64, own int) {
+	t.Helper()
+	for _, e := range rt.table.PageEntries(pn) {
+		if !e.Resident && e.Stale == stale && e.LP.Space == origin {
+			wants = append(wants, e.LP)
+		}
+	}
+	own = len(wants)
+	lastPage := func(e swizzle.Entry) uint32 { return rt.space.PageOf(e.Addr + vmem.VAddr(max(e.Size, 1)-1)) }
+	var pages []uint32
+	for _, e := range rt.table.Entries() {
+		for p := e.Page; p <= lastPage(e); p++ {
+			pages = append(pages, p)
+		}
+	}
+	slices.Sort(pages)
+	left := rt.closure
+ride:
+	for _, p := range slices.Compact(pages) {
+		rows := rt.table.PageEntries(p)
+		resident := 0
+		for _, e := range rows {
+			if e.Resident {
+				resident++
+			}
+		}
+		hasStale := slices.ContainsFunc(rows, func(e swizzle.Entry) bool { return e.Stale })
+		if p == pn || stale && !hasStale || !stale && (resident == 0 || resident == len(rows)) {
+			continue
+		}
+		for _, e := range rows {
+			if e.Page != p || e.LP.Space != origin || e.Resident || stale && !e.Stale || e.Page < pn && pn <= lastPage(e) {
+				continue
+			}
+			rv, err := rt.res.Resolve(e.LP.Type)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rv.Canon > left {
+				break ride
+			}
+			left -= rv.Canon
+			wants = append(wants, e.LP)
+		}
+	}
+	for _, lp := range wants {
+		if !stale {
+			break
+		}
+		addr, _ := rt.table.LookupLP(lp)
+		e, _ := rt.table.LookupAddr(addr)
+		b, err := rt.encodeStale(e)
+		if err != nil {
+			t.Fatalf("encode %v: %v", lp, err)
+		}
+		sums = append(sums, wire.Sum64(b))
+	}
+	return wants, sums, own
+}
+
+// TestOfferMatchesLPPath is the differential test of the row-walk offer
+// against the long-pointer path it replaced (lpPathOffer), hashed and
+// plain: the same wants in the same order, the same sums and the same
+// count of the page's own. The tables are laid out by real sessions over
+// random graphs, with BFS and DFS origins, four page and closure sizes
+// (the small closures cut the ride-alongs off mid-page), and under
+// PolicyMixed rows of a second origin planted between them on shared
+// pages. Before comparing, random rows are promoted or stripped of their
+// stale mark, so pages mix resident, stale and plain rows.
+func TestOfferMatchesLPPath(t *testing.T) {
+	const other = 3 // the planted origin: never contacted
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mixed := seed%2 == 1
+		caller, callee := warmPair(t, func(_ uint32, o *Options) {
+			o.PageSize = 256 << uint(seed%3)
+			o.ClosureSize = []int{64, 200, 1000, 8192}[seed%4]
+			if seed > 4 {
+				o.Traversal = TraverseDFS
+			}
+			if mixed {
+				o.AllocPolicy = swizzle.PolicyMixed
+			}
+		})
+		planted := 0
+		err := callee.Register("walkPlant", func(ctx *Ctx, args []Value) ([]Value, error) {
+			rt := ctx.Runtime()
+			seen := map[wire.LongPtr]bool{}
+			queue := []Value{args[0]}
+			for len(queue) > 0 {
+				v := queue[0]
+				queue = queue[1:]
+				if v.IsNullPtr() || seen[v.LP] {
+					continue
+				}
+				seen[v.LP] = true
+				ref, err := rt.Deref(v)
+				if err != nil {
+					return nil, err
+				}
+				for _, f := range []string{"left", "right"} {
+					p, err := ref.Ptr(f, 0)
+					if err != nil {
+						return nil, err
+					}
+					queue = append(queue, p)
+				}
+				if mixed && rng.Intn(3) == 0 {
+					// A resident row of another origin beside the frontier.
+					planted++
+					addr, _, err := rt.table.Swizzle(wire.LongPtr{Space: other, Addr: vmem.VAddr(0x4000 + 16*planted), Type: nodeType})
+					if err != nil {
+						return nil, err
+					}
+					rt.table.MarkResident(addr)
+				}
+			}
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := buildGraph(t, caller, rng, 40+rng.Intn(80))
+		sessionCall(t, caller, 2, "walkPlant", g.nodes[0])
+		for _, e := range callee.table.Entries() {
+			switch rng.Intn(6) {
+			case 0:
+				callee.table.MarkResident(e.Addr)
+			case 1:
+				callee.table.ClearStale([]wire.LongPtr{e.LP})
+			}
+		}
+		var compared, rides [2]int
+		for _, e := range callee.table.Entries() {
+			for _, origin := range []uint32{1, other} {
+				for k, stale := range []bool{false, true} {
+					want, wantSums, wantOwn := lpPathOffer(t, callee, e.Page, origin, stale)
+					got, gotSums, own := callee.offer(e.Page, origin, stale)
+					if !slices.Equal(got, want) || !slices.Equal(gotSums, wantSums) || own != wantOwn {
+						t.Fatalf("seed %d: offer for page %d from %d, stale=%v:\n got %v %x (%d own)\nwant %v %x (%d own)",
+							seed, e.Page, origin, stale, got, gotSums, own, want, wantSums, wantOwn)
+					}
+					compared[k] += len(got)
+					rides[k] += len(got) - own
+				}
+			}
+		}
+		if compared[1] == 0 || rides[1] == 0 || compared[0] == 0 || mixed && planted == 0 {
+			t.Fatalf("seed %d: %v wants compared (plain, hashed), %v of them ride-alongs, %d rows planted", seed, compared, rides, planted)
+		}
+	}
+}
+
+// TestMixedStalePageRevalidatesFromEveryOrigin: under PolicyMixed one
+// cache page holds warm rows of two origins, and its fault sends each
+// origin its own hashed FETCH, concurrently, both for that page. Every
+// row comes back by token except the one datum rewritten at home, and
+// nothing is fetched in full.
+func TestMixedStalePageRevalidatesFromEveryOrigin(t *testing.T) {
+	net, a, clients := pipelineNet(t, 1, func(o *Options) { o.AllocPolicy = swizzle.PolicyMixed })
+	client := clients[0]
+	node, err := net.Attach(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(Options{ID: 3, Node: node, Registry: a.Registry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	rootA, rootB := buildTree(t, a, 4), buildTree(t, b, 4)
+	rec := &RecordingTracer{}
+	client.SetTracer(rec)
+	walk := func() int64 {
+		t.Helper()
+		if err := client.BeginSession(); err != nil {
+			t.Fatal(err)
+		}
+		// Both roots are swizzled before either is touched: their rows share
+		// a page, whose fault needs both origins.
+		var sum int64
+		for _, v := range []Value{mustImport(t, client, rootA.LP), mustImport(t, client, rootB.LP)} {
+			s, err := sumTree(client, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += s
+		}
+		if err := client.EndSession(); err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	if got := walk(); got != 2*wantSum(4) {
+		t.Fatalf("cold sum = %d, want %d", got, 2*wantSum(4))
+	}
+	ref, err := b.Deref(rootB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetInt("data", 0, 101); err != nil {
+		t.Fatal(err)
+	}
+	rec.Reset()
+	before := client.Stats()
+	if got, want := walk(), 2*wantSum(4)+100; got != want {
+		t.Fatalf("warm sum = %d, want %d", got, want)
+	}
+	after := client.Stats()
+	if d := after.FetchesSent - before.FetchesSent; d != 0 {
+		t.Errorf("%d full FETCHes in the warm session, want 0", d)
+	}
+	if hits, misses := after.CohRevalidateHits-before.CohRevalidateHits, after.CohRevalidateMisses-before.CohRevalidateMisses; hits != 29 || misses != 1 {
+		t.Errorf("%d tokens and %d bodies, want 29 and 1", hits, misses)
+	}
+	targets := map[uint32][]uint32{} // page -> origins sent a hashed FETCH for it
+	for _, e := range rec.Events() {
+		if e.Kind == EvValidateSent {
+			targets[e.Page] = append(targets[e.Page], e.Target)
+		}
+	}
+	shared := false
+	for _, origins := range targets {
+		shared = shared || slices.Contains(origins, 1) && slices.Contains(origins, 3)
+	}
+	if !shared {
+		t.Errorf("no page revalidated from both origins: %v", targets)
+	}
+}
+
+func mustImport(t *testing.T, rt *Runtime, lp wire.LongPtr) Value {
+	t.Helper()
+	v, err := rt.ImportPtr(lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// BenchmarkWarmSession measures one warm session over a persistent pair:
+// BeginSession, a call that sums a 1023-node tree the callee cached in an
+// earlier session, EndSession. One node in 20 is rewritten at home before
+// each session, so the hashed FETCHes carry bodies as well as tokens.
+func BenchmarkWarmSession(b *testing.B) {
+	caller, callee := pair(b, nil)
+	registerSumProc(b, callee)
+	root := buildTree(b, caller, 10)
+	var refs []Ref
+	for i, lp := range treeNodeLPs(b, caller, root) {
+		if i%20 == 0 {
+			ref, err := caller.Deref(caller.PtrValueAt(lp.Addr, lp.Type))
+			if err != nil {
+				b.Fatal(err)
+			}
+			refs = append(refs, ref)
+		}
+	}
+	sessionCall(b, caller, 2, "sumTree", root)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ref := range refs {
+			d, err := ref.Int("data", 0)
+			if err == nil {
+				err = ref.SetInt("data", 0, d^1)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		sessionCall(b, caller, 2, "sumTree", root)
 	}
 }

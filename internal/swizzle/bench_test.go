@@ -115,8 +115,12 @@ func wantsTable(t testing.TB, n int) *Table {
 }
 
 func scanWants(t testing.TB, tb *Table) {
-	if wants, _ := tb.OutstandingWants(remoteID, 0, 1<<20); len(wants) != 128 {
-		t.Fatalf("%d wants, want 128", len(wants))
+	wants := 0
+	tx := tb.Begin()
+	tx.Offer(0, remoteID, 1<<20, false, func(Entry, bool) { wants++ })
+	tx.End()
+	if wants != 128 {
+		t.Fatalf("%d wants, want 128", wants)
 	}
 }
 

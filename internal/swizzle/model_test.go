@@ -86,11 +86,10 @@ func (r *refTable) pages() []uint32 {
 	return out
 }
 
-// wants is the specification of OutstandingWants (stale=false) and
-// StaleWants (stale=true).
-func (r *refTable) wants(origin, excludePN uint32, budget int, stale bool) ([]wire.LongPtr, int) {
+// wants is the specification of Offer's ride-alongs.
+func (r *refTable) wants(origin, excludePN uint32, budget int, stale bool) []wire.LongPtr {
 	if budget <= 0 {
-		return nil, 0
+		return nil
 	}
 	var out []wire.LongPtr
 	left := budget
@@ -121,13 +120,13 @@ func (r *refTable) wants(origin, excludePN uint32, budget int, stale bool) ([]wi
 				panic(err)
 			}
 			if rv.Canon > left {
-				return out, budget - left
+				return out
 			}
 			left -= rv.Canon
 			out = append(out, e.LP)
 		}
 	}
-	return out, budget - left
+	return out
 }
 
 func (r *refTable) prefetchCandidates(origin uint32, max int) []uint32 {
@@ -272,23 +271,26 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 	}
 	for _, pn := range probes {
 		var rows []Entry
-		var wants, stale []wire.LongPtr
+		var plain, stale []uint32
 		for _, e := range r.onPage(pn) {
 			rows = append(rows, *e)
 			switch {
 			case e.Resident:
 			case e.Stale:
-				stale = append(stale, e.LP)
+				stale = append(stale, e.LP.Space)
 			default:
-				wants = append(wants, e.LP)
+				plain = append(plain, e.LP.Space)
 			}
 		}
+		slices.Sort(plain)
+		slices.Sort(stale)
+		plain, stale = slices.Compact(plain), slices.Compact(stale)
 		if got := tb.PageEntries(pn); !slices.Equal(got, rows) {
 			t.Fatalf("PageEntries(%d) = %v\nwant %v", pn, got, rows)
 		}
-		gw, gs, n := tb.PageWants(pn, true)
-		if !slices.Equal(gw, wants) || !slices.Equal(gs, stale) || n != len(rows) {
-			t.Fatalf("PageWants(%d, true) = %v, %v, %d\nwant %v, %v, %d", pn, gw, gs, n, wants, stale, len(rows))
+		gp, gs, n := tb.PageOrigins(pn)
+		if !slices.Equal(gp, plain) || !slices.Equal(gs, stale) || n != len(rows) {
+			t.Fatalf("PageOrigins(%d) = %v, %v, %d\nwant %v, %v, %d", pn, gp, gs, n, plain, stale, len(rows))
 		}
 	}
 	for _, budget := range []int{0, 31, 32, 100, 1000, 50000, 1 << 30} {
@@ -297,15 +299,26 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 			if len(probes) > 0 {
 				exclude = probes[rng.Intn(len(probes))]
 			}
-			gw, gn := tb.OutstandingWants(origin, exclude, budget)
-			ww, wn := r.wants(origin, exclude, budget, false)
-			if !slices.Equal(gw, ww) || gn != wn {
-				t.Fatalf("OutstandingWants(%d, %d, %d) = %v, %d\nwant %v, %d", origin, exclude, budget, gw, gn, ww, wn)
-			}
-			gw, gn = tb.StaleWants(origin, exclude, budget)
-			ww, wn = r.wants(origin, exclude, budget, true)
-			if !slices.Equal(gw, ww) || gn != wn {
-				t.Fatalf("StaleWants(%d, %d, %d) = %v, %d\nwant %v, %d", origin, exclude, budget, gw, gn, ww, wn)
+			for _, stale := range []bool{false, true} {
+				var got, want []wire.LongPtr
+				var own int
+				tx := tb.Begin()
+				tx.Offer(exclude, origin, budget, stale, func(e Entry, isOwn bool) {
+					if isOwn {
+						own++
+					}
+					got = append(got, e.LP)
+				})
+				tx.End()
+				for _, e := range r.onPage(exclude) {
+					if !e.Resident && e.Stale == stale && e.LP.Space == origin {
+						want = append(want, e.LP)
+					}
+				}
+				wantOwn := len(want)
+				if want = append(want, r.wants(origin, exclude, budget, stale)...); !slices.Equal(got, want) || own != wantOwn {
+					t.Fatalf("Offer(%d, %d, %d, stale=%v) = %v, %d own\nwant %v, %d own", exclude, origin, budget, stale, got, own, want, wantOwn)
+				}
 			}
 		}
 	}
@@ -605,5 +618,153 @@ func TestIndexGrowthAndDeadSlotReuse(t *testing.T) {
 	}
 	if tb.Len() != n+1 {
 		t.Fatalf("Len() = %d, want %d", tb.Len(), n+1)
+	}
+}
+
+// TestRowAtAgainstReference checks the address lookup — the stride guess
+// and the binary search behind it — against a map of row addresses, at
+// every byte of every page, on the shapes a page takes: one size at a
+// uniform stride, mixed sizes, a datum larger than a page continuing at
+// offset 0 with small data after it, and tombstones left by removals.
+func TestRowAtAgainstReference(t *testing.T) {
+	reg := types.NewRegistry()
+	sizes := []int{1, 2, 3, 5, 1000} // int64 words per type
+	for i, n := range sizes {
+		reg.MustRegister(&types.Desc{
+			ID:     types.ID(i + 1),
+			Name:   fmt.Sprintf("Words%d", n),
+			Fields: []types.Field{{Name: "w", Kind: types.Int64, Count: n}},
+		})
+	}
+	shapes := []struct {
+		name string
+		kind func(rng *rand.Rand, i int) types.ID
+		cut  int // remove one row in cut (0: none)
+	}{
+		{"uniform", func(*rand.Rand, int) types.ID { return 2 }, 0},
+		{"mixed", func(rng *rand.Rand, _ int) types.ID { return types.ID(1 + rng.Intn(4)) }, 0},
+		{"multipage", func(_ *rand.Rand, i int) types.ID {
+			if i%40 == 0 {
+				return 5
+			}
+			return 2
+		}, 0},
+		{"tombstones", func(*rand.Rand, int) types.ID { return 2 }, 3},
+		{"mixed tombstones", func(rng *rand.Rand, _ int) types.ID { return types.ID(1 + rng.Intn(5)) }, 4},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			sp, err := vmem.NewSpace(vmem.Config{PageSize: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb := New(sp, reg, selfID, PolicyPerOrigin)
+			var addrs []vmem.VAddr
+			for i := 0; i < 300; i++ {
+				a, _, err := tb.Swizzle(lp(remoteID, vmem.VAddr(0x1000+8*i), sh.kind(rng, i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				addrs = append(addrs, a)
+			}
+			if sh.cut > 0 {
+				for _, a := range addrs {
+					if rng.Intn(sh.cut) == 0 {
+						if err := tb.Remove(a); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			starts := map[vmem.VAddr]wire.LongPtr{}
+			for _, e := range tb.Entries() {
+				starts[e.Addr] = e.LP
+			}
+			first, last := sp.PageOf(addrs[0]), sp.PageOf(addrs[len(addrs)-1]+8000)
+			tx := tb.Begin()
+			defer tx.End()
+			for pn := first - 1; pn <= last+1; pn++ {
+				for a := sp.PageBase(pn); a < sp.PageBase(pn)+1024; a++ {
+					want, ok := starts[a]
+					row, found := tx.LookupAddr(a)
+					if found != ok || found && tx.Entry(row).LP != want {
+						t.Fatalf("address %#x: row %v (found %v), want %v (%v)", uint32(a), row, found, want, ok)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFindMemoNeverAnswersDeadRows proves find's next-row memo sound. From
+// every memo position, after every step of random swizzles, removals and
+// rebinds (some evicting a victim row), find answers exactly what a map
+// does for every long pointer ever used — a removed row's, whose tombstone
+// is null, and both identities of a rebound row — and never answers the
+// null long pointer.
+func TestFindMemoNeverAnswersDeadRows(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb, _ := newTable(t, 0)
+		byLP := map[wire.LongPtr]int32{}
+		universe := []wire.LongPtr{{}}
+		fresh := func() wire.LongPtr {
+			l := lp(remoteID, vmem.VAddr(0x1000+16*len(universe)), 1)
+			universe = append(universe, l)
+			return l
+		}
+		live := func() wire.LongPtr {
+			for {
+				l := universe[1+rng.Intn(len(universe)-1)]
+				if _, ok := byLP[l]; ok {
+					return l
+				}
+			}
+		}
+		for step := 0; step < 120; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5 || len(byLP) < 2:
+				l := fresh()
+				tx := tb.Begin()
+				row, err := tx.SwizzleRow(l)
+				tx.End()
+				if err != nil {
+					t.Fatal(err)
+				}
+				byLP[l] = int32(row)
+			case op < 7:
+				l := live()
+				if err := tb.Remove(tb.rows[byLP[l]].Addr); err != nil {
+					t.Fatal(err)
+				}
+				delete(byLP, l)
+			default:
+				old, target := live(), fresh()
+				if rng.Intn(3) == 0 {
+					if target = live(); target == old {
+						continue
+					}
+					delete(byLP, target) // the victim row is evicted
+				}
+				if _, err := tb.Rebind(old, target); err != nil {
+					t.Fatal(err)
+				}
+				byLP[target] = byLP[old]
+				delete(byLP, old)
+			}
+			for m := 0; m <= len(tb.rows); m++ {
+				for _, l := range universe {
+					want, ok := byLP[l]
+					if !ok {
+						want = -1
+					}
+					tb.next = int32(m)
+					if got, _ := tb.find(l); got != want {
+						t.Fatalf("seed %d step %d: with the memo at row %d, find(%v) = %d, want %d", seed, step, m, l, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"smartrpc/internal/types"
@@ -147,6 +148,9 @@ type Table struct {
 	index []int32
 	used  int  // slots that are not free
 	shift uint // 64 - log2(len(index))
+	// next is the row after find's last answer, tried before the index:
+	// rows are mostly asked for in the order they were created (find).
+	next int32
 	// pages[pn-basePN] is the record of cache page pn; basePN is the first
 	// page reserved since the last Invalidate.
 	pages    []pageRec
@@ -182,7 +186,7 @@ func New(space *vmem.Space, reg *types.Registry, selfID uint32, policy AllocPoli
 func (t *Table) reset() {
 	t.hint = max(t.hint, len(t.rows))
 	t.pageHint = max(t.pageHint, len(t.pages))
-	t.rows, t.live = nil, 0
+	t.rows, t.live, t.next = nil, 0, 0
 	t.index, t.used = nil, 0
 	t.pages = nil
 	t.areas = nil
@@ -230,23 +234,37 @@ func (t *Table) probe(lp wire.LongPtr) (row int32, pos int) {
 	}
 }
 
-// find returns lp's row, or -1.
-func (t *Table) find(lp wire.LongPtr) int32 {
-	if len(t.index) == 0 {
-		return -1
+// find returns lp's row, or -1 and, when there is an index, the slot an
+// insert of lp should take (-1 otherwise).
+//
+// Rows are mostly asked for in the order they were created: a closure's
+// items install in the order their parents' installs swizzled them, and a
+// hashed reply answers its offer in (page, offset) order, which bump
+// allocation makes creation order too. So the row after the last answer
+// is compared first. A tombstone's long pointer is null, so a null lp
+// never matches there.
+func (t *Table) find(lp wire.LongPtr) (row int32, pos int) {
+	if n := t.next; int(n) < len(t.rows) && t.rows[n].LP == lp && !lp.IsNull() {
+		t.next = n + 1
+		return n, -1
 	}
-	row, _ := t.probe(lp)
-	return row
+	if len(t.index) == 0 {
+		return -1, -1
+	}
+	if row, pos = t.probe(lp); row >= 0 {
+		t.next = row + 1
+	}
+	return row, pos
 }
 
 // indexInsert enters row, already stored in t.rows, under its long
-// pointer, which must not be present.
-func (t *Table) indexInsert(row int32) {
+// pointer, which must not be present; pos is the slot a probe for it
+// returned.
+func (t *Table) indexInsert(row int32, pos int) {
 	if 2*(t.used+1) > len(t.index) {
 		t.rebuildIndex() // enters every live row, this one included
 		return
 	}
-	_, pos := t.probe(t.rows[row].LP)
 	if t.index[pos] == 0 {
 		t.used++
 	}
@@ -301,9 +319,21 @@ func (t *Table) rowAt(addr vmem.VAddr) int32 {
 		return -1
 	}
 	off := uint32(addr) - uint32(t.space.PageBase(pn))
-	lo, hi := 0, len(rec.slots)
+	s := rec.slots
+	lo, hi := 0, len(s)
+	// A page usually fills with data of one size, so its slots sit at the
+	// constant stride its first and last offsets give. The slot that stride
+	// points at is taken when it is the binary search's answer too — the
+	// first slot at off — and the search runs otherwise.
+	if n := len(s); n > 1 && off >= s[0].off {
+		if stride := (s[n-1].off - s[0].off) / uint32(n-1); stride > 0 {
+			if g := int((off - s[0].off) / stride); g < n && s[g].off == off && (g == 0 || s[g-1].off < off) {
+				lo, hi = g, g
+			}
+		}
+	}
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); rec.slots[m].off < off {
+		if m := int(uint(lo+hi) >> 1); s[m].off < off {
 			lo = m + 1
 		} else {
 			hi = m
@@ -311,8 +341,8 @@ func (t *Table) rowAt(addr vmem.VAddr) int32 {
 	}
 	// The address comparison rejects a continuing datum's slot, whose
 	// nominal offset 0 is not where it starts.
-	if lo < len(rec.slots) && t.rows[rec.slots[lo].row].Addr == addr {
-		return rec.slots[lo].row
+	if lo < len(s) && t.rows[s[lo].row].Addr == addr {
+		return s[lo].row
 	}
 	return -1
 }
@@ -397,14 +427,17 @@ func (t *Table) swizzleAddr(lp wire.LongPtr, areaKey uint32) (vmem.VAddr, bool, 
 // swizzleRemote finds or creates the row for a long pointer into another
 // space. Caller holds t.mu.
 func (t *Table) swizzleRemote(lp wire.LongPtr, areaKey uint32) (row int32, fresh bool, err error) {
-	if row = t.find(lp); row >= 0 {
+	t.ensure()
+	// A miss's probe found the slot the insert takes: nothing below
+	// touches the index before it.
+	row, pos := t.find(lp)
+	if row >= 0 {
 		return row, false, nil
 	}
 	rv, err := t.res.Resolve(lp.Type)
 	if err != nil {
 		return -1, false, fmt.Errorf("swizzle %v: %w", lp, err)
 	}
-	t.ensure()
 	size := rv.Layout.Size
 	addr, err := t.reserve(areaKey, size, rv.Layout.Align)
 	if err != nil {
@@ -425,7 +458,7 @@ func (t *Table) swizzleRemote(lp wire.LongPtr, areaKey uint32) (row int32, fresh
 		Size:   size,
 	})
 	t.live++
-	t.indexInsert(row)
+	t.indexInsert(row, pos)
 	e := &t.rows[row]
 	if len(t.pages) == 0 {
 		t.basePN = pn
@@ -663,7 +696,7 @@ func (x Tx) LookupAddr(addr vmem.VAddr) (Row, bool) {
 func (t *Table) LookupLP(lp wire.LongPtr) (vmem.VAddr, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := t.find(lp)
+	i, _ := t.find(lp)
 	if i < 0 {
 		return vmem.Null, false
 	}
@@ -672,7 +705,7 @@ func (t *Table) LookupLP(lp wire.LongPtr) (vmem.VAddr, bool) {
 
 // LookupLP returns the row for a long pointer, if present.
 func (x Tx) LookupLP(lp wire.LongPtr) (Row, bool) {
-	i := x.t.find(lp)
+	i, _ := x.t.find(lp)
 	return Row(i), i >= 0
 }
 
@@ -694,108 +727,84 @@ func (t *Table) PageEntries(pn uint32) []Entry {
 	return out
 }
 
-// PageWants returns the long pointers of page pn's non-resident entries in
-// offset order — what a fault on the page has to bring in — and how many
-// entries the page holds at all. With splitStale, stale entries are
-// returned apart (they are revalidated, not fetched); without it they
-// count as plain wants. A fully resident page allocates nothing.
-func (t *Table) PageWants(pn uint32, splitStale bool) (wants, stale []wire.LongPtr, entries int) {
+// PageOrigins reports which origins a fault on page pn must ask: those of
+// its plain wants (rows neither resident nor stale, fetched in full) and
+// those of its stale rows (revalidated), each ascending, and how many rows
+// the page holds at all.
+func (t *Table) PageOrigins(pn uint32) (plain, stale []uint32, entries int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rec := t.page(pn)
 	if rec == nil {
 		return nil, nil, 0
 	}
-	entries = len(rec.slots)
-	nWants, nStale := entries-int(rec.resident), 0
-	if splitStale {
-		nStale = int(rec.stale)
-		nWants -= nStale
-	}
-	if nWants > 0 {
-		wants = make([]wire.LongPtr, 0, nWants)
-	}
-	if nStale > 0 {
-		stale = make([]wire.LongPtr, 0, nStale)
-	}
-	if nWants+nStale == 0 {
-		return nil, nil, entries
+	if int(rec.resident) == len(rec.slots) {
+		return nil, nil, len(rec.slots) // nothing is missing
 	}
 	for _, s := range rec.slots {
 		switch e := &t.rows[s.row]; {
 		case e.Resident:
-		case splitStale && e.Stale:
-			stale = append(stale, e.LP)
+		case e.Stale:
+			stale = addOrigin(stale, e.LP.Space)
 		default:
-			wants = append(wants, e.LP)
+			plain = addOrigin(plain, e.LP.Space)
 		}
 	}
-	return wants, stale, entries
+	return plain, stale, len(rec.slots)
 }
 
-// OutstandingWants returns the long pointers of non-resident entries
-// originating from origin that live on *partially resident* pages other
-// than excludePN, in (page, offset) order, stopping once their accumulated
-// canonical sizes would exceed budget bytes (a cap bounding per-message
-// eagerness). It also reports the bytes selected.
-//
-// A partially resident page is one where a previous transfer's byte budget
-// ran out mid-page: some entries are installed, the rest are not, and the
-// page's protection cannot be released until they all are (§3.2). Such a
-// page is certain to cost its own FETCH round-trip on first touch, so the
-// fetch path piggybacks its remaining wants onto the current faulting
-// page's FETCH message instead — one message where the single-want
-// protocol needs two. Fully non-resident pages are deliberately excluded:
-// prefetching them is speculation that cascades (each install swizzles
-// fresh frontier entries), inflating transferred bytes on sparse access
-// patterns.
-//
-// The page records' counts find the partial pages; rows are read only on
-// those, so the cost of a fault does not grow with the table.
-func (t *Table) OutstandingWants(origin uint32, excludePN uint32, budget int) ([]wire.LongPtr, int) {
-	return t.wantsOn(origin, excludePN, budget,
-		func(rec *pageRec) bool { return rec.resident > 0 && int(rec.resident) < len(rec.slots) },
-		func(e *Entry) bool { return !e.Resident })
-}
-
-// StaleWants returns the long pointers of stale entries originating from
-// origin on pages other than excludePN, in (page, offset) order, stopping
-// once their accumulated canonical sizes would exceed budget bytes. It
-// mirrors OutstandingWants for the revalidation path: every selected
-// entry's page is certain to fault on first touch, so offering its tuple
-// on the current Validate message trades a guaranteed future round-trip
-// for a few tuple bytes now.
-func (t *Table) StaleWants(origin uint32, excludePN uint32, budget int) ([]wire.LongPtr, int) {
-	return t.wantsOn(origin, excludePN, budget,
-		func(rec *pageRec) bool { return rec.stale > 0 },
-		func(e *Entry) bool { return e.Stale })
-}
-
-// wantsOn collects, in (page, offset) order and within budget canonical
-// bytes, the entries from origin that pass want on the pages that pass
-// qualifies. An entry is listed once, under the page it starts on, and
-// never when it covers excludePN — that page's own wants are already in
-// the message being built.
-func (t *Table) wantsOn(origin, excludePN uint32, budget int, qualifies func(*pageRec) bool, want func(*Entry) bool) ([]wire.LongPtr, int) {
-	if budget <= 0 {
-		return nil, 0
+func addOrigin(origins []uint32, o uint32) []uint32 {
+	if k, found := slices.BinarySearch(origins, o); !found {
+		return slices.Insert(origins, k, o)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []wire.LongPtr
+	return origins
+}
+
+// Offer calls f with the rows a fault on page pn asks origin for, in
+// message order, reporting whether each is one of the page's own. The
+// page's own come first, in offset order: its stale rows when stale (the
+// warm fault's hashed FETCH), its plain wants otherwise. Ride-alongs from
+// origin follow in (page, offset) order, stopping once their accumulated
+// canonical sizes would exceed budget bytes:
+//
+//   - stale: the stale rows of other pages. Each such page is certain to
+//     fault on first touch, so offering its hashes now trades a
+//     guaranteed future round trip for a few bytes.
+//   - otherwise: the non-resident rows of *partially resident* pages, where
+//     a previous transfer's byte budget ran out mid-page. Such a page
+//     cannot be released until all its rows are resident (§3.2), so it is
+//     certain to cost its own FETCH on first touch. Fully non-resident
+//     pages are deliberately excluded: prefetching them is speculation
+//     that cascades (each install swizzles fresh frontier entries),
+//     inflating transferred bytes on sparse access patterns.
+//
+// The page records' counts find the pages that qualify; rows are read only
+// on those, so the cost of a fault does not grow with the table.
+func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(e Entry, own bool)) {
+	t := x.t
+	if rec := t.page(pn); rec != nil {
+		for _, s := range rec.slots {
+			if e := &t.rows[s.row]; !e.Resident && e.Stale == stale && e.LP.Space == origin {
+				f(*e, true)
+			}
+		}
+	}
+	if budget <= 0 {
+		return
+	}
 	left := budget
 	for i := range t.pages {
 		rec := &t.pages[i]
-		pn := t.basePN + uint32(i)
-		if pn == excludePN || !qualifies(rec) {
+		p := t.basePN + uint32(i)
+		partial := rec.resident > 0 && int(rec.resident) < len(rec.slots)
+		if p == pn || stale && rec.stale == 0 || !stale && !partial {
 			continue
 		}
 		for _, s := range rec.slots {
+			// A row is listed once, under the page it starts on, and never
+			// when it covers pn, whose own rows are listed above.
 			e := &t.rows[s.row]
-			if e.Page != pn || e.LP.Space != origin || !want(e) {
-				continue
-			}
-			if excludePN > pn && excludePN <= t.lastPage(e) {
+			if e.Page != p || e.LP.Space != origin || e.Resident || stale && !e.Stale || p < pn && pn <= t.lastPage(e) {
 				continue
 			}
 			// Charge canonical (wire) size, the unit the serving side's
@@ -806,13 +815,12 @@ func (t *Table) wantsOn(origin, excludePN uint32, budget int, qualifies func(*pa
 				size = rv.Canon
 			}
 			if size > left {
-				return out, budget - left
+				return
 			}
 			left -= size
-			out = append(out, e.LP)
+			f(*e, false)
 		}
 	}
-	return out, budget - left
 }
 
 // PrefetchCandidates returns up to max page numbers, ascending, of pages
@@ -942,11 +950,11 @@ func (t *Table) Len() int {
 func (t *Table) Rebind(old, new wire.LongPtr) (evicted bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := t.find(old)
+	i, _ := t.find(old)
 	if i < 0 {
 		return false, fmt.Errorf("%w: %v", ErrRebindUnknown, old)
 	}
-	if j := t.find(new); j >= 0 {
+	if j, _ := t.find(new); j >= 0 {
 		if t.rows[j].Resident {
 			return false, fmt.Errorf("swizzle: rebind target %v already mapped", new)
 		}
@@ -956,7 +964,8 @@ func (t *Table) Rebind(old, new wire.LongPtr) (evicted bool, err error) {
 	}
 	t.indexDelete(old)
 	t.rows[i].LP = new
-	t.indexInsert(i)
+	_, pos := t.probe(new)
+	t.indexInsert(i, pos)
 	return evicted, nil
 }
 
@@ -1033,7 +1042,7 @@ func (t *Table) ClearStale(lps []wire.LongPtr) {
 func (x Tx) ClearStale(lps []wire.LongPtr) {
 	t := x.t
 	for _, lp := range lps {
-		i := t.find(lp)
+		i, _ := t.find(lp)
 		if i < 0 || !t.rows[i].Stale {
 			continue
 		}

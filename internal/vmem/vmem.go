@@ -43,6 +43,7 @@
 package vmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -877,27 +878,57 @@ func (s *Space) WritePtrRaw(addr VAddr, v VAddr) error {
 	return s.WriteUintRaw(addr, s.profile.PointerSize, uint64(v))
 }
 
+// decodeUint and encodeUint convert a word of len(b) bytes in the given
+// order; the pointer and int widths (4 and 8) take encoding/binary's
+// single-load forms.
 func decodeUint(b []byte, order arch.ByteOrder) uint64 {
-	var v uint64
 	if order == arch.BigEndian {
+		switch len(b) {
+		case 8:
+			return binary.BigEndian.Uint64(b)
+		case 4:
+			return uint64(binary.BigEndian.Uint32(b))
+		}
+		var v uint64
 		for _, x := range b {
 			v = v<<8 | uint64(x)
 		}
-	} else {
-		for i := len(b) - 1; i >= 0; i-- {
-			v = v<<8 | uint64(b[i])
-		}
+		return v
+	}
+	switch len(b) {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	}
+	var v uint64
+	for i := len(b) - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
 	}
 	return v
 }
 
 func encodeUint(b []byte, order arch.ByteOrder, v uint64) {
 	if order == arch.BigEndian {
-		for i := len(b) - 1; i >= 0; i-- {
-			b[i] = byte(v)
-			v >>= 8
+		switch len(b) {
+		case 8:
+			binary.BigEndian.PutUint64(b, v)
+		case 4:
+			binary.BigEndian.PutUint32(b, uint32(v))
+		default:
+			for i := len(b) - 1; i >= 0; i-- {
+				b[i] = byte(v)
+				v >>= 8
+			}
 		}
-	} else {
+		return
+	}
+	switch len(b) {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
 		for i := range b {
 			b[i] = byte(v)
 			v >>= 8

@@ -592,3 +592,33 @@ func TestConcurrentMixedAccess(t *testing.T) {
 	default:
 	}
 }
+
+// TestWordCodecMatchesByteLoop holds the word codec's 4- and 8-byte fast
+// paths to the byte loop they shortcut, for every width and both orders.
+func TestWordCodecMatchesByteLoop(t *testing.T) {
+	const v = 0x0123456789ABCDEF
+	for _, order := range []arch.ByteOrder{arch.BigEndian, arch.LittleEndian} {
+		for width := 1; width <= 8; width++ {
+			want := make([]byte, width)
+			for i := range want {
+				shift := 8 * i // little-endian: byte i holds bits 8i..8i+7
+				if order == arch.BigEndian {
+					shift = 8 * (width - 1 - i)
+				}
+				want[i] = byte(uint64(v) >> shift)
+			}
+			got := make([]byte, width)
+			encodeUint(got, order, v)
+			if string(got) != string(want) {
+				t.Errorf("%v width %d: encoded % x, want % x", order, width, got, want)
+			}
+			mask := uint64(1)<<(8*width) - 1
+			if width == 8 {
+				mask = ^uint64(0)
+			}
+			if d := decodeUint(want, order); d != v&mask {
+				t.Errorf("%v width %d: decoded %#x, want %#x", order, width, d, v&mask)
+			}
+		}
+	}
+}

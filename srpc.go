@@ -76,6 +76,9 @@ var (
 	// it refers to a heap that no longer exists. The session must be
 	// abandoned and re-imported; retrying cannot help.
 	ErrOriginRestarted = core.ErrOriginRestarted
+	// ErrIndexRange reports a Ref accessor called with an element index
+	// outside its field.
+	ErrIndexRange = core.ErrIndexRange
 )
 
 // New creates and starts a runtime attached to a transport node.
