@@ -697,8 +697,41 @@ func TestAdmissionEndsWithSession(t *testing.T) {
 				t.Errorf("third origin served %d fetches and holds %d admission entries; want some, and at most %d", fetches, n, admissionEntries)
 			}
 			t.Logf("third origin: %d fetches served, %d entries held", fetches, n)
+
+			// An aborted session retires its entries too, at the ground
+			// (the callback it served) and at the participant (the call).
+			if err := ground.BeginSession(); err != nil {
+				t.Fatal(err)
+			}
+			sess := ground.Session()
+			space, addr := Int64Value(int64(far.LP.Space)), Int64Value(int64(far.LP.Addr))
+			if _, err := ground.Call(2, "work", []Value{root, space, addr}); err != nil {
+				t.Fatal(err)
+			}
+			for _, rt := range []*Runtime{ground, callee} {
+				if keyed(rt, sess) == 0 {
+					t.Fatalf("space %d admitted nothing in the session to abort", rt.ID())
+				}
+				rt.AbortSession()
+				if k := keyed(rt, sess); k != 0 {
+					t.Errorf("space %d holds %d admission entries of its aborted session, want 0", rt.ID(), k)
+				}
+			}
 		})
 	}
+}
+
+// keyed counts rt's admission entries of session sess.
+func keyed(rt *Runtime, sess uint64) int {
+	rt.admission.mu.Lock()
+	defer rt.admission.mu.Unlock()
+	k := 0
+	for key := range rt.admission.index {
+		if key.sess == sess {
+			k++
+		}
+	}
+	return k
 }
 
 // TestEndSessionWhileParticipantPrefetches: a participant's speculative

@@ -158,7 +158,8 @@ func (rt *Runtime) fetchPage(pn uint32) error {
 // fault's place in the registry.
 func (rt *Runtime) completePage(sess uint64, pn uint32, spec bool) error {
 	for pass := 0; ; pass++ {
-		origins, staleFrom, entries := rt.table.PageOrigins(pn)
+		var plainBuf, staleBuf [4]uint32
+		origins, staleFrom, entries := rt.table.PageOrigins(pn, plainBuf[:0], staleBuf[:0])
 		if pass == 0 && entries == 0 {
 			if spec {
 				return nil
@@ -408,8 +409,9 @@ func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, spec, stale bool, f
 // one hold of the table, from the rows swizzle.Tx.Offer walks off the page
 // records: the page's own first, own counting them, then the ride-alongs
 // within the closure budget. A hashed FETCH (stale) also carries a sum per
-// want: each datum is encoded from its demoted page into one scratch
-// arena and hashed. A datum that cannot be encoded — it points at a datum
+// want: the row's memo when it has one (warmcache.go), otherwise the hash
+// of the datum encoded from its demoted page into one scratch arena, which
+// becomes the memo. A datum that cannot be encoded — it points at a datum
 // freed since — loses its stale mark and is refetched.
 //
 // The walk holds installMu: installs are the only writers of a stale
@@ -423,18 +425,22 @@ func (rt *Runtime) offer(pn, origin uint32, stale bool) (wants []wire.LongPtr, s
 	sc.wants, sc.sums = sc.wants[:0], sc.sums[:0]
 	var unencodable []wire.LongPtr
 	tx := rt.table.Begin()
-	tx.Offer(pn, origin, rt.closure, stale, func(e swizzle.Entry, isOwn bool) {
+	tx.Offer(pn, origin, rt.closure, stale, func(row swizzle.Row, e swizzle.Entry, isOwn bool) {
 		if stale {
-			rv, err := rt.res.Resolve(e.LP.Type)
-			if err == nil {
-				sc.arena.Reset()
-				err = encodeObjectInto(&sc.arena, rt.space, tx, rt.res, rv.Desc, e.Addr)
+			if !e.HasMemo {
+				rv, err := rt.res.Resolve(e.LP.Type)
+				if err == nil {
+					sc.arena.Reset()
+					err = encodeObjectInto(&sc.arena, rt.space, tx, rt.res, rv.Desc, e.Addr)
+				}
+				if err != nil {
+					unencodable = append(unencodable, e.LP)
+					return
+				}
+				e.Memo = wire.Sum64(sc.arena.Bytes())
+				tx.SetMemo(row, e.Memo)
 			}
-			if err != nil {
-				unencodable = append(unencodable, e.LP)
-				return
-			}
-			sc.sums = append(sc.sums, wire.Sum64(sc.arena.Bytes()))
+			sc.sums = append(sc.sums, e.Memo)
 		}
 		if isOwn {
 			own++

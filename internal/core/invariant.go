@@ -156,8 +156,9 @@ func (rt *Runtime) CheckLocalInvariants() error {
 // CheckIdleInvariants verifies that this runtime's cache is fully torn
 // down: no resident data allocation table rows (stale warm-cache rows
 // may remain, but every page they span must still be protected and
-// still encode — the page is the revalidation baseline), no
-// dirty pages, no delta-shipping state, and no batched allocation work.
+// still encode — the page is the revalidation baseline — to the memo a
+// hashed FETCH would offer for it), no dirty pages, no delta-shipping
+// state, and no batched allocation work.
 // This is the state every space must reach after EndSession,
 // AbortSession, or a received end-of-session invalidation — whatever
 // faults occurred during the session.
@@ -183,8 +184,14 @@ func (rt *Runtime) CheckIdleInvariants() error {
 		// the page when a hashed FETCH is built, so the page must still encode.
 		// The one legal exception is a pointer to a datum freed since (its
 		// row is gone): that offer degrades to a refetch.
-		if _, err := rt.encodeStale(e); err != nil && !errors.Is(err, swizzle.ErrNotSwizzled) {
+		enc, err := rt.encodeStale(e)
+		if err != nil && !errors.Is(err, swizzle.ErrNotSwizzled) {
 			return invariantErr(rt.id, "stale datum %v cannot be encoded from its page: %v", e.LP, err)
+		}
+		// Memo soundness: a memo the next offer would send in place of an
+		// encode is the hash of what the page encodes to.
+		if memo, ok := rt.table.OfferedMemo(e); ok && (err != nil || wire.Sum64(enc) != memo) {
+			return invariantErr(rt.id, "stale datum %v offers memo %#x, but its page encodes to %#x (%v)", e.LP, memo, wire.Sum64(enc), err)
 		}
 	}
 	if !rt.warmEnabled() {
@@ -334,8 +341,14 @@ func CheckNetworkInvariants(ground *Runtime, all []*Runtime) error {
 				continue // origin outside the checked set
 			}
 			mine, err := rt.encodeStale(e)
-			if err != nil {
+			offered, memo := rt.table.OfferedMemo(e)
+			switch {
+			case err != nil && memo:
+				return invariantErr(rt.id, "stale datum %v offers memo %#x, but its page does not encode: %v", e.LP, offered, err)
+			case err != nil:
 				continue // unencodable; revalidation will degrade
+			case !memo:
+				offered = wire.Sum64(mine)
 			}
 			rv, err := origin.res.Resolve(e.LP.Type)
 			if err != nil {
@@ -348,9 +361,10 @@ func CheckNetworkInvariants(ground *Runtime, all []*Runtime) error {
 			// The warm copy may legitimately lag the origin (that is what
 			// revalidation is for). What must NEVER hold is a token match —
 			// origin's current hash equal to the one this space would
-			// offer — against differing bytes: that token would promote a
-			// copy older than the origin's committed version.
-			if wire.Sum64(cur) == wire.Sum64(mine) && !bytes.Equal(cur, mine) {
+			// offer, its memo when it has one — against differing bytes:
+			// that token would promote a copy older than the origin's
+			// committed version.
+			if wire.Sum64(cur) == offered && !bytes.Equal(cur, mine) {
 				return invariantErr(rt.id,
 					"warm copy of %v would token-promote bytes differing from the origin's committed value", e.LP)
 			}

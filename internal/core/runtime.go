@@ -911,7 +911,7 @@ func (rt *Runtime) CacheStats() CacheStats {
 		cs.Entries++
 		if e.Resident {
 			cs.ResidentEntries++
-			cs.ResidentBytes += e.Size
+			cs.ResidentBytes += int(e.Size)
 		}
 	}
 	cs.DirtyPages = len(rt.space.DirtyPages())

@@ -241,6 +241,7 @@ func (rt *Runtime) AbortSession() {
 	rt.space.InvalidateCache()
 	rt.table.Invalidate()
 	rt.sessMu.Lock()
+	sess := rt.sess
 	rt.sess = 0
 	rt.ground = false
 	rt.parts = make(map[uint32]bool)
@@ -253,6 +254,11 @@ func (rt *Runtime) AbortSession() {
 	// a wedged peer session's leftovers must not survive it.
 	rt.clearAllModified()
 	rt.coh.clear()
+	// The aborted session's own admission entries retire as EndSession's
+	// do; other clients' sessions keep theirs.
+	if sess != 0 {
+		rt.admission.retire(sess, admitKey{})
+	}
 	rt.trace(Event{Kind: EvSessionEnd})
 }
 
@@ -1007,6 +1013,16 @@ func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items [
 			}
 			if err := decodeObject(rt.space, tx, rt.res, rv.Desc, addr, body); err != nil {
 				return fmt.Errorf("install %v: %w", it.LP, err)
+			}
+			// The page now holds body, the canonical encoding the origin
+			// sent. The warm fault hashes it as its memo; any other path
+			// leaves the row without one, checking first so a cold install
+			// adds no store (warmcache.go).
+			switch {
+			case path == pathRevalidate:
+				tx.SetMemo(row, wire.Sum64(body))
+			case e.HasMemo:
+				tx.DropMemo(row)
 			}
 		}
 		// A revalidation is accounted by the revalidation counters alone:

@@ -7,7 +7,7 @@ import "smartrpc/internal/swizzle"
 // pays the full fault-and-fetch cost again even when the origin data never
 // changed. Here the end-of-session invalidation *demotes* instead: table
 // rows become stale (swizzle.Entry.Stale) and page bytes survive under
-// ProtNone (vmem.DemoteCache) — nothing else is recorded, so a teardown
+// ProtNone (vmem.DemoteCache) — nothing is encoded at teardown, so it
 // costs one pass over the table whether or not a later session ever comes.
 // The next session's first fault over a stale page sends an ordinary
 // FETCH that carries hashes (completePage's stale pass): its wants are the
@@ -21,16 +21,31 @@ import "smartrpc/internal/swizzle"
 // Safety rests on two rules:
 //
 //   - The client's revalidation baseline IS the demoted page: the offered
-//     hash is of the canonical encoding of the page bytes taken when the
-//     request is built (offer), never of a copy kept from an
-//     earlier install. A stale page sits under ProtNone and only an install
-//     (which ends the entry's staleness) writes to it, so page and baseline
-//     cannot disagree.
+//     hash is of the canonical encoding of the page bytes. offer computes
+//     it when the request is built, unless the row carries a memo
+//     (swizzle.Entry.Memo): the hash recorded where the warm path last had
+//     it — offer's own encode of a row without one, or the full body a
+//     hashed FETCH's reply installed. A memo survives an ItemCurrent
+//     promotion, so an unchanged working set is offered without a single
+//     encode from its second warm session on. A stale page sits under
+//     ProtNone and only an install writes to it, and the memo is dropped
+//     wherever page and memo could part:
+//     1. a fetch-path or coherency-path decode over the row (installBatch;
+//     a cold install only clears a memo that is set, so it neither hashes
+//     nor stores per item);
+//     2. a Touched mark at DemoteAll — the session wrote the datum;
+//     3. any row removal (ExtendedFree, a Rebind eviction), since a stale
+//     row may point at the removed datum: Offer ignores every memo until
+//     the next DemoteAll clears them all;
+//     4. hard invalidation and AbortSession, which drop the rows.
+//     CheckIdleInvariants re-derives every memo from its page.
 //   - The content hash is authoritative for token decisions: the origin
 //     answers "current" only when the hash of its *current* encoding
 //     equals the offered hash. A dropped or corrupted reply can therefore
 //     never set up a later token that promotes bytes differing from the
-//     origin's — the failure mode of version-lockstep schemes.
+//     origin's — the failure mode of version-lockstep schemes. The hash
+//     is wire.Sum64 (XXH64) on both sides; a peer hashing differently only
+//     ever misses, so every want comes back as a full body.
 //
 // Any failure degrades transparently: whatever the exchange left
 // unanswered loses its stale mark and is refetched in full by the ordinary
@@ -45,8 +60,8 @@ func (rt *Runtime) warmEnabled() bool {
 
 // demoteWarm is the warm-cache replacement for the hard local
 // invalidation at session teardown: it demotes the table rows and
-// re-protects the cache pages in place. Nothing is encoded or recorded —
-// the pages are the baseline. A provisional row surviving to teardown
+// re-protects the cache pages in place. Nothing is encoded or hashed —
+// the pages are the baseline, and memos ride on the rows. A provisional row surviving to teardown
 // means the protocol already failed, and the cache falls back to the hard
 // invalidation — losing warmth, never correctness.
 func (rt *Runtime) demoteWarm() {

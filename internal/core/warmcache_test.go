@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -490,6 +492,158 @@ func TestWarmOfferedSumsMatchDemotionSnapshot(t *testing.T) {
 	}
 }
 
+// TestWarmRecordedSumIsTheOfferedSum: from the second warm session on, a
+// hashed FETCH offers each stale row's memo instead of encoding its page.
+// The root's memo comes from the full body a miss installed (the origin
+// rewrote it before the second warm session), the others' from the first
+// warm offer. A raw write under the root's data field, behind the table's
+// back, therefore still goes out under the pre-write memo — proof that no
+// encode ran — and the idle oracle, which re-derives every memo from its
+// page, names that row.
+func TestWarmRecordedSumIsTheOfferedSum(t *testing.T) {
+	var tap validateTap
+	// No per-exchange checks: the write below breaks the invariant on
+	// purpose, and the test calls the oracle itself.
+	caller, callee := pair(t, func(id uint32, o *Options) {
+		if id == 2 {
+			tap.wrap(t, o)
+		}
+	})
+	registerSumProc(t, callee)
+	root := buildTree(t, caller, 4) // 15 nodes
+	ref, err := caller.Deref(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wantSum(4)
+	for i := 0; i < 3; i++ { // cold, then two warm sessions
+		if i == 2 {
+			if err := ref.SetInt("data", 0, 99); err != nil {
+				t.Fatal(err)
+			}
+			want += 99 - 1
+		}
+		if got := sessionCall(t, caller, 2, "sumTree", root)[0].Int64(); got != want {
+			t.Fatalf("session %d sum = %d, want %d", i, got, want)
+		}
+	}
+	if offers, _ := tap.take(); len(offers) != 2*15 {
+		t.Fatalf("two warm sessions offered %d sums, want %d", len(offers), 2*15)
+	}
+	if err := callee.CheckIdleInvariants(); err != nil {
+		t.Fatalf("idle invariants before the write: %v", err)
+	}
+	for _, e := range callee.table.Entries() {
+		if !e.Stale || !e.HasMemo {
+			t.Fatalf("after two warm sessions row %v is stale=%v with memo=%v, want a stale row with a memo", e.LP, e.Stale, e.HasMemo)
+		}
+	}
+	addr, ok := callee.table.LookupLP(root.LP)
+	if !ok {
+		t.Fatal("callee holds no row for the root")
+	}
+	row, _ := callee.table.LookupAddr(addr)
+	if body := wire.Sum64(encodeLocalObject(t, caller, root)); row.Memo != body {
+		t.Fatalf("root memo %#x, want %#x: the hash of the body the miss installed", row.Memo, body)
+	}
+
+	rv, err := callee.res.Resolve(nodeType)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(rv.Desc.Fields, func(f types.Field) bool { return f.Name == "data" })
+	fl := rv.Layout.Fields[i]
+	if err := callee.space.WriteRaw(addr+vmem.VAddr(fl.Offset), bytes.Repeat([]byte{0x5A}, fl.ElemSize)); err != nil {
+		t.Fatal(err)
+	}
+	after, err := callee.encodeStale(row)
+	if err != nil || wire.Sum64(after) == row.Memo {
+		t.Fatalf("the raw write left the root encoding to its memo (%v)", err)
+	}
+	err = callee.CheckIdleInvariants()
+	if !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), fmt.Sprint(root.LP)) {
+		t.Fatalf("idle invariants after a write behind the table = %v, want ErrInvariant naming %v", err, root.LP)
+	}
+
+	sessionCall(t, caller, 2, "sumTree", root)
+	offers, _ := tap.take()
+	k := slices.IndexFunc(offers, func(o offer) bool { return o.lp == root.LP })
+	if k < 0 {
+		t.Fatalf("the third warm session offered no sum for the root: %v", offers)
+	}
+	if offers[k].sum != row.Memo {
+		t.Fatalf("the root was offered under %#x, want its pre-write memo %#x (the page now encodes to %#x)",
+			offers[k].sum, row.Memo, wire.Sum64(after))
+	}
+}
+
+// TestWarmFetchOverStaleRowDropsMemo: a cold FETCH's closure can carry a
+// datum the callee holds stale, with a memo, and its body is decoded over
+// the page without a hash. The install must drop the memo: the origin
+// rewrote the datum, so the page no longer encodes to it, and the idle
+// oracle at teardown would name the row.
+func TestWarmFetchOverStaleRowDropsMemo(t *testing.T) {
+	caller, callee := warmPair(t, nil)
+	registerSumProc(t, callee)
+	root := buildTree(t, caller, 3) // 7 nodes
+	for i := 0; i < 3; i++ {
+		sessionCall(t, caller, 2, "sumTree", root)
+	}
+	ref, err := caller.Deref(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, err := ref.Ptr("left", 0) // data 2, subtree 2+3+4
+	if err != nil {
+		t.Fatal(err)
+	}
+	memoOf := func() (stale, has bool) {
+		t.Helper()
+		addr, ok := callee.table.LookupLP(left.LP)
+		if !ok {
+			t.Fatal("callee holds no row for the left child")
+		}
+		e, _ := callee.table.LookupAddr(addr)
+		return e.Stale, e.HasMemo
+	}
+	if stale, has := memoOf(); !stale || !has {
+		t.Fatalf("left child stale=%v memo=%v after two warm sessions, want a stale row with a memo", stale, has)
+	}
+	lref, err := caller.Deref(left)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lref.SetInt("data", 0, 200); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh node pointing at the left child: the callee faults on it
+	// cold, and the closure brings the child along in full.
+	top, err := caller.NewObject(nodeType)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tref, err := caller.Deref(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tref.SetInt("data", 0, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := tref.SetPtr("left", 0, left); err != nil {
+		t.Fatal(err)
+	}
+	before := callee.Stats()
+	if got, want := sessionCall(t, caller, 2, "sumTree", top)[0].Int64(), int64(1000+200+3+4); got != want {
+		t.Fatalf("sum over the fresh node = %d, want %d", got, want)
+	}
+	if n := callee.Stats().ItemsInstalled - before.ItemsInstalled; n < 2 {
+		t.Fatalf("the session installed %d items; want the child fetched cold with the fresh node", n)
+	}
+	if stale, has := memoOf(); !stale || has {
+		t.Errorf("left child stale=%v memo=%v after a fetch-path install, want a stale row without a memo", stale, has)
+	}
+}
+
 // TestValidateMissShipsFullBody: a hashed want is answered "current" or
 // with the full body, whatever the origin served this peer before. The origin has
 // fetched the node to the callee, taken its write-back and answered a
@@ -548,9 +702,11 @@ func TestValidateMissShipsFullBody(t *testing.T) {
 // or in a session that never touches the pointing datum and so tears
 // down (idle invariants on) with it still stale. Either way that datum's
 // page no longer encodes (its pointer has no table row): its offer
-// degrades to a plain refetch and no error surfaces.
+// degrades to a plain refetch and no error surfaces. After a warm session
+// the pointing datum also holds a memo, which the removal voids.
 func TestWarmFreedPointeeDegradesToRefetch(t *testing.T) {
-	for _, inSession := range []bool{false, true} {
+	for _, c := range []struct{ inSession, memo bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		inSession := c.inSession
 		caller, callee := warmPair(t, nil)
 		registerSumProc(t, callee)
 		err := callee.Register("free", func(ctx *Ctx, args []Value) ([]Value, error) {
@@ -562,6 +718,14 @@ func TestWarmFreedPointeeDegradesToRefetch(t *testing.T) {
 		root := buildTree(t, caller, 2) // root(1) -> left(2), right(3)
 		if got := sessionCall(t, caller, 2, "sumTree", root)[0].Int64(); got != 6 {
 			t.Fatalf("first sum = %d, want 6", got)
+		}
+		if c.memo {
+			sessionCall(t, caller, 2, "sumTree", root)
+			for _, e := range callee.table.Entries() {
+				if !e.HasMemo {
+					t.Fatalf("after a warm session row %v has no memo", e.LP)
+				}
+			}
 		}
 		// Home unlinks the left child; the callee releases it through its
 		// cached pointer (a remote free, flushed on the next crossing).
@@ -589,23 +753,23 @@ func TestWarmFreedPointeeDegradesToRefetch(t *testing.T) {
 		}
 		rootAddr, ok := callee.table.LookupLP(root.LP)
 		if !ok {
-			t.Fatalf("inSession=%v: the callee lost its warm rows", inSession)
+			t.Fatalf("%+v: the callee lost its warm rows", c)
 		}
 		rootRow, _ := callee.table.LookupAddr(rootAddr)
 		if _, err := callee.encodeStale(rootRow); !rootRow.Stale || !errors.Is(err, swizzle.ErrNotSwizzled) {
-			t.Fatalf("inSession=%v: root stale=%v encodes with err = %v, want a stale datum its dangling pointer makes unencodable",
-				inSession, rootRow.Stale, err)
+			t.Fatalf("%+v: root stale=%v encodes with err = %v, want a stale datum its dangling pointer makes unencodable",
+				c, rootRow.Stale, err)
 		}
 		before := callee.Stats()
 		if got := sessionCall(t, caller, 2, "sumTree", root)[0].Int64(); got != 4 {
-			t.Fatalf("inSession=%v: post-free sum = %d, want 4 (root + right)", inSession, got)
+			t.Fatalf("%+v: post-free sum = %d, want 4 (root + right)", c, got)
 		}
 		after := callee.Stats()
 		if after.ItemsInstalled == before.ItemsInstalled {
-			t.Errorf("inSession=%v: the unencodable root was not refetched", inSession)
+			t.Errorf("%+v: the unencodable root was not refetched", c)
 		}
 		if hits := after.CohRevalidateHits - before.CohRevalidateHits; hits != 1 {
-			t.Errorf("inSession=%v: revalidate hits = %d, want 1 (the right child still revalidates)", inSession, hits)
+			t.Errorf("%+v: revalidate hits = %d, want 1 (the right child still revalidates)", c, hits)
 		}
 	}
 }
@@ -1142,7 +1306,22 @@ func TestWarmPathAllocs(t *testing.T) {
 	if offer > 2 {
 		t.Errorf("building a %d-want hashed offer allocates %.0f times; want at most 2", len(wants), offer)
 	}
-	t.Logf("allocs: hashed serve %.0f, demotion %.0f, hashed offer %.0f", serve, demote, offer)
+
+	// A fault asks the table which origins owe its page into small arrays
+	// of its own, as completePage does.
+	var plainN, staleN int
+	origins := testing.AllocsPerRun(50, func() {
+		var plainBuf, staleBuf [4]uint32
+		plain, stale, _ := callee.table.PageOrigins(pn, plainBuf[:0], staleBuf[:0])
+		plainN, staleN = len(plain), len(stale)
+	})
+	if plainN != 0 || staleN != 1 {
+		t.Fatalf("PageOrigins(%d) names %d plain and %d stale origins; want the one stale origin", pn, plainN, staleN)
+	}
+	if origins != 0 {
+		t.Errorf("PageOrigins on a one-origin page allocates %.0f times; want 0", origins)
+	}
+	t.Logf("allocs: hashed serve %.0f, demotion %.0f, hashed offer %.0f, page origins %.0f", serve, demote, offer, origins)
 }
 
 // --- teardown micro-benchmark ---

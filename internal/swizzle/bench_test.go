@@ -117,7 +117,7 @@ func wantsTable(t testing.TB, n int) *Table {
 func scanWants(t testing.TB, tb *Table) {
 	wants := 0
 	tx := tb.Begin()
-	tx.Offer(0, remoteID, 1<<20, false, func(Entry, bool) { wants++ })
+	tx.Offer(0, remoteID, 1<<20, false, func(Row, Entry, bool) { wants++ })
 	tx.End()
 	if wants != 128 {
 		t.Fatalf("%d wants, want 128", wants)

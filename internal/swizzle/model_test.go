@@ -29,6 +29,9 @@ type refTable struct {
 	taken []Entry
 	// closed holds pages no new row may land on (sealed or demoted).
 	closed map[uint32]bool
+	// memosVoid: a row was removed since the last DemoteAll, so no memo is
+	// offered.
+	memosVoid bool
 }
 
 func newRefTable(sp *vmem.Space, res *types.Resolver) *refTable {
@@ -44,6 +47,7 @@ func newRefTable(sp *vmem.Space, res *types.Resolver) *refTable {
 func (r *refTable) reset() {
 	clear(r.rows)
 	clear(r.byLP)
+	r.memosVoid = false
 }
 
 func (r *refTable) pagesOf(e *Entry) (first, last uint32) {
@@ -152,7 +156,7 @@ func (r *refTable) admit(t *testing.T, e Entry, areaKey uint32, policy AllocPoli
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Size != rv.Layout.Size || int(e.Addr)%rv.Layout.Align != 0 {
+	if int(e.Size) != rv.Layout.Size || int(e.Addr)%rv.Layout.Align != 0 {
 		t.Fatalf("row %+v: size/alignment differ from layout %d/%d", e, rv.Layout.Size, rv.Layout.Align)
 	}
 	if e.Page != r.sp.PageOf(e.Addr) || e.Addr != r.sp.PageBase(e.Page)+vmem.VAddr(e.Offset) {
@@ -288,7 +292,7 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 		if got := tb.PageEntries(pn); !slices.Equal(got, rows) {
 			t.Fatalf("PageEntries(%d) = %v\nwant %v", pn, got, rows)
 		}
-		gp, gs, n := tb.PageOrigins(pn)
+		gp, gs, n := tb.PageOrigins(pn, nil, nil)
 		if !slices.Equal(gp, plain) || !slices.Equal(gs, stale) || n != len(rows) {
 			t.Fatalf("PageOrigins(%d) = %v, %v, %d\nwant %v, %v, %d", pn, gp, gs, n, plain, stale, len(rows))
 		}
@@ -303,13 +307,21 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 				var got, want []wire.LongPtr
 				var own int
 				tx := tb.Begin()
-				tx.Offer(exclude, origin, budget, stale, func(e Entry, isOwn bool) {
+				var memoErr error
+				tx.Offer(exclude, origin, budget, stale, func(row Row, e Entry, isOwn bool) {
 					if isOwn {
 						own++
 					}
 					got = append(got, e.LP)
+					re := r.rows[e.Addr]
+					if offered := re.HasMemo && !r.memosVoid; memoErr == nil && (tx.Entry(row).LP != e.LP || e.HasMemo != offered || offered && e.Memo != re.Memo) {
+						memoErr = fmt.Errorf("Offer passed %v with memo %#x (%v); reference %#x (%v), void %v", e.LP, e.Memo, e.HasMemo, re.Memo, re.HasMemo, r.memosVoid)
+					}
 				})
 				tx.End()
+				if memoErr != nil {
+					t.Fatal(memoErr)
+				}
 				for _, e := range r.onPage(exclude) {
 					if !e.Resident && e.Stale == stale && e.LP.Space == origin {
 						want = append(want, e.LP)
@@ -381,7 +393,25 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 		steps = 150
 	}
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(100); {
+		switch op := rng.Intn(106); {
+		case op >= 100: // record or drop a memo
+			e := anyRow()
+			if e == nil {
+				continue
+			}
+			tx := tb.Begin()
+			row, _ := tx.LookupAddr(e.Addr)
+			if rng.Intn(3) == 0 {
+				tx.DropMemo(row)
+				e.HasMemo = false
+			} else {
+				e.Memo, e.HasMemo = rng.Uint64(), true
+				tx.SetMemo(row, e.Memo)
+			}
+			tx.End()
+			if got, ok := tb.OfferedMemo(*e); ok != (e.HasMemo && !ref.memosVoid) || ok && got != e.Memo {
+				t.Fatalf("step %d: OfferedMemo(%v) = %#x, %v; reference %#x, %v, void %v", step, e.LP, got, ok, e.Memo, e.HasMemo, ref.memosVoid)
+			}
 		case op < 45: // swizzle, fresh or repeated, three ways in
 			l := freshLP()
 			if e := anyRow(); e != nil && rng.Intn(4) == 0 {
@@ -463,6 +493,7 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 			}
 			delete(ref.rows, e.Addr)
 			delete(ref.byLP, e.LP)
+			ref.memosVoid = true
 			if err := tb.Remove(e.Addr); err == nil {
 				t.Fatalf("step %d: second remove of %#x succeeded", step, uint32(e.Addr))
 			}
@@ -493,6 +524,7 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 			}
 			if victim != nil {
 				delete(ref.rows, victim.Addr)
+				ref.memosVoid = true
 			}
 			delete(ref.byLP, e.LP)
 			e.LP = target
@@ -503,8 +535,12 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 				if e.Resident {
 					e.Resident, e.Stale = false, true
 				}
+				if e.Touched || ref.memosVoid {
+					e.HasMemo = false
+				}
 				e.Touched = false
 			}
+			ref.memosVoid = false
 			closeAll()
 		case op < 93: // clear stale marks, unknown pointers mixed in
 			var lps []wire.LongPtr

@@ -64,7 +64,7 @@ type Entry struct {
 	// Addr is the swizzled ordinary pointer (page base + offset).
 	Addr vmem.VAddr
 	// Size is the datum's size under the local architecture.
-	Size int
+	Size uint32
 	// Resident reports whether the datum's bytes have been installed.
 	// A page's protection may only be released once every entry on it is
 	// resident — otherwise the first access to a neighbor could no longer
@@ -84,6 +84,18 @@ type Entry struct {
 	// write. The mark dies with the session: Invalidate drops the row,
 	// DemoteAll clears it.
 	Touched bool
+	// HasMemo reports that Memo holds the content hash (wire.Sum64) of the
+	// canonical encoding of the datum's bytes: recorded by the warm path
+	// where it already computed that hash, so a later hashed FETCH offers
+	// it instead of encoding the page again. Every change that could make
+	// the bytes, or the rows their pointers name, encode otherwise drops
+	// it: a fetch-path or coherency-path decode (DropMemo), a Touched mark
+	// at DemoteAll, and any row removal, after which Offer ignores every
+	// memo until DemoteAll clears them all. It survives a promotion.
+	HasMemo bool
+	// Memo is the recorded hash; meaningful only under HasMemo. The flags
+	// above it fill the padding after Size, so the row stays 40 bytes.
+	Memo uint64
 }
 
 // area is an open protected page area accepting new data from one origin.
@@ -158,6 +170,10 @@ type Table struct {
 	areas    map[uint32]*area
 	hint     int // peak row count observed, carried across Invalidate
 	pageHint int // peak page count observed, likewise
+	// memosVoid records a row removal since the last DemoteAll: a stale
+	// row may point at the removed datum, so no memo can be trusted until
+	// DemoteAll clears them all. One flag keeps removal O(1).
+	memosVoid bool
 }
 
 // indexDead marks an index slot whose row was removed or rebound: probes
@@ -190,6 +206,7 @@ func (t *Table) reset() {
 	t.index, t.used = nil, 0
 	t.pages = nil
 	t.areas = nil
+	t.memosVoid = false
 }
 
 // ensure materializes the row store and indexes if reset dropped them.
@@ -455,7 +472,7 @@ func (t *Table) swizzleRemote(lp wire.LongPtr, areaKey uint32) (row int32, fresh
 		Offset: uint32(addr) - uint32(t.space.PageBase(pn)),
 		LP:     lp,
 		Addr:   addr,
-		Size:   size,
+		Size:   uint32(size),
 	})
 	t.live++
 	t.indexInsert(row, pos)
@@ -553,6 +570,24 @@ func (t *Table) Touch(addr vmem.VAddr) {
 // Touch sets row r's Touched mark.
 func (x Tx) Touch(r Row) { x.t.rows[r].Touched = true }
 
+// SetMemo records sum as the content hash of row r's canonical encoding.
+func (x Tx) SetMemo(r Row, sum uint64) {
+	e := &x.t.rows[r]
+	e.Memo, e.HasMemo = sum, true
+}
+
+// DropMemo forgets row r's memo: its bytes are about to change.
+func (x Tx) DropMemo(r Row) { x.t.rows[r].HasMemo = false }
+
+// OfferedMemo returns the memo a hashed FETCH would offer for row e, as
+// Offer reports it: none when the row has none or a removal since the
+// last DemoteAll voided every memo.
+func (t *Table) OfferedMemo(e Entry) (uint64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return e.Memo, e.HasMemo && !t.memosVoid
+}
+
 func (t *Table) markResident(i int32) {
 	e := &t.rows[i]
 	if e.Resident {
@@ -604,6 +639,7 @@ func (t *Table) remove(i int32) {
 	}
 	*e = Entry{}
 	t.live--
+	t.memosVoid = true
 }
 
 // AllResident reports whether every entry on page pn has been installed.
@@ -729,17 +765,19 @@ func (t *Table) PageEntries(pn uint32) []Entry {
 
 // PageOrigins reports which origins a fault on page pn must ask: those of
 // its plain wants (rows neither resident nor stale, fetched in full) and
-// those of its stale rows (revalidated), each ascending, and how many rows
-// the page holds at all.
-func (t *Table) PageOrigins(pn uint32) (plain, stale []uint32, entries int) {
+// those of its stale rows (revalidated), each ascending and appended to
+// plain and stale, and how many rows the page holds at all. Passing empty
+// slices over small arrays lets a fault find its one origin without
+// allocating.
+func (t *Table) PageOrigins(pn uint32, plain, stale []uint32) ([]uint32, []uint32, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rec := t.page(pn)
 	if rec == nil {
-		return nil, nil, 0
+		return plain, stale, 0
 	}
 	if int(rec.resident) == len(rec.slots) {
-		return nil, nil, len(rec.slots) // nothing is missing
+		return plain, stale, len(rec.slots) // nothing is missing
 	}
 	for _, s := range rec.slots {
 		switch e := &t.rows[s.row]; {
@@ -779,13 +817,20 @@ func addOrigin(origins []uint32, o uint32) []uint32 {
 //     inflating transferred bytes on sparse access patterns.
 //
 // The page records' counts find the pages that qualify; rows are read only
-// on those, so the cost of a fault does not grow with the table.
-func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(e Entry, own bool)) {
+// on those, so the cost of a fault does not grow with the table. While a
+// removal since the last DemoteAll voids the memos, the entries f gets
+// carry none (Entry.HasMemo).
+func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(r Row, e Entry, own bool)) {
 	t := x.t
+	call := func(row int32, own bool) {
+		e := t.rows[row]
+		e.HasMemo = e.HasMemo && !t.memosVoid
+		f(Row(row), e, own)
+	}
 	if rec := t.page(pn); rec != nil {
 		for _, s := range rec.slots {
 			if e := &t.rows[s.row]; !e.Resident && e.Stale == stale && e.LP.Space == origin {
-				f(*e, true)
+				call(s.row, true)
 			}
 		}
 	}
@@ -810,7 +855,7 @@ func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(e Entry, own
 			// Charge canonical (wire) size, the unit the serving side's
 			// closure budget is denominated in, so a batched FETCH never
 			// ships more bytes than a single-want one.
-			size := e.Size
+			size := int(e.Size)
 			if rv, err := t.res.Resolve(e.LP.Type); err == nil {
 				size = rv.Canon
 			}
@@ -818,7 +863,7 @@ func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(e Entry, own
 				return
 			}
 			left -= size
-			f(*e, false)
+			call(s.row, false)
 		}
 	}
 }
@@ -980,7 +1025,7 @@ const rebindPoison byte = 0xDB
 // therefore protected, and a poisoning hiccup must not fail the caller.
 func (t *Table) poison(i int32) {
 	e := t.rows[i]
-	if e.Size <= 0 {
+	if e.Size == 0 {
 		return
 	}
 	buf := make([]byte, e.Size)
@@ -1005,17 +1050,24 @@ func (t *Table) Invalidate() {
 // ship the next session's unwritten copy home, or shield it from a
 // fetch-path refresh — and all open areas close, so no future entry can
 // land on a page whose bytes must stay frozen. Rows that never became
-// resident are untouched — they stay plain wants. The caller re-protects
-// the cache pages through vmem.DemoteCache.
+// resident are untouched — they stay plain wants. A touched row loses its
+// memo (it was written), and every row does after a removal voided them.
+// The caller re-protects the cache pages through vmem.DemoteCache.
 func (t *Table) DemoteAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	void := t.memosVoid
+	t.memosVoid = false
 	for i := range t.rows {
-		if t.rows[i].Resident {
-			t.rows[i].Resident = false
-			t.rows[i].Stale = true
+		e := &t.rows[i]
+		if e.Resident {
+			e.Resident = false
+			e.Stale = true
 		}
-		t.rows[i].Touched = false
+		if e.Touched || void {
+			e.HasMemo = false
+		}
+		e.Touched = false
 	}
 	for i := range t.pages {
 		rec := &t.pages[i]
