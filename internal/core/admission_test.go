@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -741,6 +742,14 @@ func keyed(rt *Runtime, sess uint64) int {
 // own INVALIDATE, and with no CallTimeout an unanswered FETCH would hang
 // the ground's EndSession. G calls A, A calls B and faults on B's chain,
 // and A's speculative FETCHes to B are held until B has acked.
+//
+// The hold is armed before A's fault, so the speculation that fault
+// starts is held however soon it leaves. It spares the faulting page's
+// own FETCHes: the fault completes that page, joining any speculative
+// exchange for it, and a held one would park the handler until EndSession.
+// Every other page the speculation reaches is beyond what the handler
+// reads. Once the faulting page is resident the next page of the chain is
+// predicted, and the handler returns only after its FETCH is held.
 func TestEndSessionWhileParticipantPrefetches(t *testing.T) {
 	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
 	if err != nil {
@@ -750,16 +759,24 @@ func TestEndSessionWhileParticipantPrefetches(t *testing.T) {
 	reg := newTestRegistry(t)
 	bAcked := make(chan struct{})
 	var ackOnce sync.Once
-	// Only FETCHes sent after A's handler returned are held: the
-	// handler's own fault may join a speculative exchange.
-	var returned atomic.Bool
+	var rts [3]*Runtime
+	var armed atomic.Bool
+	var faultPage atomic.Uint32 // the cache page A's handler faults on
 	var held atomic.Int64
+	holding := make(chan struct{}) // closed when the first FETCH is held
 	nodes := []*flakyNode{{}, {sendHook: func(m wire.Message) error {
-		if m.Kind == wire.KindFetch && m.To == 3 && returned.Load() {
-			if p, err := wire.DecodeFetchPayload(m.Payload); err == nil && p.Speculative {
-				held.Add(1)
-				<-bAcked
+		if m.Kind != wire.KindFetch || m.To != 3 || !armed.Load() {
+			return nil
+		}
+		p, err := wire.DecodeFetchPayload(m.Payload)
+		if err != nil || !p.Speculative {
+			return nil // the demand FETCH passes
+		}
+		if addr, ok := rts[1].table.LookupLP(p.Wants[0]); ok && rts[1].space.PageOf(addr) != faultPage.Load() {
+			if held.Add(1) == 1 {
+				close(holding)
 			}
+			<-bAcked
 		}
 		return nil
 	}}, {sendHook: func(m wire.Message) error {
@@ -768,7 +785,6 @@ func TestEndSessionWhileParticipantPrefetches(t *testing.T) {
 		}
 		return nil
 	}}}
-	var rts [3]*Runtime
 	for i, node := range nodes {
 		id := uint32(i + 1)
 		if node.Node, err = net.Attach(id); err != nil {
@@ -796,13 +812,25 @@ func TestEndSessionWhileParticipantPrefetches(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
+		faultPage.Store(ctx.Runtime().space.PageOf(v.Addr))
+		armed.Store(true)
 		ref, err := ctx.Runtime().Deref(v)
 		if err != nil {
 			return nil, err
 		}
 		d, err := ref.Int("data", 0)
-		returned.Store(true)
-		return []Value{Int64Value(d)}, err
+		if err != nil {
+			return nil, err
+		}
+		// Return only once the speculation is past the faulting page and
+		// held: launched any later, it could find the session already
+		// ending and never leave.
+		select {
+		case <-holding:
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("no speculative FETCH beyond the faulting page was sent")
+		}
+		return []Value{Int64Value(d)}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -824,6 +852,6 @@ func TestEndSessionWhileParticipantPrefetches(t *testing.T) {
 		t.Fatal("EndSession hung: a late speculative FETCH went unanswered")
 	}
 	if held.Load() == 0 {
-		t.Error("no speculative FETCH was sent after A returned; the test exercised nothing")
+		t.Error("no speculative FETCH beyond the faulting page was held; the test exercised nothing")
 	}
 }

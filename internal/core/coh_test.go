@@ -48,7 +48,7 @@ func encodeLocalObject(t testing.TB, rt *Runtime, v Value) []byte {
 		t.Fatal(err)
 	}
 	enc := xdr.NewEncoder(0)
-	if err := encodeObjectInto(enc, rt.space, rt.table, rt.res, rv.Desc, v.Addr); err != nil {
+	if err := encodeObjectInto(enc, rt.space, rt.table, rv, v.Addr); err != nil {
 		t.Fatal(err)
 	}
 	return enc.Bytes()

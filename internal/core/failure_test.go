@@ -536,6 +536,111 @@ func chunkFrame(req wire.Message, ord uint32, final bool, items []wire.DataItem)
 	})
 }
 
+// monolithicFrame builds a sealed one-frame reply of the given kind to
+// req, its payload the encoded items in a pooled frame buffer, as an
+// origin's emitter sends a closure that never reached the chunk limit.
+func monolithicFrame(req wire.Message, kind wire.Kind, items []wire.DataItem) wire.Message {
+	fb := wire.NewChunkBuf()
+	(&wire.ItemsPayload{Items: items}).EncodeTo(fb.Enc())
+	return sealed(wire.Message{
+		Kind: kind, Session: req.Session, Seq: req.Seq, To: req.From,
+		Payload: fb.Enc().Bytes(), Frame: fb,
+	})
+}
+
+// TestMonolithicReplyFrameReleased: a monolithic FETCH reply rides a
+// pooled frame buffer as a chunk does, and whatever becomes of it, the
+// buffer's last reference is released exactly once: Refs reaches 0, where
+// a leak would leave 1 and a double release -1. The reply is installed;
+// or it arrives after its exchange timed out and finds no waiter; or
+// classify rejects it, as the wrong kind or as corrupted in flight; or its
+// items fail to decode.
+func TestMonolithicReplyFrameReleased(t *testing.T) {
+	lp := wire.LongPtr{Space: 1, Addr: 0x1000, Type: nodeType}
+	node := []wire.DataItem{{LP: lp, Bytes: make([]byte, 2*wire.EncodedLongPtrSize+8)}}
+	reply := func(req wire.Message) wire.Message { return monolithicFrame(req, wire.KindFetchReply, node) }
+	for _, tc := range []struct {
+		name    string
+		reply   func(req wire.Message) wire.Message
+		late    bool // answer only after the exchange has timed out
+		wantErr bool
+	}{
+		{name: "installed", reply: reply},
+		{name: "stale", reply: reply, late: true, wantErr: true},
+		{name: "classify/wrong-kind", wantErr: true, reply: func(req wire.Message) wire.Message {
+			return monolithicFrame(req, wire.KindInvalidateAck, node)
+		}},
+		{name: "classify/corrupted", wantErr: true, reply: func(req wire.Message) wire.Message {
+			m := reply(req)
+			m.Payload[len(m.Payload)-1] ^= 1 // after sealing: the checksum no longer matches
+			return m
+		}},
+		{name: "decode", wantErr: true, reply: func(req wire.Message) wire.Message {
+			fb := wire.NewChunkBuf()
+			fb.Enc().PutUint32(1) // one item, and no bytes for it
+			return sealed(wire.Message{
+				Kind: wire.KindFetchReply, Session: req.Session, Seq: req.Seq, To: req.From,
+				Payload: fb.Enc().Bytes(), Frame: fb,
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = net.Close() })
+			origin := rawAttach(t, net, 1)
+			o := Options{ID: 2, Node: rawAttach(t, net, 2), Registry: newTestRegistry(t)}
+			if tc.late {
+				o.CallTimeout = 20 * time.Millisecond
+			}
+			cl, err := New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = cl.Close() })
+			if err := cl.BeginSession(); err != nil {
+				t.Fatal(err)
+			}
+			v, err := cl.ImportPtr(lp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := cl.fetchFrom(cl.Session(), cl.space.PageOf(v.Addr), 1, false, false, newInflightFetch(false))
+				done <- err
+			}()
+			req, err := origin.Recv()
+			if err != nil || req.Kind != wire.KindFetch {
+				t.Fatalf("origin received %v, %v; want a FETCH", req.Kind, err)
+			}
+			m := tc.reply(req)
+			fb := m.Frame
+			if tc.late {
+				if err := <-done; !errors.Is(err, ErrDeadline) {
+					t.Fatalf("the unanswered FETCH returned %v, want ErrDeadline", err)
+				}
+			}
+			if err := origin.Send(m); err != nil {
+				t.Fatal(err)
+			}
+			if tc.late {
+				waitFor(t, "the late reply to be dropped", func() bool { return cl.Stats().StaleReplyDrops == 1 })
+			} else if err := <-done; (err != nil) != tc.wantErr {
+				t.Fatalf("fetch returned %v, want an error: %v", err, tc.wantErr)
+			}
+			if n := fb.Refs(); n != 0 {
+				t.Errorf("the reply's pooled buffer holds %d references, want 0", n)
+			}
+			if e, ok := cl.table.LookupAddr(v.Addr); !ok || e.Resident != !tc.wantErr {
+				t.Errorf("row resident = %v, want %v", e.Resident, !tc.wantErr)
+			}
+		})
+	}
+}
+
 // TestCloseWithExchangesInFlight is the lifecycle oracle of the one
 // teardown path. Close finds every kind of waiter the engine has: a
 // parked one-frame round trip, a chunk stream consumed as far as its

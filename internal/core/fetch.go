@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -431,7 +432,7 @@ func (rt *Runtime) offer(pn, origin uint32, stale bool) (wants []wire.LongPtr, s
 				rv, err := rt.res.Resolve(e.LP.Type)
 				if err == nil {
 					sc.arena.Reset()
-					err = encodeObjectInto(&sc.arena, rt.space, tx, rt.res, rv.Desc, e.Addr)
+					err = encodeObjectInto(&sc.arena, rt.space, tx, rv, e.Addr)
 				}
 				if err != nil {
 					unencodable = append(unencodable, e.LP)
@@ -462,19 +463,28 @@ type offerScratch struct {
 	arena xdr.Encoder
 }
 
-// decodeFetchFrame decodes a FETCH reply frame in either reply form; the
-// classic single frame reads as the one, final, chunk of its stream. A
-// frame carrying the origin's error decodes to that error.
-func decodeFetchFrame(m wire.Message) (wire.FetchChunkPayload, error) {
+// decodeFetchFrame decodes a FETCH reply frame in either reply form into
+// buf's storage (wire.DecodeItemsPayloadInto); the classic single frame
+// reads as the one, final, chunk of its stream. A frame carrying the
+// origin's error decodes to that error.
+func decodeFetchFrame(m wire.Message, buf []wire.DataItem) (wire.FetchChunkPayload, error) {
 	if m.Err != "" {
 		return wire.FetchChunkPayload{}, errors.New(m.Err)
 	}
 	if m.Kind == wire.KindFetchChunk {
-		return wire.DecodeFetchChunkPayload(m.Payload)
+		return wire.DecodeFetchChunkPayloadInto(m.Payload, buf)
 	}
-	rp, err := wire.DecodeItemsPayload(m.Payload)
+	rp, err := wire.DecodeItemsPayloadInto(m.Payload, buf)
 	return wire.FetchChunkPayload{Final: true, Items: rp.Items}, err
 }
+
+// replyItemsPool recycles the item vectors FETCH reply frames decode
+// into: a cold fault decodes hundreds of items, and installs them before
+// the next frame is decoded.
+var replyItemsPool = sync.Pool{New: func() any { return new([]wire.DataItem) }}
+
+// maxPooledReplyItems is the largest item vector replyItemsPool keeps.
+const maxPooledReplyItems = 1 << 12
 
 // installFetchFrame installs the items of one FETCH reply frame, and
 // reports (detach) that the reply has more frames to come but the
@@ -486,7 +496,16 @@ func decodeFetchFrame(m wire.Message) (wire.FetchChunkPayload, error) {
 // FETCH (fetchFrom).
 func (rt *Runtime) installFetchFrame(f *inflightFetch, sess uint64, origin uint32, primary []wire.LongPtr, stale bool, m wire.Message) (detach bool, err error) {
 	defer m.ReleaseFrame()
-	cp, err := decodeFetchFrame(m)
+	buf := replyItemsPool.Get().(*[]wire.DataItem)
+	cp, err := decodeFetchFrame(m, *buf)
+	defer func() {
+		// Drop the byte references before pooling: they alias the frame.
+		clear(cp.Items)
+		if cap(cp.Items) <= maxPooledReplyItems {
+			*buf = cp.Items[:0]
+			replyItemsPool.Put(buf)
+		}
+	}()
 	if err != nil {
 		return false, fmt.Errorf("fetch from space %d: %w", origin, err)
 	}
@@ -534,11 +553,11 @@ func (rt *Runtime) installFetchFrame(f *inflightFetch, sess uint64, origin uint3
 
 // chunkEmitter sends one served FETCH reply and owns the choice of its
 // form. The serve hands it item batches as it produces them: emit sends a
-// batch as one individually checksummed KindFetchChunk frame whose
-// payload is encoded straight into a pooled frame buffer (the receiver
-// releases it after installing the chunk); finish sends what is left as
-// the classic single reply frame when nothing was emitted, as the FINAL
-// chunk otherwise. A send failure latches: the remaining build is
+// batch as one individually checksummed KindFetchChunk frame; finish
+// sends what is left as the classic single reply frame when nothing was
+// emitted, as the FINAL chunk otherwise. Either form's payload is encoded
+// straight into a pooled frame buffer, which the receiver releases after
+// installing the frame. A send failure latches: the remaining build is
 // not worth finishing for an unreachable peer.
 type chunkEmitter struct {
 	rt   *Runtime
@@ -560,22 +579,8 @@ func (em *chunkEmitter) emit(items []wire.DataItem, final bool) error {
 	}
 	fb := wire.NewChunkBuf()
 	p.EncodeTo(fb.Enc())
-	out := wire.Message{
-		Kind:    wire.KindFetchChunk,
-		Session: em.req.Session,
-		Seq:     em.req.Seq,
-		To:      em.req.From,
-		Payload: fb.Enc().Bytes(),
-		Frame:   fb,
-		Inc:     em.rt.incarnation,
-	}
-	out.Seal()
 	em.rt.trace(Event{Kind: EvChunkSent, Target: em.req.From, Page: em.next, Count: len(items)})
-	if err := em.rt.node.Send(out); err != nil {
-		// Send consumes the frame reference only when it serializes or
-		// delivers; an undeliverable frame is released here.
-		out.ReleaseFrame()
-		em.err = err
+	if err := em.send(wire.KindFetchChunk, fb); err != nil {
 		return err
 	}
 	em.next++
@@ -588,14 +593,37 @@ func (em *chunkEmitter) emit(items []wire.DataItem, final bool) error {
 	return nil
 }
 
+// send seals and sends one reply frame whose payload fb holds.
+func (em *chunkEmitter) send(kind wire.Kind, fb *wire.FrameBuf) error {
+	out := wire.Message{
+		Kind:    kind,
+		Session: em.req.Session,
+		Seq:     em.req.Seq,
+		To:      em.req.From,
+		Payload: fb.Enc().Bytes(),
+		Frame:   fb,
+		Inc:     em.rt.incarnation,
+	}
+	out.Seal()
+	if err := em.rt.node.Send(out); err != nil {
+		// Send consumes the frame reference only when it serializes or
+		// delivers; an undeliverable frame is released here.
+		out.ReleaseFrame()
+		em.err = err
+		return err
+	}
+	return nil
+}
+
 // finish ends the reply with the items no chunk has carried yet.
 func (em *chunkEmitter) finish(items []wire.DataItem) {
 	if em.next > 0 {
 		_ = em.emit(items, true)
 		return
 	}
-	out := wire.ItemsPayload{Items: items}
-	em.rt.reply(em.req, wire.KindFetchReply, out.Encode(), "")
+	fb := wire.NewChunkBuf()
+	(&wire.ItemsPayload{Items: items}).EncodeTo(fb.Enc())
+	_ = em.send(wire.KindFetchReply, fb)
 }
 
 // fail ends the reply with an error: an error chunk if part of the
@@ -642,9 +670,9 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 		rt.stats.fetchesServed.Add(1)
 		rt.trace(Event{Kind: EvFetchServed, Target: m.From, Count: len(p.Wants)})
 	}
-	// The working set (queue, seen set, item slice) is pooled across
-	// serves; the reply payload and the encode arena are not (a streamed
-	// chunk's items alias the arena until the receiver releases the frame).
+	// The working set (queue, seen set, item slice, encode arena) is pooled
+	// across serves: every frame the reply goes out in is a copy, so
+	// nothing aliases the arena once the serve returns.
 	sc := serveScratchPool.Get().(*serveScratch)
 	defer func() {
 		sc.reset()
@@ -666,26 +694,111 @@ type closureJob struct {
 }
 
 // serveScratch is the pooled per-serve working set: everything
-// buildClosureItems needs besides the arena, reused across serveFetch
-// calls so a hot origin stops allocating per fetch.
+// buildClosureItems needs, reused across serveFetch calls so a hot origin
+// stops allocating per fetch. It starts empty and grows on use.
 type serveScratch struct {
-	seen  map[vmem.VAddr]bool
+	seen  addrSet
 	queue []closureJob
 	items []wire.DataItem
+	arena xdr.Encoder
 }
+
+// maxPooledArena is the largest encode arena a pooled serveScratch keeps:
+// an outsized closure is encoded once, not pinned in the pool.
+const maxPooledArena = 1 << 20
 
 func (sc *serveScratch) reset() {
-	clear(sc.seen)
 	sc.queue = sc.queue[:0]
-	// Drop byte references so pooled scratch does not pin served bodies.
+	// The items slice the arena; drop them before the arena is reused.
 	clear(sc.items)
 	sc.items = sc.items[:0]
+	if cap(sc.arena.Bytes()) > maxPooledArena {
+		sc.arena = xdr.Encoder{}
+	}
+	sc.arena.Reset()
 }
 
-var serveScratchPool = sync.Pool{
-	New: func() any {
-		return &serveScratch{seen: make(map[vmem.VAddr]bool, 64)}
-	},
+var serveScratchPool = sync.Pool{New: func() any { return new(serveScratch) }}
+
+// addrSet is the closure walk's seen set: an open-addressing hash set of
+// local addresses, linear probing over a power-of-two table of uint32
+// slots in which zero marks an empty slot (the null address is tracked
+// apart). reset sizes the table for the expected count and clears only
+// the slots it will use, so a pooled set keeps its storage and a small
+// serve pays for a small clear.
+type addrSet struct {
+	slots []uint32
+	n     int   // addresses held in slots
+	shift uint8 // 32 - log2(len(slots)): the hash keeps the top bits
+	zero  bool  // the null address is held
+}
+
+// reset empties the set and sizes it for about est addresses.
+func (s *addrSet) reset(est int) {
+	size := 64
+	for size < 2*est {
+		size <<= 1
+	}
+	if cap(s.slots) >= size {
+		s.slots = s.slots[:size]
+		clear(s.slots)
+	} else {
+		s.slots = make([]uint32, size)
+	}
+	s.n, s.zero = 0, false
+	s.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+}
+
+// slot is a's first probe position (Fibonacci hashing: addresses are
+// aligned, so their low bits carry little).
+func (s *addrSet) slot(a uint32) uint32 { return (a * 0x9e3779b1) >> s.shift }
+
+// has reports whether a is in the set.
+func (s *addrSet) has(a vmem.VAddr) bool {
+	k := uint32(a)
+	if k == 0 {
+		return s.zero
+	}
+	mask := uint32(len(s.slots) - 1)
+	for i := s.slot(k); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			return false
+		case k:
+			return true
+		}
+	}
+}
+
+// add inserts a, which must not be in the set, doubling the table first
+// when the insert would fill more than half of it.
+func (s *addrSet) add(a vmem.VAddr) {
+	k := uint32(a)
+	if k == 0 {
+		s.zero = true
+		return
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.slots = make([]uint32, 2*len(old))
+		s.shift--
+		for _, o := range old {
+			if o != 0 {
+				s.insert(o)
+			}
+		}
+	}
+	s.insert(k)
+	s.n++
+}
+
+func (s *addrSet) insert(k uint32) {
+	mask := uint32(len(s.slots) - 1)
+	i := s.slot(k)
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = k
 }
 
 // buildClosureItems encodes the wanted objects unconditionally, then keeps
@@ -709,7 +822,8 @@ var serveScratchPool = sync.Pool{
 // arena, and its item slices that arena; child expansion reads the heap
 // directly, not the encoded form.
 //
-// sc, when non-nil, supplies the pooled working set (serveFetch); other
+// sc, when non-nil, supplies the pooled working set, arena included
+// (serveFetch): the items it returns are valid until sc is reset. Other
 // callers pass nil and allocate fresh.
 //
 // em, when it streams, takes the closure out in chunks: once every want
@@ -731,35 +845,46 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, sums []uint64, primar
 	// once up front keeps the serve path free of growth reallocations.
 	est := len(wants) + min(budget, 1<<16)/16 + 1
 	// seen is keyed by local address: only locally owned objects are ever
-	// encoded (foreign pointers pass through), and a uint32 key hashes
-	// much cheaper than the full long-pointer struct.
+	// encoded (foreign pointers pass through).
+	//
+	// All bodies are encoded into one arena and each item slices it as soon
+	// as it is encoded. That is sound even though the arena may still grow:
+	// append reallocation copies, so an already-sliced backing array is
+	// never written again.
+	arenaHint := len(wants)*16 + min(budget, 1<<16)
 	var (
-		seen  map[vmem.VAddr]bool
+		seen  *addrSet
 		queue []closureJob
 		items []wire.DataItem
+		arena *xdr.Encoder
 	)
 	if sc != nil {
-		seen, queue, items = sc.seen, sc.queue, sc.items
+		seen, queue, items, arena = &sc.seen, sc.queue, sc.items, &sc.arena
+		arena.Grow(arenaHint)
 		// Hand any slice growth back to the scratch on every exit, so the
 		// pooled working set keeps its high-water capacity.
 		defer func() {
-			sc.seen, sc.queue, sc.items = seen, queue, items
+			sc.queue, sc.items = queue, items
 		}()
 	} else {
-		seen = make(map[vmem.VAddr]bool, est)
+		seen = new(addrSet)
 		queue = make([]closureJob, 0, est)
 		items = make([]wire.DataItem, 0, est)
+		arena = xdr.NewEncoder(arenaHint)
 	}
+	seen.reset(est)
 	hashed := len(sums) > 0
 	for i, lp := range wants {
 		queue = append(queue, closureJob{lp: lp, want: true, frozen: i >= primary || hashed})
 	}
-	// All bodies are encoded into one arena and each item slices it as soon
-	// as it is encoded. That is sound even though the arena may still grow:
-	// append reallocation copies, so an already-sliced backing array is
-	// never written again. The arena is never pooled (a streamed chunk's
-	// items alias it until the receiver releases the frame).
-	arena := xdr.NewEncoder(len(wants)*16 + min(budget, 1<<16))
+	// Closure hints are resolved per type, not per item: the snapshot is
+	// loaded once, and an item of the same type as the one before it
+	// reuses that one's lookup.
+	hints := rt.hints.Load()
+	var (
+		hintType types.ID
+		follow   []bool
+	)
 	budgetLeft := budget
 	// Streaming state: wantsLeft counts unserved want jobs (no flush may
 	// split them off chunk 0; a hashed reply, all wants, splits anywhere),
@@ -794,7 +919,7 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, sums []uint64, primar
 			}
 			continue
 		}
-		if seen[j.lp.Addr] {
+		if seen.has(j.lp.Addr) {
 			continue
 		}
 		rv, err := rt.res.Resolve(j.lp.Type)
@@ -807,9 +932,9 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, sums []uint64, primar
 			}
 			budgetLeft -= rv.Canon
 		}
-		seen[j.lp.Addr] = true
+		seen.add(j.lp.Addr)
 		start := arena.Len()
-		if err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, j.lp.Addr); err != nil {
+		if err := encodeObjectInto(arena, rt.space, rt.table, rv, j.lp.Addr); err != nil {
 			return nil, fmt.Errorf("encode %v: %w", j.lp, err)
 		}
 		it := wire.DataItem{LP: j.lp, Bytes: arena.Bytes()[start:arena.Len():arena.Len()]}
@@ -823,12 +948,14 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, sums []uint64, primar
 			// closure shape hint for this type (§6: "use suggestions provided
 			// by the programmer" to optimize the closure's shape).
 			desc, layout := rv.Desc, rv.Layout
-			hint := rt.closureHint(desc.ID)
+			if hints != nil && desc.ID != hintType {
+				hintType, follow = desc.ID, (*hints)[desc.ID]
+			}
 			for i, f := range desc.Fields {
 				if f.Kind != types.Ptr {
 					continue
 				}
-				if hint != nil && !hint[f.Name] {
+				if follow != nil && !follow[i] {
 					continue
 				}
 				count := f.Count
@@ -907,7 +1034,7 @@ func (rt *Runtime) fetchOne(lp wire.LongPtr) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeObject(rt.space, rt.table, rt.res, rv.Desc, lp.Addr)
+		return encodeObject(rt.space, rt.table, rv, lp.Addr)
 	}
 	rt.sessMu.Lock()
 	sess := rt.sess
@@ -927,7 +1054,7 @@ func (rt *Runtime) fetchOne(lp wire.LongPtr) ([]byte, error) {
 		Payload: p.Encode(),
 	}, func() { rt.stats.fetchesSent.Add(1) }, func(m wire.Message) (bool, error) {
 		defer m.ReleaseFrame()
-		cp, err := decodeFetchFrame(m)
+		cp, err := decodeFetchFrame(m, nil)
 		if err != nil {
 			return false, fmt.Errorf("fetch %v: %w", lp, err)
 		}
@@ -962,7 +1089,7 @@ func (rt *Runtime) writeOne(lp wire.LongPtr, data []byte) error {
 		if err != nil {
 			return err
 		}
-		return decodeObject(rt.space, rt.table, rt.res, rv.Desc, lp.Addr, data)
+		return decodeObject(rt.space, rt.table, rv, lp.Addr, data)
 	}
 	rt.sessMu.Lock()
 	sess := rt.sess

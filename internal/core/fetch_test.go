@@ -1,8 +1,12 @@
 package core
 
 import (
+	"math/rand/v2"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
 )
 
@@ -29,8 +33,8 @@ func serveHot(t testing.TB, rt *Runtime, wants []wire.LongPtr) int {
 }
 
 // BenchmarkServeFetchHot measures the origin's serve path: with the
-// working set pooled, a serve allocates its encode arena and nothing per
-// object (TestServeFetchHotAllocsReduction holds it to three).
+// working set and the encode arena pooled, a serve allocates nothing
+// (TestServeFetchHotAllocsReduction holds it to zero).
 func BenchmarkServeFetchHot(b *testing.B) {
 	rt, wants := serveHotSetup(b)
 	serveHot(b, rt, wants) // warm the pool
@@ -41,26 +45,82 @@ func BenchmarkServeFetchHot(b *testing.B) {
 	}
 }
 
+// allocsAndBytes reports what one run of f allocates on average: the
+// count, as testing.AllocsPerRun does, and the bytes. Like AllocsPerRun
+// it runs f once to warm up, on one processor; the collector is off too,
+// so a cycle cannot empty the pools mid-measurement.
+func allocsAndBytes(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestServeFetchHotAllocsReduction is the acceptance check behind the
-// benchmark: a serve out of the pooled scratch allocates at most three
-// times (the arena and its growth), and less than half of what the same
-// build costs with a fresh working set.
+// benchmark: a serve out of the pooled scratch allocates nothing, not
+// even its encode arena (12 to 24 KiB per fault before the arena was
+// pooled), where the same build with a fresh working set allocates its
+// queue, item slice, seen set and arena.
 func TestServeFetchHotAllocsReduction(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	rt, wants := serveHotSetup(t)
 	serveHot(t, rt, wants)
-	pooled := testing.AllocsPerRun(50, func() { serveHot(t, rt, wants) })
+	allocs, bytes := allocsAndBytes(50, func() { serveHot(t, rt, wants) })
 	fresh := testing.AllocsPerRun(50, func() {
 		if _, err := rt.buildClosureItems(wants, nil, 0, 1<<20, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if pooled > 3 {
-		t.Errorf("pooled serve allocates %.1f/op, want <= 3", pooled)
+	if allocs != 0 || bytes != 0 {
+		t.Errorf("pooled serve allocates %.1f times, %.0f bytes per serve; want 0 and 0", allocs, bytes)
 	}
-	if pooled > fresh/2 {
-		t.Errorf("pooled serve allocates %.1f/op vs %.1f/op with a fresh working set; want >= 50%% reduction", pooled, fresh)
+	t.Logf("pooled serve: %.0f allocs, %.0f B; fresh working set: %.0f allocs", allocs, bytes, fresh)
+}
+
+// TestAddrSet checks the closure walk's seen set against a map: aligned
+// addresses (the ones the walk sees), the null address, growth far past
+// the size reset chose, and a reset that must forget everything while
+// keeping the grown storage.
+func TestAddrSet(t *testing.T) {
+	var s addrSet
+	rng := rand.New(rand.NewPCG(1, 2))
+	for round, n := range []int{10, 5000, 300} {
+		s.reset(4)
+		ref := make(map[vmem.VAddr]bool)
+		for i := 0; i < n; i++ {
+			a := vmem.VAddr(rng.Uint32N(1<<16) * 16)
+			if i%97 == 0 {
+				a = 0
+			}
+			if got := s.has(a); got != ref[a] {
+				t.Fatalf("round %d: has(%#x) = %v before insert %d, want %v", round, a, got, i, ref[a])
+			}
+			if !ref[a] {
+				s.add(a)
+				ref[a] = true
+			}
+		}
+		for a := range ref {
+			if !s.has(a) {
+				t.Fatalf("round %d: has(%#x) = false after insert", round, a)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			if a := vmem.VAddr(rng.Uint32()); s.has(a) != ref[a] {
+				t.Fatalf("round %d: has(%#x) = %v, want %v", round, a, !ref[a], ref[a])
+			}
+		}
+		if n > 1000 && len(s.slots) < 2*len(ref)-2 {
+			t.Errorf("round %d: %d slots hold %d addresses: the table did not grow", round, len(s.slots), len(ref))
+		}
 	}
 }

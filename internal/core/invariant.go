@@ -234,7 +234,7 @@ func (rt *Runtime) encodeStale(e swizzle.Entry) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeObject(rt.space, rt.table, rt.res, rv.Desc, e.Addr)
+	return encodeObject(rt.space, rt.table, rv, e.Addr)
 }
 
 // CheckCohLockstep verifies delta-shipping baseline/version lockstep on
@@ -354,7 +354,7 @@ func CheckNetworkInvariants(ground *Runtime, all []*Runtime) error {
 			if err != nil {
 				continue // origin cannot serve it; revalidation will degrade
 			}
-			cur, err := encodeObject(origin.space, origin.table, origin.res, rv.Desc, e.LP.Addr)
+			cur, err := encodeObject(origin.space, origin.table, rv, e.LP.Addr)
 			if err != nil {
 				continue // freed at origin; revalidation will degrade
 			}

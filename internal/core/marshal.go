@@ -31,10 +31,11 @@ var (
 // representation. Pointer fields are unswizzled into long pointers using
 // the declared element type of the field; the conversion is therefore
 // independent of the local architecture, which is what lets spaces with
-// different profiles interoperate.
-func encodeObject(sp *vmem.Space, tb ptrTable, res *types.Resolver, d *types.Desc, addr vmem.VAddr) ([]byte, error) {
-	enc := xdr.NewEncoder(d.CanonicalSize())
-	if err := encodeObjectInto(enc, sp, tb, res, d, addr); err != nil {
+// different profiles interoperate. rv is the object's type as the
+// caller's resolver resolved it (types.Resolver.Resolve).
+func encodeObject(sp *vmem.Space, tb ptrTable, rv types.Resolved, addr vmem.VAddr) ([]byte, error) {
+	enc := xdr.NewEncoder(rv.Canon)
+	if err := encodeObjectInto(enc, sp, tb, rv, addr); err != nil {
 		return nil, err
 	}
 	return enc.Bytes(), nil
@@ -44,13 +45,9 @@ func encodeObject(sp *vmem.Space, tb ptrTable, res *types.Resolver, d *types.Des
 // Multi-item paths (closure replies, the modified data set) encode into a
 // shared arena encoder and slice the items out afterwards, so a reply
 // costs a constant number of allocations rather than two per object.
-func encodeObjectInto(enc *xdr.Encoder, sp *vmem.Space, tb ptrTable, res *types.Resolver, d *types.Desc, addr vmem.VAddr) error {
-	rv, err := res.Resolve(d.ID)
-	if err != nil {
-		return err
-	}
+func encodeObjectInto(enc *xdr.Encoder, sp *vmem.Space, tb ptrTable, rv types.Resolved, addr vmem.VAddr) error {
 	layout := rv.Layout
-	for i, f := range d.Fields {
+	for i, f := range rv.Desc.Fields {
 		fl := layout.Fields[i]
 		count := f.Count
 		if count <= 1 {
@@ -117,14 +114,10 @@ func decodeScalar(dec *xdr.Decoder, k types.Kind) (uint64, error) {
 // time — this is exactly the moment the paper allocates cache room for
 // newly referenced remote data. Writes bypass protection (the runtime is
 // the "kernel" here).
-func decodeObject(sp *vmem.Space, tb ptrTable, res *types.Resolver, d *types.Desc, addr vmem.VAddr, data []byte) error {
-	rv, err := res.Resolve(d.ID)
-	if err != nil {
-		return err
-	}
+func decodeObject(sp *vmem.Space, tb ptrTable, rv types.Resolved, addr vmem.VAddr, data []byte) error {
 	layout := rv.Layout
 	dec := xdr.NewDecoder(data)
-	for i, f := range d.Fields {
+	for i, f := range rv.Desc.Fields {
 		fl := layout.Fields[i]
 		count := f.Count
 		if count <= 1 {

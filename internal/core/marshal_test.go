@@ -48,6 +48,17 @@ func marshalFixture(t testing.TB, profile arch.Profile) (*vmem.Space, *swizzle.T
 
 // writeMixed stores deterministic values derived from seed into a Mixed
 // object at addr.
+// resolved resolves d through res, as the runtime resolves a type before
+// it encodes or decodes an object of it.
+func resolved(t testing.TB, res *types.Resolver, d *types.Desc) types.Resolved {
+	t.Helper()
+	rv, err := res.Resolve(d.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rv
+}
+
 func writeMixed(t testing.TB, sp *vmem.Space, reg *types.Registry, addr vmem.VAddr, seed int64) {
 	t.Helper()
 	d := mixedDesc()
@@ -87,11 +98,11 @@ func TestEncodeObjectDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeMixed(t, sp, reg, addr, 42)
-	b1, err := encodeObject(sp, tb, reg.ResolverFor(sp.Profile()), d, addr)
+	b1, err := encodeObject(sp, tb, resolved(t, reg.ResolverFor(sp.Profile()), d), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := encodeObject(sp, tb, reg.ResolverFor(sp.Profile()), d, addr)
+	b2, err := encodeObject(sp, tb, resolved(t, reg.ResolverFor(sp.Profile()), d), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func TestCrossArchitectureRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			writeMixed(t, srcSp, reg, addr, 7)
-			canonical, err := encodeObject(srcSp, srcTb, reg.ResolverFor(srcSp.Profile()), d, addr)
+			canonical, err := encodeObject(srcSp, srcTb, resolved(t, reg.ResolverFor(srcSp.Profile()), d), addr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,10 +141,10 @@ func TestCrossArchitectureRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := decodeObject(dstSp, dstTb, dstReg.ResolverFor(dstSp.Profile()), dstD, dstAddr, canonical); err != nil {
+			if err := decodeObject(dstSp, dstTb, resolved(t, dstReg.ResolverFor(dstSp.Profile()), dstD), dstAddr, canonical); err != nil {
 				t.Fatalf("%s->%s decode: %v", src.Name, dst.Name, err)
 			}
-			back, err := encodeObject(dstSp, dstTb, dstReg.ResolverFor(dstSp.Profile()), dstD, dstAddr)
+			back, err := encodeObject(dstSp, dstTb, resolved(t, dstReg.ResolverFor(dstSp.Profile()), dstD), dstAddr)
 			if err != nil {
 				t.Fatalf("%s->%s re-encode: %v", src.Name, dst.Name, err)
 			}
@@ -185,7 +196,7 @@ func TestQuickCrossArchScalars(t *testing.T) {
 				}
 			}
 		}
-		canonical, err := encodeObject(srcSp, srcTb, reg.ResolverFor(srcSp.Profile()), d, addr)
+		canonical, err := encodeObject(srcSp, srcTb, resolved(t, reg.ResolverFor(srcSp.Profile()), d), addr)
 		if err != nil {
 			return false
 		}
@@ -202,10 +213,10 @@ func TestQuickCrossArchScalars(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := decodeObject(dstSp, dstTb, reg.ResolverFor(dstSp.Profile()), d, dstAddr, canonical); err != nil {
+		if err := decodeObject(dstSp, dstTb, resolved(t, reg.ResolverFor(dstSp.Profile()), d), dstAddr, canonical); err != nil {
 			return false
 		}
-		back, err := encodeObject(dstSp, dstTb, reg.ResolverFor(dstSp.Profile()), d, dstAddr)
+		back, err := encodeObject(dstSp, dstTb, resolved(t, reg.ResolverFor(dstSp.Profile()), d), dstAddr)
 		if err != nil {
 			return false
 		}
@@ -235,7 +246,7 @@ func TestDecodeObjectSwizzlesPointers(t *testing.T) {
 	canonical[off+6] = 0x50
 	canonical[off+7] = 0
 	canonical[off+11] = 9
-	if err := decodeObject(sp, tb, reg.ResolverFor(sp.Profile()), d, addr, canonical); err != nil {
+	if err := decodeObject(sp, tb, resolved(t, reg.ResolverFor(sp.Profile()), d), addr, canonical); err != nil {
 		t.Fatal(err)
 	}
 	ptrOff := layout.Fields[selfIdx].Offset
@@ -262,7 +273,7 @@ func TestDecodeObjectTruncatedFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := make([]byte, d.CanonicalSize()-4)
-	if err := decodeObject(sp, tb, reg.ResolverFor(sp.Profile()), d, addr, short); err == nil {
+	if err := decodeObject(sp, tb, resolved(t, reg.ResolverFor(sp.Profile()), d), addr, short); err == nil {
 		t.Error("truncated canonical data accepted")
 	}
 }
@@ -280,7 +291,7 @@ func TestSignExtensionAcrossEncode(t *testing.T) {
 	if err := sp.WriteUintRaw(addr+vmem.VAddr(layout.Fields[i8].Offset), 1, 0xFF); err != nil {
 		t.Fatal(err)
 	}
-	canonical, err := encodeObject(sp, tb, reg.ResolverFor(sp.Profile()), d, addr)
+	canonical, err := encodeObject(sp, tb, resolved(t, reg.ResolverFor(sp.Profile()), d), addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,8 +250,9 @@ func BenchmarkPendingTable(b *testing.B) {
 // TestExchangeAllocs is the exchange engine's allocation gate: what one
 // exchange allocates beyond encoding its request and decoding and
 // installing its reply. The origin is a raw node answering from canned,
-// pre-encoded replies and the in-process transport allocates nothing, so
-// every allocation counted is the client's. A pooled exchange (queue and
+// pre-encoded replies — a FETCH's in a pooled frame, as a serve sends it —
+// and the in-process transport allocates nothing, so every allocation
+// counted is the client's. A pooled exchange (queue and
 // wake channel included) and callbacks that never leave the stack make
 // the engine's share zero; the gate allows one, not the five a FETCH
 // used to pay (retry closure, stream buffer, its wake channel, the
@@ -288,7 +289,11 @@ func TestExchangeAllocs(t *testing.T) {
 			}
 			r := wire.Message{Kind: m.Kind.ReplyKind(), Session: m.Session, Seq: m.Seq, To: m.From, Payload: []byte{}}
 			if m.Kind == wire.KindFetch {
-				r.Payload = fetchReply
+				// In a pooled frame, as a real origin sends it: the client
+				// releases it after installing, and the next reply reuses it.
+				fb := wire.NewChunkBuf()
+				fb.Enc().PutFixedOpaque(fetchReply)
+				r.Payload, r.Frame = fb.Enc().Bytes(), fb
 			}
 			r.Seal()
 			_ = origin.Send(r)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -413,8 +414,11 @@ type Runtime struct {
 	// nothing in the runtime ever sets it.
 	skipLocalInvalidate bool
 
-	hintMu sync.RWMutex
-	hints  map[types.ID]map[string]bool
+	// hints maps a type to the pointer fields, by index, its closure
+	// expansion follows (SetClosureHint); copy-on-write under hintMu, so a
+	// serve loads it once and reads it without a lock. nil: no hints.
+	hintMu sync.Mutex
+	hints  atomic.Pointer[map[types.ID][]bool]
 
 	procsMu sync.RWMutex
 	procs   map[string]Handler
@@ -609,29 +613,23 @@ func (rt *Runtime) SetClosureHint(ty types.ID, fields []string) error {
 	if err != nil {
 		return err
 	}
-	set := make(map[string]bool, len(fields))
+	follow := make([]bool, len(desc.Fields))
 	for _, f := range fields {
 		i := desc.FieldIndex(f)
 		if i < 0 || desc.Fields[i].Kind != types.Ptr {
 			return fmt.Errorf("core: closure hint for %s: %q is not a pointer field", desc.Name, f)
 		}
-		set[f] = true
+		follow[i] = true
 	}
 	rt.hintMu.Lock()
 	defer rt.hintMu.Unlock()
-	if rt.hints == nil {
-		rt.hints = make(map[types.ID]map[string]bool)
+	next := make(map[types.ID][]bool)
+	if old := rt.hints.Load(); old != nil {
+		maps.Copy(next, *old)
 	}
-	rt.hints[ty] = set
+	next[ty] = follow
+	rt.hints.Store(&next)
 	return nil
-}
-
-// closureHint returns the allowed pointer fields for ty, or nil when
-// traversal is unrestricted.
-func (rt *Runtime) closureHint(ty types.ID) map[string]bool {
-	rt.hintMu.RLock()
-	defer rt.hintMu.RUnlock()
-	return rt.hints[ty]
 }
 
 // ID returns the runtime's address-space identifier.

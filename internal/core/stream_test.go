@@ -254,7 +254,7 @@ var installModes = []struct {
 	ceiling float64
 }{
 	{"streamed", 256, 2000},
-	{"monolithic", -1, 75},
+	{"monolithic", -1, 60},
 }
 
 // installSetup builds a server holding a 1024-node chain and a client
@@ -277,11 +277,12 @@ func installSetup(t testing.TB, chunk int) (*Runtime, wire.LongPtr, int64) {
 
 // TestInstallClosureAllocs is the install path's allocation gate: the
 // zero-copy decode/install path must stay cheap. Streamed on 256-byte
-// chunks it costs under one allocation a node (measured 824 for the
-// 1024-node chain); monolithic, 43 flat — an install batch builds no
-// per-batch map and copies no page's rows. The ceilings were set about
-// 50% over the figures of their day (1 346 and 49): pool noise fits under
-// them, a lost pooling or a per-item copy does not.
+// chunks it costs under one allocation a node (measured 413 for the
+// 1024-node chain); monolithic, 40 flat — an install batch builds no
+// per-batch map and copies no page's rows, and a reply decodes into a
+// pooled item vector. The ceilings were set about 50% over the figures of
+// their day (1 346 and 40): pool noise fits under them, a lost pooling or
+// a per-item copy does not.
 func TestInstallClosureAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

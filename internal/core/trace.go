@@ -144,12 +144,24 @@ type tracerBox struct {
 
 // trace emits an event if a tracer is configured.
 func (rt *Runtime) trace(e Event) {
-	box := rt.tracer.Load()
-	if box == nil || box.t == nil {
-		return
+	if t := rt.tracerNow(); t != nil {
+		rt.traceTo(t, e)
 	}
+}
+
+// tracerNow returns the configured tracer, or nil. A loop emitting per
+// item loads it once and emits through traceTo.
+func (rt *Runtime) tracerNow() Tracer {
+	if box := rt.tracer.Load(); box != nil {
+		return box.t
+	}
+	return nil
+}
+
+// traceTo emits e to t, a tracer tracerNow returned.
+func (rt *Runtime) traceTo(t Tracer, e Event) {
 	e.Space = rt.id
-	box.t.Trace(e)
+	t.Trace(e)
 }
 
 // SetTracer installs (or removes, with nil) the runtime's tracer.

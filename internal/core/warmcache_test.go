@@ -273,7 +273,7 @@ func (vt *validateTap) wrap(t testing.TB, o *Options) {
 			}
 			vt.mu.Lock()
 			defer vt.mu.Unlock()
-			if cp, err := decodeFetchFrame(m); err == nil && vt.seqs[m.Seq] {
+			if cp, err := decodeFetchFrame(m, nil); err == nil && vt.seqs[m.Seq] {
 				for _, it := range cp.Items {
 					it.Bytes = bytes.Clone(it.Bytes)
 					vt.answers = append(vt.answers, it)
@@ -1245,13 +1245,17 @@ func TestWarmPathAllocs(t *testing.T) {
 	var reply wire.Message // what the origin last sent
 	origin, callee := pair(t, func(id uint32, o *Options) {
 		if id == 1 {
-			// Replies vanish at the node: nobody is waiting for them.
+			// Replies vanish at the node: nobody is waiting for them. The
+			// node is their last holder, so it releases each one's pooled
+			// frame when the next replaces it, as a receiver would.
 			o.Node = &flakyNode{Node: o.Node, sendHook: func(m wire.Message) error {
+				reply.ReleaseFrame()
 				reply = m
 				return errSwallowSend
 			}}
 		}
 	})
+	t.Cleanup(func() { reply.ReleaseFrame() })
 	root := buildTree(t, origin, 9) // 511 nodes
 	extra := buildTree(t, origin, 1)
 	lps := append(treeNodeLPs(t, origin, root), extra.LP)

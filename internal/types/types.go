@@ -417,18 +417,26 @@ type Resolved struct {
 }
 
 // Resolver is a per-profile resolution cache in front of a Registry. A
-// hit is one small-key map lookup returning shared pointers — no string
-// hashing (the registry's layout cache is keyed by profile name) and no
-// layout copying. Descriptors are immutable once registered, so cached
-// entries never go stale. Obtain one with Registry.ResolverFor; resolvers
-// for the same profile are shared.
+// hit on an ID below resolverDense is one atomic load from a dense array;
+// a larger ID costs one small-key map lookup. Either returns shared
+// pointers — no string hashing (the registry's layout cache is keyed by
+// profile name) and no layout copying. Descriptors are immutable once
+// registered, so cached entries never go stale. Obtain one with
+// Registry.ResolverFor; resolvers for the same profile are shared.
 type Resolver struct {
 	reg *Registry
 	p   arch.Profile
 
+	// dense caches the IDs below resolverDense: the IDs a registry
+	// numbering its types from one actually hands out.
+	dense [resolverDense]atomic.Pointer[Resolved]
+
 	mu    sync.Mutex // serializes cache fills
 	state atomic.Pointer[map[ID]Resolved]
 }
+
+// resolverDense bounds the IDs a Resolver caches in its dense array.
+const resolverDense = 64
 
 // ResolverFor returns the shared resolver for profile p, creating it on
 // first use.
@@ -449,7 +457,11 @@ func (r *Registry) ResolverFor(p arch.Profile) *Resolver {
 
 // Resolve returns the descriptor, layout, and canonical size of type id.
 func (rs *Resolver) Resolve(id ID) (Resolved, error) {
-	if e, ok := (*rs.state.Load())[id]; ok {
+	if id < resolverDense {
+		if e := rs.dense[id].Load(); e != nil {
+			return *e, nil
+		}
+	} else if e, ok := (*rs.state.Load())[id]; ok {
 		return e, nil
 	}
 	return rs.fill(id)
@@ -467,6 +479,11 @@ func (rs *Resolver) fill(id ID) (Resolved, error) {
 		return Resolved{}, err
 	}
 	e := Resolved{Desc: d, Layout: &l, Canon: d.CanonicalSize()}
+	if id < resolverDense {
+		// Racing fills of one ID store equal entries; the first wins.
+		rs.dense[id].CompareAndSwap(nil, &e)
+		return *rs.dense[id].Load(), nil
+	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	old := *rs.state.Load()

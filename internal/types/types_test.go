@@ -2,6 +2,8 @@ package types
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -315,5 +317,85 @@ func TestCanonicalOffsetsConsistentWithSize(t *testing.T) {
 	last := d.CanonicalFieldOffset(2) + 2*CanonicalElemSize(Ptr)
 	if last != d.CanonicalSize() {
 		t.Errorf("offset arithmetic inconsistent: %d vs %d", last, d.CanonicalSize())
+	}
+}
+
+// TestResolverSmallAndLargeIDs covers both halves of the resolution
+// cache: IDs below resolverDense (the dense array) and above it (the
+// map), on either side of the boundary. A hit returns the very layout the
+// fill published; a miss is not cached, so a type registered after it
+// resolves.
+func TestResolverSmallAndLargeIDs(t *testing.T) {
+	r := NewRegistry()
+	ids := []ID{1, resolverDense - 1, resolverDense, 1000}
+	for _, id := range ids {
+		r.MustRegister(&Desc{ID: id, Name: fmt.Sprintf("T%d", id), Fields: []Field{
+			{Name: "next", Kind: Ptr, Elem: id},
+			{Name: "data", Kind: Int64},
+		}})
+	}
+	rs := r.ResolverFor(arch.SPARC32())
+	for _, id := range ids {
+		first, err := rs.Resolve(id)
+		if err != nil {
+			t.Fatalf("Resolve(%d) miss: %v", id, err)
+		}
+		hit, err := rs.Resolve(id)
+		if err != nil || hit.Layout != first.Layout || hit.Desc != first.Desc {
+			t.Errorf("Resolve(%d) hit returned a different entry (%v)", id, err)
+		}
+		if hit.Desc.ID != id || hit.Canon != 12+8 || hit.Layout.Size != 16 {
+			t.Errorf("Resolve(%d) = ID %d, canon %d, size %d; want %d, 20, 16", id, hit.Desc.ID, hit.Canon, hit.Layout.Size, id)
+		}
+	}
+	for _, id := range []ID{7, 5000} {
+		if _, err := rs.Resolve(id); !errors.Is(err, ErrUnknownType) {
+			t.Fatalf("Resolve(%d) of an unregistered type = %v, want ErrUnknownType", id, err)
+		}
+		r.MustRegister(&Desc{ID: id, Name: fmt.Sprintf("T%d", id), Fields: []Field{{Name: "data", Kind: Int32}}})
+		if rv, err := rs.Resolve(id); err != nil || rv.Desc.ID != id {
+			t.Errorf("Resolve(%d) after registering = %v, %v", id, rv.Desc, err)
+		}
+	}
+}
+
+// TestResolverConcurrentFill resolves small and large IDs from many
+// goroutines against a cold resolver: every goroutine must see the one
+// entry the first fill published (run under -race, it also checks the
+// fills publish safely).
+func TestResolverConcurrentFill(t *testing.T) {
+	r := NewRegistry()
+	ids := []ID{1, 2, 3, resolverDense - 1, resolverDense, 300, 1000}
+	for _, id := range ids {
+		r.MustRegister(&Desc{ID: id, Name: fmt.Sprintf("T%d", id), Fields: []Field{{Name: "data", Kind: Int64}}})
+	}
+	rs := r.ResolverFor(arch.SPARC32())
+	const workers = 8
+	got := make([][]*Layout, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ids {
+				id := ids[(i+w)%len(ids)]
+				rv, err := rs.Resolve(id)
+				if err != nil {
+					t.Errorf("Resolve(%d): %v", id, err)
+					return
+				}
+				got[w] = append(got[w], rv.Layout)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		for i, l := range got[w] {
+			id := ids[(i+w)%len(ids)]
+			want, _ := rs.Resolve(id)
+			if l != want.Layout {
+				t.Errorf("worker %d saw a different layout for ID %d than the published one", w, id)
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrShortBuffer is returned by Decoder methods when the input is exhausted
@@ -50,6 +51,9 @@ func (e *Encoder) Len() int { return len(e.buf) }
 
 // Reset discards the buffer contents, retaining capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
+// Grow ensures room for n more bytes without another reallocation.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Truncate discards all but the first n encoded bytes, retaining capacity.
 func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
