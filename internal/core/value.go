@@ -318,15 +318,20 @@ func (r *Ref) SetUint(name string, idx int, v uint64) error {
 	if r.rt.policy == PolicyLazy {
 		return r.lazySetScalar(el.i, *el.f, idx, v)
 	}
-	if err := r.rt.space.WriteUint(el.addr, el.size, v); err != nil {
-		return err
-	}
-	// A write to a cached foreign object joins the session's modified data
-	// set (only objects actually written travel home at session end).
+	r.touch()
+	return r.rt.space.WriteUint(el.addr, el.size, v)
+}
+
+// touch marks a cached foreign object written: it joins the session's
+// modified data set (only objects actually written travel home at session
+// end). The mark goes on before the bytes change. A fetch-path install
+// holds the table for its whole batch and overwrites a resident row unless
+// it is marked, so a write that landed first could be reverted by a batch
+// taking the table between the write and the mark.
+func (r *Ref) touch() {
 	if !r.rt.space.InHeap(r.addr) {
 		r.rt.table.Touch(r.addr)
 	}
-	return nil
 }
 
 // Int reads a signed scalar field element, sign-extending from the
@@ -408,13 +413,8 @@ func (r *Ref) SetPtr(name string, idx int, v Value) error {
 	if r.rt.policy == PolicyLazy {
 		return r.lazySetPtr(el.i, *el.f, idx, v)
 	}
-	if err := r.rt.space.WritePtr(el.addr, v.Addr); err != nil {
-		return err
-	}
-	if !r.rt.space.InHeap(r.addr) {
-		r.rt.table.Touch(r.addr)
-	}
-	return nil
+	r.touch()
+	return r.rt.space.WritePtr(el.addr, v.Addr)
 }
 
 // --- lazy-mode accessors: one callback per dereference, no caching ---

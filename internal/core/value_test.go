@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"smartrpc/internal/vmem"
 )
 
 // TestRefIndexOutOfRange: every Ref accessor rejects an element index
@@ -134,4 +136,54 @@ func BenchmarkResidentVisit(b *testing.B) {
 		b.StopTimer()
 		return nil
 	})
+}
+
+// TestWriteMarksBeforeBytesChange: a fetch-path install holds the table
+// for its whole batch and skips a resident row only if it is Touched, so
+// a write must mark its datum before the bytes change. Marked after, a
+// batch taking the table between the write and the mark reverted the
+// write — a lost increment under prefetch or a streamed drain, seen as
+// TestRecoveryTransientOnlySoak's seed 24. The first write to a clean
+// cached page faults before its bytes land; the fault handler reads the
+// row's mark there, for SetInt and for SetPtr.
+func TestWriteMarksBeforeBytesChange(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(*Ref) error
+	}{
+		{"SetInt", func(r *Ref) error { return r.SetInt("data", 0, 99) }},
+		{"SetPtr", func(r *Ref) error { return r.SetPtr("left", 0, NullPtr(nodeType)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			origin, cl := pair(t, nil)
+			root := buildTree(t, origin, 2)
+			if err := cl.BeginSession(); err != nil {
+				t.Fatal(err)
+			}
+			v, err := cl.ImportPtr(root.LP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := cl.Deref(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.Int("data", 0); err != nil { // fetches the page, clean
+				t.Fatal(err)
+			}
+			var marked []bool
+			cl.space.SetHandler(func(f vmem.Fault) error {
+				if e, ok := cl.table.LookupAddr(v.Addr); ok {
+					marked = append(marked, e.Touched)
+				}
+				return cl.onFault(f)
+			})
+			if err := tc.write(&ref); err != nil {
+				t.Fatal(err)
+			}
+			if len(marked) != 1 || !marked[0] {
+				t.Errorf("Touched marks seen by the write's faults: %v; want one fault that sees the mark", marked)
+			}
+		})
+	}
 }
