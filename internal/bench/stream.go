@@ -20,11 +20,12 @@ import (
 // is the time-to-first-access column — the latency the paper's
 // monolithic reply model charges every large transfer.
 //
-// After the first access the run waits for the background drain to
-// finish before walking the rest of the chain: the walk then faults
-// zero times, every modeled column (messages, bytes, chunk frames) is a
-// pure function of the configuration, and the rows are snapshot-checked
-// like any other deterministic family.
+// After the first access the run installs the streamed tail, which a
+// background receiver parks for the thread of control, before walking
+// the rest of the chain: the walk then faults zero times, every modeled
+// column (messages, bytes, chunk frames) is a pure function of the
+// configuration, and the rows are snapshot-checked like any other
+// deterministic family.
 
 // Stream workload space IDs (distinct from the pipeline family's).
 const (
@@ -81,8 +82,8 @@ type StreamResult struct {
 }
 
 // RunStream executes one streamed-transfer run: the server builds the
-// chain, the client times its first faulting access, waits out the
-// background drain, and then walks the whole chain to verify it.
+// chain, the client times its first faulting access, installs the
+// streamed tail, and then walks the whole chain to verify it.
 func RunStream(cfg StreamConfig) (StreamResult, error) {
 	if err := cfg.fill(); err != nil {
 		return StreamResult{}, err
@@ -154,12 +155,15 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	if first != 1 {
 		return StreamResult{}, fmt.Errorf("bench: stream first access read %d, want 1", first)
 	}
-	// Wait out the background drain so the verification walk below finds
-	// every item resident: zero further faults, deterministic traffic.
+	// Install the streamed tail as the background receiver parks it, here
+	// on the thread of control, until the stream has ended: the
+	// verification walk below then finds every item resident, with zero
+	// further faults and deterministic traffic.
 	for deadline := time.Now().Add(30 * time.Second); client.InflightFetches() > 0; {
 		if time.Now().After(deadline) {
 			return StreamResult{}, fmt.Errorf("bench: stream drain did not finish")
 		}
+		client.InstallParked()
 		time.Sleep(100 * time.Microsecond)
 	}
 	var sum int64

@@ -855,3 +855,107 @@ func TestEndSessionWhileParticipantPrefetches(t *testing.T) {
 		t.Error("no speculative FETCH beyond the faulting page was held; the test exercised nothing")
 	}
 }
+
+// TestInvalidateAckNotStalledBySpeculation bounds the invalidation stall
+// (ROADMAP 2(b)): a participant holds a speculative FETCH whose reply a
+// transport hook withholds, with no CallTimeout, so that exchange never
+// ends. The participant's serveInvalidate must still ack within a second:
+// teardown drops what speculation parked instead of waiting for it. As
+// in TestEndSessionWhileParticipantPrefetches, the faulting page's own
+// FETCHes pass, so the handler itself completes.
+func TestInvalidateAckNotStalledBySpeculation(t *testing.T) {
+	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = net.Close() })
+	reg := newTestRegistry(t)
+	var rts [2]*Runtime
+	var armed atomic.Bool
+	var faultPage atomic.Uint32
+	var withheldSeqs sync.Map
+	withheld := make(chan struct{})
+	var withholdOnce sync.Once
+	p := &flakyNode{
+		sendHook: func(m wire.Message) error {
+			if m.Kind != wire.KindFetch || !armed.Load() {
+				return nil
+			}
+			fp, err := wire.DecodeFetchPayload(m.Payload)
+			if err != nil || !fp.Speculative {
+				return nil
+			}
+			if addr, ok := rts[1].table.LookupLP(fp.Wants[0]); ok && rts[1].space.PageOf(addr) != faultPage.Load() {
+				withheldSeqs.Store(m.Seq, true)
+			}
+			return nil
+		},
+		recvHook: func(m wire.Message) (bool, time.Duration) {
+			if _, ok := withheldSeqs.Load(m.Seq); ok && m.Kind.IsReply() {
+				withholdOnce.Do(func() { close(withheld) })
+				return false, 0
+			}
+			return true, 0
+		},
+	}
+	for i, node := range []*flakyNode{{}, p} {
+		id := uint32(i + 1)
+		if node.Node, err = net.Attach(id); err != nil {
+			t.Fatal(err)
+		}
+		o := Options{ID: id, Node: node, Registry: reg}
+		if id == 2 {
+			o.Prefetch, o.ClosureSize = true, 128
+		}
+		if rts[i], err = New(o); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = rts[i].Close() })
+	}
+	ground, part := rts[0], rts[1]
+	head, _ := buildChain(t, ground, 2048, 0)
+	err = part.Register("work", func(ctx *Ctx, _ []Value) ([]Value, error) {
+		v, err := ctx.Runtime().ImportPtr(head)
+		if err != nil {
+			return nil, err
+		}
+		faultPage.Store(ctx.Runtime().space.PageOf(v.Addr))
+		armed.Store(true)
+		ref, err := ctx.Runtime().Deref(v)
+		if err != nil {
+			return nil, err
+		}
+		d, err := ref.Int("data", 0)
+		if err != nil {
+			return nil, err
+		}
+		select {
+		case <-withheld:
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("no speculative reply beyond the faulting page was withheld")
+		}
+		return []Value{Int64Value(d)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ground.BeginSession(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := ground.Call(2, "work", nil); err != nil || res[0].Int64() != 1 {
+		t.Fatalf("work = %v, %v; want 1", res, err)
+	}
+	ended := make(chan error, 1)
+	go func() { ended <- ground.EndSession() }()
+	select {
+	case err := <-ended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the participant did not ack its INVALIDATE within 1s: teardown waited on a withheld speculative reply")
+	}
+	if n, m := part.InflightFetches(), part.ParkedFrames(); n != 0 || m != 0 {
+		t.Errorf("participant holds %d registry entries and %d parked frames after its INVALIDATE", n, m)
+	}
+}

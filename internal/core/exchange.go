@@ -147,7 +147,7 @@ type exchange struct {
 // steady-state round trip allocates nothing here. An exchange returns
 // only after its final frame was popped with nothing queued behind it —
 // never after a deadline, a shutdown or an abandoned attempt, and never
-// while a background drain still holds it (release).
+// while a background receiver still holds it (release).
 var exchangePool = sync.Pool{
 	New: func() any { return &exchange{wake: make(chan struct{}, 1)} },
 }
@@ -321,8 +321,8 @@ func (a *chunkAssembler) accept(p *wire.FetchChunkPayload) error {
 
 // frameFunc consumes one classified reply frame and owns its pooled
 // buffer (wire.Message.ReleaseFrame). An error is terminal for the
-// exchange. detach, on a frame that is not the final one, hands the rest
-// of the attempt to exchange.drain.
+// exchange. detach, on a frame that is not the final one, returns the
+// exchange with the rest of the attempt unconsumed (Runtime.exchange).
 type frameFunc func(m wire.Message) (detach bool, err error)
 
 // frames feeds the current attempt's reply frames to on until the final
@@ -353,15 +353,6 @@ func (x *exchange) frames(on frameFunc) (detached, transient bool, err error) {
 	}
 }
 
-// drain consumes what is left of a detached exchange. It runs on a
-// background goroutine after the requester was unblocked and never
-// retries: a failure just leaves data non-resident for a later demand
-// fetch.
-func (x *exchange) drain(on frameFunc) {
-	_, _, _ = x.frames(on)
-	x.release()
-}
-
 // exchange runs one logical request/reply exchange with req.To under
 // the runtime's retry policy. One exchange id is allocated for the whole
 // exchange; each attempt travels under a distinct Seq (the id plus the
@@ -374,7 +365,9 @@ func (x *exchange) drain(on frameFunc) {
 // after a capped exponential backoff while Options.RetryBudget and
 // MaxRetries last; with the budget unset this is exactly one attempt,
 // nothing more on the wire than the seed protocol. open is non-nil only
-// when on detached: the caller owes it a drain.
+// when on detached: the caller owes it the rest of its frames and the
+// release. Those frames never retry: a failure just leaves data
+// non-resident for a later demand fetch.
 func (rt *Runtime) exchange(req wire.Message, sent func(), on frameFunc) (open *exchange, err error) {
 	x := exchangePool.Get().(*exchange)
 	x.rt, x.peer, x.kind, x.abandoned = rt, req.To, req.Kind, false

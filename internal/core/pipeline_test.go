@@ -316,7 +316,9 @@ func TestExchangeAllocs(t *testing.T) {
 		cl.table.DemoteAll()
 		cl.table.ClearStale(wants)
 	}
-	f := newInflightFetch(false)
+	newFetch := func() *inflightFetch {
+		return &inflightFetch{fetchKey: fetchKey{pn: pn, origin: 1}, sess: sess}
+	}
 
 	roundTrip := testing.AllocsPerRun(200, func() {
 		r, err := cl.roundTrip(wire.Message{Kind: wire.KindInvalidate, Session: sess, To: 1, Payload: []byte{}})
@@ -331,8 +333,8 @@ func TestExchangeAllocs(t *testing.T) {
 	sent := cl.Stats().FetchesSent
 	fetch := testing.AllocsPerRun(200, func() {
 		unfetch()
-		if _, bg, err := cl.fetchFrom(sess, pn, 1, false, false, f); err != nil || bg != nil {
-			t.Fatalf("fetch: %v (detached: %v)", err, bg != nil)
+		if _, detached, err := cl.fetchFrom(newFetch(), false); err != nil || detached {
+			t.Fatalf("fetch: %v (detached: %v)", err, detached)
 		}
 	})
 	if n := cl.Stats().FetchesSent - sent; n != 201 {
@@ -342,10 +344,12 @@ func TestExchangeAllocs(t *testing.T) {
 	// installed, with no exchange around them.
 	payload := testing.AllocsPerRun(200, func() {
 		unfetch()
-		offered, _, own := cl.offer(pn, 1, false)
-		p := wire.FetchPayload{Wants: offered, Budget: uint32(cl.closure), Primary: uint32(own)}
+		f := newFetch()
+		var own int
+		f.wants, _, own = cl.offer(pn, 1, false)
+		p := wire.FetchPayload{Wants: f.wants, Budget: uint32(cl.closure), Primary: uint32(own)}
 		m := wire.Message{Kind: wire.KindFetchReply, Payload: fetchReply}
-		if _, err := cl.installFetchFrame(f, sess, 1, offered[:own], false, m); err != nil || len(p.Encode()) == 0 {
+		if _, err := cl.installFetchFrame(f, m); err != nil || len(p.Encode()) == 0 {
 			t.Fatalf("install: %v", err)
 		}
 	})

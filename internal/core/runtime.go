@@ -177,17 +177,19 @@ type Options struct {
 	// either way.
 	DisableWarmCache bool
 	// Prefetch enables the speculative pointer-graph prefetcher
-	// (prefetch.go): when installs swizzle pointers into fully
-	// non-resident pages, bounded background fetches complete the
-	// predicted-next pages before the application faults on them, at most
-	// prefetchDepth in flight per origin.
-	// Speculation is never load-bearing — a failed or dropped prefetch
-	// degrades silently to the ordinary demand fetch — and a demand fault
-	// on a page whose prefetch is in flight joins it instead of
-	// re-requesting. Off by default: the demand path's message counts and
-	// wire bytes are exactly the seed protocol's.
+	// (prefetch.go): when installs swizzle pointers into non-resident
+	// pages, FETCHes for the predicted-next pages go out before the
+	// application faults on them, at most prefetchDepth in flight per
+	// origin. Their replies are received in the background and parked;
+	// the application's own thread installs them at its next fault or
+	// control transfer, with no round trip. Speculation is never
+	// load-bearing — a failed or dropped prefetch degrades silently to the
+	// ordinary demand fetch — and a demand fault on a page whose prefetch
+	// is in flight joins it instead of re-requesting. Off by default: the
+	// demand path's message counts and wire bytes are exactly the seed
+	// protocol's.
 	Prefetch bool
-	// SyncPrefetch runs speculative completions inline on the goroutine
+	// SyncPrefetch runs speculative exchanges inline on the goroutine
 	// that triggered them instead of in the background. Latency no longer
 	// overlaps computation — the mode exists for the deterministic
 	// benchmark rows and for tests, where background timing would make
@@ -199,11 +201,12 @@ type Options struct {
 	// or under the limit goes out as the classic single reply frame
 	// (byte-identical to the seed protocol), a larger one streams as a
 	// KindFetchChunk sequence whose chunks each carry about this many
-	// item bytes. Streaming lets the client decode and
-	// install while later chunks are still being encoded and sent, and
-	// unblocks the faulting access as soon as the primary page is
-	// resident. Zero selects the default (1 MiB — above every reply the
-	// committed benchmark snapshots produce, so their wire traffic is
+	// item bytes. Streaming unblocks the faulting access as soon as its
+	// page is resident, while later chunks are still being encoded and
+	// sent; the client receives those in the background, parks them, and
+	// installs them on the application's own thread at its next fault or
+	// control transfer. Zero selects the default (1 MiB — above every
+	// reply the committed benchmark snapshots produce, so their wire traffic is
 	// unchanged); a negative value forces every served reply monolithic
 	// regardless of size (the seed behavior), which benchmarks and
 	// regression tests use to measure the streaming win.
@@ -400,13 +403,6 @@ type Runtime struct {
 	// origins (health.go).
 	health healthState
 
-	// bgDrain tracks background chunk drainers: goroutines finishing the
-	// tail of a streamed fetch after the faulting access was unblocked.
-	// Teardown paths (session end, invalidation) quiesce it before
-	// demoting or discarding the cache, so a drain never installs into a
-	// page being torn down.
-	bgDrain sync.WaitGroup
-
 	// skipLocalInvalidate, when set, makes EndSession skip the local
 	// demote/invalidate of this space's own cache after write-back. It
 	// exists solely so tests can seed a coherency violation (a stale read
@@ -428,11 +424,12 @@ type Runtime struct {
 	// awaiting their reply frames (exchange.go).
 	pending *pendingTable
 
-	// installMu serializes cache installs (installItems): the
-	// page-protection discipline — every
-	// entry resident before protection is released — is checked and acted
-	// on per install batch, and concurrent batches may share pages through
-	// ride-along wants, so install order must be total.
+	// installMu serializes cache installs (installItems). Installs run
+	// only on threads of control, so two batches meet only under a
+	// multi-origin fault's fan-out or Options.Concurrent application
+	// threads; they may share pages through ride-along wants, and the
+	// page-protection discipline (every entry resident before protection
+	// is released) is checked and acted on per batch.
 	installMu sync.Mutex
 	// installTouched is installBatch's page scratch, reused across batches
 	// under installMu.
@@ -450,11 +447,19 @@ type Runtime struct {
 	serveMu sync.RWMutex
 
 	// inflight is the in-flight fetch registry (fetch.go): one entry per
-	// (cache page, origin) pair whose FETCH exchange is outstanding. A
-	// demand fault on a registered page joins the pending completion
-	// instead of re-requesting.
+	// (cache page, origin) pair whose FETCH exchange is outstanding or
+	// has frames parked. A demand fault on a registered page joins it
+	// instead of re-requesting. parked is the reply frames background
+	// receivers handed over, in arrival order, for a thread of control to
+	// install (InstallParked). joined (on inflightMu) is broadcast at every
+	// park and retirement: joiners wait on it.
 	inflightMu sync.Mutex
 	inflight   map[fetchKey]*inflightFetch
+	parked     []parkedFrame
+	joined     sync.Cond
+	// receivers tracks the background goroutines that run speculative
+	// exchanges and receive streamed tails (receive); Close reaps them.
+	receivers sync.WaitGroup
 
 	// pf is the speculative prefetcher state; nil unless Options.Prefetch.
 	pf *prefetcher
@@ -583,6 +588,7 @@ func New(opts Options) (*Runtime, error) {
 		stop:            make(chan struct{}),
 		done:            make(chan struct{}),
 	}
+	rt.joined.L = &rt.inflightMu
 	empty := make(map[wire.LongPtr]wire.LongPtr)
 	rt.provMap.Store(&empty)
 	if opts.Prefetch {
@@ -711,10 +717,12 @@ func (rt *Runtime) Close() error {
 		_ = rt.node.Close()
 		<-rt.done
 		// Every waiter is waking on stop; release the frames still queued
-		// for them, then reap the background chunk drainers, so Close
-		// leaves neither a pooled buffer nor a goroutine behind.
+		// for them, reap the background receivers, then release what they
+		// parked, so Close leaves neither a pooled buffer nor a goroutine
+		// behind.
 		rt.pending.drain()
-		rt.bgDrain.Wait()
+		rt.receivers.Wait()
+		rt.dropParked()
 	})
 	return nil
 }
@@ -729,7 +737,7 @@ func (rt *Runtime) Close() error {
 // Sizing: the fetch pipeline legitimately puts several concurrent
 // requests on one edge — a multi-origin demand fault fans out one FETCH
 // per origin group, and the prefetcher adds at most prefetchDepth
-// speculative completions per origin — but every one
+// speculative exchanges per origin — but every one
 // of those requesters then blocks awaiting its reply, so a well-behaved
 // peer holds tens of requests in flight, not hundreds. Depth 256 per
 // stripe therefore bounds only what a duplicating, replaying, or
@@ -738,10 +746,10 @@ func (rt *Runtime) Close() error {
 // without bound — deliberately: dropping would strand the sender until
 // its call timeout, and NACKing would surface spurious errors on demand
 // faults. The accepted cost is that a saturated stripe stalls the
-// dispatcher, and with it reply delivery to local waiters (a stripe
-// worker wedged in serveInvalidate→pfDrain waits for fetch replies only
-// that loop can deliver) — reachable only if a peer breaches the
-// request-concurrency envelope above by two orders of magnitude.
+// dispatcher, and with it reply delivery to local waiters — reachable
+// only if a peer breaches the request-concurrency envelope above by two
+// orders of magnitude. No stripe worker waits on a reply:
+// serveInvalidate drops parked fetch frames instead of waiting for them.
 const (
 	serveWorkers    = 8
 	serveQueueDepth = 256

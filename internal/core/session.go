@@ -82,11 +82,10 @@ func (rt *Runtime) EndSession() error {
 	sess := rt.sess
 	rt.sessMu.Unlock()
 
-	// Quiesce speculation and streamed-fetch tails first: in-flight
-	// prefetches and background chunk drains install into the cache this
-	// teardown is about to examine and demote.
-	rt.pfDrain()
-	rt.drainStreams()
+	// Drop speculation and streamed-fetch tails first: what they parked
+	// is clean fetched data, and the cache it was meant for is about to be
+	// demoted or discarded.
+	rt.dropParked()
 
 	// Any allocations still batched must reach their origins first, so
 	// that dirty data mentions only real addresses. (This may enlarge the
@@ -236,19 +235,7 @@ func (rt *Runtime) EndSession() error {
 // written home must not become revalidation baselines, and the baseline
 // is the page — so the pages are zeroed and every row dropped.
 func (rt *Runtime) AbortSession() {
-	rt.pfDrain()
-	rt.drainStreams()
-	rt.space.InvalidateCache()
-	rt.table.Invalidate()
-	rt.sessMu.Lock()
-	sess := rt.sess
-	rt.sess = 0
-	rt.ground = false
-	rt.parts = make(map[uint32]bool)
-	rt.sessMu.Unlock()
-	rt.allocMu.Lock()
-	rt.batch = make(map[uint32]*originBatch)
-	rt.allocMu.Unlock()
+	sess := rt.dropSession(false)
 	// The abort clears are deliberately global (unlike EndSession's):
 	// recovery drives every space back to a zero-coherency-state idle, and
 	// a wedged peer session's leftovers must not survive it.
@@ -260,6 +247,28 @@ func (rt *Runtime) AbortSession() {
 		rt.admission.retire(sess, admitKey{})
 	}
 	rt.trace(Event{Kind: EvSessionEnd})
+}
+
+// dropSession is the local teardown a participant's INVALIDATE and an
+// abort share: speculation and the frames background receivers parked
+// are dropped (dropParked) before the cache is demoted for revalidation
+// (warm) or discarded, and the session identifier and batched
+// allocations are cleared. It returns the session it cleared.
+func (rt *Runtime) dropSession(warm bool) uint64 {
+	rt.dropParked()
+	if warm {
+		rt.demoteWarm()
+	} else {
+		rt.demoteFallback()
+	}
+	rt.allocMu.Lock()
+	rt.batch = make(map[uint32]*originBatch)
+	rt.allocMu.Unlock()
+	rt.sessMu.Lock()
+	defer rt.sessMu.Unlock()
+	sess := rt.sess
+	rt.sess, rt.ground, rt.parts = 0, false, make(map[uint32]bool)
+	return sess
 }
 
 // fanOut runs f once per target concurrently and waits for all of them,
@@ -415,6 +424,9 @@ func (rt *Runtime) buildTransferPayload(sess uint64, peer uint32, args []Value) 
 		}
 		wireArgs = append(wireArgs, a)
 	}
+	// What background receivers parked installs before the modified set
+	// is built: the transfer carries the thread of control away.
+	rt.InstallParked()
 	var items []wire.DataItem
 	if rt.policy != PolicyLazy {
 		dirty, err := rt.collectDirtyItems()
@@ -447,10 +459,7 @@ func (rt *Runtime) buildTransferPayload(sess uint64, peer uint32, args []Value) 
 		items = append(items, rt.deltaShipItems(peer, sess, closure, false)...)
 	}
 	if rt.checkInv {
-		rt.installMu.Lock() // a background drain or prefetch may be mid-install
-		err := rt.CheckLocalInvariants()
-		rt.installMu.Unlock()
-		if err != nil {
+		if err := rt.CheckLocalInvariants(); err != nil {
 			return nil, err
 		}
 	}
@@ -692,29 +701,9 @@ func (rt *Runtime) serveInvalidate(m wire.Message) {
 		rt.reply(m, wire.KindInvalidateAck, nil, "")
 		return
 	}
-	// Quiesce speculation and streamed-fetch tails before touching the
-	// cache (see EndSession). The waits cannot starve the ground's
-	// invalidation round trip: this serve runs on a pool worker, so the
-	// receive loop keeps routing the fetch replies and chunks the
-	// in-flight prefetches and background drains are blocked on.
-	rt.pfDrain()
-	rt.drainStreams()
-	if rt.warmEnabled() {
-		rt.demoteWarm()
-	} else {
-		rt.space.InvalidateCache()
-		rt.table.Invalidate()
-	}
-	rt.sessMu.Lock()
-	if rt.sess == m.Session {
-		rt.sess = 0
-		rt.ground = false
-		rt.parts = make(map[uint32]bool)
-	}
-	rt.sessMu.Unlock()
-	rt.allocMu.Lock()
-	rt.batch = make(map[uint32]*originBatch)
-	rt.allocMu.Unlock()
+	// Nothing is waited for (dropSession), so an exchange whose reply
+	// never comes cannot stall the ack.
+	rt.dropSession(rt.warmEnabled())
 	rt.clearModified(m.Session)
 	rt.coh.clearSession(m.Session)
 	if rt.checkInv {

@@ -1172,7 +1172,7 @@ func TestStreamedHashedFetchPromotesAndDegrades(t *testing.T) {
 					return true, 0
 				}}
 			})
-			// peek reads the root, waits out any background drain, and
+			// peek reads the root, installs the streamed tail as it parks, and
 			// reports the rows resident and still stale.
 			err := callee.Register("peek", func(ctx *Ctx, args []Value) ([]Value, error) {
 				rt := ctx.Runtime()
@@ -1183,7 +1183,10 @@ func TestStreamedHashedFetchPromotesAndDegrades(t *testing.T) {
 				if _, err := ref.Int("data", 0); err != nil {
 					return nil, err
 				}
-				rt.drainStreams()
+				for rt.InflightFetches() > 0 {
+					rt.InstallParked()
+					runtime.Gosched()
+				}
 				var resident, stale, wants int64
 				for _, e := range rt.table.Entries() {
 					switch {

@@ -144,6 +144,9 @@ type Chaos struct {
 	partitions map[uint64]bool // one-way blocked edges
 	events     []Event
 	counts     [5]uint64
+	// held is every pooled frame a runtime received through this wrapper,
+	// each with one reference the wrapper keeps for HeldFrames.
+	held []*wire.FrameBuf
 }
 
 // New wraps net with fault injection configured by cfg. Injection starts
@@ -216,7 +219,27 @@ func (c *Chaos) Total() uint64 {
 	return n
 }
 
-// Drain discards every held (delayed) frame. Call it when tearing a
+// HeldFrames is the frame leak oracle: it reports how many pooled reply
+// frames handed to a runtime are still referenced by anything but the
+// wrapper, and drops the wrapper's own references. Called once every
+// runtime has closed, it must report zero: a runtime releases each frame
+// it installs, parks and drops, or discards.
+func (c *Chaos) HeldFrames() int {
+	c.mu.Lock()
+	held := c.held
+	c.held = nil
+	c.mu.Unlock()
+	n := 0
+	for _, fb := range held {
+		if fb.Refs() > 1 {
+			n++
+		}
+		fb.Release()
+	}
+	return n
+}
+
+// Drain discards every delayed frame. Call it when tearing a
 // scenario down so a frame held on a now-quiet edge cannot leak into the
 // next scenario's state.
 func (c *Chaos) Drain() {
@@ -375,5 +398,17 @@ func (n *chaosNode) Send(m wire.Message) error {
 	return firstErr
 }
 
-func (n *chaosNode) Recv() (wire.Message, error) { return n.inner.Recv() }
-func (n *chaosNode) Close() error                { return n.inner.Close() }
+// Recv hands the runtime its next frame, keeping a reference to a pooled
+// one so its buffer cannot be recycled before HeldFrames reads it.
+func (n *chaosNode) Recv() (wire.Message, error) {
+	m, err := n.inner.Recv()
+	if err == nil && m.Frame != nil {
+		m.Frame.Retain()
+		n.c.mu.Lock()
+		n.c.held = append(n.c.held, m.Frame)
+		n.c.mu.Unlock()
+	}
+	return m, err
+}
+
+func (n *chaosNode) Close() error { return n.inner.Close() }

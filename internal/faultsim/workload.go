@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -501,6 +502,16 @@ func Run(sc Scenario) (res Result, err error) {
 		reg:     registry(),
 		crashes: make([]int, sc.Spaces),
 	}
+	// Registered first, so it runs last: after every space and the
+	// network have closed.
+	goroutines := runtime.NumGoroutine()
+	defer func() {
+		if err == nil && h.chaos != nil {
+			if ferr := h.checkClosed(goroutines); ferr != nil {
+				err = ferr
+			}
+		}
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			err = h.fail("panic: %v", r)
@@ -777,13 +788,31 @@ func (h *harness) checkAllIdle(op int, when string) *FailureError {
 		if err := rt.CheckIdleInvariants(); err != nil {
 			return h.fail("op %d: space %d %s: %v", op, rt.ID(), when, err)
 		}
-		// A quiescent space must have drained its in-flight fetch registry:
-		// a leaked entry means a dropped or corrupted (possibly speculative)
-		// exchange wedged a (page, origin) slot forever.
-		if n := rt.InflightFetches(); n != 0 {
-			return h.fail("op %d: space %d %s: %d in-flight fetch registry entries leaked",
-				op, rt.ID(), when, n)
+		// A quiescent space must have drained its in-flight fetch registry
+		// and installed or dropped every frame its background receivers
+		// parked: a leaked entry means a dropped or corrupted (possibly
+		// speculative) exchange wedged a (page, origin) slot forever.
+		if n, m := rt.InflightFetches(), rt.ParkedFrames(); n != 0 || m != 0 {
+			return h.fail("op %d: space %d %s: %d in-flight fetch registry entries, %d parked frames leaked",
+				op, rt.ID(), when, n, m)
 		}
+	}
+	return nil
+}
+
+// checkClosed is the lifecycle oracle of a scenario's end, run once every
+// space and the network have closed: every pooled frame a runtime
+// received was released, and no goroutine the scenario started outlives
+// it (given a few seconds to unwind).
+func (h *harness) checkClosed(goroutines int) *FailureError {
+	if n := h.chaos.HeldFrames(); n != 0 {
+		return h.fail("%d pooled reply frames still referenced after every space closed", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			return h.fail("%d goroutines outlive the closed scenario", runtime.NumGoroutine()-goroutines)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	return nil
 }
