@@ -163,9 +163,9 @@ type Message struct {
 	// older builds — stay byte-identical and decode Inc as zero.
 	Inc uint32
 	// Frame, when non-nil, is the ref-counted pooled buffer Payload
-	// aliases (zero-copy chunk frames). It never travels on the wire; the
-	// final consumer calls ReleaseFrame after the last item decoded from
-	// Payload has been installed.
+	// aliases (zero-copy FETCH reply frames). It never travels on the
+	// wire; the final consumer calls ReleaseFrame after the last item
+	// decoded from Payload has been installed.
 	Frame *FrameBuf
 }
 
@@ -425,10 +425,12 @@ func WriteFrame(w io.Writer, m *Message) error {
 }
 
 // ReadFrame reads one length-prefixed frame from r and decodes it.
-// Chunk frames (KindFetchChunk) decode zero-copy: the payload aliases
-// the pooled frame buffer, which travels with the message as Frame and
-// returns to the pool when the consumer calls ReleaseFrame. All other
-// kinds copy the payload out so the buffer recycles immediately.
+// FETCH reply frames, chunked (KindFetchChunk) or monolithic
+// (KindFetchReply), decode zero-copy: the payload aliases the pooled
+// frame buffer, which travels with the message as Frame and returns to
+// the pool when the consumer calls ReleaseFrame, as a reply sent in
+// process already does. All other kinds copy the payload out so the
+// buffer recycles immediately.
 func ReadFrame(r io.Reader) (Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -457,7 +459,7 @@ func ReadFrame(r io.Reader) (Message, error) {
 		putBack()
 		return Message{}, err
 	}
-	if m.Kind == KindFetchChunk {
+	if m.Kind == KindFetchChunk || m.Kind == KindFetchReply {
 		fb := &FrameBuf{bp: bp}
 		fb.refs.Store(1)
 		m.Frame = fb

@@ -130,6 +130,41 @@ func TestFrameSequence(t *testing.T) {
 	}
 }
 
+// TestReadFrameAliasesFetchReplies pins which frames decode zero-copy:
+// both FETCH reply forms keep the pooled read buffer as Frame until the
+// consumer releases it; every other kind copies its payload out.
+func TestReadFrameAliasesFetchReplies(t *testing.T) {
+	for _, k := range []Kind{KindFetchReply, KindFetchChunk, KindCall, KindFetch, KindReturn} {
+		m := Message{Kind: k, Seq: 5, Payload: []byte{1, 2, 3, 4, 5}}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, &m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Payload, m.Payload) {
+			t.Errorf("%v: payload %v, want %v", k, got.Payload, m.Payload)
+		}
+		aliased := k == KindFetchReply || k == KindFetchChunk
+		if (got.Frame != nil) != aliased {
+			t.Errorf("%v: pooled frame attached = %v, want %v", k, got.Frame != nil, aliased)
+			continue
+		}
+		if aliased {
+			if n := got.Frame.Refs(); n != 1 {
+				t.Errorf("%v: frame holds %d references, want 1", k, n)
+			}
+			fb := got.Frame
+			got.ReleaseFrame()
+			if n := fb.Refs(); n != 0 || got.Frame != nil {
+				t.Errorf("%v: after release %d references, frame %v", k, n, got.Frame)
+			}
+		}
+	}
+}
+
 func TestReadFrameRejectsHugeLength(t *testing.T) {
 	r := bytes.NewReader([]byte{0x7f, 0xff, 0xff, 0xff})
 	if _, err := ReadFrame(r); err == nil || !strings.Contains(err.Error(), "out of range") {
