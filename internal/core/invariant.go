@@ -53,7 +53,9 @@ func (rt *Runtime) CheckLocalInvariants() error {
 
 	// Invariant 1 — table bijection: the long-pointer and address maps
 	// agree with the rows, and every row's address lies in the cache
-	// region on mapped pages.
+	// region on mapped pages that are in use. A row on a page vmem retired
+	// at a hard invalidation would alias whatever the page holds once it
+	// is handed out again.
 	for _, e := range entries {
 		if a, ok := rt.table.LookupLP(e.LP); !ok || a != e.Addr {
 			return invariantErr(rt.id, "table row %v -> %#x not found by long pointer (got %#x, %v)",
@@ -70,6 +72,9 @@ func (rt *Runtime) CheckLocalInvariants() error {
 		for pn := first; pn <= last; pn++ {
 			if _, err := rt.space.ProtOf(pn); err != nil {
 				return invariantErr(rt.id, "table row %v spans unmapped page %d: %v", e.LP, pn, err)
+			}
+			if !rt.space.CacheInUse(pn) {
+				return invariantErr(rt.id, "table row %v on retired cache page %d would alias", e.LP, pn)
 			}
 		}
 	}
@@ -103,7 +108,7 @@ func (rt *Runtime) CheckLocalInvariants() error {
 	// landed on a partially resident one). What must hold is that every
 	// dirty page is a live, mapped cache page — a dirty bit on an
 	// unmapped page is modification tracking that survived a teardown.
-	for _, pn := range rt.space.DirtyPages() {
+	for _, pn := range rt.space.DirtyPages(nil) {
 		if _, err := rt.space.ProtOf(pn); err != nil {
 			return invariantErr(rt.id, "dirty page %d: %v", pn, err)
 		}
@@ -199,7 +204,7 @@ func (rt *Runtime) CheckIdleInvariants() error {
 			return invariantErr(rt.id, "idle with %d data allocation table rows", n)
 		}
 	}
-	if pages := rt.space.DirtyPages(); len(pages) != 0 {
+	if pages := rt.space.DirtyPages(nil); len(pages) != 0 {
 		return invariantErr(rt.id, "idle with dirty pages %v", pages)
 	}
 	rt.coh.mu.Lock()
@@ -314,7 +319,7 @@ func CheckNetworkInvariants(ground *Runtime, all []*Runtime) error {
 			return err
 		}
 		if rt != ground {
-			if pages := rt.space.DirtyPages(); len(pages) != 0 {
+			if pages := rt.space.DirtyPages(nil); len(pages) != 0 {
 				return invariantErr(rt.id,
 					"dirty pages %v on a space not holding the thread of control", pages)
 			}

@@ -920,6 +920,6 @@ func (rt *Runtime) CacheStats() CacheStats {
 			cs.ResidentBytes += int(e.Size)
 		}
 	}
-	cs.DirtyPages = len(rt.space.DirtyPages())
+	cs.DirtyPages = len(rt.space.DirtyPages(nil))
 	return cs
 }

@@ -76,9 +76,10 @@ func coldSession(t testing.TB) {
 }
 
 // TestTableColdSessionAllocs is the fault path's table gate: a cold
-// session's table, without a Go map per object, costs 708 allocations
-// and 4.06 MB (with the three Go maps it replaced: 2 159 and 11.3 MB).
-// The ceilings sit at about twice that.
+// session's table, without a Go map per object, costs 382 allocations
+// and 4.02 MB with cache frames carved from slabs (708 and 4.06 MB with a
+// frame per page; with the three Go maps the table replaced: 2 159 and
+// 11.3 MB). The ceilings sit at about twice the figures of their day.
 func TestTableColdSessionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -20,12 +20,40 @@
 // carved out. Addresses are plain uint32 values (VAddr); address 0 is the
 // null pointer.
 //
+// # The cache region's life cycle
+//
+// The paper makes every cached page dead at session end (§3.4), so the
+// cache region recycles its pages instead of growing with every session.
+// A cache page is in one of three states:
+//
+//   - in use: handed out by AllocCachePages since the last
+//     InvalidateCache. DemoteCache and DirtyPages walk these pages only.
+//   - quarantined: InvalidateCache zeroed and re-protected it. Any checked
+//     access to it fails with ErrStalePage, without reaching the fault
+//     handler. A page stays quarantined for Quarantine hard invalidations,
+//     first in, first out.
+//   - free: out of quarantine, zeroed and protected, waiting to be handed
+//     out again. An access to it still fails with ErrStalePage.
+//
+// So an ordinary pointer kept past the end of its session fails with
+// ErrStalePage for at least Quarantine sessions; after that its page may
+// be handed out again and the pointer may alias new data. Within one
+// session AllocCachePages hands out page runs in ascending address order
+// — the lowest free run above the last page it handed out, else fresh
+// pages at the top of the region — so the swizzle table's page records,
+// indexed from a session's first page, and every (page, offset) walk over
+// them follow address order.
+//
 // # Concurrency model
 //
-// Page lookup is a flat slice index per region (both regions are
-// bump-allocated, so the mapped pages of each region are dense) against an
-// atomically published page table, and per-page protection and dirty bits
-// are atomics, so the metadata side of every operation is lock-free.
+// Page lookup is a flat slice index per region (both regions grow at the
+// top, so the mapped pages of each region are dense) against an
+// atomically published page table, and per-page protection, dirty and
+// retired bits are atomics, so the metadata side of every access is
+// lock-free. The table's slices grow by appending into spare capacity:
+// a reader only indexes below the length of the snapshot it loaded, so
+// slots written past it are invisible to it. Page frames are carved out of
+// pointer-free slabs.
 //
 // Data copies come in two flavors, selected by Config.Concurrent:
 //
@@ -46,6 +74,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -147,21 +177,36 @@ var (
 	// ErrBadFree is returned for Free of an address that was not returned
 	// by Alloc (or was already freed).
 	ErrBadFree = errors.New("vmem: bad free")
+	// ErrStalePage is returned for a checked access to a cache page that
+	// InvalidateCache retired: an ordinary pointer kept past the end of
+	// its session.
+	ErrStalePage = errors.New("vmem: access to a cache page retired at session end")
 )
 
+// Quarantine is the number of hard invalidations (InvalidateCache) a
+// retired cache page waits before AllocCachePages may hand it out again.
+const Quarantine = 4
+
+// maxSlabBytes caps the slabs page frames are carved from. A slab holds a
+// quarter as many pages as the space has mapped, at least one, so a space
+// that maps few pages maps them one by one, and no space leaves more than
+// a quarter of its frames, or one slab, unused.
+const maxSlabBytes = 64 << 10
+
 // page is one unit of protection and transfer. data is fixed at creation;
-// prot and dirty are atomics so protection checks and dirty bookkeeping
-// never take a lock.
+// prot, dirty and retired are atomics so protection checks and dirty
+// bookkeeping never take a lock.
 type page struct {
-	data  []byte
-	prot  atomic.Int32
-	dirty atomic.Bool // cache page modified since install (coherency protocol)
+	data    []byte
+	prot    atomic.Int32
+	dirty   atomic.Bool // cache page modified since install (coherency protocol)
+	retired atomic.Bool // cache page quarantined or free: no session owns it
 }
 
-// pageTable is the immutable flat page table: one dense slice per region,
-// indexed by page number minus the region's base page number. Growth
-// copies the affected slice and publishes a fresh table; *page pointers
-// stay stable across growth.
+// pageTable is the flat page table: one dense slice per region, indexed by
+// page number minus the region's base page number. A published table is
+// never changed below its slices' lengths; growth appends past them and
+// publishes a fresh header. *page pointers stay stable across growth.
 type pageTable struct {
 	heap  []*page
 	cache []*page
@@ -217,9 +262,25 @@ type Space struct {
 	handler atomic.Pointer[Handler]
 	faults  atomic.Uint64
 
-	mu        sync.Mutex // guards growth, heap allocator, cacheNext; copies too when concurrent
-	heap      allocator
-	cacheNext VAddr // bump pointer for cache page allocation
+	mu   sync.Mutex // guards growth, the allocators and the walk counter; copies too when concurrent
+	heap allocator
+	// The cache region's bookkeeping (see the package comment). inUse
+	// lists the pages handed out since the last InvalidateCache, ascending;
+	// quarantine is a FIFO ring of the page lists of the last Quarantine
+	// invalidations, oldest at qHead; free has bit i set when cache page
+	// cachePN0+i is free. The lists' backing arrays rotate through the
+	// ring, so a steady workload allocates nothing per session.
+	cacheNext  VAddr // bump pointer: pages at and above it were never mapped
+	inUse      []uint32
+	quarantine [Quarantine][]uint32
+	qHead      int
+	free       []uint64
+	nFree      int
+	walked     uint64 // cache pages visited by session-end walks
+	// Page frames and page structs are carved from the current slabs.
+	slab     []byte
+	slabPage []page
+	mapped   int // pages carved so far
 }
 
 // NewSpace creates an empty address space.
@@ -243,7 +304,7 @@ func NewSpace(cfg Config) (*Space, error) {
 		cacheNext:  cacheBase,
 	}
 	s.table.Store(&pageTable{})
-	s.heap.init(heapBase, cacheBase)
+	s.heap.init(heapBase, cacheBase, shift)
 	return s, nil
 }
 
@@ -342,7 +403,7 @@ func (s *Space) Alloc(size, align int) (VAddr, error) {
 	if err != nil {
 		return Null, err
 	}
-	s.mapRangeLocked(addr, size, ProtReadWrite, false)
+	s.mapRangeLocked(addr, size, ProtReadWrite)
 	return addr, nil
 }
 
@@ -367,87 +428,126 @@ func (s *Space) HeapInUse() int {
 	return s.heap.inUse
 }
 
-// AllocCachePages reserves n fresh, contiguous cache pages with ProtNone:
-// a protected page area in the paper's terms. It returns the base address.
-// The pages contain no data yet; the first access faults.
+// AllocCachePages reserves n contiguous cache pages with ProtNone: a
+// protected page area in the paper's terms. It returns the base address.
+// The pages contain no data yet; the first access faults. The run is the
+// lowest free one above every page handed out since the last
+// InvalidateCache, or else fresh pages at the top of the region.
 func (s *Space) AllocCachePages(n int) (VAddr, error) {
 	if n <= 0 {
 		return Null, fmt.Errorf("vmem: cache page count %d", n)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	need := VAddr(n * s.pageSize)
-	if s.cacheNext+need < s.cacheNext || s.cacheNext+need > spaceTop {
-		return Null, fmt.Errorf("%w: cache region exhausted", ErrOutOfMemory)
+	first, ok := s.takeFreeLocked(n)
+	if !ok {
+		need := VAddr(n * s.pageSize)
+		if s.cacheNext+need < s.cacheNext || s.cacheNext+need > spaceTop {
+			return Null, fmt.Errorf("%w: cache region exhausted", ErrOutOfMemory)
+		}
+		first = s.PageOf(s.cacheNext)
+		s.mapRangeLocked(s.cacheNext, int(need), ProtNone)
+		s.cacheNext += need
 	}
-	base := s.cacheNext
-	s.cacheNext += need
-	s.mapRangeLocked(base, int(need), ProtNone, true)
-	return base, nil
+	for pn := first; pn < first+uint32(n); pn++ {
+		s.inUse = append(s.inUse, pn)
+	}
+	return s.PageBase(first), nil
 }
 
-// mapRangeLocked ensures pages covering [addr, addr+size) exist with the
-// given protection. Existing pages keep their data and protection. Called
-// with s.mu held; publishes a fresh page table (copy-on-write) so lock-free
-// readers never observe a partially updated slice.
-func (s *Space) mapRangeLocked(addr VAddr, size int, prot Prot, cache bool) {
+// takeFreeLocked claims the lowest run of n free pages above the last page
+// in use and returns its first page number; ok is false when there is none.
+// Free pages are already zeroed and protected.
+func (s *Space) takeFreeLocked(n int) (first uint32, ok bool) {
+	if s.nFree < n {
+		return 0, false
+	}
+	i := 0 // bit index: page cachePN0+i
+	if k := len(s.inUse); k > 0 {
+		i = int(s.inUse[k-1]-s.cachePN0) + 1
+	}
+	run := 0
+	for ; i < 64*len(s.free); i++ {
+		w := s.free[i>>6] >> (i & 63)
+		if w&1 == 0 {
+			// Skip to the next free page, or past this word.
+			run = 0
+			if w == 0 {
+				i |= 63
+			} else {
+				i += bits.TrailingZeros64(w) - 1
+			}
+			continue
+		}
+		if run++; run == n {
+			lo := i + 1 - n
+			t := s.table.Load()
+			for j := lo; j <= i; j++ {
+				s.free[j>>6] &^= 1 << (j & 63)
+				s.pageAt(t, s.cachePN0+uint32(j)).retired.Store(false)
+			}
+			s.nFree -= n
+			return s.cachePN0 + uint32(lo), true
+		}
+	}
+	return 0, false
+}
+
+// mapRangeLocked ensures pages covering [addr, addr+size), which lies in
+// one region, exist with the given protection. Existing pages keep their
+// data and protection. Called with s.mu held. Lock-free readers index only
+// below the lengths of the table they loaded, so new slots are appended
+// past them into spare capacity and a fresh table header is published; a
+// slot below the published length (a hole left by alignment padding) is
+// filled in a copy.
+func (s *Space) mapRangeLocked(addr VAddr, size int, prot Prot) {
 	first := uint32(addr) >> s.pageShift
 	last := (uint32(addr) + uint32(size) - 1) >> s.pageShift
 
-	old := s.table.Load()
-	missing := false
+	nt := *s.table.Load()
+	region, base := &nt.heap, s.heapPN0
+	if first >= s.cachePN0 {
+		region, base = &nt.cache, s.cachePN0
+	}
+	published := len(*region)
+	changed := false
 	for pn := first; pn <= last; pn++ {
-		if s.pageAt(old, pn) == nil {
-			missing = true
-			break
+		i := int(pn - base)
+		if i < len(*region) && (*region)[i] != nil {
+			continue
 		}
+		// Holes come before appended slots, so the first fill of this call
+		// is the one that may need the copy.
+		if i < published && !changed {
+			*region = slices.Clone(*region)
+		}
+		for len(*region) <= i {
+			*region = append(*region, nil)
+		}
+		(*region)[i] = s.newPageLocked(prot)
+		changed = true
 	}
-	if !missing {
-		return
+	if changed {
+		published := nt
+		s.table.Store(&published)
 	}
+}
 
-	// Copy-on-write: clone each region slice at most once, then fill the
-	// missing slots. Readers index the published slices without a lock, so
-	// the old slices are never mutated in place.
-	nt := &pageTable{heap: old.heap, cache: old.cache}
-	grow := func(region []*page, idx uint32) []*page {
-		need := int(idx) + 1
-		if need < len(region) {
-			need = len(region)
-		}
-		out := make([]*page, need, need+need/2)
-		copy(out, region)
-		return out
+// newPageLocked carves a page and its frame out of the current slabs,
+// starting new ones when they are used up.
+func (s *Space) newPageLocked(prot Prot) *page {
+	if len(s.slabPage) == 0 {
+		n := max(1, min(s.mapped/4, maxSlabBytes/s.pageSize))
+		s.slabPage = make([]page, n)
+		s.slab = make([]byte, n*s.pageSize)
 	}
-	heapCopied, cacheCopied := false, false
-	for pn := first; pn <= last; pn++ {
-		var slot **page
-		if pn >= s.cachePN0 {
-			idx := pn - s.cachePN0
-			if !cacheCopied {
-				nt.cache = grow(nt.cache, idx)
-				cacheCopied = true
-			} else if int(idx) >= len(nt.cache) {
-				nt.cache = grow(nt.cache, idx)
-			}
-			slot = &nt.cache[idx]
-		} else {
-			idx := pn - s.heapPN0
-			if !heapCopied {
-				nt.heap = grow(nt.heap, idx)
-				heapCopied = true
-			} else if int(idx) >= len(nt.heap) {
-				nt.heap = grow(nt.heap, idx)
-			}
-			slot = &nt.heap[idx]
-		}
-		if *slot == nil {
-			p := &page{data: make([]byte, s.pageSize)}
-			p.prot.Store(int32(prot))
-			*slot = p
-		}
-	}
-	s.table.Store(nt)
+	s.mapped++
+	p := &s.slabPage[0]
+	s.slabPage = s.slabPage[1:]
+	p.data = s.slab[:s.pageSize:s.pageSize]
+	s.slab = s.slab[s.pageSize:]
+	p.prot.Store(int32(prot))
+	return p
 }
 
 // --- protection and dirty bookkeeping ---
@@ -488,58 +588,111 @@ func (s *Space) IsDirty(pn uint32) bool {
 	return p != nil && p.dirty.Load()
 }
 
-// DirtyPages returns the page numbers of all dirty cache pages in
-// ascending order: the "modified data set" the coherency protocol ships on
-// control transfer.
-func (s *Space) DirtyPages() []uint32 {
+// DirtyPages appends to dst the page numbers of all dirty cache pages in
+// ascending order, and returns the extended slice: the "modified data set"
+// the coherency protocol ships on control transfer. It visits only the
+// pages in use.
+func (s *Space) DirtyPages(dst []uint32) []uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	t := s.table.Load()
-	var out []uint32
-	for i, p := range t.cache {
-		if p != nil && p.dirty.Load() {
-			out = append(out, s.cachePN0+uint32(i))
+	s.walked += uint64(len(s.inUse))
+	for _, pn := range s.inUse {
+		if s.pageAt(t, pn).dirty.Load() {
+			dst = append(dst, pn)
 		}
 	}
-	return out
+	return dst
 }
 
-// InvalidateCache discards every cache page: data is zeroed, protection
-// returns to ProtNone, and dirty bits clear. This implements the
-// end-of-session invalidation multicast's effect on one space. The cache
-// address range stays reserved so stale ordinary pointers fault rather
-// than alias new data.
+// InvalidateCache retires every cache page in use: its data is zeroed,
+// its protection returns to ProtNone and its dirty bit clears. This
+// implements the end-of-session invalidation multicast's effect on one
+// space. The retired pages enter the quarantine, and the pages that
+// entered it Quarantine invalidations ago leave it for the free list.
+// Until its page is handed out again, a stale ordinary pointer into the
+// retired range fails with ErrStalePage rather than aliasing new data.
 func (s *Space) InvalidateCache() {
-	if s.concurrent {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	t := s.table.Load()
-	for _, p := range t.cache {
-		if p == nil {
-			continue
-		}
+	s.walked += uint64(len(s.inUse))
+	for _, pn := range s.inUse {
+		p := s.pageAt(t, pn)
 		clear(p.data)
 		p.prot.Store(int32(ProtNone))
 		p.dirty.Store(false)
+		p.retired.Store(true)
 	}
+	out := s.quarantine[s.qHead]
+	if len(out) > 0 {
+		for len(s.free) < (len(t.cache)+63)/64 {
+			s.free = append(s.free, 0)
+		}
+		for _, pn := range out {
+			i := pn - s.cachePN0
+			s.free[i>>6] |= 1 << (i & 63)
+		}
+		s.nFree += len(out)
+	}
+	s.quarantine[s.qHead] = s.inUse
+	s.inUse = out[:0]
+	s.qHead = (s.qHead + 1) % Quarantine
 }
 
-// DemoteCache re-protects every cache page without discarding its data:
-// protection returns to ProtNone so the next touch faults, while the page
-// bytes survive as the baseline for warm-cache revalidation. Dirty bits
-// clear. Compare InvalidateCache, which also zeroes the data.
+// DemoteCache re-protects every cache page in use without discarding its
+// data: protection returns to ProtNone so the next touch faults, while the
+// page bytes survive as the baseline for warm-cache revalidation. Dirty
+// bits clear and the pages stay in use. Compare InvalidateCache, which
+// also zeroes the data and retires the pages.
 func (s *Space) DemoteCache() {
-	if s.concurrent {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	t := s.table.Load()
-	for _, p := range t.cache {
-		if p == nil {
-			continue
-		}
+	s.walked += uint64(len(s.inUse))
+	for _, pn := range s.inUse {
+		p := s.pageAt(t, pn)
 		p.prot.Store(int32(ProtNone))
 		p.dirty.Store(false)
 	}
+}
+
+// CacheInUse reports whether cache page pn has been handed out by
+// AllocCachePages since the last InvalidateCache. A table row on a page
+// that is not in use would alias whatever the page holds next.
+func (s *Space) CacheInUse(pn uint32) bool {
+	if pn < s.cachePN0 {
+		return false
+	}
+	p := s.lookup(pn)
+	return p != nil && !p.retired.Load()
+}
+
+// CacheUsage is a snapshot of the cache region's bookkeeping, in pages.
+type CacheUsage struct {
+	// Reserved counts the pages ever mapped: the region's footprint.
+	Reserved int
+	// InUse, Quarantined and Free partition Reserved.
+	InUse, Quarantined, Free int
+	// Walked counts the pages DirtyPages, InvalidateCache and DemoteCache
+	// have visited so far.
+	Walked uint64
+}
+
+// CacheUsage reports the cache region's bookkeeping.
+func (s *Space) CacheUsage() CacheUsage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	u := CacheUsage{
+		Reserved: int(s.cacheNext-cacheBase) >> s.pageShift,
+		InUse:    len(s.inUse),
+		Free:     s.nFree,
+		Walked:   s.walked,
+	}
+	for _, q := range s.quarantine {
+		u.Quarantined += len(q)
+	}
+	return u
 }
 
 // --- raw (kernel-mode) access: no protection checks, no faults ---
@@ -718,6 +871,9 @@ func (s *Space) accessSlow(addr VAddr, buf []byte, kind FaultKind) error {
 			}
 			h := s.loadHandler()
 			s.faults.Add(1)
+			if p.retired.Load() {
+				return fmt.Errorf("%w: %s of %#x on page %d", ErrStalePage, kind, uint32(a), pn)
+			}
 			if h == nil {
 				return fmt.Errorf("%w: %s of %#x", ErrNoHandler, kind, uint32(a))
 			}

@@ -373,19 +373,19 @@ func TestDirtyPagesAndInvalidate(t *testing.T) {
 	if err := s.MarkDirty(s.PageOf(base)+1, true); err != nil {
 		t.Fatal(err)
 	}
-	dirty := s.DirtyPages()
+	dirty := s.DirtyPages(nil)
 	if len(dirty) != 1 || dirty[0] != s.PageOf(base)+1 {
 		t.Fatalf("DirtyPages = %v", dirty)
 	}
 	// Heap pages never count as dirty cache pages.
 	ha, _ := s.Alloc(8, 8)
 	_ = s.Write(ha, []byte{1})
-	if len(s.DirtyPages()) != 1 {
+	if len(s.DirtyPages(nil)) != 1 {
 		t.Error("heap write polluted dirty cache set")
 	}
 	_ = s.WriteRaw(base, []byte{0xFF})
 	s.InvalidateCache()
-	if len(s.DirtyPages()) != 0 {
+	if len(s.DirtyPages(nil)) != 0 {
 		t.Error("dirty pages survive invalidation")
 	}
 	p, err := s.ProtOf(s.PageOf(base))
