@@ -24,9 +24,13 @@ type refTable struct {
 	// areaOf remembers which area key each page was first used for, to
 	// check that placement never mixes keys on a page it should not.
 	areaOf map[uint32]uint32
-	// taken is every byte range ever handed out, live or removed: cache
-	// addresses are never reused.
-	taken []Entry
+	// taken is every byte range handed out since the last Invalidate,
+	// live or removed; retired holds the ranges of the Quarantine sessions
+	// ended before it, oldest first. vmem hands a retired page out again
+	// only after Quarantine more invalidations, so no new row overlaps
+	// either.
+	taken   []Entry
+	retired [][]Entry
 	// closed holds pages no new row may land on (sealed or demoted).
 	closed map[uint32]bool
 	// memosVoid: a row was removed since the last DemoteAll, so no memo is
@@ -48,6 +52,25 @@ func (r *refTable) reset() {
 	clear(r.rows)
 	clear(r.byLP)
 	r.memosVoid = false
+}
+
+// invalidate models Table.Invalidate: the rows go, this session's room
+// enters the quarantine, and the room that entered it Quarantine
+// invalidations ago is free again, its pages open to any area.
+func (r *refTable) invalidate() {
+	r.reset()
+	r.retired = append(r.retired, r.taken)
+	r.taken = nil
+	if len(r.retired) <= vmem.Quarantine {
+		return
+	}
+	for _, e := range r.retired[0] {
+		for first, last := r.pagesOf(&e); first <= last; first++ {
+			delete(r.closed, first)
+			delete(r.areaOf, first)
+		}
+	}
+	r.retired = r.retired[1:]
 }
 
 func (r *refTable) pagesOf(e *Entry) (first, last uint32) {
@@ -162,9 +185,11 @@ func (r *refTable) admit(t *testing.T, e Entry, areaKey uint32, policy AllocPoli
 	if e.Page != r.sp.PageOf(e.Addr) || e.Addr != r.sp.PageBase(e.Page)+vmem.VAddr(e.Offset) {
 		t.Fatalf("row %+v: page/offset do not name its address", e)
 	}
-	for _, o := range r.taken {
-		if e.Addr < o.Addr+vmem.VAddr(o.Size) && o.Addr < e.Addr+vmem.VAddr(e.Size) {
-			t.Fatalf("row %+v overlaps cache room once given to %+v", e, o)
+	for _, room := range append(r.retired, r.taken) {
+		for _, o := range room {
+			if e.Addr < o.Addr+vmem.VAddr(o.Size) && o.Addr < e.Addr+vmem.VAddr(e.Size) {
+				t.Fatalf("row %+v overlaps cache room given to %+v, not yet free", e, o)
+			}
 		}
 	}
 	r.taken = append(r.taken, e)
@@ -560,8 +585,8 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 			}
 		default: // end of session
 			tb.Invalidate()
-			ref.reset()
 			closeAll()
+			ref.invalidate()
 		}
 		ref.compare(t, tb, rng)
 	}
@@ -608,8 +633,8 @@ func TestIndexGrowthAndDeadSlotReuse(t *testing.T) {
 		}
 	}
 	// Remove every other row, then bring the same identities back: each is
-	// a new row at a new address (cache room is never reused), found
-	// through a slot its predecessor left dead.
+	// a new row at a new address (cache room is not reused within a
+	// session), found through a slot its predecessor left dead.
 	for i := 0; i < n; i += 2 {
 		if err := tb.Remove(addrs[i]); err != nil {
 			t.Fatal(err)

@@ -356,13 +356,17 @@ func TestRebindEvictsDeadRow(t *testing.T) {
 }
 
 func TestInvalidateClearsTable(t *testing.T) {
-	tb, _ := newTable(t, 0)
+	tb, sp := newTable(t, 0)
 	if _, _, err := tb.Swizzle(lp(remoteID, 0x100, 1)); err != nil {
 		t.Fatal(err)
 	}
 	tb.Invalidate()
 	if tb.Len() != 0 {
 		t.Errorf("table len after invalidate = %d", tb.Len())
+	}
+	// The cache pages retire with the rows.
+	if u := sp.CacheUsage(); u.InUse != 0 || u.Quarantined == 0 {
+		t.Errorf("cache after invalidate: %+v, want no page in use and the session's in quarantine", u)
 	}
 	// Re-swizzling works and produces a fresh area.
 	addr, fresh, err := tb.Swizzle(lp(remoteID, 0x100, 1))
