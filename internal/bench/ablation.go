@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"fmt"
-
 	"smartrpc/internal/core"
 	"smartrpc/internal/netsim"
-	"smartrpc/internal/transport"
-	"smartrpc/internal/types"
 )
 
 // RunPathWalk has the callee walk the leftmost root-to-leaf path of a
@@ -15,36 +11,21 @@ import (
 // traversal — §6's programmer-supplied shape suggestion for a path-shaped
 // consumer.
 func RunPathWalk(model netsim.Model, levels, closure int, hint bool) (TreeResult, error) {
-	clock := &netsim.Clock{}
-	stats := &netsim.Stats{}
-	net, err := transport.NewNetwork(model, clock, stats)
+	r, err := newRig(model)
 	if err != nil {
 		return TreeResult{}, err
 	}
-	defer net.Close()
-	reg := NewRegistry()
-	an, err := net.Attach(CallerID)
+	defer r.close()
+	rts, err := r.spaces(core.Options{ClosureSize: closure}, CallerID, CalleeID)
 	if err != nil {
 		return TreeResult{}, err
 	}
-	bn, err := net.Attach(CalleeID)
-	if err != nil {
-		return TreeResult{}, err
-	}
-	ownerOpts := core.Options{ID: CallerID, Node: an, Registry: reg, ClosureSize: closure}
+	owner, walker := rts[0], rts[1]
 	if hint {
-		ownerOpts.ClosureHints = map[types.ID][]string{NodeType: {"left"}}
+		if err := owner.SetClosureHint(NodeType, []string{"left"}); err != nil {
+			return TreeResult{}, err
+		}
 	}
-	owner, err := core.New(ownerOpts)
-	if err != nil {
-		return TreeResult{}, err
-	}
-	defer owner.Close()
-	walker, err := core.New(core.Options{ID: CalleeID, Node: bn, Registry: reg, ClosureSize: closure})
-	if err != nil {
-		return TreeResult{}, err
-	}
-	defer walker.Close()
 
 	err = walker.Register("leftPath", func(ctx *core.Ctx, args []core.Value) ([]core.Value, error) {
 		rt := ctx.Runtime()
@@ -75,8 +56,7 @@ func RunPathWalk(model netsim.Model, levels, closure int, hint bool) (TreeResult
 	if err != nil {
 		return TreeResult{}, err
 	}
-	clock.Reset()
-	stats.Reset()
+	r.reset()
 	if err := owner.BeginSession(); err != nil {
 		return TreeResult{}, err
 	}
@@ -88,10 +68,8 @@ func RunPathWalk(model netsim.Model, levels, closure int, hint bool) (TreeResult
 		return TreeResult{}, err
 	}
 	return TreeResult{
-		Time:      clock.Now(),
+		Traffic:   r.traffic(),
 		Callbacks: walker.Stats().FetchesSent,
-		Messages:  stats.Messages(),
-		Bytes:     stats.Bytes(),
 		Visited:   res[0].Int64(),
 		Sum:       res[1].Int64(),
 	}, nil
@@ -100,22 +78,9 @@ func RunPathWalk(model netsim.Model, levels, closure int, hint bool) (TreeResult
 // ClosureHintAblation compares unrestricted closure traversal against a
 // "left"-only shape hint on a leftmost-path workload.
 func ClosureHintAblation(model netsim.Model, levels, closure int) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, hint := range []bool{false, true} {
-		name := "hint=none"
-		if hint {
-			name = "hint=left-only"
-		}
-		res, err := RunPathWalk(model, levels, closure, hint)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		rows = append(rows, AblationRow{
-			Name: name, Time: res.Time,
-			Callbacks: res.Callbacks, Messages: res.Messages, Bytes: res.Bytes,
-		})
-	}
-	return rows, nil
+	return ablate([]string{"hint=none", "hint=left-only"}, func(i int) (TreeResult, error) {
+		return RunPathWalk(model, levels, closure, i == 1)
+	})
 }
 
 // RunChainUpdate drives a three-space chain A→B→C where B and C both
@@ -124,37 +89,17 @@ func ClosureHintAblation(model netsim.Model, levels, closure int) ([]AblationRow
 // write-back ablation every hop adds separate write-back messages to the
 // origin.
 func RunChainUpdate(model netsim.Model, hops int, coherence core.Coherence) (TreeResult, error) {
-	clock := &netsim.Clock{}
-	stats := &netsim.Stats{}
-	net, err := transport.NewNetwork(model, clock, stats)
+	r, err := newRig(model)
 	if err != nil {
 		return TreeResult{}, err
 	}
-	defer net.Close()
-	reg := NewRegistry()
+	defer r.close()
 	const thirdID uint32 = 3
-	mk := func(id uint32) (*core.Runtime, error) {
-		node, err := net.Attach(id)
-		if err != nil {
-			return nil, err
-		}
-		return core.New(core.Options{ID: id, Node: node, Registry: reg, Coherence: coherence})
-	}
-	a, err := mk(CallerID)
+	rts, err := r.spaces(core.Options{Coherence: coherence}, CallerID, CalleeID, thirdID)
 	if err != nil {
 		return TreeResult{}, err
 	}
-	defer a.Close()
-	b, err := mk(CalleeID)
-	if err != nil {
-		return TreeResult{}, err
-	}
-	defer b.Close()
-	c, err := mk(thirdID)
-	if err != nil {
-		return TreeResult{}, err
-	}
-	defer c.Close()
+	a, b, c := rts[0], rts[1], rts[2]
 
 	bump := func(ctx *core.Ctx, args []core.Value) ([]core.Value, error) {
 		ref, err := ctx.Runtime().Deref(args[0])
@@ -184,8 +129,7 @@ func RunChainUpdate(model netsim.Model, hops int, coherence core.Coherence) (Tre
 	if err != nil {
 		return TreeResult{}, err
 	}
-	clock.Reset()
-	stats.Reset()
+	r.reset()
 	if err := a.BeginSession(); err != nil {
 		return TreeResult{}, err
 	}
@@ -205,32 +149,19 @@ func RunChainUpdate(model netsim.Model, hops int, coherence core.Coherence) (Tre
 	if err != nil {
 		return TreeResult{}, err
 	}
-	return TreeResult{
-		Time:     clock.Now(),
-		Messages: stats.Messages(),
-		Bytes:    stats.Bytes(),
-		Sum:      final,
-	}, nil
+	return TreeResult{Traffic: r.traffic(), Sum: final}, nil
 }
 
 // ChainCoherenceAblation runs the three-space chain under both coherency
 // protocols, reporting cost and the final counter value (2×hops when the
 // protocol is correct).
 func ChainCoherenceAblation(model netsim.Model, hops int) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, co := range []core.Coherence{core.CoherencePiggyback, core.CoherenceWriteBack} {
-		name := "chain/piggyback"
-		if co == core.CoherenceWriteBack {
-			name = "chain/writeback"
-		}
-		res, err := RunChainUpdate(model, hops, co)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		rows = append(rows, AblationRow{
-			Name: fmt.Sprintf("%s (final=%d, want %d)", name, res.Sum, 2*hops),
-			Time: res.Time, Messages: res.Messages, Bytes: res.Bytes,
-		})
+	protocols := []core.Coherence{core.CoherencePiggyback, core.CoherenceWriteBack}
+	rows, err := ablate([]string{"chain/piggyback", "chain/writeback"}, func(i int) (TreeResult, error) {
+		return RunChainUpdate(model, hops, protocols[i])
+	})
+	for i := range rows {
+		rows[i].Want = int64(2 * hops)
 	}
-	return rows, nil
+	return rows, err
 }

@@ -12,14 +12,11 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"smartrpc/internal/core"
 	"smartrpc/internal/netsim"
 	"smartrpc/internal/swizzle"
-	"smartrpc/internal/transport"
 	"smartrpc/internal/types"
-	"smartrpc/internal/wire"
 )
 
 // NodeType is the tree node's type ID in the harness registry.
@@ -100,18 +97,12 @@ func (c *TreeConfig) fill() error {
 
 // TreeResult is the outcome of one run.
 type TreeResult struct {
-	// Time is the virtual processing time of the whole RPC session.
-	Time time.Duration
+	// Traffic is the whole RPC session's virtual time and traffic.
+	Traffic
 	// Callbacks is the number of data-request messages the callee issued
 	// (Fig. 5's Y axis). For the lazy method this counts per-dereference
 	// callbacks; for the smart method, page-fault fetches.
 	Callbacks uint64
-	// Messages and Bytes are total network traffic.
-	Messages, Bytes uint64
-	// Crossings counts address-space boundary crossings of the thread of
-	// control (call + return messages): the denominator for per-crossing
-	// traffic metrics.
-	Crossings uint64
 	// CohItemBytes is the encoded payload bytes of coherency-path data
 	// items that actually crossed the wire, summed over all spaces
 	// (deltas contribute their delta size, elided items nothing).
@@ -135,88 +126,32 @@ func RunTree(cfg TreeConfig) (TreeResult, error) {
 	if err := cfg.fill(); err != nil {
 		return TreeResult{}, err
 	}
-	clock := &netsim.Clock{}
-	stats := &netsim.Stats{}
-	net, err := transport.NewNetwork(cfg.Model, clock, stats)
+	r, err := newRig(cfg.Model)
 	if err != nil {
 		return TreeResult{}, err
 	}
-	defer net.Close()
-	reg := NewRegistry()
-
-	mk := func(id uint32) (*core.Runtime, error) {
-		node, err := net.Attach(id)
-		if err != nil {
-			return nil, err
-		}
-		return core.New(core.Options{
-			ID:               id,
-			Node:             node,
-			Registry:         reg,
-			Policy:           cfg.Policy,
-			ClosureSize:      cfg.ClosureSize,
-			PageSize:         cfg.PageSize,
-			AllocPolicy:      cfg.AllocPolicy,
-			Traversal:        cfg.Traversal,
-			Coherence:        cfg.Coherence,
-			DisableDeltaShip: cfg.DisableDeltaShip,
-		})
-	}
-	caller, err := mk(CallerID)
+	defer r.close()
+	caller, callee, root, err := r.searchPair(core.Options{
+		Policy:           cfg.Policy,
+		ClosureSize:      cfg.ClosureSize,
+		PageSize:         cfg.PageSize,
+		AllocPolicy:      cfg.AllocPolicy,
+		Traversal:        cfg.Traversal,
+		Coherence:        cfg.Coherence,
+		DisableDeltaShip: cfg.DisableDeltaShip,
+	}, cfg.Nodes)
 	if err != nil {
 		return TreeResult{}, err
 	}
-	defer caller.Close()
-	callee, err := mk(CalleeID)
+	r.reset()
+	visited, sum, err := search(caller, root, int64(cfg.AccessRatio*float64(cfg.Nodes)), cfg.Update, cfg.Repeats)
 	if err != nil {
 		return TreeResult{}, err
 	}
-	defer callee.Close()
-	if err := RegisterSearch(callee); err != nil {
-		return TreeResult{}, err
-	}
-
-	root, err := BuildTree(caller, cfg.Nodes)
-	if err != nil {
-		return TreeResult{}, err
-	}
-
-	visitBudget := int64(cfg.AccessRatio * float64(cfg.Nodes))
-	clock.Reset()
-	stats.Reset()
-
-	if err := caller.BeginSession(); err != nil {
-		return TreeResult{}, err
-	}
-	var visited, sum int64
-	for rep := 0; rep < cfg.Repeats; rep++ {
-		res, err := caller.Call(CalleeID, SearchProc, []core.Value{
-			root,
-			core.Int64Value(visitBudget),
-			core.BoolValue(cfg.Update),
-		})
-		if err != nil {
-			return TreeResult{}, fmt.Errorf("bench: search call: %w", err)
-		}
-		if len(res) != 2 {
-			return TreeResult{}, fmt.Errorf("bench: search returned %d values", len(res))
-		}
-		visited = res[0].Int64()
-		sum = res[1].Int64()
-	}
-	if err := caller.EndSession(); err != nil {
-		return TreeResult{}, err
-	}
-
-	st := callee.Stats()
-	cst := caller.Stats()
+	st, cst := callee.Stats(), caller.Stats()
 	out := TreeResult{
-		Time:      clock.Now(),
-		Callbacks: st.FetchesSent,
-		Messages:  stats.Messages(),
-		Bytes:     stats.Bytes(),
-		Crossings: stats.KindMessages(uint32(wire.KindCall)) +
-			stats.KindMessages(uint32(wire.KindReturn)),
+		Traffic:         r.traffic(),
+		Callbacks:       st.FetchesSent,
 		CohItemBytes:    st.CohItemBytes + cst.CohItemBytes,
 		CohItemsShipped: st.CohItemsShipped + cst.CohItemsShipped,
 		CohDeltaItems:   st.CohDeltaItems + cst.CohDeltaItems,

@@ -5,7 +5,6 @@ import (
 
 	"smartrpc/internal/core"
 	"smartrpc/internal/netsim"
-	"smartrpc/internal/transport"
 	"smartrpc/internal/types"
 )
 
@@ -80,35 +79,17 @@ func RunHashLookup(cfg HashConfig) (TreeResult, error) {
 	if cfg.ClosureSize == 0 {
 		cfg.ClosureSize = 8192
 	}
-	clock := &netsim.Clock{}
-	stats := &netsim.Stats{}
-	net, err := transport.NewNetwork(cfg.Model, clock, stats)
+	r, err := newRig(cfg.Model)
 	if err != nil {
 		return TreeResult{}, err
 	}
-	defer net.Close()
-	reg := NewRegistry()
-	RegisterHashTypes(reg)
-	mk := func(id uint32) (*core.Runtime, error) {
-		node, err := net.Attach(id)
-		if err != nil {
-			return nil, err
-		}
-		return core.New(core.Options{
-			ID: id, Node: node, Registry: reg,
-			Policy: cfg.Policy, ClosureSize: cfg.ClosureSize,
-		})
-	}
-	owner, err := mk(CallerID)
+	defer r.close()
+	RegisterHashTypes(r.reg)
+	rts, err := r.spaces(core.Options{Policy: cfg.Policy, ClosureSize: cfg.ClosureSize}, CallerID, CalleeID)
 	if err != nil {
 		return TreeResult{}, err
 	}
-	defer owner.Close()
-	prober, err := mk(CalleeID)
-	if err != nil {
-		return TreeResult{}, err
-	}
-	defer prober.Close()
+	owner, prober := rts[0], rts[1]
 
 	err = prober.Register("probe", func(ctx *core.Ctx, args []core.Value) ([]core.Value, error) {
 		rt := ctx.Runtime()
@@ -195,8 +176,7 @@ func RunHashLookup(cfg HashConfig) (TreeResult, error) {
 	if stride < 1 {
 		stride = 1
 	}
-	clock.Reset()
-	stats.Reset()
+	r.reset()
 	if err := owner.BeginSession(); err != nil {
 		return TreeResult{}, err
 	}
@@ -210,10 +190,8 @@ func RunHashLookup(cfg HashConfig) (TreeResult, error) {
 		return TreeResult{}, err
 	}
 	return TreeResult{
-		Time:      clock.Now(),
+		Traffic:   r.traffic(),
 		Callbacks: prober.Stats().FetchesSent,
-		Messages:  stats.Messages(),
-		Bytes:     stats.Bytes(),
 		Visited:   res[0].Int64(),
 		Sum:       res[1].Int64(),
 	}, nil
@@ -221,29 +199,13 @@ func RunHashLookup(cfg HashConfig) (TreeResult, error) {
 
 // HashWorkload compares the three methods on the sparse hash retrieval.
 func HashWorkload(model netsim.Model, entries, lookups int) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, pol := range []core.Policy{core.PolicyEager, core.PolicyLazy, core.PolicySmart} {
-		res, err := RunHashLookup(HashConfig{
-			Policy:  pol,
-			Entries: entries,
-			Lookups: lookups,
-			Model:   model,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", pol, err)
+	policies := []core.Policy{core.PolicyEager, core.PolicyLazy, core.PolicySmart}
+	names := []string{"hash/fully-eager", "hash/fully-lazy", "hash/proposed"}
+	return ablate(names, func(i int) (TreeResult, error) {
+		res, err := RunHashLookup(HashConfig{Policy: policies[i], Entries: entries, Lookups: lookups, Model: model})
+		if err == nil && res.Visited != int64(lookups) {
+			err = fmt.Errorf("%d hits, want %d", res.Visited, lookups)
 		}
-		if res.Visited != int64(lookups) {
-			return nil, fmt.Errorf("%v: %d hits, want %d", pol, res.Visited, lookups)
-		}
-		name := map[core.Policy]string{
-			core.PolicyEager: "hash/fully-eager",
-			core.PolicyLazy:  "hash/fully-lazy",
-			core.PolicySmart: "hash/proposed",
-		}[pol]
-		rows = append(rows, AblationRow{
-			Name: name, Time: res.Time,
-			Callbacks: res.Callbacks, Messages: res.Messages, Bytes: res.Bytes,
-		})
-	}
-	return rows, nil
+		return res, err
+	})
 }

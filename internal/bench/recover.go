@@ -7,7 +7,6 @@ import (
 	"smartrpc/internal/core"
 	"smartrpc/internal/faultsim"
 	"smartrpc/internal/netsim"
-	"smartrpc/internal/transport"
 )
 
 // RecoverConfig parameterizes the exchange-recovery workload: the
@@ -67,15 +66,31 @@ func (c *RecoverConfig) fill() error {
 	return nil
 }
 
+// RecoverPoints is the recovery sweep: the zero-overhead pair first — the
+// identical fault-free workload with recovery disarmed and armed, whose
+// wire columns must be byte-identical — then transient faults, where
+// completion is the deterministic claim and the retry and replay
+// counters are the price. The tree stays small and fixed, whatever the
+// report's tree size: faulted points pay a real CallTimeout per absorbed
+// fault, and a fixed tree keeps the chaos schedule stable.
+func RecoverPoints(model netsim.Model, closure int) []Point[RecoverConfig] {
+	pt := func(name string, drop, dup, corrupt int) Point[RecoverConfig] {
+		return Point[RecoverConfig]{name, RecoverConfig{Nodes: 1023, ClosureSize: closure, Sessions: 3,
+			MutationRatio: 0.05, DropPermille: drop, DupPermille: dup, CorruptPermille: corrupt, Seed: 1, Model: model}}
+	}
+	off := pt("smart-recover-off", 0, 0, 0)
+	off.Cfg.DisableRecovery = true
+	return []Point[RecoverConfig]{off, pt("smart-recover-clean", 0, 0, 0), pt("smart-recover-drop", 250, 0, 0),
+		pt("smart-recover-dup", 0, 100, 0), pt("smart-recover-corrupt", 0, 0, 60), pt("smart-recover-mix", 150, 150, 60)}
+}
+
 // RecoverResult is the outcome of one recovery run.
 type RecoverResult struct {
-	// Time is the virtual processing time (meaningful only fault-free:
-	// under faults, retries burn real time the virtual clock never sees).
-	Time time.Duration
-	// Messages and Bytes are total network traffic actually carried
-	// (frames the chaos layer dropped never reach the wire; duplicated
-	// frames are counted twice).
-	Messages, Bytes uint64
+	// Traffic is what the network actually carried (frames the chaos
+	// layer dropped never reach the wire; duplicated frames are counted
+	// twice). Its virtual time is meaningful only fault-free: under
+	// faults, retries burn real time the virtual clock never sees.
+	Traffic
 	// Sessions is how many sessions completed; every configured session
 	// must, or RunRecover returns an error.
 	Sessions uint64
@@ -100,56 +115,29 @@ func RunRecover(cfg RecoverConfig) (RecoverResult, error) {
 	if err := cfg.fill(); err != nil {
 		return RecoverResult{}, err
 	}
-	clock := &netsim.Clock{}
-	stats := &netsim.Stats{}
-	net, err := transport.NewNetwork(cfg.Model, clock, stats)
+	r, err := newRig(cfg.Model)
 	if err != nil {
 		return RecoverResult{}, err
 	}
-	defer net.Close()
-	chaos := faultsim.New(net, faultsim.Config{
+	defer r.close()
+	chaos := faultsim.New(r.net, faultsim.Config{
 		Seed:            cfg.Seed,
 		DropPermille:    cfg.DropPermille,
 		DupPermille:     cfg.DupPermille,
 		CorruptPermille: cfg.CorruptPermille,
 	})
-	reg := NewRegistry()
-
-	mk := func(id uint32) (*core.Runtime, error) {
-		node, err := chaos.Attach(id)
-		if err != nil {
-			return nil, err
-		}
-		opts := core.Options{
-			ID:          id,
-			Node:        node,
-			Registry:    reg,
-			Policy:      core.PolicySmart,
-			ClosureSize: cfg.ClosureSize,
-			PageSize:    cfg.PageSize,
-			CallTimeout: cfg.CallTimeout,
-		}
-		if !cfg.DisableRecovery {
-			opts.RetryBudget = 30 * cfg.CallTimeout
-			opts.MaxRetries = 25
-		}
-		return core.New(opts)
+	r.attach = chaos.Attach
+	opts := core.Options{
+		Policy:      core.PolicySmart,
+		ClosureSize: cfg.ClosureSize,
+		PageSize:    cfg.PageSize,
+		CallTimeout: cfg.CallTimeout,
 	}
-	caller, err := mk(CallerID)
-	if err != nil {
-		return RecoverResult{}, err
+	if !cfg.DisableRecovery {
+		opts.RetryBudget = 30 * cfg.CallTimeout
+		opts.MaxRetries = 25
 	}
-	defer caller.Close()
-	callee, err := mk(CalleeID)
-	if err != nil {
-		return RecoverResult{}, err
-	}
-	defer callee.Close()
-	if err := RegisterSearch(callee); err != nil {
-		return RecoverResult{}, err
-	}
-
-	root, err := BuildTree(caller, cfg.Nodes)
+	caller, callee, root, err := r.searchPair(opts, cfg.Nodes)
 	if err != nil {
 		return RecoverResult{}, err
 	}
@@ -157,8 +145,7 @@ func RunRecover(cfg RecoverConfig) (RecoverResult, error) {
 	// checksum starts at n(n+1)/2; each mutation adds 1 to one node.
 	want := int64(cfg.Nodes) * int64(cfg.Nodes+1) / 2
 
-	clock.Reset()
-	stats.Reset()
+	r.reset()
 	var out RecoverResult
 	for s := 0; s < cfg.Sessions; s++ {
 		if s > 0 && cfg.MutationRatio > 0 {
@@ -168,30 +155,18 @@ func RunRecover(cfg RecoverConfig) (RecoverResult, error) {
 			}
 			want += int64(mutated)
 		}
-		if err := caller.BeginSession(); err != nil {
-			return RecoverResult{}, err
-		}
-		res, err := caller.Call(CalleeID, SearchProc, []core.Value{
-			root,
-			core.Int64Value(int64(cfg.Nodes)),
-			core.BoolValue(false),
-		})
+		_, sum, err := search(caller, root, int64(cfg.Nodes), false, 1)
 		if err != nil {
-			return RecoverResult{}, fmt.Errorf("bench: recover session %d search: %w", s+1, err)
+			return RecoverResult{}, fmt.Errorf("bench: recover session %d: %w", s+1, err)
 		}
-		if err := caller.EndSession(); err != nil {
-			return RecoverResult{}, fmt.Errorf("bench: recover session %d end: %w", s+1, err)
+		if sum != want {
+			return RecoverResult{}, fmt.Errorf("bench: recover session %d checksum = %d, want %d (fault handling corrupted data)", s+1, sum, want)
 		}
-		if got := res[1].Int64(); got != want {
-			return RecoverResult{}, fmt.Errorf("bench: recover session %d checksum = %d, want %d (fault handling corrupted data)", s+1, got, want)
-		}
-		out.Sum = res[1].Int64()
+		out.Sum = sum
 		out.Sessions++
 	}
 
-	out.Time = clock.Now()
-	out.Messages = stats.Messages()
-	out.Bytes = stats.Bytes()
+	out.Traffic = r.traffic()
 	out.ChaosFaults = chaos.Total()
 	for _, rt := range []*core.Runtime{caller, callee} {
 		s := rt.Stats()

@@ -6,7 +6,6 @@ import (
 
 	"smartrpc/internal/core"
 	"smartrpc/internal/netsim"
-	"smartrpc/internal/transport"
 	"smartrpc/internal/wire"
 )
 
@@ -60,20 +59,30 @@ func (c *StreamConfig) fill() error {
 	return nil
 }
 
+// StreamPoints is the streamed-transfer sweep: a chunk-size sweep plus
+// the monolithic-reply ablation.
+func StreamPoints(model netsim.Model, nodes int) []Point[StreamConfig] {
+	pt := func(name string, chunk int) Point[StreamConfig] {
+		return Point[StreamConfig]{name, StreamConfig{Nodes: nodes, StreamChunkBytes: chunk, Model: model}}
+	}
+	return []Point[StreamConfig]{pt("smart-stream-16k", 16<<10), pt("smart-stream-64k", 64<<10),
+		pt("smart-stream-256k", 256<<10), pt("smart-nostream", -1)}
+}
+
 // StreamResult is the outcome of one streamed-transfer run.
 type StreamResult struct {
-	// Time is the virtual processing time; WallTime the real elapsed
-	// time of the whole run (first access + drain + verification walk).
-	Time     time.Duration
+	// Traffic is the run's virtual time and traffic.
+	Traffic
+	// WallTime is the real elapsed time of the whole run (first access +
+	// drain + verification walk).
 	WallTime time.Duration
 	// TTFA is the wall-clock latency of the first faulting dereference:
 	// from the access to the moment its datum is readable. This is the
 	// column streaming exists to shrink.
 	TTFA time.Duration
-	// Messages and Bytes are total network traffic; Chunks is the
-	// number of KindFetchChunk frames within Messages (0 when the reply
-	// fit one frame or streaming was disabled).
-	Messages, Bytes, Chunks uint64
+	// Chunks is the number of KindFetchChunk frames within Messages (0
+	// when the reply fit one frame or streaming was disabled).
+	Chunks uint64
 	// Fetches counts the client's FETCH messages; Faults its access
 	// violations.
 	Fetches, Faults uint64
@@ -88,49 +97,34 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	if err := cfg.fill(); err != nil {
 		return StreamResult{}, err
 	}
-	clock := &netsim.Clock{}
-	stats := &netsim.Stats{}
-	net, err := transport.NewNetwork(cfg.Model, clock, stats)
+	r, err := newRig(cfg.Model)
 	if err != nil {
 		return StreamResult{}, err
 	}
-	defer net.Close()
-	reg := NewRegistry()
-
-	mk := func(id uint32, chunk int) (*core.Runtime, error) {
-		node, err := net.Attach(id)
-		if err != nil {
-			return nil, err
-		}
-		return core.New(core.Options{
-			ID:               id,
-			Node:             node,
-			Registry:         reg,
-			Policy:           core.PolicySmart,
-			ClosureSize:      cfg.ClosureSize,
-			PageSize:         cfg.PageSize,
-			StreamChunkBytes: chunk,
-		})
+	defer r.close()
+	opts := core.Options{
+		Policy:           core.PolicySmart,
+		ClosureSize:      cfg.ClosureSize,
+		PageSize:         cfg.PageSize,
+		StreamChunkBytes: cfg.StreamChunkBytes,
 	}
-	server, err := mk(StreamServerID, cfg.StreamChunkBytes)
+	server, err := r.spaces(opts, StreamServerID)
 	if err != nil {
 		return StreamResult{}, err
 	}
-	defer server.Close()
-	client, err := mk(StreamClientID, 0)
+	opts.StreamChunkBytes = 0
+	clients, err := r.spaces(opts, StreamClientID)
 	if err != nil {
 		return StreamResult{}, err
 	}
-	defer client.Close()
-
-	root, want, err := BuildChain(server, cfg.Nodes, 0)
+	client := clients[0]
+	root, want, err := BuildChain(server[0], cfg.Nodes, 0)
 	if err != nil {
 		return StreamResult{}, err
 	}
 
 	// The chain is built and the runtimes idle: measurement starts here.
-	clock.Reset()
-	stats.Reset()
+	r.reset()
 	start := time.Now()
 	v, err := client.ImportPtr(root)
 	if err != nil {
@@ -189,12 +183,10 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	}
 	st := client.Stats()
 	return StreamResult{
-		Time:     clock.Now(),
+		Traffic:  r.traffic(),
 		WallTime: time.Since(start),
 		TTFA:     ttfa,
-		Messages: stats.Messages(),
-		Bytes:    stats.Bytes(),
-		Chunks:   stats.KindMessages(uint32(wire.KindFetchChunk)),
+		Chunks:   r.stats.KindMessages(uint32(wire.KindFetchChunk)),
 		Fetches:  st.FetchesSent,
 		Faults:   st.Faults,
 		Sum:      sum,
