@@ -168,15 +168,16 @@ func TestClosureHintShapesPrefetch(t *testing.T) {
 		reg := newTestRegistry(t)
 		an, _ := net.Attach(1)
 		bn, _ := net.Attach(2)
-		opts := Options{ID: 1, Node: an, Registry: reg, ClosureSize: 4096}
-		if hint {
-			opts.ClosureHints = map[types.ID][]string{nodeType: {"left"}}
-		}
-		owner, err := New(opts)
+		owner, err := New(Options{ID: 1, Node: an, Registry: reg, ClosureSize: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = owner.Close() })
+		if hint {
+			if err := owner.SetClosureHint(nodeType, []string{"left"}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		walker, err := New(Options{ID: 2, Node: bn, Registry: reg, ClosureSize: 4096})
 		if err != nil {
 			t.Fatal(err)
@@ -226,9 +227,13 @@ func TestClosureHintShapesPrefetch(t *testing.T) {
 
 func TestClosureHintEmptyStopsTraversal(t *testing.T) {
 	caller, callee := pair(t, func(id uint32, o *Options) {
-		o.ClosureHints = map[types.ID][]string{nodeType: {}}
 		o.ClosureSize = 1 << 20
 	})
+	for _, rt := range []*Runtime{caller, callee} {
+		if err := rt.SetClosureHint(nodeType, []string{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	registerSumProc(t, callee)
 	root := buildTree(t, caller, 5)
 	res := sessionCall(t, caller, 2, "sumTree", root)

@@ -133,10 +133,6 @@ type Options struct {
 	Traversal Traversal
 	// Coherence selects the coherency protocol (default piggyback).
 	Coherence Coherence
-	// ClosureHints restricts which pointer fields the eager closure
-	// follows per type (§6's programmer-supplied shape suggestions).
-	// Types absent from the map follow every pointer field.
-	ClosureHints map[types.ID][]string
 	// DisableDeltaShip turns off delta shipping on the coherency path and
 	// restores the paper's full-shipping protocol: every crossing
 	// re-transmits the complete canonical encoding of every item in the
@@ -593,11 +589,6 @@ func New(opts Options) (*Runtime, error) {
 	rt.provMap.Store(&empty)
 	if opts.Prefetch {
 		rt.pf = newPrefetcher(opts.SyncPrefetch)
-	}
-	for ty, fields := range opts.ClosureHints {
-		if err := rt.SetClosureHint(ty, fields); err != nil {
-			return nil, err
-		}
 	}
 	space.SetHandler(rt.onFault)
 	for i := range rt.serveQ {
