@@ -160,6 +160,11 @@ func (rt *Runtime) PendingAllocOps() int {
 // ordinary pointers need no rewriting: only the identity maps change.
 func (rt *Runtime) flushAllocBatches(sess uint64) error {
 	rt.allocMu.Lock()
+	if len(rt.batch) == 0 {
+		// The common session batches nothing: keep the empty map.
+		rt.allocMu.Unlock()
+		return nil
+	}
 	batches := rt.batch
 	rt.batch = make(map[uint32]*originBatch)
 	rt.allocMu.Unlock()

@@ -466,6 +466,17 @@ type Runtime struct {
 	serveQ  [serveWorkers]chan wire.Message
 	serveWG sync.WaitGroup
 
+	// Call servers (callServer) run CALL handlers. idleCalls holds the
+	// hand-off channels of the parked ones, last parked on top; callWG
+	// counts parked servers, which the dispatcher waits for at shutdown
+	// once callsClosed stops further parking. callServers counts the
+	// servers ever started.
+	callMu      sync.Mutex
+	idleCalls   []chan wire.Message
+	callsClosed bool
+	callWG      sync.WaitGroup
+	callServers atomic.Uint64
+
 	sessMu sync.Mutex
 	sess   uint64
 	ground bool
@@ -701,7 +712,9 @@ func (rt *Runtime) Stats() Stats {
 	return s
 }
 
-// Close shuts the runtime down and waits for its dispatcher to exit.
+// Close shuts the runtime down and waits for its dispatcher, serve pool
+// and idle call servers to exit. A handler still running is not waited
+// for; its server exits after the reply.
 func (rt *Runtime) Close() error {
 	rt.closeOnce.Do(func() {
 		close(rt.stop)
@@ -765,29 +778,117 @@ func (rt *Runtime) serveWorker(q chan wire.Message) {
 }
 
 // enqueueServe hands a request to its sender's stripe, blocking (with a
-// shutdown escape) when the stripe is saturated.
+// shutdown escape) when the stripe is saturated. The stripe almost always
+// has room, so a one-case send goes first and the two-case select is paid
+// only under backpressure.
 func (rt *Runtime) enqueueServe(m wire.Message) {
 	q := rt.serveQ[m.From%serveWorkers]
+	select {
+	case q <- m:
+		return
+	default:
+	}
 	select {
 	case q <- m:
 	case <-rt.stop:
 	}
 }
 
+// dispatchCall hands a CALL to the call server that parked last, or
+// starts a server when none is idle. It never waits: a parked server's
+// hand-off channel has room for the one CALL it is given, and a handler
+// blocked in a nested call or a callback keeps its server, so a CALL
+// that arrives meanwhile gets another one.
+//
+// Reuse is the point. A fresh goroutine starts on a small stack, and a
+// handler's first fault (onFault → fetch → install) outgrows it, so a
+// goroutine per CALL paid a stack copy per session. LIFO hands out the
+// server that ran last, whose grown stack the collector is least likely
+// to have shrunk.
+func (rt *Runtime) dispatchCall(m wire.Message) {
+	rt.callMu.Lock()
+	if n := len(rt.idleCalls); n > 0 {
+		next := rt.idleCalls[n-1]
+		rt.idleCalls = rt.idleCalls[:n-1]
+		rt.callMu.Unlock()
+		next <- m
+		return
+	}
+	rt.callMu.Unlock()
+	rt.callServers.Add(1)
+	go rt.callServer(m)
+}
+
+// callServer serves m, then every CALL the dispatcher hands it, until it
+// finds serveWorkers servers already idle or the dispatcher has shut down.
+func (rt *Runtime) callServer(m wire.Message) {
+	next := make(chan wire.Message, 1)
+	for {
+		payload, errStr := rt.serveCall(m)
+		// Park before the reply leaves: the caller's next CALL is sent
+		// only after this reply arrives, so it finds this server idle
+		// instead of starting a second one. A CALL handed over meanwhile
+		// waits in next for the send to finish.
+		parked := rt.parkCallServer(next)
+		rt.reply(m, wire.KindReturn, payload, errStr)
+		if !parked {
+			return
+		}
+		var ok bool
+		m, ok = <-next
+		rt.callWG.Done()
+		if !ok {
+			return
+		}
+	}
+}
+
+// parkCallServer puts a call server's hand-off channel on the idle list,
+// unless the list is full or the dispatcher has shut down; it reports
+// whether the server parked.
+func (rt *Runtime) parkCallServer(next chan wire.Message) bool {
+	rt.callMu.Lock()
+	defer rt.callMu.Unlock()
+	if rt.callsClosed || len(rt.idleCalls) >= serveWorkers {
+		return false
+	}
+	rt.idleCalls = append(rt.idleCalls, next)
+	rt.callWG.Add(1)
+	return true
+}
+
+// stopCallServers releases every parked call server and waits for them
+// to exit. Servers running a handler are not waited for; they exit after
+// their reply, since no server parks once callsClosed is set.
+func (rt *Runtime) stopCallServers() {
+	rt.callMu.Lock()
+	rt.callsClosed = true
+	idle := rt.idleCalls
+	rt.idleCalls = nil
+	rt.callMu.Unlock()
+	for _, next := range idle {
+		close(next)
+	}
+	rt.callWG.Wait()
+}
+
 // loop is the dispatcher: it routes replies to waiting requesters and
-// dispatches requests to their servers. Call servers run in their own
-// goroutine (their handlers may block in nested calls or callbacks); the
-// bookkeeping servers run on the bounded serve pool, striped by sender,
-// so a slow closure build for one client never head-of-line blocks the
-// loop or the other clients. Every request passes the admission table
-// (admission.go) first; duplicated reply frames are harmless — the first
-// one consumes the pending entry and the rest find no requester.
+// dispatches requests to their servers. A CALL goes to a reused call
+// server (dispatchCall), one per running handler, since handlers may
+// block in nested calls or callbacks; the bookkeeping servers run on the
+// bounded serve pool, striped by sender, so a slow closure build for one
+// client never head-of-line blocks the loop or the other clients. When
+// the loop exits, the serve pool and the idle call servers exit with it.
+// Every request passes the admission table (admission.go) first;
+// duplicated reply frames are harmless — the first one consumes the
+// pending entry and the rest find no requester.
 func (rt *Runtime) loop() {
 	defer func() {
 		for _, q := range rt.serveQ {
 			close(q)
 		}
 		rt.serveWG.Wait()
+		rt.stopCallServers()
 		close(rt.done)
 	}()
 	for {
@@ -844,7 +945,7 @@ func (rt *Runtime) loop() {
 		}
 		switch m.Kind {
 		case wire.KindCall:
-			go rt.serveCall(m)
+			rt.dispatchCall(m)
 		case wire.KindFetch, wire.KindWriteBack, wire.KindInvalidate, wire.KindAllocBatch:
 			rt.enqueueServe(m)
 		}

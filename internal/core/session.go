@@ -48,7 +48,7 @@ func (rt *Runtime) BeginSession() error {
 	}
 	rt.sess = uint64(rt.id)<<32 | (sessionCounter.Add(1) & 0xffffffff)
 	rt.ground = true
-	rt.parts = make(map[uint32]bool)
+	clear(rt.parts)
 	rt.pfBegin(rt.sess)
 	rt.trace(Event{Kind: EvSessionBegin})
 	return nil
@@ -211,7 +211,7 @@ func (rt *Runtime) EndSession() error {
 	rt.sessMu.Lock()
 	rt.sess = 0
 	rt.ground = false
-	rt.parts = make(map[uint32]bool)
+	clear(rt.parts)
 	rt.sessMu.Unlock()
 	if rt.checkInv {
 		return rt.CheckIdleInvariants()
@@ -261,12 +261,13 @@ func (rt *Runtime) dropSession(warm bool) uint64 {
 		rt.table.Invalidate()
 	}
 	rt.allocMu.Lock()
-	rt.batch = make(map[uint32]*originBatch)
+	clear(rt.batch)
 	rt.allocMu.Unlock()
 	rt.sessMu.Lock()
 	defer rt.sessMu.Unlock()
 	sess := rt.sess
-	rt.sess, rt.ground, rt.parts = 0, false, make(map[uint32]bool)
+	rt.sess, rt.ground = 0, false
+	clear(rt.parts)
 	return sess
 }
 
@@ -302,7 +303,8 @@ func (rt *Runtime) adoptSession(sid uint64, from uint32) error {
 	case 0:
 		rt.sess = sid
 		rt.ground = false
-		rt.parts = map[uint32]bool{from: true}
+		clear(rt.parts)
+		rt.parts[from] = true
 		rt.pfBegin(sid)
 		return nil
 	case sid:
@@ -605,33 +607,29 @@ func (rt *Runtime) sendDirtyHome(sess uint64, dirty []wire.DataItem) error {
 	return nil
 }
 
-// serveCall executes one incoming RPC request end to end.
-func (rt *Runtime) serveCall(m wire.Message) {
+// serveCall executes one incoming RPC request end to end and returns its
+// RETURN reply's payload and error string; the call server sends it.
+func (rt *Runtime) serveCall(m wire.Message) ([]byte, string) {
 	if err := rt.adoptSession(m.Session, m.From); err != nil {
-		rt.reply(m, wire.KindReturn, nil, err.Error())
-		return
+		return nil, err.Error()
 	}
 	p, err := wire.DecodeCallPayload(m.Payload)
 	if err != nil {
-		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("decode call: %v", err))
-		return
+		return nil, fmt.Sprintf("decode call: %v", err)
 	}
 	rt.mergeParts(p.Parts)
 	if err := rt.installItems(m.From, m.Session, p.Items, pathCoh); err != nil {
-		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("install: %v", err))
-		return
+		return nil, fmt.Sprintf("install: %v", err)
 	}
 	args, err := rt.argsToValues(p.Args)
 	if err != nil {
-		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("swizzle args: %v", err))
-		return
+		return nil, fmt.Sprintf("swizzle args: %v", err)
 	}
 	rt.procsMu.RLock()
 	h, ok := rt.procs[m.Proc]
 	rt.procsMu.RUnlock()
 	if !ok {
-		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("%v: %q", ErrUnknownProc, m.Proc))
-		return
+		return nil, fmt.Sprintf("%v: %q", ErrUnknownProc, m.Proc)
 	}
 	rt.stats.callsServed.Add(1)
 	rt.trace(Event{Kind: EvCallServed, Target: m.From, Proc: m.Proc})
@@ -643,18 +641,15 @@ func (rt *Runtime) serveCall(m wire.Message) {
 		// the session ends next.
 		out, perr := rt.buildTransferPayload(m.Session, m.From, nil)
 		if perr != nil {
-			rt.reply(m, wire.KindReturn, nil, err.Error())
-			return
+			return nil, err.Error()
 		}
-		rt.reply(m, wire.KindReturn, out.Encode(), err.Error())
-		return
+		return out.Encode(), err.Error()
 	}
 	out, err := rt.buildTransferPayload(m.Session, m.From, results)
 	if err != nil {
-		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("build return: %v", err))
-		return
+		return nil, fmt.Sprintf("build return: %v", err)
 	}
-	rt.reply(m, wire.KindReturn, out.Encode(), "")
+	return out.Encode(), ""
 }
 
 // serveInvalidate implements the end-of-session invalidation on a

@@ -157,6 +157,13 @@ func (n *Network) route(m wire.Message) error {
 		dst.enqueueDelayed(m, time.Now().Add(time.Duration(d)))
 		return nil
 	}
+	// The inbox almost always has room: try a one-case send before paying
+	// for the two-case select.
+	select {
+	case dst.inbox <- m:
+		return nil
+	default:
+	}
 	select {
 	case dst.inbox <- m:
 		return nil
