@@ -72,6 +72,9 @@ type admissionTable struct {
 	// It doubles on demand up to admissionEntries and then stays.
 	ring    []admitEntry
 	head, n int
+	// seen counts the ring's entries in state admitSeen, so a full ring
+	// without one is not swept for one.
+	seen int
 	// retired holds the entries of the INVALIDATEs that ended the last
 	// sessions retired here.
 	retired [retiredSessions]admitEntry
@@ -116,6 +119,8 @@ func (a *admissionTable) admit(m wire.Message) (admitVerdict, cachedReply) {
 				*e = admitEntry{key: key, state: admitSeen, lastSeq: m.Seq}
 				if replayable(m.Kind) {
 					e.state = admitExecuting
+				} else {
+					a.seen++
 				}
 				e.attempts[word] = bit
 				a.index[key] = a.slot(a.n)
@@ -171,6 +176,9 @@ func (a *admissionTable) retire(sess uint64, by admitKey) {
 		e := a.ring[a.slot(i)]
 		if e.key.sess == sess {
 			delete(a.index, e.key)
+			if e.state == admitSeen {
+				a.seen--
+			}
 			continue
 		}
 		if kept != i {
@@ -199,7 +207,11 @@ func (a *admissionTable) retiredLocked(key admitKey) *admitEntry {
 // the ring; at the bound it evicts the oldest seen entry or, failing
 // that, the oldest done one, passing the others to the back (a full
 // ring's front becomes its back by advancing head), and reports false
-// when every entry is executing.
+// when every entry is executing. A sweep that finds no victim passes
+// every entry once and leaves head where it was, so the seen sweep is
+// skipped when the count says it would find none: a long session's CALLs
+// fill the ring with done entries, and every admission would pay a full
+// turn of the ring otherwise.
 func (a *admissionTable) makeRoomLocked() bool {
 	if len(a.ring) < admissionEntries {
 		if a.index == nil {
@@ -214,10 +226,16 @@ func (a *admissionTable) makeRoomLocked() bool {
 		return true
 	}
 	for _, victim := range [...]admitState{admitSeen, admitDone} {
+		if victim == admitSeen && a.seen == 0 {
+			continue
+		}
 		for range a.n {
 			e := &a.ring[a.head]
 			a.head = (a.head + 1) % len(a.ring)
 			if e.state == victim {
+				if victim == admitSeen {
+					a.seen--
+				}
 				delete(a.index, e.key)
 				*e = admitEntry{}
 				a.n--

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -531,6 +533,118 @@ func TestAdmissionEviction(t *testing.T) {
 	if full.n != 0 || len(full.index) != 0 {
 		t.Errorf("%d entries (%d indexed) after retirement, want 0", full.n, len(full.index))
 	}
+}
+
+// makeRoomSweep is makeRoomLocked as it was before the table counted its
+// seen entries: at the bound, every call sweeps the whole ring for a seen
+// entry before it looks for a done one.
+func makeRoomSweep(a *admissionTable) bool {
+	if len(a.ring) < admissionEntries {
+		if a.index == nil {
+			a.index = make(map[admitKey]int)
+		}
+		ring := make([]admitEntry, max(8, 2*len(a.ring)))
+		for i := 0; i < a.n; i++ {
+			ring[i] = a.ring[a.slot(i)]
+			a.index[ring[i].key] = i
+		}
+		a.ring, a.head = ring, 0
+		return true
+	}
+	for _, victim := range [...]admitState{admitSeen, admitDone} {
+		for range a.n {
+			e := &a.ring[a.head]
+			a.head = (a.head + 1) % len(a.ring)
+			if e.state == victim {
+				delete(a.index, e.key)
+				*e = admitEntry{}
+				a.n--
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// clone copies the table's ring state for a side-by-side step.
+func (a *admissionTable) clone() *admissionTable {
+	return &admissionTable{index: maps.Clone(a.index), ring: slices.Clone(a.ring), head: a.head, n: a.n, seen: a.seen}
+}
+
+// TestMakeRoomMatchesSweep holds makeRoomLocked to the sweep it replaced.
+// Seeded random streams of admissions, completions and retirements, in
+// phases that favour FETCHes (seen entries), CALLs left executing or CALLs
+// completed, bring the table to its bound in every mix; before each
+// admission into a full ring, both functions run on copies and must agree
+// on the result, the ring, its head and the index. After every step the
+// seen count matches the ring.
+func TestMakeRoomMatchesSweep(t *testing.T) {
+	var noSeen, withSeen, refused int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tab admissionTable
+		var live []wire.Message // admitted and not retired
+		var xid uint64
+		sessions := []uint64{1, 2, 3}
+		var pFetch, pComplete float64
+		for op := 0; op < 3000; op++ {
+			if op%250 == 0 {
+				pFetch, pComplete = rng.Float64()*rng.Float64(), rng.Float64()
+			}
+			switch r := rng.Float64(); {
+			case r < 0.6:
+				xid++
+				m := wire.Message{From: uint32(1 + rng.Intn(2)), Session: sessions[rng.Intn(len(sessions))], Seq: wire.SeqWithAttempt(xid, 0), Kind: wire.KindCall}
+				if rng.Float64() < pFetch {
+					m.Kind = wire.KindFetch
+				}
+				if tab.n == admissionEntries {
+					got, want := tab.clone(), tab.clone()
+					ok, wok := got.makeRoomLocked(), makeRoomSweep(want)
+					if ok != wok || got.head != want.head || got.n != want.n ||
+						!reflect.DeepEqual(got.ring, want.ring) || !maps.Equal(got.index, want.index) {
+						t.Fatalf("seed %d op %d: makeRoomLocked = %v (head %d, %d entries), the sweep %v (head %d, %d entries)",
+							seed, op, ok, got.head, got.n, wok, want.head, want.n)
+					}
+					switch {
+					case !ok:
+						refused++
+					case tab.seen == 0:
+						noSeen++
+					default:
+						withSeen++
+					}
+				}
+				tab.admit(m)
+				live = append(live, m)
+			case r < 0.6+0.35*pComplete:
+				if len(live) > 0 {
+					m := live[rng.Intn(len(live))]
+					tab.complete(m, cachedReply{kind: m.Kind.ReplyKind()})
+				}
+			case r < 0.99:
+			default:
+				i := rng.Intn(len(sessions))
+				sess := sessions[i]
+				tab.retire(sess, admitKey{})
+				live = slices.DeleteFunc(live, func(m wire.Message) bool { return m.Session == sess })
+				sessions[i] = sessions[len(sessions)-1] + 1
+			}
+			seen := 0
+			for i := 0; i < tab.n; i++ {
+				if tab.ring[tab.slot(i)].state == admitSeen {
+					seen++
+				}
+			}
+			if seen != tab.seen {
+				t.Fatalf("seed %d op %d: the ring holds %d seen entries, the count says %d", seed, op, seen, tab.seen)
+			}
+		}
+	}
+	if noSeen == 0 || withSeen == 0 || refused == 0 {
+		t.Errorf("the streams never made room without a seen entry (%d), with one (%d), or refused (%d)", noSeen, withSeen, refused)
+	}
+	t.Logf("full-ring admissions: %d without a seen entry, %d with one, %d refused", noSeen, withSeen, refused)
 }
 
 // TestAdmissionConcurrent: the dispatcher admits, serve goroutines

@@ -653,7 +653,20 @@ func (em *chunkEmitter) fail(errStr string) {
 // frame (chunkEmitter.finish).
 func (rt *Runtime) serveFetch(m wire.Message) {
 	em := chunkEmitter{rt: rt, req: m}
-	p, err := wire.DecodeFetchPayload(m.Payload)
+	// The working set (decoded wants and sums, queue, seen set, item
+	// slice, encode arena) is pooled across serves: every frame the reply
+	// goes out in is a copy, so nothing aliases the arena once the serve
+	// returns.
+	sc := serveScratchPool.Get().(*serveScratch)
+	defer func() {
+		sc.reset()
+		serveScratchPool.Put(sc)
+	}()
+	p, err := wire.DecodeFetchPayloadInto(m.Payload, sc.wants, sc.sums)
+	sc.wants = p.Wants
+	if p.Sums != nil {
+		sc.sums = p.Sums
+	}
 	if err != nil {
 		em.fail(fmt.Sprintf("decode: %v", err))
 		return
@@ -666,14 +679,6 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 		rt.stats.fetchesServed.Add(1)
 		rt.trace(Event{Kind: EvFetchServed, Target: m.From, Count: len(p.Wants)})
 	}
-	// The working set (queue, seen set, item slice, encode arena) is pooled
-	// across serves: every frame the reply goes out in is a copy, so
-	// nothing aliases the arena once the serve returns.
-	sc := serveScratchPool.Get().(*serveScratch)
-	defer func() {
-		sc.reset()
-		serveScratchPool.Put(sc)
-	}()
 	items, err := rt.buildClosureItems(p.Wants, p.Sums, int(p.Primary), int(p.Budget), sc, &em)
 	if err != nil {
 		em.fail(err.Error())
@@ -693,6 +698,8 @@ type closureJob struct {
 // buildClosureItems needs, reused across serveFetch calls so a hot origin
 // stops allocating per fetch. It starts empty and grows on use.
 type serveScratch struct {
+	wants []wire.LongPtr
+	sums  []uint64
 	seen  addrSet
 	queue []closureJob
 	items []wire.DataItem
@@ -701,9 +708,19 @@ type serveScratch struct {
 
 // maxPooledArena is the largest encode arena a pooled serveScratch keeps:
 // an outsized closure is encoded once, not pinned in the pool.
-const maxPooledArena = 1 << 20
+// maxPooledWants likewise bounds the decoded want and sum vectors.
+const (
+	maxPooledArena = 1 << 20
+	maxPooledWants = 1 << 14
+)
 
 func (sc *serveScratch) reset() {
+	if cap(sc.wants) > maxPooledWants {
+		sc.wants = nil
+	}
+	if cap(sc.sums) > maxPooledWants {
+		sc.sums = nil
+	}
 	sc.queue = sc.queue[:0]
 	// The items slice the arena; drop them before the arena is reused.
 	clear(sc.items)

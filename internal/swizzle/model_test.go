@@ -36,6 +36,13 @@ type refTable struct {
 	// memosVoid: a row was removed since the last DemoteAll, so no memo is
 	// offered.
 	memosVoid bool
+	// snap is the last snapshot: the rows in address order, filed by
+	// page, and the pages.
+	snap struct {
+		rows   []*Entry
+		byPage map[uint32][]*Entry
+		pages  []uint32
+	}
 }
 
 func newRefTable(sp *vmem.Space, res *types.Resolver) *refTable {
@@ -87,31 +94,31 @@ func (r *refTable) sorted() []*Entry {
 	return out
 }
 
-// onPage returns the rows covering page pn, in offset order.
-func (r *refTable) onPage(pn uint32) []*Entry {
-	var out []*Entry
-	for _, e := range r.sorted() {
-		if first, last := r.pagesOf(e); first <= pn && pn <= last {
-			out = append(out, e)
+// snapshot files the rows under the pages they cover, for onPage and
+// pages. compare takes one before its queries, which change no row, so a
+// query costs a lookup rather than a pass over every row.
+func (r *refTable) snapshot() {
+	r.snap.rows = r.sorted()
+	r.snap.byPage = map[uint32][]*Entry{}
+	for _, e := range r.snap.rows {
+		for first, last := r.pagesOf(e); first <= last; first++ {
+			r.snap.byPage[first] = append(r.snap.byPage[first], e)
 		}
 	}
-	return out
+	r.snap.pages = r.snap.pages[:0]
+	for pn := range r.snap.byPage {
+		r.snap.pages = append(r.snap.pages, pn)
+	}
+	slices.Sort(r.snap.pages)
 }
 
-func (r *refTable) pages() []uint32 {
-	seen := map[uint32]bool{}
-	for _, e := range r.rows {
-		for first, last := r.pagesOf(e); first <= last; first++ {
-			seen[first] = true
-		}
-	}
-	out := make([]uint32, 0, len(seen))
-	for pn := range seen {
-		out = append(out, pn)
-	}
-	slices.Sort(out)
-	return out
-}
+// onPage returns the rows covering page pn, in offset order, as of the
+// last snapshot.
+func (r *refTable) onPage(pn uint32) []*Entry { return r.snap.byPage[pn] }
+
+// pages returns the pages some row covers, ascending, as of the last
+// snapshot.
+func (r *refTable) pages() []uint32 { return r.snap.pages }
 
 // wants is the specification of Offer's ride-alongs.
 func (r *refTable) wants(origin, excludePN uint32, budget int, stale bool) []wire.LongPtr {
@@ -212,8 +219,9 @@ func (r *refTable) admit(t *testing.T, e Entry, areaKey uint32, policy AllocPoli
 // compare checks every read-only query of tb against the reference.
 func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 	t.Helper()
+	r.snapshot()
 	var want []Entry
-	for _, e := range r.sorted() {
+	for _, e := range r.snap.rows {
 		want = append(want, *e)
 	}
 	if got := tb.Entries(); !slices.Equal(got, want) {
@@ -233,10 +241,10 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 		rec := &tb.pages[i]
 		var resident, stale int32
 		for _, s := range rec.slots {
-			if tb.rows[s.row].Resident {
+			if tb.rows.at(s.row).Resident {
 				resident++
 			}
-			if tb.rows[s.row].Stale {
+			if tb.rows.at(s.row).Stale {
 				stale++
 			}
 		}
@@ -287,7 +295,7 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 		}
 	}
 	var covering, visitedOn []Entry
-	for _, e := range r.sorted() {
+	for _, e := range r.snap.rows {
 		first, last := r.pagesOf(e)
 		if slices.ContainsFunc(subset, func(pn uint32) bool { return first <= pn && pn <= last }) {
 			covering = append(covering, *e)
@@ -371,7 +379,10 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 // TestTableAgainstReferenceModel drives random operation sequences — every
 // mutating method, multi-page types, provisional areas, both policies —
 // against the table and the map-based reference, comparing every query
-// after every step.
+// after every step. Runs of fresh swizzles past the row store's next
+// segment boundary make each sequence cross at least five boundaries,
+// some of them in a session whose first segment an earlier, invalidated
+// session's peak sized.
 func TestTableAgainstReferenceModel(t *testing.T) {
 	seeds := 8
 	if testing.Short() {
@@ -413,35 +424,28 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 			}
 		}
 	}
+	// crossed counts the segment boundaries the row store crossed, in all
+	// sessions and in those whose first segment a nonzero hint sized.
+	var crossed, crossedHinted int
+	endSession := func() {
+		n := 0
+		for n < rowSegments && tb.rows.segs[n] != nil {
+			n++
+		}
+		if n > 1 {
+			crossed += n - 1
+			if tb.rows.first > minFirstSegment {
+				crossedHinted += n - 1
+			}
+		}
+	}
 	steps := 400
 	if testing.Short() {
 		steps = 150
 	}
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(106); {
-		case op >= 100: // record or drop a memo
-			e := anyRow()
-			if e == nil {
-				continue
-			}
-			tx := tb.Begin()
-			row, _ := tx.LookupAddr(e.Addr)
-			if rng.Intn(3) == 0 {
-				tx.DropMemo(row)
-				e.HasMemo = false
-			} else {
-				e.Memo, e.HasMemo = rng.Uint64(), true
-				tx.SetMemo(row, e.Memo)
-			}
-			tx.End()
-			if got, ok := tb.OfferedMemo(*e); ok != (e.HasMemo && !ref.memosVoid) || ok && got != e.Memo {
-				t.Fatalf("step %d: OfferedMemo(%v) = %#x, %v; reference %#x, %v, void %v", step, e.LP, got, ok, e.Memo, e.HasMemo, ref.memosVoid)
-			}
-		case op < 45: // swizzle, fresh or repeated, three ways in
-			l := freshLP()
-			if e := anyRow(); e != nil && rng.Intn(4) == 0 {
-				l = e.LP
-			}
+		// swizzle enters l, fresh or repeated, three ways in.
+		swizzle := func(l wire.LongPtr) {
 			key := l.Space
 			var addr vmem.VAddr
 			var fresh bool
@@ -477,6 +481,45 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 				}
 				ref.admit(t, e, key, policy)
 			}
+		}
+		switch op := rng.Intn(112); {
+		case op >= 106: // fresh swizzles past the row store's next segment boundary
+			b := int(tb.rows.first)
+			if b == 0 { // nothing stored since the last Invalidate
+				b = max(minFirstSegment, tb.hint)
+			}
+			for b < int(tb.rows.len()) {
+				b *= 2
+			}
+			if target := b + 1 + rng.Intn(32); target <= maxModelRows {
+				for int(tb.rows.len()) < target {
+					swizzle(freshLP())
+				}
+			}
+		case op >= 100: // record or drop a memo
+			e := anyRow()
+			if e == nil {
+				continue
+			}
+			tx := tb.Begin()
+			row, _ := tx.LookupAddr(e.Addr)
+			if rng.Intn(3) == 0 {
+				tx.DropMemo(row)
+				e.HasMemo = false
+			} else {
+				e.Memo, e.HasMemo = rng.Uint64(), true
+				tx.SetMemo(row, e.Memo)
+			}
+			tx.End()
+			if got, ok := tb.OfferedMemo(*e); ok != (e.HasMemo && !ref.memosVoid) || ok && got != e.Memo {
+				t.Fatalf("step %d: OfferedMemo(%v) = %#x, %v; reference %#x, %v, void %v", step, e.LP, got, ok, e.Memo, e.HasMemo, ref.memosVoid)
+			}
+		case op < 45: // swizzle, fresh or repeated
+			l := freshLP()
+			if e := anyRow(); e != nil && rng.Intn(4) == 0 {
+				l = e.LP
+			}
+			swizzle(l)
 		case op < 65: // mark resident, by address or by handle
 			e := anyRow()
 			if e == nil {
@@ -584,13 +627,23 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 				ref.closed[last] = true
 			}
 		default: // end of session
+			endSession()
 			tb.Invalidate()
 			closeAll()
 			ref.invalidate()
 		}
 		ref.compare(t, tb, rng)
 	}
+	endSession()
+	if !testing.Short() && (crossed < 5 || crossedHinted == 0) {
+		t.Errorf("the row store crossed %d segment boundaries, %d of them after a first segment sized by a hint; want at least 5 and 1", crossed, crossedHinted)
+	}
+	t.Logf("segment boundaries crossed: %d, %d after a hinted first segment", crossed, crossedHinted)
 }
+
+// maxModelRows bounds a model session's rows, the reference's queries
+// being scans.
+const maxModelRows = 700
 
 // TestIndexGrowthAndDeadSlotReuse looks inside the long-pointer index: it
 // stays a power of two at most half full while rows pour in, and an
@@ -687,6 +740,8 @@ func TestIndexGrowthAndDeadSlotReuse(t *testing.T) {
 // every byte of every page, on the shapes a page takes: one size at a
 // uniform stride, mixed sizes, a datum larger than a page continuing at
 // offset 0 with small data after it, and tombstones left by removals.
+// Each shape fills two sessions whose rows cross six segment boundaries
+// between them, the second from a first segment the first's peak sized.
 func TestRowAtAgainstReference(t *testing.T) {
 	reg := types.NewRegistry()
 	sizes := []int{1, 2, 3, 5, 1000} // int64 words per type
@@ -721,38 +776,53 @@ func TestRowAtAgainstReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			tb := New(sp, reg, selfID, PolicyPerOrigin)
-			var addrs []vmem.VAddr
-			for i := 0; i < 300; i++ {
-				a, _, err := tb.Swizzle(lp(remoteID, vmem.VAddr(0x1000+8*i), sh.kind(rng, i)))
-				if err != nil {
-					t.Fatal(err)
+			// Two sessions: the first grows from the smallest first
+			// segment, the second from the first's peak.
+			crossed := 0
+			for session, rows := range []int{150, 1300} {
+				if session > 0 {
+					tb.Invalidate()
 				}
-				addrs = append(addrs, a)
-			}
-			if sh.cut > 0 {
-				for _, a := range addrs {
-					if rng.Intn(sh.cut) == 0 {
-						if err := tb.Remove(a); err != nil {
-							t.Fatal(err)
+				var addrs []vmem.VAddr
+				for i := 0; i < rows; i++ {
+					a, _, err := tb.Swizzle(lp(remoteID, vmem.VAddr(0x1000+8*i), sh.kind(rng, i)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					addrs = append(addrs, a)
+				}
+				for k := 1; k < rowSegments && tb.rows.segs[k] != nil; k++ {
+					crossed++
+				}
+				if sh.cut > 0 {
+					for _, a := range addrs {
+						if rng.Intn(sh.cut) == 0 {
+							if err := tb.Remove(a); err != nil {
+								t.Fatal(err)
+							}
 						}
 					}
 				}
-			}
-			starts := map[vmem.VAddr]wire.LongPtr{}
-			for _, e := range tb.Entries() {
-				starts[e.Addr] = e.LP
-			}
-			first, last := sp.PageOf(addrs[0]), sp.PageOf(addrs[len(addrs)-1]+8000)
-			tx := tb.Begin()
-			defer tx.End()
-			for pn := first - 1; pn <= last+1; pn++ {
-				for a := sp.PageBase(pn); a < sp.PageBase(pn)+1024; a++ {
-					want, ok := starts[a]
-					row, found := tx.LookupAddr(a)
-					if found != ok || found && tx.Entry(row).LP != want {
-						t.Fatalf("address %#x: row %v (found %v), want %v (%v)", uint32(a), row, found, want, ok)
+				starts := map[vmem.VAddr]wire.LongPtr{}
+				for _, e := range tb.Entries() {
+					starts[e.Addr] = e.LP
+				}
+				first, last := sp.PageOf(addrs[0]), sp.PageOf(addrs[len(addrs)-1]+8000)
+				tx := tb.Begin()
+				for pn := first - 1; pn <= last+1; pn++ {
+					for a := sp.PageBase(pn); a < sp.PageBase(pn)+1024; a++ {
+						want, ok := starts[a]
+						row, found := tx.LookupAddr(a)
+						if found != ok || found && tx.Entry(row).LP != want {
+							tx.End()
+							t.Fatalf("session %d, address %#x: row %v (found %v), want %v (%v)", session, uint32(a), row, found, want, ok)
+						}
 					}
 				}
+				tx.End()
+			}
+			if crossed < 5 {
+				t.Errorf("the row store crossed %d segment boundaries, want at least 5", crossed)
 			}
 		})
 	}
@@ -796,7 +866,7 @@ func TestFindMemoNeverAnswersDeadRows(t *testing.T) {
 				byLP[l] = int32(row)
 			case op < 7:
 				l := live()
-				if err := tb.Remove(tb.rows[byLP[l]].Addr); err != nil {
+				if err := tb.Remove(tb.rows.at(byLP[l]).Addr); err != nil {
 					t.Fatal(err)
 				}
 				delete(byLP, l)
@@ -814,15 +884,16 @@ func TestFindMemoNeverAnswersDeadRows(t *testing.T) {
 				byLP[target] = byLP[old]
 				delete(byLP, old)
 			}
-			for m := 0; m <= len(tb.rows); m++ {
+			for m := int32(0); m <= tb.rows.len(); m++ {
 				for _, l := range universe {
 					want, ok := byLP[l]
 					if !ok {
 						want = -1
 					}
-					tb.next = int32(m)
-					if got, _ := tb.find(l); got != want {
-						t.Fatalf("seed %d step %d: with the memo at row %d, find(%v) = %d, want %d", seed, step, m, l, got, want)
+					tb.next = m
+					got, e, _ := tb.find(l)
+					if got != want || (e == nil) != (got < 0) || e != nil && e != tb.rows.at(got) {
+						t.Fatalf("seed %d step %d: with the memo at row %d, find(%v) = %d (%p), want %d", seed, step, m, l, got, e, want)
 					}
 				}
 			}

@@ -130,16 +130,17 @@ type pageRec struct {
 // Table is the data allocation table plus the swizzle/unswizzle indexes
 // for one address space. It is safe for concurrent use.
 //
-// Rows live in one append-only slice and are found two ways, neither of
-// them a Go map: by cache address through a dense per-page record (vmem
-// hands a session's cache pages out in ascending order, so the records
-// form a slice indexed by page number from the session's first page, the
-// shape of vmem's own page table), and by long pointer through
-// an open-addressing table of row indices whose keys are compared in the
-// rows themselves. The table sits on both the install path (one swizzle per
+// Rows live in an append-only segmented store (rowStore) and are found
+// two ways, neither of them a Go map: by cache address through a dense
+// per-page record (vmem hands a session's cache pages out in ascending
+// order, so the records form a slice indexed by page number from the
+// session's first page, the shape of vmem's own page table), and by long
+// pointer through an open-addressing table of row indices whose keys are
+// compared in the rows themselves. The table sits on both the install path (one swizzle per
 // pointer field received) and the fault path, so its constant factors
 // dominate the runtime's hot loops. The peak row and page counts are
-// remembered across Invalidate and pre-size the next session's storage.
+// remembered across Invalidate and pre-size the next session's storage:
+// the peak row count becomes the first segment's size.
 type Table struct {
 	space  *vmem.Space
 	reg    *types.Registry
@@ -148,11 +149,12 @@ type Table struct {
 	policy AllocPolicy
 
 	mu sync.Mutex
-	// rows is the row store. A removed row is zeroed (a null long pointer
-	// marks the tombstone — Swizzle never stores one) and dropped from both
-	// indexes; its slot is not reused, matching the rule that a freed cache
-	// address is not reused within the session.
-	rows []Entry
+	// rows is the row store; a row never moves, so a lookup hands back a
+	// pointer that later inserts leave valid. A removed row is zeroed (a
+	// null long pointer marks the tombstone — Swizzle never stores one) and
+	// dropped from both indexes; its slot is not reused, matching the rule
+	// that a freed cache address is not reused within the session.
+	rows rowStore
 	live int // rows that are not tombstones
 	// index maps a long pointer to its row: linear probing from the hash's
 	// top bits over a power-of-two slot array holding row+1, 0 for a free
@@ -201,9 +203,9 @@ func New(space *vmem.Space, reg *types.Registry, selfID uint32, policy AllocPoli
 // far — a table that is invalidated and never refilled (end of the last
 // session) costs nothing. Caller holds t.mu.
 func (t *Table) reset() {
-	t.hint = max(t.hint, len(t.rows))
+	t.hint = max(t.hint, int(t.rows.len()))
 	t.pageHint = max(t.pageHint, len(t.pages))
-	t.rows, t.live, t.next = nil, 0, 0
+	t.rows, t.live, t.next = rowStore{}, 0, 0
 	t.index, t.used = nil, 0
 	t.pages = nil
 	t.areas = nil
@@ -216,7 +218,7 @@ func (t *Table) ensure() {
 	if t.index != nil {
 		return
 	}
-	t.rows = make([]Entry, 0, t.hint)
+	t.rows = newRowStore(t.hint)
 	t.setIndexSize(max(8, 1<<bits.Len(uint(2*t.hint))))
 	t.pages = make([]pageRec, 0, t.pageHint)
 	t.areas = make(map[uint32]*area)
@@ -228,10 +230,11 @@ func (t *Table) setIndexSize(n int) {
 	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
 }
 
-// probe looks lp up in the index. It returns lp's row, or -1 and the slot
-// an insert of lp should take (the first dead slot passed, else the free
-// slot that ended the probe). The index must be non-empty.
-func (t *Table) probe(lp wire.LongPtr) (row int32, pos int) {
+// probe looks lp up in the index. It returns lp's row, by index and by
+// pointer, or -1, nil and the slot an insert of lp should take (the first
+// dead slot passed, else the free slot that ended the probe). The index
+// must be non-empty.
+func (t *Table) probe(lp wire.LongPtr) (row int32, e *Entry, pos int) {
 	k := (uint64(lp.Space)<<32 | uint64(lp.Addr)) + uint64(lp.Type)*0x9E3779B1
 	mask := len(t.index) - 1
 	pos = -1
@@ -241,19 +244,21 @@ func (t *Table) probe(lp wire.LongPtr) (row int32, pos int) {
 			if pos < 0 {
 				pos = i
 			}
-			return -1, pos
+			return -1, nil, pos
 		case v == indexDead:
 			if pos < 0 {
 				pos = i
 			}
-		case t.rows[v-1].LP == lp:
-			return v - 1, i
+		default:
+			if e := t.rows.at(v - 1); e.LP == lp {
+				return v - 1, e, i
+			}
 		}
 	}
 }
 
-// find returns lp's row, or -1 and, when there is an index, the slot an
-// insert of lp should take (-1 otherwise).
+// find returns lp's row, by index and by pointer, or -1, nil and, when
+// there is an index, the slot an insert of lp should take (-1 otherwise).
 //
 // Rows are mostly asked for in the order they were created: a closure's
 // items install in the order their parents' installs swizzled them, and a
@@ -261,18 +266,20 @@ func (t *Table) probe(lp wire.LongPtr) (row int32, pos int) {
 // allocation makes creation order too. So the row after the last answer
 // is compared first. A tombstone's long pointer is null, so a null lp
 // never matches there.
-func (t *Table) find(lp wire.LongPtr) (row int32, pos int) {
-	if n := t.next; int(n) < len(t.rows) && t.rows[n].LP == lp && !lp.IsNull() {
-		t.next = n + 1
-		return n, -1
+func (t *Table) find(lp wire.LongPtr) (row int32, e *Entry, pos int) {
+	if n := t.next; n < t.rows.len() && !lp.IsNull() {
+		if e := t.rows.at(n); e.LP == lp {
+			t.next = n + 1
+			return n, e, -1
+		}
 	}
 	if len(t.index) == 0 {
-		return -1, -1
+		return -1, nil, -1
 	}
-	if row, pos = t.probe(lp); row >= 0 {
+	if row, e, pos = t.probe(lp); row >= 0 {
 		t.next = row + 1
 	}
-	return row, pos
+	return row, e, pos
 }
 
 // indexInsert enters row, already stored in t.rows, under its long
@@ -291,7 +298,7 @@ func (t *Table) indexInsert(row int32, pos int) {
 
 // indexDelete removes lp, which must be present.
 func (t *Table) indexDelete(lp wire.LongPtr) {
-	_, pos := t.probe(lp)
+	_, _, pos := t.probe(lp)
 	t.index[pos] = indexDead
 }
 
@@ -303,10 +310,10 @@ func (t *Table) rebuildIndex() {
 		n *= 2
 	}
 	t.setIndexSize(n)
-	for i := range t.rows {
-		if lp := t.rows[i].LP; !lp.IsNull() {
-			_, pos := t.probe(lp)
-			t.index[pos] = int32(i) + 1
+	for i := int32(0); i < t.rows.len(); i++ {
+		if lp := t.rows.at(i).LP; !lp.IsNull() {
+			_, _, pos := t.probe(lp)
+			t.index[pos] = i + 1
 			t.used++
 		}
 	}
@@ -329,12 +336,13 @@ func (t *Table) lastPage(e *Entry) uint32 {
 	return t.space.PageOf(e.Addr + vmem.VAddr(e.Size-1))
 }
 
-// rowAt returns the row whose datum starts at cache address addr, or -1.
-func (t *Table) rowAt(addr vmem.VAddr) int32 {
+// rowAt returns the row whose datum starts at cache address addr, by
+// index and by pointer, or -1 and nil.
+func (t *Table) rowAt(addr vmem.VAddr) (int32, *Entry) {
 	pn := t.space.PageOf(addr)
 	rec := t.page(pn)
 	if rec == nil {
-		return -1
+		return -1, nil
 	}
 	off := uint32(addr) - uint32(t.space.PageBase(pn))
 	s := rec.slots
@@ -359,10 +367,12 @@ func (t *Table) rowAt(addr vmem.VAddr) int32 {
 	}
 	// The address comparison rejects a continuing datum's slot, whose
 	// nominal offset 0 is not where it starts.
-	if lo < len(s) && t.rows[s[lo].row].Addr == addr {
-		return s[lo].row
+	if lo < len(s) {
+		if e := t.rows.at(s[lo].row); e.Addr == addr {
+			return s[lo].row, e
+		}
 	}
-	return -1
+	return -1, nil
 }
 
 // SelfID returns the owning space's identifier.
@@ -429,46 +439,40 @@ func (x Tx) SwizzleRow(lp wire.LongPtr) (Row, error) {
 	if lp.IsNull() || lp.Space == x.t.selfID {
 		return -1, fmt.Errorf("swizzle: %v has no table row", lp)
 	}
-	row, _, err := x.t.swizzleRemote(lp, lp.Space)
+	row, _, _, err := x.t.swizzleRemote(lp, lp.Space)
 	return Row(row), err
 }
 
 // swizzleAddr is swizzleRemote returning the row's address.
 func (t *Table) swizzleAddr(lp wire.LongPtr, areaKey uint32) (vmem.VAddr, bool, error) {
-	row, fresh, err := t.swizzleRemote(lp, areaKey)
+	_, e, fresh, err := t.swizzleRemote(lp, areaKey)
 	if err != nil {
 		return vmem.Null, false, err
 	}
-	return t.rows[row].Addr, fresh, nil
+	return e.Addr, fresh, nil
 }
 
 // swizzleRemote finds or creates the row for a long pointer into another
-// space. Caller holds t.mu.
-func (t *Table) swizzleRemote(lp wire.LongPtr, areaKey uint32) (row int32, fresh bool, err error) {
+// space, and returns it by index and by pointer. Caller holds t.mu.
+func (t *Table) swizzleRemote(lp wire.LongPtr, areaKey uint32) (row int32, e *Entry, fresh bool, err error) {
 	t.ensure()
 	// A miss's probe found the slot the insert takes: nothing below
 	// touches the index before it.
-	row, pos := t.find(lp)
+	row, e, pos := t.find(lp)
 	if row >= 0 {
-		return row, false, nil
+		return row, e, false, nil
 	}
 	rv, err := t.res.Resolve(lp.Type)
 	if err != nil {
-		return -1, false, fmt.Errorf("swizzle %v: %w", lp, err)
+		return -1, nil, false, fmt.Errorf("swizzle %v: %w", lp, err)
 	}
 	size := rv.Layout.Size
 	addr, err := t.reserve(areaKey, size, rv.Layout.Align)
 	if err != nil {
-		return -1, false, fmt.Errorf("swizzle %v: %w", lp, err)
+		return -1, nil, false, fmt.Errorf("swizzle %v: %w", lp, err)
 	}
 	pn := t.space.PageOf(addr)
-	row = int32(len(t.rows))
-	if len(t.rows) == cap(t.rows) {
-		// Double: append's 1.25x steps would copy a large table five times
-		// over on its way up.
-		t.rows = append(make([]Entry, 0, max(64, 2*len(t.rows))), t.rows...)
-	}
-	t.rows = append(t.rows, Entry{
+	row, e = t.rows.push(Entry{
 		Page:   pn,
 		Offset: uint32(addr) - uint32(t.space.PageBase(pn)),
 		LP:     lp,
@@ -477,7 +481,6 @@ func (t *Table) swizzleRemote(lp wire.LongPtr, areaKey uint32) (row int32, fresh
 	})
 	t.live++
 	t.indexInsert(row, pos)
-	e := &t.rows[row]
 	if len(t.pages) == 0 {
 		t.basePN = pn
 	}
@@ -497,7 +500,7 @@ func (t *Table) swizzleRemote(lp wire.LongPtr, areaKey uint32) (row int32, fresh
 		}
 		rec.slots = append(rec.slots, slot{off: off, row: row})
 	}
-	return row, true, nil
+	return row, e, true, nil
 }
 
 // reserve carves size bytes out of the keyed open page area, opening a
@@ -544,7 +547,7 @@ func (t *Table) reserve(areaKey uint32, size, align int) (vmem.VAddr, error) {
 const ProvisionalAreaFlag uint32 = 0x8000_0000
 
 // Entry returns row r.
-func (x Tx) Entry(r Row) Entry { return x.t.rows[r] }
+func (x Tx) Entry(r Row) Entry { return *x.t.rows.at(int32(r)) }
 
 // MarkResident records that row r's datum has its bytes installed.
 func (x Tx) MarkResident(r Row) { x.t.markResident(int32(r)) }
@@ -553,7 +556,7 @@ func (x Tx) MarkResident(r Row) { x.t.markResident(int32(r)) }
 func (t *Table) MarkResident(addr vmem.VAddr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i := t.rowAt(addr); i >= 0 {
+	if i, _ := t.rowAt(addr); i >= 0 {
 		t.markResident(i)
 	}
 }
@@ -563,22 +566,22 @@ func (t *Table) MarkResident(addr vmem.VAddr) {
 func (t *Table) Touch(addr vmem.VAddr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i := t.rowAt(addr); i >= 0 {
-		t.rows[i].Touched = true
+	if _, e := t.rowAt(addr); e != nil {
+		e.Touched = true
 	}
 }
 
 // Touch sets row r's Touched mark.
-func (x Tx) Touch(r Row) { x.t.rows[r].Touched = true }
+func (x Tx) Touch(r Row) { x.t.rows.at(int32(r)).Touched = true }
 
 // SetMemo records sum as the content hash of row r's canonical encoding.
 func (x Tx) SetMemo(r Row, sum uint64) {
-	e := &x.t.rows[r]
+	e := x.t.rows.at(int32(r))
 	e.Memo, e.HasMemo = sum, true
 }
 
 // DropMemo forgets row r's memo: its bytes are about to change.
-func (x Tx) DropMemo(r Row) { x.t.rows[r].HasMemo = false }
+func (x Tx) DropMemo(r Row) { x.t.rows.at(int32(r)).HasMemo = false }
 
 // OfferedMemo returns the memo a hashed FETCH would offer for row e, as
 // Offer reports it: none when the row has none or a removal since the
@@ -590,7 +593,7 @@ func (t *Table) OfferedMemo(e Entry) (uint64, bool) {
 }
 
 func (t *Table) markResident(i int32) {
-	e := &t.rows[i]
+	e := t.rows.at(i)
 	if e.Resident {
 		return
 	}
@@ -612,7 +615,7 @@ func (t *Table) markResident(i int32) {
 func (t *Table) Remove(addr vmem.VAddr) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := t.rowAt(addr)
+	i, _ := t.rowAt(addr)
 	if i < 0 {
 		return fmt.Errorf("%w: %#x", ErrNotSwizzled, uint32(addr))
 	}
@@ -622,7 +625,7 @@ func (t *Table) Remove(addr vmem.VAddr) error {
 
 // remove deletes row i from both indexes. The caller holds t.mu.
 func (t *Table) remove(i int32) {
-	e := &t.rows[i]
+	e := t.rows.at(i)
 	t.indexDelete(e.LP)
 	for p, last := e.Page, t.lastPage(e); p <= last; p++ {
 		rec := t.page(p)
@@ -706,27 +709,27 @@ func (x Tx) Unswizzle(addr vmem.VAddr, declared types.ID) (wire.LongPtr, error) 
 	if !x.t.space.InCache(addr) {
 		return wire.LongPtr{Space: x.t.selfID, Addr: addr, Type: declared}, nil
 	}
-	i := x.t.rowAt(addr)
-	if i < 0 {
+	_, e := x.t.rowAt(addr)
+	if e == nil {
 		return wire.LongPtr{}, fmt.Errorf("%w: %#x", ErrNotSwizzled, uint32(addr))
 	}
-	return x.t.rows[i].LP, nil
+	return e.LP, nil
 }
 
 // LookupAddr returns the table entry for a swizzled address.
 func (t *Table) LookupAddr(addr vmem.VAddr) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := t.rowAt(addr)
-	if i < 0 {
+	_, e := t.rowAt(addr)
+	if e == nil {
 		return Entry{}, false
 	}
-	return t.rows[i], true
+	return *e, true
 }
 
 // LookupAddr returns the row for a swizzled address.
 func (x Tx) LookupAddr(addr vmem.VAddr) (Row, bool) {
-	i := x.t.rowAt(addr)
+	i, _ := x.t.rowAt(addr)
 	return Row(i), i >= 0
 }
 
@@ -734,16 +737,16 @@ func (x Tx) LookupAddr(addr vmem.VAddr) (Row, bool) {
 func (t *Table) LookupLP(lp wire.LongPtr) (vmem.VAddr, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, _ := t.find(lp)
-	if i < 0 {
+	_, e, _ := t.find(lp)
+	if e == nil {
 		return vmem.Null, false
 	}
-	return t.rows[i].Addr, true
+	return e.Addr, true
 }
 
 // LookupLP returns the row for a long pointer, if present.
 func (x Tx) LookupLP(lp wire.LongPtr) (Row, bool) {
-	i, _ := x.t.find(lp)
+	i, _, _ := x.t.find(lp)
 	return Row(i), i >= 0
 }
 
@@ -760,7 +763,7 @@ func (t *Table) PageEntries(pn uint32) []Entry {
 	}
 	out := make([]Entry, len(rec.slots))
 	for k, s := range rec.slots {
-		out[k] = t.rows[s.row]
+		out[k] = *t.rows.at(s.row)
 	}
 	return out
 }
@@ -782,7 +785,7 @@ func (t *Table) PageOrigins(pn uint32, plain, stale []uint32) ([]uint32, []uint3
 		return plain, stale, len(rec.slots) // nothing is missing
 	}
 	for _, s := range rec.slots {
-		switch e := &t.rows[s.row]; {
+		switch e := t.rows.at(s.row); {
 		case e.Resident:
 		case e.Stale:
 			stale = addOrigin(stale, e.LP.Space)
@@ -824,15 +827,14 @@ func addOrigin(origins []uint32, o uint32) []uint32 {
 // carry none (Entry.HasMemo).
 func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(r Row, e Entry, own bool)) {
 	t := x.t
-	call := func(row int32, own bool) {
-		e := t.rows[row]
+	call := func(row int32, e Entry, own bool) {
 		e.HasMemo = e.HasMemo && !t.memosVoid
 		f(Row(row), e, own)
 	}
 	if rec := t.page(pn); rec != nil {
 		for _, s := range rec.slots {
-			if e := &t.rows[s.row]; !e.Resident && e.Stale == stale && e.LP.Space == origin {
-				call(s.row, true)
+			if e := t.rows.at(s.row); !e.Resident && e.Stale == stale && e.LP.Space == origin {
+				call(s.row, *e, true)
 			}
 		}
 	}
@@ -850,7 +852,7 @@ func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(r Row, e Ent
 		for _, s := range rec.slots {
 			// A row is listed once, under the page it starts on, and never
 			// when it covers pn, whose own rows are listed above.
-			e := &t.rows[s.row]
+			e := t.rows.at(s.row)
 			if e.Page != p || e.LP.Space != origin || e.Resident || stale && !e.Stale || p < pn && pn <= t.lastPage(e) {
 				continue
 			}
@@ -865,7 +867,7 @@ func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(r Row, e Ent
 				return
 			}
 			left -= size
-			call(s.row, false)
+			call(s.row, *e, false)
 		}
 	}
 }
@@ -896,7 +898,7 @@ func (t *Table) PrefetchCandidates(origin uint32, max int) []uint32 {
 			continue
 		}
 		for _, s := range rec.slots {
-			if e := &t.rows[s.row]; !e.Resident && e.LP.Space == origin {
+			if e := t.rows.at(s.row); !e.Resident && e.LP.Space == origin {
 				pages = append(pages, t.basePN+uint32(i))
 				break
 			}
@@ -918,7 +920,7 @@ func (t *Table) Entries() []Entry {
 	for i := range t.pages {
 		pn := t.basePN + uint32(i)
 		for _, s := range t.pages[i].slots {
-			if e := &t.rows[s.row]; e.Page == pn {
+			if e := t.rows.at(s.row); e.Page == pn {
 				out = append(out, *e)
 			}
 		}
@@ -938,7 +940,7 @@ func (x Tx) VisitPages(pages []uint32, f func(Entry) bool) {
 			continue
 		}
 		for _, s := range rec.slots {
-			e := &t.rows[s.row]
+			e := t.rows.at(s.row)
 			if e.Page < pn && k > 0 && pages[k-1] >= e.Page {
 				continue // continues from an earlier page of the set
 			}
@@ -955,11 +957,12 @@ func (x Tx) VisitPages(pages []uint32, f func(Entry) bool) {
 func (t *Table) Visit(f func(Entry) bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.rows {
-		if t.rows[i].LP.IsNull() {
+	for i := int32(0); i < t.rows.len(); i++ {
+		e := t.rows.at(i)
+		if e.LP.IsNull() {
 			continue // tombstone of a removed row
 		}
-		if !f(t.rows[i]) {
+		if !f(*e) {
 			return
 		}
 	}
@@ -997,12 +1000,12 @@ func (t *Table) Len() int {
 func (t *Table) Rebind(old, new wire.LongPtr) (evicted bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, _ := t.find(old)
+	i, e, _ := t.find(old)
 	if i < 0 {
 		return false, fmt.Errorf("%w: %v", ErrRebindUnknown, old)
 	}
-	if j, _ := t.find(new); j >= 0 {
-		if t.rows[j].Resident {
+	if j, victim, _ := t.find(new); j >= 0 {
+		if victim.Resident {
 			return false, fmt.Errorf("swizzle: rebind target %v already mapped", new)
 		}
 		t.poison(j)
@@ -1010,8 +1013,8 @@ func (t *Table) Rebind(old, new wire.LongPtr) (evicted bool, err error) {
 		evicted = true
 	}
 	t.indexDelete(old)
-	t.rows[i].LP = new
-	_, pos := t.probe(new)
+	e.LP = new
+	_, _, pos := t.probe(new)
 	t.indexInsert(i, pos)
 	return evicted, nil
 }
@@ -1026,7 +1029,7 @@ const rebindPoison byte = 0xDB
 // slot's page usually still holds other non-resident entries and is
 // therefore protected, and a poisoning hiccup must not fail the caller.
 func (t *Table) poison(i int32) {
-	e := t.rows[i]
+	e := t.rows.at(i)
 	if e.Size == 0 {
 		return
 	}
@@ -1065,8 +1068,8 @@ func (t *Table) DemoteAll() {
 	defer t.mu.Unlock()
 	void := t.memosVoid
 	t.memosVoid = false
-	for i := range t.rows {
-		e := &t.rows[i]
+	for i := int32(0); i < t.rows.len(); i++ {
+		e := t.rows.at(i)
 		if e.Resident {
 			e.Resident = false
 			e.Stale = true
@@ -1101,11 +1104,10 @@ func (t *Table) ClearStale(lps []wire.LongPtr) {
 func (x Tx) ClearStale(lps []wire.LongPtr) {
 	t := x.t
 	for _, lp := range lps {
-		i, _ := t.find(lp)
-		if i < 0 || !t.rows[i].Stale {
+		_, e, _ := t.find(lp)
+		if e == nil || !e.Stale {
 			continue
 		}
-		e := &t.rows[i]
 		e.Stale = false
 		for p, last := e.Page, t.lastPage(e); p <= last; p++ {
 			t.page(p).stale--

@@ -2,6 +2,9 @@ package swizzle
 
 import (
 	"errors"
+	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -815,5 +818,66 @@ func TestTouchedDiesWithTheSession(t *testing.T) {
 	}
 	if got, want := unsafe.Sizeof(Entry{}), uintptr(40); got != want {
 		t.Errorf("Entry is %d bytes, want %d: the flag must fit the padding", got, want)
+	}
+}
+
+// TestRowPointerOutlivesGrowth: a row never moves. A pointer to a row,
+// taken before 10 000 more rows arrive, still reads the row's storage: a
+// mark made through the table afterwards shows through it.
+func TestRowPointerOutlivesGrowth(t *testing.T) {
+	tb, _ := newTable(t, 0)
+	tx := tb.Begin()
+	defer tx.End()
+	row, err := tx.SwizzleRow(lp(remoteID, 0x1000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tb.rows.at(int32(row))
+	for i := 1; i <= 10000; i++ {
+		if _, _, err := tx.Swizzle(lp(remoteID, vmem.VAddr(0x1000+16*i), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx.MarkResident(row)
+	if !tx.Entry(row).Resident {
+		t.Fatal("the table lost the mark")
+	}
+	if !p.Resident {
+		t.Error("the mark does not show through a pointer taken before the table grew: the row moved")
+	}
+}
+
+// TestLocateMatchesDivision holds the row store's multiply-shift division
+// to the hardware's: every row index near a segment boundary, and random
+// ones, lands in the segment and offset that dividing by the first
+// segment's size gives, for first segments of both kinds.
+func TestLocateMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, first := range []int{0, 64, 65, 100, 150, 1000, 32767, 32768, 1<<20 + 7, 1<<30 - 1} {
+		s := newRowStore(first)
+		f := int64(s.first)
+		check := func(i int64) {
+			if i < 0 || i > math.MaxInt32 {
+				return
+			}
+			k, start := 0, int64(0)
+			if q := i / f; q > 0 {
+				k = bits.Len64(uint64(q))
+				start = f << (k - 1)
+			}
+			if gk, goff := s.locate(int32(i)); gk != k || int64(goff) != i-start {
+				t.Fatalf("first %d: row %d locates to segment %d offset %d, want %d and %d", f, i, gk, goff, k, i-start)
+			}
+		}
+		for b := f; b <= math.MaxInt32; b *= 2 {
+			for d := int64(-2); d <= 2; d++ {
+				check(b + d)
+			}
+		}
+		for range 10000 {
+			check(rng.Int63n(math.MaxInt32 + 1))
+		}
+		check(0)
+		check(math.MaxInt32)
 	}
 }

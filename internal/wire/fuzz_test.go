@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -94,12 +95,12 @@ func FuzzFetchPayloadDecode(f *testing.F) {
 		Budget:  4096,
 		Primary: 1,
 	}
-	f.Add(p.Encode())
+	f.Add(p.Encode(), int64(0))
 	spec := p
 	spec.Speculative = true
-	f.Add(spec.Encode())
+	f.Add(spec.Encode(), int64(1))
 	hashed := FetchPayload{Wants: p.Wants, Sums: []uint64{0xdeadbeefcafef00d, 1}}
-	f.Add(hashed.Encode())
+	f.Add(hashed.Encode(), int64(2))
 	// Must be rejected: a hashed want vector one sum short, and a hashed
 	// request with nothing to hash.
 	short := hashed.Encode()
@@ -109,10 +110,34 @@ func FuzzFetchPayloadDecode(f *testing.F) {
 		if _, err := DecodeFetchPayload(bad); err == nil {
 			f.Fatalf("decoder admitted malformed hashed fetch %x", bad)
 		}
-		f.Add(bad)
+		f.Add(bad, int64(3))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		q, err := DecodeFetchPayload(data)
+		// Decoding into reused vectors — dirty, of any capacity — must
+		// give what the allocating decode gives, error included, and an
+		// unhashed payload must leave the sums vector alone.
+		rng := rand.New(rand.NewSource(seed))
+		wants := make([]LongPtr, 8+rng.Intn(9))
+		for i := range wants {
+			wants[i] = LongPtr{Space: rng.Uint32(), Addr: vmem.VAddr(rng.Uint32()), Type: types.ID(rng.Uint32())}
+		}
+		sums := make([]uint64, 8+rng.Intn(9))
+		for i := range sums {
+			sums[i] = rng.Uint64()
+		}
+		before := slices.Clone(sums)
+		r, rerr := DecodeFetchPayloadInto(data, wants[:rng.Intn(9)], sums[:rng.Intn(9)])
+		if (rerr == nil) != (err == nil) || err != nil && rerr.Error() != err.Error() {
+			t.Fatalf("decode into reused vectors: error %v, allocating decode %v", rerr, err)
+		}
+		if !slices.Equal(r.Wants, q.Wants) || !slices.Equal(r.Sums, q.Sums) || (r.Sums == nil) != (q.Sums == nil) ||
+			r.Budget != q.Budget || r.Primary != q.Primary || r.Speculative != q.Speculative {
+			t.Fatalf("decode into reused vectors: %+v, allocating decode %+v", r, q)
+		}
+		if q.Sums == nil && !slices.Equal(sums, before) {
+			t.Fatalf("an unhashed decode wrote the sums vector")
+		}
 		if err != nil {
 			return
 		}

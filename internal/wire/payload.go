@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"smartrpc/internal/types"
 	"smartrpc/internal/vmem"
@@ -396,6 +397,14 @@ func (p *FetchPayload) Encode() []byte {
 
 // DecodeFetchPayload parses a Fetch body.
 func DecodeFetchPayload(b []byte) (FetchPayload, error) {
+	return DecodeFetchPayloadInto(b, nil, nil)
+}
+
+// DecodeFetchPayloadInto is DecodeFetchPayload decoding the wants into
+// wants' storage and the sums into sums' (each appended to its [:0],
+// grown if short), so an origin that serves one FETCH at a time reuses
+// two vectors. An unhashed payload leaves Sums nil and sums untouched.
+func DecodeFetchPayloadInto(b []byte, wants []LongPtr, sums []uint64) (FetchPayload, error) {
 	d := xdr.NewDecoder(b)
 	var p FetchPayload
 	nw, err := d.Uint32()
@@ -406,7 +415,7 @@ func DecodeFetchPayload(b []byte) (FetchPayload, error) {
 	if err != nil {
 		return p, err
 	}
-	p.Wants = make([]LongPtr, 0, n)
+	p.Wants = slices.Grow(wants[:0], n)
 	for i := 0; i < n; i++ {
 		lp, err := getLongPtr(d)
 		if err != nil {
@@ -432,11 +441,13 @@ func DecodeFetchPayload(b []byte) (FetchPayload, error) {
 	if n == 0 {
 		return p, fmt.Errorf("wire: hashed fetch with no wants")
 	}
-	p.Sums = make([]uint64, n)
-	for i := range p.Sums {
-		if p.Sums[i], err = d.Uint64(); err != nil {
+	p.Sums = slices.Grow(sums[:0], n)
+	for i := 0; i < n; i++ {
+		s, err := d.Uint64()
+		if err != nil {
 			return p, fmt.Errorf("wire: sum %d of %d: %w", i, n, err)
 		}
+		p.Sums = append(p.Sums, s)
 	}
 	return p, nil
 }
