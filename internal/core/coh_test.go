@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"smartrpc/internal/delta"
 	"smartrpc/internal/netsim"
@@ -435,6 +436,9 @@ type shipHarness struct {
 	live  []wire.LongPtr
 	ref   map[[2]uint32]refShipState // (owner of the state, its peer)
 	cnt   map[uint32]*refCounts
+	// full makes every crossing a batch of full items: each batch carries
+	// all live data, in order, each rewritten since the last.
+	full bool
 }
 
 func newShipHarness(seed int64, sess uint64, origin uint32, data int) *shipHarness {
@@ -475,6 +479,10 @@ func (h *shipHarness) counts(id uint32) *refCounts {
 func (h *shipHarness) mutate() {
 	for _, lp := range h.live {
 		switch r := h.rng.Intn(10); {
+		case h.full:
+			b := make([]byte, len(h.value[lp]))
+			h.rng.Read(b)
+			h.value[lp] = b
 		case r < 6:
 		case r < 9:
 			b := slices.Clone(h.value[lp])
@@ -488,7 +496,7 @@ func (h *shipHarness) mutate() {
 			h.value[lp] = b
 		}
 	}
-	if len(h.live) > 4 && h.rng.Intn(8) == 0 {
+	if len(h.live) > 4 && !h.full && h.rng.Intn(8) == 0 {
 		i := h.rng.Intn(len(h.live))
 		delete(h.value, h.live[i])
 		h.live = slices.Delete(h.live, i, i+1)
@@ -498,6 +506,12 @@ func (h *shipHarness) mutate() {
 // batch draws distinct live data in random order.
 func (h *shipHarness) batch() []wire.DataItem {
 	var items []wire.DataItem
+	if h.full {
+		for _, lp := range h.live {
+			items = append(items, wire.DataItem{LP: lp, Dirty: true, Bytes: h.value[lp]})
+		}
+		return items
+	}
 	for _, i := range h.rng.Perm(len(h.live))[:h.rng.Intn(len(h.live)+1)] {
 		lp := h.live[i]
 		items = append(items, wire.DataItem{LP: lp, Dirty: h.rng.Intn(2) == 0, Bytes: h.value[lp]})
@@ -519,32 +533,44 @@ func sameItems(a, b []wire.DataItem) error {
 	return nil
 }
 
-// cross ships one crossing from x to y: the transform at the sender, the
-// wire, the resolve at the receiver — each beside the reference. closure
-// adds a second batch on the same crossing that may repeat data of the
-// first, as an eager call's closure repeats the circulating set.
+// cross ships one crossing from x to y through a frame, each side beside
+// the reference: x writes each batch into the frame's item vector through
+// its ship state, and y reads the frame as it arrives, admits it and
+// resolves its items. closure adds a second batch on the same crossing
+// that may repeat data of the first, as an eager call's closure repeats
+// the circulating set.
 func (h *shipHarness) cross(x, y *Runtime, final, closure bool) error {
-	first := h.batch()
-	got := x.deltaShipItems(y.id, h.sess, slices.Clone(first), final)
-	want := h.edge(x.id, y.id).ship(first, final, h.counts(x.id))
-	if closure {
-		second := h.batch()
-		got = append(got, x.deltaShipItems(y.id, h.sess, slices.Clone(second), final)...)
-		want = append(want, h.edge(x.id, y.id).ship(second, final, h.counts(x.id))...)
+	var e xdr.Encoder
+	w := wire.BeginItems(&e)
+	ship := func(batch []wire.DataItem) []wire.DataItem {
+		s := x.shipTo(&w, y.id, h.sess, final)
+		for _, it := range batch {
+			s.put(&w, it.LP, it.Dirty, it.Bytes)
+		}
+		s.close(&w)
+		return h.edge(x.id, y.id).ship(batch, final, h.counts(x.id))
 	}
+	want := ship(h.batch())
+	if closure {
+		want = append(want, ship(h.batch())...)
+	}
+	w.End()
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("crossing %d->%d (final=%v closure=%v): %s", x.id, y.id, final, closure, fmt.Sprintf(format, args...))
 	}
-	if err := sameItems(got, want); err != nil {
+	items, err := wire.ReadItemsPayload(e.Bytes())
+	if err != nil {
+		return fail("the frame does not read back: %v", err)
+	}
+	if err := sameItems(readItems(items), want); err != nil {
 		return fail("shipped %v", err)
 	}
-	p := wire.ItemsPayload{Items: got}
-	rp, err := wire.DecodeItemsPayload(p.Encode())
-	if err != nil {
-		return err
-	}
-	resolve := y.cohAdmit(x.id, h.sess, rp.Items)
-	for i, it := range rp.Items {
+	resolve := y.cohAdmit(x.id, h.sess, items)
+	for i := 0; items.Len() > 0; i++ {
+		it, err := items.Next()
+		if err != nil {
+			return fail("item %d: %v", i, err)
+		}
 		full, fresh := it.Bytes, true
 		if resolve {
 			if full, fresh, err = y.cohResolve(x.id, h.sess, it); err != nil {
@@ -564,6 +590,28 @@ func (h *shipHarness) cross(x, y *Runtime, final, closure bool) error {
 		}
 	}
 	return nil
+}
+
+// readItems reads the rest of r, a reader on a frame read back whole, into
+// a slice.
+func readItems(r wire.ItemReader) []wire.DataItem {
+	var items []wire.DataItem
+	for r.Len() > 0 {
+		it, _ := r.Next()
+		items = append(items, it)
+	}
+	return items
+}
+
+// itemFrame encodes items as a WRITEBACK or FETCH reply body and opens a
+// reader on it, as a receiver does.
+func itemFrame(t testing.TB, items ...wire.DataItem) wire.ItemReader {
+	t.Helper()
+	r, err := wire.ReadItemsPayload((&wire.ItemsPayload{Items: items}).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // checkFolded forces a fold of rt's edge to peer and compares every
@@ -673,6 +721,187 @@ func TestShipStateMatchesEagerReference(t *testing.T) {
 	}
 }
 
+// TestShipStateFoldsOverflowingTail: a receiver that is handed batch after
+// batch of full items and never has to look anything up folds its tail
+// once the tail passes foldLogMax items — readers on frames, decoded only
+// then — and the index it folds is the reference's, which the token and
+// delta crossings after it patch against.
+func TestShipStateFoldsOverflowingTail(t *testing.T) {
+	if testing.Short() {
+		t.Skip("logs more than foldLogMax items")
+	}
+	a, b, _ := cohTrio(t)
+	const data, crossings = foldLogMax/8 + 1, 8
+	h := newShipHarness(3, 0x100000003, a.id, data)
+	for _, lp := range h.live {
+		h.value[lp] = h.value[lp][:16]
+	}
+	h.full = true
+	logged := func() (n int, folded bool) {
+		b.coh.mu.Lock()
+		defer b.coh.mu.Unlock()
+		p := b.coh.peers[a.id]
+		return p.logged, p.index != nil
+	}
+	for i := 1; i <= crossings; i++ {
+		h.mutate()
+		if err := h.cross(a, b, false, false); err != nil {
+			t.Fatalf("crossing %d: %v", i, err)
+		}
+		n, folded := logged()
+		switch {
+		case i < crossings && (n != i*data || folded):
+			t.Fatalf("after %d full crossings the receiver's tail holds %d items (folded=%v), want %d unfolded", i, n, folded, i*data)
+		case i == crossings && (n != 0 || !folded):
+			t.Fatalf("after %d full crossings (%d items, over %d) the tail holds %d items (folded=%v), want it folded", i, i*data, foldLogMax, n, folded)
+		}
+	}
+	h.full = false
+	for round := 0; round < 3; round++ {
+		for _, hop := range [][2]*Runtime{{a, b}, {b, a}} {
+			h.mutate()
+			if err := h.cross(hop[0], hop[1], false, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := h.lockstep(a, b); err != nil {
+		t.Fatal(err)
+	}
+	h.checkCounters(t, a, b)
+}
+
+// pooledRanges records the span of every pooled frame a node delivers and
+// keeps the frame referenced, so no span is recycled while it is checked.
+type pooledRanges struct {
+	transport.Node
+	mu    sync.Mutex
+	spans [][2]uintptr
+	held  []*wire.FrameBuf
+}
+
+func (p *pooledRanges) Recv() (wire.Message, error) {
+	m, err := p.Node.Recv()
+	if err == nil && m.Frame != nil && cap(m.Payload) > 0 {
+		m.Frame.Retain()
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(m.Payload)))
+		p.mu.Lock()
+		p.spans = append(p.spans, [2]uintptr{start, start + uintptr(cap(m.Payload))})
+		p.held = append(p.held, m.Frame)
+		p.mu.Unlock()
+	}
+	return m, err
+}
+
+// holds reports whether b lies in a pooled frame p delivered.
+func (p *pooledRanges) holds(b []byte) bool {
+	if cap(b) == 0 {
+		return false
+	}
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, sp := range p.spans {
+		if sp[0] <= at && at < sp[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestShipLogKeepsNoPooledFrame: an edge's ship state keeps the frames its
+// items crossed in, so it may keep only coherency-path payloads, which
+// wire.ReadFrame copies out — never a FETCH reply's pooled Message.Frame,
+// which returns to its pool to be overwritten once installed. Over two TCP
+// nodes, one session bumps a tree back and forth: each CALL carries the
+// circulating set back as tokens, each RETURN the bumps as deltas, and
+// each call also faults in a fresh subtree, so pooled frames arrive
+// between the crossings. No baseline on either side lies in a pooled
+// frame, the edge is in lockstep, and the tree at home holds every bump.
+func TestShipLogKeepsNoPooledFrame(t *testing.T) {
+	reg := newTestRegistry(t)
+	pooled := map[uint32]*pooledRanges{}
+	// The callee listens on a port of its own choosing and learns the
+	// caller's address from the caller's first frame.
+	mk := func(id uint32, book map[uint32]string) (*Runtime, string) {
+		node, err := transport.ListenTCP(id, "127.0.0.1:0", book)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled[id] = &pooledRanges{Node: node}
+		rt, err := New(Options{ID: id, Node: pooled[id], Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			_ = rt.Close()
+			for _, fb := range pooled[id].held {
+				fb.Release()
+			}
+		})
+		return rt, node.Addr()
+	}
+	callee, addr := mk(1, nil)
+	caller, _ := mk(2, map[uint32]string{1: addr})
+	const bumped, rounds = 6, 8
+	tree, other := buildTree(t, caller, bumped), buildTree(t, caller, 12)
+	err := callee.Register("bumpAndRead", func(ctx *Ctx, args []Value) ([]Value, error) {
+		rt := ctx.Runtime()
+		if err := bumpTree(rt, args[0]); err != nil {
+			return nil, err
+		}
+		// Walk to the round's depth-3 subtree of the other tree and sum it:
+		// a part of it no earlier round faulted in.
+		sub, r := args[1], args[2].Int64()
+		for i := 0; i < 3; i++ {
+			ref, err := rt.Deref(sub)
+			if err != nil {
+				return nil, err
+			}
+			if sub, err = ref.Ptr([2]string{"left", "right"}[r>>i&1], 0); err != nil {
+				return nil, err
+			}
+		}
+		s, err := sumTree(rt, sub)
+		return []Value{Int64Value(s)}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := caller.BeginSession(); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rounds; r++ {
+		if _, err := caller.Call(1, "bumpAndRead", []Value{tree, other, Int64Value(int64(r))}); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	if err := CheckCohLockstep(caller, callee); err != nil {
+		t.Fatal(err)
+	}
+	if st := callee.Stats(); st.CohDeltaItems == 0 || st.CohItemsSkipped == 0 || len(pooled[1].spans) == 0 {
+		t.Fatalf("callee shipped %d deltas and skipped %d items, and received %d pooled frames; want each nonzero",
+			st.CohDeltaItems, st.CohItemsSkipped, len(pooled[1].spans))
+	}
+	for _, rt := range []*Runtime{caller, callee} {
+		rt.coh.mu.Lock()
+		for peer, p := range rt.coh.peers {
+			for lp, v := range p.index { // folded by CheckCohLockstep
+				if pooled[rt.id].holds(v.bytes) {
+					t.Errorf("space %d's baseline of %v for space %d lies in a pooled frame", rt.id, lp, peer)
+				}
+			}
+		}
+		rt.coh.mu.Unlock()
+	}
+	if err := caller.EndSession(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sumTree(caller, tree); err != nil || got != wantSum(bumped)+rounds*(1<<bumped-1) {
+		t.Errorf("tree at home sums to %d, %v; want %d", got, err, wantSum(bumped)+rounds*(1<<bumped-1))
+	}
+}
+
 // TestShipStateConcurrentSessionsOnSharedOrigin: two clients run their own
 // sessions against one origin at once. Each edge on the origin belongs to
 // one of them; one session's teardown there leaves the other's baselines
@@ -738,11 +967,13 @@ func TestShipStateRejectsBrokenStreams(t *testing.T) {
 	lp := wire.LongPtr{Space: 1, Addr: 0x2000, Type: nodeType}
 	other := wire.LongPtr{Space: 1, Addr: 0x2040, Type: nodeType}
 	body := []byte("0123456789abcdef01234567")
-	resolveAll := func(rt *Runtime, items []wire.DataItem) error {
+	resolveAll := func(rt *Runtime, batch []wire.DataItem) error {
+		items := itemFrame(t, batch...)
 		if !rt.cohAdmit(1, sess, items) {
 			return nil
 		}
-		for _, it := range items {
+		for items.Len() > 0 {
+			it, _ := items.Next()
 			if _, _, err := rt.cohResolve(1, sess, it); err != nil {
 				return err
 			}
@@ -785,7 +1016,7 @@ func TestShipStateRejectsBrokenStreams(t *testing.T) {
 		t.Errorf("after the mixed batch %v is at version %d, want 3 with the new bytes", lp, v.ver)
 	}
 	b.coh.mu.Unlock()
-	if err := b.installItems(1, sess, []wire.DataItem{{LP: lp, Delta: true, BaseVer: 3}}, pathFetch); err == nil ||
+	if err := b.installItems(1, sess, itemFrame(t, wire.DataItem{LP: lp, Delta: true, BaseVer: 3}), pathFetch); err == nil ||
 		!strings.Contains(err.Error(), "outside the coherency path") {
 		t.Errorf("delta item in a fetch reply: err = %v", err)
 	}

@@ -3,10 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sync"
 
 	"smartrpc/internal/delta"
+	"smartrpc/internal/types"
+	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
 )
 
@@ -44,20 +45,22 @@ import (
 // version it applies to, so any desynchronization is detected instead of
 // silently corrupting data.
 //
-// An edge is a log folded on demand (foldLog). The modified data set is
-// meant to be a cheap piggyback on CALL/RETURN, and most edges carry data
-// once per session, so a crossing that needs no lookup does no per-datum
-// work: both ends append the batch of full items that crossed — the slice
-// and its bytes exist anyway — to the edge's unindexed tail. The index is
-// built only when a crossing has to look something up: the sender ships to
-// an edge that already has history (any datum may now be a token or a
-// delta), or the receiver is handed a batch holding a token or delta item,
-// which names a recorded view. Folding replays the tail in crossing order
-// — version + 1, bytes = the latest — which is what a map maintained item
-// by item computes, and both ends fold the same stream: the versions are
-// in lockstep whenever anyone looks. A fold costs one map insert per
-// logged item, once: an edge crossed k times pays it at crossing 2 (the
-// crossings that look things up keep the index current from then on), an
+// An edge is a log folded on demand (foldLog) whose only storage is the
+// frames that crossed it. The modified data set is meant to be a cheap
+// piggyback on CALL/RETURN, and most edges carry data once per session,
+// so a crossing that needs no lookup does no per-datum work beyond its
+// encode and install: the sender encodes each item straight into the frame
+// (shipBatch), the receiver reads it there (wire.ItemReader), and both
+// append a reader on the batch as it sits in the frame to the edge's
+// unindexed tail. The index is built only when a crossing has to look
+// something up: the sender ships to an edge that already has history (each
+// item is then rewritten in the frame as a token, a delta or nothing), or
+// the receiver is handed a batch holding a token or delta item, which
+// names a recorded view. Folding reads the tail in crossing order —
+// version + 1, bytes = the latest — which is what a map maintained item by
+// item computes, and both ends fold the same stream: the versions are in
+// lockstep whenever anyone looks. A fold costs one read and one map insert
+// per logged item, once: an edge crossed k times pays it at crossing 2, an
 // edge crossed once never.
 //
 // State is session-scoped: a session's edges go with its cache at its
@@ -72,19 +75,17 @@ import (
 const foldLogMax = 1 << 17
 
 // foldLog is one coherency edge's ship state: what the peer is known to
-// hold, per datum, for writers that far outnumber readers. A writer appends
-// its whole batch of full items to an unindexed tail (the slice is
-// retained, not copied); a reader first folds the tail into the index, in
-// append order, and then works on the index.
+// hold, per datum. A writer appends a reader on its batch of full items to
+// the tail; a reader folds the tail into the index first.
 type foldLog struct {
 	index  map[wire.LongPtr]cohView
-	log    [][]wire.DataItem
+	log    []wire.ItemReader
 	logged int // items in log
 }
 
-func (l *foldLog) append(items []wire.DataItem) {
+func (l *foldLog) append(items wire.ItemReader) {
 	l.log = append(l.log, items)
-	l.logged += len(items)
+	l.logged += items.Len()
 	if l.logged > foldLogMax {
 		l.fold()
 	}
@@ -95,7 +96,9 @@ func (l *foldLog) fold() {
 		l.index = make(map[wire.LongPtr]cohView, l.logged)
 	}
 	for _, items := range l.log {
-		for _, it := range items {
+		// A logged batch was read whole (wire.ReadItems) or written here:
+		// Next fails only at its end (io.EOF).
+		for it, err := items.Next(); err == nil; it, err = items.Next() {
 			l.index[it.LP] = l.index[it.LP].with(it)
 		}
 	}
@@ -107,8 +110,9 @@ type cohView struct {
 	// ver counts the items exchanged with the peer for this datum; a
 	// delta or token item names the version it patches.
 	ver uint32
-	// bytes is the canonical encoding at ver. Slices alias the encode
-	// arena or the message payload they arrived in; neither is reused.
+	// bytes is the canonical encoding at ver. It aliases the frame it
+	// crossed in, never a pooled one (wire.ReadFrame copies coherency-path
+	// payloads out), or for a delta the new full body's own bytes.
 	bytes []byte
 }
 
@@ -135,22 +139,21 @@ type cohState struct {
 	peers map[uint32]*cohPeer
 }
 
-// edge returns the ship state for (peer, sess) and whether it was just
-// created: an edge recorded under a different session is reset, since its
-// baselines belong to a session that ended (or died) without this space
-// seeing the teardown. Edges are created only for a batch that holds
-// items, so an existing one has history. Caller holds cs.mu.
-func (cs *cohState) edge(peer uint32, sess uint64) (p *cohPeer, fresh bool) {
+// edge returns the ship state for (peer, sess), creating it: an edge
+// recorded under a different session is reset, since its baselines belong
+// to a session that ended (or died) without this space seeing the
+// teardown. Edges are created only for a batch that holds items, so an
+// existing one has history. Caller holds cs.mu.
+func (cs *cohState) edge(peer uint32, sess uint64) *cohPeer {
 	if cs.peers == nil {
 		cs.peers = make(map[uint32]*cohPeer)
 	}
-	p = cs.peers[peer]
+	p := cs.peers[peer]
 	if p == nil || p.sess != sess {
 		p = &cohPeer{sess: sess}
 		cs.peers[peer] = p
-		return p, true
 	}
-	return p, false
+	return p
 }
 
 // clear drops all ship state (the failure-reset path: AbortSession).
@@ -173,100 +176,129 @@ func (cs *cohState) clearSession(sess uint64) {
 	cs.mu.Unlock()
 }
 
-// deltaShipItems rewrites a coherency-path item batch bound for peer
-// through the ship state for session sess: items the peer already holds
-// shrink to tokens, changed items become deltas when profitable, and the
-// rest ship full. final marks shipments after which the receiver has no
-// onward obligation (end-of-session and coherence-writeback deliveries to
-// the origin): there an unchanged item is dropped instead of tokenized.
-// The first batch on an edge is not looked up — it must hold each datum at
-// most once — and becomes the edge's tail; later ones fold the edge and go
-// through the index. The input slice is the output's storage and is
-// retained, bytes included, as the recorded views.
-func (rt *Runtime) deltaShipItems(peer uint32, sess uint64, items []wire.DataItem, final bool) []wire.DataItem {
-	if len(items) == 0 {
-		return items
-	}
-	all := uint64(len(items))
-	var skipped, deltas, body uint64
-	// Full shipping (the ablation, which keeps no edge) still feeds the
-	// accounting: the two modes compare on the same byte counters.
-	full := rt.noDeltaShip
-	if !full {
-		rt.coh.mu.Lock()
-		p, fresh := rt.coh.edge(peer, sess)
-		if full = fresh; fresh {
-			p.append(items)
-		} else {
-			p.fold()
-			items, skipped, deltas, body = p.ship(items, final)
-		}
-		rt.coh.mu.Unlock()
-	}
-	if full {
-		for i := range items {
-			body += uint64(len(items[i].Bytes))
-		}
-	}
-	rt.stats.cohItemsShipped.Add(all - skipped)
-	rt.stats.cohItemsSkipped.Add(skipped)
-	rt.stats.cohDeltaItems.Add(deltas)
-	rt.stats.cohItemBytes.Add(body)
-	return items
+// shipBatch writes one coherency-path batch bound for peer into a frame's
+// item vector through the ship state for session sess. Each item is
+// written full; on an edge with history it is then looked up and
+// rewritten in place as a token, a delta, or — on a final shipment, after
+// which the receiver has no onward obligation — nothing. A batch on an
+// edge without history is not looked up — it must hold each datum at most
+// once — and is logged whole when it closes. It holds rt.coh.mu from
+// shipTo to close; its methods take the writer it was opened on.
+type shipBatch struct {
+	rt    *Runtime
+	peer  uint32
+	sess  uint64
+	final bool
+	p     *cohPeer // the edge when it has history; nil ships every item full
+	mark  wire.ItemMark
+	own   []byte // the new full bodies of delta items, back to back
+
+	all, skipped, deltas, body uint64
 }
 
-// ship is deltaShipItems on a folded edge: it filters items in place
-// against the index, advancing it, and counts the tokens and final drops,
-// the deltas among the rest, and the body bytes shipped.
-func (p *cohPeer) ship(items []wire.DataItem, final bool) (out []wire.DataItem, skipped, deltas, body uint64) {
-	out = items[:0]
-	for _, it := range items {
-		v, ok := p.index[it.LP]
-		next := v.with(it)
-		// The item against the peer's view: a token until given a delta.
-		based := wire.DataItem{LP: it.LP, Dirty: it.Dirty, Delta: true, BaseVer: v.ver}
-		switch {
-		case !ok:
-		case bytes.Equal(v.bytes, it.Bytes):
-			// Unchanged since the last crossing on this edge: the peer
-			// holds exactly these bytes already, so no body travels.
-			skipped++
-			if final {
-				continue
-			}
-			it = based
-		default:
-			runs := delta.Diff(v.bytes, it.Bytes, delta.DefaultGap)
-			// A delta replaces the opaque body and adds the BaseVer word;
-			// compare padded wire costs before committing to it.
-			if runs != nil && 4+pad4(delta.EncodedSize(runs)) < pad4(len(it.Bytes)) {
-				based.Bytes = delta.Encode(runs)
-				it = based
-				deltas++
-			}
-		}
-		p.index[it.LP] = next
-		body += uint64(len(it.Bytes))
-		out = append(out, it)
+// shipTo opens a batch bound for peer at the end of w.
+func (rt *Runtime) shipTo(w *wire.ItemWriter, peer uint32, sess uint64, final bool) shipBatch {
+	rt.coh.mu.Lock()
+	s := shipBatch{rt: rt, peer: peer, sess: sess, final: final, mark: w.Mark()}
+	if p := rt.coh.peers[peer]; p != nil && p.sess == sess && !rt.noDeltaShip {
+		s.p = p
 	}
-	return out, skipped, deltas, body
+	return s
+}
+
+// encode writes the datum lp at addr, encoded through tb, as the batch's
+// next item. An error abandons the frame, which desynchronizes the edge as
+// a lost frame would: the next crossing that names a version reports it.
+func (s *shipBatch) encode(w *wire.ItemWriter, lp wire.LongPtr, dirty bool, rv types.Resolved, tb ptrTable, addr vmem.VAddr) error {
+	at := w.BeginBody(lp, dirty)
+	if err := encodeObjectInto(w.Enc(), s.rt.space, tb, rv, addr); err != nil {
+		return fmt.Errorf("encode %v: %w", lp, err)
+	}
+	s.ship(w, lp, dirty, at, w.EndBody(at))
+	return nil
+}
+
+// put writes body, lp's canonical encoding, as the batch's next item.
+func (s *shipBatch) put(w *wire.ItemWriter, lp wire.LongPtr, dirty bool, body []byte) {
+	at, framed := w.PutBody(lp, dirty, body)
+	s.ship(w, lp, dirty, at, framed)
+}
+
+// ship passes the full item just written at offset at, whose body sits in
+// the frame as body, through the edge's index, advancing it.
+func (s *shipBatch) ship(w *wire.ItemWriter, lp wire.LongPtr, dirty bool, at int, body []byte) {
+	s.all++
+	if s.p == nil {
+		s.body += uint64(len(body))
+		return
+	}
+	s.p.fold()
+	v, ok := s.p.index[lp]
+	next := cohView{ver: v.ver + 1, bytes: body}
+	// The item against the peer's view: a token until given a delta.
+	based := wire.DataItem{LP: lp, Dirty: dirty, Delta: true, BaseVer: v.ver}
+	switch {
+	case !ok:
+	case bytes.Equal(v.bytes, body):
+		// Unchanged since the last crossing on this edge: the peer holds
+		// exactly these bytes already, so no body travels.
+		s.skipped++
+		w.Unput(at)
+		if s.final {
+			return
+		}
+		w.Put(based)
+		next.bytes, body = v.bytes, nil
+	default:
+		runs := delta.Diff(v.bytes, body, delta.DefaultGap)
+		// A delta replaces the opaque body and adds the BaseVer word;
+		// compare padded wire costs before committing to it.
+		if runs != nil && 4+pad4(delta.EncodedSize(runs)) < pad4(len(body)) {
+			based.Bytes = delta.Encode(runs)
+			n := len(s.own)
+			s.own = append(s.own, body...)
+			next.bytes, body = s.own[n:len(s.own):len(s.own)], based.Bytes
+			w.Unput(at)
+			w.Put(based)
+			s.deltas++
+		}
+	}
+	s.p.index[lp] = next
+	s.body += uint64(len(body))
+}
+
+// close ends the batch: a batch on an edge without history becomes its
+// tail, and the batch is added to the counters — under full shipping too
+// (the ablation, which keeps no edge): the modes compare on them.
+func (s *shipBatch) close(w *wire.ItemWriter) {
+	defer s.rt.coh.mu.Unlock()
+	if s.all == 0 {
+		return
+	}
+	if s.p == nil && !s.rt.noDeltaShip {
+		s.rt.coh.edge(s.peer, s.sess).append(w.Since(s.mark))
+	}
+	st := &s.rt.stats
+	st.cohItemsShipped.Add(s.all - s.skipped)
+	st.cohItemsSkipped.Add(s.skipped)
+	st.cohDeltaItems.Add(s.deltas)
+	st.cohItemBytes.Add(s.body)
 }
 
 func pad4(n int) int { return (n + 3) &^ 3 }
 
 // cohAdmit takes in a coherency-path batch from peer (within session
 // sess) and reports whether its items must each go through cohResolve. A
-// batch of full items joins the edge's tail, mirroring the sender: every
-// item is its own fresh body. A token or delta item names a recorded view,
-// so its whole batch resolves through the index.
-func (rt *Runtime) cohAdmit(peer uint32, sess uint64, items []wire.DataItem) (resolve bool) {
-	resolve = slices.ContainsFunc(items, func(it wire.DataItem) bool { return it.Delta })
-	if resolve || rt.noDeltaShip || len(items) == 0 {
+// batch of full items joins the edge's tail as the reader on it, mirroring
+// the sender: every item is its own fresh body. A token or delta item
+// names a recorded view, so its whole batch resolves through the index.
+func (rt *Runtime) cohAdmit(peer uint32, sess uint64, items wire.ItemReader) (resolve bool) {
+	resolve = items.Has(wire.ItemDelta)
+	if resolve || rt.noDeltaShip || items.Len() == 0 {
 		return resolve
 	}
 	rt.coh.mu.Lock()
-	p, _ := rt.coh.edge(peer, sess)
-	p.append(items)
+	rt.coh.edge(peer, sess).append(items)
 	rt.coh.mu.Unlock()
 	return false
 }
@@ -285,7 +317,7 @@ func (rt *Runtime) cohResolve(peer uint32, sess uint64, it wire.DataItem) (full 
 	}
 	rt.coh.mu.Lock()
 	defer rt.coh.mu.Unlock()
-	p, _ := rt.coh.edge(peer, sess)
+	p := rt.coh.edge(peer, sess)
 	p.fold()
 	v, ok := p.index[it.LP]
 	full, fresh = it.Bytes, true

@@ -468,28 +468,20 @@ type offerScratch struct {
 	arena xdr.Encoder
 }
 
-// decodeFetchFrame decodes a FETCH reply frame in either reply form into
-// buf's storage (wire.DecodeItemsPayloadInto); the classic single frame
-// reads as the one, final, chunk of its stream. A frame carrying the
-// origin's error decodes to that error.
-func decodeFetchFrame(m wire.Message, buf []wire.DataItem) (wire.FetchChunkPayload, error) {
+// readFetchFrame reads a FETCH reply frame in either reply form: its
+// header and a reader on its items, which stay in the frame; the classic
+// single frame reads as the one, final, chunk of its stream. A frame
+// carrying the origin's error reads as that error.
+func readFetchFrame(m wire.Message) (wire.FetchChunkPayload, wire.ItemReader, error) {
 	if m.Err != "" {
-		return wire.FetchChunkPayload{}, errors.New(m.Err)
+		return wire.FetchChunkPayload{}, wire.ItemReader{}, errors.New(m.Err)
 	}
 	if m.Kind == wire.KindFetchChunk {
-		return wire.DecodeFetchChunkPayloadInto(m.Payload, buf)
+		return wire.ReadFetchChunk(m.Payload)
 	}
-	rp, err := wire.DecodeItemsPayloadInto(m.Payload, buf)
-	return wire.FetchChunkPayload{Final: true, Items: rp.Items}, err
+	items, err := wire.ReadItemsPayload(m.Payload)
+	return wire.FetchChunkPayload{Final: true}, items, err
 }
-
-// replyItemsPool recycles the item vectors FETCH reply frames decode
-// into: a cold fault decodes hundreds of items, and installs them before
-// the next frame is decoded.
-var replyItemsPool = sync.Pool{New: func() any { return new([]wire.DataItem) }}
-
-// maxPooledReplyItems is the largest item vector replyItemsPool keeps.
-const maxPooledReplyItems = 1 << 12
 
 // installFetchFrame installs the items of one FETCH reply frame of f's
 // exchange, and reports (detach) that the reply has more frames to come
@@ -500,22 +492,13 @@ const maxPooledReplyItems = 1 << 12
 // never detach.
 func (rt *Runtime) installFetchFrame(f *inflightFetch, m wire.Message) (detach bool, err error) {
 	defer m.ReleaseFrame()
-	buf := replyItemsPool.Get().(*[]wire.DataItem)
-	cp, err := decodeFetchFrame(m, *buf)
-	defer func() {
-		// Drop the byte references before pooling: they alias the frame.
-		clear(cp.Items)
-		if cap(cp.Items) <= maxPooledReplyItems {
-			*buf = cp.Items[:0]
-			replyItemsPool.Put(buf)
-		}
-	}()
+	cp, items, err := readFetchFrame(m)
 	if err != nil {
 		return false, fmt.Errorf("fetch from space %d: %w", f.origin, err)
 	}
 	origin, chunked := f.origin, m.Kind == wire.KindFetchChunk
 	if chunked {
-		rt.trace(Event{Kind: EvChunkRecv, Target: origin, Page: cp.Chunk, Count: len(cp.Items)})
+		rt.trace(Event{Kind: EvChunkRecv, Target: origin, Page: cp.Chunk, Count: items.Len()})
 	}
 	// Fetch replies bypass the delta-shipping state: a datum is fetched at
 	// most once per session, so there is no baseline to diff against and
@@ -524,16 +507,16 @@ func (rt *Runtime) installFetchFrame(f *inflightFetch, m wire.Message) (detach b
 	if f.stale {
 		path = pathRevalidate
 	}
-	if err := rt.installItems(origin, f.sess, cp.Items, path); err != nil {
+	if err := rt.installItems(origin, f.sess, items, path); err != nil {
 		return false, fmt.Errorf("fetch from space %d: install: %w", origin, err)
 	}
 	if chunked {
-		rt.trace(Event{Kind: EvChunkInstall, Target: origin, Page: cp.Chunk, Count: len(cp.Items)})
+		rt.trace(Event{Kind: EvChunkInstall, Target: origin, Page: cp.Chunk, Count: items.Len()})
 	}
 	if f.spec {
 		if !f.stale { // a revalidation's bodies are counted as such
 			var n uint64
-			for _, it := range cp.Items {
+			for it, err := items.Next(); err == nil; it, err = items.Next() {
 				n += uint64(len(it.Bytes))
 			}
 			rt.stats.pfBytes.Add(n)
@@ -1067,11 +1050,11 @@ func (rt *Runtime) fetchOne(lp wire.LongPtr) ([]byte, error) {
 		Payload: p.Encode(),
 	}, func() { rt.stats.fetchesSent.Add(1) }, func(m wire.Message) (bool, error) {
 		defer m.ReleaseFrame()
-		cp, err := decodeFetchFrame(m, nil)
+		_, items, err := readFetchFrame(m)
 		if err != nil {
 			return false, fmt.Errorf("fetch %v: %w", lp, err)
 		}
-		for _, it := range cp.Items {
+		for it, err := items.Next(); err == nil; it, err = items.Next() {
 			if it.Current {
 				return false, fmt.Errorf("fetch %v: %w", lp, errCurrentUnhashed)
 			}
@@ -1117,17 +1100,21 @@ func (rt *Runtime) writeOne(lp wire.LongPtr, data []byte) error {
 	// Repeated read-modify-write of the same datum is the lazy baseline's
 	// whole life; ship only what changed since the origin last saw it,
 	// and nothing at all when the value is unchanged.
-	items := rt.deltaShipItems(lp.Space, sess, []wire.DataItem{{LP: lp, Bytes: data}}, true)
-	if len(items) == 0 {
+	e := xdr.NewEncoder(4 + wire.ItemSize(len(data)))
+	w := wire.BeginItems(e)
+	s := rt.shipTo(&w, lp.Space, sess, true)
+	s.put(&w, lp, false, data)
+	s.close(&w)
+	if w.Len() == 0 {
 		return nil
 	}
-	p := wire.ItemsPayload{Items: items}
+	w.End()
 	rt.stats.writeBackMsgs.Add(1)
 	reply, err := rt.roundTrip(wire.Message{
 		Kind:    wire.KindWriteBack,
 		Session: sess,
 		To:      lp.Space,
-		Payload: p.Encode(),
+		Payload: e.Bytes(),
 	})
 	if err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"smartrpc/internal/netsim"
 	"smartrpc/internal/swizzle"
@@ -236,7 +235,7 @@ func TestFetchPathCopyDoesNotClobberLocalWrite(t *testing.T) {
 			return nil, err
 		}
 		e, _ := rt.table.LookupAddr(args[0].Addr)
-		if err := rt.installItems(1, rt.Session(), []wire.DataItem{{LP: e.LP, Bytes: orig}}, pathFetch); err != nil {
+		if err := rt.installItems(1, rt.Session(), itemFrame(t, wire.DataItem{LP: e.LP, Bytes: orig}), pathFetch); err != nil {
 			return nil, err
 		}
 		d, err := ref.Int("data", 0)
@@ -313,14 +312,16 @@ func TestCirculatingSetHoldsEachDatumOnce(t *testing.T) {
 			t.Fatalf("after crossing %d the set holds %d entries for %d data", i+1, n, nodes)
 		}
 	}
-	items, err := caller.modifiedSetItems(sess)
-	if err != nil {
-		t.Fatal(err)
+	circulating := func() int {
+		lps := caller.circulating(sess)
+		defer caller.releaseCirculating(lps)
+		return len(lps)
 	}
+	items := circulating()
 	got := set(caller, sess)
-	if len(items) != nodes || len(got) != nodes || !slices.IsSortedFunc(got, compareLongPtr) {
+	if items != nodes || len(got) != nodes || !slices.IsSortedFunc(got, compareLongPtr) {
 		t.Fatalf("after five crossings: %d items from a set of %d (sorted=%v), want %d distinct",
-			len(items), len(got), slices.IsSortedFunc(got, compareLongPtr), nodes)
+			items, len(got), slices.IsSortedFunc(got, compareLongPtr), nodes)
 	}
 	for _, lp := range lps {
 		if !slices.Contains(got, lp) {
@@ -333,8 +334,8 @@ func TestCirculatingSetHoldsEachDatumOnce(t *testing.T) {
 	if got := set(caller, sess); slices.Contains(got, leaf) {
 		t.Errorf("freed datum %v still circulates: %v", leaf, got)
 	}
-	if items, err := caller.modifiedSetItems(sess); err != nil || len(items) != nodes-1 {
-		t.Errorf("after the free the set encodes %d items, %v; want %d", len(items), err, nodes-1)
+	if items := circulating(); items != nodes-1 {
+		t.Errorf("after the free the set holds %d data, want %d", items, nodes-1)
 	}
 	if err := caller.EndSession(); err != nil {
 		t.Fatal(err)
@@ -368,7 +369,8 @@ const (
 
 // chunkPair builds an owner holding a chain of eight Chunk{next; buf
 // [4096]uint8} — each two cache pages long — and a worker that can
-// scribble on them.
+// scribble on them. Both ship full (DisableDeltaShip), so a frame built
+// and not sent leaves no edge behind.
 func chunkPair(t testing.TB) (owner, worker *Runtime, head Value) {
 	t.Helper()
 	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
@@ -390,7 +392,7 @@ func chunkPair(t testing.TB) (owner, worker *Runtime, head Value) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := New(Options{ID: id, Node: node, Registry: reg})
+		rt, err := New(Options{ID: id, Node: node, Registry: reg, DisableDeltaShip: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,18 +437,6 @@ func scribble(rt *Runtime, head Value, v uint64, idx ...int) error {
 	return nil
 }
 
-// oneArena reports whether the items' bytes lie back to back in one
-// buffer: the encode arena was sized once and never grew.
-func oneArena(items []wire.DataItem) bool {
-	for i := 1; i < len(items); i++ {
-		prev := items[i-1].Bytes
-		if uintptr(unsafe.Pointer(unsafe.SliceData(prev)))+uintptr(len(prev)) != uintptr(unsafe.Pointer(unsafe.SliceData(items[i].Bytes))) {
-			return false
-		}
-	}
-	return true
-}
-
 // mallocsOf counts the heap allocations of one call of f.
 func mallocsOf(f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -457,20 +447,32 @@ func mallocsOf(f func()) uint64 {
 	return b.Mallocs - a.Mallocs
 }
 
+// transferItems builds rt's CALL/RETURN frame to peer without sending it,
+// counting the allocations that takes, and reads its items back; sized
+// reports that the frame was sized exactly, once: it never grew.
+func transferItems(rt *Runtime, peer uint32) (items []wire.DataItem, sized bool, mallocs uint64, err error) {
+	var out []byte
+	mallocs = mallocsOf(func() { out, err = rt.buildTransferPayload(rt.Session(), peer, nil) })
+	if err != nil {
+		return nil, false, mallocs, err
+	}
+	f, err := wire.ReadCallPayload(out)
+	return readItems(f.Items), cap(out) == len(out), mallocs, err
+}
+
 // TestModifiedSetEncodesIntoOneArena: both halves of the modified data set
-// size their arena from the canonical sizes of what they are about to
-// encode — not from the 16-byte tree node — so 4 KiB data cost the same
-// few allocations as small ones; and a datum spanning pages is collected
-// once, whichever of its pages are dirty.
+// size the frame they are encoded into from the canonical sizes of what
+// they are about to encode — not from the 16-byte tree node — so 4 KiB
+// data cost the same few allocations as small ones; and a datum spanning
+// pages is collected once, whichever of its pages are dirty.
 func TestModifiedSetEncodesIntoOneArena(t *testing.T) {
 	owner, worker, head := chunkPair(t)
 	var collected [][]wire.DataItem
 	var mallocs []uint64
+	var sized []bool
 	collect := func(rt *Runtime) error {
-		var items []wire.DataItem
-		var err error
-		mallocs = append(mallocs, mallocsOf(func() { items, err = rt.collectDirtyItems() }))
-		collected = append(collected, items)
+		items, ok, n, err := transferItems(rt, 1)
+		collected, sized, mallocs = append(collected, items), append(sized, ok), append(mallocs, n)
 		return err
 	}
 	err := worker.Register("scribble", func(ctx *Ctx, args []Value) ([]Value, error) {
@@ -508,31 +510,31 @@ func TestModifiedSetEncodesIntoOneArena(t *testing.T) {
 		if len(items) != chunks || len(seen) != chunks {
 			t.Errorf("collection %d: %d items for %d distinct data, want %d of each", i, len(items), len(seen), chunks)
 		}
-		if !oneArena(items) {
-			t.Errorf("collection %d: the items' bytes are not one contiguous arena", i)
+		if !sized[i] {
+			t.Errorf("collection %d: the frame was not sized once", i)
 		}
-		// The dirty-page list, the items, the encoder and its buffer; room
-		// for the visitor closures, none for a growing arena.
+		// The dirty-page list, the participant set, the encoder and its
+		// buffer, with room for the visitor closures — none for a
+		// growing frame, and nothing per item.
 		if mallocs[i] > 8 {
 			t.Errorf("collection %d: %d allocations for %d items of %d bytes, want at most 8", i, mallocs[i], chunks, chunkBuf)
 		}
 	}
 
 	// The circulating half, at the origin: the RETURN brought all eight home.
-	sess := owner.Session()
-	items, err := owner.modifiedSetItems(sess)
+	items, sizedOnce, _, err := transferItems(owner, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != chunks || !oneArena(items) {
-		t.Errorf("modified set: %d items, one arena = %v; want %d in one arena", len(items), oneArena(items), chunks)
+	if len(items) != chunks || !sizedOnce {
+		t.Errorf("modified set: %d items, sized once = %v; want %d in one frame sized once", len(items), sizedOnce, chunks)
 	}
 	if n := testing.AllocsPerRun(10, func() {
-		if _, err := owner.modifiedSetItems(sess); err != nil {
+		if _, err := owner.buildTransferPayload(owner.Session(), 2, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 3 {
-		t.Errorf("modifiedSetItems allocates %v times for %d items of %d bytes, want at most 3 (items, encoder, arena)", n, chunks, chunkBuf)
+		t.Errorf("a frame carrying %d items of %d bytes allocates %v times, want at most 3 (participants, encoder, frame)", chunks, chunkBuf, n)
 	}
 	if err := owner.EndSession(); err != nil {
 		t.Fatal(err)
@@ -678,12 +680,12 @@ func returnModifiedSetup(t testing.TB) (prep func(i int), cross func()) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := wire.DecodeCallPayload(out.Encode())
+		rp, err := wire.ReadCallPayload(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rp.Items) != nodes {
-			t.Fatalf("RETURN carries %d items, want %d", len(rp.Items), nodes)
+		if rp.Items.Len() != nodes {
+			t.Fatalf("RETURN carries %d items, want %d", rp.Items.Len(), nodes)
 		}
 		if err := caller.installItems(2, sess, rp.Items, pathCoh); err != nil {
 			t.Fatal(err)
@@ -694,11 +696,12 @@ func returnModifiedSetup(t testing.TB) (prep func(i int), cross func()) {
 
 // TestReturnModifiedSetAllocs is the modified-set crossing's allocation
 // gate. A crossing indexes nothing — no ship-state map, no modified-set
-// map, no touched map, no copy of the table — so it costs an arena, an
-// item slice and a frame per side: measured 23 allocations and 6.29 MB
-// (with the four per-datum maps it replaced: 785 and 32.9 MB). The
-// ceilings sit at about twice the measured figures: a per-datum structure
-// does not fit under them.
+// map, no touched map, no copy of the table — and its items live in the
+// frame alone, so it costs the frame, the home set and a few fixed
+// allocations: measured 12 allocations and 2.10 MB (17 and 6.29 MB while
+// an item vector and an encode arena stood beside the frame on each side;
+// 785 and 32.9 MB with the four per-datum maps). The ceilings sit at about
+// twice the measured figures: an item vector does not fit under them.
 func TestReturnModifiedSetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -719,8 +722,8 @@ func TestReturnModifiedSetAllocs(t *testing.T) {
 		allocBytes += after.TotalAlloc - before.TotalAlloc
 	}
 	allocs, allocBytes = allocs/runs, allocBytes/runs
-	if allocs > 50 || allocBytes > 12_600_000 {
-		t.Errorf("a modified-set crossing allocates %d times and %d B; ceilings 50 and 12 600 000", allocs, allocBytes)
+	if allocs > 26 || allocBytes > 4_200_000 {
+		t.Errorf("a modified-set crossing allocates %d times and %d B; ceilings 26 and 4 200 000", allocs, allocBytes)
 	}
 	t.Logf("modified-set crossing: %d allocs, %d B", allocs, allocBytes)
 }

@@ -507,10 +507,10 @@ type Runtime struct {
 	// before the modification would read a stale copy. Keying by session
 	// lets an origin serving several concurrent sessions drop one
 	// session's set at its end without disturbing the others'. Arriving
-	// batches append to a set; modifiedSetItems sorts and compacts it.
+	// batches append to a set; circulating sorts and compacts it.
 	modMu           sync.Mutex
 	sessionModified map[uint64][]wire.LongPtr
-	modScratch      []wire.LongPtr // reusable snapshot buffer for modifiedSetItems
+	modScratch      []wire.LongPtr // reusable snapshot buffer for circulating
 
 	// coh is the delta-shipping ship state (cohstate.go).
 	coh cohState

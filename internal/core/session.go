@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"smartrpc/internal/swizzle"
+	"smartrpc/internal/types"
 	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
 	"smartrpc/internal/xdr"
@@ -97,60 +98,12 @@ func (rt *Runtime) EndSession() error {
 
 	// 1. Examine the modified data set and write each modified page back
 	// to the original address space.
-	dirty, err := rt.collectDirtyItems()
+	origins, sends, err := rt.writeHome(sess, true)
+	if err == nil {
+		err = rt.sendWriteBacks(sends)
+	}
 	if err != nil {
 		return fmt.Errorf("end session: %w", err)
-	}
-	byOrigin := make(map[uint32][]wire.DataItem)
-	for _, it := range dirty {
-		byOrigin[it.LP.Space] = append(byOrigin[it.LP.Space], it)
-	}
-	origins := make([]uint32, 0, len(byOrigin))
-	for o := range byOrigin {
-		origins = append(origins, o)
-	}
-	slices.Sort(origins)
-	sends := make([]wire.Message, 0, len(origins))
-	for _, origin := range origins {
-		items := byOrigin[origin]
-		if origin == rt.id {
-			// Locally owned objects cached locally cannot occur (local
-			// long pointers are identity-swizzled), but stay safe.
-			if err := rt.applyWriteBack(items); err != nil {
-				return fmt.Errorf("end session: local write-back: %w", err)
-			}
-			continue
-		}
-		// The ship-state transform runs sequentially (it mutates shared
-		// per-peer views); only the network round trips overlap below.
-		items = rt.deltaShipItems(origin, sess, items, true)
-		if len(items) == 0 {
-			// The origin already holds every final value (it received
-			// them on an earlier crossing): no write-back needed.
-			continue
-		}
-		rt.trace(Event{Kind: EvWriteBackSent, Target: origin, Count: len(items)})
-		p := wire.ItemsPayload{Items: items}
-		sends = append(sends, wire.Message{
-			Kind:    wire.KindWriteBack,
-			Session: sess,
-			To:      origin,
-			Payload: p.Encode(),
-		})
-	}
-	writeBack := func(m wire.Message) error {
-		reply, err := rt.roundTrip(m)
-		if err != nil {
-			return fmt.Errorf("end session: write back to space %d: %w", m.To, err)
-		}
-		rt.stats.writeBackMsgs.Add(1)
-		if reply.Err != "" {
-			return fmt.Errorf("end session: space %d rejected write-back: %s", m.To, reply.Err)
-		}
-		return nil
-	}
-	if err := fanOut(sends, writeBack); err != nil {
-		return err
 	}
 	// Write-back targets are participants too: the exchange above
 	// recorded ship state on their side of the edge.
@@ -364,7 +317,7 @@ func (rt *Runtime) Call(target uint32, proc string, args []Value) ([]Value, erro
 		Session: sess,
 		To:      target,
 		Proc:    proc,
-		Payload: payload.Encode(),
+		Payload: payload,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("call %s@%d: %w", proc, target, err)
@@ -373,14 +326,14 @@ func (rt *Runtime) Call(target uint32, proc string, args []Value) ([]Value, erro
 		// Error returns may still carry the callee's modified data set
 		// (writes made before the failure are not transactional).
 		if len(reply.Payload) > 0 {
-			if rp, derr := wire.DecodeCallPayload(reply.Payload); derr == nil {
+			if rp, derr := wire.ReadCallPayload(reply.Payload); derr == nil {
 				rt.mergeParts(rp.Parts)
 				_ = rt.installItems(target, sess, rp.Items, pathCoh)
 			}
 		}
 		return nil, fmt.Errorf("call %s@%d: %w", proc, target, remoteErr(reply.Err))
 	}
-	rp, err := wire.DecodeCallPayload(reply.Payload)
+	rp, err := wire.ReadCallPayload(reply.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("call %s@%d: decode return: %w", proc, target, err)
 	}
@@ -410,10 +363,11 @@ func remoteErr(s string) error {
 // set, the eager closure (policy dependent), and the participant set. It
 // first flushes batched remote allocations (§3.5: "the batch operations
 // are performed when the activity of the thread moves to another address
-// space"). Every item rides through the delta-shipping transform for the
-// peer's edge (cohstate.go), so data the peer already holds crosses the
-// boundary as a zero-byte token or a byte-range delta.
-func (rt *Runtime) buildTransferPayload(sess uint64, peer uint32, args []Value) (*wire.CallPayload, error) {
+// space"). The frame is sized once and is the only storage of its items:
+// each is encoded straight into it, through the delta-shipping transform
+// for the peer's edge (cohstate.go), so data the peer already holds
+// crosses the boundary as a zero-byte token or a byte-range delta.
+func (rt *Runtime) buildTransferPayload(sess uint64, peer uint32, args []Value) ([]byte, error) {
 	if err := rt.flushAllocBatches(sess); err != nil {
 		return nil, err
 	}
@@ -428,53 +382,107 @@ func (rt *Runtime) buildTransferPayload(sess uint64, peer uint32, args []Value) 
 	// What background receivers parked installs before the modified set
 	// is built: the transfer carries the thread of control away.
 	rt.InstallParked()
-	var items []wire.DataItem
-	if rt.policy != PolicyLazy {
-		dirty, err := rt.collectDirtyItems()
-		if err != nil {
+	var closure []wire.DataItem
+	if rt.policy == PolicyEager {
+		var err error
+		if closure, err = rt.eagerClosureFor(args); err != nil {
 			return nil, err
 		}
-		if rt.coherence == CoherenceWriteBack && len(dirty) > 0 {
+	}
+	var lps []wire.LongPtr
+	if rt.policy != PolicyLazy {
+		if rt.coherence == CoherenceWriteBack {
 			// Ablation: send modifications home instead of along with the
-			// thread of control.
-			if err := rt.sendDirtyHome(sess, dirty); err != nil {
+			// thread of control, with no onward obligation.
+			_, sends, err := rt.writeHome(sess, false)
+			if err == nil {
+				err = rt.sendWriteBacks(sends)
+			}
+			if err != nil {
 				return nil, err
 			}
-		} else {
-			items = dirty
 		}
-		circulating, err := rt.modifiedSetItems(sess)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, circulating...)
+		lps = rt.circulating(sess)
+		defer rt.releaseCirculating(lps)
 	}
-	items = rt.deltaShipItems(peer, sess, items, false)
-	if rt.policy == PolicyEager {
+	parts := rt.partsList()
+	size := wire.CallSize(wireArgs, len(parts))
+	for _, it := range closure {
+		size += wire.ItemSize(len(it.Bytes))
+	}
+	var buf [16]uint32
+	var pages []uint32
+	tx := rt.table.Begin()
+	if rt.policy != PolicyLazy {
+		pages = rt.space.DirtyPages(buf[:0])
+	}
+	err := rt.visitDirty(tx, pages, func(e swizzle.Entry, rv types.Resolved) error {
+		size += wire.ItemSize(rv.Canon)
+		return nil
+	})
+	for _, lp := range lps {
+		rv, rerr := rt.res.Resolve(lp.Type)
+		size, err = size+wire.ItemSize(rv.Canon), cmp.Or(err, rerr)
+	}
+	if err != nil {
+		tx.End()
+		return nil, err
+	}
+	// The modified data set is one batch: the travelling rows of the dirty
+	// pages, then the current values of the locally owned data modified
+	// during the session, which keep traveling with the thread of control
+	// (§3.4).
+	e := xdr.NewEncoder(size)
+	wire.PutArgs(e, wireArgs)
+	w := wire.BeginItems(e)
+	s := rt.shipTo(&w, peer, sess, false)
+	n := 0
+	err = rt.visitDirty(tx, pages, func(en swizzle.Entry, rv types.Resolved) error {
+		n++
+		return s.encode(&w, en.LP, true, rv, tx, en.Addr)
+	})
+	for _, lp := range lps {
+		if err != nil {
+			break
+		}
+		rv, _ := rt.res.Resolve(lp.Type) // resolved by the sizing pass
+		err = s.encode(&w, lp, true, rv, tx, lp.Addr)
+	}
+	s.close(&w)
+	if err == nil {
+		err = rt.cleanDirty(pages, n)
+	}
+	tx.End()
+	if err != nil {
+		return nil, err
+	}
+	if len(closure) > 0 {
 		// The closure may repeat a datum of the circulating set, so it ships
 		// as a batch of its own: a first batch on an edge is not looked up.
-		closure, err := rt.eagerClosureFor(args)
-		if err != nil {
-			return nil, err
+		s := rt.shipTo(&w, peer, sess, false)
+		for _, it := range closure {
+			s.put(&w, it.LP, it.Dirty, it.Bytes)
 		}
-		items = append(items, rt.deltaShipItems(peer, sess, closure, false)...)
+		s.close(&w)
 	}
+	w.End()
+	wire.PutParts(e, parts)
 	if rt.checkInv {
 		if err := rt.CheckLocalInvariants(); err != nil {
 			return nil, err
 		}
 	}
-	return &wire.CallPayload{Args: wireArgs, Items: items, Parts: rt.partsList()}, nil
+	return e.Bytes(), nil
 }
 
-// modifiedSetItems encodes the current values of locally owned data that
-// was modified during session sess, so the modified data set keeps
-// traveling with the thread of control (§3.4).
-func (rt *Runtime) modifiedSetItems(sess uint64) ([]wire.DataItem, error) {
-	// Arrivals append to the set; each crossing sorts and compacts it, so it
-	// never outgrows its distinct size. The snapshot to encode from is one
-	// scratch slice claimed for the call (other claimants allocate).
+// circulating returns session sess's circulating modified set, sorted and
+// compacted: arrivals append to the set, and each crossing compacts it, so
+// it never outgrows its distinct size. The snapshot is one scratch slice
+// claimed for the call (other claimants allocate), which
+// releaseCirculating hands back.
+func (rt *Runtime) circulating(sess uint64) []wire.LongPtr {
 	rt.modMu.Lock()
+	defer rt.modMu.Unlock()
 	set := rt.sessionModified[sess]
 	if len(set) > 0 {
 		slices.SortFunc(set, compareLongPtr)
@@ -483,60 +491,32 @@ func (rt *Runtime) modifiedSetItems(sess uint64) ([]wire.DataItem, error) {
 	}
 	lps := append(rt.modScratch[:0], set...)
 	rt.modScratch = nil
+	return lps
+}
+
+func (rt *Runtime) releaseCirculating(lps []wire.LongPtr) {
+	rt.modMu.Lock()
+	rt.modScratch = lps[:0]
 	rt.modMu.Unlock()
-	defer func() {
-		rt.modMu.Lock()
-		rt.modScratch = lps[:0]
-		rt.modMu.Unlock()
-	}()
-	if len(lps) == 0 {
-		return nil, nil
-	}
-	size := 0
-	for _, lp := range lps {
-		rv, err := rt.res.Resolve(lp.Type)
-		if err != nil {
-			return nil, err
-		}
-		size += rv.Canon
-	}
-	items := make([]wire.DataItem, 0, len(lps))
-	arena := xdr.NewEncoder(size)
-	for _, lp := range lps {
-		rv, _ := rt.res.Resolve(lp.Type) // resolved by the sizing pass
-		start := arena.Len()
-		if err := encodeObjectInto(arena, rt.space, rt.table, rv, lp.Addr); err != nil {
-			return nil, fmt.Errorf("encode modified %v: %w", lp, err)
-		}
-		items = append(items, wire.DataItem{LP: lp, Dirty: true, Bytes: arena.Bytes()[start:arena.Len():arena.Len()]})
-	}
-	return items, nil
 }
 
 func compareLongPtr(a, b wire.LongPtr) int {
 	return cmp.Or(cmp.Compare(a.Space, b.Space), cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.Type, b.Type))
 }
 
-// markModified adds the dirty items among items that have arrived home to
-// session sess's circulating modified set: until session end, spaces
-// holding older cached copies see them on the next control transfer.
-func (rt *Runtime) markModified(sess uint64, items []wire.DataItem) {
-	if rt.coherence != CoherencePiggyback {
+// markModified adds lps, data that arrived home dirty, to session sess's
+// circulating modified set: until session end, spaces holding older
+// cached copies see them on the next control transfer. The first batch of
+// a session hands its slice over as the set.
+func (rt *Runtime) markModified(sess uint64, lps []wire.LongPtr) {
+	if rt.coherence != CoherencePiggyback || len(lps) == 0 {
 		return
 	}
 	rt.modMu.Lock()
-	set := rt.sessionModified[sess]
-	for i := range items {
-		if it := &items[i]; it.Dirty && it.LP.Space == rt.id {
-			if len(set) == cap(set) {
-				set = slices.Grow(set, len(items)-i) // once: the rest of the batch fits
-			}
-			set = append(set, it.LP)
-		}
+	if set := rt.sessionModified[sess]; len(set) > 0 {
+		lps = append(set, lps...)
 	}
-	if len(set) > 0 {
-		rt.sessionModified[sess] = set
-	}
+	rt.sessionModified[sess] = lps
 	rt.modMu.Unlock()
 }
 
@@ -571,40 +551,69 @@ func (rt *Runtime) clearAllModified() {
 	rt.modMu.Unlock()
 }
 
-// sendDirtyHome implements the CoherenceWriteBack ablation.
-func (rt *Runtime) sendDirtyHome(sess uint64, dirty []wire.DataItem) error {
-	byOrigin := make(map[uint32][]wire.DataItem)
-	for _, it := range dirty {
-		it.Dirty = false // arriving home; no onward obligation
-		byOrigin[it.LP.Space] = append(byOrigin[it.LP.Space], it)
-	}
-	for origin, items := range byOrigin {
-		if origin == rt.id {
-			if err := rt.applyWriteBack(items); err != nil {
-				return err
-			}
-			continue
-		}
-		items = rt.deltaShipItems(origin, sess, items, true)
-		if len(items) == 0 {
-			continue // origin already holds every value
-		}
-		p := wire.ItemsPayload{Items: items}
-		reply, err := rt.roundTrip(wire.Message{
-			Kind:    wire.KindWriteBack,
-			Session: sess,
-			To:      origin,
-			Payload: p.Encode(),
-		})
+// sendWriteBacks sends write-backs to their origins concurrently and
+// waits for the acks.
+func (rt *Runtime) sendWriteBacks(sends []wire.Message) error {
+	return fanOut(sends, func(m wire.Message) error {
+		reply, err := rt.roundTrip(m)
 		if err != nil {
-			return err
+			return fmt.Errorf("write back to space %d: %w", m.To, err)
 		}
 		rt.stats.writeBackMsgs.Add(1)
 		if reply.Err != "" {
-			return fmt.Errorf("space %d rejected write-back: %s", origin, reply.Err)
+			return fmt.Errorf("space %d rejected write-back: %s", m.To, reply.Err)
 		}
+		return nil
+	})
+}
+
+// writeHome writes the cache's modified data set home, one write-back
+// payload per origin in ascending order, each a final shipment through the
+// origin's edge (dirty is the flag its items carry): what an origin
+// already holds from an earlier crossing is dropped. It cleans the dirty
+// pages and returns the origins the set held data of, and a message for
+// each whose shipment is not empty.
+func (rt *Runtime) writeHome(sess uint64, dirty bool) (origins []uint32, sends []wire.Message, err error) {
+	var buf [16]uint32
+	tx := rt.table.Begin()
+	defer tx.End()
+	pages := rt.space.DirtyPages(buf[:0])
+	var sizes []int // parallel to origins
+	n := 0
+	err = rt.visitDirty(tx, pages, func(e swizzle.Entry, rv types.Resolved) error {
+		i, found := slices.BinarySearch(origins, e.LP.Space)
+		if !found {
+			origins, sizes = slices.Insert(origins, i, e.LP.Space), slices.Insert(sizes, i, 4)
+		}
+		sizes[i] += wire.ItemSize(rv.Canon)
+		n++
+		return nil
+	})
+	for i, origin := range origins {
+		if err != nil {
+			break
+		}
+		e := xdr.NewEncoder(sizes[i])
+		w := wire.BeginItems(e)
+		s := rt.shipTo(&w, origin, sess, true)
+		err = rt.visitDirty(tx, pages, func(en swizzle.Entry, rv types.Resolved) error {
+			if en.LP.Space != origin {
+				return nil
+			}
+			return s.encode(&w, en.LP, dirty, rv, tx, en.Addr)
+		})
+		s.close(&w)
+		if err != nil || w.Len() == 0 {
+			continue // an empty shipment: the origin already holds every value
+		}
+		w.End()
+		rt.trace(Event{Kind: EvWriteBackSent, Target: origin, Count: w.Len()})
+		sends = append(sends, wire.Message{Kind: wire.KindWriteBack, Session: sess, To: origin, Payload: e.Bytes()})
 	}
-	return nil
+	if err == nil {
+		err = rt.cleanDirty(pages, n)
+	}
+	return origins, sends, err
 }
 
 // serveCall executes one incoming RPC request end to end and returns its
@@ -613,7 +622,7 @@ func (rt *Runtime) serveCall(m wire.Message) ([]byte, string) {
 	if err := rt.adoptSession(m.Session, m.From); err != nil {
 		return nil, err.Error()
 	}
-	p, err := wire.DecodeCallPayload(m.Payload)
+	p, err := wire.ReadCallPayload(m.Payload)
 	if err != nil {
 		return nil, fmt.Sprintf("decode call: %v", err)
 	}
@@ -643,13 +652,13 @@ func (rt *Runtime) serveCall(m wire.Message) ([]byte, string) {
 		if perr != nil {
 			return nil, err.Error()
 		}
-		return out.Encode(), err.Error()
+		return out, err.Error()
 	}
 	out, err := rt.buildTransferPayload(m.Session, m.From, results)
 	if err != nil {
 		return nil, fmt.Sprintf("build return: %v", err)
 	}
-	return out.Encode(), ""
+	return out, ""
 }
 
 // serveInvalidate implements the end-of-session invalidation on a
@@ -709,82 +718,61 @@ func (rt *Runtime) serveInvalidate(m wire.Message) {
 	rt.reply(m, wire.KindInvalidateAck, nil, "")
 }
 
-// collectDirtyItems encodes every touched object on a dirty cache page,
-// clears the dirty bits, and drops the pages back to read-only so later
-// writes fault again. This is the "modified data set" that travels with
-// the thread of control. Dirty pages locate candidates; under
+// visitDirty walks the cache's part of the modified data set, the one that
+// travels with the thread of control, under one hold of the table (tx):
+// it calls f with each travelling row of the dirty pages (ascending) and
+// its resolved type, in page-then-offset order (swizzle.Tx.VisitPages),
+// until f fails. Every resident object whose span touches a dirty page
+// travels — it may have been modified on any of its pages. Under
 // Options.Concurrent the rows' Touched marks decide — a resident neighbor
 // that shares a dirty page but was never written this session must not
 // travel, or its (possibly stale) cached value would overwrite a
-// concurrent session's committed write at the origin. Without
-// Concurrent the single-active-thread property makes the neighbor's
-// bytes identical to the origin's committed value, so page-grain
-// shipping (the paper's protocol) stays byte-for-byte intact.
-func (rt *Runtime) collectDirtyItems() ([]wire.DataItem, error) {
-	var buf [16]uint32
-	pages := rt.space.DirtyPages(buf[:0]) // ascending
-	if len(pages) == 0 {
-		return nil, nil
-	}
-	// Every resident object whose span touches a dirty page travels: an
-	// object spanning pages may have been modified on any of them. The
-	// page records name them under one hold of the table; a first pass
-	// sizes the items and the one arena they all encode into.
-	travels := func(e swizzle.Entry) bool { return e.Resident && (e.Touched || !rt.concurrent) }
-	tx := rt.table.Begin()
-	defer tx.End()
+// concurrent session's committed write at the origin. Without Concurrent
+// the single-active-thread property makes the neighbor's bytes identical
+// to the origin's committed value, so page-grain shipping (the paper's
+// protocol) stays byte-for-byte intact.
+func (rt *Runtime) visitDirty(tx swizzle.Tx, pages []uint32, f func(e swizzle.Entry, rv types.Resolved) error) error {
 	var err error
-	n, size := 0, 0
 	tx.VisitPages(pages, func(e swizzle.Entry) bool {
-		if travels(e) {
-			rv, rerr := rt.res.Resolve(e.LP.Type)
-			n, size, err = n+1, size+rv.Canon, rerr
+		if !e.Resident || rt.concurrent && !e.Touched {
+			return true
+		}
+		var rv types.Resolved
+		if rv, err = rt.res.Resolve(e.LP.Type); err == nil {
+			err = f(e, rv)
 		}
 		return err == nil
 	})
-	if err != nil {
-		return nil, err
+	return err
+}
+
+// cleanDirty hands the dirtiness obligation of the pages to the n items
+// written from them, which travel with the thread of control: it cleans
+// the pages and drops writable ones to read-only so later writes fault
+// again. Pages still awaiting data (ProtNone, e.g. a partially resident
+// page that received a circulating modified item) must stay fully
+// protected — raising them would expose zeroed neighbors.
+func (rt *Runtime) cleanDirty(pages []uint32, n int) error {
+	if len(pages) == 0 {
+		return nil
 	}
-	items := make([]wire.DataItem, 0, n)
-	arena := xdr.NewEncoder(size)
-	tx.VisitPages(pages, func(e swizzle.Entry) bool {
-		if !travels(e) {
-			return true
-		}
-		rv, _ := rt.res.Resolve(e.LP.Type) // resolved by the first pass
-		start := arena.Len()
-		if err = encodeObjectInto(arena, rt.space, tx, rv, e.Addr); err != nil {
-			err = fmt.Errorf("encode dirty %v: %w", e.LP, err)
-			return false
-		}
-		items = append(items, wire.DataItem{LP: e.LP, Dirty: true, Bytes: arena.Bytes()[start:arena.Len():arena.Len()]})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The dirtiness obligation travels with the thread of control: clean
-	// the pages and drop writable pages to read-only so later writes
-	// fault again. Pages still awaiting data (ProtNone, e.g. a partially
-	// resident page that received a circulating modified item) must stay
-	// fully protected — raising them would expose zeroed neighbors.
 	for _, pn := range pages {
 		if err := rt.space.MarkDirty(pn, false); err != nil {
-			return nil, err
+			return err
 		}
 		prot, err := rt.space.ProtOf(pn)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if prot == vmem.ProtReadWrite {
 			if err := rt.space.SetProt(pn, vmem.ProtRead); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	rt.stats.dirtyItemsSent.Add(uint64(len(items)))
-	rt.trace(Event{Kind: EvDirtyCollected, Count: len(items)})
-	return items, nil
+	rt.stats.dirtyItemsSent.Add(uint64(n))
+	rt.trace(Event{Kind: EvDirtyCollected, Count: n})
+	return nil
 }
 
 // applyHome installs body into the locally owned heap object at lp: the
@@ -804,23 +792,12 @@ func (rt *Runtime) applyHome(tb ptrTable, lp wire.LongPtr, body []byte) error {
 	return nil
 }
 
-// applyWriteBack applies raw full-body items to the local heap (the
-// purely local path; wire arrivals go through cohAdmit first).
-func (rt *Runtime) applyWriteBack(items []wire.DataItem) error {
-	for _, it := range items {
-		if err := rt.applyHome(rt.table, it.LP, it.Bytes); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // serveWriteBack handles a write-back message from the ground runtime (or
 // from the CoherenceWriteBack ablation). Items resolve through the ship
 // state for the sender's edge, so delta-encoded bodies are patched
 // against the recorded view before being applied.
 func (rt *Runtime) serveWriteBack(m wire.Message) {
-	p, err := wire.DecodeItemsPayload(m.Payload)
+	items, err := wire.ReadItemsPayload(m.Payload)
 	if err != nil {
 		rt.reply(m, wire.KindWriteBackAck, nil, fmt.Sprintf("decode: %v", err))
 		return
@@ -829,8 +806,8 @@ func (rt *Runtime) serveWriteBack(m wire.Message) {
 	// the write side of the serve lock.
 	rt.serveMu.Lock()
 	defer rt.serveMu.Unlock()
-	resolve := rt.cohAdmit(m.From, m.Session, p.Items)
-	for _, it := range p.Items {
+	resolve := rt.cohAdmit(m.From, m.Session, items)
+	for it, err := items.Next(); err == nil; it, err = items.Next() {
 		full, fresh := it.Bytes, true
 		if resolve {
 			if full, fresh, err = rt.cohResolve(m.From, m.Session, it); err != nil {
@@ -859,8 +836,8 @@ func (rt *Runtime) serveWriteBack(m wire.Message) {
 // first accesses stay detectable.
 //
 // path names the exchange the items arrived on (installPath).
-func (rt *Runtime) installItems(from uint32, sess uint64, items []wire.DataItem, path installPath) error {
-	if len(items) == 0 {
+func (rt *Runtime) installItems(from uint32, sess uint64, items wire.ItemReader, path installPath) error {
+	if items.Len() == 0 {
 		return nil
 	}
 	// Installs are serialized: concurrent batches (demand fan-out,
@@ -937,23 +914,21 @@ func (rt *Runtime) addInstalls(n installCounts) {
 
 // installBatch is installItems' body, run with installMu and the table
 // held. It loads the tracer once and adds to the counters once.
-func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items []wire.DataItem, path installPath) error {
+func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items wire.ItemReader, path installPath) error {
 	// Items arrive in (page, offset) runs, so consecutive duplicates are
 	// dropped on append and the rest after the sort below.
 	touched := rt.installTouched[:0]
-	done := 0 // items installed
+	var home []wire.LongPtr // dirty data installed at home, for markModified
 	var n installCounts
 	tr := rt.tracerNow()
 	defer func() {
 		rt.installTouched = touched[:0]
-		if path == pathCoh {
-			rt.markModified(sess, items[:done])
-		}
+		rt.markModified(sess, home)
 		rt.addInstalls(n)
 	}()
 	resolve := path == pathCoh && rt.cohAdmit(from, sess, items)
-	for ; done < len(items); done++ {
-		it := items[done]
+	// A reader from wire.ReadItems fails only at its end (io.EOF).
+	for it, err := items.Next(); err == nil; it, err = items.Next() {
 		body, fresh := it.Bytes, true
 		switch {
 		case it.Current:
@@ -974,6 +949,9 @@ func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items [
 				if err := rt.applyHome(tx, it.LP, body); err != nil {
 					return err
 				}
+			}
+			if it.Dirty && path == pathCoh {
+				home = append(slices.Grow(home, items.Len()+1), it.LP) // grows once: the rest of the batch fits
 			}
 			continue
 		}

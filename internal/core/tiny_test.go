@@ -37,9 +37,10 @@ func tinySession(t testing.TB) func(i int64) {
 // tinySessionAllocs is the measured allocation count of one tiny session,
 // summed over both runtimes. It was 39 while every CALL started a fresh
 // goroutine and every session re-made its participant and alloc-batch
-// maps, and 25 while the origin decoded each FETCH's wants into a fresh
-// vector.
-const tinySessionAllocs = 23
+// maps, 25 while the origin decoded each FETCH's wants into a fresh
+// vector, and 23 while the CALL and the RETURN were each assembled as a
+// wire.CallPayload before being encoded.
+const tinySessionAllocs = 21
 
 // TestTinySessionAllocs pins what the smallest session allocates: its
 // fixed per-session cost in every layer, with no bulk to hide it.

@@ -273,8 +273,8 @@ func (vt *validateTap) wrap(t testing.TB, o *Options) {
 			}
 			vt.mu.Lock()
 			defer vt.mu.Unlock()
-			if cp, err := decodeFetchFrame(m, nil); err == nil && vt.seqs[m.Seq] {
-				for _, it := range cp.Items {
+			if _, items, err := readFetchFrame(m); err == nil && vt.seqs[m.Seq] {
+				for _, it := range readItems(items) {
 					it.Bytes = bytes.Clone(it.Bytes)
 					vt.answers = append(vt.answers, it)
 				}

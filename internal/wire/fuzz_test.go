@@ -2,12 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"smartrpc/internal/types"
 	"smartrpc/internal/vmem"
+	"smartrpc/internal/xdr"
 )
 
 // Fuzz targets for the wire codecs. The contract under test is uniform:
@@ -70,10 +72,130 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
+// refGetItems is the item-vector parser as it was before ItemReader: one
+// pass straight into a slice. The reader must accept exactly what it
+// accepted — it refused unknown flags, a current item with bytes or with
+// another flag, and counts over the cap or over the bytes remaining — and
+// read the same items.
+func refGetItems(d *xdr.Decoder) ([]DataItem, error) {
+	nw, err := d.Uint32()
+	if err != nil {
+		return nil, err
+	}
+	n, err := boundCount(d, nw, 20, "item")
+	if err != nil {
+		return nil, err
+	}
+	var items []DataItem
+	for i := 0; i < n; i++ {
+		var it DataItem
+		if it.LP, err = getLongPtr(d); err != nil {
+			return nil, err
+		}
+		flags, err := d.Uint32()
+		if err != nil {
+			return nil, err
+		}
+		if flags&^itemFlagsMask != 0 {
+			return nil, fmt.Errorf("unknown item flags %#x", flags)
+		}
+		it.Dirty = flags&ItemDirty != 0
+		it.Delta = flags&ItemDelta != 0
+		it.Current = flags&ItemCurrent != 0
+		if it.Current && flags != ItemCurrent {
+			return nil, fmt.Errorf("current item with flags %#x", flags)
+		}
+		if it.Delta {
+			if it.BaseVer, err = d.Uint32(); err != nil {
+				return nil, err
+			}
+		}
+		if it.Bytes, err = d.Opaque(); err != nil {
+			return nil, err
+		}
+		if it.Current && len(it.Bytes) != 0 {
+			return nil, fmt.Errorf("current item carries %d bytes", len(it.Bytes))
+		}
+		items = append(items, it)
+	}
+	return items, nil
+}
+
+// checkItemCodec holds the item codec to refGetItems on the item vector
+// at the start of b: ReadItems accepts exactly what the reference accepts,
+// the reader reads the same items, leaves the decoder where the reference
+// does, and the writer re-encodes them to the same bytes.
+func checkItemCodec(t *testing.T, b []byte) {
+	t.Helper()
+	rd := xdr.NewDecoder(b)
+	ref, rerr := refGetItems(rd)
+	d := xdr.NewDecoder(b)
+	r, err := ReadItems(d)
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("ReadItems error %v, reference parser %v", err, rerr)
+	}
+	if err != nil {
+		return
+	}
+	if d.Offset() != rd.Offset() {
+		t.Fatalf("ReadItems ends the vector at %d, reference parser at %d", d.Offset(), rd.Offset())
+	}
+	var e xdr.Encoder
+	w := BeginItems(&e)
+	for i := 0; r.Len() > 0; i++ {
+		it, err := r.Next()
+		if err != nil {
+			t.Fatalf("item %d of a checked vector: %v", i, err)
+		}
+		if want := ref[i]; it.LP != want.LP || it.Dirty != want.Dirty || it.Delta != want.Delta ||
+			it.Current != want.Current || it.BaseVer != want.BaseVer || !bytes.Equal(it.Bytes, want.Bytes) {
+			t.Fatalf("item %d reads %+v, reference %+v", i, it, want)
+		}
+		w.Put(it)
+	}
+	w.End()
+	if !bytes.Equal(e.Bytes(), b[:d.Offset()]) {
+		t.Fatalf("the writer re-encodes the vector as\n%x\nnot as it arrived\n%x", e.Bytes(), b[:d.Offset()])
+	}
+}
+
+// itemSeeds adds to f item vectors the codec must refuse: an unknown flag,
+// a current item with bytes or with another flag, a count over the cap and
+// a count over the bytes remaining.
+func itemSeeds(f *testing.F, prefix []byte) {
+	lp := LongPtr{Space: 1, Addr: 0x10000, Type: 1}
+	unknown := (&ItemsPayload{Items: []DataItem{{LP: lp, Bytes: []byte{1, 2, 3, 4}}}}).Encode()
+	unknown[4+EncodedLongPtrSize+3] = 0x40
+	for _, bad := range [][]byte{
+		unknown,
+		(&ItemsPayload{Items: []DataItem{{LP: lp, Current: true, Bytes: []byte{1, 2, 3, 4}}}}).Encode(),
+		(&ItemsPayload{Items: []DataItem{{LP: lp, Current: true, Dirty: true}}}).Encode(),
+		{0, 0x40, 0, 1},
+		{0, 0, 0, 2, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, err := ReadItems(xdr.NewDecoder(bad)); err == nil {
+			f.Fatalf("ReadItems admitted malformed vector %x", bad)
+		}
+		f.Add(append(slices.Clone(prefix), bad...))
+	}
+}
+
 func FuzzCallPayloadDecode(f *testing.F) {
 	f.Add(fuzzMessage().Payload)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	itemSeeds(f, []byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The item vector follows the arguments.
+		d := xdr.NewDecoder(data)
+		if nw, err := d.Uint32(); err == nil {
+			n, err := boundCount(d, nw, 12, "arg")
+			for i := 0; i < n && err == nil; i++ {
+				_, err = getArg(d)
+			}
+			if err == nil {
+				checkItemCodec(t, data[d.Offset():])
+			}
+		}
 		p, err := DecodeCallPayload(data)
 		if err != nil {
 			return
@@ -181,7 +303,9 @@ func FuzzItemsPayloadDecode(f *testing.F) {
 		}
 		f.Add(bad)
 	}
+	itemSeeds(f, nil)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkItemCodec(t, data)
 		q, err := DecodeItemsPayload(data)
 		if err != nil {
 			return
@@ -215,7 +339,11 @@ func FuzzFetchChunkDecode(f *testing.F) {
 	}
 	f.Add(retired)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	itemSeeds(f, fetch.Encode()[:fetchChunkHeaderSize])
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= fetchChunkHeaderSize {
+			checkItemCodec(t, data[fetchChunkHeaderSize:])
+		}
 		q, err := DecodeFetchChunkPayload(data)
 		if err != nil {
 			// ChunkIsFinal must never panic, whatever the decoder thought.

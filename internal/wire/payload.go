@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 	"slices"
 
@@ -178,26 +179,19 @@ type DataItem struct {
 }
 
 func putItems(e *xdr.Encoder, items []DataItem) {
-	e.PutUint32(uint32(len(items)))
+	w := BeginItems(e)
 	for _, it := range items {
-		putLongPtr(e, it.LP)
-		var flags uint32
-		if it.Dirty {
-			flags |= ItemDirty
-		}
-		if it.Delta {
-			flags |= ItemDelta
-		}
-		if it.Current {
-			flags |= ItemCurrent
-		}
-		e.PutUint32(flags)
-		if it.Delta {
-			e.PutUint32(it.BaseVer)
-		}
-		e.PutOpaque(it.Bytes)
+		w.Put(it)
 	}
+	w.End()
 }
+
+// itemHeadSize is the encoded size of a full item's head: its long
+// pointer, flags word and body length word. No item is shorter.
+const itemHeadSize = EncodedLongPtrSize + 4 + 4
+
+// ItemSize returns the encoded size of a full item whose body is n bytes.
+func ItemSize(n int) int { return itemHeadSize + (n+3)&^3 }
 
 // itemsEncodedSize returns the exact encoded size of an item vector, so
 // payload encoders can size their buffer once instead of growing it —
@@ -205,7 +199,7 @@ func putItems(e *xdr.Encoder, items []DataItem) {
 func itemsEncodedSize(items []DataItem) int {
 	n := 4
 	for _, it := range items {
-		n += EncodedLongPtrSize + 4 + 4 + (len(it.Bytes)+3)&^3
+		n += ItemSize(len(it.Bytes))
 		if it.Delta {
 			n += 4
 		}
@@ -213,58 +207,260 @@ func itemsEncodedSize(items []DataItem) int {
 	return n
 }
 
-// getItems decodes a data-item vector, appending to buf[:0] (nil
-// allocates a vector sized to the count). The items' Bytes alias the
-// decoder's buffer rather than copying it: decoded items are installed (or
-// written through) synchronously by the receiving runtime while the
-// message payload is still live, so the copy per item would be pure
-// allocation churn on the hottest path in the system. Callers must treat
-// the bytes as read-only.
-func getItems(d *xdr.Decoder, buf []DataItem) ([]DataItem, error) {
-	nw, err := d.Uint32()
+// getItems decodes a data-item vector into a fresh slice (nil when it is
+// empty), checking each item as it reads it. The items' Bytes alias the
+// decoder's buffer (ItemReader).
+func getItems(d *xdr.Decoder) ([]DataItem, error) {
+	r, err := openItems(d)
 	if err != nil {
 		return nil, err
 	}
-	n, err := boundCount(d, nw, 20, "item")
+	rest := len(r.b)
+	items, err := r.all()
 	if err != nil {
 		return nil, err
 	}
-	items := buf[:0]
-	if cap(items) < n {
-		items = make([]DataItem, 0, n)
+	return items, d.Skip(rest - len(r.b))
+}
+
+// all reads the rest of r's items into a fresh slice (nil when none are
+// left).
+func (r *ItemReader) all() ([]DataItem, error) {
+	if r.left == 0 {
+		return nil, nil
 	}
-	for i := 0; i < n; i++ {
-		var it DataItem
-		if it.LP, err = getLongPtr(d); err != nil {
-			return nil, err
-		}
-		flags, err := d.Uint32()
+	items := make([]DataItem, 0, r.left)
+	for r.left > 0 {
+		it, err := r.Next()
 		if err != nil {
 			return nil, err
-		}
-		if flags&^itemFlagsMask != 0 {
-			return nil, fmt.Errorf("wire: unknown item flags %#x", flags)
-		}
-		it.Dirty = flags&ItemDirty != 0
-		it.Delta = flags&ItemDelta != 0
-		it.Current = flags&ItemCurrent != 0
-		if it.Current && flags != ItemCurrent {
-			return nil, fmt.Errorf("wire: current item with flags %#x", flags)
-		}
-		if it.Delta {
-			if it.BaseVer, err = d.Uint32(); err != nil {
-				return nil, err
-			}
-		}
-		if it.Bytes, err = d.Opaque(); err != nil {
-			return nil, err
-		}
-		if it.Current && len(it.Bytes) != 0 {
-			return nil, fmt.Errorf("wire: current item carries %d bytes", len(it.Bytes))
 		}
 		items = append(items, it)
 	}
 	return items, nil
+}
+
+// ItemWriter appends one item vector to an encoder: BeginItems reserves
+// the count word, Put, PutBody and BeginBody/EndBody append items, and
+// End back-patches the count. Every item vector on the wire is written by
+// it, so a frame can be built item by item with no vector of items in
+// between.
+type ItemWriter struct {
+	e  *xdr.Encoder
+	at int // offset of the count word
+	n  int // items written
+}
+
+// BeginItems opens an item vector at the end of e.
+func BeginItems(e *xdr.Encoder) ItemWriter {
+	w := ItemWriter{e: e, at: e.Len()}
+	e.PutUint32(0)
+	return w
+}
+
+// Enc returns the encoder the vector is written to.
+func (w *ItemWriter) Enc() *xdr.Encoder { return w.e }
+
+// Len returns the number of items written.
+func (w *ItemWriter) Len() int { return w.n }
+
+// Put appends it.
+func (w *ItemWriter) Put(it DataItem) {
+	w.putHead(it)
+	w.e.PutOpaque(it.Bytes)
+	w.n++
+}
+
+// putHead appends what precedes an item's body: its long pointer, flags
+// and, for a delta, base version.
+func (w *ItemWriter) putHead(it DataItem) {
+	putLongPtr(w.e, it.LP)
+	var flags uint32
+	if it.Dirty {
+		flags |= ItemDirty
+	}
+	if it.Delta {
+		flags |= ItemDelta
+	}
+	if it.Current {
+		flags |= ItemCurrent
+	}
+	w.e.PutUint32(flags)
+	if it.Delta {
+		w.e.PutUint32(it.BaseVer)
+	}
+}
+
+// PutBody appends a full item carrying body and returns the offset it
+// starts at and its body as it sits in the encoder.
+func (w *ItemWriter) PutBody(lp LongPtr, dirty bool, body []byte) (at int, framed []byte) {
+	at = w.e.Len()
+	w.Put(DataItem{LP: lp, Dirty: dirty, Bytes: body})
+	from := at + itemHeadSize
+	return at, w.e.Bytes()[from : from+len(body) : from+len(body)]
+}
+
+// BeginBody appends the head of a full item for lp whose body the caller
+// encodes onto the encoder next, and returns the offset the item starts
+// at, which EndBody takes.
+func (w *ItemWriter) BeginBody(lp LongPtr, dirty bool) (at int) {
+	at = w.e.Len()
+	w.putHead(DataItem{LP: lp, Dirty: dirty})
+	w.e.PutUint32(0) // the body length, patched by EndBody
+	return at
+}
+
+// EndBody closes the item BeginBody opened at offset at: it patches the
+// body length, pads the body and returns it as it sits in the encoder.
+func (w *ItemWriter) EndBody(at int) []byte {
+	from := at + itemHeadSize
+	n := w.e.Len() - from
+	binary.BigEndian.PutUint32(w.e.Bytes()[from-4:], uint32(n))
+	w.e.Align()
+	w.n++
+	return w.e.Bytes()[from : from+n : from+n]
+}
+
+// Unput removes the last item written, which starts at offset at, so it
+// can be written again in another form.
+func (w *ItemWriter) Unput(at int) {
+	w.e.Truncate(at)
+	w.n--
+}
+
+// End writes the item count into the vector's count word.
+func (w *ItemWriter) End() {
+	binary.BigEndian.PutUint32(w.e.Bytes()[w.at:], uint32(w.n))
+}
+
+// ItemMark is a position in an item vector being written (Mark).
+type ItemMark struct{ off, n int }
+
+// Mark returns the writer's position, for Since.
+func (w *ItemWriter) Mark() ItemMark { return ItemMark{w.e.Len(), w.n} }
+
+// Since returns a reader on the items written after m. It reads the
+// encoder's buffer as it is now, so it stays valid however the encoder
+// grows later, provided nothing before the writer's position is
+// rewritten. Unlike a reader from ReadItems it does not know the union of
+// its items' flags (Has).
+func (w *ItemWriter) Since(m ItemMark) ItemReader {
+	b := w.e.Bytes()
+	return ItemReader{b: b[m.off:len(b):len(b)], left: w.n - m.n}
+}
+
+// ItemReader is a cursor over an encoded item vector as it sits in a
+// frame: the one parser of items. Items are read in place — an item's
+// Bytes alias the frame, so the frame must outlive every use of them, and
+// readers treat them as read-only. A reader is a small value; a copy reads
+// the same items again. It reads the XDR layout straight off the bytes: a
+// received vector is read twice, once to check it and once to install it,
+// and the two passes cost less than the one decode into a vector did.
+type ItemReader struct {
+	b     []byte // the items not read yet
+	left  int    // how many
+	flags uint32 // the union of the items' flags (ReadItems)
+}
+
+// ReadItems opens a reader on the item vector at d's position and moves d
+// past it. It reads every item once to check it — the count against a
+// hard cap and the bytes remaining, each item's flags and body — so a
+// malformed vector is refused before any of its items is used.
+func ReadItems(d *xdr.Decoder) (ItemReader, error) {
+	r, err := openItems(d)
+	if err != nil {
+		return ItemReader{}, err
+	}
+	scan := r
+	for scan.left > 0 {
+		if _, err := scan.Next(); err != nil {
+			return ItemReader{}, err
+		}
+	}
+	r.flags = scan.flags
+	return r, d.Skip(len(r.b) - len(scan.b))
+}
+
+// openItems reads the count of the item vector at d's position, against
+// a hard cap and the bytes remaining, and opens a reader on its items,
+// which are not checked yet.
+func openItems(d *xdr.Decoder) (ItemReader, error) {
+	nw, err := d.Uint32()
+	if err != nil {
+		return ItemReader{}, err
+	}
+	n, err := boundCount(d, nw, itemHeadSize, "item")
+	return ItemReader{b: d.Rest(), left: n}, err
+}
+
+// Len returns the number of items not read yet.
+func (r *ItemReader) Len() int { return r.left }
+
+// Has reports whether any item of the vector carries flag. It is known
+// for readers from ReadItems.
+func (r *ItemReader) Has(flag uint32) bool { return r.flags&flag != 0 }
+
+// Next reads the next item, or returns io.EOF past the last. An error
+// ends the reader; on a reader from ReadItems the only error is io.EOF.
+func (r *ItemReader) Next() (it DataItem, err error) {
+	if r.left <= 0 {
+		return it, io.EOF
+	}
+	r.left--
+	b := r.b
+	if len(b) < itemHeadSize {
+		r.left = 0
+		return it, xdr.ErrShortBuffer
+	}
+	be := binary.BigEndian
+	it.LP = LongPtr{Space: be.Uint32(b), Addr: vmem.VAddr(be.Uint32(b[4:])), Type: types.ID(be.Uint32(b[8:]))}
+	flags := be.Uint32(b[12:])
+	switch {
+	case flags&^itemFlagsMask != 0:
+		err = fmt.Errorf("wire: unknown item flags %#x", flags)
+	case flags&ItemCurrent != 0 && flags != ItemCurrent:
+		err = fmt.Errorf("wire: current item with flags %#x", flags)
+	}
+	at := 16 // the body length word
+	if flags&ItemDelta != 0 {
+		if len(b) < itemHeadSize+4 {
+			err = xdr.ErrShortBuffer
+		} else {
+			it.BaseVer, at = be.Uint32(b[16:]), 20
+		}
+	}
+	if err != nil {
+		r.left = 0
+		return DataItem{}, err
+	}
+	n := uint64(be.Uint32(b[at:]))
+	at += 4
+	end := at + int((n+3)&^3)
+	switch {
+	case n > xdr.MaxLen:
+		err = fmt.Errorf("wire: item body length %d out of range", n)
+	case len(b) < end:
+		err = xdr.ErrShortBuffer
+	case flags == ItemCurrent && n != 0:
+		err = fmt.Errorf("wire: current item carries %d bytes", n)
+	}
+	if err == nil && n&3 != 0 {
+		for _, p := range b[at+int(n) : end] {
+			if p != 0 {
+				err = xdr.ErrPadding
+			}
+		}
+	}
+	if err != nil {
+		r.left = 0
+		return DataItem{}, err
+	}
+	it.Dirty = flags&ItemDirty != 0
+	it.Delta = flags&ItemDelta != 0
+	it.Current = flags&ItemCurrent != 0
+	it.Bytes = b[at : at+int(n) : at+int(n)]
+	r.b, r.flags = b[end:], r.flags|flags
+	return it, nil
 }
 
 // CallPayload is the body of Call and Return messages: the argument (or
@@ -280,59 +476,109 @@ type CallPayload struct {
 
 // Encode returns the canonical encoding of p.
 func (p *CallPayload) Encode() []byte {
-	e := xdr.NewEncoder(16 + 32*len(p.Args) + itemsEncodedSize(p.Items) + 4*len(p.Parts))
-	e.PutUint32(uint32(len(p.Args)))
-	for _, a := range p.Args {
+	e := xdr.NewEncoder(CallSize(p.Args, len(p.Parts)) + itemsEncodedSize(p.Items) - 4)
+	PutArgs(e, p.Args)
+	putItems(e, p.Items)
+	PutParts(e, p.Parts)
+	return e.Bytes()
+}
+
+// PutArgs appends the head of a Call/Return body, its argument vector, to
+// e. The item vector (BeginItems) and the participant set (PutParts)
+// follow.
+func PutArgs(e *xdr.Encoder, args []Arg) {
+	e.PutUint32(uint32(len(args)))
+	for _, a := range args {
 		putArg(e, a)
 	}
-	putItems(e, p.Items)
-	e.PutUint32(uint32(len(p.Parts)))
-	for _, part := range p.Parts {
+}
+
+// PutParts appends the tail of a Call/Return body, its participant set,
+// to e.
+func PutParts(e *xdr.Encoder, parts []uint32) {
+	e.PutUint32(uint32(len(parts)))
+	for _, part := range parts {
 		e.PutUint32(part)
 	}
-	return e.Bytes()
+}
+
+// CallSize returns the encoded size of a Call/Return body with args,
+// nparts participants and no items; each item adds its own size (ItemSize
+// for a full one).
+func CallSize(args []Arg, nparts int) int {
+	n := 4 + 4 + 4 + 4*nparts
+	for _, a := range args {
+		switch a.Kind {
+		case types.Ptr:
+			n += 4 + EncodedLongPtrSize
+		case types.Func:
+			n += 4 + 4 + 4 + (len(a.FnName)+3)&^3
+		default:
+			n += 4 + 8
+		}
+	}
+	return n
+}
+
+// CallFrame is a Call/Return body read in place: its argument vector and
+// participant set decoded, and a reader on the item vector between them.
+type CallFrame struct {
+	Args  []Arg
+	Items ItemReader
+	Parts []uint32
+}
+
+// ReadCallPayload parses a Call/Return body, checking its items but
+// leaving them in b.
+func ReadCallPayload(b []byte) (CallFrame, error) {
+	d := xdr.NewDecoder(b)
+	var f CallFrame
+	nw, err := d.Uint32()
+	if err != nil {
+		return f, err
+	}
+	n, err := boundCount(d, nw, 12, "arg")
+	if err != nil {
+		return f, err
+	}
+	f.Args = make([]Arg, 0, n)
+	for i := 0; i < n; i++ {
+		a, err := getArg(d)
+		if err != nil {
+			return f, err
+		}
+		f.Args = append(f.Args, a)
+	}
+	if f.Items, err = ReadItems(d); err != nil {
+		return f, err
+	}
+	npw, err := d.Uint32()
+	if err != nil {
+		return f, err
+	}
+	np, err := boundCount(d, npw, 4, "participant")
+	if err != nil {
+		return f, err
+	}
+	f.Parts = make([]uint32, 0, np)
+	for i := 0; i < np; i++ {
+		v, err := d.Uint32()
+		if err != nil {
+			return f, err
+		}
+		f.Parts = append(f.Parts, v)
+	}
+	return f, nil
 }
 
 // DecodeCallPayload parses a Call/Return body.
 func DecodeCallPayload(b []byte) (CallPayload, error) {
-	d := xdr.NewDecoder(b)
-	var p CallPayload
-	nw, err := d.Uint32()
-	if err != nil {
-		return p, err
+	f, err := ReadCallPayload(b)
+	p := CallPayload{Args: f.Args, Parts: f.Parts}
+	if err == nil {
+		p.Items, err = f.Items.all()
 	}
-	n, err := boundCount(d, nw, 12, "arg")
-	if err != nil {
-		return p, err
-	}
-	p.Args = make([]Arg, 0, n)
-	for i := 0; i < n; i++ {
-		a, err := getArg(d)
-		if err != nil {
-			return p, err
-		}
-		p.Args = append(p.Args, a)
-	}
-	if p.Items, err = getItems(d, nil); err != nil {
-		return p, err
-	}
-	npw, err := d.Uint32()
-	if err != nil {
-		return p, err
-	}
-	np, err := boundCount(d, npw, 4, "participant")
-	if err != nil {
-		return p, err
-	}
-	p.Parts = make([]uint32, 0, np)
-	for i := 0; i < np; i++ {
-		v, err := d.Uint32()
-		if err != nil {
-			return p, err
-		}
-		p.Parts = append(p.Parts, v)
-	}
-	return p, nil
+	return p, err
 }
 
 // FetchSpeculative is the flag bit marking a speculative (prefetch) FETCH.
@@ -474,15 +720,14 @@ func (p *ItemsPayload) EncodeTo(e *xdr.Encoder) {
 
 // DecodeItemsPayload parses a FetchReply/WriteBack body.
 func DecodeItemsPayload(b []byte) (ItemsPayload, error) {
-	return DecodeItemsPayloadInto(b, nil)
+	items, err := getItems(xdr.NewDecoder(b))
+	return ItemsPayload{Items: items}, err
 }
 
-// DecodeItemsPayloadInto is DecodeItemsPayload decoding the items into
-// buf's storage (appended to buf[:0], grown if short), so a receiver that
-// installs one reply at a time reuses one vector. Item bytes alias b.
-func DecodeItemsPayloadInto(b []byte, buf []DataItem) (ItemsPayload, error) {
-	items, err := getItems(xdr.NewDecoder(b), buf)
-	return ItemsPayload{Items: items}, err
+// ReadItemsPayload parses a FetchReply/WriteBack body, checking its items
+// but leaving them in b.
+func ReadItemsPayload(b []byte) (ItemReader, error) {
+	return ReadItems(xdr.NewDecoder(b))
 }
 
 // ChunkFinal marks the last chunk of a streamed reply: the one chunk flag
@@ -532,22 +777,27 @@ func (p *FetchChunkPayload) Encode() []byte {
 }
 
 // DecodeFetchChunkPayload parses a chunk body. Item bytes alias b (see
-// getItems): the caller installs the chunk synchronously and releases
-// the backing frame buffer afterwards.
+// ItemReader).
 func DecodeFetchChunkPayload(b []byte) (FetchChunkPayload, error) {
-	return DecodeFetchChunkPayloadInto(b, nil)
+	p, r, err := ReadFetchChunk(b)
+	if err == nil {
+		p.Items, err = r.all()
+	}
+	return p, err
 }
 
-// DecodeFetchChunkPayloadInto is DecodeFetchChunkPayload decoding the
-// items into buf's storage, as DecodeItemsPayloadInto does.
-func DecodeFetchChunkPayloadInto(b []byte, buf []DataItem) (FetchChunkPayload, error) {
+// ReadFetchChunk parses a chunk body: its header, with Items left nil,
+// and a reader on its items, checked but left in b. The caller installs
+// the chunk synchronously and releases the backing frame buffer
+// afterwards.
+func ReadFetchChunk(b []byte) (FetchChunkPayload, ItemReader, error) {
 	d := xdr.NewDecoder(b)
 	p, err := decodeFetchChunkHeader(d)
 	if err != nil {
-		return p, err
+		return p, ItemReader{}, err
 	}
-	p.Items, err = getItems(d, buf)
-	return p, err
+	r, err := ReadItems(d)
+	return p, r, err
 }
 
 // DecodeFetchChunkHeader parses only the fixed prefix of a chunk body —

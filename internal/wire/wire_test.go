@@ -605,3 +605,83 @@ func TestChecksumIsCRC32C(t *testing.T) {
 		t.Fatalf("Checksum = %#x, CRC-32C of the field bytes = %#x", got, want)
 	}
 }
+
+// TestItemWriterAndReader: the writer's in-place forms write what Put
+// writes, Unput lets the last item be written again, End back-patches the
+// count, Since reads a batch back, and ReadItems opens a cursor that moves
+// the decoder past the vector, reads again from a copy, and allocates
+// nothing.
+func TestItemWriterAndReader(t *testing.T) {
+	lp := func(a uint32) LongPtr { return LongPtr{Space: 1, Addr: vmem.VAddr(a), Type: 2} }
+	items := []DataItem{
+		{LP: lp(0x10), Dirty: true, Bytes: []byte{0, 0, 0, 0, 0, 0, 0, 9}},
+		{LP: lp(0x20), Bytes: []byte{1, 2, 3, 4, 5}},
+		{LP: lp(0x30), Dirty: true, Delta: true, BaseVer: 7, Bytes: []byte{0, 0, 0, 0}},
+		{LP: lp(0x40), Current: true, Bytes: []byte{}},
+	}
+	var e xdr.Encoder
+	e.PutUint32(0xfeed) // what precedes the vector in a frame
+	w := BeginItems(&e)
+	at := w.BeginBody(items[0].LP, true)
+	e.PutUint64(9)
+	if body := w.EndBody(at); !bytes.Equal(body, items[0].Bytes) || cap(body) != len(body) {
+		t.Errorf("EndBody returned %x (cap %d), want %x", body, cap(body), items[0].Bytes)
+	}
+	at, framed := w.PutBody(items[1].LP, false, []byte{0xff})
+	if !bytes.Equal(framed, []byte{0xff}) {
+		t.Errorf("PutBody framed %x", framed)
+	}
+	w.Unput(at)
+	at, framed = w.PutBody(items[1].LP, false, items[1].Bytes)
+	if !bytes.Equal(framed, items[1].Bytes) || at != 4+4+ItemSize(8) {
+		t.Errorf("PutBody at %d framed %x", at, framed)
+	}
+	mark := w.Mark()
+	w.Put(items[2])
+	w.Put(items[3])
+	w.End()
+	if w.Len() != len(items) {
+		t.Errorf("writer counts %d items, want %d", w.Len(), len(items))
+	}
+	want := (&ItemsPayload{Items: items}).Encode()
+	if !bytes.Equal(e.Bytes()[4:], want) {
+		t.Fatalf("written vector\n%x\nwant\n%x", e.Bytes()[4:], want)
+	}
+	since := w.Since(mark)
+	if got, err := since.all(); err != nil || !reflect.DeepEqual(got, items[2:]) {
+		t.Errorf("Since reads %+v, %v; want %+v", got, err, items[2:])
+	}
+
+	d := xdr.NewDecoder(e.Bytes())
+	if _, err := d.Uint32(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ReadItems(d)
+	if err != nil || d.Remaining() != 0 || r.Len() != len(items) {
+		t.Fatalf("ReadItems: %v, %d bytes left, %d items", err, d.Remaining(), r.Len())
+	}
+	if !r.Has(ItemDelta) || !r.Has(ItemCurrent) || r.Has(1<<3) {
+		t.Errorf("Has: delta %v, current %v, bit 3 %v", r.Has(ItemDelta), r.Has(ItemCurrent), r.Has(1<<3))
+	}
+	for i := 0; i < 2; i++ {
+		again := r // a copy reads the vector again
+		if got, err := again.all(); err != nil || !reflect.DeepEqual(got, items) {
+			t.Errorf("pass %d reads %+v, %v", i, got, err)
+		}
+	}
+	for range items {
+		_, _ = r.Next()
+	}
+	if _, err := r.Next(); err != io.EOF || r.Len() != 0 {
+		t.Errorf("Next past the end: %v, %d left", err, r.Len())
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		d := xdr.NewDecoder(want)
+		r, _ := ReadItems(d)
+		for it, err := r.Next(); err == nil; it, err = r.Next() {
+			_ = it
+		}
+	}); n != 0 {
+		t.Errorf("reading a vector allocates %v times, want 0", n)
+	}
+}

@@ -22,9 +22,9 @@ var ErrShortBuffer = errors.New("xdr: short buffer")
 // which RFC 1014 forbids.
 var ErrPadding = errors.New("xdr: non-zero padding")
 
-// maxLen bounds variable-length items to protect decoders from hostile or
+// MaxLen bounds variable-length items to protect decoders from hostile or
 // corrupt length words.
-const maxLen = 1 << 30
+const MaxLen = 1 << 30
 
 // pad returns the number of zero bytes needed to pad n to a multiple of 4.
 func pad(n int) int {
@@ -57,6 +57,14 @@ func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Truncate discards all but the first n encoded bytes, retaining capacity.
 func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
+// Align pads the buffer with zero bytes to a multiple of 4 bytes: the
+// padding of opaque data whose length word was written before the data.
+func (e *Encoder) Align() {
+	for len(e.buf)%4 != 0 {
+		e.buf = append(e.buf, 0)
+	}
+}
 
 // PutUint32 encodes an unsigned 32-bit integer.
 func (e *Encoder) PutUint32(v uint32) {
@@ -130,6 +138,18 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 // Offset returns the number of consumed bytes.
 func (d *Decoder) Offset() int { return d.off }
 
+// Rest returns the unread bytes. The slice aliases the decoder's buffer.
+func (d *Decoder) Rest() []byte { return d.buf[d.off:] }
+
+// Skip consumes n bytes that the caller has read from Rest.
+func (d *Decoder) Skip(n int) error {
+	if n < 0 || n > d.Remaining() {
+		return ErrShortBuffer
+	}
+	d.off += n
+	return nil
+}
+
 // Uint32 decodes an unsigned 32-bit integer.
 func (d *Decoder) Uint32() (uint32, error) {
 	if d.Remaining() < 4 {
@@ -197,7 +217,7 @@ func (d *Decoder) Float64() (float64, error) {
 // FixedOpaque decodes n bytes of fixed-length opaque data plus padding.
 // The returned slice aliases the decoder's buffer.
 func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
-	if n < 0 || n > maxLen {
+	if n < 0 || n > MaxLen {
 		return nil, fmt.Errorf("xdr: opaque length %d out of range", n)
 	}
 	total := n + pad(n)
