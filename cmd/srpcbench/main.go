@@ -311,7 +311,7 @@ func warm(model netsim.Model, nodes, closure int) error {
 // pipeline prints the asynchronous fetch pipeline workload: a pointer
 // chase built to defeat the eager closure (every shipment ends at a cold
 // page). The first block is the deterministic comparison (one client,
-// synchronous speculation) whose rows the BENCH_34 snapshot checks; the
+// synchronous speculation) whose rows the BENCH_38 snapshot checks; the
 // second is a wall-clock demonstration on a real 1 ms link delay, where
 // asynchronous speculation physically overlaps fetch round trips with the
 // application's own chewing.

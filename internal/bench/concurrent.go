@@ -24,7 +24,7 @@ import (
 // dependent, so unlike the sequential families only the operation
 // counts — sessions, recorded reads/writes, checked operations and
 // partitions, all functions of the per-client seeds alone — are
-// deterministic and snapshot-checked (BENCH_34.json). Traffic and wall
+// deterministic and snapshot-checked (BENCH_38.json). Traffic and wall
 // time are reported for the human tables.
 
 // ConcurrentConfig parameterizes one concurrent-sessions run.

@@ -24,7 +24,7 @@ import (
 // No client ever issues a Call: chains are reached through ImportPtr, so
 // N clients hold N independent sessions against one server and their
 // FETCH streams exercise the server's concurrent serve pool. With
-// Clients=1 and SyncPrefetch the run is fully deterministic (the BENCH_34
+// Clients=1 and SyncPrefetch the run is fully deterministic (the BENCH_38
 // regression rows); multi-client asynchronous runs demonstrate wall-time
 // overlap and are not snapshot-checked.
 

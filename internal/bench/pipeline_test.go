@@ -45,7 +45,7 @@ func TestPipelineDemandVsPrefetch(t *testing.T) {
 }
 
 // TestPipelineDeterministic re-runs the snapshot configuration and
-// requires identical modeled outputs: the BENCH_34 pipeline rows depend on it.
+// requires identical modeled outputs: the BENCH_38 pipeline rows depend on it.
 func TestPipelineDeterministic(t *testing.T) {
 	cfg := PipelineConfig{
 		ChainNodes:   2047,

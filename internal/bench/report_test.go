@@ -94,7 +94,7 @@ func TestCheckAppliesDiffsColumnRule(t *testing.T) {
 // every row key must be unique, or Check would compare one row and
 // ignore its twin.
 func TestCommittedSnapshotKeysUnique(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_34.json")
+	raw, err := os.ReadFile("../../BENCH_38.json")
 	if err != nil {
 		t.Fatal(err)
 	}

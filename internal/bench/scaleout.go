@@ -17,7 +17,7 @@ import (
 // checksum also proves no client is ever served a stale value.
 //
 // Clients run strictly sequentially, so every counter is deterministic
-// and can be snapshot-checked (BENCH_34.json). Wall-clock concurrency is
+// and can be snapshot-checked (BENCH_38.json). Wall-clock concurrency is
 // exercised elsewhere (the core package's -race tests); this harness
 // measures work, not overlap.
 

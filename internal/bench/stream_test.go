@@ -48,7 +48,7 @@ func TestStreamTTFA(t *testing.T) {
 }
 
 // TestStreamDeterministic re-runs a snapshot configuration and requires
-// identical modeled outputs: the BENCH_34 stream rows depend on it.
+// identical modeled outputs: the BENCH_38 stream rows depend on it.
 func TestStreamDeterministic(t *testing.T) {
 	cfg := StreamConfig{
 		Nodes:            8191,

@@ -413,7 +413,7 @@ func TestServeScratchPoolNoAliasing(t *testing.T) {
 	shapes := make([]shape, 0, len(picks)*len(budgets))
 	for _, wants := range picks {
 		for _, budget := range budgets {
-			ref, err := rt.buildClosureItems(wants, nil, 0, budget, nil, nil)
+			ref, err := rt.buildClosureItems(wants, nil, budget, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,7 +435,7 @@ func TestServeScratchPoolNoAliasing(t *testing.T) {
 				// consumed.
 				sc := serveScratchPool.Get().(*serveScratch)
 				rt.serveMu.RLock()
-				items, err := rt.buildClosureItems(s.wants, nil, 0, s.budget, sc, nil)
+				items, err := rt.buildClosureItems(s.wants, nil, s.budget, sc, nil)
 				rt.serveMu.RUnlock()
 				if err != nil {
 					t.Errorf("worker %d iter %d: %v", w, it, err)
@@ -670,7 +670,7 @@ func TestTableMemoRacesOfferAndInstall(t *testing.T) {
 			return root.SetInt("data", 0, d)
 		})
 		go loop(func(n int) error {
-			rt.offer(stalePages[n%len(stalePages)], 1, true)
+			rt.offer(&inflightFetch{fetchKey: fetchKey{pn: stalePages[n%len(stalePages)], origin: 1}, stale: true})
 			return nil
 		})
 		total, err := sumTree(rt, args[0])

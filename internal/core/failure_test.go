@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -671,31 +670,25 @@ func (h *heldFrames) Recv() (wire.Message, error) {
 // buffer as a reply sent in process does, and the client releases every
 // one of them once installed. The walk must see the origin's values.
 func TestTCPReplyFramesReleased(t *testing.T) {
-	addrs := make(map[uint32]string, 2)
-	for id := uint32(1); id <= 2; id++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[id] = ln.Addr().String()
-		_ = ln.Close()
-	}
 	reg := newTestRegistry(t)
-	mk := func(id uint32, wrap func(transport.Node) transport.Node) *Runtime {
-		node, err := transport.ListenTCP(id, addrs[id], addrs)
+	// The origin listens on a port of its own choosing and learns the
+	// client's address from the client's first frame. A stalled exchange
+	// fails with ErrDeadline instead of hanging the package.
+	mk := func(id uint32, book map[uint32]string, wrap func(transport.Node) transport.Node) (*Runtime, string) {
+		node, err := transport.ListenTCP(id, "127.0.0.1:0", book)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := New(Options{ID: id, Node: wrap(node), Registry: reg})
+		rt, err := New(Options{ID: id, Node: wrap(node), Registry: reg, CallTimeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = rt.Close() })
-		return rt
+		return rt, node.Addr()
 	}
 	held := &heldFrames{kinds: make(map[wire.Kind]int)}
-	origin := mk(1, func(n transport.Node) transport.Node { return n })
-	cl := mk(2, func(n transport.Node) transport.Node { held.Node = n; return held })
+	origin, addr := mk(1, nil, func(n transport.Node) transport.Node { return n })
+	cl, _ := mk(2, map[uint32]string{1: addr}, func(n transport.Node) transport.Node { held.Node = n; return held })
 
 	const levels = 10 // 1 023 nodes: several faults, each a monolithic reply
 	root := buildTree(t, origin, levels)

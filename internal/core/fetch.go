@@ -79,7 +79,8 @@ type inflightFetch struct {
 	sess  uint64
 	spec  bool           // prefetcher-issued
 	stale bool           // a hashed FETCH (warmcache.go)
-	wants []wire.LongPtr // the FETCH's offer
+	n     int32          // the FETCH's want count
+	wants []wire.LongPtr // a hashed FETCH's wants, for ClearStale
 }
 
 // parkedFrame is one reply frame a background receiver parked for the
@@ -306,24 +307,16 @@ func (rt *Runtime) ParkedFrames() int {
 
 // fetchFrom sends f's FETCH for its page's missing entries from its
 // origin and installs the reply. Its wants come from the table (offer):
-// the page's own entries, then ride-alongs from other pages. f.spec marks
-// prefetcher-issued fetches: the wire flag and the pf counters are the
-// only differences — the origin serves both identically.
-//
-// Without f.stale, the ride-alongs are non-resident entries stranded on
-// partially resident pages, so those pages are completed before they ever
-// fault — one message instead of one per page. They are frozen (Primary
-// marks the boundary): the server serves them but neither expands their
-// pointer fields nor charges them against the closure budget, which stays
-// fully available for the faulting page's own frontier. Charging or
-// expanding them starves the productive closure and causes MORE faults,
-// not fewer.
+// the page's own entries only, and the origin's closure from them fills
+// the budget. f.spec marks prefetcher-issued fetches: the wire flag and
+// the pf counters are the only differences — the origin serves both
+// identically.
 //
 // f.stale marks completePage's stale pass, the warm fault (warmcache.go):
 // the wants are stale entries, the FETCH is hashed, and its ride-alongs
-// are stale entries of other pages. Every hashed want is frozen and free
-// of budget at the origin, so the request carries no budget and no primary
-// count. It is accounted as revalidation, and
+// are stale entries of other pages. Every hashed want is served without
+// expansion and free of budget at the origin, so the request carries no
+// budget. It is accounted as revalidation, and
 // it never fails for want of an answer: whatever the exchange leaves stale
 // — unanswered, or the whole offer on a lost, corrupted or refused
 // exchange — degrades to a plain want for the caller's next pass. Only a
@@ -352,16 +345,11 @@ func (rt *Runtime) ParkedFrames() int {
 // fresh attempt seq. Re-installing items an earlier attempt already
 // delivered is idempotent.
 func (rt *Runtime) fetchFrom(f *inflightFetch, background bool) (poke, detached bool, err error) {
-	p := wire.FetchPayload{Speculative: f.spec}
-	var own int
-	if p.Wants, p.Sums, own = rt.offer(f.pn, f.origin, f.stale); len(p.Wants) == 0 {
+	payload := rt.offer(f)
+	if f.n == 0 {
 		return false, false, nil
 	}
-	f.wants = p.Wants
-	if !f.stale {
-		p.Budget, p.Primary = uint32(rt.closure), uint32(own)
-	}
-	req := wire.Message{Kind: wire.KindFetch, Session: f.sess, To: f.origin, Payload: p.Encode()}
+	req := wire.Message{Kind: wire.KindFetch, Session: f.sess, To: f.origin, Payload: payload}
 	if background {
 		rt.receive(f, func(park frameFunc) error {
 			_, err := rt.exchange(req, func() { rt.fetchSent(f) }, park)
@@ -395,7 +383,7 @@ func (rt *Runtime) fetchFrom(f *inflightFetch, background bool) (poke, detached 
 
 // fetchSent books one attempt of f's FETCH going out.
 func (rt *Runtime) fetchSent(f *inflightFetch) {
-	e := Event{Kind: EvFetchSent, Target: f.origin, Count: len(f.wants)}
+	e := Event{Kind: EvFetchSent, Target: f.origin, Count: int(f.n)}
 	switch {
 	case f.stale:
 		rt.stats.cohRevalidateMsgs.Add(1)
@@ -410,29 +398,29 @@ func (rt *Runtime) fetchSent(f *inflightFetch) {
 	rt.trace(e)
 }
 
-// offer builds the wants of fetchFrom's FETCH for page pn from origin in
-// one hold of the table, from the rows swizzle.Tx.Offer walks off the page
-// records: the page's own first, own counting them, then the ride-alongs
-// within the closure budget. A hashed FETCH (stale) also carries a sum per
-// want: the row's memo when it has one (warmcache.go), otherwise the hash
-// of the datum encoded from its demoted page into one scratch arena, which
-// becomes the memo. A datum that cannot be encoded — it points at a datum
-// freed since — loses its stale mark and is refetched.
+// offer builds and encodes the payload of f's FETCH in one hold of the
+// table, from the rows swizzle.Tx.Offer walks off the page records, and
+// records its want count in f. A hashed FETCH (f.stale) also carries a
+// sum per want: the row's memo when it has one (warmcache.go), otherwise
+// the hash of the datum encoded from its demoted page into one scratch
+// arena, which becomes the memo. A datum that cannot be encoded — it
+// points at a datum freed since — loses its stale mark and is refetched.
+// A hashed FETCH's wants are also copied into f, for ClearStale.
 //
 // The walk holds installMu: installs are the only writers of a stale
 // page, and another origin's exchange of a multi-origin fault, or another
 // Options.Concurrent thread, may be applying one. The scratch is reused
-// under it; the offer is copied out, sized exactly, because the exchange
-// outlives it.
-func (rt *Runtime) offer(pn, origin uint32, stale bool) (wants []wire.LongPtr, sums []uint64, own int) {
+// under it; the payload is encoded from it before the hold ends, because
+// the exchange outlives it.
+func (rt *Runtime) offer(f *inflightFetch) []byte {
 	rt.installMu.Lock()
 	defer rt.installMu.Unlock()
 	sc := &rt.offerScratch
 	sc.wants, sc.sums = sc.wants[:0], sc.sums[:0]
 	var unencodable []wire.LongPtr
 	tx := rt.table.Begin()
-	tx.Offer(pn, origin, rt.closure, stale, func(row swizzle.Row, e swizzle.Entry, isOwn bool) {
-		if stale {
+	tx.Offer(f.pn, f.origin, rt.closure, f.stale, func(row swizzle.Row, e swizzle.Entry) {
+		if f.stale {
 			if !e.HasMemo {
 				rv, err := rt.res.Resolve(e.LP.Type)
 				if err == nil {
@@ -448,17 +436,20 @@ func (rt *Runtime) offer(pn, origin uint32, stale bool) (wants []wire.LongPtr, s
 			}
 			sc.sums = append(sc.sums, e.Memo)
 		}
-		if isOwn {
-			own++
-		}
 		sc.wants = append(sc.wants, e.LP)
 	})
 	tx.ClearStale(unencodable)
 	tx.End()
-	if stale {
-		sums = slices.Clone(sc.sums)
+	if f.n = int32(len(sc.wants)); f.n == 0 {
+		return nil
 	}
-	return slices.Clone(sc.wants), sums, own
+	p := wire.FetchPayload{Wants: sc.wants, Sums: sc.sums, Speculative: f.spec}
+	if f.stale {
+		f.wants = slices.Clone(sc.wants)
+	} else {
+		p.Budget = uint32(rt.closure)
+	}
+	return p.Encode()
 }
 
 // offerScratch holds offer's wants, sums and encode arena between calls.
@@ -662,7 +653,7 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 		rt.stats.fetchesServed.Add(1)
 		rt.trace(Event{Kind: EvFetchServed, Target: m.From, Count: len(p.Wants)})
 	}
-	items, err := rt.buildClosureItems(p.Wants, p.Sums, int(p.Primary), int(p.Budget), sc, &em)
+	items, err := rt.buildClosureItems(p.Wants, p.Sums, int(p.Budget), sc, &em)
 	if err != nil {
 		em.fail(err.Error())
 		return
@@ -672,9 +663,8 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 
 // closureJob is one queued traversal step of a closure build.
 type closureJob struct {
-	lp     wire.LongPtr
-	want   bool
-	frozen bool // serve, but do not expand children
+	lp   wire.LongPtr
+	want bool
 }
 
 // serveScratch is the pooled per-serve working set: everything
@@ -803,16 +793,11 @@ func (s *addrSet) insert(k uint32) {
 // can be served; pointers to third spaces are passed through as long
 // pointers for the requester to resolve on its own faults.
 //
-// primary is the count of leading wants that seed the traversal; wants
-// beyond it (the batched ride-alongs) are served but their pointer fields
-// are not expanded, so the closure budget is spent entirely on the faulting
-// page's own frontier. primary <= 0 means every want is primary.
-//
 // sums, when non-empty, makes every want hashed: sums[i] is the
 // requester's hash of its demoted copy of wants[i]. A hashed want is
-// frozen and encoded as any want; when the encoding hashes to the offered
-// sum it is answered with an ItemCurrent token instead, and the arena
-// forgets the body.
+// encoded as any want but not expanded; when the encoding hashes to the
+// offered sum it is answered with an ItemCurrent token instead, and the
+// arena forgets the body.
 //
 // Every served object is marshaled straight out of the heap into one
 // arena, and its item slices that arena; child expansion reads the heap
@@ -824,18 +809,15 @@ func (s *addrSet) insert(k uint32) {
 //
 // em, when it streams, takes the closure out in chunks: once every want
 // has been served (so chunk 0 always carries the faulting page's own
-// entries and the batched ride-alongs; a hashed request has no closure to
-// wait for) and the accumulated item bytes exceed the chunk limit, the
-// accumulated items go out as one chunk and the traversal continues. The function returns the items no chunk has
-// carried — all of them for a closure that never reached the limit —
-// for the caller to finish the reply with. Under DFS (the ablation)
-// wants drain last, so streaming effectively degrades to the monolithic
-// form — the contract, not the chunk size, is what the client depends
-// on.
-func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, sums []uint64, primary, budget int, sc *serveScratch, em *chunkEmitter) ([]wire.DataItem, error) {
-	if primary <= 0 {
-		primary = len(wants)
-	}
+// entries; a hashed request has no closure to wait for) and the
+// accumulated item bytes exceed the chunk limit, the accumulated items go
+// out as one chunk and the traversal continues. The function returns the
+// items no chunk has carried — all of them for a closure that never
+// reached the limit — for the caller to finish the reply with. Under DFS
+// (the ablation) wants drain last, so streaming effectively degrades to
+// the monolithic form — the contract, not the chunk size, is what the
+// client depends on.
+func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, sums []uint64, budget int, sc *serveScratch, em *chunkEmitter) ([]wire.DataItem, error) {
 	// est guesses the item count: every want plus however many
 	// minimum-size objects the budget can admit. Sizing the working set
 	// once up front keeps the serve path free of growth reallocations.
@@ -870,8 +852,8 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, sums []uint64, primar
 	}
 	seen.reset(est)
 	hashed := len(sums) > 0
-	for i, lp := range wants {
-		queue = append(queue, closureJob{lp: lp, want: true, frozen: i >= primary || hashed})
+	for _, lp := range wants {
+		queue = append(queue, closureJob{lp: lp, want: true})
 	}
 	// Closure hints are resolved per type, not per item: the snapshot is
 	// loaded once, and an item of the same type as the one before it
@@ -939,7 +921,7 @@ func (rt *Runtime) buildClosureItems(wants []wire.LongPtr, sums []uint64, primar
 			arena.Truncate(start)
 		}
 		items = append(items, it)
-		if !j.frozen {
+		if !hashed {
 			// Enqueue the pointed-to data, honoring any programmer-supplied
 			// closure shape hint for this type (§6: "use suggestions provided
 			// by the programmer" to optimize the closure's shape).
@@ -1018,7 +1000,7 @@ func (rt *Runtime) eagerClosureFor(args []Value) ([]wire.DataItem, error) {
 	if len(roots) == 0 {
 		return nil, nil
 	}
-	return rt.buildClosureItems(roots, nil, 0, math.MaxInt32, nil, nil)
+	return rt.buildClosureItems(roots, nil, math.MaxInt32, nil, nil)
 }
 
 // fetchOne retrieves a single object's canonical bytes without caching:

@@ -1,14 +1,77 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
 )
+
+// TestUnhashedFetchAsksOnlyForItsPage: a cold FETCH carries the faulting
+// page's own wants and nothing more. A closure budget of two nodes strands
+// partially resident pages all over a small-paged cache; none of their
+// missing rows may ride along on another page's FETCH, which would ship
+// data a sparse walk never reads.
+func TestUnhashedFetchAsksOnlyForItsPage(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		callee *Runtime
+		spread []string // one line per FETCH whose wants span pages
+		sent   int
+	)
+	caller, callee := pair(t, func(id uint32, o *Options) {
+		o.PageSize, o.ClosureSize = 256, 64
+		if id != 2 {
+			return
+		}
+		o.Node = &flakyNode{Node: o.Node, sendHook: func(m wire.Message) error {
+			if m.Kind != wire.KindFetch {
+				return nil
+			}
+			p, err := wire.DecodeFetchPayload(m.Payload)
+			if err != nil || len(p.Sums) > 0 {
+				t.Errorf("a cold session sent a FETCH that is hashed or undecodable: %+v, %v", p, err)
+				return nil
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			sent++
+			var pages []uint32
+			for _, lp := range p.Wants {
+				addr, ok := callee.table.LookupLP(lp)
+				if !ok {
+					t.Errorf("FETCH want %v has no row", lp)
+				}
+				pages = append(pages, callee.space.PageOf(addr))
+			}
+			slices.Sort(pages)
+			if pages = slices.Compact(pages); len(pages) > 1 {
+				spread = append(spread, fmt.Sprintf("%d wants on pages %v", len(p.Wants), pages))
+			}
+			return nil
+		}}
+	})
+	registerSumProc(t, callee)
+	root := buildTree(t, caller, 7) // 127 nodes
+	if got := sessionCall(t, caller, 2, "sumTree", root)[0].Int64(); got != wantSum(7) {
+		t.Fatalf("sum = %d, want %d", got, wantSum(7))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if sent < 5 {
+		t.Fatalf("only %d FETCHes sent; the budget was meant to strand pages", sent)
+	}
+	if len(spread) > 0 {
+		t.Errorf("%d of %d FETCHes asked for other pages' rows:\n%s", len(spread), sent, strings.Join(spread, "\n"))
+	}
+}
 
 // serveHotSetup builds an origin with a fully built tree and returns the
 // wants list the serve loop answers.
@@ -22,7 +85,7 @@ func serveHotSetup(t testing.TB) (*Runtime, []wire.LongPtr) {
 // scratch in, closure build, scratch back.
 func serveHot(t testing.TB, rt *Runtime, wants []wire.LongPtr) int {
 	sc := serveScratchPool.Get().(*serveScratch)
-	items, err := rt.buildClosureItems(wants, nil, 0, 1<<20, sc, nil)
+	items, err := rt.buildClosureItems(wants, nil, 1<<20, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +139,7 @@ func TestServeFetchHotAllocsReduction(t *testing.T) {
 	serveHot(t, rt, wants)
 	allocs, bytes := allocsAndBytes(50, func() { serveHot(t, rt, wants) })
 	fresh := testing.AllocsPerRun(50, func() {
-		if _, err := rt.buildClosureItems(wants, nil, 0, 1<<20, nil, nil); err != nil {
+		if _, err := rt.buildClosureItems(wants, nil, 1<<20, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -219,7 +219,7 @@ func TestRevalidatedNeighborStaysHomeUnderConcurrent(t *testing.T) {
 
 // TestFetchPathCopyDoesNotClobberLocalWrite: the bounded closure and the
 // prefetcher over-deliver, so a fetch reply may carry a datum this session
-// has already written. The ride-along copy, encoded from the origin's
+// has already written. The over-delivered copy, encoded from the origin's
 // pre-write state, must not replace the pending modification.
 func TestFetchPathCopyDoesNotClobberLocalWrite(t *testing.T) {
 	caller, callee := pair(t, nil)
@@ -246,7 +246,7 @@ func TestFetchPathCopyDoesNotClobberLocalWrite(t *testing.T) {
 	}
 	res := sessionCall(t, caller, 2, "writeThenRefetch", root)
 	if got := res[0].Int64(); got != 99 {
-		t.Errorf("the callee reads %d after the ride-along copy arrived, want its own 99", got)
+		t.Errorf("the callee reads %d after the over-delivered copy arrived, want its own 99", got)
 	}
 	ref, err := caller.Deref(root)
 	if err != nil {

@@ -345,11 +345,9 @@ func TestExchangeAllocs(t *testing.T) {
 	payload := testing.AllocsPerRun(200, func() {
 		unfetch()
 		f := newFetch()
-		var own int
-		f.wants, _, own = cl.offer(pn, 1, false)
-		p := wire.FetchPayload{Wants: f.wants, Budget: uint32(cl.closure), Primary: uint32(own)}
+		p := cl.offer(f)
 		m := wire.Message{Kind: wire.KindFetchReply, Payload: fetchReply}
-		if _, err := cl.installFetchFrame(f, m); err != nil || len(p.Encode()) == 0 {
+		if _, err := cl.installFetchFrame(f, m); err != nil || len(p) == 0 {
 			t.Fatalf("install: %v", err)
 		}
 	})

@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"net"
 
 	"smartrpc/internal/arch"
 	"testing"
+	"time"
 
 	"smartrpc/internal/netsim"
 	"smartrpc/internal/transport"
@@ -377,41 +377,31 @@ func TestPropertyPolicyAgreement(t *testing.T) {
 // TestPropertyOverTCP runs a randomized script with every message moving
 // over real loopback TCP connections.
 func TestPropertyOverTCP(t *testing.T) {
-	// Build three TCP nodes with a full mutual address book. Ports are
-	// reserved up front so every node can name every other.
-	addrs := make(map[uint32]string, 3)
-	for id := uint32(1); id <= 3; id++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// Every node listens on a port of its own choosing and learns the
+	// address of a peer that dials it from the peer's first frame. So
+	// the third space starts first, the worker (which chains calls to it)
+	// knows its address, and the owner knows both; the owner reaches the
+	// third space once before the script, so the third space can fetch
+	// from the owner. A stalled exchange fails with ErrDeadline instead of
+	// hanging the package.
+	reg := newTestRegistry(t)
+	book := map[uint32]string{}
+	mk := func(id uint32) *Runtime {
+		node, err := transport.ListenTCP(id, "127.0.0.1:0", book)
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[id] = ln.Addr().String()
-		_ = ln.Close()
-	}
-	nodeA, err := transport.ListenTCP(1, addrs[1], addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodeB, err := transport.ListenTCP(2, addrs[2], addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodeC, err := transport.ListenTCP(3, addrs[3], addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := newTestRegistry(t)
-	mk := func(id uint32, node transport.Node) *Runtime {
-		rt, err := New(Options{ID: id, Node: node, Registry: reg})
+		book[id] = node.Addr()
+		rt, err := New(Options{ID: id, Node: node, Registry: reg, CallTimeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = rt.Close() })
 		return rt
 	}
-	owner := mk(1, nodeA)
-	worker := mk(2, nodeB)
-	third := mk(3, nodeC)
+	third := mk(3)
+	worker := mk(2)
+	owner := mk(1)
 	registerScriptOps(t, worker)
 	registerScriptOps(t, third)
 
@@ -436,6 +426,9 @@ func TestPropertyOverTCP(t *testing.T) {
 	script := randomScript(rng, k, 40)
 	if err := owner.BeginSession(); err != nil {
 		t.Fatal(err)
+	}
+	if res, err := owner.Call(3, "readData", []Value{nodes[0]}); err != nil || res[0].Int64() != 1 {
+		t.Fatalf("first read from the third space: %v, %v", res, err)
 	}
 	for opIdx, op := range script {
 		args := []Value{nodes[op.target]}

@@ -423,7 +423,7 @@ type Runtime struct {
 	// installMu serializes cache installs (installItems). Installs run
 	// only on threads of control, so two batches meet only under a
 	// multi-origin fault's fan-out or Options.Concurrent application
-	// threads; they may share pages through ride-along wants, and the
+	// threads; their closures may share pages, and the
 	// page-protection discipline (every entry resident before protection
 	// is released) is checked and acted on per batch.
 	installMu sync.Mutex

@@ -841,7 +841,7 @@ func (rt *Runtime) installItems(from uint32, sess uint64, items wire.ItemReader,
 		return nil
 	}
 	// Installs are serialized: concurrent batches (demand fan-out,
-	// prefetch, call returns) may share pages through ride-along wants,
+	// prefetch, call returns) may share pages through their closures,
 	// and the release-protection decision below must observe a consistent
 	// all-resident state.
 	rt.installMu.Lock()
@@ -976,7 +976,7 @@ func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items w
 			// An object this session already wrote (or allocated) must not
 			// be clobbered by a fetch-path copy arriving afterwards: the
 			// bounded eager closure and the prefetcher both over-deliver,
-			// and a ride-along body encoded from the origin's pre-write
+			// and an over-delivered body encoded from the origin's pre-write
 			// state would silently revert the pending local modification
 			// before it is collected. Coherency-path items are exempt — a
 			// circulating modified set travels in thread-of-control order,

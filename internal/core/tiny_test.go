@@ -38,9 +38,10 @@ func tinySession(t testing.TB) func(i int64) {
 // summed over both runtimes. It was 39 while every CALL started a fresh
 // goroutine and every session re-made its participant and alloc-batch
 // maps, 25 while the origin decoded each FETCH's wants into a fresh
-// vector, and 23 while the CALL and the RETURN were each assembled as a
-// wire.CallPayload before being encoded.
-const tinySessionAllocs = 21
+// vector, 23 while the CALL and the RETURN were each assembled as a
+// wire.CallPayload before being encoded, and 21 while a FETCH's wants were
+// copied out of the offer scratch as well as encoded.
+const tinySessionAllocs = 20
 
 // TestTinySessionAllocs pins what the smallest session allocates: its
 // fixed per-session cost in every layer, with no bulk to hide it.

@@ -1305,11 +1305,11 @@ func TestWarmPathAllocs(t *testing.T) {
 
 	pn := callee.space.PageOf(addrs[0])
 	perPage := len(callee.table.PageEntries(pn))
-	wants, _, own := callee.offer(pn, 1, true)
-	if own != perPage || len(wants) <= own {
-		t.Fatalf("the offer for page %d holds %d wants, %d of them its own; want all %d rows and ride-alongs", pn, len(wants), own, perPage)
+	wants, _ := offerOf(t, callee, pn, 1, true)
+	if len(wants) <= perPage {
+		t.Fatalf("the offer for page %d holds %d wants; want all %d rows and ride-alongs", pn, len(wants), perPage)
 	}
-	offer := testing.AllocsPerRun(50, func() { callee.offer(pn, 1, true) })
+	offer := testing.AllocsPerRun(50, func() { callee.offer(&inflightFetch{fetchKey: fetchKey{pn: pn, origin: 1}, stale: true}) })
 	if offer > 2 {
 		t.Errorf("building a %d-want hashed offer allocates %.0f times; want at most 2", len(wants), offer)
 	}
@@ -1364,13 +1364,32 @@ func BenchmarkEndSessionDemote(b *testing.B) {
 
 // --- the offer: a warm fault walks its rows off the page records ---
 
+// offerOf returns the wants and sums of the FETCH payload offer builds
+// for page pn from origin, decoded.
+func offerOf(t *testing.T, rt *Runtime, pn, origin uint32, stale bool) ([]wire.LongPtr, []uint64) {
+	t.Helper()
+	f := &inflightFetch{fetchKey: fetchKey{pn: pn, origin: origin}, stale: stale}
+	b := rt.offer(f)
+	if b == nil {
+		if f.n != 0 {
+			t.Fatalf("offer for page %d from %d: no payload for %d wants", pn, origin, f.n)
+		}
+		return nil, nil
+	}
+	p, err := wire.DecodeFetchPayload(b)
+	if err != nil || int(f.n) != len(p.Wants) || stale != slices.Equal(f.wants, p.Wants) || stale == (p.Budget != 0) {
+		t.Fatalf("offer for page %d from %d: %+v, %v; recorded %d wants %v", pn, origin, p, err, f.n, f.wants)
+	}
+	return p.Wants, p.Sums
+}
+
 // lpPathOffer is the offer the long-pointer path built before the row
 // walk: page pn's missing rows from origin (PageWants, stale rows split
-// off, grouped by origin), then the ride-alongs of other pages within the
-// closure budget — stale rows for a hashed FETCH (StaleWants), the
-// non-resident rows of partially resident pages otherwise
-// (OutstandingWants). A hashed offer's wants were then found again by long
-// pointer, encoded from their pages and summed (validateTuplesFor).
+// off, grouped by origin), then, for a hashed FETCH, the stale rows of
+// other pages within the closure budget (StaleWants). A plain FETCH asks
+// for its own page's rows and nothing more. A hashed offer's wants were
+// then found again by long pointer, encoded from their pages and summed
+// (validateTuplesFor).
 func lpPathOffer(t *testing.T, rt *Runtime, pn, origin uint32, stale bool) (wants []wire.LongPtr, sums []uint64, own int) {
 	t.Helper()
 	for _, e := range rt.table.PageEntries(pn) {
@@ -1379,6 +1398,9 @@ func lpPathOffer(t *testing.T, rt *Runtime, pn, origin uint32, stale bool) (want
 		}
 	}
 	own = len(wants)
+	if !stale {
+		return wants, nil, own
+	}
 	lastPage := func(e swizzle.Entry) uint32 { return rt.space.PageOf(e.Addr + vmem.VAddr(max(e.Size, 1)-1)) }
 	var pages []uint32
 	for _, e := range rt.table.Entries() {
@@ -1391,18 +1413,11 @@ func lpPathOffer(t *testing.T, rt *Runtime, pn, origin uint32, stale bool) (want
 ride:
 	for _, p := range slices.Compact(pages) {
 		rows := rt.table.PageEntries(p)
-		resident := 0
-		for _, e := range rows {
-			if e.Resident {
-				resident++
-			}
-		}
-		hasStale := slices.ContainsFunc(rows, func(e swizzle.Entry) bool { return e.Stale })
-		if p == pn || stale && !hasStale || !stale && (resident == 0 || resident == len(rows)) {
+		if p == pn || !slices.ContainsFunc(rows, func(e swizzle.Entry) bool { return e.Stale }) {
 			continue
 		}
 		for _, e := range rows {
-			if e.Page != p || e.LP.Space != origin || e.Resident || stale && !e.Stale || e.Page < pn && pn <= lastPage(e) {
+			if e.Page != p || e.LP.Space != origin || !e.Stale || e.Page < pn && pn <= lastPage(e) {
 				continue
 			}
 			rv, err := rt.res.Resolve(e.LP.Type)
@@ -1417,9 +1432,6 @@ ride:
 		}
 	}
 	for _, lp := range wants {
-		if !stale {
-			break
-		}
 		addr, _ := rt.table.LookupLP(lp)
 		e, _ := rt.table.LookupAddr(addr)
 		b, err := rt.encodeStale(e)
@@ -1433,10 +1445,10 @@ ride:
 
 // TestOfferMatchesLPPath is the differential test of the row-walk offer
 // against the long-pointer path it replaced (lpPathOffer), hashed and
-// plain: the same wants in the same order, the same sums and the same
-// count of the page's own. The tables are laid out by real sessions over
-// random graphs, with BFS and DFS origins, four page and closure sizes
-// (the small closures cut the ride-alongs off mid-page), and under
+// plain: the same wants in the same order and the same sums. The tables
+// are laid out by real sessions over random graphs, with BFS and DFS
+// origins, four page and closure sizes (the small closures cut the
+// ride-alongs off mid-page), and under
 // PolicyMixed rows of a second origin planted between them on shared
 // pages. Before comparing, random rows are promoted or stripped of their
 // stale mark, so pages mix resident, stale and plain rows.
@@ -1507,11 +1519,11 @@ func TestOfferMatchesLPPath(t *testing.T) {
 		for _, e := range callee.table.Entries() {
 			for _, origin := range []uint32{1, other} {
 				for k, stale := range []bool{false, true} {
-					want, wantSums, wantOwn := lpPathOffer(t, callee, e.Page, origin, stale)
-					got, gotSums, own := callee.offer(e.Page, origin, stale)
-					if !slices.Equal(got, want) || !slices.Equal(gotSums, wantSums) || own != wantOwn {
-						t.Fatalf("seed %d: offer for page %d from %d, stale=%v:\n got %v %x (%d own)\nwant %v %x (%d own)",
-							seed, e.Page, origin, stale, got, gotSums, own, want, wantSums, wantOwn)
+					want, wantSums, own := lpPathOffer(t, callee, e.Page, origin, stale)
+					got, gotSums := offerOf(t, callee, e.Page, origin, stale)
+					if !slices.Equal(got, want) || !slices.Equal(gotSums, wantSums) {
+						t.Fatalf("seed %d: offer for page %d from %d, stale=%v:\n got %v %x\nwant %v %x",
+							seed, e.Page, origin, stale, got, gotSums, want, wantSums)
 					}
 					compared[k] += len(got)
 					rides[k] += len(got) - own

@@ -108,29 +108,31 @@ func BenchmarkTableColdSession(b *testing.B) {
 	}
 }
 
-// wantsTable builds an n-row table whose last page is half resident:
-// rows take cache room in node order, 256 to a page, and the last page's
-// second half never arrives.
+// wantsTable builds an n-row table whose last page is half stale: rows
+// take cache room in node order, 256 to a page, every row is demoted, and
+// all but the last page's second half are installed again.
 func wantsTable(t testing.TB, n int) *Table {
 	tb := benchTable(t)
-	installTree(t, tb, n, n-128)
+	installTree(t, tb, n, n)
+	tb.DemoteAll()
+	installTree(t, tb, n-128, n-128)
 	return tb
 }
 
 func scanWants(t testing.TB, tb *Table) {
 	wants := 0
 	tx := tb.Begin()
-	tx.Offer(0, remoteID, 1<<20, false, func(Row, Entry, bool) { wants++ })
+	tx.Offer(0, remoteID, 1<<20, true, func(Row, Entry) { wants++ })
 	tx.End()
 	if wants != 128 {
 		t.Fatalf("%d wants, want 128", wants)
 	}
 }
 
-// TestOutstandingWantsScanIsLocal: the ride-along scan every fault runs
-// reads the page records and the rows of partially resident pages only,
-// so an 8x larger table with the same one partial page may cost at most
-// 3x the time (measured 1.2x; the scan of every row it replaced: 5.5x).
+// TestOutstandingWantsScanIsLocal: the ride-along scan every warm fault
+// runs reads the page records and the rows of pages holding stale rows
+// only, so an 8x larger table with the same one such page may cost at most
+// 3x the time (measured 1.1x; the scan of every row it replaced: 5.5x).
 // Each size keeps its fastest of several timed batches. It skips under
 // -race, where packages run in parallel and the detector's own cost
 // swamps the ratio; the plain tier-1 run holds it.
@@ -157,9 +159,9 @@ func TestOutstandingWantsScanIsLocal(t *testing.T) {
 	t.Logf("ride-along scan: %v for 4 096 rows, %v for 32 768", small/500, large/500)
 }
 
-// BenchmarkOutstandingWants measures the ride-along scan every fault runs,
-// on tables of two sizes that each have exactly one partially resident
-// page. TestOutstandingWantsScanIsLocal holds the ratio of the two.
+// BenchmarkOutstandingWants measures the ride-along scan every warm fault
+// runs, on tables of two sizes that each have exactly one page with stale
+// rows. TestOutstandingWantsScanIsLocal holds the ratio of the two.
 func BenchmarkOutstandingWants(b *testing.B) {
 	for _, n := range []int{4096, 32768} {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {

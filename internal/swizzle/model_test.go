@@ -120,9 +120,10 @@ func (r *refTable) onPage(pn uint32) []*Entry { return r.snap.byPage[pn] }
 // snapshot.
 func (r *refTable) pages() []uint32 { return r.snap.pages }
 
-// wants is the specification of Offer's ride-alongs.
+// wants is the specification of Offer's ride-alongs: a hashed (stale)
+// FETCH carries the stale rows of other pages, a plain one none.
 func (r *refTable) wants(origin, excludePN uint32, budget int, stale bool) []wire.LongPtr {
-	if budget <= 0 {
+	if !stale || budget <= 0 {
 		return nil
 	}
 	var out []wire.LongPtr
@@ -131,22 +132,12 @@ func (r *refTable) wants(origin, excludePN uint32, budget int, stale bool) []wir
 		if pn == excludePN {
 			continue
 		}
-		rows := r.onPage(pn)
-		anyResident, anyMissing, anyStale := false, false, false
-		for _, e := range rows {
-			anyResident = anyResident || e.Resident
-			anyMissing = anyMissing || !e.Resident
-			anyStale = anyStale || e.Stale
-		}
-		if stale && !anyStale || !stale && !(anyResident && anyMissing) {
-			continue
-		}
-		for _, e := range rows {
+		for _, e := range r.onPage(pn) {
 			first, last := r.pagesOf(e)
 			if first != pn || first <= excludePN && excludePN <= last {
 				continue
 			}
-			if e.LP.Space != origin || stale && !e.Stale || !stale && e.Resident {
+			if e.LP.Space != origin || !e.Stale {
 				continue
 			}
 			rv, err := r.res.Resolve(e.LP.Type)
@@ -338,13 +329,9 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 			}
 			for _, stale := range []bool{false, true} {
 				var got, want []wire.LongPtr
-				var own int
 				tx := tb.Begin()
 				var memoErr error
-				tx.Offer(exclude, origin, budget, stale, func(row Row, e Entry, isOwn bool) {
-					if isOwn {
-						own++
-					}
+				tx.Offer(exclude, origin, budget, stale, func(row Row, e Entry) {
 					got = append(got, e.LP)
 					re := r.rows[e.Addr]
 					if offered := re.HasMemo && !r.memosVoid; memoErr == nil && (tx.Entry(row).LP != e.LP || e.HasMemo != offered || offered && e.Memo != re.Memo) {
@@ -360,9 +347,8 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 						want = append(want, e.LP)
 					}
 				}
-				wantOwn := len(want)
-				if want = append(want, r.wants(origin, exclude, budget, stale)...); !slices.Equal(got, want) || own != wantOwn {
-					t.Fatalf("Offer(%d, %d, %d, stale=%v) = %v, %d own\nwant %v, %d own", exclude, origin, budget, stale, got, own, want, wantOwn)
+				if want = append(want, r.wants(origin, exclude, budget, stale)...); !slices.Equal(got, want) {
+					t.Fatalf("Offer(%d, %d, %d, stale=%v) = %v\nwant %v", exclude, origin, budget, stale, got, want)
 				}
 			}
 		}

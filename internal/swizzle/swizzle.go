@@ -804,61 +804,51 @@ func addOrigin(origins []uint32, o uint32) []uint32 {
 }
 
 // Offer calls f with the rows a fault on page pn asks origin for, in
-// message order, reporting whether each is one of the page's own. The
-// page's own come first, in offset order: its stale rows when stale (the
-// warm fault's hashed FETCH), its plain wants otherwise. Ride-alongs from
-// origin follow in (page, offset) order, stopping once their accumulated
-// canonical sizes would exceed budget bytes:
+// message order. The page's own come first, in offset order: its stale
+// rows when stale (the warm fault's hashed FETCH), its plain wants
+// otherwise. A plain FETCH asks for nothing more. A hashed one goes on
+// with ride-alongs: the stale rows from origin of other pages, in (page,
+// offset) order, stopping once their accumulated canonical sizes would
+// exceed budget bytes. Each such page is certain to fault on first touch,
+// so offering its hashes now trades a guaranteed future round trip for a
+// few bytes.
 //
-//   - stale: the stale rows of other pages. Each such page is certain to
-//     fault on first touch, so offering its hashes now trades a
-//     guaranteed future round trip for a few bytes.
-//   - otherwise: the non-resident rows of *partially resident* pages, where
-//     a previous transfer's byte budget ran out mid-page. Such a page
-//     cannot be released until all its rows are resident (§3.2), so it is
-//     certain to cost its own FETCH on first touch. Fully non-resident
-//     pages are deliberately excluded: prefetching them is speculation
-//     that cascades (each install swizzles fresh frontier entries),
-//     inflating transferred bytes on sparse access patterns.
-//
-// The page records' counts find the pages that qualify; rows are read only
-// on those, so the cost of a fault does not grow with the table. While a
-// removal since the last DemoteAll voids the memos, the entries f gets
-// carry none (Entry.HasMemo).
-func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(r Row, e Entry, own bool)) {
+// The page records' stale counts find the pages that qualify; rows are
+// read only on those, so the cost of a warm fault does not grow with the
+// table. While a removal since the last DemoteAll voids the memos, the
+// entries f gets carry none (Entry.HasMemo).
+func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(r Row, e Entry)) {
 	t := x.t
-	call := func(row int32, e Entry, own bool) {
+	call := func(row int32, e Entry) {
 		e.HasMemo = e.HasMemo && !t.memosVoid
-		f(Row(row), e, own)
+		f(Row(row), e)
 	}
 	if rec := t.page(pn); rec != nil {
 		for _, s := range rec.slots {
 			if e := t.rows.at(s.row); !e.Resident && e.Stale == stale && e.LP.Space == origin {
-				call(s.row, *e, true)
+				call(s.row, *e)
 			}
 		}
 	}
-	if budget <= 0 {
+	if !stale || budget <= 0 {
 		return
 	}
 	left := budget
 	for i := range t.pages {
 		rec := &t.pages[i]
 		p := t.basePN + uint32(i)
-		partial := rec.resident > 0 && int(rec.resident) < len(rec.slots)
-		if p == pn || stale && rec.stale == 0 || !stale && !partial {
+		if p == pn || rec.stale == 0 {
 			continue
 		}
 		for _, s := range rec.slots {
 			// A row is listed once, under the page it starts on, and never
 			// when it covers pn, whose own rows are listed above.
 			e := t.rows.at(s.row)
-			if e.Page != p || e.LP.Space != origin || e.Resident || stale && !e.Stale || p < pn && pn <= t.lastPage(e) {
+			if e.Page != p || e.LP.Space != origin || !e.Stale || p < pn && pn <= t.lastPage(e) {
 				continue
 			}
 			// Charge canonical (wire) size, the unit the serving side's
-			// closure budget is denominated in, so a batched FETCH never
-			// ships more bytes than a single-want one.
+			// closure budget is denominated in.
 			size := int(e.Size)
 			if rv, err := t.res.Resolve(e.LP.Type); err == nil {
 				size = rv.Canon
@@ -867,7 +857,7 @@ func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(r Row, e Ent
 				return
 			}
 			left -= size
-			call(s.row, *e, false)
+			call(s.row, *e)
 		}
 	}
 }

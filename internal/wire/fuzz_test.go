@@ -213,9 +213,8 @@ func FuzzCallPayloadDecode(f *testing.F) {
 
 func FuzzFetchPayloadDecode(f *testing.F) {
 	p := FetchPayload{
-		Wants:   []LongPtr{{Space: 2, Addr: 0x10000, Type: 1}, {Space: 2, Addr: 0x10020, Type: 1}},
-		Budget:  4096,
-		Primary: 1,
+		Wants:  []LongPtr{{Space: 2, Addr: 0x10000, Type: 1}, {Space: 2, Addr: 0x10020, Type: 1}},
+		Budget: 4096,
 	}
 	f.Add(p.Encode(), int64(0))
 	spec := p
@@ -223,12 +222,14 @@ func FuzzFetchPayloadDecode(f *testing.F) {
 	f.Add(spec.Encode(), int64(1))
 	hashed := FetchPayload{Wants: p.Wants, Sums: []uint64{0xdeadbeefcafef00d, 1}}
 	f.Add(hashed.Encode(), int64(2))
-	// Must be rejected: a hashed want vector one sum short, and a hashed
-	// request with nothing to hash.
+	// Must be rejected: a hashed want vector one sum short, a hashed
+	// request with nothing to hash, and a flags word with a count in it.
 	short := hashed.Encode()
 	short = short[:len(short)-8]
 	noWants := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0}
-	for _, bad := range [][]byte{short, noWants} {
+	counted := p.Encode()
+	counted[len(counted)-1] = 1
+	for _, bad := range [][]byte{short, noWants, counted} {
 		if _, err := DecodeFetchPayload(bad); err == nil {
 			f.Fatalf("decoder admitted malformed hashed fetch %x", bad)
 		}
@@ -254,7 +255,7 @@ func FuzzFetchPayloadDecode(f *testing.F) {
 			t.Fatalf("decode into reused vectors: error %v, allocating decode %v", rerr, err)
 		}
 		if !slices.Equal(r.Wants, q.Wants) || !slices.Equal(r.Sums, q.Sums) || (r.Sums == nil) != (q.Sums == nil) ||
-			r.Budget != q.Budget || r.Primary != q.Primary || r.Speculative != q.Speculative {
+			r.Budget != q.Budget || r.Speculative != q.Speculative {
 			t.Fatalf("decode into reused vectors: %+v, allocating decode %+v", r, q)
 		}
 		if q.Sums == nil && !slices.Equal(sums, before) {
@@ -262,12 +263,6 @@ func FuzzFetchPayloadDecode(f *testing.F) {
 		}
 		if err != nil {
 			return
-		}
-		if int(q.Primary) > len(q.Wants) {
-			t.Fatalf("decoder admitted primary %d > wants %d", q.Primary, len(q.Wants))
-		}
-		if q.Primary&(FetchSpeculative|FetchHashed) != 0 {
-			t.Fatalf("decoder left a flag bit in primary %#x", q.Primary)
 		}
 		if len(q.Sums) != 0 && len(q.Sums) != len(q.Wants) {
 			t.Fatalf("decoder admitted %d sums for %d wants", len(q.Sums), len(q.Wants))
@@ -278,7 +273,7 @@ func FuzzFetchPayloadDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if q2.Speculative != q.Speculative || q2.Primary != q.Primary || len(q2.Wants) != len(q.Wants) ||
+		if q2.Speculative != q.Speculative || len(q2.Wants) != len(q.Wants) ||
 			!slices.Equal(q2.Sums, q.Sums) {
 			t.Fatalf("round trip changed shape: %+v vs %+v", q, q2)
 		}

@@ -582,29 +582,22 @@ func DecodeCallPayload(b []byte) (CallPayload, error) {
 }
 
 // FetchSpeculative is the flag bit marking a speculative (prefetch) FETCH.
-// It rides in the top bit of the encoded Primary word: boundCount caps any
-// want vector at 1<<22 entries, so a legitimate primary count can never
-// reach bit 31, old-format frames never have it set, and setting it changes
-// neither the frame size nor any demand-path byte. The flag is accounting
-// only — servers answer speculative fetches exactly like demand fetches.
+// It rides in the top bit of the flags word that follows the budget. The
+// flag is accounting only — servers answer speculative fetches exactly
+// like demand fetches.
 const FetchSpeculative uint32 = 1 << 31
 
-// FetchHashed is the flag bit, next to FetchSpeculative in the Primary
-// word, marking a hashed FETCH: one 64-bit content hash per want follows
-// the Primary word. An unhashed FETCH never sets it and encodes exactly as
-// before the flag existed.
+// FetchHashed is the flag bit, next to FetchSpeculative in the flags word,
+// marking a hashed FETCH: one 64-bit content hash per want follows the
+// flags word.
 const FetchHashed uint32 = 1 << 30
 
-// FetchPayload requests the data for a set of long pointers — all the
-// entries of the faulted page's data allocation table — plus an eager
-// closure budget in bytes (§3.3). The first Primary wants are the faulting
-// page's own entries and seed the server's closure traversal; any wants
-// beyond them are batched ride-alongs (stranded entries of partially
-// resident pages) that are served but not expanded, so they cannot starve
-// the faulting page's frontier of closure budget. Primary == 0 means all
-// wants are primary (the single-want protocol). Speculative marks a
-// prefetch issued ahead of any fault (carried as FetchSpeculative in the
-// Primary word).
+// FetchPayload requests the data for a set of long pointers — the
+// faulting page's entries from one origin, which a hashed request follows
+// with stale entries of other pages — plus an eager closure budget in
+// bytes (§3.3) that the server's traversal from the wants may spend.
+// Speculative marks a prefetch issued ahead of any fault (carried as
+// FetchSpeculative in the flags word).
 //
 // Sums, when non-empty, makes the request hashed (FetchHashed): Sums[i] is
 // the Sum64 of the requester's demoted encoding of Wants[i]. The origin
@@ -614,7 +607,6 @@ const FetchHashed uint32 = 1 << 30
 type FetchPayload struct {
 	Wants       []LongPtr
 	Budget      uint32
-	Primary     uint32
 	Speculative bool
 	Sums        []uint64
 }
@@ -627,14 +619,14 @@ func (p *FetchPayload) Encode() []byte {
 		putLongPtr(e, lp)
 	}
 	e.PutUint32(p.Budget)
-	primary := p.Primary
+	var flags uint32
 	if p.Speculative {
-		primary |= FetchSpeculative
+		flags |= FetchSpeculative
 	}
 	if len(p.Sums) > 0 {
-		primary |= FetchHashed
+		flags |= FetchHashed
 	}
-	e.PutUint32(primary)
+	e.PutUint32(flags)
 	for _, s := range p.Sums {
 		e.PutUint64(s)
 	}
@@ -672,15 +664,15 @@ func DecodeFetchPayloadInto(b []byte, wants []LongPtr, sums []uint64) (FetchPayl
 	if p.Budget, err = d.Uint32(); err != nil {
 		return p, err
 	}
-	if p.Primary, err = d.Uint32(); err != nil {
+	flags, err := d.Uint32()
+	if err != nil {
 		return p, err
 	}
-	p.Speculative = p.Primary&FetchSpeculative != 0
-	hashed := p.Primary&FetchHashed != 0
-	p.Primary &^= FetchSpeculative | FetchHashed
-	if int(p.Primary) > n {
-		return p, fmt.Errorf("wire: primary count %d exceeds want count %d", p.Primary, n)
+	if flags&^(FetchSpeculative|FetchHashed) != 0 {
+		return p, fmt.Errorf("wire: fetch flags %#x set unknown bits", flags)
 	}
+	p.Speculative = flags&FetchSpeculative != 0
+	hashed := flags&FetchHashed != 0
 	if !hashed {
 		return p, nil
 	}

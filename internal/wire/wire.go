@@ -170,29 +170,27 @@ type Message struct {
 }
 
 // FrameBuf is a ref-counted pooled buffer backing a zero-copy message
-// payload. Two variants share the type: send-side chunk buffers own an
-// encoder (the origin encodes each chunk payload straight into a pooled
-// buffer), and receive-side frame buffers own the raw frame body a
-// stream reader filled. When the count reaches zero the storage returns
-// to its pool; a forgotten release only costs the recycle (the garbage
-// collector still reclaims the buffer).
+// payload: an encoder whose bytes are either a chunk payload an origin
+// encoded straight into it, or the raw body of a frame ReadFrame read off
+// a stream. When the count reaches zero the buffer returns to its pool; a
+// forgotten release only costs the recycle (the garbage collector still
+// reclaims the buffer).
 type FrameBuf struct {
 	enc  *xdr.Encoder
-	bp   *[]byte
 	refs atomic.Int32
 }
 
-// chunkFramePool recycles send-side chunk buffers (FrameBuf + encoder
-// pairs). A streamed closure reuses a handful of buffers for its whole
-// chunk sequence: the client releases each chunk after installing it,
-// returning the buffer for a later chunk of the same (or any) stream.
+// chunkFramePool recycles frame buffers (FrameBuf + encoder pairs). A
+// streamed closure reuses a handful of buffers for its whole chunk
+// sequence: the client releases each chunk after installing it, returning
+// the buffer for a later chunk of the same (or any) stream.
 var chunkFramePool = sync.Pool{New: func() any {
 	return &FrameBuf{enc: xdr.NewEncoder(4096)}
 }}
 
-// NewChunkBuf returns a pooled send-side chunk buffer with one
-// reference. Encode the chunk payload into Enc(), then attach the buffer
-// to the outgoing message via Frame.
+// NewChunkBuf returns a pooled, empty frame buffer with one reference.
+// Encode the chunk payload into Enc(), then attach the buffer to the
+// outgoing message via Frame.
 func NewChunkBuf() *FrameBuf {
 	fb := chunkFramePool.Get().(*FrameBuf)
 	fb.enc.Reset()
@@ -200,7 +198,7 @@ func NewChunkBuf() *FrameBuf {
 	return fb
 }
 
-// Enc returns the buffer's encoder (send-side buffers only).
+// Enc returns the buffer's encoder.
 func (fb *FrameBuf) Enc() *xdr.Encoder { return fb.enc }
 
 // Retain adds a reference.
@@ -217,17 +215,8 @@ func (fb *FrameBuf) Release() {
 	if fb.refs.Add(-1) != 0 {
 		return
 	}
-	switch {
-	case fb.enc != nil:
-		if cap(fb.enc.Bytes()) <= maxPooledFrame {
-			chunkFramePool.Put(fb)
-		}
-	case fb.bp != nil:
-		bp := fb.bp
-		fb.bp = nil
-		if cap(*bp) <= maxPooledFrame {
-			frameBufPool.Put(bp)
-		}
+	if cap(fb.enc.Bytes()) <= maxPooledFrame {
+		chunkFramePool.Put(fb)
 	}
 }
 
@@ -390,16 +379,12 @@ const maxFrame = 16 << 20
 // pinning megabytes inside the pools forever.
 const maxPooledFrame = 1 << 20
 
-// framePools recycle the per-frame scratch buffers of the stream framing
-// layer. A connection in steady state encodes and decodes thousands of
-// messages; with the pools, neither direction allocates once the buffers
-// have grown to the session's working frame size. Reuse is safe because
-// Decode copies the payload and strings out of the frame body before it
-// is returned.
-var (
-	frameEncPool = sync.Pool{New: func() any { return xdr.NewEncoder(4096) }}
-	frameBufPool = sync.Pool{New: func() any { b := make([]byte, 4096); return &b }}
-)
+// frameEncPool recycles the encoders WriteFrame serializes frames into. A
+// connection in steady state encodes thousands of messages; with the
+// pool, writing allocates nothing once the encoders have grown to the
+// session's working frame size. Received frames are read into
+// chunkFramePool's buffers (ReadFrame).
+var frameEncPool = sync.Pool{New: func() any { return xdr.NewEncoder(4096) }}
 
 // WriteFrame writes m to w as a length-prefixed frame.
 func WriteFrame(w io.Writer, m *Message) error {
@@ -440,34 +425,26 @@ func ReadFrame(r io.Reader) (Message, error) {
 	if n < 0 || n > maxFrame {
 		return Message{}, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	bp := frameBufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	body := (*bp)[:n]
-	putBack := func() {
-		if cap(*bp) <= maxPooledFrame {
-			frameBufPool.Put(bp)
-		}
-	}
+	fb := NewChunkBuf()
+	fb.enc.Grow(n)
+	fb.enc.Truncate(n)
+	body := fb.enc.Bytes()
 	if _, err := io.ReadFull(r, body); err != nil {
-		putBack()
+		fb.Release()
 		return Message{}, fmt.Errorf("wire: read frame body: %w", err)
 	}
 	m, err := decodeAlias(xdr.NewDecoder(body))
 	if err != nil {
-		putBack()
+		fb.Release()
 		return Message{}, err
 	}
 	if m.Kind == KindFetchChunk || m.Kind == KindFetchReply {
-		fb := &FrameBuf{bp: bp}
-		fb.refs.Store(1)
 		m.Frame = fb
 		return m, nil
 	}
 	p := make([]byte, len(m.Payload))
 	copy(p, m.Payload)
 	m.Payload = p
-	putBack()
+	fb.Release()
 	return m, nil
 }

@@ -263,7 +263,6 @@ func TestFetchPayloadSpeculativeRoundTrip(t *testing.T) {
 	p := FetchPayload{
 		Wants:       []LongPtr{{Space: 1, Addr: 0x10, Type: 2}},
 		Budget:      8192,
-		Primary:     1,
 		Speculative: true,
 	}
 	got, err := DecodeFetchPayload(p.Encode())
@@ -276,32 +275,29 @@ func TestFetchPayloadSpeculativeRoundTrip(t *testing.T) {
 }
 
 // TestFetchPayloadEncodingUnchanged pins the demand-path wire layout: the
-// speculative flag lives in the top bit of the Primary word, so a
-// non-speculative payload must encode byte-identically to the old format
-// (same size, same bytes — the committed benchmark baselines depend on
-// it), an old-format frame must decode with the flag clear, and the only
-// difference a speculative frame carries is that one bit.
+// word after the budget carries flags only, so a demand FETCH sends it as
+// zero, and the only difference a speculative frame carries is its top
+// bit.
 func TestFetchPayloadEncodingUnchanged(t *testing.T) {
 	p := FetchPayload{
-		Wants:   []LongPtr{{Space: 2, Addr: 0x10040, Type: 3}},
-		Budget:  4096,
-		Primary: 1,
+		Wants:  []LongPtr{{Space: 2, Addr: 0x10040, Type: 3}},
+		Budget: 4096,
 	}
 	oldFormat := []byte{
 		0, 0, 0, 1, // want count
 		0, 0, 0, 2, 0, 1, 0, 0x40, 0, 0, 0, 3, // long pointer
 		0, 0, 0x10, 0, // budget
-		0, 0, 0, 1, // primary (old frames never set bit 31)
+		0, 0, 0, 0, // flags
 	}
 	if got := p.Encode(); !reflect.DeepEqual(got, oldFormat) {
 		t.Errorf("demand fetch encoding changed:\ngot  %x\nwant %x", got, oldFormat)
 	}
 	got, err := DecodeFetchPayload(oldFormat)
 	if err != nil {
-		t.Fatalf("old-format frame failed to decode: %v", err)
+		t.Fatalf("demand frame failed to decode: %v", err)
 	}
-	if got.Speculative || got.Primary != 1 || got.Budget != 4096 || len(got.Wants) != 1 {
-		t.Errorf("old-format frame decoded wrong: %+v", got)
+	if got.Speculative || got.Budget != 4096 || len(got.Wants) != 1 {
+		t.Errorf("demand frame decoded wrong: %+v", got)
 	}
 	p.Speculative = true
 	spec := p.Encode()
@@ -309,7 +305,7 @@ func TestFetchPayloadEncodingUnchanged(t *testing.T) {
 		t.Fatalf("speculative flag changed the frame size: %d vs %d", len(spec), len(oldFormat))
 	}
 	want := append([]byte(nil), oldFormat...)
-	want[len(want)-4] |= 0x80 // only delta: the top bit of the primary word
+	want[len(want)-4] |= 0x80 // only delta: the top bit of the flags word
 	if !reflect.DeepEqual(spec, want) {
 		t.Errorf("speculative encoding differs beyond the flag bit:\ngot  %x\nwant %x", spec, want)
 	}
@@ -322,6 +318,24 @@ func TestFetchPayloadEncodingUnchanged(t *testing.T) {
 	}
 	if got, err := DecodeFetchPayload(want); err != nil || !reflect.DeepEqual(got, p) {
 		t.Errorf("hashed fetch decoded to %+v, %v; want %+v", got, err, p)
+	}
+}
+
+// TestFetchFlagsRejectCountBits: the flags word has two bits. A frame
+// setting any other — such as the count of leading wants an older FETCH
+// carried there — is refused, not served under a contract it did not ask
+// for.
+func TestFetchFlagsRejectCountBits(t *testing.T) {
+	p := FetchPayload{Wants: []LongPtr{{Space: 2, Addr: 0x10040, Type: 3}, {Space: 2, Addr: 0x10060, Type: 3}}, Budget: 4096}
+	for _, flags := range []uint32{1, 2, 1 << 29, FetchSpeculative | 1, FetchHashed | 2} {
+		b := p.Encode()
+		b[len(b)-4], b[len(b)-3], b[len(b)-2], b[len(b)-1] = byte(flags>>24), byte(flags>>16), byte(flags>>8), byte(flags)
+		if flags&FetchHashed != 0 {
+			b = append(b, make([]byte, 8*len(p.Wants))...)
+		}
+		if got, err := DecodeFetchPayload(b); err == nil {
+			t.Errorf("flags %#x decoded to %+v; want an error", flags, got)
+		}
 	}
 }
 
