@@ -212,7 +212,8 @@ func Table1() (string, error) {
 	fmt.Fprintf(&b, "%-8s %-22s %s\n", "page #", "offset within the page", "long pointer")
 	names := map[wire.LongPtr]string{ptrA: "A", ptrB: "B"}
 	for _, e := range tb.Entries() {
-		fmt.Fprintf(&b, "%-8d %-22d %s (%s)\n", e.Page, e.Offset, names[e.LP], e.LP)
+		pn := sp.PageOf(e.Addr)
+		fmt.Fprintf(&b, "%-8d %-22d %s (%s)\n", pn, e.Addr-sp.PageBase(pn), names[e.LP], e.LP)
 	}
 	return b.String(), nil
 }

@@ -79,7 +79,17 @@ type admissionTable struct {
 	// sessions retired here.
 	retired [retiredSessions]admitEntry
 	nextRet int
+	// dropped counts the keys deleted from index since it was made. Every
+	// exchange brings a new key, and a Go map under such churn keeps
+	// growing long after its live size has stopped: a lazy-policy pair's
+	// index grew by 31 KB over 3 000 sessions before it levelled off. So
+	// once the ring is empty and a few rings' worth of keys have been
+	// dropped, retire starts a fresh index.
+	dropped int
 }
+
+// indexChurn is how many dropped keys make retire start a fresh index.
+const indexChurn = 4 * admissionEntries
 
 // replayable reports whether a request kind runs at most once.
 func replayable(k wire.Kind) bool {
@@ -176,6 +186,7 @@ func (a *admissionTable) retire(sess uint64, by admitKey) {
 		e := a.ring[a.slot(i)]
 		if e.key.sess == sess {
 			delete(a.index, e.key)
+			a.dropped++
 			if e.state == admitSeen {
 				a.seen--
 			}
@@ -191,6 +202,9 @@ func (a *admissionTable) retire(sess uint64, by admitKey) {
 		a.ring[a.slot(i)] = admitEntry{}
 	}
 	a.n = kept
+	if kept == 0 && a.dropped >= indexChurn {
+		a.index, a.dropped = make(map[admitKey]int), 0
+	}
 }
 
 // retiredLocked finds key among the retired INVALIDATEs.
@@ -237,6 +251,7 @@ func (a *admissionTable) makeRoomLocked() bool {
 					a.seen--
 				}
 				delete(a.index, e.key)
+				a.dropped++
 				*e = admitEntry{}
 				a.n--
 				return true

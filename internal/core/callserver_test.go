@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"smartrpc/internal/netsim"
 	"smartrpc/internal/transport"
+	"smartrpc/internal/wire"
 )
 
 // TestCallServersReused: CALLs run on parked call servers instead of a
@@ -84,4 +87,94 @@ func TestCallServersReused(t *testing.T) {
 	_ = a.Close()
 	_ = b.Close()
 	waitFor(t, "the call servers to exit", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// TestFullServeStripeKeepsDispatching: requests that find their stripe
+// full while its worker is held wait in the stripe's backlog instead of
+// blocking the dispatcher. Meanwhile a reply from a third space still
+// reaches the waiter it is for; once the worker is released, every
+// request is served, in arrival order; and Close returns while the worker
+// is still held.
+func TestFullServeStripeKeepsDispatching(t *testing.T) {
+	const n = 2*serveQueueDepth + 1 // one held, a queue full, and more behind
+	for _, closeHeld := range []bool{false, true} {
+		net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = net.Close() })
+		peer, third := rawAttach(t, net, 1), rawAttach(t, net, 3)
+		origin := newRuntimeOnNet(t, net, 2)
+		origin.serveMu.Lock() // holds the worker serving peer's first FETCH
+		held := true
+		release := func() {
+			if held {
+				held = false
+				origin.serveMu.Unlock()
+			}
+		}
+		t.Cleanup(release)
+		empty := wire.FetchPayload{}
+		for seq := uint64(1); seq <= n; seq++ {
+			if err := peer.Send(sealed(wire.Message{Kind: wire.KindFetch, Seq: seq, To: 2, Payload: empty.Encode()})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stripe := &origin.serve[1%serveWorkers]
+		waitFor(t, "the stripe to back requests up", func() bool {
+			stripe.mu.Lock()
+			defer stripe.mu.Unlock()
+			return len(stripe.backlog)-stripe.head == n-1-serveQueueDepth
+		})
+
+		if closeHeld {
+			closed := make(chan error, 1)
+			go func() { closed <- origin.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close did not return while a serve worker was held")
+			}
+			continue
+		}
+
+		answered := make(chan error, 1)
+		go func() {
+			reply, err := origin.roundTrip(wire.Message{Kind: wire.KindInvalidate, To: 3, Payload: []byte{}})
+			if err == nil && reply.Kind != wire.KindInvalidateAck {
+				err = fmt.Errorf("reply of kind %v", reply.Kind)
+			}
+			answered <- err
+		}()
+		req, err := third.Recv()
+		if err != nil || req.Kind != wire.KindInvalidate {
+			t.Fatalf("the third space received %v, %v; want an invalidate", req.Kind, err)
+		}
+		if err := third.Send(sealed(wire.Message{Kind: wire.KindInvalidateAck, Session: req.Session, Seq: req.Seq, To: 2, Payload: []byte{}})); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-answered:
+			if err != nil {
+				t.Fatalf("round trip with a full stripe: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a reply did not reach its waiter while a stripe was full")
+		}
+
+		release()
+		for seq := uint64(1); seq <= n; seq++ {
+			m, err := peer.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Kind != wire.KindFetchReply || m.Seq != seq {
+				t.Fatalf("reply %d is a %v for request %d; want the fetch reply to request %d", seq, m.Kind, m.Seq, seq)
+			}
+			m.ReleaseFrame()
+		}
+	}
 }

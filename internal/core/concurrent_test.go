@@ -635,8 +635,8 @@ func TestTableMemoRacesOfferAndInstall(t *testing.T) {
 		rt := ctx.Runtime()
 		var stalePages []uint32
 		for _, e := range rt.table.Entries() {
-			if e.Stale && !slices.Contains(stalePages, e.Page) {
-				stalePages = append(stalePages, e.Page)
+			if pn := rt.space.PageOf(e.Addr); e.Stale && !slices.Contains(stalePages, pn) {
+				stalePages = append(stalePages, pn)
 			}
 		}
 		root, err := rt.Deref(args[0])

@@ -421,7 +421,10 @@ func (rt *Runtime) offer(f *inflightFetch) []byte {
 	tx := rt.table.Begin()
 	tx.Offer(f.pn, f.origin, rt.closure, f.stale, func(row swizzle.Row, e swizzle.Entry) {
 		if f.stale {
-			if !e.HasMemo {
+			var sum uint64
+			if e.HasMemo {
+				sum = tx.Memo(row)
+			} else {
 				rv, err := rt.res.Resolve(e.LP.Type)
 				if err == nil {
 					sc.arena.Reset()
@@ -431,10 +434,10 @@ func (rt *Runtime) offer(f *inflightFetch) []byte {
 					unencodable = append(unencodable, e.LP)
 					return
 				}
-				e.Memo = wire.Sum64(sc.arena.Bytes())
-				tx.SetMemo(row, e.Memo)
+				sum = wire.Sum64(sc.arena.Bytes())
+				tx.SetMemo(row, sum)
 			}
-			sc.sums = append(sc.sums, e.Memo)
+			sc.sums = append(sc.sums, sum)
 		}
 		sc.wants = append(sc.wants, e.LP)
 	})

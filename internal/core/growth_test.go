@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"smartrpc/internal/vmem"
 )
@@ -53,11 +54,22 @@ func registerIncProc(t testing.TB, callee *Runtime) {
 	}
 }
 
-// settledHeap returns the live Go heap after a collection.
+// settledHeap returns the live Go heap once it has stopped moving. One
+// collection is not enough: what a sync.Pool held survives one cycle in
+// its victim cache, and the goroutines that served the last session let
+// go of what they hold a moment after its reply.
 func settledHeap() uint64 {
-	runtime.GC()
 	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	prev := uint64(0)
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		if i > 0 && max(ms.HeapAlloc, prev)-min(ms.HeapAlloc, prev) < 1024 {
+			break
+		}
+		prev = ms.HeapAlloc
+		time.Sleep(time.Millisecond)
+	}
 	return ms.HeapAlloc
 }
 

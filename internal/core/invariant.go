@@ -195,7 +195,7 @@ func (rt *Runtime) CheckIdleInvariants() error {
 		}
 		// Memo soundness: a memo the next offer would send in place of an
 		// encode is the hash of what the page encodes to.
-		if memo, ok := rt.table.OfferedMemo(e); ok && (err != nil || wire.Sum64(enc) != memo) {
+		if memo, ok := rt.table.OfferedMemo(e.Addr); ok && (err != nil || wire.Sum64(enc) != memo) {
 			return invariantErr(rt.id, "stale datum %v offers memo %#x, but its page encodes to %#x (%v)", e.LP, memo, wire.Sum64(enc), err)
 		}
 	}
@@ -346,7 +346,7 @@ func CheckNetworkInvariants(ground *Runtime, all []*Runtime) error {
 				continue // origin outside the checked set
 			}
 			mine, err := rt.encodeStale(e)
-			offered, memo := rt.table.OfferedMemo(e)
+			offered, memo := rt.table.OfferedMemo(e.Addr)
 			switch {
 			case err != nil && memo:
 				return invariantErr(rt.id, "stale datum %v offers memo %#x, but its page does not encode: %v", e.LP, offered, err)

@@ -195,7 +195,7 @@ func TestRevalidatedNeighborStaysHomeUnderConcurrent(t *testing.T) {
 	sessionCall(t, caller, 2, "bumpRoot", root)
 	pages := map[uint32]bool{}
 	for _, e := range callee.table.Entries() {
-		pages[e.Page] = true
+		pages[callee.space.PageOf(e.Addr)] = true
 	}
 	if len(pages) != 1 || callee.table.Len() != 3 {
 		t.Fatalf("the three nodes occupy pages %v in %d rows; the test needs them on one page", pages, callee.table.Len())

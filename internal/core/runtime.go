@@ -460,11 +460,10 @@ type Runtime struct {
 	// pf is the speculative prefetcher state; nil unless Options.Prefetch.
 	pf *prefetcher
 
-	// serveQ is the bounded worker pool serving non-Call requests off the
-	// receive loop; messages are striped by sender so per-(from, session)
-	// request order is preserved.
-	serveQ  [serveWorkers]chan wire.Message
-	serveWG sync.WaitGroup
+	// serve is the bounded worker pool serving non-Call requests off the
+	// receive loop, one stripe per worker; messages are striped by sender
+	// so per-(from, session) request order is preserved.
+	serve [serveWorkers]serveStripe
 
 	// Call servers (callServer) run CALL handlers. idleCalls holds the
 	// hand-off channels of the parked ones, last parked on top; callWG
@@ -602,11 +601,10 @@ func New(opts Options) (*Runtime, error) {
 		rt.pf = newPrefetcher(opts.SyncPrefetch)
 	}
 	space.SetHandler(rt.onFault)
-	for i := range rt.serveQ {
-		q := make(chan wire.Message, serveQueueDepth)
-		rt.serveQ[i] = q
-		rt.serveWG.Add(1)
-		go rt.serveWorker(q)
+	for i := range rt.serve {
+		s := &rt.serve[i]
+		s.q = make(chan wire.Message, serveQueueDepth)
+		go rt.serveWorker(s)
 	}
 	go rt.loop()
 	return rt, nil
@@ -712,9 +710,11 @@ func (rt *Runtime) Stats() Stats {
 	return s
 }
 
-// Close shuts the runtime down and waits for its dispatcher, serve pool
-// and idle call servers to exit. A handler still running is not waited
-// for; its server exits after the reply.
+// Close shuts the runtime down and waits for its dispatcher and idle call
+// servers to exit. A handler or a serve still running is not waited for:
+// its server exits after the reply, its serve worker once the serve
+// returns, and an idle serve worker exits at once, dropping the requests
+// queued for it.
 func (rt *Runtime) Close() error {
 	rt.closeOnce.Do(func() {
 		close(rt.stop)
@@ -738,32 +738,81 @@ func (rt *Runtime) Close() error {
 // fetching from one server no longer head-of-line block behind one
 // closure build.
 //
-// Sizing: the fetch pipeline legitimately puts several concurrent
-// requests on one edge — a multi-origin demand fault fans out one FETCH
-// per origin group, and the prefetcher adds at most prefetchDepth
-// speculative exchanges per origin — but every one
-// of those requesters then blocks awaiting its reply, so a well-behaved
-// peer holds tens of requests in flight, not hundreds. Depth 256 per
-// stripe therefore bounds only what a duplicating, replaying, or
-// flooding transport can pile up. When a stripe does fill, the receive
-// loop blocks (backpressure, with a shutdown escape) rather than growing
-// without bound — deliberately: dropping would strand the sender until
-// its call timeout, and NACKing would surface spurious errors on demand
-// faults. The accepted cost is that a saturated stripe stalls the
-// dispatcher, and with it reply delivery to local waiters — reachable
-// only if a peer breaches the request-concurrency envelope above by two
-// orders of magnitude. No stripe worker waits on a reply:
-// serveInvalidate drops parked fetch frames instead of waiting for them.
+// Sizing: a stripe rarely holds more than one request. The fetch
+// pipeline can put several concurrent requests on one edge — a
+// multi-origin demand fault fans out one FETCH per origin group, and the
+// prefetcher adds at most prefetchDepth speculative exchanges per origin
+// — but every requester then blocks awaiting its reply; the most any
+// stripe was seen to hold, across the core and bench test suites and 80
+// chaos seeds with and without concurrent workloads, is one. The depth
+// of 16 leaves room for such fan-out before the backlog is touched, at
+// 8×16 queued messages per runtime (8×256 took two thirds of a one-node
+// session's live heap). A request that finds its stripe full waits in
+// the stripe's backlog (serveStripe) instead, so a duplicating,
+// replaying or flooding peer costs memory, never a stalled dispatcher:
+// replies keep reaching local waiters while a stripe is saturated. No
+// stripe worker waits on a reply: serveInvalidate drops parked fetch
+// frames instead of waiting for them.
 const (
 	serveWorkers    = 8
-	serveQueueDepth = 256
+	serveQueueDepth = 16
 )
 
-// serveWorker drains one stripe of the serve pool until the loop closes
-// the queue at shutdown.
-func (rt *Runtime) serveWorker(q chan wire.Message) {
-	defer rt.serveWG.Done()
-	for m := range q {
+// serveStripe is one serve worker's queue: a channel for the requests it
+// has room for and, behind it, the requests that arrived while it was
+// full. The dispatcher sends to the channel only while the backlog is
+// empty, and the worker moves backlogged requests into the channel after
+// every receive, so requests are served in arrival order and the worker
+// never waits on an empty channel with requests backlogged.
+type serveStripe struct {
+	q  chan wire.Message
+	mu sync.Mutex
+	// backlog[head:] are the requests waiting for room in q, oldest
+	// first.
+	backlog []wire.Message
+	head    int
+}
+
+// put queues m for the stripe's worker; it never blocks.
+func (s *serveStripe) put(m wire.Message) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.head == len(s.backlog) {
+		select {
+		case s.q <- m:
+			return
+		default:
+		}
+	}
+	s.backlog = append(s.backlog, m)
+}
+
+// refill moves backlogged requests into q while it has room.
+func (s *serveStripe) refill() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for ; s.head < len(s.backlog); s.head++ {
+		select {
+		case s.q <- s.backlog[s.head]:
+			s.backlog[s.head] = wire.Message{}
+		default:
+			return
+		}
+	}
+	s.backlog, s.head = s.backlog[:0], 0
+}
+
+// serveWorker serves one stripe of the serve pool until the runtime
+// stops.
+func (rt *Runtime) serveWorker(s *serveStripe) {
+	for {
+		var m wire.Message
+		select {
+		case m = <-s.q:
+		case <-rt.stop:
+			return
+		}
+		s.refill()
 		switch m.Kind {
 		case wire.KindFetch:
 			rt.serveFetch(m)
@@ -777,21 +826,9 @@ func (rt *Runtime) serveWorker(q chan wire.Message) {
 	}
 }
 
-// enqueueServe hands a request to its sender's stripe, blocking (with a
-// shutdown escape) when the stripe is saturated. The stripe almost always
-// has room, so a one-case send goes first and the two-case select is paid
-// only under backpressure.
+// enqueueServe hands a request to its sender's stripe.
 func (rt *Runtime) enqueueServe(m wire.Message) {
-	q := rt.serveQ[m.From%serveWorkers]
-	select {
-	case q <- m:
-		return
-	default:
-	}
-	select {
-	case q <- m:
-	case <-rt.stop:
-	}
+	rt.serve[m.From%serveWorkers].put(m)
 }
 
 // dispatchCall hands a CALL to the call server that parked last, or
@@ -877,17 +914,14 @@ func (rt *Runtime) stopCallServers() {
 // server (dispatchCall), one per running handler, since handlers may
 // block in nested calls or callbacks; the bookkeeping servers run on the
 // bounded serve pool, striped by sender, so a slow closure build for one
-// client never head-of-line blocks the loop or the other clients. When
-// the loop exits, the serve pool and the idle call servers exit with it.
+// client never head-of-line blocks the loop or the other clients, and a
+// full stripe never blocks the loop either. When the loop exits, the
+// idle call servers exit with it; the serve workers exit on stop.
 // Every request passes the admission table (admission.go) first;
 // duplicated reply frames are harmless — the first one consumes the
 // pending entry and the rest find no requester.
 func (rt *Runtime) loop() {
 	defer func() {
-		for _, q := range rt.serveQ {
-			close(q)
-		}
-		rt.serveWG.Wait()
 		rt.stopCallServers()
 		close(rt.done)
 	}()

@@ -1036,11 +1036,12 @@ func (rt *Runtime) installBatch(tx swizzle.Tx, from uint32, sess uint64, items w
 			}
 		}
 		tx.MarkResident(row)
-		last := e.Page
+		first := rt.space.PageOf(addr)
+		last := first
 		if e.Size > 1 {
 			last = rt.space.PageOf(addr + vmem.VAddr(e.Size-1))
 		}
-		for pn := e.Page; pn <= last; pn++ {
+		for pn := first; pn <= last; pn++ {
 			if pt := (pageTouch{pn, it.Dirty}); len(touched) == 0 || touched[len(touched)-1] != pt {
 				touched = append(touched, pt)
 			}

@@ -23,7 +23,7 @@ import "smartrpc/internal/swizzle"
 //   - The client's revalidation baseline IS the demoted page: the offered
 //     hash is of the canonical encoding of the page bytes. offer computes
 //     it when the request is built, unless the row carries a memo
-//     (swizzle.Entry.Memo): the hash recorded where the warm path last had
+//     (swizzle.Tx.Memo): the hash recorded where the warm path last had
 //     it — offer's own encode of a row without one, or the full body a
 //     hashed FETCH's reply installed. A memo survives an ItemCurrent
 //     promotion, so an unchanged working set is offered without a single
@@ -61,7 +61,7 @@ func (rt *Runtime) warmEnabled() bool {
 // demoteWarm is the warm-cache replacement for the hard local
 // invalidation at session teardown: it demotes the table rows and
 // re-protects the cache pages in place. Nothing is encoded or hashed —
-// the pages are the baseline, and memos ride on the rows. A provisional row surviving to teardown
+// the pages are the baseline, and the memos stay with the rows. A provisional row surviving to teardown
 // means the protocol already failed, and the cache falls back to the hard
 // invalidation — losing warmth, never correctness.
 func (rt *Runtime) demoteWarm() {

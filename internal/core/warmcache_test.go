@@ -543,8 +543,9 @@ func TestWarmRecordedSumIsTheOfferedSum(t *testing.T) {
 		t.Fatal("callee holds no row for the root")
 	}
 	row, _ := callee.table.LookupAddr(addr)
-	if body := wire.Sum64(encodeLocalObject(t, caller, root)); row.Memo != body {
-		t.Fatalf("root memo %#x, want %#x: the hash of the body the miss installed", row.Memo, body)
+	memo, _ := callee.table.OfferedMemo(addr)
+	if body := wire.Sum64(encodeLocalObject(t, caller, root)); memo != body {
+		t.Fatalf("root memo %#x, want %#x: the hash of the body the miss installed", memo, body)
 	}
 
 	rv, err := callee.res.Resolve(nodeType)
@@ -557,7 +558,7 @@ func TestWarmRecordedSumIsTheOfferedSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	after, err := callee.encodeStale(row)
-	if err != nil || wire.Sum64(after) == row.Memo {
+	if err != nil || wire.Sum64(after) == memo {
 		t.Fatalf("the raw write left the root encoding to its memo (%v)", err)
 	}
 	err = callee.CheckIdleInvariants()
@@ -571,9 +572,9 @@ func TestWarmRecordedSumIsTheOfferedSum(t *testing.T) {
 	if k < 0 {
 		t.Fatalf("the third warm session offered no sum for the root: %v", offers)
 	}
-	if offers[k].sum != row.Memo {
+	if offers[k].sum != memo {
 		t.Fatalf("the root was offered under %#x, want its pre-write memo %#x (the page now encodes to %#x)",
-			offers[k].sum, row.Memo, wire.Sum64(after))
+			offers[k].sum, memo, wire.Sum64(after))
 	}
 }
 
@@ -1404,7 +1405,7 @@ func lpPathOffer(t *testing.T, rt *Runtime, pn, origin uint32, stale bool) (want
 	lastPage := func(e swizzle.Entry) uint32 { return rt.space.PageOf(e.Addr + vmem.VAddr(max(e.Size, 1)-1)) }
 	var pages []uint32
 	for _, e := range rt.table.Entries() {
-		for p := e.Page; p <= lastPage(e); p++ {
+		for p := rt.space.PageOf(e.Addr); p <= lastPage(e); p++ {
 			pages = append(pages, p)
 		}
 	}
@@ -1417,7 +1418,7 @@ ride:
 			continue
 		}
 		for _, e := range rows {
-			if e.Page != p || e.LP.Space != origin || !e.Stale || e.Page < pn && pn <= lastPage(e) {
+			if first := rt.space.PageOf(e.Addr); first != p || e.LP.Space != origin || !e.Stale || first < pn && pn <= lastPage(e) {
 				continue
 			}
 			rv, err := rt.res.Resolve(e.LP.Type)
@@ -1519,11 +1520,12 @@ func TestOfferMatchesLPPath(t *testing.T) {
 		for _, e := range callee.table.Entries() {
 			for _, origin := range []uint32{1, other} {
 				for k, stale := range []bool{false, true} {
-					want, wantSums, own := lpPathOffer(t, callee, e.Page, origin, stale)
-					got, gotSums := offerOf(t, callee, e.Page, origin, stale)
+					pn := callee.space.PageOf(e.Addr)
+					want, wantSums, own := lpPathOffer(t, callee, pn, origin, stale)
+					got, gotSums := offerOf(t, callee, pn, origin, stale)
 					if !slices.Equal(got, want) || !slices.Equal(gotSums, wantSums) {
 						t.Fatalf("seed %d: offer for page %d from %d, stale=%v:\n got %v %x\nwant %v %x",
-							seed, e.Page, origin, stale, got, gotSums, want, wantSums)
+							seed, pn, origin, stale, got, gotSums, want, wantSums)
 					}
 					compared[k] += len(got)
 					rides[k] += len(got) - own

@@ -33,6 +33,10 @@ type refTable struct {
 	retired [][]Entry
 	// closed holds pages no new row may land on (sealed or demoted).
 	closed map[uint32]bool
+	// memos holds each row's memo by address: the last hash recorded for
+	// it this session, zero for none. A dropped memo keeps its hash, as the
+	// table's column does; HasMemo says whether it counts.
+	memos map[vmem.VAddr]uint64
 	// memosVoid: a row was removed since the last DemoteAll, so no memo is
 	// offered.
 	memosVoid bool
@@ -50,6 +54,7 @@ func newRefTable(sp *vmem.Space, res *types.Resolver) *refTable {
 		sp: sp, res: res,
 		rows:   map[vmem.VAddr]*Entry{},
 		byLP:   map[wire.LongPtr]vmem.VAddr{},
+		memos:  map[vmem.VAddr]uint64{},
 		areaOf: map[uint32]uint32{},
 		closed: map[uint32]bool{},
 	}
@@ -58,6 +63,7 @@ func newRefTable(sp *vmem.Space, res *types.Resolver) *refTable {
 func (r *refTable) reset() {
 	clear(r.rows)
 	clear(r.byLP)
+	clear(r.memos)
 	r.memosVoid = false
 }
 
@@ -180,9 +186,6 @@ func (r *refTable) admit(t *testing.T, e Entry, areaKey uint32, policy AllocPoli
 	if int(e.Size) != rv.Layout.Size || int(e.Addr)%rv.Layout.Align != 0 {
 		t.Fatalf("row %+v: size/alignment differ from layout %d/%d", e, rv.Layout.Size, rv.Layout.Align)
 	}
-	if e.Page != r.sp.PageOf(e.Addr) || e.Addr != r.sp.PageBase(e.Page)+vmem.VAddr(e.Offset) {
-		t.Fatalf("row %+v: page/offset do not name its address", e)
-	}
 	for _, room := range append(r.retired, r.taken) {
 		for _, o := range room {
 			if e.Addr < o.Addr+vmem.VAddr(o.Size) && o.Addr < e.Addr+vmem.VAddr(e.Size) {
@@ -244,7 +247,34 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 				tb.basePN+uint32(i), rec.resident, rec.stale, resident, stale)
 		}
 	}
+	// Table 1's page and offset: each page record lists exactly the
+	// reference's rows covering the page, in offset order, each under the
+	// offset its address derives on the page it starts on and under 0 on
+	// the pages it continues onto.
+	for i := range tb.pages {
+		pn := tb.basePN + uint32(i)
+		rows, slots := r.onPage(pn), tb.pages[i].slots
+		if len(slots) != len(rows) {
+			t.Fatalf("page %d lists %d rows, the reference places %d there", pn, len(slots), len(rows))
+		}
+		for k, sl := range slots {
+			e := rows[k]
+			off := uint32(0)
+			if first, _ := r.pagesOf(e); first == pn {
+				off = uint32(e.Addr - r.sp.PageBase(pn))
+			}
+			if got := tb.rows.at(sl.row); got.Addr != e.Addr || sl.off != off {
+				t.Fatalf("page %d slot %d holds %#x at offset %d; the reference places %#x at offset %d",
+					pn, k, uint32(got.Addr), sl.off, uint32(e.Addr), off)
+			}
+		}
+	}
 	pages := r.pages()
+	for _, pn := range pages {
+		if tb.page(pn) == nil {
+			t.Fatalf("page %d holds reference rows but has no record", pn)
+		}
+	}
 	// Probe one page past each end too: nothing lives there.
 	probes := pages
 	if len(pages) > 0 {
@@ -266,6 +296,10 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 		if !ok || tx.Entry(row) != e {
 			tx.End()
 			t.Fatalf("Tx.LookupLP(%v) = %v, %v; want %v", e.LP, row, ok, e)
+		}
+		if got := tx.Memo(row); got != r.memos[e.Addr] {
+			tx.End()
+			t.Fatalf("row %v's memo column holds %#x, the reference %#x", e.LP, got, r.memos[e.Addr])
 		}
 		if row2, ok := tx.LookupAddr(e.Addr); !ok || row2 != row {
 			tx.End()
@@ -296,6 +330,11 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 	tx.End()
 	if !slices.Equal(visitedOn, covering) {
 		t.Fatalf("VisitPages(%v) saw %v\nwant %v", subset, visitedOn, covering)
+	}
+	for _, e := range want {
+		if got, ok := tb.OfferedMemo(e.Addr); ok != (e.HasMemo && !r.memosVoid) || ok && got != r.memos[e.Addr] {
+			t.Fatalf("OfferedMemo(%v) = %#x, %v; reference %#x, %v, void %v", e.LP, got, ok, r.memos[e.Addr], e.HasMemo, r.memosVoid)
+		}
 	}
 	for _, pn := range probes {
 		var rows []Entry
@@ -334,8 +373,8 @@ func (r *refTable) compare(t *testing.T, tb *Table, rng *rand.Rand) {
 				tx.Offer(exclude, origin, budget, stale, func(row Row, e Entry) {
 					got = append(got, e.LP)
 					re := r.rows[e.Addr]
-					if offered := re.HasMemo && !r.memosVoid; memoErr == nil && (tx.Entry(row).LP != e.LP || e.HasMemo != offered || offered && e.Memo != re.Memo) {
-						memoErr = fmt.Errorf("Offer passed %v with memo %#x (%v); reference %#x (%v), void %v", e.LP, e.Memo, e.HasMemo, re.Memo, re.HasMemo, r.memosVoid)
+					if offered := re.HasMemo && !r.memosVoid; memoErr == nil && (tx.Entry(row).LP != e.LP || e.HasMemo != offered || offered && tx.Memo(row) != r.memos[e.Addr]) {
+						memoErr = fmt.Errorf("Offer passed %v with memo %#x (%v); reference %#x (%v), void %v", e.LP, tx.Memo(row), e.HasMemo, r.memos[e.Addr], re.HasMemo, r.memosVoid)
 					}
 				})
 				tx.End()
@@ -493,13 +532,10 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 				tx.DropMemo(row)
 				e.HasMemo = false
 			} else {
-				e.Memo, e.HasMemo = rng.Uint64(), true
-				tx.SetMemo(row, e.Memo)
+				ref.memos[e.Addr], e.HasMemo = rng.Uint64(), true
+				tx.SetMemo(row, ref.memos[e.Addr])
 			}
 			tx.End()
-			if got, ok := tb.OfferedMemo(*e); ok != (e.HasMemo && !ref.memosVoid) || ok && got != e.Memo {
-				t.Fatalf("step %d: OfferedMemo(%v) = %#x, %v; reference %#x, %v, void %v", step, e.LP, got, ok, e.Memo, e.HasMemo, ref.memosVoid)
-			}
 		case op < 45: // swizzle, fresh or repeated
 			l := freshLP()
 			if e := anyRow(); e != nil && rng.Intn(4) == 0 {
@@ -547,6 +583,7 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 			}
 			delete(ref.rows, e.Addr)
 			delete(ref.byLP, e.LP)
+			delete(ref.memos, e.Addr)
 			ref.memosVoid = true
 			if err := tb.Remove(e.Addr); err == nil {
 				t.Fatalf("step %d: second remove of %#x succeeded", step, uint32(e.Addr))
@@ -578,6 +615,7 @@ func runModelSequence(t *testing.T, policy AllocPolicy, seed int64) {
 			}
 			if victim != nil {
 				delete(ref.rows, victim.Addr)
+				delete(ref.memos, victim.Addr)
 				ref.memosVoid = true
 			}
 			delete(ref.byLP, e.LP)

@@ -26,10 +26,19 @@ const rowSegments = 26
 // computation", 2019). In a dependent chain of accesses to a 32 768-row
 // store the multiply took 15.5 ns per access and a hardware divide 17.3
 // (2-CPU Xeon host).
+//
+// The warm cache's memos (Tx.SetMemo) form a column beside the rows: one
+// hash per row, in per-segment slices found by the same arithmetic. A
+// segment's column is allocated by the first memo recorded in it, so a
+// table that never records one — every cold session's — pays nothing
+// for it.
 type rowStore struct {
 	// segs[k] holds segment k's rows so far; its capacity is the
 	// segment's size.
-	segs  [rowSegments][]Entry
+	segs [rowSegments][]Entry
+	// memos[k] is segment k's memo column, as long as the segment's
+	// capacity, or nil before its first memo.
+	memos [rowSegments][]uint64
 	first uint32 // rows in segs[0]
 	recip uint64 // ⌈2^64/first⌉
 	n     int32  // rows stored
@@ -59,6 +68,25 @@ func (s *rowStore) locate(i int32) (k int, off uint32) {
 func (s *rowStore) at(i int32) *Entry {
 	k, off := s.locate(i)
 	return &s.segs[k][off]
+}
+
+// memo returns row i's memo column entry: zero where none was recorded.
+func (s *rowStore) memo(i int32) uint64 {
+	k, off := s.locate(i)
+	if m := s.memos[k]; m != nil {
+		return m[off]
+	}
+	return 0
+}
+
+// setMemo records v in row i's memo column, allocating the segment's
+// column on its first memo.
+func (s *rowStore) setMemo(i int32, v uint64) {
+	k, off := s.locate(i)
+	if s.memos[k] == nil {
+		s.memos[k] = make([]uint64, cap(s.segs[k]))
+	}
+	s.memos[k][off] = v
 }
 
 // len returns the number of rows stored.

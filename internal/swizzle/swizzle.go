@@ -53,12 +53,11 @@ var (
 	ErrRebindUnknown = errors.New("swizzle: rebind of unknown long pointer")
 )
 
-// Entry is one row of the data allocation table.
+// Entry is one row of the data allocation table. Table 1's page and
+// offset are not stored: they are Addr's page (vmem.Space.PageOf) and
+// Addr's distance from that page's base, derived where they are read, so
+// a row costs 24 bytes.
 type Entry struct {
-	// Page is the cache page number holding the datum.
-	Page uint32
-	// Offset is the datum's offset within the page.
-	Offset uint32
 	// LP is the long pointer identifying the original datum.
 	LP wire.LongPtr
 	// Addr is the swizzled ordinary pointer (page base + offset).
@@ -84,18 +83,17 @@ type Entry struct {
 	// write. The mark dies with the session: Invalidate drops the row,
 	// DemoteAll clears it.
 	Touched bool
-	// HasMemo reports that Memo holds the content hash (wire.Sum64) of the
-	// canonical encoding of the datum's bytes: recorded by the warm path
-	// where it already computed that hash, so a later hashed FETCH offers
-	// it instead of encoding the page again. Every change that could make
-	// the bytes, or the rows their pointers name, encode otherwise drops
-	// it: a fetch-path or coherency-path decode (DropMemo), a Touched mark
-	// at DemoteAll, and any row removal, after which Offer ignores every
-	// memo until DemoteAll clears them all. It survives a promotion.
+	// HasMemo reports that the row's memo (Tx.Memo) holds the content hash
+	// (wire.Sum64) of the canonical encoding of the datum's bytes: recorded
+	// by the warm path where it already computed that hash, so a later
+	// hashed FETCH offers it instead of encoding the page again. Every
+	// change that could make the bytes, or the rows their pointers name,
+	// encode otherwise drops it: a fetch-path or coherency-path decode
+	// (DropMemo), a Touched mark at DemoteAll, and any row removal, after
+	// which Offer ignores every memo until DemoteAll clears them all. It
+	// survives a promotion. The hash itself lives in the row store's memo
+	// column, which a table that never records one does not allocate.
 	HasMemo bool
-	// Memo is the recorded hash; meaningful only under HasMemo. The flags
-	// above it fill the padding after Size, so the row stays 40 bytes.
-	Memo uint64
 }
 
 // area is an open protected page area accepting new data from one origin.
@@ -198,10 +196,10 @@ func New(space *vmem.Space, reg *types.Registry, selfID uint32, policy AllocPoli
 	}
 }
 
-// reset drops the row store and both indexes. They are re-created lazily
-// by the next insert (ensure), pre-sized to the largest population seen so
-// far — a table that is invalidated and never refilled (end of the last
-// session) costs nothing. Caller holds t.mu.
+// reset drops the row store, its memo column and both indexes. They are
+// re-created lazily by the next insert (ensure), pre-sized to the largest
+// population seen so far — a table that is invalidated and never refilled
+// (end of the last session) costs nothing. Caller holds t.mu.
 func (t *Table) reset() {
 	t.hint = max(t.hint, int(t.rows.len()))
 	t.pageHint = max(t.pageHint, len(t.pages))
@@ -328,12 +326,13 @@ func (t *Table) page(pn uint32) *pageRec {
 	return nil
 }
 
-// lastPage returns the last cache page row e covers.
-func (t *Table) lastPage(e *Entry) uint32 {
+// pagesOf returns the first and the last cache page row e covers.
+func (t *Table) pagesOf(e *Entry) (first, last uint32) {
+	first = t.space.PageOf(e.Addr)
 	if e.Size <= 1 {
-		return e.Page
+		return first, first
 	}
-	return t.space.PageOf(e.Addr + vmem.VAddr(e.Size-1))
+	return first, t.space.PageOf(e.Addr + vmem.VAddr(e.Size-1))
 }
 
 // rowAt returns the row whose datum starts at cache address addr, by
@@ -471,20 +470,13 @@ func (t *Table) swizzleRemote(lp wire.LongPtr, areaKey uint32) (row int32, e *En
 	if err != nil {
 		return -1, nil, false, fmt.Errorf("swizzle %v: %w", lp, err)
 	}
-	pn := t.space.PageOf(addr)
-	row, e = t.rows.push(Entry{
-		Page:   pn,
-		Offset: uint32(addr) - uint32(t.space.PageBase(pn)),
-		LP:     lp,
-		Addr:   addr,
-		Size:   uint32(size),
-	})
+	row, e = t.rows.push(Entry{LP: lp, Addr: addr, Size: uint32(size)})
 	t.live++
 	t.indexInsert(row, pos)
+	pn, last := t.pagesOf(e)
 	if len(t.pages) == 0 {
 		t.basePN = pn
 	}
-	last := t.lastPage(e)
 	for n := int(last-t.basePN) + 1; len(t.pages) < n; {
 		t.pages = append(t.pages, pageRec{})
 	}
@@ -494,9 +486,9 @@ func (t *Table) swizzleRemote(lp wire.LongPtr, areaKey uint32) (row int32, e *En
 			// A page usually fills with data of one type.
 			rec.slots = make([]slot, 0, max(4, t.space.PageSize()/max(size, 1)))
 		}
-		off := e.Offset
-		if p > pn {
-			off = 0
+		off := uint32(0)
+		if p == pn {
+			off = uint32(addr) - uint32(t.space.PageBase(pn))
 		}
 		rec.slots = append(rec.slots, slot{off: off, row: row})
 	}
@@ -576,20 +568,28 @@ func (x Tx) Touch(r Row) { x.t.rows.at(int32(r)).Touched = true }
 
 // SetMemo records sum as the content hash of row r's canonical encoding.
 func (x Tx) SetMemo(r Row, sum uint64) {
-	e := x.t.rows.at(int32(r))
-	e.Memo, e.HasMemo = sum, true
+	x.t.rows.setMemo(int32(r), sum)
+	x.t.rows.at(int32(r)).HasMemo = true
 }
+
+// Memo returns row r's recorded hash; meaningful only under its HasMemo.
+func (x Tx) Memo(r Row) uint64 { return x.t.rows.memo(int32(r)) }
 
 // DropMemo forgets row r's memo: its bytes are about to change.
 func (x Tx) DropMemo(r Row) { x.t.rows.at(int32(r)).HasMemo = false }
 
-// OfferedMemo returns the memo a hashed FETCH would offer for row e, as
-// Offer reports it: none when the row has none or a removal since the
-// last DemoteAll voided every memo.
-func (t *Table) OfferedMemo(e Entry) (uint64, bool) {
+// OfferedMemo returns the memo a hashed FETCH would offer for the row
+// whose datum starts at addr, as Offer reports it: none when there is no
+// such row, when it has no memo, or when a removal since the last
+// DemoteAll voided every memo.
+func (t *Table) OfferedMemo(addr vmem.VAddr) (uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return e.Memo, e.HasMemo && !t.memosVoid
+	i, e := t.rowAt(addr)
+	if e == nil || !e.HasMemo || t.memosVoid {
+		return 0, false
+	}
+	return t.rows.memo(i), true
 }
 
 func (t *Table) markResident(i int32) {
@@ -597,7 +597,7 @@ func (t *Table) markResident(i int32) {
 	if e.Resident {
 		return
 	}
-	for p, last := e.Page, t.lastPage(e); p <= last; p++ {
+	for p, last := t.pagesOf(e); p <= last; p++ {
 		rec := t.page(p)
 		rec.resident++
 		if e.Stale {
@@ -627,7 +627,7 @@ func (t *Table) Remove(addr vmem.VAddr) error {
 func (t *Table) remove(i int32) {
 	e := t.rows.at(i)
 	t.indexDelete(e.LP)
-	for p, last := e.Page, t.lastPage(e); p <= last; p++ {
+	for p, last := t.pagesOf(e); p <= last; p++ {
 		rec := t.page(p)
 		for k := range rec.slots {
 			if rec.slots[k].row == i {
@@ -844,7 +844,10 @@ func (x Tx) Offer(pn, origin uint32, budget int, stale bool, f func(r Row, e Ent
 			// A row is listed once, under the page it starts on, and never
 			// when it covers pn, whose own rows are listed above.
 			e := t.rows.at(s.row)
-			if e.Page != p || e.LP.Space != origin || !e.Stale || p < pn && pn <= t.lastPage(e) {
+			if e.LP.Space != origin || !e.Stale {
+				continue
+			}
+			if first, last := t.pagesOf(e); first != p || p < pn && pn <= last {
 				continue
 			}
 			// Charge canonical (wire) size, the unit the serving side's
@@ -910,7 +913,7 @@ func (t *Table) Entries() []Entry {
 	for i := range t.pages {
 		pn := t.basePN + uint32(i)
 		for _, s := range t.pages[i].slots {
-			if e := t.rows.at(s.row); e.Page == pn {
+			if e := t.rows.at(s.row); t.space.PageOf(e.Addr) == pn {
 				out = append(out, *e)
 			}
 		}
@@ -931,7 +934,7 @@ func (x Tx) VisitPages(pages []uint32, f func(Entry) bool) {
 		}
 		for _, s := range rec.slots {
 			e := t.rows.at(s.row)
-			if e.Page < pn && k > 0 && pages[k-1] >= e.Page {
+			if first := t.space.PageOf(e.Addr); first < pn && k > 0 && pages[k-1] >= first {
 				continue // continues from an earlier page of the set
 			}
 			if !f(*e) {
@@ -1099,7 +1102,7 @@ func (x Tx) ClearStale(lps []wire.LongPtr) {
 			continue
 		}
 		e.Stale = false
-		for p, last := e.Page, t.lastPage(e); p <= last; p++ {
+		for p, last := t.pagesOf(e); p <= last; p++ {
 			t.page(p).stale--
 		}
 	}

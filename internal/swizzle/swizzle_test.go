@@ -143,8 +143,8 @@ func TestDataAllocationTablePaperExample(t *testing.T) {
 	if rows[0].LP != ptrA || rows[1].LP != ptrB {
 		t.Errorf("rows = %+v; want A then B by offset", rows)
 	}
-	if rows[0].Offset >= rows[1].Offset {
-		t.Errorf("offsets not increasing: %d, %d", rows[0].Offset, rows[1].Offset)
+	if rows[0].Addr >= rows[1].Addr {
+		t.Errorf("offsets not increasing: %#x, %#x", uint32(rows[0].Addr), uint32(rows[1].Addr))
 	}
 }
 
@@ -237,7 +237,7 @@ func TestUnswizzleUnknownCacheAddr(t *testing.T) {
 }
 
 func TestRebindProvisionalPointer(t *testing.T) {
-	tb, _ := newTable(t, 0)
+	tb, sp := newTable(t, 0)
 	prov := lp(remoteID, 0xFFFF0001, 1) // provisional address from extended_malloc
 	addr, _, err := tb.Swizzle(prov)
 	if err != nil {
@@ -263,8 +263,7 @@ func TestRebindProvisionalPointer(t *testing.T) {
 		t.Errorf("real identity maps to %#x, %v; want %#x", uint32(a), ok, uint32(addr))
 	}
 	// Page rows follow.
-	e, _ := tb.LookupAddr(addr)
-	rows := tb.PageEntries(e.Page)
+	rows := tb.PageEntries(sp.PageOf(addr))
 	if len(rows) != 1 || rows[0].LP != real {
 		t.Errorf("page rows after rebind = %+v", rows)
 	}
@@ -349,7 +348,7 @@ func TestRebindEvictsDeadRow(t *testing.T) {
 				t.Error("evicted row still reachable by cache address")
 			}
 			// The evicted row's page bookkeeping must not retain it.
-			for _, row := range tb.PageEntries(deadEntry.Page) {
+			for _, row := range tb.PageEntries(sp.PageOf(deadEntry.Addr)) {
 				if row.Addr == deadAddr {
 					t.Error("evicted row still listed on its page")
 				}
@@ -402,8 +401,7 @@ func TestEntriesSorted(t *testing.T) {
 		t.Fatalf("entries = %d, want 19", len(es))
 	}
 	for i := 1; i < len(es); i++ {
-		if es[i].Page < es[i-1].Page ||
-			(es[i].Page == es[i-1].Page && es[i].Offset <= es[i-1].Offset) {
+		if es[i].Addr <= es[i-1].Addr {
 			t.Fatalf("entries not sorted at %d: %+v %+v", i, es[i-1], es[i])
 		}
 	}
@@ -689,9 +687,9 @@ func TestVisitPages(t *testing.T) {
 	blob := add(lp(remoteID, 0x9000, 2))
 	tail := add(lp(remoteID, 0x120, 1))
 	add(lp(remoteID, 0x130, 1))
-	first, last := blob.Page, sp.PageOf(blob.Addr+vmem.VAddr(blob.Size-1))
-	if last != first+2 || tail.Page != last {
-		t.Fatalf("layout: blob pages %d..%d, tail node on %d; want a 3-page blob sharing its last page", first, last, tail.Page)
+	first, last := sp.PageOf(blob.Addr), sp.PageOf(blob.Addr+vmem.VAddr(blob.Size-1))
+	if tailPN := sp.PageOf(tail.Addr); last != first+2 || tailPN != last {
+		t.Fatalf("layout: blob pages %d..%d, tail node on %d; want a 3-page blob sharing its last page", first, last, tailPN)
 	}
 	node0 := first - 1 // the page of the two leading nodes
 	visit := func(pages ...uint32) []wire.LongPtr {
@@ -816,8 +814,15 @@ func TestTouchedDiesWithTheSession(t *testing.T) {
 	} else if e, _ := tb.LookupAddr(a); e.Touched {
 		t.Error("a row created after Invalidate is born touched")
 	}
-	if got, want := unsafe.Sizeof(Entry{}), uintptr(40); got != want {
-		t.Errorf("Entry is %d bytes, want %d: the flag must fit the padding", got, want)
+}
+
+// TestEntrySize pins the data allocation table's row at 24 bytes: the
+// long pointer, the address, the size and the four flags. Page and offset
+// are derived from the address and the memo lives in its own column, so
+// a cold table, which records no memo, pays for neither.
+func TestEntrySize(t *testing.T) {
+	if got, want := unsafe.Sizeof(Entry{}), uintptr(24); got != want {
+		t.Errorf("Entry is %d bytes, want %d", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -68,6 +69,52 @@ func FuzzFrameDecode(f *testing.F) {
 			m.From != m2.From || m.To != m2.To || m.Proc != m2.Proc ||
 			m.Err != m2.Err || m.Sum != m2.Sum || !bytes.Equal(m.Payload, m2.Payload) {
 			t.Fatalf("round trip changed the message:\n%+v\n%+v", m, m2)
+		}
+	})
+}
+
+// FuzzReadFrame pushes arbitrary byte streams through ReadFrame, frame
+// after frame until it fails: it must not panic, must refuse a length
+// word above maxFrame before reading a body byte, and must hand the
+// pooled buffer on with the message or release it, on every error path
+// too.
+func FuzzReadFrame(f *testing.F) {
+	var buf bytes.Buffer
+	for _, m := range []*Message{fuzzMessage(), {Kind: KindFetchReply, Seq: 2, Payload: []byte{1, 2, 3}}} {
+		if err := WriteFrame(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-3])
+	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 1})
+	f.Add([]byte{0x01, 0x00, 0x00, 0x01, 0xAA})
+	f.Add([]byte{0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		for {
+			at := r.Len()
+			fb := NewChunkBuf()
+			m, err := readFrame(r, fb)
+			if err != nil {
+				if n := fb.Refs(); n != 0 {
+					t.Fatalf("error %v left the pooled buffer with %d references", err, n)
+				}
+				if at >= 4 && binary.BigEndian.Uint32(data[len(data)-at:]) > maxFrame && at-r.Len() != 4 {
+					t.Fatalf("a length word above %d read %d bytes past it", maxFrame, at-r.Len()-4)
+				}
+				return
+			}
+			if n := binary.BigEndian.Uint32(data[len(data)-at:]); n > maxFrame {
+				t.Fatalf("a frame of %d bytes, above the %d bound, decoded", n, maxFrame)
+			}
+			if (m.Frame == fb) != (fb.Refs() == 1) || m.Frame != nil && m.Frame != fb {
+				t.Fatalf("a decoded %v frame holds %d references to the pooled buffer, attached %v", m.Kind, fb.Refs(), m.Frame != nil)
+			}
+			m.ReleaseFrame()
+			if n := fb.Refs(); n != 0 {
+				t.Fatalf("a decoded %v frame left %d references after its release", m.Kind, n)
+			}
 		}
 	})
 }

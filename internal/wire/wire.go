@@ -19,11 +19,14 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"smartrpc/internal/xdr"
 )
@@ -234,6 +237,36 @@ func (m *Message) ReleaseFrame() {
 // CRC instruction where there is one.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// castagnoli4 extends castagnoli to four bytes a step (slicing-by-4):
+// castagnoli4[k][b] is the CRC register after byte b and then k zero
+// bytes.
+var castagnoli4 = func() (t [4][256]uint32) {
+	t[0] = *castagnoli
+	for b := range 256 {
+		for k := 1; k < 4; k++ {
+			c := t[k-1][b]
+			t[k][b] = castagnoli[byte(c)] ^ c>>8
+		}
+	}
+	return t
+}()
+
+// crcWord extends the CRC-32C register h over the four big-endian bytes
+// of v.
+func crcWord(h, v uint32) uint32 {
+	h ^= bits.ReverseBytes32(v)
+	return castagnoli4[3][byte(h)] ^ castagnoli4[2][byte(h>>8)] ^ castagnoli4[1][byte(h>>16)] ^ castagnoli4[0][h>>24]
+}
+
+// crcPart extends the CRC-32C register h over p, which crc32.Update only
+// reads.
+func crcPart(h uint32, p []byte) uint32 {
+	if len(p) == 0 {
+		return h
+	}
+	return ^crc32.Update(^h, castagnoli, p)
+}
+
 // Checksum computes the integrity checksum over the message's stable
 // fields: everything except From (stamped by the transport after the
 // sender's runtime has sealed the message) and Sum itself. It is the
@@ -241,33 +274,26 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // to, the length-prefixed proc and err strings, the payload, and the
 // incarnation word when nonzero.
 //
-// The few header bytes go through the table one at a time — handing
-// crc32.Update a stack buffer would move it to the heap, and this runs
-// twice per frame — and the payload, where the bytes are, through
-// crc32.Update.
+// The fixed-size words go through the table four bytes a step, and each
+// nonempty string and the payload through one crc32.Update call, which
+// costs about as much as the table takes for a dozen bytes. Handing
+// crc32.Update the words in a stack array would move the array to the
+// heap: it dispatches through a function value.
 func (m *Message) Checksum() uint32 {
 	h := ^uint32(0) // the CRC register, inverted as crc32.Update keeps it
-	step := func(b byte) { h = castagnoli[byte(h)^b] ^ h>>8 }
-	word := func(v uint64, n int) {
-		for i := n - 1; i >= 0; i-- {
-			step(byte(v >> (8 * i)))
-		}
-	}
-	word(uint64(m.Kind), 4)
-	word(m.Session, 8)
-	word(m.Seq, 8)
-	word(uint64(m.To), 4)
-	word(uint64(len(m.Proc)), 4)
-	for i := 0; i < len(m.Proc); i++ {
-		step(m.Proc[i])
-	}
-	word(uint64(len(m.Err)), 4)
-	for i := 0; i < len(m.Err); i++ {
-		step(m.Err[i])
-	}
-	h = ^crc32.Update(^h, castagnoli, m.Payload)
+	h = crcWord(h, uint32(m.Kind))
+	h = crcWord(h, uint32(m.Session>>32))
+	h = crcWord(h, uint32(m.Session))
+	h = crcWord(h, uint32(m.Seq>>32))
+	h = crcWord(h, uint32(m.Seq))
+	h = crcWord(h, m.To)
+	h = crcWord(h, uint32(len(m.Proc)))
+	h = crcPart(h, unsafe.Slice(unsafe.StringData(m.Proc), len(m.Proc)))
+	h = crcWord(h, uint32(len(m.Err)))
+	h = crcPart(h, unsafe.Slice(unsafe.StringData(m.Err), len(m.Err)))
+	h = crcPart(h, m.Payload)
 	if m.Inc != 0 {
-		word(uint64(m.Inc), 4)
+		h = crcWord(h, m.Inc)
 	}
 	return ^h
 }
@@ -386,7 +412,9 @@ const maxPooledFrame = 1 << 20
 // chunkFramePool's buffers (ReadFrame).
 var frameEncPool = sync.Pool{New: func() any { return xdr.NewEncoder(4096) }}
 
-// WriteFrame writes m to w as a length-prefixed frame.
+// WriteFrame writes m to w as a length-prefixed frame, length word and
+// body in one Write: a buffered writer passes a frame larger than its
+// buffer straight through, so the frame reaches the connection whole.
 func WriteFrame(w io.Writer, m *Message) error {
 	enc := frameEncPool.Get().(*xdr.Encoder)
 	defer func() {
@@ -395,16 +423,12 @@ func WriteFrame(w io.Writer, m *Message) error {
 			frameEncPool.Put(enc)
 		}
 	}()
+	enc.PutUint32(0) // the length word, set once the body is encoded
 	m.Encode(enc)
-	body := enc.Bytes()
-	var hdr [4]byte
-	n := len(body)
-	hdr[0], hdr[1], hdr[2], hdr[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("wire: write frame body: %w", err)
+	frame := enc.Bytes()
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
@@ -417,17 +441,26 @@ func WriteFrame(w io.Writer, m *Message) error {
 // process already does. All other kinds copy the payload out so the
 // buffer recycles immediately.
 func ReadFrame(r io.Reader) (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrame(r, NewChunkBuf())
+}
+
+// readFrame is ReadFrame reading into fb, length word included. fb's
+// reference passes to the returned message's Frame or is released.
+func readFrame(r io.Reader, fb *FrameBuf) (Message, error) {
+	fb.enc.Grow(4)
+	fb.enc.Truncate(4)
+	if _, err := io.ReadFull(r, fb.enc.Bytes()); err != nil {
+		fb.Release()
 		return Message{}, err
 	}
-	n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-	if n < 0 || n > maxFrame {
+	n := binary.BigEndian.Uint32(fb.enc.Bytes())
+	if n > maxFrame {
+		fb.Release()
 		return Message{}, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	fb := NewChunkBuf()
-	fb.enc.Grow(n)
-	fb.enc.Truncate(n)
+	fb.enc.Reset()
+	fb.enc.Grow(int(n))
+	fb.enc.Truncate(int(n))
 	body := fb.enc.Bytes()
 	if _, err := io.ReadFull(r, body); err != nil {
 		fb.Release()

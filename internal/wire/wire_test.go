@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -161,6 +163,131 @@ func TestReadFrameAliasesFetchReplies(t *testing.T) {
 			if n := fb.Refs(); n != 0 || got.Frame != nil {
 				t.Errorf("%v: after release %d references, frame %v", k, n, got.Frame)
 			}
+		}
+	}
+}
+
+// TestFrameRoundTripAllocs is the framing layer's allocation gate: with
+// the length word written and read through the pooled buffers, a FETCH
+// reply frame goes out and comes back without an allocation (the header
+// arrays once escaped, one each way), and a CALL frame allocates only its
+// owned copies, the payload and the procedure name.
+func TestFrameRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	payload := make([]byte, 2048)
+	for _, c := range []struct {
+		m    Message
+		want float64
+	}{
+		{Message{Kind: KindFetchReply, Session: 7, Seq: 42, From: 1, To: 2, Payload: payload}, 0},
+		{sampleMessage(), 2},
+	} {
+		var buf bytes.Buffer
+		n := testing.AllocsPerRun(200, func() {
+			buf.Reset()
+			if err := WriteFrame(&buf, &c.m); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadFrame(&buf)
+			if err != nil || got.Seq != c.m.Seq {
+				t.Fatalf("round trip: %v, seq %d", err, got.Seq)
+			}
+			got.ReleaseFrame()
+		})
+		if n > c.want {
+			t.Errorf("a %v frame round trip allocates %.0f times, want at most %.0f", c.m.Kind, n, c.want)
+		}
+	}
+}
+
+// writeCounter records the size of every Write it is handed.
+type writeCounter struct{ writes []int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return len(p), nil
+}
+
+// TestWriteFrameIsOneWrite: a frame reaches the writer in one Write, so a
+// 20 KiB frame passes through a 4 KiB bufio.Writer as one write to the
+// connection instead of a header write and a body write.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	m := Message{Kind: KindFetchReply, Seq: 3, Payload: make([]byte, 20<<10)}
+	var conn writeCounter
+	bw := bufio.NewWriter(&conn)
+	if err := WriteFrame(bw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 + m.WireSize(); len(conn.writes) != 1 || conn.writes[0] != want {
+		t.Fatalf("the frame reached the connection in writes of %v bytes, want one of %d", conn.writes, want)
+	}
+}
+
+// checksumBytewise is Checksum as it was computed before each part went
+// through one crc32.Update call: every header and string byte through the
+// table, the payload through crc32.Update.
+func checksumBytewise(m *Message) uint32 {
+	h := ^uint32(0)
+	step := func(b byte) { h = castagnoli[byte(h)^b] ^ h>>8 }
+	word := func(v uint64, n int) {
+		for i := n - 1; i >= 0; i-- {
+			step(byte(v >> (8 * i)))
+		}
+	}
+	word(uint64(m.Kind), 4)
+	word(m.Session, 8)
+	word(m.Seq, 8)
+	word(uint64(m.To), 4)
+	word(uint64(len(m.Proc)), 4)
+	for i := 0; i < len(m.Proc); i++ {
+		step(m.Proc[i])
+	}
+	word(uint64(len(m.Err)), 4)
+	for i := 0; i < len(m.Err); i++ {
+		step(m.Err[i])
+	}
+	h = ^crc32.Update(^h, castagnoli, m.Payload)
+	if m.Inc != 0 {
+		word(uint64(m.Inc), 4)
+	}
+	return ^h
+}
+
+// TestChecksumMatchesBytewise holds Checksum to the byte-wise computation
+// over random messages, empty and nonempty strings and payloads, with and
+// without an incarnation word: the sums on the wire do not change.
+func TestChecksumMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bytesOf := func(max int) []byte {
+		b := make([]byte, rng.Intn(max+1))
+		rng.Read(b)
+		return b
+	}
+	for i := 0; i < 5000; i++ {
+		m := Message{
+			Kind:    Kind(rng.Uint32()),
+			Session: rng.Uint64(),
+			Seq:     rng.Uint64(),
+			From:    rng.Uint32(),
+			To:      rng.Uint32(),
+			Payload: bytesOf(300),
+		}
+		if rng.Intn(2) == 0 {
+			m.Proc = string(bytesOf(40))
+		}
+		if rng.Intn(2) == 0 {
+			m.Err = string(bytesOf(40))
+		}
+		if rng.Intn(2) == 0 {
+			m.Inc = rng.Uint32()
+		}
+		if got, want := m.Checksum(), checksumBytewise(&m); got != want {
+			t.Fatalf("message %d %+v: Checksum %#x, byte-wise %#x", i, m, got, want)
 		}
 	}
 }
