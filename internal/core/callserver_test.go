@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
@@ -89,14 +90,14 @@ func TestCallServersReused(t *testing.T) {
 	waitFor(t, "the call servers to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
-// TestFullServeStripeKeepsDispatching: requests that find their stripe
-// full while its worker is held wait in the stripe's backlog instead of
-// blocking the dispatcher. Meanwhile a reply from a third space still
-// reaches the waiter it is for; once the worker is released, every
-// request is served, in arrival order; and Close returns while the worker
-// is still held.
+// TestFullServeStripeKeepsDispatching: requests that arrive while their
+// stripe's worker is held wait in the stripe's queue, which grows past
+// its first ring, instead of blocking the dispatcher. Meanwhile a reply
+// from a third space still reaches the waiter it is for; once the worker
+// is released, every request is served, in arrival order; and Close
+// returns while the worker is still held.
 func TestFullServeStripeKeepsDispatching(t *testing.T) {
-	const n = 2*serveQueueDepth + 1 // one held, a queue full, and more behind
+	const n = 33 // one held, and a queue that grows twice behind it
 	for _, closeHeld := range []bool{false, true} {
 		net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
 		if err != nil {
@@ -121,11 +122,7 @@ func TestFullServeStripeKeepsDispatching(t *testing.T) {
 			}
 		}
 		stripe := &origin.serve[1%serveWorkers]
-		waitFor(t, "the stripe to back requests up", func() bool {
-			stripe.mu.Lock()
-			defer stripe.mu.Unlock()
-			return len(stripe.backlog)-stripe.head == n-1-serveQueueDepth
-		})
+		waitFor(t, "the stripe to queue requests", func() bool { return queued(stripe) == n-1 })
 
 		if closeHeld {
 			closed := make(chan error, 1)
@@ -175,6 +172,113 @@ func TestFullServeStripeKeepsDispatching(t *testing.T) {
 				t.Fatalf("reply %d is a %v for request %d; want the fetch reply to request %d", seq, m.Kind, m.Seq, seq)
 			}
 			m.ReleaseFrame()
+		}
+	}
+}
+
+// queued reads how many requests wait in s.
+func queued(s *serveStripe) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
+}
+
+// TestServeStripeFloodStopsAtLimit: a peer that floods one stripe while
+// its worker is held fills the queue to serveQueueLimit and no further;
+// the dispatcher then waits for room. Once the worker is released every
+// request is served, in arrival order; and Close returns while the
+// dispatcher waits and the worker is held.
+func TestServeStripeFloodStopsAtLimit(t *testing.T) {
+	const n = 1 + serveQueueLimit + 4 // one held, a full queue, and more behind
+	for _, closeHeld := range []bool{false, true} {
+		net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = net.Close() })
+		peer := rawAttach(t, net, 1)
+		origin := newRuntimeOnNet(t, net, 2)
+		origin.serveMu.Lock() // holds the worker serving peer's first FETCH
+		held := true
+		release := func() {
+			if held {
+				held = false
+				origin.serveMu.Unlock()
+			}
+		}
+		t.Cleanup(release)
+		empty := wire.FetchPayload{}
+		for seq := uint64(1); seq <= n; seq++ {
+			if err := peer.Send(sealed(wire.Message{Kind: wire.KindFetch, Seq: seq, To: 2, Payload: empty.Encode()})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stripe := &origin.serve[1%serveWorkers]
+		waitFor(t, "the stripe to fill", func() bool { return queued(stripe) == serveQueueLimit })
+		time.Sleep(20 * time.Millisecond)
+		if got := queued(stripe); got != serveQueueLimit {
+			t.Fatalf("a flooded stripe holds %d requests; want the limit, %d", got, serveQueueLimit)
+		}
+		if len(stripe.ring) != serveQueueLimit {
+			t.Fatalf("a flooded stripe's ring has %d slots; want %d", len(stripe.ring), serveQueueLimit)
+		}
+
+		if closeHeld {
+			closed := make(chan error, 1)
+			go func() { closed <- origin.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close did not return while the dispatcher waited on a full stripe")
+			}
+			continue
+		}
+
+		release()
+		for seq := uint64(1); seq <= n; seq++ {
+			m, err := peer.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Kind != wire.KindFetchReply || m.Seq != seq {
+				t.Fatalf("reply %d is a %v for request %d; want the fetch reply to request %d", seq, m.Kind, m.Seq, seq)
+			}
+			m.ReleaseFrame()
+		}
+	}
+}
+
+// TestServeStripeIsFIFO: random puts and takes on one stripe, growth
+// across the ring's wrap point included, come out in the order they went
+// in.
+func TestServeStripeIsFIFO(t *testing.T) {
+	s := newServeStripe()
+	stop := make(chan struct{})
+	rng := rand.New(rand.NewPCG(1, 2))
+	var want []uint64
+	next := uint64(1)
+	for range 20000 {
+		if len(want) < serveQueueLimit && rng.IntN(100) < 55 {
+			s.put(wire.Message{Seq: next}, stop)
+			want = append(want, next)
+			next++
+			continue
+		}
+		m, ok := s.take()
+		if ok != (len(want) > 0) {
+			t.Fatalf("take reported %v with %d requests queued", ok, len(want))
+		}
+		if ok {
+			if m.Seq != want[0] {
+				t.Fatalf("took request %d; want %d", m.Seq, want[0])
+			}
+			want = want[1:]
+		}
+		if s.n != len(want) {
+			t.Fatalf("stripe counts %d requests; want %d", s.n, len(want))
 		}
 	}
 }

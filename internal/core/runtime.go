@@ -602,9 +602,8 @@ func New(opts Options) (*Runtime, error) {
 	}
 	space.SetHandler(rt.onFault)
 	for i := range rt.serve {
-		s := &rt.serve[i]
-		s.q = make(chan wire.Message, serveQueueDepth)
-		go rt.serveWorker(s)
+		rt.serve[i] = newServeStripe()
+		go rt.serveWorker(&rt.serve[i])
 	}
 	go rt.loop()
 	return rt, nil
@@ -712,9 +711,9 @@ func (rt *Runtime) Stats() Stats {
 
 // Close shuts the runtime down and waits for its dispatcher and idle call
 // servers to exit. A handler or a serve still running is not waited for:
-// its server exits after the reply, its serve worker once the serve
-// returns, and an idle serve worker exits at once, dropping the requests
-// queued for it.
+// its server exits after the reply, and its serve worker once the serve
+// returns. Serve workers are not waited for at all; each exits on stop,
+// dropping the requests still queued for it.
 func (rt *Runtime) Close() error {
 	rt.closeOnce.Do(func() {
 		close(rt.stop)
@@ -722,8 +721,8 @@ func (rt *Runtime) Close() error {
 		<-rt.done
 		// Every waiter is waking on stop; release the frames still queued
 		// for them, reap the background receivers, then release what they
-		// parked, so Close leaves neither a pooled buffer nor a goroutine
-		// behind.
+		// parked. The serve workers exit on stop without being waited for,
+		// and the requests queued for them are dropped.
 		rt.pending.drain()
 		rt.receivers.Wait()
 		rt.dropParked()
@@ -732,11 +731,11 @@ func (rt *Runtime) Close() error {
 }
 
 // serveWorkers is the size of the bounded pool serving non-Call requests,
-// and serveQueueDepth each worker's queue capacity. Requests stripe by
-// sender (from % serveWorkers), so one sender's requests execute in
-// arrival order while distinct senders proceed in parallel — N clients
-// fetching from one server no longer head-of-line block behind one
-// closure build.
+// and serveQueueLimit the most requests one worker's queue holds.
+// Requests stripe by sender (from % serveWorkers), so one sender's
+// requests execute in arrival order while distinct senders proceed in
+// parallel — N clients fetching from one server no longer head-of-line
+// block behind one closure build.
 //
 // Sizing: a stripe rarely holds more than one request. The fetch
 // pipeline can put several concurrent requests on one edge — a
@@ -744,75 +743,110 @@ func (rt *Runtime) Close() error {
 // prefetcher adds at most prefetchDepth speculative exchanges per origin
 // — but every requester then blocks awaiting its reply; the most any
 // stripe was seen to hold, across the core and bench test suites and 80
-// chaos seeds with and without concurrent workloads, is one. The depth
-// of 16 leaves room for such fan-out before the backlog is touched, at
-// 8×16 queued messages per runtime (8×256 took two thirds of a one-node
-// session's live heap). A request that finds its stripe full waits in
-// the stripe's backlog (serveStripe) instead, so a duplicating,
-// replaying or flooding peer costs memory, never a stalled dispatcher:
-// replies keep reaching local waiters while a stripe is saturated. No
-// stripe worker waits on a reply: serveInvalidate drops parked fetch
-// frames instead of waiting for them.
+// chaos seeds with and without concurrent workloads, is one. So a queue
+// starts small and grows only as requests pile up (8×256 preallocated
+// slots took two thirds of a one-node session's live heap). The limit
+// bounds what a duplicating, replaying or flooding transport can pile
+// up: four admission tables' worth of requests per stripe, which a
+// well-behaved peer does not come near. When a queue is full, the
+// receive loop blocks (backpressure, with a shutdown escape) rather than
+// growing without bound — deliberately: dropping would strand the sender
+// until its call timeout, and NACKing would surface spurious errors on
+// demand faults. The accepted cost is that a saturated stripe stalls the
+// dispatcher, and with it reply delivery to local waiters. No stripe
+// worker waits on a reply: serveInvalidate drops parked fetch frames
+// instead of waiting for them.
 const (
 	serveWorkers    = 8
-	serveQueueDepth = 16
+	serveQueueLimit = 4 * admissionEntries
 )
 
-// serveStripe is one serve worker's queue: a channel for the requests it
-// has room for and, behind it, the requests that arrived while it was
-// full. The dispatcher sends to the channel only while the backlog is
-// empty, and the worker moves backlogged requests into the channel after
-// every receive, so requests are served in arrival order and the worker
-// never waits on an empty channel with requests backlogged.
+// serveStripe is one serve worker's queue, a ring of requests oldest
+// first. Only the dispatcher puts and only the stripe's worker takes.
 type serveStripe struct {
-	q  chan wire.Message
-	mu sync.Mutex
-	// backlog[head:] are the requests waiting for room in q, oldest
-	// first.
-	backlog []wire.Message
-	head    int
+	mu   sync.Mutex
+	ring []wire.Message // grown by doubling; its length is a power of two
+	head int            // ring index of the oldest request
+	n    int            // requests queued
+	// wake holds a token once a put finds the queue empty, and room once
+	// the worker takes from a full one.
+	wake, room chan struct{}
 }
 
-// put queues m for the stripe's worker; it never blocks.
-func (s *serveStripe) put(m wire.Message) {
+func newServeStripe() serveStripe {
+	return serveStripe{wake: make(chan struct{}, 1), room: make(chan struct{}, 1)}
+}
+
+// put queues m for the stripe's worker. While the queue is full it waits
+// for the worker to take a request, and drops m once stop closes.
+func (s *serveStripe) put(m wire.Message, stop <-chan struct{}) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.head == len(s.backlog) {
+	for s.n == serveQueueLimit {
+		s.mu.Unlock()
 		select {
-		case s.q <- m:
+		case <-s.room:
+		case <-stop:
 			return
+		}
+		s.mu.Lock()
+	}
+	if s.n == len(s.ring) {
+		grown := make([]wire.Message, max(8, 2*len(s.ring)))
+		k := copy(grown, s.ring[s.head:])
+		copy(grown[k:], s.ring[:s.head])
+		s.ring, s.head = grown, 0
+	}
+	s.ring[(s.head+s.n)&(len(s.ring)-1)] = m
+	s.n++
+	first := s.n == 1
+	s.mu.Unlock()
+	if first {
+		select {
+		case s.wake <- struct{}{}:
 		default:
 		}
 	}
-	s.backlog = append(s.backlog, m)
 }
 
-// refill moves backlogged requests into q while it has room.
-func (s *serveStripe) refill() {
+// take removes the oldest request; ok is false if the queue is empty.
+func (s *serveStripe) take() (m wire.Message, ok bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for ; s.head < len(s.backlog); s.head++ {
+	if s.n == 0 {
+		s.mu.Unlock()
+		return m, false
+	}
+	full := s.n == serveQueueLimit
+	m, s.ring[s.head] = s.ring[s.head], wire.Message{}
+	s.head = (s.head + 1) & (len(s.ring) - 1)
+	s.n--
+	s.mu.Unlock()
+	if full {
 		select {
-		case s.q <- s.backlog[s.head]:
-			s.backlog[s.head] = wire.Message{}
+		case s.room <- struct{}{}:
 		default:
-			return
 		}
 	}
-	s.backlog, s.head = s.backlog[:0], 0
+	return m, true
 }
 
 // serveWorker serves one stripe of the serve pool until the runtime
-// stops.
+// stops; requests still queued then are dropped.
 func (rt *Runtime) serveWorker(s *serveStripe) {
 	for {
-		var m wire.Message
 		select {
-		case m = <-s.q:
 		case <-rt.stop:
 			return
+		default:
 		}
-		s.refill()
+		m, ok := s.take()
+		if !ok {
+			select {
+			case <-s.wake:
+			case <-rt.stop:
+				return
+			}
+			continue
+		}
 		switch m.Kind {
 		case wire.KindFetch:
 			rt.serveFetch(m)
@@ -826,9 +860,10 @@ func (rt *Runtime) serveWorker(s *serveStripe) {
 	}
 }
 
-// enqueueServe hands a request to its sender's stripe.
+// enqueueServe hands a request to its sender's stripe, blocking (with a
+// shutdown escape) while the stripe is full.
 func (rt *Runtime) enqueueServe(m wire.Message) {
-	rt.serve[m.From%serveWorkers].put(m)
+	rt.serve[m.From%serveWorkers].put(m, rt.stop)
 }
 
 // dispatchCall hands a CALL to the call server that parked last, or
@@ -914,9 +949,9 @@ func (rt *Runtime) stopCallServers() {
 // server (dispatchCall), one per running handler, since handlers may
 // block in nested calls or callbacks; the bookkeeping servers run on the
 // bounded serve pool, striped by sender, so a slow closure build for one
-// client never head-of-line blocks the loop or the other clients, and a
-// full stripe never blocks the loop either. When the loop exits, the
-// idle call servers exit with it; the serve workers exit on stop.
+// client never head-of-line blocks the loop or the other clients. When
+// the loop exits, the idle call servers exit with it; the serve workers
+// exit on stop.
 // Every request passes the admission table (admission.go) first;
 // duplicated reply frames are harmless — the first one consumes the
 // pending entry and the rest find no requester.
