@@ -670,7 +670,11 @@ func TestTableMemoRacesOfferAndInstall(t *testing.T) {
 			return root.SetInt("data", 0, d)
 		})
 		go loop(func(n int) error {
-			rt.offer(&inflightFetch{fetchKey: fetchKey{pn: stalePages[n%len(stalePages)], origin: 1}, stale: true})
+			f := inflightFetch{fetchKey: fetchKey{pn: stalePages[n%len(stalePages)], origin: 1}, stale: true}
+			rt.offer(&f)
+			if f.frame != nil {
+				f.frame.Release()
+			}
 			return nil
 		})
 		total, err := sumTree(rt, args[0])

@@ -199,11 +199,16 @@ func (x *exchange) release() {
 	exchangePool.Put(x)
 }
 
-// send issues one attempt of req under seq.
+// send issues one attempt of req under seq. A request in a pooled frame
+// goes out under a reference of its own, which Send consumes: the caller
+// keeps its reference for later attempts.
 func (x *exchange) send(req wire.Message, seq uint64) error {
 	x.seq, x.asm = seq, chunkAssembler{xid: seq}
 	req.Seq = seq
 	req.Seal()
+	if req.Frame != nil {
+		req.Frame.Retain()
+	}
 	x.rt.pending.register(x)
 	if err := x.rt.node.Send(req); err != nil {
 		x.abandon()

@@ -74,13 +74,34 @@ type fetchKey struct {
 // when the exchange ran on that thread, or on installing the end record
 // a background receiver parked (InstallParked). A fault on the page
 // meanwhile joins it (completeFrom) instead of re-requesting.
+//
+// frame is the request, encoded once (offer) into a pooled buffer. f
+// holds one reference to it from the offer until the exchange is over,
+// and releases it on whichever path ends the exchange: fetchFrom's return
+// when the exchange ran there, and otherwise its end record, installed
+// (InstallParked) or dropped by teardown (park, dropParked). Each attempt
+// sends it under a reference of its own (exchange.send).
 type inflightFetch struct {
 	fetchKey
 	sess  uint64
 	spec  bool           // prefetcher-issued
 	stale bool           // a hashed FETCH (warmcache.go)
 	n     int32          // the FETCH's want count
-	wants []wire.LongPtr // a hashed FETCH's wants, for ClearStale
+	frame *wire.FrameBuf // the request payload, when n > 0
+}
+
+// endFetch ends f's exchange: a hashed FETCH first degrades whatever it
+// left stale to plain wants (clearStale), then f's frame reference goes.
+func (rt *Runtime) endFetch(f *inflightFetch, clearStale bool) {
+	if clearStale && f.stale {
+		// The wants are read back out of the request itself: the frame
+		// holds them until the release below.
+		if w, err := wire.ReadFetchWants(f.frame.Enc().Bytes()); err == nil {
+			rt.table.ClearStaleWants(w)
+		}
+	}
+	f.frame.Release()
+	f.frame = nil
 }
 
 // parkedFrame is one reply frame a background receiver parked for the
@@ -90,6 +111,16 @@ type parkedFrame struct {
 	m   wire.Message
 	end bool
 	err error // the exchange's outcome, on the end record
+}
+
+// release drops a record no thread of control will install: the reply
+// frame's reference, or on the end record the request's.
+func (r *parkedFrame) release(rt *Runtime) {
+	if r.end {
+		rt.endFetch(r.f, false)
+		return
+	}
+	r.m.ReleaseFrame()
 }
 
 // completePage makes every entry allocated to page pn resident, from
@@ -218,13 +249,13 @@ func (rt *Runtime) receive(f *inflightFetch, run func(park frameFunc) error) {
 }
 
 // park queues one record for the thread of control and wakes the
-// joiners; a frame of an exchange teardown dropped, which is no longer
+// joiners; a record of an exchange teardown dropped, which is no longer
 // registered, is released instead.
 func (rt *Runtime) park(r parkedFrame) {
 	rt.inflightMu.Lock()
 	defer rt.inflightMu.Unlock()
 	if rt.inflight[r.f.fetchKey] != r.f {
-		r.m.ReleaseFrame()
+		r.release(rt)
 		return
 	}
 	rt.parked = append(rt.parked, r)
@@ -253,9 +284,7 @@ func (rt *Runtime) InstallParked() {
 			continue
 		}
 		rt.retire(f)
-		if f.stale {
-			rt.table.ClearStale(f.wants)
-		}
+		rt.endFetch(f, true)
 		if f.spec {
 			rt.pfSettle(f.origin, f.pn, r.err == nil)
 		}
@@ -280,7 +309,7 @@ func (rt *Runtime) dropParked() {
 	defer rt.inflightMu.Unlock()
 	clear(rt.inflight)
 	for _, r := range rt.parked {
-		r.m.ReleaseFrame()
+		r.release(rt)
 	}
 	rt.parked = nil
 	rt.joined.Broadcast()
@@ -345,11 +374,11 @@ func (rt *Runtime) ParkedFrames() int {
 // fresh attempt seq. Re-installing items an earlier attempt already
 // delivered is idempotent.
 func (rt *Runtime) fetchFrom(f *inflightFetch, background bool) (poke, detached bool, err error) {
-	payload := rt.offer(f)
+	rt.offer(f)
 	if f.n == 0 {
 		return false, false, nil
 	}
-	req := wire.Message{Kind: wire.KindFetch, Session: f.sess, To: f.origin, Payload: payload}
+	req := wire.Message{Kind: wire.KindFetch, Session: f.sess, To: f.origin, Payload: f.frame.Enc().Bytes(), Frame: f.frame}
 	if background {
 		rt.receive(f, func(park frameFunc) error {
 			_, err := rt.exchange(req, func() { rt.fetchSent(f) }, park)
@@ -362,9 +391,10 @@ func (rt *Runtime) fetchFrom(f *inflightFetch, background bool) (poke, detached 
 	})
 	if err != nil {
 		if !f.stale || errors.Is(err, ErrOriginRestarted) || errors.Is(err, ErrInvariant) {
+			rt.endFetch(f, false)
 			return false, false, err
 		}
-		rt.table.ClearStale(f.wants)
+		rt.endFetch(f, true)
 		return false, false, nil
 	}
 	if open != nil {
@@ -375,9 +405,7 @@ func (rt *Runtime) fetchFrom(f *inflightFetch, background bool) (poke, detached 
 		})
 		return false, true, nil
 	}
-	if f.stale {
-		rt.table.ClearStale(f.wants)
-	}
+	rt.endFetch(f, true)
 	return true, false, nil
 }
 
@@ -405,14 +433,15 @@ func (rt *Runtime) fetchSent(f *inflightFetch) {
 // the hash of the datum encoded from its demoted page into one scratch
 // arena, which becomes the memo. A datum that cannot be encoded — it
 // points at a datum freed since — loses its stale mark and is refetched.
-// A hashed FETCH's wants are also copied into f, for ClearStale.
+// With any wants, the payload goes straight into a pooled frame buffer,
+// f.frame, whose one reference f holds until the exchange is over.
 //
 // The walk holds installMu: installs are the only writers of a stale
 // page, and another origin's exchange of a multi-origin fault, or another
 // Options.Concurrent thread, may be applying one. The scratch is reused
 // under it; the payload is encoded from it before the hold ends, because
 // the exchange outlives it.
-func (rt *Runtime) offer(f *inflightFetch) []byte {
+func (rt *Runtime) offer(f *inflightFetch) {
 	rt.installMu.Lock()
 	defer rt.installMu.Unlock()
 	sc := &rt.offerScratch
@@ -444,15 +473,14 @@ func (rt *Runtime) offer(f *inflightFetch) []byte {
 	tx.ClearStale(unencodable)
 	tx.End()
 	if f.n = int32(len(sc.wants)); f.n == 0 {
-		return nil
+		return
 	}
 	p := wire.FetchPayload{Wants: sc.wants, Sums: sc.sums, Speculative: f.spec}
-	if f.stale {
-		f.wants = slices.Clone(sc.wants)
-	} else {
+	if !f.stale {
 		p.Budget = uint32(rt.closure)
 	}
-	return p.Encode()
+	f.frame = wire.NewChunkBuf()
+	p.EncodeTo(f.frame.Enc())
 }
 
 // offerScratch holds offer's wants, sums and encode arena between calls.
@@ -578,10 +606,7 @@ func (em *chunkEmitter) send(kind wire.Kind, fb *wire.FrameBuf) error {
 		Inc:     em.rt.incarnation,
 	}
 	out.Seal()
-	if err := em.rt.node.Send(out); err != nil {
-		// Send consumes the frame reference only when it serializes or
-		// delivers; an undeliverable frame is released here.
-		out.ReleaseFrame()
+	if err := em.rt.node.Send(out); err != nil { // Send consumes the frame reference
 		em.err = err
 		return err
 	}
@@ -629,7 +654,6 @@ func (em *chunkEmitter) fail(errStr string) {
 // serve is still encoding. Smaller closures use the classic single reply
 // frame (chunkEmitter.finish).
 func (rt *Runtime) serveFetch(m wire.Message) {
-	em := chunkEmitter{rt: rt, req: m}
 	// The working set (decoded wants and sums, queue, seen set, item
 	// slice, encode arena) is pooled across serves: every frame the reply
 	// goes out in is a copy, so nothing aliases the arena once the serve
@@ -640,6 +664,11 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 		serveScratchPool.Put(sc)
 	}()
 	p, err := wire.DecodeFetchPayloadInto(m.Payload, sc.wants, sc.sums)
+	// The wants and sums are in the scratch now: the request's frame, the
+	// pooled buffer it arrived in, goes back at once.
+	m.ReleaseFrame()
+	m.Payload = nil
+	em := chunkEmitter{rt: rt, req: m}
 	sc.wants = p.Wants
 	if p.Sums != nil {
 		sc.sums = p.Sums
@@ -1024,6 +1053,9 @@ func (rt *Runtime) fetchOne(lp wire.LongPtr) ([]byte, error) {
 		return nil, ErrNoSession
 	}
 	p := wire.FetchPayload{Wants: []wire.LongPtr{lp}, Budget: 0}
+	fb := wire.NewChunkBuf()
+	defer fb.Release()
+	p.EncodeTo(fb.Enc())
 	// The origin may answer in either reply form; collect the one item
 	// from whichever frame carries it.
 	var body []byte
@@ -1032,7 +1064,8 @@ func (rt *Runtime) fetchOne(lp wire.LongPtr) ([]byte, error) {
 		Kind:    wire.KindFetch,
 		Session: sess,
 		To:      lp.Space,
-		Payload: p.Encode(),
+		Payload: fb.Enc().Bytes(),
+		Frame:   fb,
 	}, func() { rt.stats.fetchesSent.Add(1) }, func(m wire.Message) (bool, error) {
 		defer m.ReleaseFrame()
 		_, items, err := readFetchFrame(m)

@@ -251,12 +251,13 @@ func BenchmarkPendingTable(b *testing.B) {
 // exchange allocates beyond encoding its request and decoding and
 // installing its reply. The origin is a raw node answering from canned,
 // pre-encoded replies — a FETCH's in a pooled frame, as a serve sends it —
-// and the in-process transport allocates nothing, so every allocation
-// counted is the client's. A pooled exchange (queue and
-// wake channel included) and callbacks that never leave the stack make
-// the engine's share zero; the gate allows one, not the five a FETCH
-// used to pay (retry closure, stream buffer, its wake channel, the
-// exchange record, the first queue append).
+// and releasing each FETCH request's pooled frame as a serve does, and
+// the in-process transport allocates nothing, so every allocation counted
+// is the client's. A pooled exchange (queue and wake channel included),
+// callbacks that never leave the stack and a request encoded into a
+// pooled frame make the engine's share zero, which the gate holds it to:
+// a FETCH once paid five (retry closure, stream buffer, its wake channel,
+// the exchange record, the first queue append).
 func TestExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -287,6 +288,8 @@ func TestExchangeAllocs(t *testing.T) {
 			if err != nil {
 				return
 			}
+			// The request is over once read, as serveFetch releases it.
+			m.ReleaseFrame()
 			r := wire.Message{Kind: m.Kind.ReplyKind(), Session: m.Session, Seq: m.Seq, To: m.From, Payload: []byte{}}
 			if m.Kind == wire.KindFetch {
 				// In a pooled frame, as a real origin sends it: the client
@@ -345,14 +348,15 @@ func TestExchangeAllocs(t *testing.T) {
 	payload := testing.AllocsPerRun(200, func() {
 		unfetch()
 		f := newFetch()
-		p := cl.offer(f)
+		cl.offer(f)
 		m := wire.Message{Kind: wire.KindFetchReply, Payload: fetchReply}
-		if _, err := cl.installFetchFrame(f, m); err != nil || len(p) == 0 {
+		if _, err := cl.installFetchFrame(f, m); err != nil || f.frame == nil {
 			t.Fatalf("install: %v", err)
 		}
+		f.frame.Release()
 	})
-	if fetch-payload > 1 {
-		t.Errorf("a monolithic FETCH allocates %.0f times, %.0f of them for its payloads; the exchange may add at most 1",
+	if fetch-payload > 0 {
+		t.Errorf("a monolithic FETCH allocates %.0f times, %.0f of them for its payloads; the exchange may add none",
 			fetch, payload)
 	}
 	t.Logf("allocs per exchange: round trip %.0f, fetch %.0f (payload encode/decode/install %.0f)", roundTrip, fetch, payload)

@@ -722,10 +722,14 @@ func (rt *Runtime) Close() error {
 		// Every waiter is waking on stop; release the frames still queued
 		// for them, reap the background receivers, then release what they
 		// parked. The serve workers exit on stop without being waited for,
-		// and the requests queued for them are dropped.
+		// and the requests queued for them are dropped, their frames
+		// released.
 		rt.pending.drain()
 		rt.receivers.Wait()
 		rt.dropParked()
+		for i := range rt.serve {
+			rt.serve[i].drop()
+		}
 	})
 	return nil
 }
@@ -786,6 +790,7 @@ func (s *serveStripe) put(m wire.Message, stop <-chan struct{}) {
 		select {
 		case <-s.room:
 		case <-stop:
+			m.ReleaseFrame()
 			return
 		}
 		s.mu.Lock()
@@ -827,6 +832,17 @@ func (s *serveStripe) take() (m wire.Message, ok bool) {
 		}
 	}
 	return m, true
+}
+
+// drop empties the queue, releasing the requests' frames.
+func (s *serveStripe) drop() {
+	for {
+		m, ok := s.take()
+		if !ok {
+			return
+		}
+		m.ReleaseFrame()
+	}
 }
 
 // serveWorker serves one stripe of the serve pool until the runtime
@@ -980,6 +996,7 @@ func (rt *Runtime) loop() {
 			} else {
 				// Raw reply: the frame's identity fields are untrustworthy,
 				// so it must not touch the admission table either.
+				m.ReleaseFrame()
 				rt.replyRaw(m.From, m.Session, m.Seq, m.Kind.ReplyKind(), nil, checksumRejectErr)
 				continue
 			}
@@ -1000,13 +1017,18 @@ func (rt *Runtime) loop() {
 			}
 			continue
 		}
+		// A request the admission table keeps from its server is over here:
+		// its pooled frame (a FETCH's) goes back.
 		switch v, r := rt.admission.admit(m); v {
 		case admitDrop:
+			m.ReleaseFrame()
 			continue
 		case admitSwallow:
+			m.ReleaseFrame()
 			rt.stats.dedupSwallowed.Add(1)
 			continue
 		case admitReplay:
+			m.ReleaseFrame()
 			rt.stats.dedupReplays.Add(1)
 			rt.trace(Event{Kind: EvReplayedReply, Target: m.From})
 			rt.replyRaw(m.From, m.Session, m.Seq, r.kind, r.payload, r.errStr)

@@ -22,7 +22,8 @@ import (
 // background receiver does.
 func parkReply(t *testing.T, rt *Runtime, pn, origin uint32, items []wire.DataItem) *wire.FrameBuf {
 	t.Helper()
-	f := &inflightFetch{fetchKey: fetchKey{pn: pn, origin: origin}, sess: rt.Session()}
+	// The end record releases the exchange's request frame.
+	f := &inflightFetch{fetchKey: fetchKey{pn: pn, origin: origin}, sess: rt.Session(), frame: wire.NewChunkBuf()}
 	rt.inflightMu.Lock()
 	rt.inflight[f.fetchKey] = f
 	rt.inflightMu.Unlock()

@@ -39,9 +39,11 @@ func tinySession(t testing.TB) func(i int64) {
 // goroutine and every session re-made its participant and alloc-batch
 // maps, 25 while the origin decoded each FETCH's wants into a fresh
 // vector, 23 while the CALL and the RETURN were each assembled as a
-// wire.CallPayload before being encoded, and 21 while a FETCH's wants were
-// copied out of the offer scratch as well as encoded.
-const tinySessionAllocs = 20
+// wire.CallPayload before being encoded, 21 while a FETCH's wants were
+// copied out of the offer scratch as well as encoded, and 20 while the
+// FETCH request was encoded into a fresh buffer and, on arrival, its wants
+// decoded from a copy of it.
+const tinySessionAllocs = 18
 
 // TestTinySessionAllocs pins what the smallest session allocates: its
 // fixed per-session cost in every layer, with no bulk to hide it.

@@ -145,7 +145,8 @@ type Chaos struct {
 	events     []Event
 	counts     [5]uint64
 	// held is every pooled frame a runtime received through this wrapper,
-	// each with one reference the wrapper keeps for HeldFrames.
+	// once per delivery, each with one reference the wrapper keeps for
+	// HeldFrames.
 	held []*wire.FrameBuf
 }
 
@@ -219,22 +220,33 @@ func (c *Chaos) Total() uint64 {
 	return n
 }
 
-// HeldFrames is the frame leak oracle: it reports how many pooled reply
-// frames handed to a runtime are still referenced by anything but the
-// wrapper, and drops the wrapper's own references. Called once every
-// runtime has closed, it must report zero: a runtime releases each frame
-// it installs, parks and drops, or discards.
+// HeldFrames is the frame leak oracle: it reports how many pooled frames
+// handed to a runtime are still referenced by anything but the wrapper,
+// and drops the wrapper's own references. Called once every runtime has
+// closed, it must report zero: a runtime releases each frame it installs,
+// parks and drops, serves, or discards.
+//
+// One buffer can reach a runtime more than once: every attempt of a
+// retried request carries the request's one buffer. The wrapper holds it
+// once per delivery, so a buffer leaks when it has more references than
+// the wrapper's holds on it.
 func (c *Chaos) HeldFrames() int {
 	c.mu.Lock()
 	held := c.held
 	c.held = nil
 	c.mu.Unlock()
-	n := 0
+	holds := make(map[*wire.FrameBuf]int, len(held))
 	for _, fb := range held {
-		if fb.Refs() > 1 {
+		holds[fb]++
+	}
+	n := 0
+	for fb, k := range holds {
+		if fb.Refs() > k {
 			n++
 		}
-		fb.Release()
+		for range k {
+			fb.Release()
+		}
 	}
 	return n
 }

@@ -806,7 +806,7 @@ func (h *harness) checkAllIdle(op int, when string) *FailureError {
 // it (given a few seconds to unwind).
 func (h *harness) checkClosed(goroutines int) *FailureError {
 	if n := h.chaos.HeldFrames(); n != 0 {
-		return h.fail("%d pooled reply frames still referenced after every space closed", n)
+		return h.fail("%d pooled frames still referenced after every space closed", n)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
 		if time.Now().After(deadline) {

@@ -1085,7 +1085,7 @@ func (t *Table) DemoteAll() {
 
 // ClearStale strips the stale mark from the given long pointers, turning
 // them back into plain non-resident wants that the next fault fetches in
-// full. The revalidation path degrades through it when a Validate exchange
+// full. The revalidation path degrades through it when a hashed FETCH
 // fails: correctness never depends on a warm baseline.
 func (t *Table) ClearStale(lps []wire.LongPtr) {
 	t.mu.Lock()
@@ -1093,18 +1093,32 @@ func (t *Table) ClearStale(lps []wire.LongPtr) {
 	Tx{t}.ClearStale(lps)
 }
 
+// ClearStaleWants is ClearStale over the wants of an encoded FETCH,
+// read in place.
+func (t *Table) ClearStaleWants(w wire.FetchWants) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range w.Len() {
+		t.clearStale(w.At(i))
+	}
+}
+
 // ClearStale is Table.ClearStale inside the transaction.
 func (x Tx) ClearStale(lps []wire.LongPtr) {
-	t := x.t
 	for _, lp := range lps {
-		_, e, _ := t.find(lp)
-		if e == nil || !e.Stale {
-			continue
-		}
-		e.Stale = false
-		for p, last := t.pagesOf(e); p <= last; p++ {
-			t.page(p).stale--
-		}
+		x.t.clearStale(lp)
+	}
+}
+
+// clearStale strips lp's stale mark, if its row has one. Caller holds mu.
+func (t *Table) clearStale(lp wire.LongPtr) {
+	_, e, _ := t.find(lp)
+	if e == nil || !e.Stale {
+		return
+	}
+	e.Stale = false
+	for p, last := t.pagesOf(e); p <= last; p++ {
+		t.page(p).stale--
 	}
 }
 

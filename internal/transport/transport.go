@@ -27,7 +27,9 @@ var ErrClosed = errors.New("transport: closed")
 type Node interface {
 	// ID returns the attached space's identifier.
 	ID() uint32
-	// Send routes m to the space identified by m.To.
+	// Send routes m to the space identified by m.To. It consumes the
+	// reference m carries to a pooled frame (m.Frame), whether or not m
+	// is delivered: the receiver gets it, or Send releases it.
 	Send(m wire.Message) error
 	// Recv blocks until a message arrives or the node closes.
 	Recv() (wire.Message, error)
@@ -255,11 +257,16 @@ func (n *memNode) ID() uint32 { return n.id }
 func (n *memNode) Send(m wire.Message) error {
 	select {
 	case <-n.done:
+		m.ReleaseFrame()
 		return ErrClosed
 	default:
 	}
 	m.From = n.id
-	return n.net.route(m)
+	err := n.net.route(m)
+	if err != nil {
+		m.ReleaseFrame()
+	}
+	return err
 }
 
 func (n *memNode) Recv() (wire.Message, error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -75,9 +76,10 @@ func FuzzFrameDecode(f *testing.F) {
 
 // FuzzReadFrame pushes arbitrary byte streams through ReadFrame, frame
 // after frame until it fails: it must not panic, must refuse a length
-// word above maxFrame before reading a body byte, and must hand the
-// pooled buffer on with the message or release it, on every error path
-// too.
+// word above maxFrame before reading a body byte, must hand the pooled
+// buffer on with the message or release it, on every error path too, and
+// must allocate in proportion to the bytes supplied, never to a length
+// word's claim (readFrameAllocSlack).
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	for _, m := range []*Message{fuzzMessage(), {Kind: KindFetchReply, Seq: 2, Payload: []byte{1, 2, 3}}} {
@@ -90,7 +92,17 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 1})
 	f.Add([]byte{0x01, 0x00, 0x00, 0x01, 0xAA})
 	f.Add([]byte{0xff, 0xff})
+	f.Add([]byte{0x00, 0xff, 0xff, 0xf0}) // a length word just under maxFrame, and no body
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		defer func() {
+			runtime.ReadMemStats(&ms)
+			if got, bound := ms.TotalAlloc-before, readFrameAllocBound(len(data)); got > bound {
+				t.Fatalf("reading %d bytes allocated %d, above the %d bound", len(data), got, bound)
+			}
+		}()
 		r := bytes.NewReader(data)
 		for {
 			at := r.Len()
@@ -117,6 +129,15 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readFrameAllocSlack bounds what FuzzReadFrame's reads may allocate
+// beyond 8 bytes per byte supplied: a body buffer's first step
+// (frameReadStep), a fresh pooled buffer, and the test's own bookkeeping.
+const readFrameAllocSlack = 4 * frameReadStep
+
+func readFrameAllocBound(supplied int) uint64 {
+	return uint64(8*supplied + readFrameAllocSlack)
 }
 
 // refGetItems is the item-vector parser as it was before ItemReader: one
@@ -313,6 +334,16 @@ func FuzzFetchPayloadDecode(f *testing.F) {
 		}
 		if len(q.Sums) != 0 && len(q.Sums) != len(q.Wants) {
 			t.Fatalf("decoder admitted %d sums for %d wants", len(q.Sums), len(q.Wants))
+		}
+		// The in-place reader reads the wants the decoder decoded.
+		w, err := ReadFetchWants(data)
+		if err != nil || w.Len() != len(q.Wants) {
+			t.Fatalf("in-place wants reader: %v, %d wants; decoded %d", err, w.Len(), len(q.Wants))
+		}
+		for i, lp := range q.Wants {
+			if w.At(i) != lp {
+				t.Fatalf("in-place want %d reads %v, decoded %v", i, w.At(i), lp)
+			}
 		}
 		// A decoded payload must survive the encoder round trip with the
 		// flag bits and sums intact.

@@ -614,6 +614,14 @@ type FetchPayload struct {
 // Encode returns the canonical encoding of p.
 func (p *FetchPayload) Encode() []byte {
 	e := xdr.NewEncoder(12 + EncodedLongPtrSize*len(p.Wants) + 8*len(p.Sums))
+	p.EncodeTo(e)
+	return e.Bytes()
+}
+
+// EncodeTo appends the canonical encoding of p to e: a requester encodes
+// straight into a pooled frame buffer (NewChunkBuf).
+func (p *FetchPayload) EncodeTo(e *xdr.Encoder) {
+	e.Grow(12 + EncodedLongPtrSize*len(p.Wants) + 8*len(p.Sums))
 	e.PutUint32(uint32(len(p.Wants)))
 	for _, lp := range p.Wants {
 		putLongPtr(e, lp)
@@ -630,7 +638,37 @@ func (p *FetchPayload) Encode() []byte {
 	for _, s := range p.Sums {
 		e.PutUint64(s)
 	}
-	return e.Bytes()
+}
+
+// FetchWants reads the want vector of an encoded Fetch body in place,
+// with no copy: a requester reads back the wants of the request it still
+// holds.
+type FetchWants struct {
+	b []byte // the encoded wants, EncodedLongPtrSize bytes each
+}
+
+// ReadFetchWants opens a reader on the wants of the Fetch body b.
+func ReadFetchWants(b []byte) (FetchWants, error) {
+	d := xdr.NewDecoder(b)
+	nw, err := d.Uint32()
+	if err != nil {
+		return FetchWants{}, err
+	}
+	n, err := boundCount(d, nw, EncodedLongPtrSize, "want")
+	if err != nil {
+		return FetchWants{}, err
+	}
+	return FetchWants{b: b[4 : 4+n*EncodedLongPtrSize]}, nil
+}
+
+// Len returns the number of wants.
+func (w FetchWants) Len() int { return len(w.b) / EncodedLongPtrSize }
+
+// At returns want i.
+func (w FetchWants) At(i int) LongPtr {
+	b := w.b[i*EncodedLongPtrSize:]
+	be := binary.BigEndian
+	return LongPtr{Space: be.Uint32(b), Addr: vmem.VAddr(be.Uint32(b[4:])), Type: types.ID(be.Uint32(b[8:]))}
 }
 
 // DecodeFetchPayload parses a Fetch body.

@@ -166,18 +166,18 @@ type Message struct {
 	// older builds — stay byte-identical and decode Inc as zero.
 	Inc uint32
 	// Frame, when non-nil, is the ref-counted pooled buffer Payload
-	// aliases (zero-copy FETCH reply frames). It never travels on the
-	// wire; the final consumer calls ReleaseFrame after the last item
-	// decoded from Payload has been installed.
+	// aliases (zero-copy FETCH request and reply frames). It never
+	// travels on the wire; each holder calls ReleaseFrame once it reads
+	// Payload no more.
 	Frame *FrameBuf
 }
 
 // FrameBuf is a ref-counted pooled buffer backing a zero-copy message
-// payload: an encoder whose bytes are either a chunk payload an origin
-// encoded straight into it, or the raw body of a frame ReadFrame read off
-// a stream. When the count reaches zero the buffer returns to its pool; a
-// forgotten release only costs the recycle (the garbage collector still
-// reclaims the buffer).
+// payload: an encoder whose bytes are either a payload a runtime encoded
+// straight into it (a FETCH request, a reply chunk), or the raw body of a
+// frame ReadFrame read off a stream. When the count reaches zero the
+// buffer returns to its pool; a forgotten release only costs the recycle
+// (the garbage collector still reclaims the buffer).
 type FrameBuf struct {
 	enc  *xdr.Encoder
 	refs atomic.Int32
@@ -436,11 +436,15 @@ func WriteFrame(w io.Writer, m *Message) error {
 	return nil
 }
 
-// ReadFrame reads one length-prefixed frame from r and decodes it.
-// FETCH reply frames, chunked (KindFetchChunk) or monolithic
-// (KindFetchReply), decode zero-copy: the payload aliases the pooled
-// frame buffer, which travels with the message as Frame and returns to
-// the pool when the consumer calls ReleaseFrame, as a reply sent in
+// frameReadStep is the first size readFrame gives a frame body's buffer,
+// which then doubles as the body's bytes arrive.
+const frameReadStep = 64 << 10
+
+// ReadFrame reads one length-prefixed frame from r and decodes it. FETCH
+// frames, the request (KindFetch) and either reply form (KindFetchChunk,
+// KindFetchReply), decode zero-copy: the payload aliases the pooled frame
+// buffer, which travels with the message as Frame and returns to the
+// pool when the consumer calls ReleaseFrame, as a FETCH frame sent in
 // process already does. All other kinds copy the payload out so the
 // buffer recycles immediately.
 func ReadFrame(r io.Reader) (Message, error) {
@@ -449,6 +453,11 @@ func ReadFrame(r io.Reader) (Message, error) {
 
 // readFrame is ReadFrame reading into fb, length word included. fb's
 // reference passes to the returned message's Frame or is released.
+//
+// The body buffer grows as the body's bytes arrive, frameReadStep first
+// and then doubling, never to the declared length up front: a peer that
+// sends a length word and nothing more costs one step, not maxFrame. A
+// body up to frameReadStep still takes one read.
 func readFrame(r io.Reader, fb *FrameBuf) (Message, error) {
 	fb.enc.Grow(4)
 	fb.enc.Truncate(4)
@@ -456,25 +465,28 @@ func readFrame(r io.Reader, fb *FrameBuf) (Message, error) {
 		fb.Release()
 		return Message{}, err
 	}
-	n := binary.BigEndian.Uint32(fb.enc.Bytes())
+	n := int(binary.BigEndian.Uint32(fb.enc.Bytes()))
 	if n > maxFrame {
 		fb.Release()
 		return Message{}, fmt.Errorf("wire: frame length %d out of range", n)
 	}
 	fb.enc.Reset()
-	fb.enc.Grow(int(n))
-	fb.enc.Truncate(int(n))
-	body := fb.enc.Bytes()
-	if _, err := io.ReadFull(r, body); err != nil {
-		fb.Release()
-		return Message{}, fmt.Errorf("wire: read frame body: %w", err)
+	for have := 0; have < n; {
+		next := min(n, max(frameReadStep, 2*have))
+		fb.enc.Grow(next - have)
+		fb.enc.Truncate(next)
+		if _, err := io.ReadFull(r, fb.enc.Bytes()[have:]); err != nil {
+			fb.Release()
+			return Message{}, fmt.Errorf("wire: read frame body: %w", err)
+		}
+		have = next
 	}
-	m, err := decodeAlias(xdr.NewDecoder(body))
+	m, err := decodeAlias(xdr.NewDecoder(fb.enc.Bytes()))
 	if err != nil {
 		fb.Release()
 		return Message{}, err
 	}
-	if m.Kind == KindFetchChunk || m.Kind == KindFetchReply {
+	if m.Kind == KindFetch || m.Kind == KindFetchChunk || m.Kind == KindFetchReply {
 		m.Frame = fb
 		return m, nil
 	}

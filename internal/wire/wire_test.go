@@ -133,8 +133,9 @@ func TestFrameSequence(t *testing.T) {
 }
 
 // TestReadFrameAliasesFetchReplies pins which frames decode zero-copy:
-// both FETCH reply forms keep the pooled read buffer as Frame until the
-// consumer releases it; every other kind copies its payload out.
+// the FETCH request and both FETCH reply forms keep the pooled read
+// buffer as Frame until the consumer releases it; every other kind copies
+// its payload out.
 func TestReadFrameAliasesFetchReplies(t *testing.T) {
 	for _, k := range []Kind{KindFetchReply, KindFetchChunk, KindCall, KindFetch, KindReturn} {
 		m := Message{Kind: k, Seq: 5, Payload: []byte{1, 2, 3, 4, 5}}
@@ -149,7 +150,7 @@ func TestReadFrameAliasesFetchReplies(t *testing.T) {
 		if !bytes.Equal(got.Payload, m.Payload) {
 			t.Errorf("%v: payload %v, want %v", k, got.Payload, m.Payload)
 		}
-		aliased := k == KindFetchReply || k == KindFetchChunk
+		aliased := k == KindFetchReply || k == KindFetchChunk || k == KindFetch
 		if (got.Frame != nil) != aliased {
 			t.Errorf("%v: pooled frame attached = %v, want %v", k, got.Frame != nil, aliased)
 			continue
@@ -383,6 +384,22 @@ func TestFetchPayloadRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, p) {
 		t.Errorf("fetch payload round trip mismatch: %+v", got)
+	}
+}
+
+// TestFetchPayloadEncodeTo pins that EncodeTo appends exactly Encode's
+// bytes to an encoder, as a requester encodes into a pooled frame buffer.
+func TestFetchPayloadEncodeTo(t *testing.T) {
+	p := FetchPayload{
+		Wants: []LongPtr{{Space: 1, Addr: 0x10, Type: 2}, {Space: 1, Addr: 0x20, Type: 2}},
+		Sums:  []uint64{7, 9},
+	}
+	fb := NewChunkBuf()
+	defer fb.Release()
+	fb.Enc().PutUint32(0xfeedface)
+	p.EncodeTo(fb.Enc())
+	if got := fb.Enc().Bytes()[4:]; !bytes.Equal(got, p.Encode()) {
+		t.Errorf("EncodeTo appended %x, Encode gives %x", got, p.Encode())
 	}
 }
 
